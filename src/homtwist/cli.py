@@ -6,28 +6,20 @@ Subcommands:
     homtwist paper [--filter S] [--bounds N]   run the acceptance suite
 
 Exit codes: 0 success, 1 expectation failure, 2 parse error, 3 semantic error.
-HOMTWIST_THREADS caps internal parallelism (0 = auto); the current scan
-executor is sequential, which satisfies any cap.
 """
 
 import argparse
-import os
 import sys
 
 from .errors import HomTwistError, ManifestError, ManifestSyntaxError
 from .manifest import EXIT_SEMANTIC, EXIT_SYNTAX, parse_manifest, run, table
-from .suite import paper_suite
+from .suite import paper_suite, selected_criteria
 
 
-def _read_threads_env():
-    raw = os.environ.get("HOMTWIST_THREADS", "0")
-    try:
-        value = int(raw)
-        if value < 0:
-            raise ValueError
-    except ValueError:
-        print(f"invalid HOMTWIST_THREADS={raw!r} (need an integer >= 0)", file=sys.stderr)
-        return None
+def _bound(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"bound must be >= 0, got {value}")
     return value
 
 
@@ -52,13 +44,14 @@ def main(argv=None):
 
     p_paper = sub.add_parser("paper", help="run the built-in acceptance suite")
     p_paper.add_argument("--filter", default=None, help="only criteria containing this substring")
-    p_paper.add_argument("--bounds", type=int, default=None, help="cap quantum degree bounds")
+    p_paper.add_argument("--bounds", type=_bound, default=None, help="cap quantum degree bounds")
 
     args = parser.parse_args(argv)
-    if _read_threads_env() is None:
-        return EXIT_SEMANTIC
 
     if args.command == "paper":
+        if not selected_criteria(args.filter):
+            print(f"no criterion matches --filter {args.filter!r}", file=sys.stderr)
+            return EXIT_SEMANTIC
         return paper_suite(filter_substr=args.filter, bounds=args.bounds)
 
     try:

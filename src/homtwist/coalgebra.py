@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from .algebra import HomAlgebra, check_hom_algebra, yau_twist_algebra
 from .errors import DimensionMismatch, NotComultiplicative, PreconditionFailure
-from .exact import Matrix, Scan, ZERO, as_scalar
+from .exact import LinearMap, Matrix, Scan, as_scalar, compose, scan_composites
 
 
 def _normalize_constants(dim, comul):
@@ -33,22 +33,6 @@ class HomCoalgebra:
         object.__setattr__(self, "comul", _normalize_constants(self.dim, self.comul))
         if self.alpha.rows != self.dim or self.alpha.cols != self.dim:
             raise DimensionMismatch("alpha shape does not match the coalgebra")
-
-    def coproduct(self, v):
-        """Delta extended linearly, as a dense vector over the flattened square."""
-        d = self.dim
-        out = [ZERO] * (d * d)
-        for i, vi in enumerate(v):
-            if not vi:
-                continue
-            plane = self.comul[i]
-            for j in range(d):
-                row = plane[j]
-                base = j * d
-                for k, c in enumerate(row):
-                    if c:
-                        out[base + k] = out[base + k] + vi * c
-        return out
 
     def is_classical(self):
         return self.alpha.is_identity()
@@ -98,64 +82,16 @@ class HomBialgebra:
 
 def _comultiplicativity_scan(coalgebra, endo, equation="comultiplicativity"):
     """(endo (x) endo) o Delta = Delta o endo, scanned per basis element."""
-    d = coalgebra.dim
-    scan = Scan()
-    for i in range(d):
-        lhs = [ZERO] * (d * d)
-        for j in range(d):
-            row = coalgebra.comul[i][j]
-            cj = endo.col(j)
-            for k, c in enumerate(row):
-                if not c:
-                    continue
-                ck = endo.col(k)
-                for r, er in enumerate(cj):
-                    if not er:
-                        continue
-                    w = c * er
-                    base = r * d
-                    for s, es in enumerate(ck):
-                        if es:
-                            lhs[base + s] = lhs[base + s] + w * es
-        rhs = coalgebra.coproduct(endo.col(i))
-        scan.eq(equation, (i,), lhs, rhs)
-    return scan.done()
+    delta, e = LinearMap.coproduct(coalgebra.comul), LinearMap.from_matrix(endo)
+    lhs, rhs = [(delta, 0), (e, 0), (e, 1)], [(e, 0), (delta, 0)]
+    return scan_composites([((coalgebra.dim,), [(equation, lhs, rhs)])])
 
 
 def _hom_coassoc_scan(coalgebra, equation="hom_coassociativity"):
     """(Delta (x) alpha) o Delta = (alpha (x) Delta) o Delta per basis element."""
-    d = coalgebra.dim
-    comul = coalgebra.comul
-    scan = Scan()
-    for i in range(d):
-        lhs = [ZERO] * (d ** 3)
-        rhs = [ZERO] * (d ** 3)
-        for j in range(d):
-            arow_j = coalgebra.alpha.col(j)
-            for k in range(d):
-                c = comul[i][j][k]
-                if not c:
-                    continue
-                acol_k = coalgebra.alpha.col(k)
-                for r in range(d):
-                    for s, w in enumerate(comul[j][r]):
-                        if w:
-                            base = (r * d + s) * d
-                            cw = c * w
-                            for t, at in enumerate(acol_k):
-                                if at:
-                                    lhs[base + t] = lhs[base + t] + cw * at
-                for r, ar in enumerate(arow_j):
-                    if not ar:
-                        continue
-                    car = c * ar
-                    for s in range(d):
-                        for t, w in enumerate(comul[k][s]):
-                            if w:
-                                idx = (r * d + s) * d + t
-                                rhs[idx] = rhs[idx] + car * w
-        scan.eq(equation, (i,), lhs, rhs)
-    return scan.done()
+    delta, a = LinearMap.coproduct(coalgebra.comul), LinearMap.from_matrix(coalgebra.alpha)
+    lhs, rhs = [(delta, 0), (delta, 0), (a, 2)], [(delta, 0), (a, 0), (delta, 1)]
+    return scan_composites([((coalgebra.dim,), [(equation, lhs, rhs)])])
 
 
 def check_hom_coalgebra(coalgebra):
@@ -185,33 +121,9 @@ def check_hom_bialgebra(bialgebra):
     # rescanned under its bialgebra name for witness clarity.
     scan.absorb("", _hom_coassoc_scan(C, equation="coproduct_alpha_balance"))
     # Delta(h h') = h1 h'1 (x) h2 h'2
-    comul = C.comul
-    for i in range(d):
-        for j in range(d):
-            lhs = C.coproduct(H.mul[i][j])
-            rhs = [ZERO] * (d * d)
-            for p in range(d):
-                for q in range(d):
-                    cpq = comul[i][p][q]
-                    if not cpq:
-                        continue
-                    for u in range(d):
-                        for v in range(d):
-                            w = comul[j][u][v]
-                            if not w:
-                                continue
-                            cw = cpq * w
-                            left = H.mul[p][u]
-                            right = H.mul[q][v]
-                            for r, lr in enumerate(left):
-                                if not lr:
-                                    continue
-                                base = r * d
-                                clr = cw * lr
-                                for s, rs in enumerate(right):
-                                    if rs:
-                                        rhs[base + s] = rhs[base + s] + clr * rs
-            scan.eq("coproduct_multiplicative", (i, j), lhs, rhs)
+    mu, delta = LinearMap.product(H.mul), LinearMap.coproduct(C.comul)
+    both = [(delta, 0), (delta, 2), (LinearMap.flip(d, d), 1), (mu, 0), (mu, 1)]
+    scan_composites([((d, d), [("coproduct_multiplicative", [(mu, 0), (delta, 0)], both)])], scan)
     # Delta(alpha(h)) = alpha(h1) (x) alpha(h2) is comultiplicativity again.
     scan.absorb("", _comultiplicativity_scan(C, C.alpha, equation="coproduct_of_alpha"))
     return scan.done()
@@ -237,13 +149,10 @@ def yau_twist_coalgebra(coalgebra, alpha):
             f"alpha is not comultiplicative; witness {rep.failures[0].basis}",
             witness=rep.failures[0].basis,
         )
-    d = coalgebra.dim
-    new_comul = []
-    for i in range(d):
-        flat = coalgebra.coproduct(alpha.col(i))
-        new_comul.append(tuple(tuple(flat[j * d + k] for k in range(d)) for j in range(d)))
+    path = [(LinearMap.from_matrix(alpha), 0), (LinearMap.coproduct(coalgebra.comul), 0)]
+    new_comul = compose(path, (coalgebra.dim,)).table()
     return HomCoalgebra(
-        d, tuple(new_comul), alpha, coalgebra.provenance + ("yau_twist",)
+        coalgebra.dim, new_comul, alpha, coalgebra.provenance + ("yau_twist",)
     )
 
 

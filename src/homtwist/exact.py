@@ -11,11 +11,16 @@ Everything else in the package builds on the conventions pinned here, once:
   for three or more factors.
 * a matrix ``M`` acts on column coordinate vectors: the linear map it
   represents sends basis element ``e_c`` to ``sum_r M[r, c] e_r``.
+* every structure map (mu, Delta, alpha, R, T, actions, coactions, flips) is
+  a ``LinearMap`` between tensor products, and ``apply_at`` is the one place
+  that applies such a map to a run of factors; an axiom is a pair of paths of
+  ``(map, position)`` checked per basis tuple by ``scan_composites``.
 """
 
 import os
 import re
 from dataclasses import dataclass
+import itertools
 
 from .errors import DimensionMismatch, MalformedRational, NotInvertible, ZeroDenominator
 
@@ -252,28 +257,174 @@ def kron(a, b):
 # ---------------------------------------------------------------------------
 
 
-def vec_zero(n):
-    return [ZERO] * n
-
-
 def basis_vec(n, i):
     v = [ZERO] * n
     v[i] = ONE
     return v
 
 
-def tensor2(u, v):
-    """u tensor v as a dense vector over the flattened product space."""
-    n = len(v)
-    out = [ZERO] * (len(u) * n)
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        base = i * n
-        for j, vj in enumerate(v):
-            if vj:
-                out[base + j] = ui * vj
+# ---------------------------------------------------------------------------
+# sparse linear maps between tensor products, and composites of them
+# ---------------------------------------------------------------------------
+
+
+def _size(dims):
+    n = 1
+    for d in dims:
+        n *= d
+    return n
+
+
+def _nonzero(vec):
+    return tuple((r, c) for r, c in enumerate(vec) if c)
+
+
+class LinearMap:
+    """A linear map from a tensor product of factors to another, by sparse columns.
+
+    ``src`` and ``dst`` are the factor dims.  ``cols[c]`` holds the nonzero
+    ``(r, coefficient)`` pairs of the image of source basis element ``c``; both
+    indices are flattened by the module convention.
+    """
+
+    __slots__ = ("src", "dst", "cols")
+
+    def __init__(self, src, dst, cols):
+        self.src = tuple(src)
+        self.dst = tuple(dst)
+        self.cols = tuple(cols)
+        if len(self.cols) != _size(self.src):
+            raise DimensionMismatch(f"{len(self.cols)} columns for source dims {self.src}")
+
+    @classmethod
+    def from_matrix(cls, m, src=None, dst=None):
+        """The map of a matrix, read as acting between the given factor dims."""
+        src = (m.cols,) if src is None else src
+        dst = (m.rows,) if dst is None else dst
+        if _size(src) != m.cols or _size(dst) != m.rows:
+            raise DimensionMismatch(f"{m.rows}x{m.cols} matrix does not map {src} to {dst}")
+        return cls(src, dst, (_nonzero(m.col(c)) for c in range(m.cols)))
+
+    @classmethod
+    def from_constants(cls, table, src, dst):
+        """Structure constants nested source factors first, then target factors.
+
+        ``mul[i][j][k]`` is a map (d, d) -> (d,), ``comul[i][j][k]`` a map
+        (d,) -> (d, d); action and coaction tables read the same way.
+        """
+        flat = table
+        for _ in range(len(src) + len(dst) - 1):
+            flat = [x for part in flat for x in part]
+        n = _size(dst)
+        if len(flat) != _size(src) * n:
+            raise DimensionMismatch(f"constants are not shaped {tuple(src) + tuple(dst)}")
+        return cls(src, dst, (_nonzero(flat[c * n:(c + 1) * n]) for c in range(_size(src))))
+
+    @classmethod
+    def product(cls, mul):
+        d = len(mul)
+        return cls.from_constants(mul, (d, d), (d,))
+
+    @classmethod
+    def coproduct(cls, comul):
+        d = len(comul)
+        return cls.from_constants(comul, (d,), (d, d))
+
+    @classmethod
+    def flip(cls, d1, d2):
+        """u (x) v -> v (x) u for u, v in factors of dims d1, d2."""
+        return cls((d1, d2), (d2, d1), (((j * d1 + i, ONE),) for i in range(d1) for j in range(d2)))
+
+    def reshaped(self, src, dst):
+        """The same map with its source and target regrouped into other factors."""
+        if _size(src) != _size(self.src) or _size(dst) != _size(self.dst):
+            raise DimensionMismatch(f"cannot regroup {self.src} -> {self.dst} as {src} -> {dst}")
+        return LinearMap(src, dst, self.cols)
+
+    def matrix(self):
+        return Matrix.from_columns([to_dense(dict(col), self.dst) for col in self.cols])
+
+    def table(self):
+        """Dense constants nested source factors first, then target factors."""
+        nested = [tuple(to_dense(dict(col), self.dst)) for col in self.cols]
+        for d in reversed(self.dst[1:]):
+            nested = [tuple(v[i:i + d] for i in range(0, len(v), d)) for v in nested]
+        for d in reversed(self.src[1:]):
+            nested = [tuple(nested[i:i + d]) for i in range(0, len(nested), d)]
+        return tuple(nested)
+
+
+def to_sparse(vec):
+    """A dense coordinate vector as a sparse tensor {flat index: coefficient}."""
+    return dict(_nonzero(vec))
+
+
+def to_dense(x, dims):
+    out = [ZERO] * _size(dims)
+    for i, c in x.items():
+        out[i] = c
     return out
+
+
+def apply_at(lmap, x, dims, pos):
+    """Apply `lmap` to factors pos, pos+1, ... of the sparse tensor `x` over `dims`.
+
+    The factors before the run and after it pass through unchanged; the
+    result lives over ``dims[:pos] + lmap.dst + dims[pos + len(lmap.src):]``.
+    """
+    end = pos + len(lmap.src)
+    if tuple(dims[pos:end]) != lmap.src:
+        raise DimensionMismatch(f"factors {pos}..{end - 1} of {tuple(dims)} are not {lmap.src}")
+    right = _size(dims[end:])
+    block_in = _size(lmap.src) * right
+    block_out = _size(lmap.dst) * right
+    cols = lmap.cols
+    out = {}
+    for idx, v in x.items():
+        outer, rest = divmod(idx, block_in)
+        mid, rest = divmod(rest, right)
+        base = outer * block_out + rest
+        for t, w in cols[mid]:
+            o = base + t * right
+            out[o] = out[o] + v * w if o in out else v * w
+    return out
+
+
+def apply_path(path, x, dims):
+    """Apply each ``(map, position)`` of `path` in turn; returns (tensor, dims)."""
+    dims = tuple(dims)
+    for lmap, pos in path:
+        x = apply_at(lmap, x, dims, pos)
+        dims = dims[:pos] + lmap.dst + dims[pos + len(lmap.src):]
+    return x, dims
+
+
+def compose(path, dims):
+    """The composite of `path` on tensors over `dims`, tabulated as a LinearMap."""
+    cols, out_dims = [], tuple(dims)
+    for c in range(_size(dims)):
+        y, out_dims = apply_path(path, {c: ONE}, dims)
+        cols.append(tuple((r, v) for r, v in y.items() if v))
+    return LinearMap(dims, out_dims, cols)
+
+
+def scan_composites(blocks, scan=None):
+    """Check equations between composites on every basis tuple.
+
+    `blocks` is a sequence of ``(dims, equations)``, each equation a triple
+    ``(name, lhs path, rhs path)``.  Within a block the basis tuples over
+    `dims` run in lexicographic order and, for each tuple, the equations in
+    the order given.  Returns the report of `scan` (a fresh Scan by default).
+    """
+    scan = Scan() if scan is None else scan
+    for dims, equations in blocks:
+        dims = tuple(dims)
+        for flat, basis in enumerate(itertools.product(*(range(d) for d in dims))):
+            x = {flat: ONE}
+            for name, lhs, rhs in equations:
+                scan.eq(name, basis, to_dense(*apply_path(lhs, x, dims)),
+                        to_dense(*apply_path(rhs, x, dims)))
+    return scan.done()
 
 
 # ---------------------------------------------------------------------------

@@ -388,34 +388,38 @@ def serialize_manifest(manifest):
 # ---------------------------------------------------------------------------
 
 
+def _execute(task, env):
+    """Run one task against `env`, binding a construct's result; returns (outcome, witnesses).
+
+    A construct that fails leaves its name unbound, so a later task that uses
+    the name fails too.
+    """
+    unbound = [a for a in task.args if a not in env]
+    if unbound:
+        return "fail", [f"UnknownName: undefined name {unbound[0]!r} (its construct task failed)"]
+    args = [env[a] for a in task.args]
+    try:
+        if task.op in CHECK_VERBS:
+            report = CHECK_VERBS[task.op](*args)
+            return ("pass" if report.passed else "fail"), [str(f) for f in report.failures[:3]]
+        result = CONSTRUCT_VERBS[task.op](*args)
+    except HomTwistError as exc:
+        return "fail", [f"{type(exc).__name__}: {exc}"]
+    if task.store is not None:
+        env[task.store] = result
+        if isinstance(result, dict):
+            for member, value in result.items():
+                env[f"{task.store}.{member}"] = value
+    return "pass", []
+
+
 def run(manifest):
     """Execute tasks in order; returns (exit_code, report_text)."""
     env = dict(manifest.objects)
     lines = []
     all_met = True
     for i, task in enumerate(manifest.tasks, start=1):
-        args = [env[a] for a in task.args]
-        witnesses = []
-        if task.op in CHECK_VERBS:
-            try:
-                report = CHECK_VERBS[task.op](*args)
-                outcome = "pass" if report.passed else "fail"
-                witnesses = [str(f) for f in report.failures[:3]]
-            except HomTwistError as exc:
-                outcome = "fail"
-                witnesses = [f"{type(exc).__name__}: {exc}"]
-        else:
-            try:
-                result = CONSTRUCT_VERBS[task.op](*args)
-                outcome = "pass"
-                if task.store is not None:
-                    env[task.store] = result
-                    if isinstance(result, dict):
-                        for member, value in result.items():
-                            env[f"{task.store}.{member}"] = value
-            except HomTwistError as exc:
-                outcome = "fail"
-                witnesses = [f"{type(exc).__name__}: {exc}"]
+        outcome, witnesses = _execute(task, env)
         met = task.expect == "any" or outcome == task.expect
         all_met = all_met and met
         status = "OK" if met else "EXPECTATION FAILED"
@@ -443,26 +447,17 @@ def _format_combo(vec):
     return " + ".join(parts) if parts else "0"
 
 
-def construct_env(manifest):
-    """Objects plus the results of construct tasks (check tasks are skipped)."""
-    env = dict(manifest.objects)
-    for task in manifest.tasks:
-        if task.op in CONSTRUCT_VERBS and task.store is not None:
-            result = CONSTRUCT_VERBS[task.op](*[env[a] for a in task.args])
-            env[task.store] = result
-            if isinstance(result, dict):
-                for member, value in result.items():
-                    env[f"{task.store}.{member}"] = value
-    return env
-
-
 def table(manifest, name):
     """The basis-pair multiplication table of a named algebra; rows are left factors.
 
     Names bound by construct tasks are visible, so a manifest can build a
-    twisted tensor product and print its table.
+    twisted tensor product and print its table.  Check tasks are skipped; a
+    construct task that fails leaves its name unbound.
     """
-    env = construct_env(manifest)
+    env = dict(manifest.objects)
+    for task in manifest.tasks:
+        if task.op in CONSTRUCT_VERBS and task.store is not None:
+            _execute(task, env)
     if name not in env:
         raise UnknownName(f"undefined name {name!r}")
     obj = env[name]

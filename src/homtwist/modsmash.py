@@ -6,9 +6,14 @@ Action constants: ``table[h][m][m']`` is the coefficient of ``e_{m'}`` in
 ``table[m][i][j]`` is the coefficient of ``e_i (x) e_j`` in the coaction of
 ``e_m``, where the pair reads (coalgebra, module) on the left side and
 (module, coalgebra) on the right side.
+
+An action's ``map`` reads its constants as (h, m) -> m' on either side, so
+every axiom below is a composite of these maps, mu, Delta and the structure
+maps, with flips bringing the factors each map acts on together.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import multiplicativity_scan, yau_twist_algebra
 from .coalgebra import _comultiplicativity_scan, yau_twist_bialgebra
@@ -19,8 +24,9 @@ from .errors import (
     PreconditionFailure,
     YDViolation,
 )
-from .exact import Matrix, Scan, ZERO, as_scalar, basis_vec, kron, mat_inv, mat_mul, vec_zero
+from .exact import LinearMap, Matrix, as_scalar, compose, kron, mat_inv, scan_composites
 from .twisted import TwistingMapR, flip, hom_ttp, iterated_ttp
+from .twistor import structure_constants_block
 
 LEFT = "left"
 RIGHT = "right"
@@ -62,21 +68,12 @@ class ActionTable:
         if self.alpha_m.rows != self.module_dim or self.alpha_m.cols != self.module_dim:
             raise DimensionMismatch("alpha_M shape does not match the module")
 
-    def act(self, hvec, mvec):
-        """Bilinear extension of the action constants."""
-        out = vec_zero(self.module_dim)
-        for h, hv in enumerate(hvec):
-            if not hv:
-                continue
-            plane = self.table[h]
-            for m, mv in enumerate(mvec):
-                if not mv:
-                    continue
-                w = hv * mv
-                for mp, c in enumerate(plane[m]):
-                    if c:
-                        out[mp] = out[mp] + w * c
-        return out
+    @cached_property
+    def map(self):
+        """H (x) M -> M, e_h (x) e_m -> table[h][m], for either side."""
+        return LinearMap.from_constants(
+            self.table, (self.acting_dim, self.module_dim), (self.module_dim,)
+        )
 
 
 @dataclass(frozen=True)
@@ -103,25 +100,13 @@ class CoactionTable:
         if self.alpha_m.rows != self.module_dim or self.alpha_m.cols != self.module_dim:
             raise DimensionMismatch("alpha_M shape does not match the module")
 
-    def pair_dims(self):
-        if self.side == LEFT:
-            return self.coalgebra_dim, self.module_dim
-        return self.module_dim, self.coalgebra_dim
-
-    def coact(self, mvec):
-        """The coaction of a module vector as a dense vector over the pair space."""
-        d1, d2 = self.pair_dims()
-        out = vec_zero(d1 * d2)
-        for m, mv in enumerate(mvec):
-            if not mv:
-                continue
-            plane = self.table[m]
-            for i in range(d1):
-                base = i * d2
-                for j, c in enumerate(plane[i]):
-                    if c:
-                        out[base + j] = out[base + j] + mv * c
-        return out
+    @cached_property
+    def map(self):
+        """M -> C (x) M on the left side, M -> M (x) C on the right side."""
+        pair = (self.coalgebra_dim, self.module_dim)
+        return LinearMap.from_constants(
+            self.table, (self.module_dim,), pair if self.side == LEFT else pair[::-1]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -137,27 +122,18 @@ def check_module(side, algebra, action):
     if action.acting_dim != algebra.dim:
         raise DimensionMismatch("acting dimension does not match the algebra")
     d, dm = algebra.dim, action.module_dim
-    am = action.alpha_m
-    scan = Scan()
-    for h in range(d):
-        acol_h = algebra.alpha.col(h)
-        for m in range(dm):
-            lhs = am.apply(action.table[h][m])
-            rhs = action.act(acol_h, am.col(m))
-            scan.eq("module_alpha", (h, m), lhs, rhs)
-    for h in range(d):
-        acol_h = algebra.alpha.col(h)
-        for hp in range(d):
-            acol_hp = algebra.alpha.col(hp)
-            for m in range(dm):
-                if side == LEFT:
-                    lhs = action.act(acol_h, action.table[hp][m])
-                else:
-                    # (m . e_h) . alpha(e_hp)
-                    lhs = action.act(acol_hp, action.table[h][m])
-                rhs = action.act(algebra.mul[h][hp], am.col(m))
-                scan.eq("module_assoc", (h, hp, m), lhs, rhs)
-    return scan.done()
+    act = action.map
+    ah, am = LinearMap.from_matrix(algebra.alpha), LinearMap.from_matrix(action.alpha_m)
+    # left: alpha(h) . (h' . m); right: (m . h) . alpha(h'), so h goes first
+    first = [] if side == LEFT else [(LinearMap.flip(d, d), 0)]
+    return scan_composites([
+        ((d, dm), [("module_alpha", [(act, 0), (am, 0)], [(ah, 0), (am, 1), (act, 0)])]),
+        ((d, d, dm), [(
+            "module_assoc",
+            first + [(act, 1), (ah, 0), (act, 0)],
+            [(LinearMap.product(algebra.mul), 0), (am, 1), (act, 0)],
+        )]),
+    ])
 
 
 def check_module_hom_algebra(side, bialgebra, algebra, action):
@@ -170,25 +146,13 @@ def check_module_hom_algebra(side, bialgebra, algebra, action):
     if not rep.passed:
         raise PreconditionFailure("check_module", report=rep)
     dh, da = bialgebra.dim, algebra.dim
-    alpha2 = mat_mul(bialgebra.alpha, bialgebra.alpha)
-    comul = bialgebra.comul
-    scan = Scan()
-    for h in range(dh):
-        a2col = alpha2.col(h)
-        for a1 in range(da):
-            for a2 in range(da):
-                lhs = action.act(a2col, algebra.mul[a1][a2])
-                rhs = vec_zero(da)
-                for p in range(dh):
-                    for q, c in enumerate(comul[h][p]):
-                        if not c:
-                            continue
-                        term = algebra.product(action.table[p][a1], action.table[q][a2])
-                        for k, t in enumerate(term):
-                            if t:
-                                rhs[k] = rhs[k] + c * t
-                scan.eq("module_algebra_compat", (h, a1, a2), lhs, rhs)
-    return scan.done()
+    ah, act, mu = LinearMap.from_matrix(bialgebra.alpha), action.map, LinearMap.product(algebra.mul)
+    delta = LinearMap.coproduct(bialgebra.comul)
+    return scan_composites([((dh, da, da), [(
+        "module_algebra_compat",
+        [(mu, 1), (ah, 0), (ah, 0), (act, 0)],
+        [(delta, 0), (LinearMap.flip(dh, da), 1), (act, 0), (act, 1), (mu, 0)],
+    )])])
 
 
 def yau_twist_module_algebra(side, bialgebra, algebra, action, alpha_h, alpha_a):
@@ -213,14 +177,11 @@ def yau_twist_module_algebra(side, bialgebra, algebra, action, alpha_h, alpha_a)
     rep = multiplicativity_scan(algebra, alpha_a)
     if not rep.passed:
         raise NotMultiplicative("alpha_A is not multiplicative", witness=rep.failures[0].basis)
-    scan = Scan()
-    for h in range(bialgebra.dim):
-        hcol = alpha_h.col(h)
-        for m in range(algebra.dim):
-            lhs = alpha_a.apply(action.table[h][m])
-            rhs = action.act(hcol, alpha_a.col(m))
-            scan.eq("intertwining", (h, m), lhs, rhs)
-    rep = scan.done()
+    act, fa, fh = action.map, LinearMap.from_matrix(alpha_a), LinearMap.from_matrix(alpha_h)
+    dims = (bialgebra.dim, algebra.dim)
+    rep = scan_composites([
+        (dims, [("intertwining", [(act, 0), (fa, 0)], [(fh, 0), (fa, 1), (act, 0)])]),
+    ])
     if not rep.passed:
         raise IntertwiningFailure(
             f"alpha_A(h.a) != alpha_H(h).alpha_A(a); witness {rep.failures[0].basis}",
@@ -228,10 +189,7 @@ def yau_twist_module_algebra(side, bialgebra, algebra, action, alpha_h, alpha_a)
         )
     twisted_bi = yau_twist_bialgebra(bialgebra, alpha_h)
     twisted_alg = yau_twist_algebra(algebra, alpha_a)
-    new_table = tuple(
-        tuple(tuple(alpha_a.apply(action.table[h][m])) for m in range(algebra.dim))
-        for h in range(bialgebra.dim)
-    )
+    new_table = compose([(act, 0), (fa, 0)], dims).table()
     twisted_action = ActionTable(side, bialgebra.dim, algebra.dim, new_table, alpha_a)
     return twisted_bi, twisted_alg, twisted_action
 
@@ -248,30 +206,14 @@ def tensor_modules(bialgebra, act_m, act_n):
             raise PreconditionFailure(f"check_module:{name}", report=rep)
     dh = bialgebra.dim
     dm, dn = act_m.module_dim, act_n.module_dim
-    comul = bialgebra.comul
-    table = []
-    for h in range(dh):
-        plane = []
-        for m in range(dm):
-            for n in range(dn):
-                row = vec_zero(dm * dn)
-                for p in range(dh):
-                    for q, c in enumerate(comul[h][p]):
-                        if not c:
-                            continue
-                        mrow = act_m.table[p][m]
-                        nrow = act_n.table[q][n]
-                        for mp, cm in enumerate(mrow):
-                            if not cm:
-                                continue
-                            base = mp * dn
-                            ccm = c * cm
-                            for np_, cn in enumerate(nrow):
-                                if cn:
-                                    row[base + np_] = row[base + np_] + ccm * cn
-                plane.append(tuple(row))
-        table.append(tuple(plane))
-    return ActionTable(LEFT, dh, dm * dn, tuple(table), kron(act_m.alpha_m, act_n.alpha_m))
+    path = [
+        (LinearMap.coproduct(bialgebra.comul), 0),
+        (LinearMap.flip(dh, dm), 1),
+        (act_m.map, 0),
+        (act_n.map, 1),
+    ]
+    table = compose(path, (dh, dm, dn)).reshaped((dh, dm * dn), (dm * dn,)).table()
+    return ActionTable(LEFT, dh, dm * dn, table, kron(act_m.alpha_m, act_n.alpha_m))
 
 
 # ---------------------------------------------------------------------------
@@ -286,99 +228,24 @@ def check_comodule(side, coalgebra, coaction):
         raise DimensionMismatch(f"coaction table is {coaction.side}-sided, expected {side}")
     if coaction.coalgebra_dim != coalgebra.dim:
         raise DimensionMismatch("coalgebra dimension does not match")
-    dc, dm = coalgebra.dim, coaction.module_dim
-    am = coaction.alpha_m
-    ac = coalgebra.alpha
-    scan = Scan()
-    for m in range(dm):
-        co = coaction.coact(basis_vec(dm, m))
-        d1, d2 = coaction.pair_dims()
-        lhs = vec_zero(d1 * d2)
-        for idx, w in enumerate(co):
-            if not w:
-                continue
-            i, j = divmod(idx, d2)
-            icol = (ac if side == LEFT else am).col(i)
-            jcol = (am if side == LEFT else ac).col(j)
-            for r, u in enumerate(icol):
-                if not u:
-                    continue
-                wu = w * u
-                base = r * d2
-                for s, v in enumerate(jcol):
-                    if v:
-                        lhs[base + s] = lhs[base + s] + wu * v
-        rhs = coaction.coact(am.col(m))
-        scan.eq("comodule_alpha", (m,), lhs, rhs)
-
-    comul = coalgebra.comul
-    for m in range(dm):
-        plane = coaction.table[m]
-        if side == LEFT:
-            size = dc * dc * dm
-            lhs = vec_zero(size)
-            rhs = vec_zero(size)
-            for c in range(dc):
-                for mp, w in enumerate(plane[c]):
-                    if not w:
-                        continue
-                    # (Delta (x) alpha_M) o lambda
-                    mcol = am.col(mp)
-                    for r in range(dc):
-                        for s, u in enumerate(comul[c][r]):
-                            if not u:
-                                continue
-                            wu = w * u
-                            base = (r * dc + s) * dm
-                            for t, mt in enumerate(mcol):
-                                if mt:
-                                    lhs[base + t] = lhs[base + t] + wu * mt
-                    # (alpha_C (x) lambda) o lambda
-                    ccol = ac.col(c)
-                    inner = coaction.table[mp]
-                    for r, cr in enumerate(ccol):
-                        if not cr:
-                            continue
-                        wcr = w * cr
-                        for s in range(dc):
-                            base = (r * dc + s) * dm
-                            for t, u in enumerate(inner[s]):
-                                if u:
-                                    rhs[base + t] = rhs[base + t] + wcr * u
-            scan.eq("hom_coassociativity", (m,), lhs, rhs)
-        else:
-            size = dm * dc * dc
-            lhs = vec_zero(size)
-            rhs = vec_zero(size)
-            for mp in range(dm):
-                for c, w in enumerate(plane[mp]):
-                    if not w:
-                        continue
-                    # (alpha_M (x) Delta) o rho
-                    mcol = am.col(mp)
-                    for t, mt in enumerate(mcol):
-                        if not mt:
-                            continue
-                        wmt = w * mt
-                        for r in range(dc):
-                            base = (t * dc + r) * dc
-                            for s, u in enumerate(comul[c][r]):
-                                if u:
-                                    lhs[base + s] = lhs[base + s] + wmt * u
-                    # (rho (x) alpha_C) o rho
-                    ccol = ac.col(c)
-                    inner = coaction.table[mp]
-                    for t in range(dm):
-                        for r, u in enumerate(inner[t]):
-                            if not u:
-                                continue
-                            wu = w * u
-                            base = (t * dc + r) * dc
-                            for s, cs in enumerate(ccol):
-                                if cs:
-                                    rhs[base + s] = rhs[base + s] + wu * cs
-            scan.eq("hom_coassociativity", (m,), lhs, rhs)
-    return scan.done()
+    co = coaction.map
+    am, ac = LinearMap.from_matrix(coaction.alpha_m), LinearMap.from_matrix(coalgebra.alpha)
+    delta = LinearMap.coproduct(coalgebra.comul)
+    if side == LEFT:
+        # (alpha_C (x) alpha_M) o lambda, and
+        # (Delta (x) alpha_M) o lambda = (alpha_C (x) lambda) o lambda
+        pair_alpha = [(ac, 0), (am, 1)]
+        lhs, rhs = [(delta, 0), (am, 2)], [(ac, 0), (co, 1)]
+    else:
+        # (alpha_M (x) alpha_C) o rho, and
+        # (alpha_M (x) Delta) o rho = (rho (x) alpha_C) o rho
+        pair_alpha = [(am, 0), (ac, 1)]
+        lhs, rhs = [(am, 0), (delta, 1)], [(co, 0), (ac, 2)]
+    dims = (coaction.module_dim,)
+    return scan_composites([
+        (dims, [("comodule_alpha", [(co, 0)] + pair_alpha, [(am, 0), (co, 0)])]),
+        (dims, [("hom_coassociativity", [(co, 0)] + lhs, [(co, 0)] + rhs)]),
+    ])
 
 
 def check_bicomodule(coalgebra, lam, rho):
@@ -391,45 +258,12 @@ def check_bicomodule(coalgebra, lam, rho):
         rep = check_comodule(side, coalgebra, table)
         if not rep.passed:
             raise PreconditionFailure(f"check_comodule:{name}", report=rep)
-    dc, dm = coalgebra.dim, lam.module_dim
-    ac = coalgebra.alpha
-    scan = Scan()
-    for m in range(dm):
-        size = dc * dm * dc
-        lhs = vec_zero(size)
-        rhs = vec_zero(size)
-        for mp in range(dm):
-            for c, w in enumerate(rho.table[m][mp]):
-                if not w:
-                    continue
-                ccol = ac.col(c)
-                inner = lam.table[mp]
-                for u in range(dc):
-                    for t, v in enumerate(inner[u]):
-                        if not v:
-                            continue
-                        wv = w * v
-                        base = (u * dm + t) * dc
-                        for s, cs in enumerate(ccol):
-                            if cs:
-                                lhs[base + s] = lhs[base + s] + wv * cs
-        for c in range(dc):
-            ccol = ac.col(c)
-            for mp, w in enumerate(lam.table[m][c]):
-                if not w:
-                    continue
-                inner = rho.table[mp]
-                for u, cu in enumerate(ccol):
-                    if not cu:
-                        continue
-                    wcu = w * cu
-                    for t in range(dm):
-                        base = (u * dm + t) * dc
-                        for s, v in enumerate(inner[t]):
-                            if v:
-                                rhs[base + s] = rhs[base + s] + wcu * v
-        scan.eq("bicomodule_interchange", (m,), lhs, rhs)
-    return scan.done()
+    ac = LinearMap.from_matrix(coalgebra.alpha)
+    return scan_composites([((lam.module_dim,), [(
+        "bicomodule_interchange",
+        [(rho.map, 0), (lam.map, 0), (ac, 2)],
+        [(lam.map, 0), (ac, 0), (rho.map, 1)],
+    )])])
 
 
 def check_comodule_hom_algebra(side, bialgebra, algebra, coaction):
@@ -442,49 +276,16 @@ def check_comodule_hom_algebra(side, bialgebra, algebra, coaction):
     if not rep.passed:
         raise PreconditionFailure("check_comodule", report=rep)
     dh, da = bialgebra.dim, algebra.dim
-    H = bialgebra.algebra
-    scan = Scan()
-    for d1 in range(da):
-        for d2 in range(da):
-            lhs = coaction.coact(algebra.mul[d1][d2])
-            size = dh * da if side == LEFT else da * dh
-            rhs = vec_zero(size)
-            co1 = coaction.coact(basis_vec(da, d1))
-            co2 = coaction.coact(basis_vec(da, d2))
-            p1, p2 = coaction.pair_dims()
-            for idx1, w1 in enumerate(co1):
-                if not w1:
-                    continue
-                i1, j1 = divmod(idx1, p2)
-                for idx2, w2 in enumerate(co2):
-                    if not w2:
-                        continue
-                    i2, j2 = divmod(idx2, p2)
-                    w = w1 * w2
-                    if side == LEFT:
-                        hrow = H.mul[i1][i2]
-                        arow = algebra.mul[j1][j2]
-                        for r, hr in enumerate(hrow):
-                            if not hr:
-                                continue
-                            base = r * da
-                            whr = w * hr
-                            for s, as_ in enumerate(arow):
-                                if as_:
-                                    rhs[base + s] = rhs[base + s] + whr * as_
-                    else:
-                        arow = algebra.mul[i1][i2]
-                        hrow = H.mul[j1][j2]
-                        for r, ar in enumerate(arow):
-                            if not ar:
-                                continue
-                            base = r * dh
-                            war = w * ar
-                            for s, hs in enumerate(hrow):
-                                if hs:
-                                    rhs[base + s] = rhs[base + s] + war * hs
-            scan.eq("coaction_multiplicative", (d1, d2), lhs, rhs)
-    return scan.done()
+    co = coaction.map
+    mu_a, mu_h = LinearMap.product(algebra.mul), LinearMap.product(bialgebra.algebra.mul)
+    # co(a) co(a'): the two coactions' middle factors trade places, then multiply pairwise
+    if side == LEFT:
+        products = [(LinearMap.flip(da, dh), 1), (mu_h, 0), (mu_a, 1)]
+    else:
+        products = [(LinearMap.flip(dh, da), 1), (mu_a, 0), (mu_h, 1)]
+    return scan_composites([((da, da), [(
+        "coaction_multiplicative", [(mu_a, 0), (co, 0)], [(co, 0), (co, 2)] + products
+    )])])
 
 
 def check_yetter_drinfeld(bialgebra, action, coaction):
@@ -500,51 +301,17 @@ def check_yetter_drinfeld(bialgebra, action, coaction):
     if not rep.passed:
         raise PreconditionFailure("check_comodule", report=rep)
     dh, dm = bialgebra.dim, action.module_dim
-    H = bialgebra.algebra
-    alpha = bialgebra.alpha
-    alpha2 = mat_mul(alpha, alpha)
-    comul = bialgebra.comul
-    scan = Scan()
-    for h in range(dh):
-        for m in range(dm):
-            lhs = vec_zero(dh * dm)
-            rhs = vec_zero(dh * dm)
-            for p in range(dh):
-                for q, c in enumerate(comul[h][p]):
-                    if not c:
-                        continue
-                    # (h1.m)_{(-1)} alpha^2(h2) (x) (h1.m)_{(0)}
-                    co = coaction.coact(action.table[p][m])
-                    a2q = alpha2.col(q)
-                    for idx, v in enumerate(co):
-                        if not v:
-                            continue
-                        cc, mm = divmod(idx, dm)
-                        prod = H.product(basis_vec(dh, cc), a2q)
-                        cv = c * v
-                        for r, u in enumerate(prod):
-                            if u:
-                                lhs[r * dm + mm] = lhs[r * dm + mm] + cv * u
-                    # alpha^2(h1) alpha(m_{(-1)}) (x) alpha(h2).m_{(0)}
-                    a2p = alpha2.col(p)
-                    aq = alpha.col(q)
-                    for cc in range(dh):
-                        for mm, w in enumerate(coaction.table[m][cc]):
-                            if not w:
-                                continue
-                            prod = H.product(a2p, alpha.col(cc))
-                            acted = action.act(aq, basis_vec(dm, mm))
-                            cw = c * w
-                            for r, u in enumerate(prod):
-                                if not u:
-                                    continue
-                                cwu = cw * u
-                                base = r * dm
-                                for s, z in enumerate(acted):
-                                    if z:
-                                        rhs[base + s] = rhs[base + s] + cwu * z
-            scan.eq("yetter_drinfeld", (h, m), lhs, rhs)
-    return scan.done()
+    a, act, co = LinearMap.from_matrix(bialgebra.alpha), action.map, coaction.map
+    mu, delta = LinearMap.product(bialgebra.algebra.mul), LinearMap.coproduct(bialgebra.comul)
+    return scan_composites([((dh, dm), [(
+        "yetter_drinfeld",
+        # (h1.m)_{(-1)} alpha^2(h2) (x) (h1.m)_{(0)}
+        [(delta, 0), (LinearMap.flip(dh, dm), 1), (act, 0), (co, 0),
+         (LinearMap.flip(dm, dh), 1), (a, 1), (a, 1), (mu, 0)],
+        # alpha^2(h1) alpha(m_{(-1)}) (x) alpha(h2).m_{(0)}
+        [(delta, 0), (co, 2), (LinearMap.flip(dh, dh), 1), (a, 0), (a, 0), (a, 1), (mu, 0),
+         (a, 1), (act, 1)],
+    )])])
 
 
 # ---------------------------------------------------------------------------
@@ -552,13 +319,13 @@ def check_yetter_drinfeld(bialgebra, action, coaction):
 # ---------------------------------------------------------------------------
 
 
-def _smash_left_preconditions(algebra, bialgebra, action):
-    rep = check_module_hom_algebra(LEFT, bialgebra, algebra, action)
+def _smash_preconditions(side, bialgebra, algebra, action):
+    """The module-algebra check; returns the inverses of alpha_H and the algebra's alpha."""
+    rep = check_module_hom_algebra(side, bialgebra, algebra, action)
     if not rep.passed:
         raise PreconditionFailure("check_module_hom_algebra", report=rep)
-    inv_h = mat_inv(bialgebra.alpha)  # NotInvertible propagates
-    inv_a = mat_inv(algebra.alpha)
-    return inv_h, inv_a
+    inv_h = LinearMap.from_matrix(mat_inv(bialgebra.alpha))  # NotInvertible propagates
+    return inv_h, LinearMap.from_matrix(mat_inv(algebra.alpha))
 
 
 def smash_left(algebra, bialgebra, action):
@@ -567,42 +334,17 @@ def smash_left(algebra, bialgebra, action):
     R(h (x) a) = alpha_H^{-2}(h1) . alpha_A^{-1}(a) (x) alpha_H^{-1}(h2).
     Returns (R, A # H).
     """
-    inv_h, inv_a = _smash_left_preconditions(algebra, bialgebra, action)
-    inv_h2 = mat_mul(inv_h, inv_h)
+    inv_h, inv_a = _smash_preconditions(LEFT, bialgebra, algebra, action)
     da, dh = algebra.dim, bialgebra.dim
-    comul = bialgebra.comul
-    columns = []
-    for h in range(dh):
-        for a in range(da):
-            col = vec_zero(da * dh)
-            inva_a = inv_a.col(a)
-            for p in range(dh):
-                for q, c in enumerate(comul[h][p]):
-                    if not c:
-                        continue
-                    avec = action.act(inv_h2.col(p), inva_a)
-                    hvec = inv_h.col(q)
-                    for r, av in enumerate(avec):
-                        if not av:
-                            continue
-                        base = r * dh
-                        cav = c * av
-                        for s, hv in enumerate(hvec):
-                            if hv:
-                                col[base + s] = col[base + s] + cav * hv
-            columns.append(col)
-    rmap = TwistingMapR(da, dh, Matrix.from_columns(columns))
+    path = [
+        (LinearMap.coproduct(bialgebra.comul), 0),
+        (LinearMap.flip(dh, da), 1),
+        (inv_h, 0), (inv_h, 0), (inv_a, 1), (action.map, 0),
+        (inv_h, 1),
+    ]
+    rmap = TwistingMapR(da, dh, compose(path, (dh, da)).matrix())
     product = hom_ttp(algebra, bialgebra.algebra, rmap).with_provenance("smash_left")
     return rmap, product
-
-
-def _smash_right_preconditions(bialgebra, algebra, action):
-    rep = check_module_hom_algebra(RIGHT, bialgebra, algebra, action)
-    if not rep.passed:
-        raise PreconditionFailure("check_module_hom_algebra", report=rep)
-    inv_h = mat_inv(bialgebra.alpha)
-    inv_c = mat_inv(algebra.alpha)
-    return inv_h, inv_c
 
 
 def smash_right(bialgebra, algebra, action):
@@ -611,31 +353,15 @@ def smash_right(bialgebra, algebra, action):
     R(c (x) h) = alpha_H^{-1}(h1) (x) alpha_C^{-1}(c) . alpha_H^{-2}(h2).
     Returns (R, H # C).
     """
-    inv_h, inv_c = _smash_right_preconditions(bialgebra, algebra, action)
-    inv_h2 = mat_mul(inv_h, inv_h)
+    inv_h, inv_c = _smash_preconditions(RIGHT, bialgebra, algebra, action)
     dh, dc = bialgebra.dim, algebra.dim
-    comul = bialgebra.comul
-    columns = []
-    for c in range(dc):
-        for h in range(dh):
-            col = vec_zero(dh * dc)
-            invc_c = inv_c.col(c)
-            for p in range(dh):
-                for q, w in enumerate(comul[h][p]):
-                    if not w:
-                        continue
-                    hvec = inv_h.col(p)
-                    cvec = action.act(inv_h2.col(q), invc_c)
-                    for r, hv in enumerate(hvec):
-                        if not hv:
-                            continue
-                        base = r * dc
-                        whv = w * hv
-                        for s, cv in enumerate(cvec):
-                            if cv:
-                                col[base + s] = col[base + s] + whv * cv
-            columns.append(col)
-    rmap = TwistingMapR(dh, dc, Matrix.from_columns(columns))
+    path = [
+        (LinearMap.coproduct(bialgebra.comul), 1),
+        (LinearMap.flip(dc, dh), 0),
+        (LinearMap.flip(dc, dh), 1),
+        (inv_h, 0), (inv_h, 1), (inv_h, 1), (inv_c, 2), (action.map, 1),
+    ]
+    rmap = TwistingMapR(dh, dc, compose(path, (dc, dh)).matrix())
     product = hom_ttp(bialgebra.algebra, algebra, rmap).with_provenance("smash_right")
     return rmap, product
 
@@ -654,61 +380,29 @@ def smash_two_sided(algebra_a, bialgebra, algebra_c, action_left, action_right):
     )
 
     da, dh, dc = algebra_a.dim, bialgebra.dim, algebra_c.dim
-    H = bialgebra.algebra
-    comul = bialgebra.comul
-    inv_h = mat_inv(bialgebra.alpha)
-    inv_h2 = mat_mul(inv_h, inv_h)
-    inv_a = mat_inv(algebra_a.alpha)
-    inv_c = mat_inv(algebra_c.alpha)
-    dims = (da, dh, dc)
+    inv_h = LinearMap.from_matrix(mat_inv(bialgebra.alpha))
+    inv_a = LinearMap.from_matrix(mat_inv(algebra_a.alpha))
+    inv_c = LinearMap.from_matrix(mat_inv(algebra_c.alpha))
+    delta = LinearMap.coproduct(bialgebra.comul)
+    mu_a, mu_h, mu_c = (LinearMap.product(x.mul) for x in (algebra_a, bialgebra.algebra, algebra_c))
+    # (a # h # c)(a' # h' # c') = a (alpha^{-2}(h1) . alpha^{-1}(a'))
+    #   # alpha^{-1}(h2 h'1) # (alpha^{-1}(c) . alpha^{-2}(h'2)) c'
+    closed = [
+        (delta, 4), (delta, 1),  # a h1 h2 c a' h'1 h'2 c'
+        (LinearMap.flip(dc, da), 3), (LinearMap.flip(dh, da), 2),
+        (LinearMap.flip(dc, dh), 4), (LinearMap.flip(dc, dh), 5),  # a h1 a' h2 h'1 h'2 c c'
+        (inv_h, 1), (inv_h, 1), (inv_a, 2), (action_left.map, 1), (mu_a, 0),
+        (mu_h, 1), (inv_h, 1),
+        (inv_h, 2), (inv_h, 2), (inv_c, 3), (action_right.map, 2), (mu_c, 2),
+    ]
     n = da * dh * dc
-    scan = Scan()
-    for i in range(n):
-        a, h, c = _unflatten3(i, dims)
-        for j in range(n):
-            ap, hp, cp = _unflatten3(j, dims)
-            expected = vec_zero(n)
-            for p1_ in range(dh):
-                for q1, w1 in enumerate(comul[h][p1_]):
-                    if not w1:
-                        continue
-                    avec = algebra_a.product(
-                        basis_vec(da, a), action_left.act(inv_h2.col(p1_), inv_a.col(ap))
-                    )
-                    for p2_ in range(dh):
-                        for q2, w2 in enumerate(comul[hp][p2_]):
-                            if not w2:
-                                continue
-                            hvec = inv_h.apply(H.product(basis_vec(dh, q1), basis_vec(dh, p2_)))
-                            cvec = algebra_c.product(
-                                action_right.act(inv_h2.col(q2), inv_c.col(c)),
-                                basis_vec(dc, cp),
-                            )
-                            w = w1 * w2
-                            for r, av in enumerate(avec):
-                                if not av:
-                                    continue
-                                wav = w * av
-                                for s, hv in enumerate(hvec):
-                                    if not hv:
-                                        continue
-                                    wavhv = wav * hv
-                                    base = (r * dh + s) * dc
-                                    for t, cv in enumerate(cvec):
-                                        if cv:
-                                            expected[base + t] = expected[base + t] + wavhv * cv
-            scan.eq("two_sided_closed_formula", (i, j), product.mul[i][j], expected)
-    rep = scan.done()
+    expected = compose(closed, (da, dh, dc) * 2).reshaped((n, n), (n,))
+    rep = scan_composites([((n, n), [(
+        "two_sided_closed_formula", [(LinearMap.product(product.mul), 0)], [(expected, 0)]
+    )])])
     if not rep.passed:
         raise PreconditionFailure("two_sided_closed_formula", report=rep)
     return product.with_provenance("smash_two_sided")
-
-
-def _unflatten3(idx, dims):
-    da, dh, dc = dims
-    ah, c = divmod(idx, dc)
-    a, h = divmod(ah, dh)
-    return a, h, c
 
 
 # ---------------------------------------------------------------------------
@@ -718,25 +412,11 @@ def _unflatten3(idx, dims):
 
 def coaction_rho_smash(algebra, bialgebra, action):
     """rho(a # h) = (alpha_A(a) # h1) (x) h2 on A # H."""
-    _smash_left_preconditions(algebra, bialgebra, action)
+    _smash_preconditions(LEFT, bialgebra, algebra, action)
     da, dh = algebra.dim, bialgebra.dim
-    dm = da * dh
-    comul = bialgebra.comul
-    alpha_a = algebra.alpha
-    table = []
-    for a in range(da):
-        acol = alpha_a.col(a)
-        for h in range(dh):
-            plane = [[ZERO] * dh for _ in range(dm)]
-            for p in range(dh):
-                for q, c in enumerate(comul[h][p]):
-                    if not c:
-                        continue
-                    for r, av in enumerate(acol):
-                        if av:
-                            plane[r * dh + p][q] = plane[r * dh + p][q] + c * av
-            table.append(tuple(tuple(row) for row in plane))
-    return CoactionTable(RIGHT, dh, dm, tuple(table), kron(alpha_a, bialgebra.alpha))
+    path = [(LinearMap.coproduct(bialgebra.comul), 1), (LinearMap.from_matrix(algebra.alpha), 0)]
+    table = compose(path, (da, dh)).reshaped((da * dh,), (da * dh, dh)).table()
+    return CoactionTable(RIGHT, dh, da * dh, table, kron(algebra.alpha, bialgebra.alpha))
 
 
 def coaction_lambda_smash(algebra, bialgebra, action, coaction_a):
@@ -745,7 +425,7 @@ def coaction_lambda_smash(algebra, bialgebra, action, coaction_a):
     Requires A to be a left H-comodule Hom-algebra and (A, action, coaction)
     to be a Yetter-Drinfeld module.
     """
-    _smash_left_preconditions(algebra, bialgebra, action)
+    _smash_preconditions(LEFT, bialgebra, algebra, action)
     rep = check_comodule_hom_algebra(LEFT, bialgebra, algebra, coaction_a)
     if not rep.passed:
         raise PreconditionFailure("check_comodule_hom_algebra", report=rep)
@@ -756,53 +436,26 @@ def coaction_lambda_smash(algebra, bialgebra, action, coaction_a):
             witness=rep.failures[0].basis,
         )
     da, dh = algebra.dim, bialgebra.dim
-    dm = da * dh
-    H = bialgebra.algebra
-    comul = bialgebra.comul
-    table = []
-    for a in range(da):
-        for h in range(dh):
-            plane = [[ZERO] * dm for _ in range(dh)]
-            for u in range(dh):
-                for v, w1 in enumerate(coaction_a.table[a][u]):
-                    if not w1:
-                        continue
-                    for p in range(dh):
-                        for q, w2 in enumerate(comul[h][p]):
-                            if not w2:
-                                continue
-                            w = w1 * w2
-                            for r, hv in enumerate(H.mul[u][p]):
-                                if hv:
-                                    plane[r][v * dh + q] = plane[r][v * dh + q] + w * hv
-            table.append(tuple(tuple(row) for row in plane))
+    path = [
+        (coaction_a.map, 0),  # a_{(-1)} a_{(0)} h
+        (LinearMap.coproduct(bialgebra.comul), 2),
+        (LinearMap.flip(da, dh), 1),
+        (LinearMap.product(bialgebra.algebra.mul), 0),
+    ]
+    table = compose(path, (da, dh)).reshaped((da * dh,), (dh, da * dh)).table()
     return CoactionTable(
-        LEFT, dh, dm, tuple(table), kron(algebra.alpha, bialgebra.alpha)
+        LEFT, dh, da * dh, table, kron(algebra.alpha, bialgebra.alpha)
     )
 
 
 def coaction_lambda_right_smash(bialgebra, algebra, action):
     """lambda(h # c) = h1 (x) (h2 # alpha_C(c)) on H # C."""
-    _smash_right_preconditions(bialgebra, algebra, action)
+    _smash_preconditions(RIGHT, bialgebra, algebra, action)
     dh, dc = bialgebra.dim, algebra.dim
-    dm = dh * dc
-    comul = bialgebra.comul
-    alpha_c = algebra.alpha
-    table = []
-    for h in range(dh):
-        for c in range(dc):
-            ccol = alpha_c.col(c)
-            plane = [[ZERO] * dm for _ in range(dh)]
-            for p in range(dh):
-                for q, w in enumerate(comul[h][p]):
-                    if not w:
-                        continue
-                    for s, cv in enumerate(ccol):
-                        if cv:
-                            plane[p][q * dc + s] = plane[p][q * dc + s] + w * cv
-            table.append(tuple(tuple(row) for row in plane))
+    path = [(LinearMap.coproduct(bialgebra.comul), 0), (LinearMap.from_matrix(algebra.alpha), 2)]
+    table = compose(path, (dh, dc)).reshaped((dh * dc,), (dh, dh * dc)).table()
     return CoactionTable(
-        LEFT, dh, dm, tuple(table), kron(bialgebra.alpha, alpha_c)
+        LEFT, dh, dh * dc, table, kron(bialgebra.alpha, algebra.alpha)
     )
 
 
@@ -831,12 +484,8 @@ def check_smash_twist_compat(side, bialgebra, algebra, action, alpha_h, alpha_x)
         rmap, hom_smash = smash_right(twisted_bi, twisted_alg, twisted_act)
         twist = kron(alpha_h, alpha_x)
     twisted_classical = yau_twist_algebra(classical, twist)
-    scan = Scan()
-    for i in range(hom_smash.dim):
-        for j in range(hom_smash.dim):
-            scan.eq(
-                "structure_constants", (i, j), twisted_classical.mul[i][j], hom_smash.mul[i][j]
-            )
-    for col in range(rmap.matrix.cols):
-        scan.eq("twisting_map_equals_classical", (col,), rmap.matrix.col(col), pmap.matrix.col(col))
-    return scan.done()
+    r, p = LinearMap.from_matrix(rmap.matrix), LinearMap.from_matrix(pmap.matrix)
+    return scan_composites([
+        structure_constants_block(twisted_classical, hom_smash),
+        ((rmap.matrix.cols,), [("twisting_map_equals_classical", [(r, 0)], [(p, 0)])]),
+    ])

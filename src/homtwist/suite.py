@@ -596,6 +596,11 @@ CRITERIA = (
 )
 
 
+def selected_criteria(filter_substr=None):
+    """The (cid, fn) pairs of CRITERIA whose id contains `filter_substr`."""
+    return [(cid, fn) for cid, fn in CRITERIA if not filter_substr or filter_substr in cid]
+
+
 def run_criteria(filter_substr=None, bounds=None):
     """Run the selected criteria in order on one shared recorder.
 
@@ -604,9 +609,7 @@ def run_criteria(filter_substr=None, bounds=None):
     still run.
     """
     recorder = Recorder()
-    for cid, fn in CRITERIA:
-        if filter_substr and filter_substr not in cid:
-            continue
+    for cid, fn in selected_criteria(filter_substr):
         start = time.perf_counter()
         try:
             passed, detail = fn(recorder, bounds)

@@ -5,9 +5,14 @@ A TwistingMapR represents R: B (x) A -> A (x) B.  Input coordinates flatten as
 (b-index, a-index) and output coordinates as (a-index, b-index), both
 row-major.  This is the single most error-prone convention in Sweedler
 notation, so it is pinned here and reused by the manifest format.
+
+Every axiom below is a pair of paths of ``exact.LinearMap``s checked by
+``exact.scan_composites``, and every product table or derived twisting map
+is such a path tabulated by ``exact.compose``.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import (
     HomAlgebra,
@@ -28,18 +33,19 @@ from .errors import (
     PreconditionFailure,
 )
 from .exact import (
+    LinearMap,
     Matrix,
     Scan,
     ZERO,
     as_scalar,
+    compose,
     flatten_index,
     kron,
     mat_inv,
     mat_mul,
-    unflatten_index,
-    vec_zero,
+    scan_composites,
 )
-from .twistor import Operator2, Operator3, deform_with_alpha, lift_13
+from .twistor import Operator2, Operator3, deform_with_alpha, lift_13, structure_constants_block
 
 
 @dataclass(frozen=True)
@@ -55,106 +61,15 @@ class TwistingMapR:
         if self.matrix.rows != n or self.matrix.cols != n:
             raise DimensionMismatch(f"twisting map matrix must be {n}x{n}")
 
-    def components(self, b, a):
-        """Iterate R(e_b (x) e_a) as (a-index, b-index, coefficient) triples."""
-        col = self.matrix.col(b * self.dim_a + a)
-        for idx, w in enumerate(col):
-            if w:
-                yield idx // self.dim_b, idx % self.dim_b, w
+    @cached_property
+    def map(self):
+        a, b = self.dim_a, self.dim_b
+        return LinearMap.from_matrix(self.matrix, (b, a), (a, b))
 
 
 def flip(dim_a, dim_b):
     """The flip b (x) a -> a (x) b as a permutation twisting map."""
-    n = dim_a * dim_b
-    columns = []
-    for b in range(dim_b):
-        for a in range(dim_a):
-            col = vec_zero(n)
-            col[a * dim_b + b] = as_scalar(1)
-            columns.append(col)
-    return TwistingMapR(dim_a, dim_b, Matrix.from_columns(columns))
-
-
-# ---------------------------------------------------------------------------
-# appliers on dense tensors with explicit factor dims
-# ---------------------------------------------------------------------------
-
-
-def _prod(dims):
-    total = 1
-    for d in dims:
-        total *= d
-    return total
-
-
-def _basis_tensor(dims, multi):
-    v = vec_zero(_prod(dims))
-    v[flatten_index(dims, multi)] = as_scalar(1)
-    return v
-
-
-def _apply_r_at(rmap, x, dims, pos):
-    """Apply R to factors (pos, pos+1); they must be (B, A) and become (A, B)."""
-    if dims[pos] != rmap.dim_b or dims[pos + 1] != rmap.dim_a:
-        raise DimensionMismatch(
-            f"factors at {pos} have dims {dims[pos]}x{dims[pos + 1]}, "
-            f"expected {rmap.dim_b}x{rmap.dim_a}"
-        )
-    new_dims = list(dims)
-    new_dims[pos], new_dims[pos + 1] = rmap.dim_a, rmap.dim_b
-    out = vec_zero(_prod(new_dims))
-    for idx, v in enumerate(x):
-        if not v:
-            continue
-        multi = list(unflatten_index(dims, idx))
-        col = rmap.matrix.col(multi[pos] * rmap.dim_a + multi[pos + 1])
-        for oidx, w in enumerate(col):
-            if not w:
-                continue
-            multi[pos], multi[pos + 1] = divmod(oidx, rmap.dim_b)
-            o = flatten_index(new_dims, multi)
-            out[o] = out[o] + v * w
-    return out, new_dims
-
-
-def _apply_mu_at(algebra, x, dims, pos):
-    """Multiply factors (pos, pos+1), both copies of the algebra, into one."""
-    if dims[pos] != algebra.dim or dims[pos + 1] != algebra.dim:
-        raise DimensionMismatch("factor dims do not match the algebra")
-    new_dims = dims[:pos] + [algebra.dim] + dims[pos + 2 :]
-    out = vec_zero(_prod(new_dims))
-    for idx, v in enumerate(x):
-        if not v:
-            continue
-        multi = list(unflatten_index(dims, idx))
-        row = algebra.mul[multi[pos]][multi[pos + 1]]
-        new_multi = multi[:pos] + [0] + multi[pos + 2 :]
-        for k, c in enumerate(row):
-            if not c:
-                continue
-            new_multi[pos] = k
-            o = flatten_index(new_dims, new_multi)
-            out[o] = out[o] + v * c
-    return out, new_dims
-
-
-def _apply_map_at(m, x, dims, pos):
-    """Apply a square matrix to factor pos."""
-    if m.rows != dims[pos] or m.cols != dims[pos]:
-        raise DimensionMismatch("map shape does not match the factor")
-    out = vec_zero(len(x))
-    for idx, v in enumerate(x):
-        if not v:
-            continue
-        multi = list(unflatten_index(dims, idx))
-        col = m.col(multi[pos])
-        for r, w in enumerate(col):
-            if not w:
-                continue
-            multi[pos] = r
-            o = flatten_index(dims, multi)
-            out[o] = out[o] + v * w
-    return out
+    return TwistingMapR(dim_a, dim_b, LinearMap.flip(dim_b, dim_a).matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -169,45 +84,32 @@ def _check_r_dims(a, b, rmap):
         )
 
 
+def _require_associative(alg, name):
+    if not alg.is_classical():
+        raise PreconditionFailure(f"{name} must have identity structure map")
+    rep = check_associative(alg)
+    if not rep.passed:
+        raise PreconditionFailure(f"check_associative:{name}", report=rep)
+
+
+def _alpha_equation(name, rmap, alpha_a, alpha_b):
+    """(alpha_A (x) alpha_B) o R = R o (alpha_B (x) alpha_A) on basis pairs."""
+    r, fa, fb = rmap.map, LinearMap.from_matrix(alpha_a), LinearMap.from_matrix(alpha_b)
+    lhs, rhs = [(r, 0), (fa, 0), (fb, 1)], [(fb, 0), (fa, 1), (r, 0)]
+    return ((rmap.dim_b, rmap.dim_a), [(name, lhs, rhs)])
+
+
 def check_twisting_map(a, b, rmap):
     """Classical twisting map equations over associative algebras."""
     _check_r_dims(a, b, rmap)
-    for alg, name in ((a, "A"), (b, "B")):
-        if not alg.is_classical():
-            raise PreconditionFailure(f"{name} must have identity structure map")
-        rep = check_associative(alg)
-        if not rep.passed:
-            raise PreconditionFailure(f"check_associative:{name}", report=rep)
+    _require_associative(a, "A")
+    _require_associative(b, "B")
+    r, mu_a, mu_b = rmap.map, LinearMap.product(a.mul), LinearMap.product(b.mul)
     da, db = a.dim, b.dim
-    scan = Scan()
-    for bb in range(db):
-        for a1 in range(da):
-            for a2 in range(da):
-                x2 = vec_zero(db * da)
-                base = bb * da
-                for k, c in enumerate(a.mul[a1][a2]):
-                    if c:
-                        x2[base + k] = c
-                lhs, _ = _apply_r_at(rmap, x2, [db, da], 0)
-                x, dims = _basis_tensor([db, da, da], (bb, a1, a2)), [db, da, da]
-                x, dims = _apply_r_at(rmap, x, dims, 0)
-                x, dims = _apply_r_at(rmap, x, dims, 1)
-                rhs, _ = _apply_mu_at(a, x, dims, 0)
-                scan.eq("twisting_map_1", (bb, a1, a2), lhs, rhs)
-    for b1 in range(db):
-        for b2 in range(db):
-            for aa in range(da):
-                x2 = vec_zero(db * da)
-                for k, c in enumerate(b.mul[b1][b2]):
-                    if c:
-                        x2[k * da + aa] = c
-                lhs, _ = _apply_r_at(rmap, x2, [db, da], 0)
-                x, dims = _basis_tensor([db, db, da], (b1, b2, aa)), [db, db, da]
-                x, dims = _apply_r_at(rmap, x, dims, 1)
-                x, dims = _apply_r_at(rmap, x, dims, 0)
-                rhs, _ = _apply_mu_at(b, x, dims, 1)
-                scan.eq("twisting_map_2", (b1, b2, aa), lhs, rhs)
-    return scan.done()
+    return scan_composites([
+        ((db, da, da), [("twisting_map_1", [(mu_a, 1), (r, 0)], [(r, 0), (r, 1), (mu_a, 0)])]),
+        ((db, db, da), [("twisting_map_2", [(mu_b, 0), (r, 0)], [(r, 1), (r, 0), (mu_b, 1)])]),
+    ])
 
 
 def check_hom_twisting_map(a, b, rmap):
@@ -217,59 +119,22 @@ def check_hom_twisting_map(a, b, rmap):
         rep = check_hom_algebra(alg)
         if not rep.passed:
             raise PreconditionFailure(f"check_hom_algebra:{name}", report=rep)
+    r, mu_a, mu_b = rmap.map, LinearMap.product(a.mul), LinearMap.product(b.mul)
+    fa, fb = LinearMap.from_matrix(a.alpha), LinearMap.from_matrix(b.alpha)
     da, db = a.dim, b.dim
-    scan = Scan()
-    for bb in range(db):
-        for aa in range(da):
-            out = list(rmap.matrix.col(bb * da + aa))
-            out = _apply_map_at(a.alpha, out, [da, db], 0)
-            lhs = _apply_map_at(b.alpha, out, [da, db], 1)
-            x = _basis_tensor([db, da], (bb, aa))
-            x = _apply_map_at(b.alpha, x, [db, da], 0)
-            x = _apply_map_at(a.alpha, x, [db, da], 1)
-            rhs, _ = _apply_r_at(rmap, x, [db, da], 0)
-            scan.eq("hom_twisting_map_0", (bb, aa), lhs, rhs)
-    for bb in range(db):
-        bcol = b.alpha.col(bb)
-        for a1 in range(da):
-            for a2 in range(da):
-                x2 = vec_zero(db * da)
-                arow = a.mul[a1][a2]
-                for p, bp in enumerate(bcol):
-                    if not bp:
-                        continue
-                    base = p * da
-                    for k, c in enumerate(arow):
-                        if c:
-                            x2[base + k] = bp * c
-                lhs, _ = _apply_r_at(rmap, x2, [db, da], 0)
-                x, dims = _basis_tensor([db, da, da], (bb, a1, a2)), [db, da, da]
-                x, dims = _apply_r_at(rmap, x, dims, 0)
-                x, dims = _apply_r_at(rmap, x, dims, 1)
-                x, dims = _apply_mu_at(a, x, dims, 0)
-                rhs = _apply_map_at(b.alpha, x, dims, 1)
-                scan.eq("hom_twisting_map_1", (bb, a1, a2), lhs, rhs)
-    for b1 in range(db):
-        for b2 in range(db):
-            brow = b.mul[b1][b2]
-            for aa in range(da):
-                acolv = a.alpha.col(aa)
-                x2 = vec_zero(db * da)
-                for k, c in enumerate(brow):
-                    if not c:
-                        continue
-                    base = k * da
-                    for p, ap in enumerate(acolv):
-                        if ap:
-                            x2[base + p] = c * ap
-                lhs, _ = _apply_r_at(rmap, x2, [db, da], 0)
-                x, dims = _basis_tensor([db, db, da], (b1, b2, aa)), [db, db, da]
-                x, dims = _apply_r_at(rmap, x, dims, 1)
-                x, dims = _apply_r_at(rmap, x, dims, 0)
-                x, dims = _apply_mu_at(b, x, dims, 1)
-                rhs = _apply_map_at(a.alpha, x, dims, 0)
-                scan.eq("hom_twisting_map_2", (b1, b2, aa), lhs, rhs)
-    return scan.done()
+    return scan_composites([
+        _alpha_equation("hom_twisting_map_0", rmap, a.alpha, b.alpha),
+        ((db, da, da), [(
+            "hom_twisting_map_1",
+            [(fb, 0), (mu_a, 1), (r, 0)],
+            [(r, 0), (r, 1), (mu_a, 0), (fb, 1)],
+        )]),
+        ((db, db, da), [(
+            "hom_twisting_map_2",
+            [(mu_b, 0), (fa, 1), (r, 0)],
+            [(r, 1), (r, 0), (mu_b, 1), (fa, 0)],
+        )]),
+    ])
 
 
 def check_braid(r1, r2, r3):
@@ -278,20 +143,10 @@ def check_braid(r1, r2, r3):
     dc = r2.dim_b
     if r2.dim_a != db or r3.dim_a != da or r3.dim_b != dc:
         raise DimensionMismatch("braid triple dimensions are inconsistent")
-    scan = Scan()
-    for c in range(dc):
-        for b in range(db):
-            for a in range(da):
-                x, dims = _basis_tensor([dc, db, da], (c, b, a)), [dc, db, da]
-                x, dims = _apply_r_at(r1, x, dims, 1)
-                x, dims = _apply_r_at(r3, x, dims, 0)
-                lhs, _ = _apply_r_at(r2, x, dims, 1)
-                x, dims = _basis_tensor([dc, db, da], (c, b, a)), [dc, db, da]
-                x, dims = _apply_r_at(r2, x, dims, 0)
-                x, dims = _apply_r_at(r3, x, dims, 1)
-                rhs, _ = _apply_r_at(r1, x, dims, 0)
-                scan.eq("braid", (c, b, a), lhs, rhs)
-    return scan.done()
+    m1, m2, m3 = r1.map, r2.map, r3.map
+    return scan_composites([
+        ((dc, db, da), [("braid", [(m1, 1), (m3, 0), (m2, 1)], [(m2, 0), (m3, 1), (m1, 0)])]),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -303,27 +158,8 @@ def _twisted_mul(a, b, rmap):
     """Structure constants of (a (x) b)(a' (x) b') = a a'_R (x) b_R b'."""
     da, db = a.dim, b.dim
     n = da * db
-    mul = []
-    for i in range(da):
-        for j in range(db):
-            plane = []
-            for k in range(da):
-                for l in range(db):
-                    row = vec_zero(n)
-                    for p, q, w in rmap.components(j, k):
-                        arow = a.mul[i][p]
-                        brow = b.mul[q][l]
-                        for rr, ar in enumerate(arow):
-                            if not ar:
-                                continue
-                            war = w * ar
-                            base = rr * db
-                            for ss, bs in enumerate(brow):
-                                if bs:
-                                    row[base + ss] = row[base + ss] + war * bs
-                    plane.append(tuple(row))
-            mul.append(tuple(plane))
-    return tuple(mul)
+    path = [(rmap.map, 1), (LinearMap.product(a.mul), 0), (LinearMap.product(b.mul), 1)]
+    return compose(path, (da, db, da, db)).reshaped((n, n), (n,)).table()
 
 
 def ttp(a, b, rmap):
@@ -346,20 +182,14 @@ def hom_ttp(a, b, rmap):
     )
 
 
+def _twistor_path(a, b, rmap):
+    """(a (x) b) (x) (a' (x) b') -> (a (x) b_R) (x) (a'_R (x) b')."""
+    return [(rmap.map, 1), (LinearMap.flip(a.dim, b.dim), 1)]
+
+
 def _twistor_matrix(a, b, rmap):
-    """T((a (x) b) (x) (a' (x) b')) = (a (x) b_R) (x) (a'_R (x) b')."""
-    da, db = a.dim, b.dim
-    n = da * db
-    columns = []
-    for i in range(da):
-        for j in range(db):
-            for k in range(da):
-                for l in range(db):
-                    col = vec_zero(n * n)
-                    for p, q, w in rmap.components(j, k):
-                        col[(i * db + q) * n + (p * db + l)] = w
-                    columns.append(col)
-    return Operator2(n, Matrix.from_columns(columns))
+    n = a.dim * b.dim
+    return Operator2(n, compose(_twistor_path(a, b, rmap), (a.dim, b.dim) * 2).matrix())
 
 
 def twistor_from_R(a, b, rmap):
@@ -404,26 +234,11 @@ def iterated_ttp(a, b, c, r1, r2, r3):
             witness=rep.failures[0].basis,
         )
     da, db, dc = a.dim, b.dim, c.dim
-
-    columns = []
-    for cc in range(dc):
-        for aa in range(da):
-            for bb in range(db):
-                x, dims = _basis_tensor([dc, da, db], (cc, aa, bb)), [dc, da, db]
-                x, dims = _apply_r_at(r3, x, dims, 0)
-                x, dims = _apply_r_at(r2, x, dims, 1)
-                columns.append(x)
-    p1 = TwistingMapR(da * db, dc, Matrix.from_columns(columns))
-
-    columns = []
-    for bb in range(db):
-        for cc in range(dc):
-            for aa in range(da):
-                x, dims = _basis_tensor([db, dc, da], (bb, cc, aa)), [db, dc, da]
-                x, dims = _apply_r_at(r3, x, dims, 1)
-                x, dims = _apply_r_at(r1, x, dims, 0)
-                columns.append(x)
-    p2 = TwistingMapR(da, db * dc, Matrix.from_columns(columns))
+    # P1: c (x) (a (x) b) -> (a (x) b) (x) c;  P2: (b (x) c) (x) a -> a (x) (b (x) c)
+    p1 = compose([(r3.map, 0), (r2.map, 1)], (dc, da, db))
+    p2 = compose([(r3.map, 1), (r1.map, 0)], (db, dc, da))
+    p1 = TwistingMapR(da * db, dc, p1.matrix())
+    p2 = TwistingMapR(da, db * dc, p2.matrix())
 
     left_first = hom_ttp(hom_ttp(a, b, r1), c, p1)
     right_first = hom_ttp(a, hom_ttp(b, c, r2), p2)
@@ -479,17 +294,11 @@ def clifford(a, params):
         raise NotCommutingWithAlpha("sigma does not commute with the structure map")
     bcq = clifford_algebra(params.q)
     da = a.dim
-    columns = []
-    for bb in range(2):
-        for aa in range(da):
-            col = vec_zero(da * 2)
-            if bb == 0:
-                col[aa * 2] = as_scalar(1)
-            else:
-                for p, s in enumerate(params.sigma.col(aa)):
-                    if s:
-                        col[p * 2 + 1] = s
-            columns.append(col)
+    # R(1 (x) a) = a (x) 1 and R(v (x) a) = sigma(a) (x) v
+    lifts = (Matrix.identity(2 * da), kron(params.sigma, Matrix.identity(2)))
+    columns = [
+        lifts[bb].col(flatten_index((da, 2), (aa, bb))) for bb in range(2) for aa in range(da)
+    ]
     rmap = TwistingMapR(da, 2, Matrix.from_columns(columns))
     return hom_ttp(a, bcq, rmap).with_provenance("clifford"), rmap
 
@@ -516,73 +325,37 @@ def check_deform_compat_ttp(a, b, alpha_a, alpha_b, pmap):
     scan.absorb("hom_twisting_map_on_twists", check_hom_twisting_map(at, bt, pmap))
     twisted_classical = yau_twist_algebra(ttp(a, b, pmap), kron(alpha_a, alpha_b))
     hom_side = hom_ttp(at, bt, pmap)
-    for i in range(twisted_classical.dim):
-        for j in range(twisted_classical.dim):
-            scan.eq(
-                "structure_constants", (i, j), twisted_classical.mul[i][j], hom_side.mul[i][j]
-            )
-    return scan.done()
+    return scan_composites([structure_constants_block(twisted_classical, hom_side)], scan)
 
 
 def check_alphaAB_twisting_map(a, b, alpha_a, alpha_b, rmap):
     """(alpha_A, alpha_B)-twisting map equations over associative algebras."""
     _check_r_dims(a, b, rmap)
     for alg, endo, name in ((a, alpha_a, "A"), (b, alpha_b, "B")):
-        if not alg.is_classical():
-            raise PreconditionFailure(f"{name} must have identity structure map")
-        rep = check_associative(alg)
-        if not rep.passed:
-            raise PreconditionFailure(f"check_associative:{name}", report=rep)
+        _require_associative(alg, name)
         rep = multiplicativity_scan(alg, endo)
         if not rep.passed:
             raise NotMultiplicative(
                 f"alpha_{name} is not multiplicative; witness {rep.failures[0].basis}",
                 witness=rep.failures[0].basis,
             )
-    inv_a = mat_inv(alpha_a)  # NotInvertible propagates
-    inv_b = mat_inv(alpha_b)
+    inv_a = LinearMap.from_matrix(mat_inv(alpha_a))  # NotInvertible propagates
+    inv_b = LinearMap.from_matrix(mat_inv(alpha_b))
+    r, mu_a, mu_b = rmap.map, LinearMap.product(a.mul), LinearMap.product(b.mul)
     da, db = a.dim, b.dim
-    scan = Scan()
-    for bb in range(db):
-        for aa in range(da):
-            out = list(rmap.matrix.col(bb * da + aa))
-            out = _apply_map_at(alpha_a, out, [da, db], 0)
-            lhs = _apply_map_at(alpha_b, out, [da, db], 1)
-            x = _basis_tensor([db, da], (bb, aa))
-            x = _apply_map_at(alpha_b, x, [db, da], 0)
-            x = _apply_map_at(alpha_a, x, [db, da], 1)
-            rhs, _ = _apply_r_at(rmap, x, [db, da], 0)
-            scan.eq("alpha_twisting_map_0", (bb, aa), lhs, rhs)
-    for bb in range(db):
-        for a1 in range(da):
-            for a2 in range(da):
-                x2 = vec_zero(db * da)
-                base = bb * da
-                for k, c in enumerate(a.mul[a1][a2]):
-                    if c:
-                        x2[base + k] = c
-                lhs, _ = _apply_r_at(rmap, x2, [db, da], 0)
-                x, dims = _basis_tensor([db, da, da], (bb, a1, a2)), [db, da, da]
-                x, dims = _apply_r_at(rmap, x, dims, 0)
-                x = _apply_map_at(inv_b, x, dims, 1)
-                x, dims = _apply_r_at(rmap, x, dims, 1)
-                rhs, _ = _apply_mu_at(a, x, dims, 0)
-                scan.eq("alpha_twisting_map_1", (bb, a1, a2), lhs, rhs)
-    for b1 in range(db):
-        for b2 in range(db):
-            for aa in range(da):
-                x2 = vec_zero(db * da)
-                for k, c in enumerate(b.mul[b1][b2]):
-                    if c:
-                        x2[k * da + aa] = c
-                lhs, _ = _apply_r_at(rmap, x2, [db, da], 0)
-                x, dims = _basis_tensor([db, db, da], (b1, b2, aa)), [db, db, da]
-                x, dims = _apply_r_at(rmap, x, dims, 1)
-                x = _apply_map_at(inv_a, x, dims, 1)
-                x, dims = _apply_r_at(rmap, x, dims, 0)
-                rhs, _ = _apply_mu_at(b, x, dims, 1)
-                scan.eq("alpha_twisting_map_2", (b1, b2, aa), lhs, rhs)
-    return scan.done()
+    return scan_composites([
+        _alpha_equation("alpha_twisting_map_0", rmap, alpha_a, alpha_b),
+        ((db, da, da), [(
+            "alpha_twisting_map_1",
+            [(mu_a, 1), (r, 0)],
+            [(r, 0), (inv_b, 1), (r, 1), (mu_a, 0)],
+        )]),
+        ((db, db, da), [(
+            "alpha_twisting_map_2",
+            [(mu_b, 0), (r, 0)],
+            [(r, 1), (inv_a, 1), (r, 0), (mu_b, 1)],
+        )]),
+    ])
 
 
 def alphaAB_ttp(a, b, alpha_a, alpha_b, rmap):
@@ -594,27 +367,10 @@ def alphaAB_ttp(a, b, alpha_a, alpha_b, rmap):
     rep = check_alphaAB_twisting_map(a, b, alpha_a, alpha_b, rmap)
     if not rep.passed:
         raise PreconditionFailure("check_alphaAB_twisting_map", report=rep)
-    da, db = a.dim, b.dim
-    n = da * db
-    columns = []
-    for i in range(da):
-        acol = alpha_a.col(i)
-        for j in range(db):
-            for k in range(da):
-                for l in range(db):
-                    bcol = alpha_b.col(l)
-                    col = vec_zero(n * n)
-                    for p, q, w in rmap.components(j, k):
-                        for r, ar in enumerate(acol):
-                            if not ar:
-                                continue
-                            war = w * ar
-                            ridx = (r * db + q) * n
-                            for s, bs in enumerate(bcol):
-                                if bs:
-                                    col[ridx + p * db + s] = war * bs
-                    columns.append(col)
-    top = Operator2(n, Matrix.from_columns(columns))
+    n = a.dim * b.dim
+    # T(a (x) b (x) a' (x) b') = alpha_A(a) (x) b_R (x) a'_R (x) alpha_B(b')
+    ends = [(LinearMap.from_matrix(alpha_a), 0), (LinearMap.from_matrix(alpha_b), 3)]
+    top = Operator2(n, compose(_twistor_path(a, b, rmap) + ends, (a.dim, b.dim) * 2).matrix())
 
     inv_ab = kron(mat_inv(alpha_a), mat_inv(alpha_b))
     ident = Matrix.identity(n * n)
@@ -622,9 +378,8 @@ def alphaAB_ttp(a, b, alpha_a, alpha_b, rmap):
     comp1 = Operator3(n, mat_mul(lifted, kron(inv_ab, ident)))
     comp2 = Operator3(n, mat_mul(lifted, kron(ident, inv_ab)))
 
-    base = tensor_algebra(a, b)
     algebra = deform_with_alpha(
-        base, kron(alpha_a, alpha_b), top, verified="alpha_pseudotwistor"
+        tensor_algebra(a, b), kron(alpha_a, alpha_b), top, verified="alpha_pseudotwistor"
     ).with_provenance("alphaAB_ttp")
     return algebra, top, comp1, comp2
 

@@ -1,12 +1,16 @@
 """Operators on D(x)D and D(x)D(x)D: twistors, pseudotwistors and their
 Hom- and alpha- variants, plus the deformation constructor.
 
-All axiom families are evaluated per basis tuple (never as one giant
-dim^3 x dim^3 matrix equality) so failures come with a witness tuple and the
-memory stays bounded.
+Each axiom is an equality of two composites of mu, alpha, T and the
+companions, declared as paths of ``exact.LinearMap``s and checked per basis
+tuple by ``exact.scan_composites`` (never as one giant dim^3 x dim^3 matrix
+equality), so failures come with a witness tuple and the memory stays
+bounded.  T acting on factors 1 and 3 is T between two flips of factors 2
+and 3.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import (
     HomAlgebra,
@@ -16,7 +20,18 @@ from .algebra import (
     yau_twist_algebra,
 )
 from .errors import DimensionMismatch, NotMultiplicative, PreconditionFailure
-from .exact import Matrix, Scan, ZERO, kron, tensor2
+from .exact import (
+    LinearMap,
+    Matrix,
+    Scan,
+    apply_path,
+    basis_vec,
+    compose,
+    kron,
+    scan_composites,
+    to_dense,
+    to_sparse,
+)
 
 
 @dataclass(frozen=True)
@@ -35,6 +50,11 @@ class Operator2:
     def identity(cls, dim):
         return cls(dim, Matrix.identity(dim * dim))
 
+    @cached_property
+    def map(self):
+        d = self.dim
+        return LinearMap.from_matrix(self.matrix, (d, d), (d, d))
+
 
 @dataclass(frozen=True)
 class Operator3:
@@ -52,158 +72,29 @@ class Operator3:
     def identity(cls, dim):
         return cls(dim, Matrix.identity(dim ** 3))
 
-
-def lift_13(op):
-    """Lift an Operator2 to act on factors 1 and 3 of D(x)D(x)D."""
-    d = op.dim
-    n3 = d ** 3
-    columns = []
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                t = op.matrix.col(i * d + k)
-                col = [ZERO] * n3
-                for p in range(d):
-                    base_t = p * d
-                    base_o = (p * d + j) * d
-                    for r in range(d):
-                        v = t[base_t + r]
-                        if v:
-                            col[base_o + r] = v
-                columns.append(col)
-    return Operator3(d, Matrix.from_columns(columns))
+    @cached_property
+    def map(self):
+        d = self.dim
+        return LinearMap.from_matrix(self.matrix, (d, d, d), (d, d, d))
 
 
-# ---------------------------------------------------------------------------
-# sparse-aware appliers used by every checker
-# ---------------------------------------------------------------------------
-
-
-def _spread_t_left(op, i, j, k, d):
-    """(T (x) id) applied to e_i (x) e_j (x) e_k."""
-    t = op.matrix.col(i * d + j)
-    out = [ZERO] * d ** 3
-    for pq, v in enumerate(t):
-        if v:
-            out[pq * d + k] = v
-    return out
-
-
-def _spread_t_right(op, i, j, k, d):
-    """(id (x) T) applied to e_i (x) e_j (x) e_k."""
-    t = op.matrix.col(j * d + k)
-    out = [ZERO] * d ** 3
-    base = i * d * d
-    for qr, v in enumerate(t):
-        if v:
-            out[base + qr] = v
-    return out
-
-
-def apply_t12(op, x3):
-    d = op.dim
-    out = [ZERO] * d ** 3
-    for idx, v in enumerate(x3):
-        if not v:
-            continue
-        ij, k = divmod(idx, d)
-        t = op.matrix.col(ij)
-        for pq, w in enumerate(t):
-            if w:
-                out[pq * d + k] = out[pq * d + k] + v * w
-    return out
-
-
-def apply_t23(op, x3):
-    d = op.dim
-    d2 = d * d
-    out = [ZERO] * d ** 3
-    for idx, v in enumerate(x3):
-        if not v:
-            continue
-        i, jk = divmod(idx, d2)
-        t = op.matrix.col(jk)
-        base = i * d2
-        for qr, w in enumerate(t):
-            if w:
-                out[base + qr] = out[base + qr] + v * w
-    return out
+def _t13(op):
+    """The path of T on factors 1 and 3 of D(x)D(x)D."""
+    swap = LinearMap.flip(op.dim, op.dim)
+    return [(swap, 1), (op.map, 0), (swap, 1)]
 
 
 def apply_t13(op, x3):
-    d = op.dim
-    out = [ZERO] * d ** 3
-    for idx, v in enumerate(x3):
-        if not v:
-            continue
-        ij, k = divmod(idx, d)
-        i, j = divmod(ij, d)
-        t = op.matrix.col(i * d + k)
-        for pr, w in enumerate(t):
-            if not w:
-                continue
-            p, r = divmod(pr, d)
-            o = (p * d + j) * d + r
-            out[o] = out[o] + v * w
-    return out
+    """T on factors 1 and 3 of a dense vector on D(x)D(x)D."""
+    dims = (op.dim,) * 3
+    return to_dense(*apply_path(_t13(op), to_sparse(x3), dims))
 
 
-def _apply_mu2(algebra, x2):
-    """mu: D(x)D -> D on a dense square vector."""
-    d = algebra.dim
-    out = [ZERO] * d
-    for idx, v in enumerate(x2):
-        if not v:
-            continue
-        i, j = divmod(idx, d)
-        for k, c in enumerate(algebra.mul[i][j]):
-            if c:
-                out[k] = out[k] + v * c
-    return out
-
-
-def _apply_map_mu(algebra, f, x3):
-    """(f (x) mu): D^3 -> D^2 with f a matrix on D."""
-    d = algebra.dim
-    out = [ZERO] * (d * d)
-    for idx, v in enumerate(x3):
-        if not v:
-            continue
-        ij, k = divmod(idx, d)
-        i, j = divmod(ij, d)
-        fcol = f.col(i)
-        row = algebra.mul[j][k]
-        for r, fr in enumerate(fcol):
-            if not fr:
-                continue
-            w = v * fr
-            base = r * d
-            for s, c in enumerate(row):
-                if c:
-                    out[base + s] = out[base + s] + w * c
-    return out
-
-
-def _apply_mu_map(algebra, f, x3):
-    """(mu (x) f): D^3 -> D^2."""
-    d = algebra.dim
-    out = [ZERO] * (d * d)
-    for idx, v in enumerate(x3):
-        if not v:
-            continue
-        ij, k = divmod(idx, d)
-        i, j = divmod(ij, d)
-        fcol = f.col(k)
-        row = algebra.mul[i][j]
-        for r, c in enumerate(row):
-            if not c:
-                continue
-            w = v * c
-            base = r * d
-            for s, fs in enumerate(fcol):
-                if fs:
-                    out[base + s] = out[base + s] + w * fs
-    return out
+def lift_13(op):
+    """Lift an Operator2 to act on factors 1 and 3 of D(x)D(x)D."""
+    n3 = op.dim ** 3
+    columns = [apply_t13(op, basis_vec(n3, c)) for c in range(n3)]
+    return Operator3(op.dim, Matrix.from_columns(columns))
 
 
 def _check_shapes(algebra, *ops):
@@ -217,230 +108,111 @@ def _check_shapes(algebra, *ops):
 # ---------------------------------------------------------------------------
 
 
-def check_pseudotwistor(algebra, op, comp1, comp2):
-    """Classical pseudotwistor equations on an associative algebra."""
-    _check_shapes(algebra, op, comp1, comp2)
-    if not algebra.is_classical():
-        raise PreconditionFailure("pseudotwistor base algebra must have identity structure map")
-    rep = check_associative(algebra)
-    if not rep.passed:
-        raise PreconditionFailure("check_associative", report=rep)
-    d = algebra.dim
-    ident = Matrix.identity(d)
-    scan = Scan()
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                x2 = [ZERO] * (d * d)
-                base = i * d
-                for s, c in enumerate(algebra.mul[j][k]):
-                    if c:
-                        x2[base + s] = c
-                lhs = op.matrix.apply(x2)
-                rhs = _apply_map_mu(
-                    algebra, ident, comp1.matrix.apply(_spread_t_left(op, i, j, k, d))
-                )
-                scan.eq("pseudotwistor_1", (i, j, k), lhs, rhs)
-
-                x2 = [ZERO] * (d * d)
-                for r, c in enumerate(algebra.mul[i][j]):
-                    if c:
-                        x2[r * d + k] = c
-                lhs = op.matrix.apply(x2)
-                rhs = _apply_mu_map(
-                    algebra, ident, comp2.matrix.apply(_spread_t_right(op, i, j, k, d))
-                )
-                scan.eq("pseudotwistor_2", (i, j, k), lhs, rhs)
-
-                lhs = comp1.matrix.apply(apply_t12(op, _spread_t_right(op, i, j, k, d)))
-                rhs = comp2.matrix.apply(apply_t23(op, _spread_t_left(op, i, j, k, d)))
-                scan.eq("pseudotwistor_interchange", (i, j, k), lhs, rhs)
-    return scan.done()
-
-
-def check_twistor(algebra, op):
-    """Classical twistor equations; companions are fixed to the 1-3 lift."""
-    _check_shapes(algebra, op)
-    if not algebra.is_classical():
-        raise PreconditionFailure("twistor base algebra must have identity structure map")
-    rep = check_associative(algebra)
-    if not rep.passed:
-        raise PreconditionFailure("check_associative", report=rep)
-    d = algebra.dim
-    ident = Matrix.identity(d)
-    scan = Scan()
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                x2 = [ZERO] * (d * d)
-                base = i * d
-                for s, c in enumerate(algebra.mul[j][k]):
-                    if c:
-                        x2[base + s] = c
-                lhs = op.matrix.apply(x2)
-                rhs = _apply_map_mu(
-                    algebra, ident, apply_t13(op, _spread_t_left(op, i, j, k, d))
-                )
-                scan.eq("twistor_1", (i, j, k), lhs, rhs)
-
-                x2 = [ZERO] * (d * d)
-                for r, c in enumerate(algebra.mul[i][j]):
-                    if c:
-                        x2[r * d + k] = c
-                lhs = op.matrix.apply(x2)
-                rhs = _apply_mu_map(
-                    algebra, ident, apply_t13(op, _spread_t_right(op, i, j, k, d))
-                )
-                scan.eq("twistor_2", (i, j, k), lhs, rhs)
-
-                lhs = apply_t12(op, _spread_t_right(op, i, j, k, d))
-                rhs = apply_t23(op, _spread_t_left(op, i, j, k, d))
-                scan.eq("twistor_commute", (i, j, k), lhs, rhs)
-    return scan.done()
-
-
-def _alpha_square_commutes(algebra_alpha, op, scan, equation):
+def _commutes_with_alpha(alpha, op):
+    """(alpha (x) alpha) o T = T o (alpha (x) alpha) on basis pairs."""
+    a, t = LinearMap.from_matrix(alpha), op.map
     d = op.dim
-    aa = kron(algebra_alpha, algebra_alpha)
-    for i in range(d):
-        for j in range(d):
-            idx = i * d + j
-            lhs = aa.apply(op.matrix.col(idx))
-            rhs = op.matrix.apply(aa.col(idx))
-            scan.eq(equation, (i, j), lhs, rhs)
+    both = [(a, 0), (a, 1)]
+    return ((d, d), [("commutes_with_alpha", [(t, 0)] + both, both + [(t, 0)])])
 
 
-def check_hom_pseudotwistor(algebra, op, comp1, comp2):
-    """Hom-pseudotwistor equations on a Hom-associative algebra."""
-    _check_shapes(algebra, op, comp1, comp2)
-    rep = check_hom_algebra(algebra)
-    if not rep.passed:
-        raise PreconditionFailure("check_hom_algebra", report=rep)
+def _twistor_axioms(prefix, algebra, op, companions, hom_alpha=None, alpha=None):
+    """Scan the three (pseudo)twistor equations, tuple-major over basis triples.
+
+    `companions` is (C1, C2), or None for a twistor: then both companions are
+    T on factors 1 and 3 and the interchange carries none.  `hom_alpha` is the
+    Hom-variant structure map on inputs and outputs; `alpha` the endomorphism
+    of the alpha-variant, which enters the interchange and the commutation.
+    """
     d = algebra.dim
-    alpha = algebra.alpha
-    scan = Scan()
-    _alpha_square_commutes(alpha, op, scan, "commutes_with_alpha")
-    acol = [alpha.col(i) for i in range(d)]
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                lhs = op.matrix.apply(tensor2(acol[i], algebra.mul[j][k]))
-                rhs = _apply_map_mu(
-                    algebra, alpha, comp1.matrix.apply(_spread_t_left(op, i, j, k, d))
-                )
-                scan.eq("hom_pseudotwistor_1", (i, j, k), lhs, rhs)
-
-                lhs = op.matrix.apply(tensor2(algebra.mul[i][j], acol[k]))
-                rhs = _apply_mu_map(
-                    algebra, alpha, comp2.matrix.apply(_spread_t_right(op, i, j, k, d))
-                )
-                scan.eq("hom_pseudotwistor_2", (i, j, k), lhs, rhs)
-
-                lhs = comp1.matrix.apply(apply_t12(op, _spread_t_right(op, i, j, k, d)))
-                rhs = comp2.matrix.apply(apply_t23(op, _spread_t_left(op, i, j, k, d)))
-                scan.eq("hom_pseudotwistor_interchange", (i, j, k), lhs, rhs)
-    return scan.done()
-
-
-def check_hom_twistor(algebra, op):
-    """Hom-twistor equations; companions are the 1-3 lift of the operator."""
-    _check_shapes(algebra, op)
-    rep = check_hom_algebra(algebra)
-    if not rep.passed:
-        raise PreconditionFailure("check_hom_algebra", report=rep)
-    d = algebra.dim
-    alpha = algebra.alpha
-    scan = Scan()
-    _alpha_square_commutes(alpha, op, scan, "commutes_with_alpha")
-    acol = [alpha.col(i) for i in range(d)]
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                lhs = op.matrix.apply(tensor2(acol[i], algebra.mul[j][k]))
-                rhs = _apply_map_mu(
-                    algebra, alpha, apply_t13(op, _spread_t_left(op, i, j, k, d))
-                )
-                scan.eq("hom_twistor_1", (i, j, k), lhs, rhs)
-
-                lhs = op.matrix.apply(tensor2(algebra.mul[i][j], acol[k]))
-                rhs = _apply_mu_map(
-                    algebra, alpha, apply_t13(op, _spread_t_right(op, i, j, k, d))
-                )
-                scan.eq("hom_twistor_2", (i, j, k), lhs, rhs)
-
-                lhs = apply_t12(op, _spread_t_right(op, i, j, k, d))
-                rhs = apply_t23(op, _spread_t_left(op, i, j, k, d))
-                scan.eq("hom_twistor_commute", (i, j, k), lhs, rhs)
-    return scan.done()
+    mu, t = LinearMap.product(algebra.mul), op.map
+    if companions is None:
+        c1 = c2 = _t13(op)
+        i1 = i2 = []
+    else:
+        c1, c2 = [(companions[0].map, 0)], [(companions[1].map, 0)]
+        i1, i2 = c1, c2
+    h0 = h1 = a0 = a2 = []
+    blocks = []
+    if hom_alpha is not None:
+        h = LinearMap.from_matrix(hom_alpha)
+        h0, h1 = [(h, 0)], [(h, 1)]
+        blocks.append(_commutes_with_alpha(hom_alpha, op))
+    if alpha is not None:
+        a = LinearMap.from_matrix(alpha)
+        a0, a2 = [(a, 0)], [(a, 2)]
+        blocks.append(_commutes_with_alpha(alpha, op))
+    last = "commute" if companions is None else "interchange"
+    blocks.append(((d, d, d), [
+        (f"{prefix}_1", h0 + [(mu, 1), (t, 0)], [(t, 0)] + c1 + h0 + [(mu, 1)]),
+        (f"{prefix}_2", [(mu, 0)] + h1 + [(t, 0)], [(t, 1)] + c2 + [(mu, 0)] + h1),
+        (f"{prefix}_{last}", [(t, 1)] + a0 + [(t, 0)] + i1, [(t, 0)] + a2 + [(t, 1)] + i2),
+    ]))
+    return scan_composites(blocks)
 
 
-def check_alpha_pseudotwistor(algebra, alpha, op, comp1, comp2):
-    """alpha-pseudotwistor equations on an associative algebra with endomorphism alpha."""
-    _check_shapes(algebra, op, comp1, comp2)
+def _require_associative(algebra, what):
     if not algebra.is_classical():
-        raise PreconditionFailure("base algebra must have identity structure map")
+        raise PreconditionFailure(f"{what} must have identity structure map")
     rep = check_associative(algebra)
     if not rep.passed:
         raise PreconditionFailure("check_associative", report=rep)
+
+
+def _require_hom_algebra(algebra):
+    rep = check_hom_algebra(algebra)
+    if not rep.passed:
+        raise PreconditionFailure("check_hom_algebra", report=rep)
+
+
+def _require_multiplicative(algebra, alpha):
     rep = multiplicativity_scan(algebra, alpha)
     if not rep.passed:
         raise NotMultiplicative(
             f"alpha is not multiplicative; witness {rep.failures[0].basis}",
             witness=rep.failures[0].basis,
         )
-    d = algebra.dim
-    ident = Matrix.identity(d)
-    scan = Scan()
-    _alpha_square_commutes(alpha, op, scan, "commutes_with_alpha")
-    acol = [alpha.col(i) for i in range(d)]
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                x2 = [ZERO] * (d * d)
-                base = i * d
-                for s, c in enumerate(algebra.mul[j][k]):
-                    if c:
-                        x2[base + s] = c
-                lhs = op.matrix.apply(x2)
-                rhs = _apply_map_mu(
-                    algebra, ident, comp1.matrix.apply(_spread_t_left(op, i, j, k, d))
-                )
-                scan.eq("alpha_pseudotwistor_1", (i, j, k), lhs, rhs)
 
-                x2 = [ZERO] * (d * d)
-                for r, c in enumerate(algebra.mul[i][j]):
-                    if c:
-                        x2[r * d + k] = c
-                lhs = op.matrix.apply(x2)
-                rhs = _apply_mu_map(
-                    algebra, ident, comp2.matrix.apply(_spread_t_right(op, i, j, k, d))
-                )
-                scan.eq("alpha_pseudotwistor_2", (i, j, k), lhs, rhs)
 
-                # interchange: C1 o (T (x) id) o (alpha (x) T) = C2 o (id (x) T) o (T (x) alpha)
-                t = op.matrix.col(j * d + k)
-                x3 = [ZERO] * d ** 3
-                for p, ap in enumerate(acol[i]):
-                    if not ap:
-                        continue
-                    base3 = p * d * d
-                    for qr, w in enumerate(t):
-                        if w:
-                            x3[base3 + qr] = ap * w
-                lhs = comp1.matrix.apply(apply_t12(op, x3))
+def check_pseudotwistor(algebra, op, comp1, comp2):
+    """Classical pseudotwistor equations on an associative algebra."""
+    _check_shapes(algebra, op, comp1, comp2)
+    _require_associative(algebra, "pseudotwistor base algebra")
+    return _twistor_axioms("pseudotwistor", algebra, op, (comp1, comp2))
 
-                t = op.matrix.col(i * d + j)
-                x3 = [ZERO] * d ** 3
-                for pq, w in enumerate(t):
-                    if not w:
-                        continue
-                    base3 = pq * d
-                    for r, ar in enumerate(acol[k]):
-                        if ar:
-                            x3[base3 + r] = w * ar
-                rhs = comp2.matrix.apply(apply_t23(op, x3))
-                scan.eq("alpha_pseudotwistor_interchange", (i, j, k), lhs, rhs)
-    return scan.done()
+
+def check_twistor(algebra, op):
+    """Classical twistor equations; companions are fixed to the 1-3 lift."""
+    _check_shapes(algebra, op)
+    _require_associative(algebra, "twistor base algebra")
+    return _twistor_axioms("twistor", algebra, op, None)
+
+
+def check_hom_pseudotwistor(algebra, op, comp1, comp2):
+    """Hom-pseudotwistor equations on a Hom-associative algebra."""
+    _check_shapes(algebra, op, comp1, comp2)
+    _require_hom_algebra(algebra)
+    return _twistor_axioms(
+        "hom_pseudotwistor", algebra, op, (comp1, comp2), hom_alpha=algebra.alpha
+    )
+
+
+def check_hom_twistor(algebra, op):
+    """Hom-twistor equations; companions are the 1-3 lift of the operator."""
+    _check_shapes(algebra, op)
+    _require_hom_algebra(algebra)
+    return _twistor_axioms("hom_twistor", algebra, op, None, hom_alpha=algebra.alpha)
+
+
+def check_alpha_pseudotwistor(algebra, alpha, op, comp1, comp2):
+    """alpha-pseudotwistor equations on an associative algebra with endomorphism alpha.
+
+    The interchange reads C1 o (T (x) id) o (alpha (x) T) = C2 o (id (x) T) o (T (x) alpha).
+    """
+    _check_shapes(algebra, op, comp1, comp2)
+    _require_associative(algebra, "base algebra")
+    _require_multiplicative(algebra, alpha)
+    return _twistor_axioms("alpha_pseudotwistor", algebra, op, (comp1, comp2), alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -448,16 +220,19 @@ def check_alpha_pseudotwistor(algebra, alpha, op, comp1, comp2):
 # ---------------------------------------------------------------------------
 
 
+def _deformed_mul(algebra, op):
+    d = algebra.dim
+    return compose([(op.map, 0), (LinearMap.product(algebra.mul), 0)], (d, d)).table()
+
+
 def deform(algebra, op, verified="unverified"):
     """Replace the multiplication by mu o T; records which axiom set was verified."""
     _check_shapes(algebra, op)
-    d = algebra.dim
-    new_mul = tuple(
-        tuple(tuple(_apply_mu2(algebra, op.matrix.col(i * d + j))) for j in range(d))
-        for i in range(d)
-    )
     return HomAlgebra(
-        d, new_mul, algebra.alpha, algebra.provenance + (f"deform:{verified}",)
+        algebra.dim,
+        _deformed_mul(algebra, op),
+        algebra.alpha,
+        algebra.provenance + (f"deform:{verified}",),
     )
 
 
@@ -466,18 +241,10 @@ def deform_with_alpha(algebra, alpha, op, verified="unverified"):
     _check_shapes(algebra, op)
     if not algebra.is_classical():
         raise PreconditionFailure("base algebra must have identity structure map")
-    rep = multiplicativity_scan(algebra, alpha)
-    if not rep.passed:
-        raise NotMultiplicative(
-            f"alpha is not multiplicative; witness {rep.failures[0].basis}",
-            witness=rep.failures[0].basis,
-        )
-    d = algebra.dim
-    new_mul = tuple(
-        tuple(tuple(_apply_mu2(algebra, op.matrix.col(i * d + j))) for j in range(d))
-        for i in range(d)
+    _require_multiplicative(algebra, alpha)
+    return HomAlgebra(
+        algebra.dim, _deformed_mul(algebra, op), alpha, algebra.provenance + (f"deform:{verified}",)
     )
-    return HomAlgebra(d, new_mul, alpha, algebra.provenance + (f"deform:{verified}",))
 
 
 def yau_operator(alpha):
@@ -493,6 +260,12 @@ def yau_operator(alpha):
     )
 
 
+def structure_constants_block(left, right):
+    """The block comparing two algebras' structure constants on basis pairs."""
+    lhs, rhs = LinearMap.product(left.mul), LinearMap.product(right.mul)
+    return ((left.dim, left.dim), [("structure_constants", [(lhs, 0)], [(rhs, 0)])])
+
+
 def check_yau_compat(algebra, alpha, op, comp1, comp2):
     """Pseudotwistor vs Yau-twist compatibility: the deformations commute."""
     if not algebra.is_classical():
@@ -503,10 +276,9 @@ def check_yau_compat(algebra, alpha, op, comp1, comp2):
     rep = check_pseudotwistor(algebra, op, comp1, comp2)
     if not rep.passed:
         raise PreconditionFailure("check_pseudotwistor", report=rep)
-    probe = Scan()
-    _alpha_square_commutes(alpha, op, probe, "commutes_with_alpha")
+    probe = scan_composites([_commutes_with_alpha(alpha, op)])
     if not probe.passed:
-        raise PreconditionFailure("alpha_commutes_with_operator", report=probe.done())
+        raise PreconditionFailure("alpha_commutes_with_operator", report=probe)
     rep = multiplicativity_scan(algebra, alpha)
     if not rep.passed:
         raise PreconditionFailure("alpha_multiplicative_for_base", report=rep)
@@ -520,12 +292,4 @@ def check_yau_compat(algebra, alpha, op, comp1, comp2):
     scan.absorb("hom_pseudotwistor_on_twist", check_hom_pseudotwistor(twisted, op, comp1, comp2))
     twist_then_deform = deform(twisted, op, verified="hom_pseudotwistor")
     deform_then_twist = yau_twist_algebra(deformed, alpha)
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            scan.eq(
-                "structure_constants",
-                (i, j),
-                twist_then_deform.mul[i][j],
-                deform_then_twist.mul[i][j],
-            )
-    return scan.done()
+    return scan_composites([structure_constants_block(twist_then_deform, deform_then_twist)], scan)

@@ -54,14 +54,44 @@ class TestTableCommand:
         assert main(["table", golden_file, "C2"]) == 3
 
 
-class TestThreadsEnv:
-    def test_invalid_threads_rejected(self, golden_file, monkeypatch):
-        monkeypatch.setenv("HOMTWIST_THREADS", "lots")
-        assert main(["check", golden_file]) == 3
+@pytest.fixture
+def failing_construct_file(tmp_path):
+    """A hom_ttp(N, N, R) task expected to fail beside an unrelated algebra A."""
+    doc = {
+        "objects": {
+            "A": {"kind": "hom_algebra", "dim": 1, "mul": [[["1"]]], "alpha": [["1"]]},
+            # not Hom-associative: alpha is not multiplicative for e0 e0 = e0
+            "N": {"kind": "hom_algebra", "dim": 1, "mul": [[["1"]]], "alpha": [["2"]]},
+            "R": {"kind": "twisting_map", "dim_a": 1, "dim_b": 1, "matrix": [["1"]]},
+        },
+        "tasks": [
+            {"op": "hom_ttp", "args": ["N", "N", "R"], "as": "P", "expect": "fail"},
+            {"op": "tensor_algebra", "args": ["P", "A"], "as": "Q", "expect": "fail"},
+            {"op": "tensor_algebra", "args": ["A", "A"], "as": "AA", "expect": "pass"},
+        ],
+    }
+    path = tmp_path / "failing_construct.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
-    def test_zero_means_auto(self, golden_file, monkeypatch):
-        monkeypatch.setenv("HOMTWIST_THREADS", "0")
-        assert main(["check", golden_file]) == 0
+
+class TestFailingConstruct:
+    def test_table_prints_an_unrelated_algebra(self, failing_construct_file, capsys):
+        assert main(["table", failing_construct_file, "A"]) == 0
+        assert "e0" in capsys.readouterr().out
+
+    def test_table_prints_a_later_construct(self, failing_construct_file, capsys):
+        assert main(["table", failing_construct_file, "AA"]) == 0
+        assert "e0" in capsys.readouterr().out
+
+    def test_failed_construct_name_is_undefined(self, failing_construct_file, capsys):
+        assert main(["table", failing_construct_file, "P"]) == 3
+        assert "undefined name 'P'" in capsys.readouterr().err
+
+    def test_check_meets_the_expected_failures(self, failing_construct_file, capsys):
+        assert main(["check", failing_construct_file]) == 0
+        out = capsys.readouterr().out
+        assert "undefined name 'P'" in out and "all expectations met" in out
 
 
 class TestPaperCommand:
@@ -79,6 +109,18 @@ class TestPaperCommand:
         assert main(["paper", "--filter", "uq", "--bounds", "1"]) == 0
         out = capsys.readouterr().out
         assert "uq-quantum" in out
+
+    def test_filter_matching_nothing_is_an_error(self, capsys):
+        assert main(["paper", "--filter", "nomatch"]) == 3
+        captured = capsys.readouterr()
+        assert "no criterion matches" in captured.err
+        assert "ALL CRITERIA PASS" not in captured.out
+
+    def test_negative_bounds_rejected(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["paper", "--filter", "uq", "--bounds", "-5"])
+        assert err.value.code == 2
+        assert "bound must be >= 0" in capsys.readouterr().err
 
     def test_bounds_reduce_quantum_work(self, capsys):
         assert main(["paper", "--filter", "1-k2"]) == 0

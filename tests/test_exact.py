@@ -4,15 +4,20 @@ from hypothesis import given, settings, strategies as st
 from homtwist.errors import DimensionMismatch, MalformedRational, NotInvertible, ZeroDenominator
 from homtwist.exact import (
     CheckReport,
+    LinearMap,
     Matrix,
     Q,
     Scan,
+    apply_at,
+    apply_path,
     flatten_index,
     kron,
     mat_inv,
     mat_mul,
     rat_parse,
     rat_str,
+    scan_composites,
+    to_dense,
     unflatten_index,
 )
 
@@ -153,3 +158,84 @@ class TestCheckReport:
         assert CheckReport(True).passed
         assert bool(CheckReport(True))
         assert not bool(CheckReport(False, ()))
+
+
+def _size(dims):
+    n = 1
+    for d in dims:
+        n *= d
+    return n
+
+
+_rationals = st.builds(Q, st.integers(-4, 4), st.integers(1, 3))
+_sparse_entry = st.one_of(st.just(Q(0)), st.just(Q(0)), _rationals)
+
+
+@st.composite
+def _tensor_and_run(draw):
+    """Factor dims (at most 4 factors of dim 1..3), a contiguous run and a sparse tensor."""
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    pos = draw(st.integers(0, len(dims) - 1))
+    k = draw(st.integers(1, len(dims) - pos))
+    coords = draw(st.lists(_sparse_entry, min_size=_size(dims), max_size=_size(dims)))
+    return dims, pos, k, {i: c for i, c in enumerate(coords) if c}
+
+
+class TestApplyAt:
+    @given(_tensor_and_run(), st.lists(st.integers(1, 3), min_size=1, max_size=2), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_kron_with_identities(self, case, dst, data):
+        dims, pos, k, x = case
+        src = dims[pos:pos + k]
+        n_in, n_out = _size(src), _size(dst)
+        entries = data.draw(st.lists(_sparse_entry, min_size=n_in * n_out, max_size=n_in * n_out))
+        m = Matrix([entries[r * n_in:(r + 1) * n_in] for r in range(n_out)])
+        out_dims = dims[:pos] + tuple(dst) + dims[pos + k:]
+        got = to_dense(apply_at(LinearMap.from_matrix(m, src, dst), x, dims, pos), out_dims)
+        full = kron(kron(Matrix.identity(_size(dims[:pos])), m), Matrix.identity(_size(dims[pos + k:])))
+        assert got == full.apply(to_dense(x, dims))
+
+    @given(_tensor_and_run())
+    @settings(max_examples=40, deadline=None)
+    def test_flip_twice_is_identity(self, case):
+        dims, pos, _, x = case
+        if pos + 2 > len(dims):
+            pos = len(dims) - 2
+        if pos < 0:
+            return
+        d1, d2 = dims[pos], dims[pos + 1]
+        path = [(LinearMap.flip(d1, d2), pos), (LinearMap.flip(d2, d1), pos)]
+        y, out_dims = apply_path(path, x, dims)
+        assert out_dims == dims
+        assert to_dense(y, dims) == to_dense(x, dims)
+
+    def test_flip_swaps_factors(self):
+        y = apply_at(LinearMap.flip(2, 3), {flatten_index((2, 3), (1, 2)): Q(5)}, (2, 3), 0)
+        assert y == {flatten_index((3, 2), (2, 1)): Q(5)}
+
+    def test_run_must_match_the_factor_dims(self):
+        with pytest.raises(DimensionMismatch):
+            apply_at(LinearMap.flip(2, 3), {0: Q(1)}, (3, 2), 0)
+
+    def test_constants_read_source_factors_first(self):
+        # mul[i][j] = e_{i+j mod 2} on k[C2]
+        mul = [[[Q(int((i + j) % 2 == k)) for k in range(2)] for j in range(2)] for i in range(2)]
+        mu = LinearMap.product(mul)
+        assert mu.src == (2, 2) and mu.dst == (2,)
+        assert mu.table() == tuple(tuple(tuple(row) for row in plane) for plane in mul)
+
+    def test_scan_is_tuple_major_and_lexicographic(self):
+        flip = LinearMap.flip(2, 2)
+        scale = LinearMap.from_matrix(Matrix([[2, 0], [0, 1]]))
+        rep = scan_composites([((2, 2), [
+            ("flip_commutes", [(flip, 0)], [(flip, 0)]),
+            ("scale_commutes", [(scale, 0)], [(scale, 1)]),
+            ("flip_is_identity", [(flip, 0)], []),
+        ])])
+        # diag(2, 1) on factor 0 vs factor 1 differs exactly off the diagonal
+        assert [(f.equation, f.basis) for f in rep.failures] == [
+            ("scale_commutes", (0, 1)),
+            ("flip_is_identity", (0, 1)),
+            ("scale_commutes", (1, 0)),
+            ("flip_is_identity", (1, 0)),
+        ]
