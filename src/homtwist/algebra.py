@@ -8,13 +8,14 @@ nonunital throughout.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DimensionMismatch, NotMultiplicative, PreconditionFailure
-from .exact import Matrix, Scan, ZERO, as_scalar, basis_vec, kron, mat_inv, mat_mul
+from .exact import LinearMap, Matrix, Scan, ZERO, as_scalar, basis_vec, kron, mat_inv, mat_mul
 
 
 def _normalize_constants(dim, mul):
-    mul = tuple(tuple(tuple(as_scalar(x) for x in row) for row in plane) for plane in mul)
+    mul = tuple(tuple(tuple(map(as_scalar, row)) for row in plane) for plane in mul)
     if len(mul) != dim or any(
         len(plane) != dim or any(len(row) != dim for row in plane) for plane in mul
     ):
@@ -38,20 +39,31 @@ class HomAlgebra:
                 f"alpha is {self.alpha.rows}x{self.alpha.cols}, expected {self.dim}x{self.dim}"
             )
 
+    @cached_property
+    def map(self):
+        """The multiplication as a LinearMap (d, d) -> (d,), tabulated once."""
+        return LinearMap.product(self.mul)
+
     def product(self, u, v):
-        """Bilinear extension of the structure constants to coefficient vectors."""
-        out = [ZERO] * self.dim
+        """Bilinear extension of the structure constants to coefficient vectors.
+
+        Entries that are ZERO are skipped and only the nonzero constants of
+        e_i e_j are read; any other zero is multiplied through.
+        """
+        d = self.dim
+        if len(u) != d or len(v) != d:
+            raise DimensionMismatch(f"vectors of lengths {len(u)}, {len(v)} in dimension {d}")
+        cols = self.map.cols
+        out = [ZERO] * d
+        vs = [(j, vj) for j, vj in enumerate(v) if vj is not ZERO]
         for i, ui in enumerate(u):
-            if not ui:
+            if ui is ZERO:
                 continue
-            plane = self.mul[i]
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
+            row = i * d
+            for j, vj in vs:
                 w = ui * vj
-                for k, c in enumerate(plane[j]):
-                    if c:
-                        out[k] = out[k] + w * c
+                for k, c in cols[row + j]:
+                    out[k] = out[k] + w * c
         return out
 
     def alpha_col(self, i):

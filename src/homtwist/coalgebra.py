@@ -121,7 +121,7 @@ def check_hom_bialgebra(bialgebra):
     # rescanned under its bialgebra name for witness clarity.
     scan.absorb("", _hom_coassoc_scan(C, equation="coproduct_alpha_balance"))
     # Delta(h h') = h1 h'1 (x) h2 h'2
-    mu, delta = LinearMap.product(H.mul), LinearMap.coproduct(C.comul)
+    mu, delta = H.map, LinearMap.coproduct(C.comul)
     both = [(delta, 0), (delta, 2), (LinearMap.flip(d, d), 1), (mu, 0), (mu, 1)]
     scan_composites([((d, d), [("coproduct_multiplicative", [(mu, 0), (delta, 0)], both)])], scan)
     # Delta(alpha(h)) = alpha(h1) (x) alpha(h2) is comultiplicativity again.

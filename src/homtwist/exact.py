@@ -6,6 +6,13 @@ Everything else in the package builds on the conventions pinned here, once:
   positive denominator.  The backend is ``gmpy2.mpq`` when available and
   ``fractions.Fraction`` otherwise; set ``HOMTWIST_RATIONAL=fraction`` (or
   ``gmpy2``) to force one.  Both are exact; no floating point exists anywhere.
+* every stored zero is the one shared object ``ZERO``.  ``rat_parse`` and
+  ``as_scalar`` return ``ZERO`` for any zero, and ``as_scalar`` hands a value
+  that already has the scalar type back unchanged, so building a table from
+  scalars creates no new ones.  ``Matrix.apply``, ``mat_mul``, ``kron`` and
+  ``HomAlgebra.product`` skip an input entry when it ``is ZERO``; a zero made
+  by arithmetic is not skipped, only multiplied through, so the skip never
+  changes a value.
 * tensor factors flatten row-major, zero-based and left-associatively:
   ``(i, j) -> i*dimB + j``, extended as ``((i, j), k) -> (i*dimB + j)*dimC + k``
   for three or more factors.
@@ -60,8 +67,10 @@ def rat_parse(text):
         num, den = text.split("/")
         if int(den) == 0:
             raise ZeroDenominator(f"zero denominator in {text!r}")
-        return Q(int(num), int(den))
-    return Q(int(text))
+        num = int(num)
+        return Q(num, int(den)) if num else ZERO
+    num = int(text)
+    return Q(num) if num else ZERO
 
 
 def rat_str(x):
@@ -70,10 +79,17 @@ def rat_str(x):
 
 
 def as_scalar(x):
-    """Coerce ints, backend rationals or literal strings to the scalar type."""
-    if isinstance(x, str):
-        return rat_parse(x)
-    return Q(x)
+    """Coerce ints, backend rationals or literal strings to the scalar type.
+
+    A value of the scalar type comes back unchanged, and every zero as ``ZERO``.
+    """
+    if x is ZERO:
+        return x
+    if type(x) is not Q:
+        if isinstance(x, str):
+            return rat_parse(x)
+        x = Q(x)
+    return x if x else ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +131,10 @@ def unflatten_index(dims, flat):
 class Matrix:
     """Immutable dense matrix of exact rationals."""
 
-    __slots__ = ("rows", "cols", "data", "_coldata")
+    __slots__ = ("rows", "cols", "data", "_coldata", "_sparse")
 
     def __init__(self, data):
-        data = tuple(tuple(as_scalar(x) for x in row) for row in data)
+        data = tuple(tuple(map(as_scalar, row)) for row in data)
         self.rows = len(data)
         self.cols = len(data[0]) if data else 0
         for row in data:
@@ -126,6 +142,7 @@ class Matrix:
                 raise DimensionMismatch("ragged rows in matrix literal")
         self.data = data
         self._coldata = None
+        self._sparse = None
 
     @classmethod
     def identity(cls, n):
@@ -181,17 +198,17 @@ class Matrix:
         )
 
     def apply(self, vec):
-        """Apply to a column coordinate vector; skips zero input entries."""
+        """Apply to a column coordinate vector; skips input entries that are ZERO."""
         if len(vec) != self.cols:
             raise DimensionMismatch(f"vector of length {len(vec)} vs {self.cols} columns")
+        if self._sparse is None:
+            self._sparse = tuple(_nonzero(self.col(c)) for c in range(self.cols))
         out = [ZERO] * self.rows
-        for c, xc in enumerate(vec):
-            if not xc:
+        for xc, col in zip(vec, self._sparse):
+            if xc is ZERO:
                 continue
-            col = self.col(c)
-            for r, m in enumerate(col):
-                if m:
-                    out[r] = out[r] + m * xc
+            for r, m in col:
+                out[r] = out[r] + m * xc
         return out
 
 
@@ -204,11 +221,11 @@ def mat_mul(a, b):
         arow = a.data[r]
         orow = [ZERO] * b.cols
         for k, ak in enumerate(arow):
-            if not ak:
+            if ak is ZERO:
                 continue
             brow = b.data[k]
             for c, bk in enumerate(brow):
-                if bk:
+                if bk is not ZERO:
                     orow[c] = orow[c] + ak * bk
         out.append(tuple(orow))
     return Matrix(out)
@@ -244,7 +261,7 @@ def kron(a, b):
             brow = b.data[j]
             for p in range(a.cols):
                 ap = arow[p]
-                if ap:
+                if ap is not ZERO:
                     row.extend(ap * bq for bq in brow)
                 else:
                     row.extend((ZERO,) * b.cols)
@@ -276,7 +293,7 @@ def _size(dims):
 
 
 def _nonzero(vec):
-    return tuple((r, c) for r, c in enumerate(vec) if c)
+    return tuple((r, c) for r, c in enumerate(vec) if c is not ZERO and c)
 
 
 class LinearMap:

@@ -80,26 +80,59 @@ class Manifest:
 # ---------------------------------------------------------------------------
 
 
+# Fields that hold nested arrays of scalars, with their nesting depth.
+_SCALAR_FIELDS = {"mul": 3, "comul": 3, "table": 3, "alpha": 2, "alpha_m": 2, "matrix": 2}
+
+
 def _scalar(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise WrongKind(f"{where}: scalar must be an integer or 'p/q' string")
     return rat_parse(str(value))
 
 
-def _norm_scalar(value, where):
-    return rat_str(_scalar(value, where))
-
-
 def _nested(value, depth, where):
     if depth == 0:
-        return _norm_scalar(value, where)
+        return _scalar(value, where)
     if not isinstance(value, list):
         raise WrongKind(f"{where}: expected a nested array")
     return [_nested(v, depth - 1, where) for v in value]
 
 
-def _matrix(value, where):
-    return Matrix(_nested(value, 2, where))
+def _nested_str(value, depth):
+    if depth == 0:
+        return rat_str(value)
+    return [_nested_str(v, depth - 1) for v in value]
+
+
+def _parse_def(name, raw):
+    """The definition with each scalar literal parsed, once, into a rational."""
+    if not isinstance(raw, dict) or "kind" not in raw:
+        raise WrongKind(f"object {name!r}: definition must carry a 'kind'")
+    where = f"object {name!r}"
+    out = {}
+    for fieldname, value in raw.items():
+        if fieldname in _SCALAR_FIELDS:
+            out[fieldname] = _nested(value, _SCALAR_FIELDS[fieldname], where)
+        elif fieldname == "params":
+            if not isinstance(value, dict):
+                raise WrongKind(f"{where}: params must be an object")
+            out[fieldname] = {k: _scalar(v, where) for k, v in value.items()}
+        else:
+            out[fieldname] = value
+    return out
+
+
+def _canonical_def(parsed):
+    """Canonical JSON form of a parsed definition (scalars as strings), for round-trips."""
+    out = {"kind": parsed["kind"]}
+    for fieldname, value in parsed.items():
+        if fieldname in _SCALAR_FIELDS:
+            out[fieldname] = _nested_str(value, _SCALAR_FIELDS[fieldname])
+        elif fieldname == "params":
+            out[fieldname] = {k: rat_str(v) for k, v in value.items()}
+        elif fieldname != "kind":
+            out[fieldname] = value
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -131,48 +164,41 @@ def _require_fields(raw, where, *names):
 
 
 def _build_object(name, raw):
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise WrongKind(f"object {name!r}: definition must carry a 'kind'")
+    """Build an object from its parsed definition (see _parse_def)."""
     kind = raw["kind"]
     where = f"object {name!r} ({kind})"
     if kind == "hom_algebra":
         _require_fields(raw, where, "dim", "mul", "alpha")
-        return HomAlgebra(raw["dim"], _nested(raw["mul"], 3, where), _matrix(raw["alpha"], where))
+        return HomAlgebra(raw["dim"], raw["mul"], Matrix(raw["alpha"]))
     if kind == "hom_coalgebra":
         _require_fields(raw, where, "dim", "comul", "alpha")
-        return HomCoalgebra(
-            raw["dim"], _nested(raw["comul"], 3, where), _matrix(raw["alpha"], where)
-        )
+        return HomCoalgebra(raw["dim"], raw["comul"], Matrix(raw["alpha"]))
     if kind == "hom_bialgebra":
         _require_fields(raw, where, "dim", "mul", "comul", "alpha")
-        alpha = _matrix(raw["alpha"], where)
+        alpha = Matrix(raw["alpha"])
         return HomBialgebra(
-            HomAlgebra(raw["dim"], _nested(raw["mul"], 3, where), alpha),
-            HomCoalgebra(raw["dim"], _nested(raw["comul"], 3, where), alpha),
+            HomAlgebra(raw["dim"], raw["mul"], alpha),
+            HomCoalgebra(raw["dim"], raw["comul"], alpha),
         )
     if kind == "linear_map":
         _require_fields(raw, where, "source_dim", "target_dim", "matrix")
-        m = _matrix(raw["matrix"], where)
+        m = Matrix(raw["matrix"])
         if m.rows != raw["target_dim"] or m.cols != raw["source_dim"]:
             raise DimensionMismatch(f"{where}: matrix shape does not match declared dims")
         return m
     if kind == "operator2":
         _require_fields(raw, where, "dim", "matrix")
-        return Operator2(raw["dim"], _matrix(raw["matrix"], where))
+        return Operator2(raw["dim"], Matrix(raw["matrix"]))
     if kind == "operator3":
         _require_fields(raw, where, "dim", "matrix")
-        return Operator3(raw["dim"], _matrix(raw["matrix"], where))
+        return Operator3(raw["dim"], Matrix(raw["matrix"]))
     if kind == "twisting_map":
         _require_fields(raw, where, "dim_a", "dim_b", "matrix")
-        return TwistingMapR(raw["dim_a"], raw["dim_b"], _matrix(raw["matrix"], where))
+        return TwistingMapR(raw["dim_a"], raw["dim_b"], Matrix(raw["matrix"]))
     if kind == "action":
         _require_fields(raw, where, "side", "acting_dim", "module_dim", "table", "alpha_m")
         return ActionTable(
-            raw["side"],
-            raw["acting_dim"],
-            raw["module_dim"],
-            _nested(raw["table"], 3, where),
-            _matrix(raw["alpha_m"], where),
+            raw["side"], raw["acting_dim"], raw["module_dim"], raw["table"], Matrix(raw["alpha_m"])
         )
     if kind == "coaction":
         _require_fields(raw, where, "side", "coalgebra_dim", "module_dim", "table", "alpha_m")
@@ -180,37 +206,14 @@ def _build_object(name, raw):
             raw["side"],
             raw["coalgebra_dim"],
             raw["module_dim"],
-            _nested(raw["table"], 3, where),
-            _matrix(raw["alpha_m"], where),
+            raw["table"],
+            Matrix(raw["alpha_m"]),
         )
     if kind == "gallery":
         _require_fields(raw, where, "name", "params")
         key = gallery.GalleryKey(raw["name"], dict(raw["params"]))
         return gallery.build(key)
     raise WrongKind(f"object {name!r}: unknown kind {kind!r}")
-
-
-def _normalize_def(name, raw):
-    """Canonical JSON form of a definition (scalars as strings), for round-trips."""
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise WrongKind(f"object {name!r}: definition must carry a 'kind'")
-    kind = raw["kind"]
-    out = {"kind": kind}
-    where = f"object {name!r}"
-    for fieldname, value in raw.items():
-        if fieldname == "kind":
-            continue
-        if fieldname in ("mul", "comul", "table"):
-            out[fieldname] = _nested(value, 3, where)
-        elif fieldname in ("alpha", "alpha_m", "matrix"):
-            out[fieldname] = _nested(value, 2, where)
-        elif fieldname == "params":
-            if not isinstance(value, dict):
-                raise WrongKind(f"{where}: params must be an object")
-            out[fieldname] = {k: _norm_scalar(v, where) for k, v in value.items()}
-        else:
-            out[fieldname] = value
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +266,7 @@ CHECK_VERBS = {
     ),
     "check_module": lambda h, act: modsmash.check_module(act.side, _alg(h), act),
     "check_module_hom_algebra": lambda h, a, act: modsmash.check_module_hom_algebra(
-        act.side, h, a, act
+        act.side, h, _alg(a), act
     ),
     "check_comodule": lambda c, co: modsmash.check_comodule(co.side, _coalg(c), co),
     "check_comodule_hom_algebra": lambda h, d, co: modsmash.check_comodule_hom_algebra(
@@ -285,15 +288,105 @@ CONSTRUCT_VERBS = {
     "deform": lambda d, t: twistor.deform(_alg(d), t, verified="manifest"),
     "lift_13": lambda t: twistor.lift_13(t),
     "smash_left": lambda a, h, act: dict(
-        zip(("R", "algebra"), modsmash.smash_left(a, h, act))
+        zip(("R", "algebra"), modsmash.smash_left(_alg(a), h, act))
     ),
     "smash_right": lambda h, c, act: dict(
-        zip(("R", "algebra"), modsmash.smash_right(h, c, act))
+        zip(("R", "algebra"), modsmash.smash_right(h, _alg(c), act))
     ),
     "iterated_ttp": lambda a, b, c, r1, r2, r3: dict(
-        zip(("algebra", "P1", "P2"), twisted.iterated_ttp(a, b, c, r1, r2, r3))
+        zip(
+            ("algebra", "P1", "P2"),
+            twisted.iterated_ttp(_alg(a), _alg(b), _alg(c), r1, r2, r3),
+        )
     ),
 }
+
+# The kinds one argument accepts; a bialgebra stands in for its algebra or coalgebra.
+_ALG = ("hom_algebra", "hom_bialgebra")
+_COALG = ("hom_coalgebra", "hom_bialgebra")
+_BIALG = ("hom_bialgebra",)
+_MAP = ("linear_map",)
+_OP2 = ("operator2",)
+_OP3 = ("operator3",)
+_R = ("twisting_map",)
+_ACT = ("action",)
+_COACT = ("coaction",)
+
+# op -> (accepted kinds of each argument, kind of the result).  A check binds no
+# result; a construct that returns several objects gives the kind of each member.
+SIGNATURES = {
+    "check_hom_algebra": ((_ALG,), None),
+    "check_associative": ((_ALG,), None),
+    "check_lemma_four_elements": ((_ALG,), None),
+    "check_algebra_morphism": ((_MAP, _ALG, _ALG), None),
+    "check_hom_coalgebra": ((_COALG,), None),
+    "check_hom_bialgebra": ((_BIALG,), None),
+    "check_twistor": ((_ALG, _OP2), None),
+    "check_hom_twistor": ((_ALG, _OP2), None),
+    "check_pseudotwistor": ((_ALG, _OP2, _OP3, _OP3), None),
+    "check_hom_pseudotwistor": ((_ALG, _OP2, _OP3, _OP3), None),
+    "check_alpha_pseudotwistor": ((_ALG, _MAP, _OP2, _OP3, _OP3), None),
+    "check_yau_compat": ((_ALG, _MAP, _OP2, _OP3, _OP3), None),
+    "check_twisting_map": ((_ALG, _ALG, _R), None),
+    "check_hom_twisting_map": ((_ALG, _ALG, _R), None),
+    "check_braid": ((_R, _R, _R), None),
+    "check_alphaAB_twisting_map": ((_ALG, _ALG, _MAP, _MAP, _R), None),
+    "check_deform_compat_ttp": ((_ALG, _ALG, _MAP, _MAP, _R), None),
+    "check_module": ((_ALG, _ACT), None),
+    "check_module_hom_algebra": ((_BIALG, _ALG, _ACT), None),
+    "check_comodule": ((_COALG, _COACT), None),
+    "check_comodule_hom_algebra": ((_BIALG, _ALG, _COACT), None),
+    "check_bicomodule": ((_COALG, _COACT, _COACT), None),
+    "check_yetter_drinfeld": ((_BIALG, _ACT, _COACT), None),
+    "yau_twist_algebra": ((_ALG, _MAP), "hom_algebra"),
+    "yau_twist_coalgebra": ((_COALG, _MAP), "hom_coalgebra"),
+    "yau_twist_bialgebra": ((_BIALG, _MAP), "hom_bialgebra"),
+    "tensor_algebra": ((_ALG, _ALG), "hom_algebra"),
+    "ttp": ((_ALG, _ALG, _R), "hom_algebra"),
+    "hom_ttp": ((_ALG, _ALG, _R), "hom_algebra"),
+    "twistor_from_R": ((_ALG, _ALG, _R), "operator2"),
+    "hom_twistor_from_R": ((_ALG, _ALG, _R), "operator2"),
+    "deform": ((_ALG, _OP2), "hom_algebra"),
+    "lift_13": ((_OP2,), "operator3"),
+    "smash_left": ((_ALG, _BIALG, _ACT), {"R": "twisting_map", "algebra": "hom_algebra"}),
+    "smash_right": ((_BIALG, _ALG, _ACT), {"R": "twisting_map", "algebra": "hom_algebra"}),
+    "iterated_ttp": (
+        (_ALG, _ALG, _ALG, _R, _R, _R),
+        {"algebra": "hom_algebra", "P1": "twisting_map", "P2": "twisting_map"},
+    ),
+}
+
+_KIND_OF_TYPE = {
+    HomAlgebra: "hom_algebra",
+    HomCoalgebra: "hom_coalgebra",
+    HomBialgebra: "hom_bialgebra",
+    Matrix: "linear_map",
+    Operator2: "operator2",
+    Operator3: "operator3",
+    TwistingMapR: "twisting_map",
+    ActionTable: "action",
+    CoactionTable: "coaction",
+}
+
+
+def _kind(obj):
+    """The manifest kind of a built object; a gallery or construct bundle is a 'bundle'."""
+    if isinstance(obj, dict):
+        return "bundle"
+    return _KIND_OF_TYPE.get(type(obj), type(obj).__name__)
+
+
+def _check_signature(where, op, args, kinds):
+    """WrongKind unless `args` (names bound to `kinds`) fit the signature of `op`."""
+    accepted, _ = SIGNATURES[op]
+    if len(args) != len(accepted):
+        raise WrongKind(f"{where}: {op} takes {len(accepted)} arguments, got {len(args)}")
+    for position, (a, ok) in enumerate(zip(args, accepted), start=1):
+        if kinds[a] not in ok:
+            raise WrongKind(
+                f"{where}: argument {position} of {op} must be {' or '.join(ok)}, "
+                f"got {a!r} ({kinds[a]})"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +422,9 @@ def parse_manifest(text):
     for name, objdef in raw_objects.items():
         if "." in name:
             raise WrongKind(f"object name {name!r} may not contain '.'")
-        defs[name] = _normalize_def(name, objdef)
-        built = _build_object(name, objdef)
+        parsed = _parse_def(name, objdef)
+        defs[name] = _canonical_def(parsed)
+        built = _build_object(name, parsed)
         objects[name] = built
         if isinstance(built, dict):  # gallery bundle: bind dotted members
             for member, value in built.items():
@@ -338,7 +432,7 @@ def parse_manifest(text):
                     objects[f"{name}.{member}"] = value
 
     tasks = []
-    available = set(objects)
+    kinds = {name: _kind(obj) for name, obj in objects.items()}
     for i, rawtask in enumerate(raw_tasks):
         where = f"task {i + 1}"
         if not isinstance(rawtask, dict):
@@ -353,15 +447,21 @@ def parse_manifest(text):
         if not isinstance(args, list) or not all(isinstance(a, str) for a in args):
             raise WrongKind(f"{where}: args must be a list of object names")
         for a in args:
-            if a not in available:
+            if a not in kinds:
                 raise UnknownName(f"{where}: undefined name {a!r}")
+        _check_signature(where, op, args, kinds)
         store = rawtask.get("as")
         if store is not None:
             if not isinstance(store, str) or "." in store:
                 raise WrongKind(f"{where}: 'as' must be a plain name")
-            if store in available:
+            if store in kinds:
                 raise DuplicateName(f"{where}: name {store!r} already defined")
-            available.add(store)
+            result = SIGNATURES[op][1]
+            if isinstance(result, dict):
+                kinds[store] = "bundle"
+                kinds.update((f"{store}.{member}", k) for member, k in result.items())
+            else:
+                kinds[store] = result
         expect = rawtask.get("expect", "pass")
         if expect not in EXPECTATIONS:
             raise WrongKind(f"{where}: expect must be one of {EXPECTATIONS}")

@@ -131,7 +131,7 @@ def check_module(side, algebra, action):
         ((d, d, dm), [(
             "module_assoc",
             first + [(act, 1), (ah, 0), (act, 0)],
-            [(LinearMap.product(algebra.mul), 0), (am, 1), (act, 0)],
+            [(algebra.map, 0), (am, 1), (act, 0)],
         )]),
     ])
 
@@ -146,7 +146,7 @@ def check_module_hom_algebra(side, bialgebra, algebra, action):
     if not rep.passed:
         raise PreconditionFailure("check_module", report=rep)
     dh, da = bialgebra.dim, algebra.dim
-    ah, act, mu = LinearMap.from_matrix(bialgebra.alpha), action.map, LinearMap.product(algebra.mul)
+    ah, act, mu = LinearMap.from_matrix(bialgebra.alpha), action.map, algebra.map
     delta = LinearMap.coproduct(bialgebra.comul)
     return scan_composites([((dh, da, da), [(
         "module_algebra_compat",
@@ -277,7 +277,7 @@ def check_comodule_hom_algebra(side, bialgebra, algebra, coaction):
         raise PreconditionFailure("check_comodule", report=rep)
     dh, da = bialgebra.dim, algebra.dim
     co = coaction.map
-    mu_a, mu_h = LinearMap.product(algebra.mul), LinearMap.product(bialgebra.algebra.mul)
+    mu_a, mu_h = algebra.map, bialgebra.algebra.map
     # co(a) co(a'): the two coactions' middle factors trade places, then multiply pairwise
     if side == LEFT:
         products = [(LinearMap.flip(da, dh), 1), (mu_h, 0), (mu_a, 1)]
@@ -302,7 +302,7 @@ def check_yetter_drinfeld(bialgebra, action, coaction):
         raise PreconditionFailure("check_comodule", report=rep)
     dh, dm = bialgebra.dim, action.module_dim
     a, act, co = LinearMap.from_matrix(bialgebra.alpha), action.map, coaction.map
-    mu, delta = LinearMap.product(bialgebra.algebra.mul), LinearMap.coproduct(bialgebra.comul)
+    mu, delta = bialgebra.algebra.map, LinearMap.coproduct(bialgebra.comul)
     return scan_composites([((dh, dm), [(
         "yetter_drinfeld",
         # (h1.m)_{(-1)} alpha^2(h2) (x) (h1.m)_{(0)}
@@ -384,7 +384,7 @@ def smash_two_sided(algebra_a, bialgebra, algebra_c, action_left, action_right):
     inv_a = LinearMap.from_matrix(mat_inv(algebra_a.alpha))
     inv_c = LinearMap.from_matrix(mat_inv(algebra_c.alpha))
     delta = LinearMap.coproduct(bialgebra.comul)
-    mu_a, mu_h, mu_c = (LinearMap.product(x.mul) for x in (algebra_a, bialgebra.algebra, algebra_c))
+    mu_a, mu_h, mu_c = (x.map for x in (algebra_a, bialgebra.algebra, algebra_c))
     # (a # h # c)(a' # h' # c') = a (alpha^{-2}(h1) . alpha^{-1}(a'))
     #   # alpha^{-1}(h2 h'1) # (alpha^{-1}(c) . alpha^{-2}(h'2)) c'
     closed = [
@@ -398,7 +398,7 @@ def smash_two_sided(algebra_a, bialgebra, algebra_c, action_left, action_right):
     n = da * dh * dc
     expected = compose(closed, (da, dh, dc) * 2).reshaped((n, n), (n,))
     rep = scan_composites([((n, n), [(
-        "two_sided_closed_formula", [(LinearMap.product(product.mul), 0)], [(expected, 0)]
+        "two_sided_closed_formula", [(product.map, 0)], [(expected, 0)]
     )])])
     if not rep.passed:
         raise PreconditionFailure("two_sided_closed_formula", report=rep)
@@ -440,7 +440,7 @@ def coaction_lambda_smash(algebra, bialgebra, action, coaction_a):
         (coaction_a.map, 0),  # a_{(-1)} a_{(0)} h
         (LinearMap.coproduct(bialgebra.comul), 2),
         (LinearMap.flip(da, dh), 1),
-        (LinearMap.product(bialgebra.algebra.mul), 0),
+        (bialgebra.algebra.map, 0),
     ]
     table = compose(path, (da, dh)).reshaped((da * dh,), (dh, da * dh)).table()
     return CoactionTable(

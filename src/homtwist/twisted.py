@@ -104,7 +104,7 @@ def check_twisting_map(a, b, rmap):
     _check_r_dims(a, b, rmap)
     _require_associative(a, "A")
     _require_associative(b, "B")
-    r, mu_a, mu_b = rmap.map, LinearMap.product(a.mul), LinearMap.product(b.mul)
+    r, mu_a, mu_b = rmap.map, a.map, b.map
     da, db = a.dim, b.dim
     return scan_composites([
         ((db, da, da), [("twisting_map_1", [(mu_a, 1), (r, 0)], [(r, 0), (r, 1), (mu_a, 0)])]),
@@ -119,7 +119,7 @@ def check_hom_twisting_map(a, b, rmap):
         rep = check_hom_algebra(alg)
         if not rep.passed:
             raise PreconditionFailure(f"check_hom_algebra:{name}", report=rep)
-    r, mu_a, mu_b = rmap.map, LinearMap.product(a.mul), LinearMap.product(b.mul)
+    r, mu_a, mu_b = rmap.map, a.map, b.map
     fa, fb = LinearMap.from_matrix(a.alpha), LinearMap.from_matrix(b.alpha)
     da, db = a.dim, b.dim
     return scan_composites([
@@ -158,7 +158,7 @@ def _twisted_mul(a, b, rmap):
     """Structure constants of (a (x) b)(a' (x) b') = a a'_R (x) b_R b'."""
     da, db = a.dim, b.dim
     n = da * db
-    path = [(rmap.map, 1), (LinearMap.product(a.mul), 0), (LinearMap.product(b.mul), 1)]
+    path = [(rmap.map, 1), (a.map, 0), (b.map, 1)]
     return compose(path, (da, db, da, db)).reshaped((n, n), (n,)).table()
 
 
@@ -341,7 +341,7 @@ def check_alphaAB_twisting_map(a, b, alpha_a, alpha_b, rmap):
             )
     inv_a = LinearMap.from_matrix(mat_inv(alpha_a))  # NotInvertible propagates
     inv_b = LinearMap.from_matrix(mat_inv(alpha_b))
-    r, mu_a, mu_b = rmap.map, LinearMap.product(a.mul), LinearMap.product(b.mul)
+    r, mu_a, mu_b = rmap.map, a.map, b.map
     da, db = a.dim, b.dim
     return scan_composites([
         _alpha_equation("alpha_twisting_map_0", rmap, alpha_a, alpha_b),

@@ -125,7 +125,7 @@ def _twistor_axioms(prefix, algebra, op, companions, hom_alpha=None, alpha=None)
     of the alpha-variant, which enters the interchange and the commutation.
     """
     d = algebra.dim
-    mu, t = LinearMap.product(algebra.mul), op.map
+    mu, t = algebra.map, op.map
     if companions is None:
         c1 = c2 = _t13(op)
         i1 = i2 = []
@@ -222,7 +222,7 @@ def check_alpha_pseudotwistor(algebra, alpha, op, comp1, comp2):
 
 def _deformed_mul(algebra, op):
     d = algebra.dim
-    return compose([(op.map, 0), (LinearMap.product(algebra.mul), 0)], (d, d)).table()
+    return compose([(op.map, 0), (algebra.map, 0)], (d, d)).table()
 
 
 def deform(algebra, op, verified="unverified"):
@@ -262,7 +262,7 @@ def yau_operator(alpha):
 
 def structure_constants_block(left, right):
     """The block comparing two algebras' structure constants on basis pairs."""
-    lhs, rhs = LinearMap.product(left.mul), LinearMap.product(right.mul)
+    lhs, rhs = left.map, right.map
     return ((left.dim, left.dim), [("structure_constants", [(lhs, 0)], [(rhs, 0)])])
 
 

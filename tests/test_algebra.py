@@ -1,6 +1,11 @@
+from fractions import Fraction
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homtwist.algebra import (
+    HomAlgebra,
     check_algebra_morphism,
     check_associative,
     check_hom_algebra,
@@ -12,7 +17,7 @@ from homtwist.algebra import (
     zero_algebra,
 )
 from homtwist.errors import DimensionMismatch, NotMultiplicative, PreconditionFailure
-from homtwist.exact import Matrix, Q
+from homtwist.exact import ZERO, Matrix, Q
 from homtwist.gallery import GalleryKey, build, k2_algebra, swap_matrix
 
 
@@ -136,3 +141,69 @@ class TestFourElementLemma:
     def test_holds_on_twisted_k2(self):
         twisted = yau_twist_algebra(k2_algebra(), swap_matrix())
         assert check_lemma_four_elements(twisted).passed
+
+
+def dense_product(self, u, v):
+    """HomAlgebra.product before it read sparse columns, kept as the test oracle."""
+    out = [ZERO] * self.dim
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        plane = self.mul[i]
+        for j, vj in enumerate(v):
+            if not vj:
+                continue
+            w = ui * vj
+            for k, c in enumerate(plane[j]):
+                if c:
+                    out[k] = out[k] + w * c
+    return out
+
+
+# Zeros drawn as the shared ZERO and as fresh objects, beside small rationals;
+# zeros are drawn most often, as in the structure constants of the paper's examples.
+zero_or_rational = st.one_of(
+    st.just(ZERO),
+    st.builds(lambda: Fraction(0)),
+    st.just(ZERO),
+    st.builds(Q, st.integers(-3, 3), st.integers(1, 2)),
+)
+
+
+@st.composite
+def algebras(draw, max_dim=3):
+    d = draw(st.integers(1, max_dim))
+    mul = [[draw(st.lists(zero_or_rational, min_size=d, max_size=d)) for _ in range(d)]
+           for _ in range(d)]
+    alpha = [draw(st.lists(zero_or_rational, min_size=d, max_size=d)) for _ in range(d)]
+    return hom_algebra(d, mul, alpha)
+
+
+class TestSparseProduct:
+    @given(algebras(max_dim=4), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_dense_loop(self, algebra, data):
+        d = algebra.dim
+        for _ in range(3):
+            u = data.draw(st.lists(zero_or_rational, min_size=d, max_size=d))
+            v = data.draw(st.lists(zero_or_rational, min_size=d, max_size=d))
+            assert algebra.product(u, v) == dense_product(algebra, u, v)
+
+    @given(algebras())
+    @settings(max_examples=40, deadline=None)
+    def test_checker_reports_match_the_dense_loop(self, algebra):
+        sparse = [check(algebra) for check in (check_hom_algebra, check_associative)]
+        with mock.patch.object(HomAlgebra, "product", dense_product):
+            dense = [check(algebra) for check in (check_hom_algebra, check_associative)]
+        assert sparse == dense
+
+    def test_stored_zeros_are_shared_and_the_map_is_cached(self):
+        fresh = [[[Fraction(0), Q(1)], [Q(0, 3), "0"]], [["-0/2", 0], [1, Fraction(0)]]]
+        a = hom_algebra(2, fresh)
+        assert all(c is ZERO for plane in a.mul for row in plane for c in row if not c)
+        assert a.map is a.map
+        assert a.map.cols == (((1, Q(1)),), (), (), ((0, Q(1)),))
+
+    def test_vector_length_must_match_the_dimension(self):
+        with pytest.raises(DimensionMismatch):
+            k2_algebra().product([Q(1), ZERO], [Q(1), ZERO, ZERO])

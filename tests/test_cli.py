@@ -41,6 +41,33 @@ class TestCheckCommand:
         assert main(["check", "/no/such/file.json"]) == 3
 
 
+class TestArgumentKinds:
+    """A task whose arguments do not fit its op is a semantic error (exit 3), not a crash."""
+
+    def write(self, tmp_path, task):
+        doc = {
+            "objects": {
+                "A": {"kind": "hom_algebra", "dim": 1, "mul": [[["1"]]], "alpha": [["1"]]},
+                "f": {"kind": "linear_map", "source_dim": 1, "target_dim": 1, "matrix": [["1"]]},
+            },
+            "tasks": [task],
+        }
+        path = tmp_path / "kinds.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_check_hom_algebra_on_a_linear_map(self, tmp_path, capsys):
+        path = self.write(tmp_path, {"op": "check_hom_algebra", "args": ["f"]})
+        assert main(["check", path]) == 3
+        err = capsys.readouterr().err
+        assert "argument 1 of check_hom_algebra" in err and "linear_map" in err
+
+    def test_check_hom_algebra_with_two_args(self, tmp_path, capsys):
+        path = self.write(tmp_path, {"op": "check_hom_algebra", "args": ["A", "A"]})
+        assert main(["check", path]) == 3
+        assert "check_hom_algebra takes 1 arguments, got 2" in capsys.readouterr().err
+
+
 class TestTableCommand:
     def test_prints_table(self, golden_file, capsys):
         assert main(["table", golden_file, "D"]) == 0

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,8 +10,10 @@ from homtwist.exact import (
     Matrix,
     Q,
     Scan,
+    ZERO,
     apply_at,
     apply_path,
+    as_scalar,
     flatten_index,
     kron,
     mat_inv,
@@ -239,3 +243,65 @@ class TestApplyAt:
             ("scale_commutes", (1, 0)),
             ("flip_is_identity", (1, 0)),
         ]
+
+
+class TestCanonicalScalars:
+    @given(st.integers(-10**6, 10**6), st.integers(1, 10**3))
+    @settings(max_examples=60, deadline=None)
+    def test_a_scalar_comes_back_unchanged(self, num, den):
+        x = Q(num, den)
+        assert as_scalar(x) is (ZERO if num == 0 else x)
+
+    @pytest.mark.parametrize("zero", [0, "0", "-0/5", Fraction(0), Q(0, 7), False])
+    def test_every_zero_is_the_shared_zero(self, zero):
+        assert as_scalar(zero) is ZERO
+
+    @pytest.mark.parametrize("text", ["0", "-0", "0/3", "-0/5"])
+    def test_parsed_zero_is_the_shared_zero(self, text):
+        assert rat_parse(text) is ZERO
+
+    def test_zero_over_zero_is_still_an_error(self):
+        with pytest.raises(ZeroDenominator):
+            rat_parse("0/0")
+
+    def test_matrix_stores_only_the_shared_zero(self):
+        m = Matrix([[0, "0"], [Fraction(0), "-0/3"]])
+        assert all(x is ZERO for row in m.data for x in row)
+
+
+def dense_apply(self, vec):
+    """Matrix.apply before it read cached sparse columns, kept as the test oracle."""
+    if len(vec) != self.cols:
+        raise DimensionMismatch(f"vector of length {len(vec)} vs {self.cols} columns")
+    out = [ZERO] * self.rows
+    for c, xc in enumerate(vec):
+        if not xc:
+            continue
+        col = self.col(c)
+        for r, m in enumerate(col):
+            if m:
+                out[r] = out[r] + m * xc
+    return out
+
+
+# Zeros drawn as the shared ZERO and as fresh objects, beside small rationals.
+zero_or_rational = st.one_of(
+    st.just(ZERO),
+    st.builds(lambda: Fraction(0)),
+    st.builds(Q, st.integers(-5, 5), st.integers(1, 3)),
+)
+
+
+class TestSparseApply:
+    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_dense_loop(self, rows, cols, data):
+        entries = data.draw(st.lists(zero_or_rational, min_size=rows * cols, max_size=rows * cols))
+        m = Matrix([entries[r * cols:(r + 1) * cols] for r in range(rows)])
+        for _ in range(2):  # the second call reads the cached columns
+            vec = data.draw(st.lists(zero_or_rational, min_size=cols, max_size=cols))
+            assert m.apply(vec) == dense_apply(m, vec)
+
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            Matrix.identity(2).apply([Q(1)])

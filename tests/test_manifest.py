@@ -1,6 +1,10 @@
+import inspect
 import json
 
 import pytest
+
+import homtwist.exact
+import homtwist.manifest
 
 from homtwist.errors import (
     DuplicateName,
@@ -9,8 +13,11 @@ from homtwist.errors import (
     WrongKind,
 )
 from homtwist.manifest import (
+    CHECK_VERBS,
+    CONSTRUCT_VERBS,
     EXIT_EXPECTATION,
     EXIT_OK,
+    SIGNATURES,
     parse_manifest,
     run,
     serialize_manifest,
@@ -122,6 +129,73 @@ class TestParse:
         )
         code, _ = run(parse_manifest(text))
         assert code == EXIT_OK
+
+
+class TestSignatures:
+    def test_every_verb_has_a_signature_of_its_arity(self):
+        assert set(SIGNATURES) == set(CHECK_VERBS) | set(CONSTRUCT_VERBS)
+        for op, fn in {**CHECK_VERBS, **CONSTRUCT_VERBS}.items():
+            kinds, result = SIGNATURES[op]
+            assert len(kinds) == len(inspect.signature(fn).parameters), op
+            assert (result is None) == (op in CHECK_VERBS), op
+
+    @pytest.mark.parametrize("op, args", [
+        ("check_hom_twisting_map", ["K2", "K2", "K2"]),
+        ("check_braid", ["K2", "K2", "K2"]),
+        ("lift_13", ["K2"]),
+    ])
+    def test_wrong_kind(self, op, args):
+        with pytest.raises(WrongKind):
+            parse_manifest(small_manifest([{"op": op, "args": args}]))
+
+    def test_construct_result_kind_is_checked(self):
+        tasks = [
+            {"op": "tensor_algebra", "args": ["K2", "K2"], "as": "T"},
+            {"op": "lift_13", "args": ["T"], "as": "L"},
+        ]
+        with pytest.raises(WrongKind):
+            parse_manifest(small_manifest(tasks))
+
+    def test_construct_bundle_members_are_bound(self):
+        doc = json.loads(small_manifest())
+        doc["objects"]["F"] = {"kind": "twisting_map", "dim_a": 2, "dim_b": 2,
+                               "matrix": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]}
+        doc["tasks"] = [
+            {"op": "iterated_ttp", "args": ["K2", "K2", "K2", "F", "F", "F"], "as": "I"},
+            {"op": "check_hom_algebra", "args": ["I.algebra"]},
+            {"op": "tensor_algebra", "args": ["K2", "K2"], "as": "KK"},
+            {"op": "check_hom_twisting_map", "args": ["KK", "K2", "I.P1"]},
+        ]
+        manifest = parse_manifest(json.dumps(doc))
+        with pytest.raises(WrongKind):
+            parse_manifest(json.dumps({**doc, "tasks": doc["tasks"][:1] + [
+                {"op": "check_hom_algebra", "args": ["I"]}]}))
+        assert run(manifest)[0] == EXIT_OK
+
+
+class TestParseOnce:
+    def test_each_scalar_literal_is_parsed_once(self, monkeypatch):
+        calls = []
+        original = homtwist.exact.rat_parse
+
+        def counting(text):
+            calls.append(text)
+            return original(text)
+
+        monkeypatch.setattr(homtwist.exact, "rat_parse", counting)
+        monkeypatch.setattr(homtwist.manifest, "rat_parse", counting)
+        depth = {"mul": 3, "comul": 3, "table": 3, "alpha": 2, "alpha_m": 2, "matrix": 2}
+
+        def literals(value, d):
+            return 1 if d == 0 else sum(literals(v, d - 1) for v in value)
+
+        expected = sum(
+            literals(value, depth[name]) if name in depth else len(value) if name == "params" else 0
+            for objdef in GOLDEN_MANIFEST["objects"].values()
+            for name, value in objdef.items()
+        )
+        parse_manifest(golden_text())
+        assert len(calls) == expected
 
 
 class TestRoundTrip:
