@@ -7,20 +7,14 @@ axiom is assumed at construction; the checkers decide status.  Algebras are
 nonunital throughout.
 """
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DimensionMismatch, NotMultiplicative, PreconditionFailure
-from .exact import LinearMap, Matrix, Scan, ZERO, as_scalar, basis_vec, kron, mat_inv, mat_mul
-
-
-def _normalize_constants(dim, mul):
-    mul = tuple(tuple(tuple(map(as_scalar, row)) for row in plane) for plane in mul)
-    if len(mul) != dim or any(
-        len(plane) != dim or any(len(row) != dim for row in plane) for plane in mul
-    ):
-        raise DimensionMismatch(f"structure constants are not {dim}^3 shaped")
-    return mul
+from .exact import (
+    LinearMap, Matrix, Scan, ZERO, as_constants, basis_vec, compose, kron, mat_inv, mat_mul
+)
 
 
 @dataclass(frozen=True)
@@ -33,7 +27,9 @@ class HomAlgebra:
     provenance: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mul", _normalize_constants(self.dim, self.mul))
+        d = self.dim
+        message = f"structure constants are not {d}^3 shaped"
+        object.__setattr__(self, "mul", as_constants(self.mul, (d, d, d), message))
         if self.alpha.rows != self.dim or self.alpha.cols != self.dim:
             raise DimensionMismatch(
                 f"alpha is {self.alpha.rows}x{self.alpha.cols}, expected {self.dim}x{self.dim}"
@@ -73,7 +69,10 @@ class HomAlgebra:
         return self.alpha.is_identity()
 
     def with_provenance(self, *tags):
-        return HomAlgebra(self.dim, self.mul, self.alpha, self.provenance + tags)
+        """The same algebra, sharing its tables and cached map, with more provenance."""
+        tagged = copy.copy(self)
+        object.__setattr__(tagged, "provenance", self.provenance + tags)
+        return tagged
 
 
 def hom_algebra(dim, mul, alpha=None, provenance=()):
@@ -166,9 +165,7 @@ def check_algebra_morphism(f, source, target):
 
 def check_lemma_four_elements(algebra):
     """(ab)(cd) = alpha(a)(alpha^{-1}(bc) d) over all basis quadruples."""
-    rep = check_hom_algebra(algebra)
-    if not rep.passed:
-        raise PreconditionFailure("check_hom_algebra", report=rep)
+    check_hom_algebra(algebra).require("check_hom_algebra")
     inv = mat_inv(algebra.alpha)  # NotInvertible propagates
     d = algebra.dim
     acol = [algebra.alpha_col(i) for i in range(d)]
@@ -195,41 +192,31 @@ def yau_twist_algebra(algebra, alpha):
         raise DimensionMismatch("alpha shape does not match the algebra")
     if not algebra.is_classical():
         raise PreconditionFailure("yau twist input must have identity structure map")
-    rep = multiplicativity_scan(algebra, alpha)
-    if not rep.passed:
-        raise NotMultiplicative(
-            f"alpha is not multiplicative; witness pair {rep.failures[0].basis}",
-            witness=rep.failures[0].basis,
-        )
+    multiplicativity_scan(algebra, alpha).require("alpha is not multiplicative", NotMultiplicative)
+    return _yau_twisted(algebra, alpha)
+
+
+def _yau_twisted(algebra, alpha):
+    """The Yau twist alpha o mul with structure map alpha; nothing is checked."""
+    d = algebra.dim
     new_mul = tuple(
-        tuple(tuple(alpha.apply(algebra.mul[i][j])) for j in range(algebra.dim))
-        for i in range(algebra.dim)
+        tuple(tuple(alpha.apply(algebra.mul[i][j])) for j in range(d)) for i in range(d)
     )
-    return HomAlgebra(algebra.dim, new_mul, alpha, algebra.provenance + ("yau_twist",))
+    return HomAlgebra(d, new_mul, alpha, algebra.provenance + ("yau_twist",))
 
 
 def tensor_algebra(a, b):
     """Componentwise tensor product algebra with structure map alphaA (x) alphaB."""
+    return _twisted_product(a, b, LinearMap.flip(b.dim, a.dim), "tensor_algebra")
+
+
+def _twisted_product(a, b, r, tag):
+    """A (x)_R B for a LinearMap R: B (x) A -> A (x) B; nothing is checked.
+
+    (a (x) b)(a' (x) b') = a a'_R (x) b_R b', with structure map alpha_A (x) alpha_B.
+    """
     da, db = a.dim, b.dim
-    dim = da * db
-    mul = []
-    for i in range(da):
-        for j in range(db):
-            plane = []
-            for k in range(da):
-                for l in range(db):
-                    row = [ZERO] * dim
-                    arow = a.mul[i][k]
-                    brow = b.mul[j][l]
-                    for p, ap in enumerate(arow):
-                        if not ap:
-                            continue
-                        base = p * db
-                        for q, bq in enumerate(brow):
-                            if bq:
-                                row[base + q] = ap * bq
-                    plane.append(tuple(row))
-            mul.append(tuple(plane))
-    return HomAlgebra(
-        dim, tuple(mul), kron(a.alpha, b.alpha), ("tensor_algebra",)
-    )
+    n = da * db
+    path = [(r, 1), (a.map, 0), (b.map, 1)]
+    mul = compose(path, (da, db, da, db)).reshaped((n, n), (n,)).table()
+    return HomAlgebra(n, mul, kron(a.alpha, b.alpha), (tag,))

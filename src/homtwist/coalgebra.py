@@ -8,18 +8,7 @@ from dataclasses import dataclass, field
 
 from .algebra import HomAlgebra, check_hom_algebra, yau_twist_algebra
 from .errors import DimensionMismatch, NotComultiplicative, PreconditionFailure
-from .exact import LinearMap, Matrix, Scan, as_scalar, compose, scan_composites
-
-
-def _normalize_constants(dim, comul):
-    comul = tuple(
-        tuple(tuple(as_scalar(x) for x in row) for row in plane) for plane in comul
-    )
-    if len(comul) != dim or any(
-        len(plane) != dim or any(len(row) != dim for row in plane) for plane in comul
-    ):
-        raise DimensionMismatch(f"comultiplication constants are not {dim}^3 shaped")
-    return comul
+from .exact import LinearMap, Matrix, Scan, as_constants, compose, scan_composites
 
 
 @dataclass(frozen=True)
@@ -30,7 +19,9 @@ class HomCoalgebra:
     provenance: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "comul", _normalize_constants(self.dim, self.comul))
+        d = self.dim
+        message = f"comultiplication constants are not {d}^3 shaped"
+        object.__setattr__(self, "comul", as_constants(self.comul, (d, d, d), message))
         if self.alpha.rows != self.dim or self.alpha.cols != self.dim:
             raise DimensionMismatch("alpha shape does not match the coalgebra")
 
@@ -140,29 +131,25 @@ def yau_twist_coalgebra(coalgebra, alpha):
         raise DimensionMismatch("alpha shape does not match the coalgebra")
     if not coalgebra.is_classical():
         raise PreconditionFailure("yau twist input must have identity structure map")
-    rep = check_coassociative(coalgebra)
-    if not rep.passed:
-        raise PreconditionFailure("coassociativity", report=rep)
-    rep = _comultiplicativity_scan(coalgebra, alpha)
-    if not rep.passed:
-        raise NotComultiplicative(
-            f"alpha is not comultiplicative; witness {rep.failures[0].basis}",
-            witness=rep.failures[0].basis,
-        )
+    check_coassociative(coalgebra).require("coassociativity")
+    _comultiplicativity_scan(coalgebra, alpha).require(
+        "alpha is not comultiplicative", NotComultiplicative
+    )
+    return _yau_cotwisted(coalgebra, alpha)
+
+
+def _yau_cotwisted(coalgebra, alpha):
+    """The Yau twist Delta o alpha with structure map alpha; nothing is checked."""
     path = [(LinearMap.from_matrix(alpha), 0), (LinearMap.coproduct(coalgebra.comul), 0)]
     new_comul = compose(path, (coalgebra.dim,)).table()
-    return HomCoalgebra(
-        coalgebra.dim, new_comul, alpha, coalgebra.provenance + ("yau_twist",)
-    )
+    return HomCoalgebra(coalgebra.dim, new_comul, alpha, coalgebra.provenance + ("yau_twist",))
 
 
 def yau_twist_bialgebra(bialgebra, alpha):
     """Twist a classical bialgebra on both sides; alpha must be a bialgebra endomorphism."""
     if not bialgebra.is_classical():
         raise PreconditionFailure("yau twist input must be a classical bialgebra")
-    rep = check_hom_bialgebra(bialgebra)
-    if not rep.passed:
-        raise PreconditionFailure("check_hom_bialgebra", report=rep)
+    check_hom_bialgebra(bialgebra).require("check_hom_bialgebra")
     twisted_algebra = yau_twist_algebra(bialgebra.algebra, alpha)
     twisted_coalgebra = yau_twist_coalgebra(bialgebra.coalgebra, alpha)
     return HomBialgebra(twisted_algebra, twisted_coalgebra)

@@ -2,10 +2,8 @@
 
 Everything else in the package builds on the conventions pinned here, once:
 
-* scalars are arbitrary-precision rationals, always stored reduced with a
-  positive denominator.  The backend is ``gmpy2.mpq`` when available and
-  ``fractions.Fraction`` otherwise; set ``HOMTWIST_RATIONAL=fraction`` (or
-  ``gmpy2``) to force one.  Both are exact; no floating point exists anywhere.
+* scalars are ``fractions.Fraction`` rationals, always stored reduced with a
+  positive denominator.  No floating point exists anywhere.
 * every stored zero is the one shared object ``ZERO``.  ``rat_parse`` and
   ``as_scalar`` return ``ZERO`` for any zero, and ``as_scalar`` hands a value
   that already has the scalar type back unchanged, so building a table from
@@ -22,36 +20,28 @@ Everything else in the package builds on the conventions pinned here, once:
   a ``LinearMap`` between tensor products, and ``apply_at`` is the one place
   that applies such a map to a run of factors; an axiom is a pair of paths of
   ``(map, position)`` checked per basis tuple by ``scan_composites``.
+* a precondition is a check whose report must pass; ``CheckReport.require`` is
+  the one place that turns a failed report into an exception.  Each fact is
+  checked once per call: a composite constructor skips a scan only when the
+  same checker already passed on the very same objects (``is``) earlier in
+  the same call, and builds through private builders that check nothing.
+  Nothing is cached across calls.
 """
 
-import os
 import re
 from dataclasses import dataclass
+from fractions import Fraction as Q
 import itertools
 
-from .errors import DimensionMismatch, MalformedRational, NotInvertible, ZeroDenominator
+from .errors import (
+    DimensionMismatch,
+    MalformedRational,
+    NotInvertible,
+    PreconditionFailure,
+    ZeroDenominator,
+)
 
-_BACKEND_CHOICE = os.environ.get("HOMTWIST_RATIONAL", "auto").strip().lower()
-
-if _BACKEND_CHOICE in ("auto", "gmpy2"):
-    try:
-        from gmpy2 import mpq as Q
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _BACKEND_CHOICE == "gmpy2":
-            raise
-        from fractions import Fraction as Q
-
-        BACKEND = "fraction"
-elif _BACKEND_CHOICE == "fraction":
-    from fractions import Fraction as Q
-
-    BACKEND = "fraction"
-else:
-    raise ValueError(
-        f"HOMTWIST_RATIONAL must be 'gmpy2' or 'fraction', got {_BACKEND_CHOICE!r}"
-    )
+BACKEND = "fraction"
 
 ZERO = Q(0)
 ONE = Q(1)
@@ -74,7 +64,7 @@ def rat_parse(text):
 
 
 def rat_str(x):
-    """Inverse of rat_parse; both backends print ``p/q`` reduced or a bare integer."""
+    """Inverse of rat_parse: ``p/q`` reduced, or a bare integer."""
     return str(x)
 
 
@@ -90,6 +80,21 @@ def as_scalar(x):
             return rat_parse(x)
         x = Q(x)
     return x if x else ZERO
+
+
+def as_constants(table, shape, message):
+    """A nested table of structure constants as tuples of scalars.
+
+    The table must nest as ``shape`` (three dims); otherwise DimensionMismatch
+    with `message`.
+    """
+    table = tuple(tuple(tuple(map(as_scalar, row)) for row in plane) for plane in table)
+    d0, d1, d2 = shape
+    if len(table) != d0 or any(
+        len(plane) != d1 or any(len(row) != d2 for row in plane) for plane in table
+    ):
+        raise DimensionMismatch(message)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +482,20 @@ class CheckReport:
 
     def __bool__(self):
         return self.passed
+
+    def require(self, cause, error=None):
+        """This report if it passed; otherwise raise.
+
+        The exception is ``PreconditionFailure(cause, report=self)``, or
+        ``error(f"{cause}; witness {basis}", witness=basis)`` at the first
+        failure when an error type is given.
+        """
+        if self.passed:
+            return self
+        if error is None:
+            raise PreconditionFailure(cause, report=self)
+        basis = self.failures[0].basis
+        raise error(f"{cause}; witness {basis}", witness=basis)
 
 
 DEFAULT_FAILURE_CAP = 16

@@ -15,8 +15,14 @@ maps, with flips bringing the factors each map acts on together.
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import multiplicativity_scan, yau_twist_algebra
-from .coalgebra import _comultiplicativity_scan, yau_twist_bialgebra
+from .algebra import _yau_twisted, multiplicativity_scan, yau_twist_algebra
+from .coalgebra import (
+    HomBialgebra,
+    _comultiplicativity_scan,
+    _yau_cotwisted,
+    check_coassociative,
+    check_hom_bialgebra,
+)
 from .errors import (
     DimensionMismatch,
     IntertwiningFailure,
@@ -24,8 +30,8 @@ from .errors import (
     PreconditionFailure,
     YDViolation,
 )
-from .exact import LinearMap, Matrix, as_scalar, compose, kron, mat_inv, scan_composites
-from .twisted import TwistingMapR, flip, hom_ttp, iterated_ttp
+from .exact import LinearMap, Matrix, as_constants, compose, kron, mat_inv, scan_composites
+from .twisted import TwistingMapR, _iterated, _require_hom_twisting, flip, hom_ttp
 from .twistor import structure_constants_block
 
 LEFT = "left"
@@ -35,15 +41,6 @@ RIGHT = "right"
 def _check_side(side):
     if side not in (LEFT, RIGHT):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def _normalize_table(table, d0, d1, d2, what):
-    table = tuple(tuple(tuple(as_scalar(x) for x in row) for row in plane) for plane in table)
-    if len(table) != d0 or any(
-        len(plane) != d1 or any(len(row) != d2 for row in plane) for plane in table
-    ):
-        raise DimensionMismatch(f"{what} constants are not {d0}x{d1}x{d2} shaped")
-    return table
 
 
 @dataclass(frozen=True)
@@ -58,13 +55,9 @@ class ActionTable:
 
     def __post_init__(self):
         _check_side(self.side)
-        object.__setattr__(
-            self,
-            "table",
-            _normalize_table(
-                self.table, self.acting_dim, self.module_dim, self.module_dim, "action"
-            ),
-        )
+        dh, dm = self.acting_dim, self.module_dim
+        message = f"action constants are not {dh}x{dm}x{dm} shaped"
+        object.__setattr__(self, "table", as_constants(self.table, (dh, dm, dm), message))
         if self.alpha_m.rows != self.module_dim or self.alpha_m.cols != self.module_dim:
             raise DimensionMismatch("alpha_M shape does not match the module")
 
@@ -92,11 +85,9 @@ class CoactionTable:
             d1, d2 = self.coalgebra_dim, self.module_dim
         else:
             d1, d2 = self.module_dim, self.coalgebra_dim
-        object.__setattr__(
-            self,
-            "table",
-            _normalize_table(self.table, self.module_dim, d1, d2, "coaction"),
-        )
+        dm = self.module_dim
+        message = f"coaction constants are not {dm}x{d1}x{d2} shaped"
+        object.__setattr__(self, "table", as_constants(self.table, (dm, d1, d2), message))
         if self.alpha_m.rows != self.module_dim or self.alpha_m.cols != self.module_dim:
             raise DimensionMismatch("alpha_M shape does not match the module")
 
@@ -142,9 +133,7 @@ def check_module_hom_algebra(side, bialgebra, algebra, action):
         raise DimensionMismatch("module dimension does not match the algebra")
     if action.alpha_m != algebra.alpha:
         raise PreconditionFailure("action alpha_M must equal the algebra structure map")
-    rep = check_module(side, bialgebra.algebra, action)
-    if not rep.passed:
-        raise PreconditionFailure("check_module", report=rep)
+    check_module(side, bialgebra.algebra, action).require("check_module")
     dh, da = bialgebra.dim, algebra.dim
     ah, act, mu = LinearMap.from_matrix(bialgebra.alpha), action.map, algebra.map
     delta = LinearMap.coproduct(bialgebra.comul)
@@ -165,30 +154,25 @@ def yau_twist_module_algebra(side, bialgebra, algebra, action, alpha_h, alpha_a)
         raise PreconditionFailure("classical input required (identity structure maps)")
     if not action.alpha_m.is_identity():
         raise PreconditionFailure("classical action required (identity alpha_M)")
-    rep = check_module_hom_algebra(side, bialgebra, algebra, action)
-    if not rep.passed:
-        raise PreconditionFailure("classical module algebra axioms", report=rep)
-    rep = multiplicativity_scan(bialgebra.algebra, alpha_h)
-    if not rep.passed:
-        raise NotMultiplicative("alpha_H is not multiplicative", witness=rep.failures[0].basis)
-    rep = _comultiplicativity_scan(bialgebra.coalgebra, alpha_h)
-    if not rep.passed:
-        raise PreconditionFailure("alpha_H must be a coalgebra endomorphism", report=rep)
-    rep = multiplicativity_scan(algebra, alpha_a)
-    if not rep.passed:
-        raise NotMultiplicative("alpha_A is not multiplicative", witness=rep.failures[0].basis)
+    check_module_hom_algebra(side, bialgebra, algebra, action).require(
+        "classical module algebra axioms"
+    )
+    h, c = bialgebra.algebra, bialgebra.coalgebra
+    multiplicativity_scan(h, alpha_h).require("alpha_H is not multiplicative", NotMultiplicative)
+    _comultiplicativity_scan(c, alpha_h).require("alpha_H must be a coalgebra endomorphism")
+    multiplicativity_scan(algebra, alpha_a).require(
+        "alpha_A is not multiplicative", NotMultiplicative
+    )
     act, fa, fh = action.map, LinearMap.from_matrix(alpha_a), LinearMap.from_matrix(alpha_h)
     dims = (bialgebra.dim, algebra.dim)
-    rep = scan_composites([
+    scan_composites([
         (dims, [("intertwining", [(act, 0), (fa, 0)], [(fh, 0), (fa, 1), (act, 0)])]),
-    ])
-    if not rep.passed:
-        raise IntertwiningFailure(
-            f"alpha_A(h.a) != alpha_H(h).alpha_A(a); witness {rep.failures[0].basis}",
-            witness=rep.failures[0].basis,
-        )
-    twisted_bi = yau_twist_bialgebra(bialgebra, alpha_h)
-    twisted_alg = yau_twist_algebra(algebra, alpha_a)
+    ]).require("alpha_A(h.a) != alpha_H(h).alpha_A(a)", IntertwiningFailure)
+    # yau_twist_bialgebra and yau_twist_algebra, less the scans that passed above
+    check_hom_bialgebra(bialgebra).require("check_hom_bialgebra")
+    check_coassociative(c).require("coassociativity")
+    twisted_bi = HomBialgebra(_yau_twisted(h, alpha_h), _yau_cotwisted(c, alpha_h))
+    twisted_alg = _yau_twisted(algebra, alpha_a)
     new_table = compose([(act, 0), (fa, 0)], dims).table()
     twisted_action = ActionTable(side, bialgebra.dim, algebra.dim, new_table, alpha_a)
     return twisted_bi, twisted_alg, twisted_action
@@ -201,9 +185,7 @@ def tensor_modules(bialgebra, act_m, act_n):
     if act_m.acting_dim != bialgebra.dim or act_n.acting_dim != bialgebra.dim:
         raise DimensionMismatch("acting dimensions do not match the bialgebra")
     for act, name in ((act_m, "M"), (act_n, "N")):
-        rep = check_module(LEFT, bialgebra.algebra, act)
-        if not rep.passed:
-            raise PreconditionFailure(f"check_module:{name}", report=rep)
+        check_module(LEFT, bialgebra.algebra, act).require(f"check_module:{name}")
     dh = bialgebra.dim
     dm, dn = act_m.module_dim, act_n.module_dim
     path = [
@@ -255,9 +237,7 @@ def check_bicomodule(coalgebra, lam, rho):
     if lam.module_dim != rho.module_dim or lam.alpha_m != rho.alpha_m:
         raise PreconditionFailure("coactions must share the module and alpha_M")
     for side, table, name in ((LEFT, lam, "left"), (RIGHT, rho, "right")):
-        rep = check_comodule(side, coalgebra, table)
-        if not rep.passed:
-            raise PreconditionFailure(f"check_comodule:{name}", report=rep)
+        check_comodule(side, coalgebra, table).require(f"check_comodule:{name}")
     ac = LinearMap.from_matrix(coalgebra.alpha)
     return scan_composites([((lam.module_dim,), [(
         "bicomodule_interchange",
@@ -272,9 +252,7 @@ def check_comodule_hom_algebra(side, bialgebra, algebra, coaction):
         raise DimensionMismatch("module dimension does not match the algebra")
     if coaction.alpha_m != algebra.alpha:
         raise PreconditionFailure("coaction alpha_M must equal the algebra structure map")
-    rep = check_comodule(side, bialgebra.coalgebra, coaction)
-    if not rep.passed:
-        raise PreconditionFailure("check_comodule", report=rep)
+    check_comodule(side, bialgebra.coalgebra, coaction).require("check_comodule")
     dh, da = bialgebra.dim, algebra.dim
     co = coaction.map
     mu_a, mu_h = algebra.map, bialgebra.algebra.map
@@ -294,12 +272,13 @@ def check_yetter_drinfeld(bialgebra, action, coaction):
         raise PreconditionFailure("Yetter-Drinfeld data must be left-sided")
     if action.module_dim != coaction.module_dim or action.alpha_m != coaction.alpha_m:
         raise PreconditionFailure("action and coaction must share the module and alpha_M")
-    rep = check_module(LEFT, bialgebra.algebra, action)
-    if not rep.passed:
-        raise PreconditionFailure("check_module", report=rep)
-    rep = check_comodule(LEFT, bialgebra.coalgebra, coaction)
-    if not rep.passed:
-        raise PreconditionFailure("check_comodule", report=rep)
+    check_module(LEFT, bialgebra.algebra, action).require("check_module")
+    check_comodule(LEFT, bialgebra.coalgebra, coaction).require("check_comodule")
+    return _yetter_drinfeld_scan(bialgebra, action, coaction)
+
+
+def _yetter_drinfeld_scan(bialgebra, action, coaction):
+    """The Yetter-Drinfeld equation alone; the (co)module axioms are not checked."""
     dh, dm = bialgebra.dim, action.module_dim
     a, act, co = LinearMap.from_matrix(bialgebra.alpha), action.map, coaction.map
     mu, delta = bialgebra.algebra.map, LinearMap.coproduct(bialgebra.comul)
@@ -321,19 +300,13 @@ def check_yetter_drinfeld(bialgebra, action, coaction):
 
 def _smash_preconditions(side, bialgebra, algebra, action):
     """The module-algebra check; returns the inverses of alpha_H and the algebra's alpha."""
-    rep = check_module_hom_algebra(side, bialgebra, algebra, action)
-    if not rep.passed:
-        raise PreconditionFailure("check_module_hom_algebra", report=rep)
+    check_module_hom_algebra(side, bialgebra, algebra, action).require("check_module_hom_algebra")
     inv_h = LinearMap.from_matrix(mat_inv(bialgebra.alpha))  # NotInvertible propagates
     return inv_h, LinearMap.from_matrix(mat_inv(algebra.alpha))
 
 
-def smash_left(algebra, bialgebra, action):
-    """Left Hom-smash product A # H.
-
-    R(h (x) a) = alpha_H^{-2}(h1) . alpha_A^{-1}(a) (x) alpha_H^{-1}(h2).
-    Returns (R, A # H).
-    """
+def _smash_left_map(algebra, bialgebra, action):
+    """R(h (x) a) = alpha_H^{-2}(h1) . alpha_A^{-1}(a) (x) alpha_H^{-1}(h2)."""
     inv_h, inv_a = _smash_preconditions(LEFT, bialgebra, algebra, action)
     da, dh = algebra.dim, bialgebra.dim
     path = [
@@ -342,17 +315,11 @@ def smash_left(algebra, bialgebra, action):
         (inv_h, 0), (inv_h, 0), (inv_a, 1), (action.map, 0),
         (inv_h, 1),
     ]
-    rmap = TwistingMapR(da, dh, compose(path, (dh, da)).matrix())
-    product = hom_ttp(algebra, bialgebra.algebra, rmap).with_provenance("smash_left")
-    return rmap, product
+    return TwistingMapR(da, dh, compose(path, (dh, da)).matrix())
 
 
-def smash_right(bialgebra, algebra, action):
-    """Right Hom-smash product H # C.
-
-    R(c (x) h) = alpha_H^{-1}(h1) (x) alpha_C^{-1}(c) . alpha_H^{-2}(h2).
-    Returns (R, H # C).
-    """
+def _smash_right_map(bialgebra, algebra, action):
+    """R(c (x) h) = alpha_H^{-1}(h1) (x) alpha_C^{-1}(c) . alpha_H^{-2}(h2)."""
     inv_h, inv_c = _smash_preconditions(RIGHT, bialgebra, algebra, action)
     dh, dc = bialgebra.dim, algebra.dim
     path = [
@@ -361,9 +328,19 @@ def smash_right(bialgebra, algebra, action):
         (LinearMap.flip(dc, dh), 1),
         (inv_h, 0), (inv_h, 1), (inv_h, 1), (inv_c, 2), (action.map, 1),
     ]
-    rmap = TwistingMapR(dh, dc, compose(path, (dc, dh)).matrix())
-    product = hom_ttp(bialgebra.algebra, algebra, rmap).with_provenance("smash_right")
-    return rmap, product
+    return TwistingMapR(dh, dc, compose(path, (dc, dh)).matrix())
+
+
+def smash_left(algebra, bialgebra, action):
+    """Left Hom-smash product A # H; returns (R, A # H)."""
+    rmap = _smash_left_map(algebra, bialgebra, action)
+    return rmap, hom_ttp(algebra, bialgebra.algebra, rmap).with_provenance("smash_left")
+
+
+def smash_right(bialgebra, algebra, action):
+    """Right Hom-smash product H # C; returns (R, H # C)."""
+    rmap = _smash_right_map(bialgebra, algebra, action)
+    return rmap, hom_ttp(bialgebra.algebra, algebra, rmap).with_provenance("smash_right")
 
 
 def smash_two_sided(algebra_a, bialgebra, algebra_c, action_left, action_right):
@@ -372,19 +349,21 @@ def smash_two_sided(algebra_a, bialgebra, algebra_c, action_left, action_right):
     The result is compared entry-wise against the closed multiplication
     formula before being returned.
     """
-    r1, _ = smash_left(algebra_a, bialgebra, action_left)
-    r2, _ = smash_right(bialgebra, algebra_c, action_right)
+    # the twisting maps of smash_left and smash_right, verified as their hom_ttp would
+    h, seen = bialgebra.algebra, []
+    r1 = _smash_left_map(algebra_a, bialgebra, action_left)
+    _require_hom_twisting(algebra_a, h, r1, "check_hom_twisting_map", seen)
+    r2 = _smash_right_map(bialgebra, algebra_c, action_right)
+    _require_hom_twisting(h, algebra_c, r2, "check_hom_twisting_map", seen)
     r3 = flip(algebra_a.dim, algebra_c.dim)
-    product, _p1, _p2 = iterated_ttp(
-        algebra_a, bialgebra.algebra, algebra_c, r1, r2, r3
-    )
+    product, _p1, _p2 = _iterated(algebra_a, h, algebra_c, r1, r2, r3, seen)
 
     da, dh, dc = algebra_a.dim, bialgebra.dim, algebra_c.dim
     inv_h = LinearMap.from_matrix(mat_inv(bialgebra.alpha))
     inv_a = LinearMap.from_matrix(mat_inv(algebra_a.alpha))
     inv_c = LinearMap.from_matrix(mat_inv(algebra_c.alpha))
     delta = LinearMap.coproduct(bialgebra.comul)
-    mu_a, mu_h, mu_c = (x.map for x in (algebra_a, bialgebra.algebra, algebra_c))
+    mu_a, mu_h, mu_c = (x.map for x in (algebra_a, h, algebra_c))
     # (a # h # c)(a' # h' # c') = a (alpha^{-2}(h1) . alpha^{-1}(a'))
     #   # alpha^{-1}(h2 h'1) # (alpha^{-1}(c) . alpha^{-2}(h'2)) c'
     closed = [
@@ -397,11 +376,9 @@ def smash_two_sided(algebra_a, bialgebra, algebra_c, action_left, action_right):
     ]
     n = da * dh * dc
     expected = compose(closed, (da, dh, dc) * 2).reshaped((n, n), (n,))
-    rep = scan_composites([((n, n), [(
+    scan_composites([((n, n), [(
         "two_sided_closed_formula", [(product.map, 0)], [(expected, 0)]
-    )])])
-    if not rep.passed:
-        raise PreconditionFailure("two_sided_closed_formula", report=rep)
+    )])]).require("two_sided_closed_formula")
     return product.with_provenance("smash_two_sided")
 
 
@@ -426,15 +403,13 @@ def coaction_lambda_smash(algebra, bialgebra, action, coaction_a):
     to be a Yetter-Drinfeld module.
     """
     _smash_preconditions(LEFT, bialgebra, algebra, action)
-    rep = check_comodule_hom_algebra(LEFT, bialgebra, algebra, coaction_a)
-    if not rep.passed:
-        raise PreconditionFailure("check_comodule_hom_algebra", report=rep)
-    rep = check_yetter_drinfeld(bialgebra, action, coaction_a)
-    if not rep.passed:
-        raise YDViolation(
-            f"Yetter-Drinfeld compatibility fails; witness {rep.failures[0].basis}",
-            witness=rep.failures[0].basis,
-        )
+    check_comodule_hom_algebra(LEFT, bialgebra, algebra, coaction_a).require(
+        "check_comodule_hom_algebra"
+    )
+    # check_yetter_drinfeld less its module and comodule scans, which passed above
+    _yetter_drinfeld_scan(bialgebra, action, coaction_a).require(
+        "Yetter-Drinfeld compatibility fails", YDViolation
+    )
     da, dh = algebra.dim, bialgebra.dim
     path = [
         (coaction_a.map, 0),  # a_{(-1)} a_{(0)} h

@@ -16,6 +16,7 @@ from functools import cached_property
 
 from .algebra import (
     HomAlgebra,
+    _twisted_product,
     check_associative,
     check_hom_algebra,
     multiplicativity_scan,
@@ -84,12 +85,12 @@ def _check_r_dims(a, b, rmap):
         )
 
 
-def _require_associative(alg, name):
-    if not alg.is_classical():
-        raise PreconditionFailure(f"{name} must have identity structure map")
-    rep = check_associative(alg)
-    if not rep.passed:
-        raise PreconditionFailure(f"check_associative:{name}", report=rep)
+def _first_time(seen, *objs):
+    """False if `seen` already holds these very objects (by identity); else record them."""
+    if any(len(s) == len(objs) and all(x is y for x, y in zip(s, objs)) for s in seen):
+        return False
+    seen.append(objs)
+    return True
 
 
 def _alpha_equation(name, rmap, alpha_a, alpha_b):
@@ -102,8 +103,10 @@ def _alpha_equation(name, rmap, alpha_a, alpha_b):
 def check_twisting_map(a, b, rmap):
     """Classical twisting map equations over associative algebras."""
     _check_r_dims(a, b, rmap)
-    _require_associative(a, "A")
-    _require_associative(b, "B")
+    for alg, name in ((a, "A"), (b, "B")):
+        if not alg.is_classical():
+            raise PreconditionFailure(f"{name} must have identity structure map")
+        check_associative(alg).require(f"check_associative:{name}")
     r, mu_a, mu_b = rmap.map, a.map, b.map
     da, db = a.dim, b.dim
     return scan_composites([
@@ -114,11 +117,15 @@ def check_twisting_map(a, b, rmap):
 
 def check_hom_twisting_map(a, b, rmap):
     """Hom-twisting map equations over Hom-associative algebras."""
+    return _hom_twisting_report(a, b, rmap, [])
+
+
+def _hom_twisting_report(a, b, rmap, seen):
+    """check_hom_twisting_map, less the algebra scans that `seen` records as passed."""
     _check_r_dims(a, b, rmap)
     for alg, name in ((a, "A"), (b, "B")):
-        rep = check_hom_algebra(alg)
-        if not rep.passed:
-            raise PreconditionFailure(f"check_hom_algebra:{name}", report=rep)
+        if _first_time(seen, alg):
+            check_hom_algebra(alg).require(f"check_hom_algebra:{name}")
     r, mu_a, mu_b = rmap.map, a.map, b.map
     fa, fb = LinearMap.from_matrix(a.alpha), LinearMap.from_matrix(b.alpha)
     da, db = a.dim, b.dim
@@ -135,6 +142,16 @@ def check_hom_twisting_map(a, b, rmap):
             [(r, 1), (r, 0), (mu_b, 1), (fa, 0)],
         )]),
     ])
+
+
+def _require_hom_twisting(a, b, rmap, cause, seen):
+    """check_hom_twisting_map(a, b, rmap).require(cause) within one call.
+
+    `seen` lists the algebras and (a, b, rmap) triples already verified in
+    the call, by identity; their scans are skipped and the new ones recorded.
+    """
+    if _first_time(seen, a, b, rmap):
+        _hom_twisting_report(a, b, rmap, seen).require(cause)
 
 
 def check_braid(r1, r2, r3):
@@ -154,32 +171,16 @@ def check_braid(r1, r2, r3):
 # ---------------------------------------------------------------------------
 
 
-def _twisted_mul(a, b, rmap):
-    """Structure constants of (a (x) b)(a' (x) b') = a a'_R (x) b_R b'."""
-    da, db = a.dim, b.dim
-    n = da * db
-    path = [(rmap.map, 1), (a.map, 0), (b.map, 1)]
-    return compose(path, (da, db, da, db)).reshaped((n, n), (n,)).table()
-
-
 def ttp(a, b, rmap):
     """Classical twisted tensor product; requires a verified twisting map."""
-    rep = check_twisting_map(a, b, rmap)
-    if not rep.passed:
-        raise PreconditionFailure("check_twisting_map", report=rep)
-    n = a.dim * b.dim
-    return HomAlgebra(n, _twisted_mul(a, b, rmap), Matrix.identity(n), ("ttp",))
+    check_twisting_map(a, b, rmap).require("check_twisting_map")
+    return _twisted_product(a, b, rmap.map, "ttp")
 
 
 def hom_ttp(a, b, rmap):
     """Hom-twisted tensor product; requires a verified Hom-twisting map."""
-    rep = check_hom_twisting_map(a, b, rmap)
-    if not rep.passed:
-        raise PreconditionFailure("check_hom_twisting_map", report=rep)
-    n = a.dim * b.dim
-    return HomAlgebra(
-        n, _twisted_mul(a, b, rmap), kron(a.alpha, b.alpha), ("hom_ttp",)
-    )
+    check_hom_twisting_map(a, b, rmap).require("check_hom_twisting_map")
+    return _twisted_product(a, b, rmap.map, "hom_ttp")
 
 
 def _twistor_path(a, b, rmap):
@@ -194,17 +195,13 @@ def _twistor_matrix(a, b, rmap):
 
 def twistor_from_R(a, b, rmap):
     """The twistor on A (x) B induced by a classical twisting map."""
-    rep = check_twisting_map(a, b, rmap)
-    if not rep.passed:
-        raise PreconditionFailure("check_twisting_map", report=rep)
+    check_twisting_map(a, b, rmap).require("check_twisting_map")
     return _twistor_matrix(a, b, rmap)
 
 
 def hom_twistor_from_R(a, b, rmap):
     """The Hom-twistor on A (x) B induced by a Hom-twisting map."""
-    rep = check_hom_twisting_map(a, b, rmap)
-    if not rep.passed:
-        raise PreconditionFailure("check_hom_twisting_map", report=rep)
+    check_hom_twisting_map(a, b, rmap).require("check_hom_twisting_map")
     return _twistor_matrix(a, b, rmap)
 
 
@@ -219,20 +216,14 @@ def iterated_ttp(a, b, c, r1, r2, r3):
     Returns (algebra, P1, P2) where P1 twists (A (x) B) with C and P2 twists A
     with (B (x) C); the two bracketings are compared entry-wise.
     """
-    for rmap, left, right, name in (
-        (r1, a, b, "R1"),
-        (r2, b, c, "R2"),
-        (r3, a, c, "R3"),
-    ):
-        rep = check_hom_twisting_map(left, right, rmap)
-        if not rep.passed:
-            raise PreconditionFailure(f"check_hom_twisting_map:{name}", report=rep)
-    rep = check_braid(r1, r2, r3)
-    if not rep.passed:
-        raise BraidViolation(
-            f"braid condition fails; witness {rep.failures[0].basis}",
-            witness=rep.failures[0].basis,
-        )
+    return _iterated(a, b, c, r1, r2, r3, [])
+
+
+def _iterated(a, b, c, r1, r2, r3, seen):
+    """iterated_ttp within one call whose verified objects `seen` records."""
+    for rmap, left, right, name in ((r1, a, b, "R1"), (r2, b, c, "R2"), (r3, a, c, "R3")):
+        _require_hom_twisting(left, right, rmap, f"check_hom_twisting_map:{name}", seen)
+    check_braid(r1, r2, r3).require("braid condition fails", BraidViolation)
     da, db, dc = a.dim, b.dim, c.dim
     # P1: c (x) (a (x) b) -> (a (x) b) (x) c;  P2: (b (x) c) (x) a -> a (x) (b (x) c)
     p1 = compose([(r3.map, 0), (r2.map, 1)], (dc, da, db))
@@ -240,8 +231,12 @@ def iterated_ttp(a, b, c, r1, r2, r3):
     p1 = TwistingMapR(da * db, dc, p1.matrix())
     p2 = TwistingMapR(da, db * dc, p2.matrix())
 
-    left_first = hom_ttp(hom_ttp(a, b, r1), c, p1)
-    right_first = hom_ttp(a, hom_ttp(b, c, r2), p2)
+    ab = _twisted_product(a, b, r1.map, "hom_ttp")
+    _require_hom_twisting(ab, c, p1, "check_hom_twisting_map", seen)
+    left_first = _twisted_product(ab, c, p1.map, "hom_ttp")
+    bc = _twisted_product(b, c, r2.map, "hom_ttp")
+    _require_hom_twisting(a, bc, p2, "check_hom_twisting_map", seen)
+    right_first = _twisted_product(a, bc, p2.map, "hom_ttp")
     if left_first.mul != right_first.mul or left_first.alpha != right_first.alpha:
         raise BraidViolation("bracketings disagree despite a passing braid check")
     return left_first.with_provenance("iterated_ttp"), p1, p2
@@ -282,20 +277,16 @@ def clifford_algebra(q):
 
 def clifford(a, params):
     """Clifford process: double A along C(k, q) with the sigma-twisting map."""
-    if params.sigma.rows != a.dim:
+    sigma = params.sigma
+    if sigma.rows != a.dim:
         raise DimensionMismatch("sigma shape does not match the algebra")
-    rep = multiplicativity_scan(a, params.sigma)
-    if not rep.passed:
-        raise NotMultiplicative(
-            f"sigma is not multiplicative; witness {rep.failures[0].basis}",
-            witness=rep.failures[0].basis,
-        )
-    if mat_mul(params.sigma, a.alpha) != mat_mul(a.alpha, params.sigma):
+    multiplicativity_scan(a, sigma).require("sigma is not multiplicative", NotMultiplicative)
+    if mat_mul(sigma, a.alpha) != mat_mul(a.alpha, sigma):
         raise NotCommutingWithAlpha("sigma does not commute with the structure map")
     bcq = clifford_algebra(params.q)
     da = a.dim
     # R(1 (x) a) = a (x) 1 and R(v (x) a) = sigma(a) (x) v
-    lifts = (Matrix.identity(2 * da), kron(params.sigma, Matrix.identity(2)))
+    lifts = (Matrix.identity(2 * da), kron(sigma, Matrix.identity(2)))
     columns = [
         lifts[bb].col(flatten_index((da, 2), (aa, bb))) for bb in range(2) for aa in range(da)
     ]
@@ -308,23 +299,30 @@ def clifford(a, params):
 # ---------------------------------------------------------------------------
 
 
-def check_deform_compat_ttp(a, b, alpha_a, alpha_b, pmap):
-    """Twisting then Yau-deforming equals Yau-deforming then twisting."""
-    rep = check_twisting_map(a, b, pmap)
-    if not rep.passed:
-        raise PreconditionFailure("check_twisting_map", report=rep)
+def _alpha_lift(pmap, alpha_a, alpha_b):
+    """(alpha_A (x) alpha_B) o P, which must equal P o (alpha_B (x) alpha_A)."""
     left = mat_mul(kron(alpha_a, alpha_b), pmap.matrix)
-    right = mat_mul(pmap.matrix, kron(alpha_b, alpha_a))
-    if left != right:
+    if left != mat_mul(pmap.matrix, kron(alpha_b, alpha_a)):
         raise CommutationFailure(
             "(alpha_A (x) alpha_B) o P differs from P o (alpha_B (x) alpha_A)"
         )
+    return left
+
+
+def check_deform_compat_ttp(a, b, alpha_a, alpha_b, pmap):
+    """Twisting then Yau-deforming equals Yau-deforming then twisting."""
+    check_twisting_map(a, b, pmap).require("check_twisting_map")
+    _alpha_lift(pmap, alpha_a, alpha_b)
     at = yau_twist_algebra(a, alpha_a)
     bt = yau_twist_algebra(b, alpha_b)
+    on_twists = check_hom_twisting_map(at, bt, pmap)
     scan = Scan()
-    scan.absorb("hom_twisting_map_on_twists", check_hom_twisting_map(at, bt, pmap))
-    twisted_classical = yau_twist_algebra(ttp(a, b, pmap), kron(alpha_a, alpha_b))
-    hom_side = hom_ttp(at, bt, pmap)
+    scan.absorb("hom_twisting_map_on_twists", on_twists)
+    # ttp and hom_ttp of inputs whose twisting-map checks ran above
+    classical = _twisted_product(a, b, pmap.map, "ttp")
+    twisted_classical = yau_twist_algebra(classical, kron(alpha_a, alpha_b))
+    on_twists.require("check_hom_twisting_map")
+    hom_side = _twisted_product(at, bt, pmap.map, "hom_ttp")
     return scan_composites([structure_constants_block(twisted_classical, hom_side)], scan)
 
 
@@ -332,13 +330,12 @@ def check_alphaAB_twisting_map(a, b, alpha_a, alpha_b, rmap):
     """(alpha_A, alpha_B)-twisting map equations over associative algebras."""
     _check_r_dims(a, b, rmap)
     for alg, endo, name in ((a, alpha_a, "A"), (b, alpha_b, "B")):
-        _require_associative(alg, name)
-        rep = multiplicativity_scan(alg, endo)
-        if not rep.passed:
-            raise NotMultiplicative(
-                f"alpha_{name} is not multiplicative; witness {rep.failures[0].basis}",
-                witness=rep.failures[0].basis,
-            )
+        if not alg.is_classical():
+            raise PreconditionFailure(f"{name} must have identity structure map")
+        check_associative(alg).require(f"check_associative:{name}")
+        multiplicativity_scan(alg, endo).require(
+            f"alpha_{name} is not multiplicative", NotMultiplicative
+        )
     inv_a = LinearMap.from_matrix(mat_inv(alpha_a))  # NotInvertible propagates
     inv_b = LinearMap.from_matrix(mat_inv(alpha_b))
     r, mu_a, mu_b = rmap.map, a.map, b.map
@@ -364,9 +361,7 @@ def alphaAB_ttp(a, b, alpha_a, alpha_b, rmap):
     Returns (algebra, T, C1, C2); the algebra is the deformation of A (x) B by
     T with structure map alpha_A (x) alpha_B.
     """
-    rep = check_alphaAB_twisting_map(a, b, alpha_a, alpha_b, rmap)
-    if not rep.passed:
-        raise PreconditionFailure("check_alphaAB_twisting_map", report=rep)
+    check_alphaAB_twisting_map(a, b, alpha_a, alpha_b, rmap).require("check_alphaAB_twisting_map")
     n = a.dim * b.dim
     # T(a (x) b (x) a' (x) b') = alpha_A(a) (x) b_R (x) a'_R (x) alpha_B(b')
     ends = [(LinearMap.from_matrix(alpha_a), 0), (LinearMap.from_matrix(alpha_b), 3)]
@@ -388,10 +383,4 @@ def alphaAB_from_classical(pmap, alpha_a, alpha_b):
     """Lift a classical twisting map to the alpha setting: R = (alpha_A (x) alpha_B) o P."""
     if alpha_a.rows != pmap.dim_a or alpha_b.rows != pmap.dim_b:
         raise DimensionMismatch("alpha shapes do not match the twisting map")
-    left = mat_mul(kron(alpha_a, alpha_b), pmap.matrix)
-    right = mat_mul(pmap.matrix, kron(alpha_b, alpha_a))
-    if left != right:
-        raise CommutationFailure(
-            "(alpha_A (x) alpha_B) o P differs from P o (alpha_B (x) alpha_A)"
-        )
-    return TwistingMapR(pmap.dim_a, pmap.dim_b, left)
+    return TwistingMapR(pmap.dim_a, pmap.dim_b, _alpha_lift(pmap, alpha_a, alpha_b))

@@ -14,10 +14,10 @@ from functools import cached_property
 
 from .algebra import (
     HomAlgebra,
+    _yau_twisted,
     check_associative,
     check_hom_algebra,
     multiplicativity_scan,
-    yau_twist_algebra,
 )
 from .errors import DimensionMismatch, NotMultiplicative, PreconditionFailure
 from .exact import (
@@ -151,47 +151,28 @@ def _twistor_axioms(prefix, algebra, op, companions, hom_alpha=None, alpha=None)
     return scan_composites(blocks)
 
 
-def _require_associative(algebra, what):
-    if not algebra.is_classical():
-        raise PreconditionFailure(f"{what} must have identity structure map")
-    rep = check_associative(algebra)
-    if not rep.passed:
-        raise PreconditionFailure("check_associative", report=rep)
-
-
-def _require_hom_algebra(algebra):
-    rep = check_hom_algebra(algebra)
-    if not rep.passed:
-        raise PreconditionFailure("check_hom_algebra", report=rep)
-
-
-def _require_multiplicative(algebra, alpha):
-    rep = multiplicativity_scan(algebra, alpha)
-    if not rep.passed:
-        raise NotMultiplicative(
-            f"alpha is not multiplicative; witness {rep.failures[0].basis}",
-            witness=rep.failures[0].basis,
-        )
-
-
 def check_pseudotwistor(algebra, op, comp1, comp2):
     """Classical pseudotwistor equations on an associative algebra."""
     _check_shapes(algebra, op, comp1, comp2)
-    _require_associative(algebra, "pseudotwistor base algebra")
+    if not algebra.is_classical():
+        raise PreconditionFailure("pseudotwistor base algebra must have identity structure map")
+    check_associative(algebra).require("check_associative")
     return _twistor_axioms("pseudotwistor", algebra, op, (comp1, comp2))
 
 
 def check_twistor(algebra, op):
     """Classical twistor equations; companions are fixed to the 1-3 lift."""
     _check_shapes(algebra, op)
-    _require_associative(algebra, "twistor base algebra")
+    if not algebra.is_classical():
+        raise PreconditionFailure("twistor base algebra must have identity structure map")
+    check_associative(algebra).require("check_associative")
     return _twistor_axioms("twistor", algebra, op, None)
 
 
 def check_hom_pseudotwistor(algebra, op, comp1, comp2):
     """Hom-pseudotwistor equations on a Hom-associative algebra."""
     _check_shapes(algebra, op, comp1, comp2)
-    _require_hom_algebra(algebra)
+    check_hom_algebra(algebra).require("check_hom_algebra")
     return _twistor_axioms(
         "hom_pseudotwistor", algebra, op, (comp1, comp2), hom_alpha=algebra.alpha
     )
@@ -200,7 +181,7 @@ def check_hom_pseudotwistor(algebra, op, comp1, comp2):
 def check_hom_twistor(algebra, op):
     """Hom-twistor equations; companions are the 1-3 lift of the operator."""
     _check_shapes(algebra, op)
-    _require_hom_algebra(algebra)
+    check_hom_algebra(algebra).require("check_hom_algebra")
     return _twistor_axioms("hom_twistor", algebra, op, None, hom_alpha=algebra.alpha)
 
 
@@ -210,8 +191,10 @@ def check_alpha_pseudotwistor(algebra, alpha, op, comp1, comp2):
     The interchange reads C1 o (T (x) id) o (alpha (x) T) = C2 o (id (x) T) o (T (x) alpha).
     """
     _check_shapes(algebra, op, comp1, comp2)
-    _require_associative(algebra, "base algebra")
-    _require_multiplicative(algebra, alpha)
+    if not algebra.is_classical():
+        raise PreconditionFailure("base algebra must have identity structure map")
+    check_associative(algebra).require("check_associative")
+    multiplicativity_scan(algebra, alpha).require("alpha is not multiplicative", NotMultiplicative)
     return _twistor_axioms("alpha_pseudotwistor", algebra, op, (comp1, comp2), alpha=alpha)
 
 
@@ -241,7 +224,7 @@ def deform_with_alpha(algebra, alpha, op, verified="unverified"):
     _check_shapes(algebra, op)
     if not algebra.is_classical():
         raise PreconditionFailure("base algebra must have identity structure map")
-    _require_multiplicative(algebra, alpha)
+    multiplicativity_scan(algebra, alpha).require("alpha is not multiplicative", NotMultiplicative)
     return HomAlgebra(
         algebra.dim, _deformed_mul(algebra, op), alpha, algebra.provenance + (f"deform:{verified}",)
     )
@@ -270,26 +253,19 @@ def check_yau_compat(algebra, alpha, op, comp1, comp2):
     """Pseudotwistor vs Yau-twist compatibility: the deformations commute."""
     if not algebra.is_classical():
         raise PreconditionFailure("associative input required (identity structure map)")
-    rep = check_associative(algebra)
-    if not rep.passed:
-        raise PreconditionFailure("check_associative", report=rep)
-    rep = check_pseudotwistor(algebra, op, comp1, comp2)
-    if not rep.passed:
-        raise PreconditionFailure("check_pseudotwistor", report=rep)
-    probe = scan_composites([_commutes_with_alpha(alpha, op)])
-    if not probe.passed:
-        raise PreconditionFailure("alpha_commutes_with_operator", report=probe)
-    rep = multiplicativity_scan(algebra, alpha)
-    if not rep.passed:
-        raise PreconditionFailure("alpha_multiplicative_for_base", report=rep)
+    check_associative(algebra).require("check_associative")
+    # check_pseudotwistor less the associativity scan that just passed
+    _check_shapes(algebra, op, comp1, comp2)
+    _twistor_axioms("pseudotwistor", algebra, op, (comp1, comp2)).require("check_pseudotwistor")
+    scan_composites([_commutes_with_alpha(alpha, op)]).require("alpha_commutes_with_operator")
+    multiplicativity_scan(algebra, alpha).require("alpha_multiplicative_for_base")
     deformed = deform(algebra, op, verified="pseudotwistor")
-    rep = multiplicativity_scan(deformed, alpha)
-    if not rep.passed:
-        raise PreconditionFailure("alpha_multiplicative_for_deformed", report=rep)
+    multiplicativity_scan(deformed, alpha).require("alpha_multiplicative_for_deformed")
 
-    twisted = yau_twist_algebra(algebra, alpha)
+    # both Yau twists are of (algebra, alpha) pairs whose multiplicativity passed above
+    twisted = _yau_twisted(algebra, alpha)
     scan = Scan()
     scan.absorb("hom_pseudotwistor_on_twist", check_hom_pseudotwistor(twisted, op, comp1, comp2))
     twist_then_deform = deform(twisted, op, verified="hom_pseudotwistor")
-    deform_then_twist = yau_twist_algebra(deformed, alpha)
+    deform_then_twist = _yau_twisted(deformed, alpha)
     return scan_composites([structure_constants_block(twist_then_deform, deform_then_twist)], scan)

@@ -17,7 +17,7 @@ from homtwist.algebra import (
     zero_algebra,
 )
 from homtwist.errors import DimensionMismatch, NotMultiplicative, PreconditionFailure
-from homtwist.exact import ZERO, Matrix, Q
+from homtwist.exact import ZERO, Matrix, Q, kron
 from homtwist.gallery import GalleryKey, build, k2_algebra, swap_matrix
 
 
@@ -177,6 +177,59 @@ def algebras(draw, max_dim=3):
            for _ in range(d)]
     alpha = [draw(st.lists(zero_or_rational, min_size=d, max_size=d)) for _ in range(d)]
     return hom_algebra(d, mul, alpha)
+
+
+def hand_loop_tensor_mul(a, b):
+    """tensor_algebra's structure constants before it was a flip path, kept as the test oracle."""
+    da, db = a.dim, b.dim
+    dim = da * db
+    mul = []
+    for i in range(da):
+        for j in range(db):
+            plane = []
+            for k in range(da):
+                for l in range(db):
+                    row = [ZERO] * dim
+                    arow = a.mul[i][k]
+                    brow = b.mul[j][l]
+                    for p, ap in enumerate(arow):
+                        if not ap:
+                            continue
+                        base = p * db
+                        for q, bq in enumerate(brow):
+                            if bq:
+                                row[base + q] = ap * bq
+                    plane.append(tuple(row))
+            mul.append(tuple(plane))
+    return tuple(mul)
+
+
+class TestTensorAlgebraOracle:
+    @given(algebras(), algebras())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_hand_loop(self, a, b):
+        t = tensor_algebra(a, b)
+        assert t.mul == hand_loop_tensor_mul(a, b)
+        assert t.alpha == kron(a.alpha, b.alpha)
+        assert t.provenance == ("tensor_algebra",)
+
+
+class TestWithProvenance:
+    def test_shares_the_tables_and_the_cached_map(self):
+        a = yau_twist_algebra(k2_algebra(), swap_matrix())
+        cached = a.map
+        b = a.with_provenance("tagged")
+        assert b.mul is a.mul and b.alpha is a.alpha
+        assert b.map is cached
+        assert b.provenance == ("yau_twist", "tagged")
+        assert a.provenance == ("yau_twist",)
+        assert b == a
+
+    def test_before_the_map_is_built_each_builds_its_own(self):
+        a = k2_algebra()
+        b = a.with_provenance("tagged")
+        assert b.mul is a.mul
+        assert b.map.cols == a.map.cols
 
 
 class TestSparseProduct:

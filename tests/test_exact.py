@@ -3,7 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homtwist.errors import DimensionMismatch, MalformedRational, NotInvertible, ZeroDenominator
+from homtwist.errors import (
+    DimensionMismatch,
+    MalformedRational,
+    NotInvertible,
+    NotMultiplicative,
+    PreconditionFailure,
+    ZeroDenominator,
+)
 from homtwist.exact import (
     CheckReport,
     LinearMap,
@@ -13,6 +20,7 @@ from homtwist.exact import (
     ZERO,
     apply_at,
     apply_path,
+    as_constants,
     as_scalar,
     flatten_index,
     kron,
@@ -162,6 +170,51 @@ class TestCheckReport:
         assert CheckReport(True).passed
         assert bool(CheckReport(True))
         assert not bool(CheckReport(False, ()))
+
+
+def _failing_report():
+    scan = Scan()
+    scan.eq("multiplicativity", (0, 1), [1], [2])
+    scan.eq("multiplicativity", (1, 1), [3], [4])
+    return scan.done()
+
+
+class TestAsConstants:
+    def test_scalars_and_shape(self):
+        table = as_constants([[["1", 0]], [[Fraction(1, 2), "-0/3"]]], (2, 1, 2), "bad")
+        assert table == ((((Q(1), ZERO),), ((Q(1, 2), ZERO),)))
+        assert table[0][0][1] is ZERO and table[1][0][1] is ZERO
+
+    @pytest.mark.parametrize("table", [
+        [[[1, 0]]],  # too few planes
+        [[[1, 0]], [[1, 0], [0, 1]]],  # a plane with too many rows
+        [[[1, 0]], [[1]]],  # a short row
+    ])
+    def test_wrong_shape_raises_the_given_message(self, table):
+        with pytest.raises(DimensionMismatch) as info:
+            as_constants(table, (2, 1, 2), "action constants are not 2x1x2 shaped")
+        assert str(info.value) == "action constants are not 2x1x2 shaped"
+
+
+class TestRequire:
+    def test_a_passing_report_comes_back(self):
+        rep = CheckReport(True)
+        assert rep.require("anything") is rep
+        assert rep.require("anything", NotMultiplicative) is rep
+
+    def test_default_is_a_precondition_failure_carrying_the_report(self):
+        rep = _failing_report()
+        with pytest.raises(PreconditionFailure) as info:
+            rep.require("check_hom_algebra:A")
+        assert str(info.value) == "precondition failed: check_hom_algebra:A"
+        assert info.value.cause == "check_hom_algebra:A"
+        assert info.value.report is rep
+
+    def test_an_error_type_gets_the_first_witness(self):
+        with pytest.raises(NotMultiplicative) as info:
+            _failing_report().require("alpha is not multiplicative", NotMultiplicative)
+        assert str(info.value) == "alpha is not multiplicative; witness (0, 1)"
+        assert info.value.witness == (0, 1)
 
 
 def _size(dims):
