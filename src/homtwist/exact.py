@@ -21,8 +21,8 @@ Everything else in the package builds on the conventions pinned here, once:
   that applies such a map to a run of factors; an axiom is a pair of paths of
   ``(map, position)`` checked per basis tuple by ``scan_composites``.
 * a precondition is a check whose report must pass; ``CheckReport.require`` is
-  the one place that turns a failed report into an exception.  Each fact is
-  checked once per call: a composite constructor skips a scan only when the
+  the one place that turns a failed report into an exception.  A composite
+  constructor checks each fact once per call: it skips a scan only when the
   same checker already passed on the very same objects (``is``) earlier in
   the same call, and builds through private builders that check nothing.
   Nothing is cached across calls.
