@@ -24,8 +24,15 @@ def _bound(text):
 
 
 def _load(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_manifest(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line, col = head.count(b"\n") + 1, len(head) - head.rfind(b"\n")
+        raise ManifestSyntaxError("invalid UTF-8", line, col) from exc
+    return parse_manifest(text)
 
 
 def main(argv=None):

@@ -32,19 +32,6 @@ from .modsmash import ActionTable, CoactionTable
 from .twisted import TwistingMapR
 from .twistor import Operator2, Operator3
 
-KINDS = (
-    "hom_algebra",
-    "hom_coalgebra",
-    "hom_bialgebra",
-    "linear_map",
-    "operator2",
-    "operator3",
-    "twisting_map",
-    "action",
-    "coaction",
-    "gallery",
-)
-
 EXPECTATIONS = ("pass", "fail", "any")
 
 EXIT_OK = 0
@@ -149,7 +136,7 @@ def _require_fields(raw, where, *names):
         raise WrongKind(f"{where}: unknown fields {extra}")
     for n in names:
         value = raw[n]
-        if n.endswith("dim") or n == "dim":
+        if "dim" in n.split("_"):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise WrongKind(f"{where}: field {n!r} must be an integer")
         elif n == "side":
@@ -416,6 +403,10 @@ def parse_manifest(text):
         raise WrongKind(f"manifest has unknown top-level fields {unknown}")
     raw_objects = raw.get("objects", {})
     raw_tasks = raw.get("tasks", [])
+    if not isinstance(raw_objects, dict):
+        raise WrongKind("manifest 'objects' must be a JSON object")
+    if not isinstance(raw_tasks, list):
+        raise WrongKind("manifest 'tasks' must be a JSON array")
 
     defs = {}
     objects = {}
@@ -441,7 +432,7 @@ def parse_manifest(text):
         if unknown:
             raise WrongKind(f"{where}: unknown fields {unknown}")
         op = rawtask.get("op")
-        if op not in CHECK_VERBS and op not in CONSTRUCT_VERBS:
+        if not isinstance(op, str) or op not in SIGNATURES:
             raise UnknownName(f"{where}: unknown op {op!r}")
         args = rawtask.get("args", [])
         if not isinstance(args, list) or not all(isinstance(a, str) for a in args):

@@ -31,7 +31,7 @@ from .errors import (
     YDViolation,
 )
 from .exact import LinearMap, Matrix, as_constants, compose, kron, mat_inv, scan_composites
-from .twisted import TwistingMapR, _iterated, _require_hom_twisting, flip, hom_ttp
+from .twisted import TwistingMapR, _first_time, _iterated, _require_hom_twisting, flip, hom_ttp
 from .twistor import structure_constants_block
 
 LEFT = "left"
@@ -184,8 +184,10 @@ def tensor_modules(bialgebra, act_m, act_n):
         raise PreconditionFailure("tensor_modules requires left modules")
     if act_m.acting_dim != bialgebra.dim or act_n.acting_dim != bialgebra.dim:
         raise DimensionMismatch("acting dimensions do not match the bialgebra")
+    seen = []
     for act, name in ((act_m, "M"), (act_n, "N")):
-        check_module(LEFT, bialgebra.algebra, act).require(f"check_module:{name}")
+        if _first_time(seen, act):
+            check_module(LEFT, bialgebra.algebra, act).require(f"check_module:{name}")
     dh = bialgebra.dim
     dm, dn = act_m.module_dim, act_n.module_dim
     path = [

@@ -73,7 +73,6 @@ from .twistor import (
 from .uqsl2 import (
     E,
     F,
-    GENERATORS,
     K,
     KINV,
     MON_E,
@@ -83,6 +82,7 @@ from .uqsl2 import (
     QPlaneElement,
     UqElement,
     UqParams,
+    check_pbw_confluence,
     check_uq_module_hom_algebra,
     pbw_normalize,
     rho_generator_formula,
@@ -365,32 +365,23 @@ def criterion_8_quantum(rec, bounds):
     bound_mod = 3 if bounds is None else min(3, bounds)
     bound_32 = 2 if bounds is None else min(2, bounds)
     bound_rho = 4 if bounds is None else min(4, bounds + 2)
-    word_len = 6 if bounds is None else min(6, bounds + 3)
     rng = random.Random(987654)
 
     for q in (Q(2), Q(3)):
-        got = pbw_normalize([K, E], q)
-        if got != UqElement({(0, 1, 1): q * q}):
-            return False, f"KE relation broken at q={q}"
-        got = pbw_normalize([K, F], q)
-        if got != UqElement({(1, 0, 1): 1 / (q * q)}):
-            return False, f"KF relation broken at q={q}"
         inv = ONE / (q - 1 / q)
-        got = pbw_normalize([E, F], q)
-        if got != UqElement({(1, 1, 0): ONE, (0, 0, 1): inv, (0, 0, -1): -inv}):
-            return False, f"EF relation broken at q={q}"
-        if pbw_normalize([K, KINV], q) != UqElement.unit():
-            return False, f"K Kinv relation broken at q={q}"
+        relations = (
+            ((K, E), {(0, 1, 1): q * q}),
+            ((K, F), {(1, 0, 1): 1 / (q * q)}),
+            ((E, F), {(1, 1, 0): ONE, (0, 0, 1): inv, (0, 0, -1): -inv}),
+            ((K, KINV), {(0, 0, 0): ONE}),
+        )
+        for word, expected in relations:
+            if pbw_normalize(word, q) != UqElement(expected):
+                return False, f"{' '.join(word)} relation broken at q={q}"
+        if not check_pbw_confluence(q).passed:
+            return False, f"PBW rewriting not confluent at q={q}"
 
     for q, lam in ((Q(2), Q(3)), (Q(3), Q(1, 2))):
-        words = [()]
-        all_words = []
-        for _ in range(word_len):
-            words = [w + (g,) for w in words for g in GENERATORS]
-            all_words.extend(words)
-        for w in all_words:
-            if pbw_normalize(w, q, "leftmost") != pbw_normalize(w, q, "rightmost"):
-                return False, f"confluence broken on {w} at q={q}"
         monos = [
             (a, b, c) for a in range(3) for b in range(3) for c in range(-2, 3)
         ]
@@ -432,7 +423,7 @@ def criterion_8_quantum(rec, bounds):
         if not verify_smash_closed_forms(params, bound_32).passed:
             return False, f"closed smash formulas fail at {tup}"
     return True, (
-        f"relations, confluence (words <= {word_len}), invariants, rho oracle "
+        f"relations, confluence (diamond lemma), invariants, rho oracle "
         f"(degrees <= {bound_rho}), module check (bound {bound_mod}) and closed "
         f"formulas (bounds {bound_32}) at two parameter tuples"
     )

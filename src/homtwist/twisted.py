@@ -103,10 +103,12 @@ def _alpha_equation(name, rmap, alpha_a, alpha_b):
 def check_twisting_map(a, b, rmap):
     """Classical twisting map equations over associative algebras."""
     _check_r_dims(a, b, rmap)
+    seen = []
     for alg, name in ((a, "A"), (b, "B")):
         if not alg.is_classical():
             raise PreconditionFailure(f"{name} must have identity structure map")
-        check_associative(alg).require(f"check_associative:{name}")
+        if _first_time(seen, alg):
+            check_associative(alg).require(f"check_associative:{name}")
     r, mu_a, mu_b = rmap.map, a.map, b.map
     da, db = a.dim, b.dim
     return scan_composites([
@@ -329,13 +331,16 @@ def check_deform_compat_ttp(a, b, alpha_a, alpha_b, pmap):
 def check_alphaAB_twisting_map(a, b, alpha_a, alpha_b, rmap):
     """(alpha_A, alpha_B)-twisting map equations over associative algebras."""
     _check_r_dims(a, b, rmap)
+    seen = []
     for alg, endo, name in ((a, alpha_a, "A"), (b, alpha_b, "B")):
         if not alg.is_classical():
             raise PreconditionFailure(f"{name} must have identity structure map")
-        check_associative(alg).require(f"check_associative:{name}")
-        multiplicativity_scan(alg, endo).require(
-            f"alpha_{name} is not multiplicative", NotMultiplicative
-        )
+        if _first_time(seen, alg):
+            check_associative(alg).require(f"check_associative:{name}")
+        if _first_time(seen, alg, endo):
+            multiplicativity_scan(alg, endo).require(
+                f"alpha_{name} is not multiplicative", NotMultiplicative
+            )
     inv_a = LinearMap.from_matrix(mat_inv(alpha_a))  # NotInvertible propagates
     inv_b = LinearMap.from_matrix(mat_inv(alpha_b))
     r, mu_a, mu_b = rmap.map, a.map, b.map

@@ -7,12 +7,20 @@ by the terminating system
     EF -> FE + (K - Kinv)/(q - q^{-1}),   KE -> q^2 EK,   KF -> q^{-2} FK,
     KinvE -> q^{-2} E Kinv,  KinvF -> q^2 F Kinv,  K Kinv -> 1,  Kinv K -> 1.
 
+`pbw_normalize` rewrites the leftmost redex.  Each rule lowers words in the
+order: shorter first, then, among rearrangements of the same letters, fewer
+out-of-order pairs under F < E < K = Kinv.  That order is compatible with
+concatenation and well-founded, so rewriting terminates; by Bergman's diamond
+lemma (Adv. Math. 29, 1978) normal forms are then unique iff the 8 overlap
+words x y z of two rules resolve.  `check_pbw_confluence` scans both facts.
+
 The Hom-quantum plane carries beta(x) = xi x, beta(y) = xi/lambda y, and the
 quantum group carries alpha(E) = lambda E, alpha(F) = lambda^{-1} F,
 alpha(K) = K.  All coefficients are exact rationals at instantiated
 (q, lambda, xi).
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -89,14 +97,10 @@ class _TermMap:
             self.terms.pop(key, None)
 
     def __add__(self, other):
-        out = dict(self.terms)
+        out = type(self)(self.terms)
         for k, v in other.terms.items():
-            w = out.get(k, ZERO) + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        return type(self)(out)
+            out.add_term(k, v)
+        return out
 
     def __sub__(self, other):
         return self + other.scale(-ONE)
@@ -169,29 +173,30 @@ def _rules(q):
     }
 
 
-def _find_redex(word, rules, strategy):
-    positions = range(len(word) - 1)
-    if strategy == "rightmost":
-        positions = reversed(positions)
-    for i in positions:
-        if (word[i], word[i + 1]) in rules:
-            return i
-    return None
+def _reduce_at(pending, word, pos, coeff, rules):
+    """Add coeff times `word`, rewritten once at `pos`, to the word combination `pending`."""
+    for repl, rc in rules[(word[pos], word[pos + 1])]:
+        pending.add_term(word[:pos] + repl + word[pos + 2 :], coeff * rc)
+
+
+def _rewrite(pending, rules):
+    """Normal form of a combination of words, rewriting leftmost redexes."""
+    result = UqElement({})
+    while pending.terms:
+        next_pending = _TermMap()
+        for w, coeff in pending.terms.items():
+            pos = next((i for i in range(len(w) - 1) if (w[i], w[i + 1]) in rules), None)
+            if pos is None:
+                result.add_term(_word_to_monomial(w), coeff)
+            else:
+                _reduce_at(next_pending, w, pos, coeff, rules)
+        pending = next_pending
+    return result
 
 
 def _word_to_monomial(word):
-    a = b = c = 0
-    i = 0
-    while i < len(word) and word[i] == F:
-        a += 1
-        i += 1
-    while i < len(word) and word[i] == E:
-        b += 1
-        i += 1
-    while i < len(word):
-        c += 1 if word[i] == K else -1
-        i += 1
-    return (a, b, c)
+    """The key (a, b, c) of an irreducible word, which is F^a E^b K^c."""
+    return (word.count(F), word.count(E), word.count(K) - word.count(KINV))
 
 
 def monomial_word(mon):
@@ -200,34 +205,50 @@ def monomial_word(mon):
     return (F,) * a + (E,) * b + ((K,) * c if c >= 0 else (KINV,) * (-c))
 
 
-def pbw_normalize(word, q, strategy="leftmost"):
-    """Rewrite a generator word into the PBW basis; order-independent."""
+def pbw_normalize(word, q):
+    """Rewrite a generator word into the PBW basis."""
     q = _check_q(q)
-    if strategy not in ("leftmost", "rightmost"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     word = tuple(word)
     for g in word:
         if g not in GENERATORS:
             raise ValueError(f"unknown generator {g!r}")
-    rules = _rules(q)
-    result = UqElement({})
-    pending = {word: ONE}
-    while pending:
-        next_pending = {}
-        for w, coeff in pending.items():
-            pos = _find_redex(w, rules, strategy)
-            if pos is None:
-                result.add_term(_word_to_monomial(w), coeff)
-                continue
-            for repl, rc in rules[(w[pos], w[pos + 1])]:
-                nw = w[:pos] + repl + w[pos + 2 :]
-                v = next_pending.get(nw, ZERO) + coeff * rc
-                if v:
-                    next_pending[nw] = v
-                else:
-                    next_pending.pop(nw, None)
-        pending = next_pending
-    return result
+    return _rewrite(_TermMap({word: ONE}), _rules(q))
+
+
+def _lowers(word, repl):
+    """Whether `repl` is below `word` in the termination order of the module docstring."""
+    shorter = len(repl) < len(word)
+    return shorter or sorted(repl) == sorted(word) and _inversions(repl) < _inversions(word)
+
+
+def _inversions(word):
+    rank = {F: 0, E: 1, K: 2, KINV: 2}
+    return sum(rank[a] > rank[b] for a, b in itertools.combinations(word, 2))
+
+
+def check_pbw_confluence(q):
+    """Confluence of the PBW rewriting system at q, by the diamond lemma.
+
+    Scans that each rule lowers the termination order, and returns if one does
+    not.  Then each overlap word x y z, rewritten once at position 0 and once
+    at position 1, must normalize to the same element.
+    """
+    rules = _rules(_check_q(q))
+    scan = Scan()
+    for lhs, terms in rules.items():
+        rising = tuple(repl for repl, _ in terms if not _lowers(lhs, repl))
+        scan.eq("rule_lowers_order", lhs, rising, ())
+    if not scan.passed:
+        return scan.done()
+    for (x, y), z in itertools.product(rules, GENERATORS):
+        if (y, z) in rules:
+            word, sides = (x, y, z), []
+            for pos in (0, 1):
+                once = _TermMap()
+                _reduce_at(once, word, pos, ONE, rules)
+                sides.append(_rewrite(once, rules).items())
+            scan.eq("overlap_resolves", word, *sides)
+    return scan.done()
 
 
 @lru_cache(maxsize=None)
@@ -508,67 +529,35 @@ def verify_smash_closed_forms(params, bounds):
         ("Kinv", MON_KINV),
         ("EK", (0, 1, 1)),
     )
-    rows = (("K", MON_K, 1), ("Kinv", MON_KINV, -1), ("E", MON_E, 0), ("F", MON_F, 0))
     scan = Scan()
-    for m in range(bounds + 1):
-        for n in range(bounds + 1):
-            for r in range(bounds + 1):
-                for s in range(bounds + 1):
-                    for gname, gmon in g_choices:
-                        g_el = UqElement.monomial(gmon)
-                        alpha_g = uq_alpha(g_el, 1, lam)
-                        for rname, hmon, sign in rows:
-                            left = SmashTerm.monomial(((m, n), hmon))
-                            right = SmashTerm.monomial(((r, s), gmon))
-                            computed = smash_mul_uq(left, right, params)
-                            expected = SmashTerm({})
-                            common = xi ** (m + n + r + s)
-                            if sign != 0:
-                                coeff = (
-                                    q ** (sign * (r - s) + n * r)
-                                    * common
-                                    * lam ** (-n - s)
-                                )
-                                head = uq_mul(UqElement.monomial(hmon), alpha_g, q)
-                                for mon, w in head.terms.items():
-                                    expected.add_term(((m + r, n + s), mon), coeff * w)
-                            elif rname == "E":
-                                coeff = q ** (n * r) * common * lam ** (-n - s + 1)
-                                head = uq_mul(UqElement.monomial(MON_E), alpha_g, q)
-                                for mon, w in head.terms.items():
-                                    expected.add_term(((m + r, n + s), mon), coeff * w)
-                                if s > 0:
-                                    coeff = (
-                                        q_int(s, q)
-                                        * q ** (n * (r + 1))
-                                        * common
-                                        * lam ** (-n - s + 1)
-                                    )
-                                    head = uq_mul(UqElement.monomial(MON_K), alpha_g, q)
-                                    for mon, w in head.terms.items():
-                                        expected.add_term(
-                                            ((m + r + 1, n + s - 1), mon), coeff * w
-                                        )
-                            else:
-                                coeff = q ** (s - r + n * r) * common * lam ** (-n - s - 1)
-                                head = uq_mul(UqElement.monomial(MON_F), alpha_g, q)
-                                for mon, w in head.terms.items():
-                                    expected.add_term(((m + r, n + s), mon), coeff * w)
-                                if r > 0:
-                                    coeff = (
-                                        q_int(r, q)
-                                        * q ** (n * (r - 1))
-                                        * common
-                                        * lam ** (-n - s - 1)
-                                    )
-                                    for mon, w in alpha_g.terms.items():
-                                        expected.add_term(
-                                            ((m + r - 1, n + s + 1), mon), coeff * w
-                                        )
-                            scan.eq(
-                                "smash_closed_form_row_" + rname,
-                                (m, n, r, s, gname),
-                                computed.items(),
-                                expected.items(),
-                            )
+    for m, n, r, s in itertools.product(range(bounds + 1), repeat=4):
+        common = xi ** (m + n + r + s)
+        lam_e, lam_f = lam ** (1 - n - s), lam ** (-n - s - 1)
+        closed = {  # (row, its monomial) -> terms (coefficient, head monomial, plane shift)
+            ("K", MON_K): ((q ** (r - s + n * r) * lam ** (-n - s), MON_K, (0, 0)),),
+            ("Kinv", MON_KINV): ((q ** (s - r + n * r) * lam ** (-n - s), MON_KINV, (0, 0)),),
+            ("E", MON_E): (
+                (q ** (n * r) * lam_e, MON_E, (0, 0)),
+                (q_int(s, q) * q ** (n * (r + 1)) * lam_e, MON_K, (1, -1)),
+            ),
+            ("F", MON_F): (
+                (q ** (s - r + n * r) * lam_f, MON_F, (0, 0)),
+                (q_int(r, q) * q ** (n * (r - 1)) * lam_f, UNIT, (-1, 1)),
+            ),
+        }
+        for gname, gmon in g_choices:
+            alpha_g = uq_alpha(UqElement.monomial(gmon), 1, lam)
+            right = SmashTerm.monomial(((r, s), gmon))
+            for (rname, hmon), terms in closed.items():
+                computed = smash_mul_uq(SmashTerm.monomial(((m, n), hmon)), right, params)
+                expected = SmashTerm({})
+                for coeff, head, (dm, dn) in terms:
+                    for mon, w in uq_mul(UqElement.monomial(head), alpha_g, q).terms.items():
+                        expected.add_term(((m + r + dm, n + s + dn), mon), common * coeff * w)
+                scan.eq(
+                    "smash_closed_form_row_" + rname,
+                    (m, n, r, s, gname),
+                    computed.items(),
+                    expected.items(),
+                )
     return scan.done()

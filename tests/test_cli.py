@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from homtwist.cli import main
+from homtwist.manifest import SIGNATURES
 from homtwist.suite import GOLDEN_MANIFEST
 
 
@@ -151,3 +155,118 @@ class TestPaperCommand:
 
     def test_bounds_reduce_quantum_work(self, capsys):
         assert main(["paper", "--filter", "1-k2"]) == 0
+
+
+class TestMalformedManifest:
+    """Malformed manifests end in their documented exit code, never a traceback."""
+
+    def write(self, tmp_path, doc):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_objects_not_an_object_exits_three(self, tmp_path, capsys):
+        assert main(["check", self.write(tmp_path, {"objects": [], "tasks": []})]) == 3
+        assert "'objects' must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tasks", [{}, "", 0, None])
+    def test_tasks_not_a_list_exits_three(self, tmp_path, capsys, tasks):
+        assert main(["check", self.write(tmp_path, {"objects": {}, "tasks": tasks})]) == 3
+        assert "'tasks' must be a JSON array" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("op", [{}, [], 1, None])
+    def test_op_not_a_string_exits_three(self, tmp_path, capsys, op):
+        doc = {"objects": {}, "tasks": [{"op": op, "args": []}]}
+        assert main(["check", self.write(tmp_path, doc)]) == 3
+        assert "task 1: unknown op" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim_a", [{}, "2", 2.0])
+    def test_twisting_map_dim_not_an_integer_exits_three(self, tmp_path, capsys, dim_a):
+        doc = json.loads(json.dumps(GOLDEN_MANIFEST))
+        doc["objects"]["Rflip"]["dim_a"] = dim_a
+        assert main(["check", self.write(tmp_path, doc)]) == 3
+        assert "field 'dim_a' must be an integer" in capsys.readouterr().err
+
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"objects": {},\n "tasks": ["\xe9"]}')
+        assert main(["check", str(path)]) == 2
+        assert "parse error: invalid UTF-8 (line 2, column 13)" in capsys.readouterr().err
+
+
+def _paths(value, prefix=()):
+    """Every (container path, key) in a JSON document, outermost first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield prefix, key
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+GOLDEN_PATHS = list(_paths(GOLDEN_MANIFEST))
+GOLDEN_NAMES = set(GOLDEN_MANIFEST["objects"]) | {"g.D", "g.T"} | {
+    t["as"] for t in GOLDEN_MANIFEST["tasks"] if "as" in t
+}
+SCALARS = st.integers(-3, 3) | st.fractions(max_denominator=4).map(str)
+JSON_VALUES = st.recursive(
+    SCALARS | st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+MUTATIONS = st.one_of(
+    st.tuples(st.just("replace"), st.sampled_from(GOLDEN_PATHS), JSON_VALUES),
+    st.tuples(st.just("drop"), st.sampled_from(GOLDEN_PATHS), st.none()),
+    st.tuples(
+        st.just("kind"),
+        st.sampled_from(sorted(GOLDEN_MANIFEST["objects"])),
+        st.sampled_from(sorted({o["kind"] for o in GOLDEN_MANIFEST["objects"].values()})),
+    ),
+    st.tuples(
+        st.just("op"),
+        st.integers(0, len(GOLDEN_MANIFEST["tasks"]) - 1),
+        st.sampled_from(sorted(SIGNATURES)),
+    ),
+    st.tuples(
+        st.just("args"),
+        st.integers(0, len(GOLDEN_MANIFEST["tasks"]) - 1),
+        st.lists(st.sampled_from(sorted(GOLDEN_NAMES)), max_size=5),
+    ),
+)
+
+
+def _mutate(doc, mutation):
+    """Apply one mutation in place, unless an earlier one removed its path."""
+    what, where, value = mutation
+    if what == "kind":
+        prefix, key = ("objects", where), "kind"
+    elif what in ("op", "args"):
+        prefix, key = ("tasks", where), what
+    else:
+        prefix, key = where
+    try:
+        node = doc
+        for step in prefix:
+            node = node[step]
+        if what == "drop":
+            del node[key]
+        else:
+            node[key] = value
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
+class TestManifestFuzz:
+    @given(st.lists(MUTATIONS, min_size=1, max_size=3))
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    def test_mutated_golden_manifest_exits_with_a_documented_code(self, tmp_path, mutations):
+        doc = json.loads(json.dumps(GOLDEN_MANIFEST))
+        for mutation in mutations:
+            _mutate(doc, mutation)
+        path = tmp_path / "fuzzed.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["check", str(path)]) in (0, 1, 2, 3)

@@ -10,7 +10,7 @@ import pathlib
 
 import pytest
 
-from homtwist import twisted
+from homtwist import modsmash, twisted
 from homtwist.errors import PreconditionFailure
 from homtwist.exact import Matrix
 from homtwist.gallery import (
@@ -27,16 +27,16 @@ from homtwist.modsmash import smash_two_sided
 SRC = pathlib.Path(twisted.__file__).parent
 
 
-def _counting(monkeypatch, name):
-    """Record the first argument of every call to twisted.<name>."""
+def _counting(monkeypatch, name, module=twisted):
+    """Record the first argument of every call to <module>.<name>."""
     seen = []
-    original = getattr(twisted, name)
+    original = getattr(module, name)
 
     def counted(first, *rest):
         seen.append(first)
         return original(first, *rest)
 
-    monkeypatch.setattr(twisted, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return seen
 
 
@@ -64,6 +64,36 @@ class TestOncePerCall:
         twisted.iterated_ttp(m, m, m, f, f, f)
         twisted.iterated_ttp(m, m, m, f, f, f)
         assert sum(x is m for x in scanned) == 2
+
+
+class TestRepeatedArguments:
+    """A classical checker given the same object twice scans it once."""
+
+    def test_check_twisting_map_scans_a_once(self, monkeypatch):
+        scanned = _counting(monkeypatch, "check_associative")
+        a = k2_algebra()
+        assert twisted.check_twisting_map(a, a, twisted.flip(2, 2)).passed
+        assert scanned == [a]
+
+    def test_check_alphaAB_twisting_map_scans_a_and_f_once(self, monkeypatch):
+        scanned = _counting(monkeypatch, "check_associative")
+        multiplied = _counting(monkeypatch, "multiplicativity_scan")
+        a, f, r = k2_algebra(), Matrix.identity(2), twisted.flip(2, 2)
+        assert twisted.check_alphaAB_twisting_map(a, a, f, f, r).passed
+        assert scanned == [a] and multiplied == [a]
+
+    def test_check_alphaAB_twisting_map_scans_each_distinct_map(self, monkeypatch):
+        multiplied = _counting(monkeypatch, "multiplicativity_scan")
+        a, r = k2_algebra(), twisted.flip(2, 2)
+        f, g = Matrix.identity(2), Matrix.identity(2)
+        assert twisted.check_alphaAB_twisting_map(a, a, f, g, r).passed
+        assert multiplied == [a, a]
+
+    def test_tensor_modules_scans_m_once(self, monkeypatch):
+        checked = _counting(monkeypatch, "check_module", modsmash)
+        act = h4_left_action()
+        modsmash.tensor_modules(sweedler_h4(), act, act)
+        assert checked == [modsmash.LEFT]
 
 
 class TestCheckOrder:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homtwist.errors import DegenerateQ, ParamConstraintViolation
-from homtwist.exact import ONE, Q
+from homtwist import uqsl2
+from homtwist.exact import ONE, Q, Scan, ZERO
 from homtwist.uqsl2 import (
     E,
     F,
@@ -20,6 +21,7 @@ from homtwist.uqsl2 import (
     UNIT,
     UqElement,
     UqParams,
+    check_pbw_confluence,
     check_uq_module_hom_algebra,
     pbw_normalize,
     q_int,
@@ -107,9 +109,150 @@ class TestPbwNormalize:
     @settings(max_examples=120, deadline=None)
     def test_confluence(self, word, qlit):
         q = Q(qlit) if isinstance(qlit, int) else Q(1, 2)
-        left = pbw_normalize(word, q, "leftmost")
-        right = pbw_normalize(word, q, "rightmost")
-        assert left == right
+        assert pbw_normalize(word, q) == rightmost_normalize(word, q)
+
+    @pytest.mark.parametrize("q", [Q(2), Q(3)])
+    def test_all_words_up_to_six_agree_with_the_rightmost_oracle(self, q):
+        words = [()]
+        for _ in range(6):
+            words = [w + (g,) for w in words for g in GENERATORS]
+            for w in words:
+                assert pbw_normalize(w, q) == rightmost_normalize(w, q), w
+
+    def test_no_strategy_argument(self):
+        with pytest.raises(TypeError):
+            pbw_normalize([K, E], Q(2), "rightmost")
+
+
+def _find_redex_rightmost(word, rules):
+    positions = reversed(range(len(word) - 1))
+    for i in positions:
+        if (word[i], word[i + 1]) in rules:
+            return i
+    return None
+
+
+def _word_to_monomial(word):
+    a = b = c = 0
+    i = 0
+    while i < len(word) and word[i] == F:
+        a += 1
+        i += 1
+    while i < len(word) and word[i] == E:
+        b += 1
+        i += 1
+    while i < len(word):
+        c += 1 if word[i] == K else -1
+        i += 1
+    return (a, b, c)
+
+
+def rightmost_normalize(word, q):
+    """The former ``pbw_normalize(word, q, "rightmost")``, kept as the oracle.
+
+    It and its helpers are the removed rightmost path verbatim, with the strategy fixed.
+    """
+    word = tuple(word)
+    rules = uqsl2._rules(q)
+    result = UqElement({})
+    pending = {word: ONE}
+    while pending:
+        next_pending = {}
+        for w, coeff in pending.items():
+            pos = _find_redex_rightmost(w, rules)
+            if pos is None:
+                result.add_term(_word_to_monomial(w), coeff)
+                continue
+            for repl, rc in rules[(w[pos], w[pos + 1])]:
+                nw = w[:pos] + repl + w[pos + 2 :]
+                v = next_pending.get(nw, ZERO) + coeff * rc
+                if v:
+                    next_pending[nw] = v
+                else:
+                    next_pending.pop(nw, None)
+        pending = next_pending
+    return result
+
+
+def _with_rule(monkeypatch, lhs, replacement):
+    """Monkeypatch the rewriting system with `lhs` -> `replacement` added or replaced."""
+    original = uqsl2._rules
+
+    def rules(q):
+        out = dict(original(q))
+        out[lhs] = replacement(q)
+        return out
+
+    monkeypatch.setattr(uqsl2, "_rules", rules)
+
+
+class TestPbwConfluence:
+    OVERLAPS = [
+        (K, E, F),
+        (KINV, E, F),
+        (K, KINV, E),
+        (K, KINV, F),
+        (K, KINV, K),
+        (KINV, K, E),
+        (KINV, K, F),
+        (KINV, K, KINV),
+    ]
+
+    @pytest.mark.parametrize("q", [Q(2), Q(3), Q(1, 2), Q(-5, 3)])
+    def test_passes(self, q):
+        report = check_pbw_confluence(q)
+        assert report.passed and report.failures == ()
+
+    def test_degenerate_q(self):
+        with pytest.raises(DegenerateQ):
+            check_pbw_confluence(Q(1))
+
+    def test_scans_seven_rules_then_eight_overlaps(self, monkeypatch):
+        seen = []
+        eq = Scan.eq
+
+        def recording_eq(scan, equation, basis, lhs, rhs):
+            seen.append((equation, basis))
+            return eq(scan, equation, basis, lhs, rhs)
+
+        monkeypatch.setattr(Scan, "eq", recording_eq)
+        for q in (Q(2), Q(3)):
+            seen.clear()
+            check_pbw_confluence(q)
+            rules = [b for e, b in seen if e == "rule_lowers_order"]
+            overlaps = [b for e, b in seen if e == "overlap_resolves"]
+            assert sorted(rules) == sorted(uqsl2._rules(q)) and len(rules) == 7
+            assert overlaps == self.OVERLAPS
+            assert len(seen) == 15
+
+    def test_corrupted_ke_rule_fails_at_its_overlaps(self, monkeypatch):
+        _with_rule(monkeypatch, (K, E), lambda q: (((E, K), q ** 3),))
+        report = check_pbw_confluence(Q(2))
+        assert not report.passed
+        assert report.failures[0].equation == "overlap_resolves"
+        assert report.failures[0].basis == (K, E, F)
+        assert [f.basis for f in report.failures] == [(K, E, F), (K, KINV, E), (KINV, K, E)]
+
+    @pytest.mark.parametrize(
+        "lhs, repl",
+        [
+            ((E, K), (K, E)),  # more out-of-order pairs: rewrites E K -> K E -> E K forever
+            ((E, F), (F, K)),  # fewer out-of-order pairs, but not a rearrangement of E F
+            ((F, F), (F, F, F)),  # longer
+        ],
+    )
+    def test_rule_that_does_not_lower_the_order_returns_at_once(self, monkeypatch, lhs, repl):
+        _with_rule(monkeypatch, lhs, lambda q: ((repl, ONE),))
+
+        def no_rewriting(pending, rules):
+            raise AssertionError("normalized under a rule that need not terminate")
+
+        monkeypatch.setattr(uqsl2, "_rewrite", no_rewriting)
+        report = check_pbw_confluence(Q(2))
+        assert not report.passed
+        assert [(f.equation, f.basis, f.lhs) for f in report.failures] == [
+            ("rule_lowers_order", lhs, (repl,))
+        ]
 
 
 class TestUqMul:
