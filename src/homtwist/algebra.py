@@ -5,6 +5,12 @@ of ``e_k`` in ``e_i e_j`` and ``alpha`` is the structure map as a matrix.  A
 plain associative algebra is the same record with ``alpha`` the identity.  No
 axiom is assumed at construction; the checkers decide status.  Algebras are
 nonunital throughout.
+
+``check_hom_algebra`` and ``check_associative`` scan their d^3 triples on
+sparse columns tabulated once per call: the nonzero constants ``map.cols``
+and, for Hom-associativity, the 2d^2 products alpha(e_i) e_l and
+e_l alpha(e_k).  ``HomAlgebra.product`` and ``Matrix.apply`` form those tables
+and run the d^2 multiplicativity scans.
 """
 
 import copy
@@ -13,7 +19,18 @@ from functools import cached_property
 
 from .errors import DimensionMismatch, NotMultiplicative, PreconditionFailure
 from .exact import (
-    LinearMap, Matrix, Scan, ZERO, as_constants, basis_vec, compose, kron, mat_inv, mat_mul
+    LinearMap,
+    Matrix,
+    Scan,
+    ZERO,
+    as_constants,
+    basis_vec,
+    compose,
+    kron,
+    mat_inv,
+    mat_mul,
+    to_dense,
+    to_sparse,
 )
 
 
@@ -34,6 +51,17 @@ class HomAlgebra:
             raise DimensionMismatch(
                 f"alpha is {self.alpha.rows}x{self.alpha.cols}, expected {self.dim}x{self.dim}"
             )
+
+    @classmethod
+    def _canonical(cls, dim, mul, alpha, provenance):
+        """An algebra over a table with no coercion walk.
+
+        `mul` must already be canonical: nested tuples of scalars with every
+        zero the shared ``ZERO``, as ``LinearMap.table()`` returns them.
+        """
+        algebra = object.__new__(cls)
+        algebra.__dict__.update(dim=dim, mul=mul, alpha=alpha, provenance=provenance)
+        return algebra
 
     @cached_property
     def map(self):
@@ -100,7 +128,11 @@ def same_structure(a, b):
 
 
 def check_hom_algebra(algebra):
-    """Scan multiplicativity of alpha and Hom-associativity over all basis tuples."""
+    """Scan multiplicativity of alpha and Hom-associativity over all basis tuples.
+
+    Hom-associativity reads alpha(e_i) e_l and e_l alpha(e_k), tabulated once,
+    through the sparse constants of e_j e_k and e_i e_j.
+    """
     d = algebra.dim
     scan = Scan()
     acol = [algebra.alpha_col(i) for i in range(d)]
@@ -109,27 +141,62 @@ def check_hom_algebra(algebra):
             lhs = algebra.alpha.apply(algebra.mul[i][j])
             rhs = algebra.product(acol[i], acol[j])
             scan.eq("multiplicativity", (i, j), lhs, rhs)
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                lhs = algebra.product(acol[i], algebra.mul[j][k])
-                rhs = algebra.product(algebra.mul[i][j], acol[k])
-                scan.eq("hom_associativity", (i, j, k), lhs, rhs)
+    basis = [basis_vec(d, l) for l in range(d)]
+    left = [[to_sparse(algebra.product(acol[i], e)) for e in basis] for i in range(d)]
+    right = [[to_sparse(algebra.product(e, acol[k])) for e in basis] for k in range(d)]
+    _triple_scan(scan, "hom_associativity", algebra.map.cols, left, right, True)
     return scan.done()
 
 
 def check_associative(algebra):
-    """Plain associativity scan; the structure map is ignored."""
+    """Plain associativity scan over the sparse constants; the structure map is ignored."""
     d = algebra.dim
+    cols = [dict(col) for col in algebra.map.cols]
+    left = [cols[i * d:(i + 1) * d] for i in range(d)]
+    right = [cols[k::d] for k in range(d)]
     scan = Scan()
-    for i in range(d):
-        ei = basis_vec(d, i)
-        for j in range(d):
-            for k in range(d):
-                lhs = algebra.product(algebra.mul[i][j], basis_vec(d, k))
-                rhs = algebra.product(ei, algebra.mul[j][k])
-                scan.eq("associativity", (i, j, k), lhs, rhs)
+    _triple_scan(scan, "associativity", algebra.map.cols, left, right, False)
     return scan.done()
+
+
+def _triple_scan(scan, name, cols, left, right, left_first):
+    """Scan x_i (e_j e_k) = (e_i e_j) z_k on every basis triple (i, j, k) in order.
+
+    `cols` holds the sparse constants of e_i e_j at ``i*d + j``; ``left[i][l]``
+    is x_i e_l and ``right[k][l]`` is e_l z_k, as dicts without zeros.  An
+    equal pair reaches `scan` as two empty tuples and an unequal one as dense
+    vectors, ``x_i (e_j e_k)`` first when `left_first`.
+    """
+    d = len(left)
+    eq = scan.eq
+    for i in range(d):
+        x = left[i]
+        for j in range(d):
+            ij = cols[i * d + j]
+            row = j * d
+            for k in range(d):
+                a = _combination(cols[row + k], x)
+                b = _combination(ij, right[k])
+                if a == b:
+                    eq(name, (i, j, k), (), ())
+                else:
+                    a, b = to_dense(a, (d,)), to_dense(b, (d,))
+                    eq(name, (i, j, k), *((a, b) if left_first else (b, a)))
+
+
+def _combination(terms, columns):
+    """The sum of c * columns[l] over the (l, c) of `terms`, as a dict without zeros."""
+    if not terms:
+        return {}
+    if len(terms) == 1:
+        (l, c), = terms
+        column = columns[l]
+        return column if c == 1 else {r: c * v for r, v in column.items()}
+    out = {}
+    for l, c in terms:
+        for r, v in columns[l].items():
+            out[r] = out[r] + c * v if r in out else c * v
+    return {r: v for r, v in out.items() if v}
 
 
 def multiplicativity_scan(algebra, endo):
@@ -219,4 +286,4 @@ def _twisted_product(a, b, r, tag):
     n = da * db
     path = [(r, 1), (a.map, 0), (b.map, 1)]
     mul = compose(path, (da, db, da, db)).reshaped((n, n), (n,)).table()
-    return HomAlgebra(n, mul, kron(a.alpha, b.alpha), (tag,))
+    return HomAlgebra._canonical(n, mul, kron(a.alpha, b.alpha), (tag,))

@@ -10,7 +10,10 @@ Everything else in the package builds on the conventions pinned here, once:
   scalars creates no new ones.  ``Matrix.apply``, ``mat_mul``, ``kron`` and
   ``HomAlgebra.product`` skip an input entry when it ``is ZERO``; a zero made
   by arithmetic is not skipped, only multiplied through, so the skip never
-  changes a value.
+  changes a value.  ``LinearMap.table()`` already returns canonical tables
+  (absent entries ``ZERO``, present ones nonzero), so a product table built
+  from it is not walked again; ``Matrix.apply`` can leave a cancelled zero
+  that is not ``ZERO``, so tables built from it are.
 * tensor factors flatten row-major, zero-based and left-associatively:
   ``(i, j) -> i*dimB + j``, extended as ``((i, j), k) -> (i*dimB + j)*dimC + k``
   for three or more factors.
@@ -19,7 +22,11 @@ Everything else in the package builds on the conventions pinned here, once:
 * every structure map (mu, Delta, alpha, R, T, actions, coactions, flips) is
   a ``LinearMap`` between tensor products, and ``apply_at`` is the one place
   that applies such a map to a run of factors; an axiom is a pair of paths of
-  ``(map, position)`` checked per basis tuple by ``scan_composites``.
+  ``(map, position)`` checked per basis tuple by ``scan_composites``.  The
+  exception is Hom-associativity and associativity of one algebra, which
+  ``algebra.check_hom_algebra`` and ``algebra.check_associative`` scan on
+  sparse columns tabulated once per call; ``HomAlgebra.product`` and
+  ``Matrix.apply`` form those tables and the d^2 multiplicativity scans.
 * a precondition is a check whose report must pass; ``CheckReport.require`` is
   the one place that turns a failed report into an exception.  A composite
   constructor checks each fact once per call: it skips a scan only when the

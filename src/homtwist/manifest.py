@@ -14,6 +14,7 @@ error is raised, and bind their result under ``as``.
 """
 
 import json
+import re
 from dataclasses import dataclass, field
 
 from . import algebra, coalgebra, gallery, modsmash, twisted, twistor
@@ -390,12 +391,35 @@ def _no_duplicates(pairs):
     return seen
 
 
+# a string literal (possibly unterminated) or one bracket
+_STRING_OR_BRACKET = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[][{}]', re.S)
+
+
+def _deepest_bracket(text):
+    """(line, column) of the first opening bracket at the greatest nesting depth.
+
+    Brackets inside string literals do not count.
+    """
+    depth = deepest = where = 0
+    for m in _STRING_OR_BRACKET.finditer(text):
+        c = m.group()[0]
+        if c in "[{":
+            depth += 1
+            if depth > deepest:
+                deepest, where = depth, m.start()
+        elif c in "]}":
+            depth -= 1
+    return text.count("\n", 0, where) + 1, where - text.rfind("\n", 0, where)
+
+
 def parse_manifest(text):
     """Parse and semantically validate a manifest; builds every object."""
     try:
         raw = json.loads(text, object_pairs_hook=_no_duplicates)
     except json.JSONDecodeError as exc:
         raise ManifestSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
+    except RecursionError as exc:
+        raise ManifestSyntaxError("nesting too deep", *_deepest_bracket(text)) from exc
     if not isinstance(raw, dict):
         raise WrongKind("manifest root must be a JSON object")
     unknown = sorted(set(raw) - {"objects", "tasks"})

@@ -300,16 +300,22 @@ def _yetter_drinfeld_scan(bialgebra, action, coaction):
 # ---------------------------------------------------------------------------
 
 
-def _smash_preconditions(side, bialgebra, algebra, action):
-    """The module-algebra check; returns the inverses of alpha_H and the algebra's alpha."""
-    check_module_hom_algebra(side, bialgebra, algebra, action).require("check_module_hom_algebra")
+def _smash_preconditions(side, bialgebra, algebra, action, seen):
+    """The module-algebra check; returns the inverses of alpha_H and the algebra's alpha.
+
+    The scan is skipped when `seen` records it as passed on these very objects.
+    """
+    if _first_time(seen, side, bialgebra, algebra, action):
+        check_module_hom_algebra(side, bialgebra, algebra, action).require(
+            "check_module_hom_algebra"
+        )
     inv_h = LinearMap.from_matrix(mat_inv(bialgebra.alpha))  # NotInvertible propagates
     return inv_h, LinearMap.from_matrix(mat_inv(algebra.alpha))
 
 
-def _smash_left_map(algebra, bialgebra, action):
+def _smash_left_map(algebra, bialgebra, action, seen):
     """R(h (x) a) = alpha_H^{-2}(h1) . alpha_A^{-1}(a) (x) alpha_H^{-1}(h2)."""
-    inv_h, inv_a = _smash_preconditions(LEFT, bialgebra, algebra, action)
+    inv_h, inv_a = _smash_preconditions(LEFT, bialgebra, algebra, action, seen)
     da, dh = algebra.dim, bialgebra.dim
     path = [
         (LinearMap.coproduct(bialgebra.comul), 0),
@@ -320,9 +326,9 @@ def _smash_left_map(algebra, bialgebra, action):
     return TwistingMapR(da, dh, compose(path, (dh, da)).matrix())
 
 
-def _smash_right_map(bialgebra, algebra, action):
+def _smash_right_map(bialgebra, algebra, action, seen):
     """R(c (x) h) = alpha_H^{-1}(h1) (x) alpha_C^{-1}(c) . alpha_H^{-2}(h2)."""
-    inv_h, inv_c = _smash_preconditions(RIGHT, bialgebra, algebra, action)
+    inv_h, inv_c = _smash_preconditions(RIGHT, bialgebra, algebra, action, seen)
     dh, dc = bialgebra.dim, algebra.dim
     path = [
         (LinearMap.coproduct(bialgebra.comul), 1),
@@ -335,13 +341,21 @@ def _smash_right_map(bialgebra, algebra, action):
 
 def smash_left(algebra, bialgebra, action):
     """Left Hom-smash product A # H; returns (R, A # H)."""
-    rmap = _smash_left_map(algebra, bialgebra, action)
+    return _smash_left(algebra, bialgebra, action, [])
+
+
+def _smash_left(algebra, bialgebra, action, seen):
+    rmap = _smash_left_map(algebra, bialgebra, action, seen)
     return rmap, hom_ttp(algebra, bialgebra.algebra, rmap).with_provenance("smash_left")
 
 
 def smash_right(bialgebra, algebra, action):
     """Right Hom-smash product H # C; returns (R, H # C)."""
-    rmap = _smash_right_map(bialgebra, algebra, action)
+    return _smash_right(bialgebra, algebra, action, [])
+
+
+def _smash_right(bialgebra, algebra, action, seen):
+    rmap = _smash_right_map(bialgebra, algebra, action, seen)
     return rmap, hom_ttp(bialgebra.algebra, algebra, rmap).with_provenance("smash_right")
 
 
@@ -353,9 +367,9 @@ def smash_two_sided(algebra_a, bialgebra, algebra_c, action_left, action_right):
     """
     # the twisting maps of smash_left and smash_right, verified as their hom_ttp would
     h, seen = bialgebra.algebra, []
-    r1 = _smash_left_map(algebra_a, bialgebra, action_left)
+    r1 = _smash_left_map(algebra_a, bialgebra, action_left, seen)
     _require_hom_twisting(algebra_a, h, r1, "check_hom_twisting_map", seen)
-    r2 = _smash_right_map(bialgebra, algebra_c, action_right)
+    r2 = _smash_right_map(bialgebra, algebra_c, action_right, seen)
     _require_hom_twisting(h, algebra_c, r2, "check_hom_twisting_map", seen)
     r3 = flip(algebra_a.dim, algebra_c.dim)
     product, _p1, _p2 = _iterated(algebra_a, h, algebra_c, r1, r2, r3, seen)
@@ -391,7 +405,7 @@ def smash_two_sided(algebra_a, bialgebra, algebra_c, action_left, action_right):
 
 def coaction_rho_smash(algebra, bialgebra, action):
     """rho(a # h) = (alpha_A(a) # h1) (x) h2 on A # H."""
-    _smash_preconditions(LEFT, bialgebra, algebra, action)
+    _smash_preconditions(LEFT, bialgebra, algebra, action, [])
     da, dh = algebra.dim, bialgebra.dim
     path = [(LinearMap.coproduct(bialgebra.comul), 1), (LinearMap.from_matrix(algebra.alpha), 0)]
     table = compose(path, (da, dh)).reshaped((da * dh,), (da * dh, dh)).table()
@@ -404,7 +418,7 @@ def coaction_lambda_smash(algebra, bialgebra, action, coaction_a):
     Requires A to be a left H-comodule Hom-algebra and (A, action, coaction)
     to be a Yetter-Drinfeld module.
     """
-    _smash_preconditions(LEFT, bialgebra, algebra, action)
+    _smash_preconditions(LEFT, bialgebra, algebra, action, [])
     check_comodule_hom_algebra(LEFT, bialgebra, algebra, coaction_a).require(
         "check_comodule_hom_algebra"
     )
@@ -427,7 +441,7 @@ def coaction_lambda_smash(algebra, bialgebra, action, coaction_a):
 
 def coaction_lambda_right_smash(bialgebra, algebra, action):
     """lambda(h # c) = h1 (x) (h2 # alpha_C(c)) on H # C."""
-    _smash_preconditions(RIGHT, bialgebra, algebra, action)
+    _smash_preconditions(RIGHT, bialgebra, algebra, action, [])
     dh, dc = bialgebra.dim, algebra.dim
     path = [(LinearMap.coproduct(bialgebra.comul), 0), (LinearMap.from_matrix(algebra.alpha), 2)]
     table = compose(path, (dh, dc)).reshaped((dh * dc,), (dh, dh * dc)).table()
@@ -452,13 +466,15 @@ def check_smash_twist_compat(side, bialgebra, algebra, action, alpha_h, alpha_x)
     twisted_bi, twisted_alg, twisted_act = yau_twist_module_algebra(
         side, bialgebra, algebra, action, alpha_h, alpha_x
     )
+    # the classical module-algebra axioms passed inside yau_twist_module_algebra
+    seen = [(side, bialgebra, algebra, action)]
     if side == LEFT:
-        pmap, classical = smash_left(algebra, bialgebra, action)
-        rmap, hom_smash = smash_left(twisted_alg, twisted_bi, twisted_act)
+        pmap, classical = _smash_left(algebra, bialgebra, action, seen)
+        rmap, hom_smash = _smash_left(twisted_alg, twisted_bi, twisted_act, seen)
         twist = kron(alpha_x, alpha_h)
     else:
-        pmap, classical = smash_right(bialgebra, algebra, action)
-        rmap, hom_smash = smash_right(twisted_bi, twisted_alg, twisted_act)
+        pmap, classical = _smash_right(bialgebra, algebra, action, seen)
+        rmap, hom_smash = _smash_right(twisted_bi, twisted_alg, twisted_act, seen)
         twist = kron(alpha_h, alpha_x)
     twisted_classical = yau_twist_algebra(classical, twist)
     r, p = LinearMap.from_matrix(rmap.matrix), LinearMap.from_matrix(pmap.matrix)

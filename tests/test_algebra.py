@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from homtwist.algebra import (
     HomAlgebra,
+    _twisted_product,
     check_algebra_morphism,
     check_associative,
     check_hom_algebra,
@@ -16,9 +17,13 @@ from homtwist.algebra import (
     yau_twist_algebra,
     zero_algebra,
 )
+from homtwist import exact
 from homtwist.errors import DimensionMismatch, NotMultiplicative, PreconditionFailure
-from homtwist.exact import ZERO, Matrix, Q, kron
+from homtwist.exact import (
+    ONE, ZERO, LinearMap, Matrix, Q, Scan, as_constants, basis_vec, kron
+)
 from homtwist.gallery import GalleryKey, build, k2_algebra, swap_matrix
+from homtwist.twisted import flip, ttp
 
 
 def example_2dim(a=1, l1=1, l2=2):
@@ -260,3 +265,186 @@ class TestSparseProduct:
     def test_vector_length_must_match_the_dimension(self):
         with pytest.raises(DimensionMismatch):
             k2_algebra().product([Q(1), ZERO], [Q(1), ZERO, ZERO])
+
+
+def loop_check_hom_algebra(algebra):
+    """check_hom_algebra before it read tabulated sparse columns, kept as the test oracle."""
+    d = algebra.dim
+    scan = Scan()
+    acol = [algebra.alpha_col(i) for i in range(d)]
+    for i in range(d):
+        for j in range(d):
+            lhs = algebra.alpha.apply(algebra.mul[i][j])
+            rhs = algebra.product(acol[i], acol[j])
+            scan.eq("multiplicativity", (i, j), lhs, rhs)
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                lhs = algebra.product(acol[i], algebra.mul[j][k])
+                rhs = algebra.product(algebra.mul[i][j], acol[k])
+                scan.eq("hom_associativity", (i, j, k), lhs, rhs)
+    return scan.done()
+
+
+def loop_check_associative(algebra):
+    """check_associative before it read tabulated sparse columns, kept as the test oracle."""
+    d = algebra.dim
+    scan = Scan()
+    for i in range(d):
+        ei = basis_vec(d, i)
+        for j in range(d):
+            for k in range(d):
+                lhs = algebra.product(algebra.mul[i][j], basis_vec(d, k))
+                rhs = algebra.product(ei, algebra.mul[j][k])
+                scan.eq("associativity", (i, j, k), lhs, rhs)
+    return scan.done()
+
+
+CHECKERS = [
+    pytest.param(check_hom_algebra, loop_check_hom_algebra, id="check_hom_algebra"),
+    pytest.param(check_associative, loop_check_associative, id="check_associative"),
+]
+
+# Units of both signs beside the zeros, so that sums of products cancel often.
+cancelling = st.one_of(zero_or_rational, st.sampled_from([Q(1), Q(-1), Q(1, 2), Q(-1, 2)]))
+
+
+@st.composite
+def alphas(draw, d):
+    """Arbitrary, rank-one (never invertible for d > 1), zero-column or identity structure maps.
+
+    The identity is always multiplicative, so the first failure is a Hom-associativity one.
+    """
+    kind = draw(st.sampled_from(["any", "rank_one", "zero_column", "identity"]))
+    if kind == "identity":
+        return [[ONE if r == c else ZERO for c in range(d)] for r in range(d)]
+    if kind == "rank_one":
+        u = draw(st.lists(cancelling, min_size=d, max_size=d))
+        v = draw(st.lists(cancelling, min_size=d, max_size=d))
+        return [[x * y for y in v] for x in u]
+    rows = [draw(st.lists(cancelling, min_size=d, max_size=d)) for _ in range(d)]
+    if kind == "zero_column":
+        c = draw(st.integers(0, d - 1))
+        rows = [[Fraction(0) if j == c else x for j, x in enumerate(row)] for row in rows]
+    return rows
+
+
+@st.composite
+def yau_twisted_diagonals(draw, max_dim):
+    """k^d twisted by a partial injection of its idempotents: Hom-associative, alpha singular."""
+    d = draw(st.integers(1, max_dim))
+    images = draw(st.permutations(list(range(d)) + [None] * d))[:d]
+    alpha = [[ONE if images[c] == r else ZERO for c in range(d)] for r in range(d)]
+    mul = [[[alpha[r][i] if i == j else ZERO for r in range(d)] for j in range(d)]
+           for i in range(d)]
+    return hom_algebra(d, mul, alpha)
+
+
+@st.composite
+def cancelling_algebras(draw, max_dim=4):
+    d = draw(st.integers(1, max_dim))
+    mul = [[draw(st.lists(cancelling, min_size=d, max_size=d)) for _ in range(d)]
+           for _ in range(d)]
+    return hom_algebra(d, mul, draw(alphas(d)))
+
+
+def dual_numbers_twisted():
+    """Dual numbers in the basis (p, q) = (1 + x, x) and the twist x -> x/2.
+
+    p p = p + q and alpha(p + q) = (p - q/2) + q/2 cancels in the q coordinate.
+    """
+    one, half = ONE, Q(1, 2)
+    mul = [[[one, one], [ZERO, one]], [[ZERO, one], [ZERO, ZERO]]]
+    return hom_algebra(2, mul), Matrix([[one, ZERO], [-half, half]])
+
+
+def sixth_roots():
+    """k[x]/(x^2 - x + 1) in the basis (e_0, e_1) = (x, 1 - x).
+
+    e_0 e_0 = -e_1, e_0 e_1 = e_1 e_0 = e_0 + e_1 and e_1 e_1 = -e_0.
+    """
+    return hom_algebra(2, [[[0, -1], [1, 1]], [[1, 1], [-1, 0]]])
+
+
+def recorded_scan(check, algebra):
+    """The report of `check` and every (equation, basis, lhs, rhs) it gave Scan.eq."""
+    calls = []
+    original = Scan.eq
+
+    def spy(self, equation, basis, lhs, rhs):
+        calls.append((equation, tuple(basis), tuple(lhs), tuple(rhs)))
+        return original(self, equation, basis, lhs, rhs)
+
+    with mock.patch.object(Scan, "eq", spy):
+        report = check(algebra)
+    return report, calls
+
+
+sparse_scan_inputs = st.one_of(cancelling_algebras(), yau_twisted_diagonals(4))
+
+
+class TestSparseScans:
+    """check_hom_algebra and check_associative against their per-tuple loops."""
+
+    @pytest.mark.parametrize("check, oracle", CHECKERS)
+    @pytest.mark.parametrize("cap", [exact.DEFAULT_FAILURE_CAP, 1], ids=["default_cap", "cap_1"])
+    @given(algebra=sparse_scan_inputs)
+    @settings(max_examples=60, deadline=None)
+    def test_reports_match_the_loops(self, check, oracle, cap, algebra):
+        with mock.patch.object(exact, "DEFAULT_FAILURE_CAP", cap):
+            assert check(algebra) == oracle(algebra)
+
+    @pytest.mark.parametrize("check, oracle", CHECKERS)
+    @given(algebra=sparse_scan_inputs)
+    @settings(max_examples=60, deadline=None)
+    def test_scan_eq_sees_the_loops_instances(self, check, oracle, algebra):
+        report, calls = recorded_scan(check, algebra)
+        expected_report, expected = recorded_scan(oracle, algebra)
+        d = algebra.dim
+        assert len(calls) == (d ** 2 + d ** 3 if check is check_hom_algebra else d ** 3)
+        assert [c[:2] for c in calls] == [c[:2] for c in expected]
+        for (_, basis, lhs, rhs), (_, _, want_lhs, want_rhs) in zip(calls, expected):
+            if list(want_lhs) != list(want_rhs):
+                assert (lhs, rhs) == (want_lhs, want_rhs)
+            elif len(basis) == 3:
+                assert (lhs, rhs) == ((), ())
+            else:  # the multiplicativity scan passes every pair densely
+                assert (lhs, rhs) == (want_lhs, want_rhs)
+        assert report == expected_report
+
+    @pytest.mark.parametrize("check, oracle", CHECKERS)
+    def test_cancelled_sums_reach_the_scan_as_equal(self, check, oracle):
+        # e_0 (e_0 e_1) = e_0 e_0 + e_0 e_1 = -e_1 + (e_0 + e_1) cancels in e_1,
+        # while (e_0 e_0) e_1 = -e_1 e_1 = e_0 has nothing to cancel
+        algebra = sixth_roots()
+        report, calls = recorded_scan(check, algebra)
+        assert report.passed and report == oracle(algebra)
+        triples = [c for c in calls if len(c[1]) == 3]
+        assert len(triples) == 8 and all(c[2:] == ((), ()) for c in triples)
+
+
+class TestCanonicalTables:
+    def test_a_ttp_stores_zeros_as_the_shared_zero(self):
+        a = example_2dim()
+        t = ttp(k2_algebra(), k2_algebra(), flip(2, 2))
+        h = tensor_algebra(a, a)
+        for algebra in (t, h):
+            entries = [c for plane in algebra.mul for row in plane for c in row]
+            assert all(c is ZERO for c in entries if not c)
+            assert all(type(c) is Q for c in entries)
+            assert algebra.mul == as_constants(algebra.mul, (algebra.dim,) * 3, "shape")
+
+    def test_a_product_whose_sums_cancel_is_canonical(self):
+        # R(f (x) e_0) = (e_0 + e_1) (x) f, so (e_0 (x) f)(e_0 (x) f) = e_0 (e_0 + e_1) (x) f
+        # = e_0 (x) f: the e_1 coordinate cancels
+        r = LinearMap.from_matrix(Matrix([[1, 0], [1, 1]]), (1, 2), (2, 1))
+        t = _twisted_product(sixth_roots(), hom_algebra(1, [[[1]]]), r, "t")
+        assert t.mul[0][0] == (ONE, ZERO) and t.mul[0][0][1] is ZERO
+
+    def test_a_yau_twist_whose_entries_cancel_stores_the_shared_zero(self):
+        a, alpha = dual_numbers_twisted()
+        cancelled = alpha.apply(a.mul[0][0])
+        assert cancelled[1] == 0 and cancelled[1] is not ZERO
+        twisted = yau_twist_algebra(a, alpha)
+        assert twisted.mul[0][0] == (ONE, ZERO)
+        assert twisted.mul[0][0][1] is ZERO

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -186,6 +187,21 @@ class TestMalformedManifest:
         doc["objects"]["Rflip"]["dim_a"] = dim_a
         assert main(["check", self.write(tmp_path, doc)]) == 3
         assert "field 'dim_a' must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("prefix, depth, suffix", [
+        ('{"objects": ', 100_000, "}"),
+        ('{"objects": {"A": {"kind": "hom_algebra", "dim": 1, "mul": ', 5_000,
+         ', "alpha": [[1]]}}, "tasks": []}'),
+    ], ids=["objects", "mul"])
+    def test_over_nested_manifest_is_a_parse_error(self, tmp_path, capsys, prefix, depth, suffix):
+        path = tmp_path / "nested.json"
+        path.write_text(prefix + "[" * depth + "]" * depth + suffix)
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        found = re.fullmatch(r"parse error: nesting too deep \(line 1, column (\d+)\)\n", err)
+        assert found is not None, err
+        # the column points into the run of opening brackets
+        assert len(prefix) < int(found.group(1)) <= len(prefix) + depth
 
     def test_non_utf8_file_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"

@@ -19,6 +19,7 @@ from homtwist.gallery import (
     dual_numbers,
     h4_left_action,
     h4_right_action,
+    h4_twists,
     k2_algebra,
     sweedler_h4,
 )
@@ -94,6 +95,20 @@ class TestRepeatedArguments:
         act = h4_left_action()
         modsmash.tensor_modules(sweedler_h4(), act, act)
         assert checked == [modsmash.LEFT]
+
+    @pytest.mark.parametrize("side, action", [
+        (modsmash.LEFT, h4_left_action), (modsmash.RIGHT, h4_right_action)
+    ])
+    def test_check_smash_twist_compat_scans_the_classical_module_algebra_once(
+        self, monkeypatch, side, action
+    ):
+        checked = _counting(monkeypatch, "check_module_hom_algebra", modsmash)
+        alpha_h, alpha_a = h4_twists(2)
+        assert modsmash.check_smash_twist_compat(
+            side, sweedler_h4(), dual_numbers(), action(), alpha_h, alpha_a
+        ).passed
+        # the classical inputs inside yau_twist_module_algebra, then their twists
+        assert checked == [side, side]
 
 
 class TestCheckOrder:

@@ -57,6 +57,15 @@ class TestParse:
         assert code == EXIT_OK
         assert "all expectations met" in report
 
+    def test_over_nesting_is_located_outside_string_literals(self):
+        # the deepest bracket is the last "[" of "b"; the 3,000 in the string after an
+        # escaped quote do not count
+        text = '{"b": ' + "[" * 2000 + "]" * 2000 + ',\n "a": "\\"' + "[" * 3000 + '"}'
+        with pytest.raises(ManifestSyntaxError) as info:
+            parse_manifest(text)
+        assert str(info.value) == "nesting too deep (line 1, column 2006)"
+        assert (info.value.line, info.value.col) == (1, 2006)
+
     def test_undefined_name(self):
         text = small_manifest([{"op": "check_hom_algebra", "args": ["Q"]}])
         with pytest.raises(UnknownName):
