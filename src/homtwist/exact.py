@@ -32,7 +32,7 @@ Everything else in the package builds on the conventions pinned here, once:
   constructor checks each fact once per call: it skips a scan only when the
   same checker already passed on the very same objects (``is``) earlier in
   the same call, and builds through private builders that check nothing.
-  Nothing is cached across calls.
+  No verified fact is cached across calls (``uqsl2`` memoizes pure values only).
 """
 
 import re

@@ -15,7 +15,7 @@ maps, with flips bringing the factors each map acts on together.
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import _yau_twisted, multiplicativity_scan, yau_twist_algebra
+from .algebra import _twisted_product, _yau_twisted, multiplicativity_scan, yau_twist_algebra
 from .coalgebra import (
     HomBialgebra,
     _comultiplicativity_scan,
@@ -31,7 +31,7 @@ from .errors import (
     YDViolation,
 )
 from .exact import LinearMap, Matrix, as_constants, compose, kron, mat_inv, scan_composites
-from .twisted import TwistingMapR, _first_time, _iterated, _require_hom_twisting, flip, hom_ttp
+from .twisted import TwistingMapR, _first_time, _iterated, _require_hom_twisting, flip
 from .twistor import structure_constants_block
 
 LEFT = "left"
@@ -345,8 +345,11 @@ def smash_left(algebra, bialgebra, action):
 
 
 def _smash_left(algebra, bialgebra, action, seen):
+    """smash_left within one call; the hom_ttp scans that `seen` records are skipped."""
+    h = bialgebra.algebra
     rmap = _smash_left_map(algebra, bialgebra, action, seen)
-    return rmap, hom_ttp(algebra, bialgebra.algebra, rmap).with_provenance("smash_left")
+    _require_hom_twisting(algebra, h, rmap, "check_hom_twisting_map", seen)
+    return rmap, _twisted_product(algebra, h, rmap.map, "hom_ttp").with_provenance("smash_left")
 
 
 def smash_right(bialgebra, algebra, action):
@@ -355,8 +358,11 @@ def smash_right(bialgebra, algebra, action):
 
 
 def _smash_right(bialgebra, algebra, action, seen):
+    """smash_right within one call; the hom_ttp scans that `seen` records are skipped."""
+    h = bialgebra.algebra
     rmap = _smash_right_map(bialgebra, algebra, action, seen)
-    return rmap, hom_ttp(bialgebra.algebra, algebra, rmap).with_provenance("smash_right")
+    _require_hom_twisting(h, algebra, rmap, "check_hom_twisting_map", seen)
+    return rmap, _twisted_product(h, algebra, rmap.map, "hom_ttp").with_provenance("smash_right")
 
 
 def smash_two_sided(algebra_a, bialgebra, algebra_c, action_left, action_right):
@@ -466,8 +472,9 @@ def check_smash_twist_compat(side, bialgebra, algebra, action, alpha_h, alpha_x)
     twisted_bi, twisted_alg, twisted_act = yau_twist_module_algebra(
         side, bialgebra, algebra, action, alpha_h, alpha_x
     )
-    # the classical module-algebra axioms passed inside yau_twist_module_algebra
-    seen = [(side, bialgebra, algebra, action)]
+    # the classical module-algebra axioms, and H's Hom-associativity inside
+    # check_hom_bialgebra, passed in yau_twist_module_algebra
+    seen = [(side, bialgebra, algebra, action), (bialgebra.algebra,)]
     if side == LEFT:
         pmap, classical = _smash_left(algebra, bialgebra, action, seen)
         rmap, hom_smash = _smash_left(twisted_alg, twisted_bi, twisted_act, seen)

@@ -18,11 +18,18 @@ The Hom-quantum plane carries beta(x) = xi x, beta(y) = xi/lambda y, and the
 quantum group carries alpha(E) = lambda E, alpha(F) = lambda^{-1} F,
 alpha(K) = K.  All coefficients are exact rationals at instantiated
 (q, lambda, xi).
+
+Pure values are memoized; verified facts never are.  The rewriting rules, PBW
+monomial products and monomial coproducts depend on q alone and are kept in
+module-level ``lru_cache``s for the life of the process.  The rho_l action of
+a PBW monomial on a plane monomial, and the smash tails of `smash_mul_uq`,
+depend on the whole `UqParams`; they are kept in tables stored on that
+instance and freed with it.  Every check rescans on every call.
 """
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .errors import DegenerateQ, ParamConstraintViolation
 from .exact import ONE, Scan, ZERO, as_scalar
@@ -66,6 +73,25 @@ class UqParams:
             raise ParamConstraintViolation("xi must be nonzero")
         if not isinstance(self.l, int) or self.l < 0:
             raise ParamConstraintViolation("l must be a non-negative integer")
+
+
+def _per_params(fn):
+    """Memoize fn(*args, params) in a table on the params instance.
+
+    The table lives in the instance's ``__dict__``, outside the dataclass
+    fields, so equality and hashing ignore it and it is freed with the
+    instance.  Values must be immutable, since every caller shares them.
+    """
+
+    @wraps(fn)
+    def memoized(*args):
+        table = args[-1].__dict__.setdefault(fn.__name__, {})
+        key = args[:-1]
+        if key not in table:
+            table[key] = fn(*args)
+        return table[key]
+
+    return memoized
 
 
 def q_int(n, q):
@@ -334,30 +360,29 @@ def qp_beta(p, k, params):
     return QPlaneElement(out)
 
 
-def _sigma_k_power(p, c, q):
-    """sigma(K)^c: x^m y^n -> q^{c(m-n)} x^m y^n."""
-    out = {}
-    for (m, n), coeff in p.terms.items():
-        out[(m, n)] = coeff * q ** (c * (m - n))
-    return QPlaneElement(out)
+@_per_params
+def _monomial_rho(mon, mn, params):
+    """rho_l(F^a E^b K^c, x^m y^n) as (key, coeff), or None when it is 0.
 
-
-def _sigma_e(p, q):
-    """sigma(E): x^m y^n -> [n]_q x^{m+1} y^{n-1}."""
-    out = QPlaneElement({})
-    for (m, n), coeff in p.terms.items():
-        if n > 0:
-            out.add_term((m + 1, n - 1), coeff * q_int(n, q))
-    return out
-
-
-def _sigma_f(p, q):
-    """sigma(F): x^m y^n -> [m]_q x^{m-1} y^{n+1}."""
-    out = QPlaneElement({})
-    for (m, n), coeff in p.terms.items():
-        if m > 0:
-            out.add_term((m - 1, n + 1), coeff * q_int(m, q))
-    return out
+    alpha^{l+1} scales the PBW monomial by lam^{(l+1)(b-a)}.  On the plane,
+    beta scales x^m y^n by xi^{m+n} lam^{-n}, sigma(K)^c by q^{c(m-n)}; then
+    each sigma(E) sends x^m y^n to [n]_q x^{m+1} y^{n-1} (0 if n = 0), and
+    each sigma(F) sends it to [m]_q x^{m-1} y^{n+1} (0 if m = 0).  [n]_q is
+    nonzero for n > 0 because q is not 0 or +-1.
+    """
+    (a, b, c), (m, n) = mon, mn
+    q, lam = params.q, params.lam
+    if b > n or a > m + b:
+        return None
+    coeff = lam ** ((params.l + 1) * (b - a)) * params.xi ** (m + n) * lam ** (-n)
+    coeff *= q ** (c * (m - n))
+    for _ in range(b):
+        coeff *= q_int(n, q)
+        m, n = m + 1, n - 1
+    for _ in range(a):
+        coeff *= q_int(m, q)
+        m, n = m - 1, n + 1
+    return (m, n), coeff
 
 
 def rho_l(h, p, params):
@@ -366,20 +391,15 @@ def rho_l(h, p, params):
     sigma is the classical composition action with sigma(E) raising x-degree,
     sigma(F) raising y-degree and sigma(K^{+-1}) rescaling; the unit acts as
     beta.  This extension reproduces the closed generator formulas (the
-    generator oracle is part of the test suite).
+    generator oracle is part of the test suite).  It is bilinear, so it is
+    summed over `_monomial_rho`.
     """
-    q = params.q
-    base = qp_beta(p, 1, params)
     out = QPlaneElement({})
-    for (a, b, c), coeff in h.terms.items():
-        w = coeff * params.lam ** ((params.l + 1) * (b - a))
-        cur = _sigma_k_power(base, c, q)
-        for _ in range(b):
-            cur = _sigma_e(cur, q)
-        for _ in range(a):
-            cur = _sigma_f(cur, q)
-        for key, v in cur.terms.items():
-            out.add_term(key, w * v)
+    for mon, c1 in h.terms.items():
+        for mn, c2 in p.terms.items():
+            term = _monomial_rho(mon, mn, params)
+            if term is not None:
+                out.add_term(term[0], c1 * c2 * term[1])
     return out
 
 
@@ -487,28 +507,40 @@ class SmashTerm(_TermMap):
         return out
 
 
+@_per_params
+def _smash_tail(h1, p2, h2, params):
+    """The terms ((a, mon), coeff) of (p1 # h1)(p2 # h2) = sum coeff mu_beta(p1, a) # mon.
+
+    They are alpha^{-2}(h1_(1)) . beta^{-1}(p2) # alpha^{-1}(h1_(2)) h2 summed
+    over Delta_alpha(h1), before the plane factor is multiplied by p1.
+    """
+    out = SmashTerm({})
+    binv = qp_beta(QPlaneElement.monomial(p2), -1, params)
+    h2el = UqElement.monomial(h2)
+    for (ha, hb), w in coproduct_alpha(UqElement.monomial(h1), params).terms.items():
+        acted = rho_l(uq_alpha(UqElement.monomial(ha), -2, params.lam), binv, params)
+        uq = mu_alpha(uq_alpha(UqElement.monomial(hb), -1, params.lam), h2el, params)
+        for a, av in acted.terms.items():
+            for mon, uv in uq.terms.items():
+                out.add_term((a, mon), w * av * uv)
+    return tuple(out.terms.items())
+
+
 def smash_mul_uq(t1, t2, params):
     """The Hom-smash multiplication on the quantum plane # U_q(sl2)_alpha.
 
     (a # h)(a' # h') = a (alpha^{-2}(h1) . beta^{-1}(a')) # alpha^{-1}(h2) h'
-    with Delta_alpha = Delta o alpha and the rho_l action.
+    with Delta_alpha = Delta o alpha and the rho_l action.  It is bilinear,
+    so it is summed over `_smash_tail` on monomials.
     """
     out = SmashTerm({})
     for (p1, h1), c1 in t1.terms.items():
-        delta = coproduct_alpha(UqElement.monomial(h1), params)
         plane1 = QPlaneElement.monomial(p1)
         for (p2, h2), c2 in t2.terms.items():
             c = c1 * c2
-            binv = qp_beta(QPlaneElement.monomial(p2), -1, params)
-            h2el = UqElement.monomial(h2)
-            for (ha, hb), w in delta.terms.items():
-                acted = rho_l(uq_alpha(UqElement.monomial(ha), -2, params.lam), binv, params)
-                plane = mu_beta(plane1, acted, params)
-                uq = mu_alpha(uq_alpha(UqElement.monomial(hb), -1, params.lam), h2el, params)
-                cw = c * w
-                for mn, pv in plane.terms.items():
-                    for mon, uv in uq.terms.items():
-                        out.add_term((mn, mon), cw * pv * uv)
+            for (a, mon), v in _smash_tail(h1, p2, h2, params):
+                for mn, pv in mu_beta(plane1, QPlaneElement.monomial(a), params).terms.items():
+                    out.add_term((mn, mon), c * v * pv)
     return out
 
 
@@ -529,6 +561,8 @@ def verify_smash_closed_forms(params, bounds):
         ("Kinv", MON_KINV),
         ("EK", (0, 1, 1)),
     )
+    alpha_g = {gmon: uq_alpha(UqElement.monomial(gmon), 1, lam) for _, gmon in g_choices}
+    head_g = {}  # (head, G) -> terms of head alpha(G), each formed once per call
     scan = Scan()
     for m, n, r, s in itertools.product(range(bounds + 1), repeat=4):
         common = xi ** (m + n + r + s)
@@ -546,13 +580,15 @@ def verify_smash_closed_forms(params, bounds):
             ),
         }
         for gname, gmon in g_choices:
-            alpha_g = uq_alpha(UqElement.monomial(gmon), 1, lam)
             right = SmashTerm.monomial(((r, s), gmon))
             for (rname, hmon), terms in closed.items():
                 computed = smash_mul_uq(SmashTerm.monomial(((m, n), hmon)), right, params)
                 expected = SmashTerm({})
                 for coeff, head, (dm, dn) in terms:
-                    for mon, w in uq_mul(UqElement.monomial(head), alpha_g, q).terms.items():
+                    if (head, gmon) not in head_g:
+                        product = uq_mul(UqElement.monomial(head), alpha_g[gmon], q)
+                        head_g[head, gmon] = tuple(product.terms.items())
+                    for mon, w in head_g[head, gmon]:
                         expected.add_term(((m + r + dm, n + s + dn), mon), common * coeff * w)
                 scan.eq(
                     "smash_closed_form_row_" + rname,

@@ -10,7 +10,7 @@ import pathlib
 
 import pytest
 
-from homtwist import modsmash, twisted
+from homtwist import coalgebra, modsmash, twisted
 from homtwist.errors import PreconditionFailure
 from homtwist.exact import Matrix
 from homtwist.gallery import (
@@ -28,16 +28,20 @@ from homtwist.modsmash import smash_two_sided
 SRC = pathlib.Path(twisted.__file__).parent
 
 
-def _counting(monkeypatch, name, module=twisted):
-    """Record the first argument of every call to <module>.<name>."""
+def _counting(monkeypatch, name, *modules):
+    """Record the first argument of every call to <module>.<name>, in one list.
+
+    `modules` defaults to `twisted`.
+    """
     seen = []
-    original = getattr(module, name)
+    for module in modules or (twisted,):
+        original = getattr(module, name)
 
-    def counted(first, *rest):
-        seen.append(first)
-        return original(first, *rest)
+        def counted(first, *rest, original=original):
+            seen.append(first)
+            return original(first, *rest)
 
-    monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return seen
 
 
@@ -109,6 +113,18 @@ class TestRepeatedArguments:
         ).passed
         # the classical inputs inside yau_twist_module_algebra, then their twists
         assert checked == [side, side]
+
+    @pytest.mark.parametrize("side, action", [
+        (modsmash.LEFT, h4_left_action), (modsmash.RIGHT, h4_right_action)
+    ])
+    def test_check_smash_twist_compat_scans_h_once(self, monkeypatch, side, action):
+        scanned = _counting(monkeypatch, "check_hom_algebra", coalgebra, twisted)
+        h4, a = sweedler_h4(), dual_numbers()
+        alpha_h, alpha_a = h4_twists(2)
+        assert modsmash.check_smash_twist_compat(side, h4, a, action(), alpha_h, alpha_a).passed
+        # H inside check_hom_bialgebra, then A and the two twists for the hom_ttp scans
+        assert len(scanned) == len({id(x) for x in scanned}) == 4
+        assert scanned[0] is h4.algebra and scanned[1] is a
 
 
 class TestCheckOrder:

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,9 @@ from homtwist.uqsl2 import (
     UqParams,
     check_pbw_confluence,
     check_uq_module_hom_algebra,
+    coproduct_alpha,
+    mu_alpha,
+    mu_beta,
     pbw_normalize,
     q_int,
     qp_beta,
@@ -487,3 +492,134 @@ class TestSmashClosedForms:
         )
         perturbed = SmashTerm({((m + r, n + s), MON_K): coeff})
         assert computed != perturbed
+
+
+# ---------------------------------------------------------------------------
+# the loops rho_l and smash_mul_uq were before they summed memoized monomial
+# kernels, kept verbatim as oracles (rho_l renamed to oracle_rho_l throughout)
+# ---------------------------------------------------------------------------
+
+
+def _sigma_k_power(p, c, q):
+    """sigma(K)^c: x^m y^n -> q^{c(m-n)} x^m y^n."""
+    out = {}
+    for (m, n), coeff in p.terms.items():
+        out[(m, n)] = coeff * q ** (c * (m - n))
+    return QPlaneElement(out)
+
+
+def _sigma_e(p, q):
+    """sigma(E): x^m y^n -> [n]_q x^{m+1} y^{n-1}."""
+    out = QPlaneElement({})
+    for (m, n), coeff in p.terms.items():
+        if n > 0:
+            out.add_term((m + 1, n - 1), coeff * q_int(n, q))
+    return out
+
+
+def _sigma_f(p, q):
+    """sigma(F): x^m y^n -> [m]_q x^{m-1} y^{n+1}."""
+    out = QPlaneElement({})
+    for (m, n), coeff in p.terms.items():
+        if m > 0:
+            out.add_term((m - 1, n + 1), coeff * q_int(m, q))
+    return out
+
+
+def oracle_rho_l(h, p, params):
+    q = params.q
+    base = qp_beta(p, 1, params)
+    out = QPlaneElement({})
+    for (a, b, c), coeff in h.terms.items():
+        w = coeff * params.lam ** ((params.l + 1) * (b - a))
+        cur = _sigma_k_power(base, c, q)
+        for _ in range(b):
+            cur = _sigma_e(cur, q)
+        for _ in range(a):
+            cur = _sigma_f(cur, q)
+        for key, v in cur.terms.items():
+            out.add_term(key, w * v)
+    return out
+
+
+def oracle_smash_mul_uq(t1, t2, params):
+    out = SmashTerm({})
+    for (p1, h1), c1 in t1.terms.items():
+        delta = coproduct_alpha(UqElement.monomial(h1), params)
+        plane1 = QPlaneElement.monomial(p1)
+        for (p2, h2), c2 in t2.terms.items():
+            c = c1 * c2
+            binv = qp_beta(QPlaneElement.monomial(p2), -1, params)
+            h2el = UqElement.monomial(h2)
+            for (ha, hb), w in delta.terms.items():
+                acted = oracle_rho_l(uq_alpha(UqElement.monomial(ha), -2, params.lam), binv, params)
+                plane = mu_beta(plane1, acted, params)
+                uq = mu_alpha(uq_alpha(UqElement.monomial(hb), -1, params.lam), h2el, params)
+                cw = c * w
+                for mn, pv in plane.terms.items():
+                    for mon, uv in uq.terms.items():
+                        out.add_term((mn, mon), cw * pv * uv)
+    return out
+
+
+_SCALARS = st.builds(Q, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+_PARAM_TUPLES = st.tuples(
+    st.sampled_from([Q(2), Q(3), Q(1, 2), Q(-2), Q(5, 3), Q(-3, 4)]),
+    _SCALARS,
+    _SCALARS,
+    st.integers(0, 2),
+)
+_PBW = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2))
+_PLANE = st.tuples(st.integers(0, 3), st.integers(0, 3))
+_UQ = st.dictionaries(_PBW, _SCALARS, min_size=1, max_size=3).map(UqElement)
+_QP = st.dictionaries(_PLANE, _SCALARS, min_size=1, max_size=3).map(QPlaneElement)
+_SMASH = st.dictionaries(st.tuples(_PLANE, _PBW), _SCALARS, min_size=1, max_size=2).map(SmashTerm)
+
+_WARM = {}  # one UqParams per tuple, reused across examples so its memo tables stay filled
+
+
+def _warm_and_fresh(tup):
+    warm = _WARM.setdefault(tup, UqParams(*tup))
+    return warm, UqParams(*tup)
+
+
+class TestMemoizedKernels:
+    @given(_PARAM_TUPLES, _UQ, _QP)
+    @settings(max_examples=80, deadline=None)
+    def test_rho_l_matches_the_loop(self, tup, h, p):
+        for params in _warm_and_fresh(tup):
+            assert rho_l(h, p, params) == oracle_rho_l(h, p, params)
+
+    @given(_PARAM_TUPLES, _SMASH, _SMASH)
+    @settings(max_examples=40, deadline=None)
+    def test_smash_mul_uq_matches_the_loop(self, tup, t1, t2):
+        for params in _warm_and_fresh(tup):
+            assert smash_mul_uq(t1, t2, params) == oracle_smash_mul_uq(t1, t2, params)
+
+    def test_a_changed_result_does_not_change_the_memo(self):
+        params = UqParams(2, 3, 5, 1)
+        h, p = UqElement({MON_E: ONE, (1, 1, -1): Q(2)}), plane(1, 2)
+        t = SmashTerm({((1, 1), MON_F): ONE, ((0, 2), (0, 1, 1)): Q(-3)})
+        rho_l(h, p, params).add_term((9, 9), ONE)
+        smash_mul_uq(t, t, params).add_term(((9, 9), UNIT), ONE)
+        assert rho_l(h, p, params) == oracle_rho_l(h, p, params)
+        assert smash_mul_uq(t, t, params) == oracle_smash_mul_uq(t, t, params)
+
+    def test_the_memo_dies_with_its_params(self):
+        params = UqParams(3, Q(1, 2), 2, 2)
+        t = SmashTerm({((1, 1), MON_E): ONE, ((2, 0), MON_KINV): Q(5)})
+        smash_mul_uq(t, t, params)
+        check_uq_module_hom_algebra(params, 1)
+        ref = weakref.ref(params)
+        del params
+        gc.collect()
+        assert ref() is None
+
+    def test_warm_and_cold_params_are_equal(self):
+        warm = UqParams(2, 3, 5, 0)
+        check_uq_module_hom_algebra(warm, 1)
+        smash_mul_uq(SmashTerm.monomial(((1, 0), MON_E)), SmashTerm.monomial(((0, 1), MON_F)), warm)
+        cold = UqParams(2, 3, 5, 0)
+        assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+        assert {warm: "found"}[cold] == "found"
+        assert warm != UqParams(2, 3, 5, 1)
