@@ -9,8 +9,13 @@ nonunital throughout.
 ``check_hom_algebra`` and ``check_associative`` scan their d^3 triples on
 sparse columns tabulated once per call: the nonzero constants ``map.cols``
 and, for Hom-associativity, the 2d^2 products alpha(e_i) e_l and
-e_l alpha(e_k).  ``HomAlgebra.product`` and ``Matrix.apply`` form those tables
-and run the d^2 multiplicativity scans.
+e_l alpha(e_k).  ``HomAlgebra.product`` forms those tables, and with
+``Matrix.apply`` runs ``_multiplicative``, the one d^2 scan of
+f(e_i e_j) = f(e_i) f(e_j) shared by ``check_hom_algebra``,
+``multiplicativity_scan`` and ``check_algebra_morphism``.  Every other
+equation here (alpha-intertwining, the four-element lemma) is a
+``scan_composites`` declaration, and the Yau twist alpha o mu is a table
+of ``compose``.
 """
 
 import copy
@@ -28,7 +33,7 @@ from .exact import (
     compose,
     kron,
     mat_inv,
-    mat_mul,
+    scan_composites,
     to_dense,
     to_sparse,
 )
@@ -135,12 +140,8 @@ def check_hom_algebra(algebra):
     """
     d = algebra.dim
     scan = Scan()
+    _multiplicative(scan, "multiplicativity", algebra.alpha, algebra, algebra)
     acol = [algebra.alpha_col(i) for i in range(d)]
-    for i in range(d):
-        for j in range(d):
-            lhs = algebra.alpha.apply(algebra.mul[i][j])
-            rhs = algebra.product(acol[i], acol[j])
-            scan.eq("multiplicativity", (i, j), lhs, rhs)
     basis = [basis_vec(d, l) for l in range(d)]
     left = [[to_sparse(algebra.product(acol[i], e)) for e in basis] for i in range(d)]
     right = [[to_sparse(algebra.product(e, acol[k])) for e in basis] for k in range(d)]
@@ -199,15 +200,23 @@ def _combination(terms, columns):
     return {r: v for r, v in out.items() if v}
 
 
+def _multiplicative(scan, name, f, source, target):
+    """Scan f(e_i e_j) = f(e_i) f(e_j) on every basis pair (i, j) of `source`, in order.
+
+    `f` is a Matrix from `source` to `target`; the left side applies it to the
+    constants of e_i e_j and the right side multiplies two of its columns.
+    """
+    d = source.dim
+    for i in range(d):
+        fi = f.col(i)
+        for j in range(d):
+            scan.eq(name, (i, j), f.apply(source.mul[i][j]), target.product(fi, f.col(j)))
+
+
 def multiplicativity_scan(algebra, endo):
     """Does `endo` satisfy endo(e_i e_j) = endo(e_i) endo(e_j) for algebra.mul?"""
-    d = algebra.dim
     scan = Scan()
-    for i in range(d):
-        for j in range(d):
-            lhs = endo.apply(algebra.mul[i][j])
-            rhs = algebra.product(endo.col(i), endo.col(j))
-            scan.eq("multiplicativity", (i, j), lhs, rhs)
+    _multiplicative(scan, "multiplicativity", endo, algebra, algebra)
     return scan.done()
 
 
@@ -217,35 +226,27 @@ def check_algebra_morphism(f, source, target):
         raise DimensionMismatch(
             f"map is {f.rows}x{f.cols}, expected {target.dim}x{source.dim}"
         )
+    fmap = LinearMap.from_matrix(f)
+    alpha_s, alpha_t = LinearMap.from_matrix(source.alpha), LinearMap.from_matrix(target.alpha)
     scan = Scan()
-    left = mat_mul(target.alpha, f)
-    right = mat_mul(f, source.alpha)
-    for i in range(source.dim):
-        scan.eq("intertwines_alpha", (i,), left.col(i), right.col(i))
-    for i in range(source.dim):
-        for j in range(source.dim):
-            lhs = f.apply(source.mul[i][j])
-            rhs = target.product(f.col(i), f.col(j))
-            scan.eq("multiplicative", (i, j), lhs, rhs)
+    scan_composites([((source.dim,), [
+        ("intertwines_alpha", [(fmap, 0), (alpha_t, 0)], [(alpha_s, 0), (fmap, 0)]),
+    ])], scan)
+    _multiplicative(scan, "multiplicative", f, source, target)
     return scan.done()
 
 
 def check_lemma_four_elements(algebra):
     """(ab)(cd) = alpha(a)(alpha^{-1}(bc) d) over all basis quadruples."""
     check_hom_algebra(algebra).require("check_hom_algebra")
-    inv = mat_inv(algebra.alpha)  # NotInvertible propagates
+    inv = LinearMap.from_matrix(mat_inv(algebra.alpha))  # NotInvertible propagates
+    mu, alpha = algebra.map, LinearMap.from_matrix(algebra.alpha)
     d = algebra.dim
-    acol = [algebra.alpha_col(i) for i in range(d)]
-    scan = Scan()
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                mid = inv.apply(algebra.mul[b][c])
-                for e in range(d):
-                    lhs = algebra.product(algebra.mul[a][b], algebra.mul[c][e])
-                    rhs = algebra.product(acol[a], algebra.product(mid, basis_vec(d, e)))
-                    scan.eq("four_elements", (a, b, c, e), lhs, rhs)
-    return scan.done()
+    return scan_composites([((d, d, d, d), [(
+        "four_elements",
+        [(mu, 2), (mu, 0), (mu, 0)],
+        [(mu, 1), (inv, 1), (mu, 1), (alpha, 0), (mu, 0)],
+    )])])
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +267,8 @@ def yau_twist_algebra(algebra, alpha):
 def _yau_twisted(algebra, alpha):
     """The Yau twist alpha o mul with structure map alpha; nothing is checked."""
     d = algebra.dim
-    new_mul = tuple(
-        tuple(tuple(alpha.apply(algebra.mul[i][j])) for j in range(d)) for i in range(d)
-    )
-    return HomAlgebra(d, new_mul, alpha, algebra.provenance + ("yau_twist",))
+    mul = compose([(algebra.map, 0), (LinearMap.from_matrix(alpha), 0)], (d, d)).table()
+    return HomAlgebra._canonical(d, mul, alpha, algebra.provenance + ("yau_twist",))
 
 
 def tensor_algebra(a, b):

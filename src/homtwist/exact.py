@@ -10,10 +10,11 @@ Everything else in the package builds on the conventions pinned here, once:
   scalars creates no new ones.  ``Matrix.apply``, ``mat_mul``, ``kron`` and
   ``HomAlgebra.product`` skip an input entry when it ``is ZERO``; a zero made
   by arithmetic is not skipped, only multiplied through, so the skip never
-  changes a value.  ``LinearMap.table()`` already returns canonical tables
-  (absent entries ``ZERO``, present ones nonzero), so a product table built
-  from it is not walked again; ``Matrix.apply`` can leave a cancelled zero
-  that is not ``ZERO``, so tables built from it are.
+  changes a value.  ``LinearMap.table()`` returns canonical tables (absent
+  entries ``ZERO``, present ones nonzero), and every table the program
+  builds (products, Yau twists, deformations) is one, so it is not walked
+  again; only tables from outside the program (manifest, gallery,
+  ``hom_algebra``) go through ``as_constants``.
 * tensor factors flatten row-major, zero-based and left-associatively:
   ``(i, j) -> i*dimB + j``, extended as ``((i, j), k) -> (i*dimB + j)*dimC + k``
   for three or more factors.
@@ -22,11 +23,13 @@ Everything else in the package builds on the conventions pinned here, once:
 * every structure map (mu, Delta, alpha, R, T, actions, coactions, flips) is
   a ``LinearMap`` between tensor products, and ``apply_at`` is the one place
   that applies such a map to a run of factors; an axiom is a pair of paths of
-  ``(map, position)`` checked per basis tuple by ``scan_composites``.  The
-  exception is Hom-associativity and associativity of one algebra, which
-  ``algebra.check_hom_algebra`` and ``algebra.check_associative`` scan on
-  sparse columns tabulated once per call; ``HomAlgebra.product`` and
-  ``Matrix.apply`` form those tables and the d^2 multiplicativity scans.
+  ``(map, position)`` checked per basis tuple by ``scan_composites``, and a
+  derived table is such a path tabulated by ``compose``.  The exceptions
+  are in ``algebra``: Hom-associativity and associativity of one algebra,
+  scanned on sparse columns tabulated once per call by
+  ``HomAlgebra.product``, and the one multiplicativity scan
+  f(e_i e_j) = f(e_i) f(e_j), which reads ``Matrix.apply`` and
+  ``HomAlgebra.product``.
 * a precondition is a check whose report must pass; ``CheckReport.require`` is
   the one place that turns a failed report into an exception.  A composite
   constructor checks each fact once per call: it skips a scan only when the
@@ -375,12 +378,16 @@ class LinearMap:
 
     def table(self):
         """Dense constants nested source factors first, then target factors."""
-        nested = [tuple(to_dense(dict(col), self.dst)) for col in self.cols]
-        for d in reversed(self.dst[1:]):
-            nested = [tuple(v[i:i + d] for i in range(0, len(v), d)) for v in nested]
-        for d in reversed(self.src[1:]):
-            nested = [tuple(nested[i:i + d]) for i in range(0, len(nested), d)]
-        return tuple(nested)
+        columns = [_nested(to_dense(dict(col), self.dst), self.dst) for col in self.cols]
+        return _nested(columns, self.src)
+
+
+def _nested(items, dims):
+    """A flat row-major sequence over `dims` as nested tuples; factors may have dim 0."""
+    for k in range(len(dims) - 1, 0, -1):
+        d = dims[k]
+        items = [tuple(items[i * d:(i + 1) * d]) for i in range(_size(dims[:k]))]
+    return tuple(items)
 
 
 def to_sparse(vec):

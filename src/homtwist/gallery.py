@@ -14,7 +14,9 @@ from .coalgebra import HomBialgebra, hom_coalgebra
 from .errors import ParamConstraintViolation
 from .exact import Matrix, ONE, ZERO, as_scalar, kron, mat_mul
 from .modsmash import LEFT, RIGHT, ActionTable, CoactionTable
-from .twisted import CliffordParams, TwistingMapR, clifford, clifford_algebra, flip
+from .twisted import (
+    CliffordParams, TwistingMapR, clifford, clifford_algebra, clifford_twisting_map, flip
+)
 from .twistor import Operator2
 from .uqsl2 import UqParams
 
@@ -49,11 +51,12 @@ class GalleryKey:
         )
 
 
-def _require(key, *names):
+def _require(key, *names, optional=()):
+    """The values of `names`; a parameter in neither `names` nor `optional` is an error."""
     missing = [n for n in names if n not in key.params]
     if missing:
         raise ParamConstraintViolation(f"{key.name} needs parameters {missing}")
-    extra = sorted(set(key.params) - set(names) - {"l2"})
+    extra = sorted(set(key.params) - set(names) - set(optional))
     if extra:
         raise ParamConstraintViolation(f"{key.name} got unknown parameters {extra}")
     return [key.params[n] for n in names]
@@ -335,7 +338,9 @@ def build(key):
             "expected_mul": _two_dim_deformed_mul(a, l1, l2),
         }
     if name in ("homtwist_R1", "homtwist_R2"):
-        a, l1, a1, a2, a3, a4, a5 = _require(key, "a", "l1", "a1", "a2", "a3", "a4", "a5")
+        a, l1, a1, a2, a3, a4, a5 = _require(
+            key, "a", "l1", "a1", "a2", "a3", "a4", "a5", optional=("l2",)
+        )
         _check_l2_zero(key)
         if not l1:
             raise ParamConstraintViolation("l1 must be nonzero")
@@ -347,7 +352,7 @@ def build(key):
         )
         return {"provenance": "paper", "A": d, "B": d, "R": rmap}
     if name == "homtwist_Dk2":
-        a, l1, a1, a2 = _require(key, "a", "l1", "a1", "a2")
+        a, l1, a1, a2 = _require(key, "a", "l1", "a1", "a2", optional=("l2",))
         _check_l2_zero(key)
         if not l1:
             raise ParamConstraintViolation("l1 must be nonzero")
@@ -395,17 +400,8 @@ def build(key):
     if name == "alpha_ttp_clifford":
         (q,) = _require(key, "q")
         sigma = swap_matrix()
-        cols = []
-        for b in range(2):
-            for a_idx in range(2):
-                col = [ZERO] * 4
-                if b == 0:
-                    for p, s in enumerate(sigma.col(a_idx)):
-                        if s:
-                            col[p * 2] = s  # sigma(a) (x) 1
-                else:
-                    col[a_idx * 2 + 1] = ONE  # a (x) v
-                cols.append(col)
+        # (sigma (x) id) o R: 1 (x) a -> sigma(a) (x) 1 and v (x) a -> a (x) v
+        rmat = mat_mul(kron(sigma, Matrix.identity(2)), clifford_twisting_map(sigma).matrix)
         return {
             "provenance": "paper",
             "A": k2_algebra(),
@@ -414,6 +410,6 @@ def build(key):
             "alphaB": Matrix.identity(2),
             "sigma": sigma,
             "q": as_scalar(q),
-            "R": TwistingMapR(2, 2, Matrix.from_columns(cols)),
+            "R": TwistingMapR(2, 2, rmat),
         }
     raise ParamConstraintViolation(f"unknown gallery name {name!r}")

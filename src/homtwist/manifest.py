@@ -140,6 +140,8 @@ def _require_fields(raw, where, *names):
         if "dim" in n.split("_"):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise WrongKind(f"{where}: field {n!r} must be an integer")
+            if value < 0:
+                raise WrongKind(f"{where}: field {n!r} must not be negative")
         elif n == "side":
             if value not in ("left", "right"):
                 raise WrongKind(f"{where}: side must be 'left' or 'right'")

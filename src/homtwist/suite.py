@@ -52,12 +52,12 @@ from .modsmash import (
     yau_twist_module_algebra,
 )
 from .twisted import (
-    TwistingMapR,
     alphaAB_ttp,
     check_braid,
     check_hom_twisting_map,
     check_twisting_map,
     clifford_algebra,
+    clifford_twisting_map,
     flip,
     hom_ttp,
     iterated_ttp,
@@ -340,19 +340,7 @@ def criterion_7_alpha_pseudotwistor(rec, bounds):
     ).passed:
         return False, "Clifford alpha operator triple rejected"
     sigma = bundle["sigma"]
-    columns = []
-    for b in range(2):
-        for a_idx in range(2):
-            col = [ZERO] * 4
-            if b == 0:
-                col[a_idx * 2] = ONE
-            else:
-                for p, s in enumerate(sigma.col(a_idx)):
-                    if s:
-                        col[p * 2 + 1] = s
-            columns.append(col)
-    classical_r = TwistingMapR(2, 2, Matrix.from_columns(columns))
-    abar = ttp(bundle["A"], clifford_algebra(q), classical_r)
+    abar = ttp(bundle["A"], clifford_algebra(q), clifford_twisting_map(sigma))
     rec.record("classical clifford ttp", lambda p=abar: check_associative(p))
     sigma_bar = kron(sigma, Matrix.identity(2))
     if not same_structure(alg, yau_twist_algebra(abar, sigma_bar)):

@@ -40,7 +40,6 @@ from .exact import (
     ZERO,
     as_scalar,
     compose,
-    flatten_index,
     kron,
     mat_inv,
     mat_mul,
@@ -58,6 +57,8 @@ class TwistingMapR:
     matrix: Matrix
 
     def __post_init__(self):
+        if self.dim_a < 0 or self.dim_b < 0:
+            raise DimensionMismatch(f"negative dimensions ({self.dim_a},{self.dim_b})")
         n = self.dim_a * self.dim_b
         if self.matrix.rows != n or self.matrix.cols != n:
             raise DimensionMismatch(f"twisting map matrix must be {n}x{n}")
@@ -285,15 +286,16 @@ def clifford(a, params):
     multiplicativity_scan(a, sigma).require("sigma is not multiplicative", NotMultiplicative)
     if mat_mul(sigma, a.alpha) != mat_mul(a.alpha, sigma):
         raise NotCommutingWithAlpha("sigma does not commute with the structure map")
-    bcq = clifford_algebra(params.q)
-    da = a.dim
-    # R(1 (x) a) = a (x) 1 and R(v (x) a) = sigma(a) (x) v
+    rmap = clifford_twisting_map(sigma)
+    return hom_ttp(a, clifford_algebra(params.q), rmap).with_provenance("clifford"), rmap
+
+
+def clifford_twisting_map(sigma):
+    """R: C(k, q) (x) A -> A (x) C(k, q), R(1 (x) a) = a (x) 1 and R(v (x) a) = sigma(a) (x) v."""
+    da = sigma.rows
     lifts = (Matrix.identity(2 * da), kron(sigma, Matrix.identity(2)))
-    columns = [
-        lifts[bb].col(flatten_index((da, 2), (aa, bb))) for bb in range(2) for aa in range(da)
-    ]
-    rmap = TwistingMapR(da, 2, Matrix.from_columns(columns))
-    return hom_ttp(a, bcq, rmap).with_provenance("clifford"), rmap
+    columns = [lifts[b].col(a * 2 + b) for b in range(2) for a in range(da)]
+    return TwistingMapR(da, 2, Matrix.from_columns(columns))
 
 
 # ---------------------------------------------------------------------------

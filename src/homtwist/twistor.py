@@ -6,7 +6,8 @@ companions, declared as paths of ``exact.LinearMap``s and checked per basis
 tuple by ``exact.scan_composites`` (never as one giant dim^3 x dim^3 matrix
 equality), so failures come with a witness tuple and the memory stays
 bounded.  T acting on factors 1 and 3 is T between two flips of factors 2
-and 3.
+and 3.  The lift of T to factors 1 and 3 and the deformed product mu o T
+are the same kind of path, tabulated once by ``exact.compose``.
 """
 
 from dataclasses import dataclass
@@ -20,18 +21,7 @@ from .algebra import (
     multiplicativity_scan,
 )
 from .errors import DimensionMismatch, NotMultiplicative, PreconditionFailure
-from .exact import (
-    LinearMap,
-    Matrix,
-    Scan,
-    apply_path,
-    basis_vec,
-    compose,
-    kron,
-    scan_composites,
-    to_dense,
-    to_sparse,
-)
+from .exact import LinearMap, Matrix, Scan, compose, kron, scan_composites
 
 
 @dataclass(frozen=True)
@@ -42,6 +32,8 @@ class Operator2:
     matrix: Matrix
 
     def __post_init__(self):
+        if self.dim < 0:
+            raise DimensionMismatch(f"negative operator dimension {self.dim}")
         n = self.dim * self.dim
         if self.matrix.rows != n or self.matrix.cols != n:
             raise DimensionMismatch(f"operator matrix must be {n}x{n}")
@@ -64,6 +56,8 @@ class Operator3:
     matrix: Matrix
 
     def __post_init__(self):
+        if self.dim < 0:
+            raise DimensionMismatch(f"negative operator dimension {self.dim}")
         n = self.dim ** 3
         if self.matrix.rows != n or self.matrix.cols != n:
             raise DimensionMismatch(f"operator matrix must be {n}x{n}")
@@ -84,17 +78,10 @@ def _t13(op):
     return [(swap, 1), (op.map, 0), (swap, 1)]
 
 
-def apply_t13(op, x3):
-    """T on factors 1 and 3 of a dense vector on D(x)D(x)D."""
-    dims = (op.dim,) * 3
-    return to_dense(*apply_path(_t13(op), to_sparse(x3), dims))
-
-
 def lift_13(op):
     """Lift an Operator2 to act on factors 1 and 3 of D(x)D(x)D."""
-    n3 = op.dim ** 3
-    columns = [apply_t13(op, basis_vec(n3, c)) for c in range(n3)]
-    return Operator3(op.dim, Matrix.from_columns(columns))
+    d = op.dim
+    return Operator3(d, compose(_t13(op), (d, d, d)).matrix())
 
 
 def _check_shapes(algebra, *ops):
@@ -203,20 +190,17 @@ def check_alpha_pseudotwistor(algebra, alpha, op, comp1, comp2):
 # ---------------------------------------------------------------------------
 
 
-def _deformed_mul(algebra, op):
+def _deformed(algebra, op, alpha, verified):
+    """mu o T with structure map `alpha`, tagged `deform:verified`; nothing is checked."""
     d = algebra.dim
-    return compose([(op.map, 0), (algebra.map, 0)], (d, d)).table()
+    mul = compose([(op.map, 0), (algebra.map, 0)], (d, d)).table()
+    return HomAlgebra._canonical(d, mul, alpha, algebra.provenance + (f"deform:{verified}",))
 
 
 def deform(algebra, op, verified="unverified"):
     """Replace the multiplication by mu o T; records which axiom set was verified."""
     _check_shapes(algebra, op)
-    return HomAlgebra(
-        algebra.dim,
-        _deformed_mul(algebra, op),
-        algebra.alpha,
-        algebra.provenance + (f"deform:{verified}",),
-    )
+    return _deformed(algebra, op, algebra.alpha, verified)
 
 
 def deform_with_alpha(algebra, alpha, op, verified="unverified"):
@@ -225,9 +209,9 @@ def deform_with_alpha(algebra, alpha, op, verified="unverified"):
     if not algebra.is_classical():
         raise PreconditionFailure("base algebra must have identity structure map")
     multiplicativity_scan(algebra, alpha).require("alpha is not multiplicative", NotMultiplicative)
-    return HomAlgebra(
-        algebra.dim, _deformed_mul(algebra, op), alpha, algebra.provenance + (f"deform:{verified}",)
-    )
+    if alpha.rows != algebra.dim or alpha.cols != algebra.dim:
+        raise DimensionMismatch("alpha shape does not match the algebra")
+    return _deformed(algebra, op, alpha, verified)
 
 
 def yau_operator(alpha):

@@ -441,6 +441,12 @@ class TestCanonicalTables:
         t = _twisted_product(sixth_roots(), hom_algebra(1, [[[1]]]), r, "t")
         assert t.mul[0][0] == (ONE, ZERO) and t.mul[0][0][1] is ZERO
 
+    def test_dimension_zero_tables(self):
+        empty = hom_algebra(0, ())
+        assert yau_twist_algebra(empty, Matrix(())).mul == ()
+        assert tensor_algebra(empty, k2_algebra()).mul == ()
+        assert LinearMap((2, 0), (1,), ()).table() == ((), ())
+
     def test_a_yau_twist_whose_entries_cancel_stores_the_shared_zero(self):
         a, alpha = dual_numbers_twisted()
         cancelled = alpha.apply(a.mul[0][0])

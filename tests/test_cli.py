@@ -188,6 +188,26 @@ class TestMalformedManifest:
         assert main(["check", self.write(tmp_path, doc)]) == 3
         assert "field 'dim_a' must be an integer" in capsys.readouterr().err
 
+    def test_dimension_zero_deform_exits_zero(self, tmp_path):
+        # the deformed table of a dim-0 algebra is empty, not a traceback
+        doc = {
+            "objects": {"Z": {"kind": "hom_algebra", "dim": 0, "mul": [], "alpha": []},
+                        "T": {"kind": "operator2", "dim": 0, "matrix": []}},
+            "tasks": [{"op": "deform", "args": ["Z", "T"], "as": "ZT"},
+                      {"op": "check_hom_algebra", "args": ["ZT"], "expect": "pass"}],
+        }
+        assert main(["check", self.write(tmp_path, doc)]) == 0
+
+    def test_negative_twisting_map_dims_exit_three(self, tmp_path, capsys):
+        # dims -2 x -2 multiply to a 4x4 matrix; a braid check over them would scan nothing
+        identity = [[1 if r == c else 0 for c in range(4)] for r in range(4)]
+        doc = {
+            "objects": {"R": {"kind": "twisting_map", "dim_a": -2, "dim_b": -2, "matrix": identity}},
+            "tasks": [{"op": "check_braid", "args": ["R", "R", "R"], "expect": "pass"}],
+        }
+        assert main(["check", self.write(tmp_path, doc)]) == 3
+        assert "field 'dim_a' must not be negative" in capsys.readouterr().err
+
     @pytest.mark.parametrize("prefix, depth, suffix", [
         ('{"objects": ', 100_000, "}"),
         ('{"objects": {"A": {"kind": "hom_algebra", "dim": 1, "mul": ', 5_000,

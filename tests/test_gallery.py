@@ -41,6 +41,19 @@ class TestParamConstraints:
         with pytest.raises(ParamConstraintViolation):
             build(GalleryKey("homtwist_R1", params))
 
+    @pytest.mark.parametrize("key", [
+        GalleryKey("clifford", {"q": 2, "l2": 7}),
+        GalleryKey("sweedler_h4", {"l2": 0}),
+        GalleryKey("ttp_k2_lambda", {"lam": 1, "l2": 0}),
+    ], ids=["clifford", "sweedler_h4", "ttp_k2_lambda"])
+    def test_l2_rejected_outside_the_two_dim_families(self, key):
+        with pytest.raises(ParamConstraintViolation, match="unknown parameters"):
+            build(key)
+
+    def test_dk2_accepts_l2_zero(self):
+        params = {"a": 1, "l1": 1, "a1": 1, "a2": 0, "l2": 0}
+        assert build(GalleryKey("homtwist_Dk2", params))["R"].dim_a == 2
+
     def test_clifford_q_zero_rejected(self):
         with pytest.raises(ParamConstraintViolation):
             build(GalleryKey("clifford", {"q": 0}))

@@ -31,6 +31,7 @@ from homtwist.twisted import (
     check_twisting_map,
     clifford,
     clifford_algebra,
+    clifford_twisting_map,
     flip,
     hom_ttp,
     hom_twistor_from_R,
@@ -193,6 +194,15 @@ class TestBraid:
             check_braid(flip(2, 2), flip(3, 2), flip(2, 2))
 
 
+class TestDimensions:
+    def test_negative_dims_rejected(self):
+        # -2 * -2 = 4 would otherwise admit a 4x4 matrix
+        with pytest.raises(DimensionMismatch):
+            TwistingMapR(-2, -2, Matrix.identity(4))
+
+    def test_dimension_zero_is_legal(self):
+        assert TwistingMapR(0, 3, Matrix(())).map.cols == ()
+
 class TestIterated:
     def test_three_flips(self):
         k2 = k2_algebra()
@@ -241,6 +251,16 @@ class TestClifford:
         k2 = k2_algebra()
         abar, _ = clifford(k2, CliffordParams(-3, swap_matrix()))
         assert check_associative(abar).passed
+
+    def test_twisting_map_on_basis(self):
+        # R(1 (x) e_a) = e_a (x) 1 and R(v (x) e_a) = sigma(e_a) (x) v, sigma(e_a) = e_{1-a}
+        rmap = clifford_twisting_map(swap_matrix())
+        assert (rmap.dim_a, rmap.dim_b) == (2, 2)
+        images = {(0, 0): 0, (0, 1): 2, (1, 0): 3, (1, 1): 1}  # (b, a) -> a' * 2 + b
+        for (b, a), row in images.items():
+            assert rmap.matrix.col(b * 2 + a) == tuple(ONE if r == row else ZERO for r in range(4))
+        a = yau_twist_algebra(k2_algebra(), swap_matrix())
+        assert clifford(a, CliffordParams(2, swap_matrix()))[1] == rmap
 
     def test_invalid_params(self):
         with pytest.raises(ParamConstraintViolation):

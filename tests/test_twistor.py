@@ -8,13 +8,12 @@ from homtwist.algebra import (
     yau_twist_algebra,
 )
 from homtwist.errors import DimensionMismatch, NotMultiplicative, PreconditionFailure
-from homtwist.exact import Matrix, Q, ZERO, basis_vec, kron
+from homtwist.exact import Matrix, Q, ZERO, kron
 from homtwist.gallery import GalleryKey, build, k2_algebra, swap_matrix
 from homtwist.twisted import twistor_from_R
 from homtwist.twistor import (
     Operator2,
     Operator3,
-    apply_t13,
     check_alpha_pseudotwistor,
     check_hom_pseudotwistor,
     check_hom_twistor,
@@ -65,13 +64,6 @@ class TestLift13:
         assert lift_13(scaled).matrix == Matrix(
             [[c if i == j else ZERO for j in range(8)] for i in range(8)]
         )
-
-    def test_matches_direct_application(self):
-        _, t = lambda_twistor(2)
-        lifted = lift_13(t)
-        for idx in range(4 ** 3):
-            x = basis_vec(4 ** 3, idx)
-            assert lifted.matrix.apply(x) == apply_t13(t, x)
 
 
 class TestPseudotwistor:
@@ -162,6 +154,18 @@ class TestDeform:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             deform(k2_algebra(), Operator2.identity(3))
+
+    @pytest.mark.parametrize("operator", [Operator2, Operator3])
+    def test_negative_operator_dimension_rejected(self, operator):
+        with pytest.raises(DimensionMismatch):
+            operator(-2, Matrix.identity(4))
+
+    def test_dimension_zero(self):
+        empty = hom_algebra(0, ())
+        assert deform(empty, Operator2(0, Matrix(()))).mul == ()
+        assert lift_13(Operator2(0, Matrix(()))).matrix == Matrix(())
+        with pytest.raises(DimensionMismatch):  # a 2x0 alpha on a dim-0 algebra
+            deform_with_alpha(empty, Matrix(((), ())), Operator2(0, Matrix(())))
 
 
 class TestAlphaPseudotwistor:
