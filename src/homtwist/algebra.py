@@ -215,6 +215,8 @@ def _multiplicative(scan, name, f, source, target):
 
 def multiplicativity_scan(algebra, endo):
     """Does `endo` satisfy endo(e_i e_j) = endo(e_i) endo(e_j) for algebra.mul?"""
+    if endo.rows != algebra.dim or endo.cols != algebra.dim:
+        raise DimensionMismatch("alpha shape does not match the algebra")
     scan = Scan()
     _multiplicative(scan, "multiplicativity", endo, algebra, algebra)
     return scan.done()

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 expectation failure, 2 parse error, 3 semantic error.
 """
 
 import argparse
+import os
 import sys
 
 from .errors import HomTwistError, ManifestError, ManifestSyntaxError
@@ -35,6 +36,16 @@ def _load(path):
     return parse_manifest(text)
 
 
+def _emit(text):
+    """Print `text`, or drop it and all later output once the reader has closed stdout."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="homtwist",
@@ -59,7 +70,7 @@ def main(argv=None):
         if not selected_criteria(args.filter):
             print(f"no criterion matches --filter {args.filter!r}", file=sys.stderr)
             return EXIT_SEMANTIC
-        return paper_suite(filter_substr=args.filter, bounds=args.bounds)
+        return paper_suite(filter_substr=args.filter, bounds=args.bounds, out=_emit)
 
     try:
         manifest = _load(args.file)
@@ -75,11 +86,11 @@ def main(argv=None):
 
     if args.command == "check":
         code, report = run(manifest)
-        print(report)
+        _emit(report)
         return code
 
     try:
-        print(table(manifest, args.name))
+        _emit(table(manifest, args.name))
     except ManifestError as exc:
         print(f"semantic error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC

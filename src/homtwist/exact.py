@@ -176,9 +176,6 @@ class Matrix:
         r, c = rc
         return self.data[r][c]
 
-    def row(self, r):
-        return self.data[r]
-
     def col(self, c):
         if self._coldata is None:
             self._coldata = tuple(

@@ -209,8 +209,6 @@ def deform_with_alpha(algebra, alpha, op, verified="unverified"):
     if not algebra.is_classical():
         raise PreconditionFailure("base algebra must have identity structure map")
     multiplicativity_scan(algebra, alpha).require("alpha is not multiplicative", NotMultiplicative)
-    if alpha.rows != algebra.dim or alpha.cols != algebra.dim:
-        raise DimensionMismatch("alpha shape does not match the algebra")
     return _deformed(algebra, op, alpha, verified)
 
 
@@ -241,8 +239,8 @@ def check_yau_compat(algebra, alpha, op, comp1, comp2):
     # check_pseudotwistor less the associativity scan that just passed
     _check_shapes(algebra, op, comp1, comp2)
     _twistor_axioms("pseudotwistor", algebra, op, (comp1, comp2)).require("check_pseudotwistor")
-    scan_composites([_commutes_with_alpha(alpha, op)]).require("alpha_commutes_with_operator")
     multiplicativity_scan(algebra, alpha).require("alpha_multiplicative_for_base")
+    scan_composites([_commutes_with_alpha(alpha, op)]).require("alpha_commutes_with_operator")
     deformed = deform(algebra, op, verified="pseudotwistor")
     multiplicativity_scan(deformed, alpha).require("alpha_multiplicative_for_deformed")
 

@@ -13,6 +13,9 @@ out-of-order pairs under F < E < K = Kinv.  That order is compatible with
 concatenation and well-founded, so rewriting terminates; by Bergman's diamond
 lemma (Adv. Math. 29, 1978) normal forms are then unique iff the 8 overlap
 words x y z of two rules resolve.  `check_pbw_confluence` scans both facts.
+The coproduct and alpha extend generator assignments along words, so
+`check_hopf_on_relations` checks that they are algebra maps on the 7 rules
+alone, and that alpha is a coalgebra map on the 4 generators alone.
 
 The Hom-quantum plane carries beta(x) = xi x, beta(y) = xi/lambda y, and the
 quantum group carries alpha(E) = lambda E, alpha(F) = lambda^{-1} F,
@@ -45,6 +48,7 @@ MON_E = (0, 1, 0)
 MON_F = (1, 0, 0)
 MON_K = (0, 0, 1)
 MON_KINV = (0, 0, -1)
+GEN_MONOMIAL = {E: MON_E, F: MON_F, K: MON_K, KINV: MON_KINV}
 
 
 def _check_q(q):
@@ -315,16 +319,18 @@ _DELTA_GEN = {
 }
 
 
+def _word_coproduct(word, q):
+    """Delta of a generator word: the product of its letters' coproducts."""
+    out = UqTensor.monomial((UNIT, UNIT))
+    for g in word:
+        out = out.mul(UqTensor({(l, r): w for (l, r, w) in _DELTA_GEN[g]}), q)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _monomial_coproduct(mon, q):
     """Delta(F^a E^b K^c) as a tuple of ((left, right), coeff) pairs."""
-    a, b, c = mon
-    out = UqTensor.monomial((UNIT, UNIT))
-    factors = [F] * a + [E] * b + ([K] * c if c >= 0 else [KINV] * (-c))
-    for g in factors:
-        gamma = UqTensor({(l, r): w for (l, r, w) in _DELTA_GEN[g]})
-        out = out.mul(gamma, q)
-    return tuple(out.terms.items())
+    return tuple(_word_coproduct(monomial_word(mon), q).terms.items())
 
 
 def uq_coproduct(u, q):
@@ -335,6 +341,40 @@ def uq_coproduct(u, q):
         for pair, w in _monomial_coproduct(mon, q):
             out.add_term(pair, coeff * w)
     return out
+
+
+def check_hopf_on_relations(q, lam):
+    """Delta and alpha respect each rule, and Delta alpha = (alpha (x) alpha) Delta on generators.
+
+    Once `check_pbw_confluence` passes, the rules present U_q(sl2), so a map
+    extended along words is an algebra map iff it sends both sides of every
+    rule to the same element (Kassel, Quantum Groups, GTM 155, VII).  Both
+    sides of the last equation are then algebra maps.
+    """
+    q = _check_q(q)
+
+    def alpha(mon):
+        return uq_alpha(UqElement.monomial(mon), 1, lam)
+
+    def alpha_word(word):
+        out = UqElement.unit()
+        for g in word:
+            out = uq_mul(out, alpha(GEN_MONOMIAL[g]), q)
+        return out
+
+    scan = Scan()
+    for lhs, terms in _rules(q).items():
+        delta = sum((_word_coproduct(w, q).scale(c) for w, c in terms), UqTensor())
+        scan.eq("delta_respects_relation", lhs, _word_coproduct(lhs, q).items(), delta.items())
+        image = sum((alpha_word(w).scale(c) for w, c in terms), UqElement())
+        scan.eq("alpha_respects_relation", lhs, alpha_word(lhs).items(), image.items())
+    for g, mon in GEN_MONOMIAL.items():
+        twisted = UqTensor()
+        for (l, r), c in uq_coproduct(UqElement.monomial(mon), q).terms.items():
+            for (ml, a), (mr, b) in itertools.product(alpha(l).items(), alpha(r).items()):
+                twisted.add_term((ml, mr), c * a * b)
+        scan.eq("alpha_coalgebra_map", (g,), uq_coproduct(alpha(mon), q).items(), twisted.items())
+    return scan.done()
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +492,7 @@ def check_uq_module_hom_algebra(params, bound):
     Generators h range over {E, F, K, K^{-1}}; plane monomials over
     m + n <= bound.
     """
-    gens = {
-        E: UqElement.monomial(MON_E),
-        F: UqElement.monomial(MON_F),
-        K: UqElement.monomial(MON_K),
-        KINV: UqElement.monomial(MON_KINV),
-    }
+    gens = {g: UqElement.monomial(mon) for g, mon in GEN_MONOMIAL.items()}
     planes = {
         mn: QPlaneElement.monomial(mn) for mn in _plane_monomials(bound)
     }

@@ -1,11 +1,15 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import homtwist
 from homtwist.cli import main
 from homtwist.manifest import SIGNATURES
 from homtwist.suite import GOLDEN_MANIFEST
@@ -156,6 +160,51 @@ class TestPaperCommand:
 
     def test_bounds_reduce_quantum_work(self, capsys):
         assert main(["paper", "--filter", "1-k2"]) == 0
+
+
+def _read_one_line_then_close(*argv):
+    """Run the CLI in a child, read one line of its output, close the pipe.
+
+    Returns (first line, exit code, standard error).
+    """
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(homtwist.__file__))}
+    code = "import sys; from homtwist.cli import main; sys.exit(main())"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    line = proc.stdout.readline().decode()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    return line, proc.wait(timeout=120), err
+
+
+class TestClosedPipe:
+    """A reader that stops early, as `| head -1` does, ends no run in a traceback."""
+
+    def test_paper_finishes_with_its_exit_code(self):
+        line, code, err = _read_one_line_then_close("paper", "--bounds", "0")
+        assert line.startswith("PASS  1-k2-ttp-table")
+        assert (code, err) == (0, "")
+
+    def test_check_report_longer_than_the_pipe(self, tmp_path):
+        k2 = {
+            "kind": "hom_algebra",
+            "dim": 2,
+            "mul": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+            "alpha": [[1, 0], [0, 1]],
+        }
+        # about 150 kB of report: more than a pipe buffers, so the writer is still writing
+        task = {"op": "check_associative", "args": ["K2"], "expect": "fail"}
+        doc = {"objects": {"K2": k2}, "tasks": [task] * 2000}
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        line, code, err = _read_one_line_then_close("check", str(path))
+        assert line == "task 1: check_associative(K2) -> pass (expected fail) EXPECTATION FAILED\n"
+        assert (code, err) == (1, "")
 
 
 class TestMalformedManifest:

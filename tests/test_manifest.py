@@ -26,6 +26,11 @@ from homtwist.manifest import (
 from homtwist.suite import GOLDEN_MANIFEST
 
 
+def unit_rows(rows, cols):
+    """A rows x cols matrix with ones on the diagonal."""
+    return [[int(i == j) for j in range(cols)] for i in range(rows)]
+
+
 def golden_text():
     return json.dumps(GOLDEN_MANIFEST)
 
@@ -285,6 +290,36 @@ class TestRun:
         )
         code, _ = run(parse_manifest(text))
         assert code == EXIT_OK
+
+
+class TestEndomorphismShape:
+    """An alpha that is not dim x dim is named as such, before any scan reads it."""
+
+    @pytest.mark.parametrize("rows, cols", [(3, 3), (2, 3), (3, 2)])
+    def test_alpha_of_the_wrong_shape(self, rows, cols):
+        def linear_map(r, c):
+            return {"kind": "linear_map", "source_dim": c, "target_dim": r, "matrix": unit_rows(r, c)}
+
+        doc = json.loads(small_manifest())
+        doc["objects"].update({
+            "I": linear_map(2, 2),
+            "M": linear_map(rows, cols),
+            "T": {"kind": "operator2", "dim": 2, "matrix": unit_rows(4, 4)},
+            "C": {"kind": "operator3", "dim": 2, "matrix": unit_rows(8, 8)},
+            "R": {"kind": "twisting_map", "dim_a": 2, "dim_b": 2, "matrix": unit_rows(4, 4)},
+        })
+        doc["tasks"] = [
+            {"op": op, "args": args, "expect": "fail"}
+            for op, args in (
+                ("check_alpha_pseudotwistor", ["K2", "M", "T", "C", "C"]),
+                ("check_yau_compat", ["K2", "M", "T", "C", "C"]),
+                ("check_alphaAB_twisting_map", ["K2", "K2", "M", "I", "R"]),
+            )
+        ]
+        code, report = run(parse_manifest(json.dumps(doc)))
+        assert code == EXIT_OK
+        witnesses = [line.strip() for line in report.splitlines() if "witness:" in line]
+        assert witnesses == ["witness: DimensionMismatch: alpha shape does not match the algebra"] * 3
 
 
 class TestTable:

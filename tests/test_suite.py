@@ -2,8 +2,9 @@
 
 from homtwist import suite
 from homtwist.algebra import check_associative
+from homtwist.exact import CheckReport, Failure
 from homtwist.gallery import GalleryKey, build, k2_algebra
-from homtwist.suite import Recorder, criterion_9_closure, run_criteria
+from homtwist.suite import Recorder, criterion_8_quantum, criterion_9_closure, run_criteria
 
 
 def _boom(rec, bounds):
@@ -57,3 +58,14 @@ class TestClosure:
         passed, detail = criterion_9_closure(Recorder(), None)
         assert not passed
         assert "no constructed objects" in detail
+
+
+class TestQuantumCriterion:
+    def test_failing_hopf_report_fails_the_criterion(self, monkeypatch):
+        failure = Failure("delta_respects_relation", ("E", "F"), (), ())
+        monkeypatch.setattr(
+            suite, "check_hopf_on_relations", lambda q, lam: CheckReport(False, (failure,))
+        )
+        assert criterion_8_quantum(Recorder(), None) == (
+            False, "Hopf check on the relations fails at q=2, lambda=3"
+        )

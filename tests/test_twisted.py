@@ -59,7 +59,9 @@ class TestFlip:
     def test_permutation(self):
         f = flip(2, 2)
         assert all(sum(1 for x in f.matrix.col(c) if x) == 1 for c in range(4))
-        assert mat_mul(f.matrix, f.matrix) != Matrix.identity(4) or True  # in/out bases differ
+        # flip(a, b) maps A (x) B to B (x) A, so flip(b, a) undoes it, not flip(a, b) itself
+        assert mat_mul(flip(3, 2).matrix, flip(2, 3).matrix) == Matrix.identity(6)
+        assert mat_mul(flip(2, 3).matrix, flip(2, 3).matrix) != Matrix.identity(6)
 
     def test_hom_ttp_with_flip_is_tensor(self):
         d = build(GalleryKey("homalg_2dim", {"a": 1, "l1": 1, "l2": 2}))["D"]
@@ -273,9 +275,11 @@ class TestClifford:
         sigma = Matrix.identity(2)
         ok_params = CliffordParams(1, sigma)
         clifford(d, ok_params)  # identity commutes
-        noncommuting = CliffordParams(1, swap_matrix())
-        with pytest.raises((NotCommutingWithAlpha, Exception)):
-            clifford(d, noncommuting)
+        # zero product, so the swap is multiplicative; it does not commute with alpha
+        zero = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+        a = hom_algebra(2, zero, [[1, 1], [0, 1]])
+        with pytest.raises(NotCommutingWithAlpha):
+            clifford(a, CliffordParams(1, swap_matrix()))
 
 
 class TestDeformCompatTtp:

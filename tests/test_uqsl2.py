@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from homtwist.errors import DegenerateQ, ParamConstraintViolation
 from homtwist import uqsl2
-from homtwist.exact import ONE, Q, Scan, ZERO
+from homtwist.exact import ONE, Q, Scan, ZERO, as_scalar
 from homtwist.uqsl2 import (
     E,
     F,
@@ -23,6 +24,8 @@ from homtwist.uqsl2 import (
     UNIT,
     UqElement,
     UqParams,
+    UqTensor,
+    check_hopf_on_relations,
     check_pbw_confluence,
     check_uq_module_hom_algebra,
     coproduct_alpha,
@@ -343,6 +346,120 @@ class TestCoproduct:
             scale = lam ** ((m1[1] - m1[0]) + (m2[1] - m2[0]))
             rhs_terms[(m1, m2)] = c * scale
         assert lhs.terms == rhs_terms
+
+
+HOPF_TUPLES = [(Q(2), Q(3)), (Q(3), Q(1, 2))]
+MONOS = [(a, b, c) for a in range(3) for b in range(3) for c in range(-2, 3)]
+SMALL = [m for m in MONOS if m[0] + m[1] + abs(m[2]) <= 3]
+
+
+def _tensor_alpha(t, lam):
+    out = UqTensor({})
+    for (m1, m2), c in t.terms.items():
+        scale = lam ** ((m1[1] - m1[0]) + (m2[1] - m2[0]))
+        out.add_term((m1, m2), c * scale)
+    return out
+
+
+def _associativity_oracle(q):
+    """The sampled triple loop criterion 8 used to run, over every triple of SMALL."""
+    for m1, m2, m3 in itertools.product(SMALL, repeat=3):
+        u, v, w = (UqElement.monomial(m) for m in (m1, m2, m3))
+        if uq_mul(uq_mul(u, v, q), w, q) != uq_mul(u, uq_mul(v, w, q), q):
+            return f"associativity broken at q={q}"
+    return None
+
+
+def _hopf_oracle(q, lam):
+    """The pair loops criterion 8 used to run, through the module so that mutants reach them."""
+    uq_alpha, uq_coproduct, uq_mul = uqsl2.uq_alpha, uqsl2.uq_coproduct, uqsl2.uq_mul
+    for m1 in SMALL:
+        u = UqElement.monomial(m1)
+        au = uq_alpha(u, 1, lam)
+        if uq_coproduct(au, q) != _tensor_alpha(uq_coproduct(u, q), lam):
+            return f"alpha is not a coalgebra map on {m1}"
+        for m2 in SMALL:
+            v = UqElement.monomial(m2)
+            lhs = uq_coproduct(uq_mul(u, v, q), q)
+            rhs = uq_coproduct(u, q).mul(uq_coproduct(v, q), q)
+            if lhs != rhs:
+                return f"Delta not multiplicative on {m1}, {m2}"
+            if uq_alpha(uq_mul(u, v, q), 1, lam) != uq_mul(au, uq_alpha(v, 1, lam), q):
+                return f"alpha not multiplicative on {m1}, {m2}"
+    return None
+
+
+def _alpha_scaling_e_by_lam_squared(u, k, lam):
+    lam = as_scalar(lam)
+    return UqElement({(a, b, c): v * lam ** (k * (2 * b - a)) for (a, b, c), v in u.terms.items()})
+
+
+@pytest.fixture
+def fresh_coproducts(monkeypatch):
+    """monkeypatch, with the coproduct memo emptied before and after the test."""
+    uqsl2._monomial_coproduct.cache_clear()
+    yield monkeypatch
+    uqsl2._monomial_coproduct.cache_clear()
+
+
+class TestHopfOnRelations:
+    def test_scans_eighteen_instances(self, monkeypatch):
+        seen = []
+        eq = Scan.eq
+
+        def recording_eq(scan, equation, basis, lhs, rhs):
+            seen.append((equation, basis))
+            return eq(scan, equation, basis, lhs, rhs)
+
+        monkeypatch.setattr(Scan, "eq", recording_eq)
+        for q, lam in HOPF_TUPLES:
+            seen.clear()
+            assert check_hopf_on_relations(q, lam).passed
+            rules = list(uqsl2._rules(q))
+            assert seen == [
+                (name, lhs) for lhs in rules
+                for name in ("delta_respects_relation", "alpha_respects_relation")
+            ] + [("alpha_coalgebra_map", (g,)) for g in GENERATORS]
+            assert len(seen) == 18
+
+    @pytest.mark.parametrize("q, lam", HOPF_TUPLES)
+    def test_scan_and_oracle_pass(self, q, lam):
+        report = check_hopf_on_relations(q, lam)
+        assert report.passed and report.failures == ()
+        assert _hopf_oracle(q, lam) is None
+        assert _associativity_oracle(q) is None
+
+    def test_degenerate_parameters(self):
+        with pytest.raises(DegenerateQ):
+            check_hopf_on_relations(Q(-1), Q(3))
+        with pytest.raises(ParamConstraintViolation):
+            check_hopf_on_relations(Q(2), Q(0))
+
+    @pytest.mark.parametrize(
+        "generator, delta",
+        [
+            (E, ((MON_E, UNIT, ONE), (UNIT, MON_E, ONE))),  # E (x) 1 + 1 (x) E
+            (F, ((MON_K, MON_F, ONE), (MON_F, UNIT, ONE))),  # K (x) F + F (x) 1
+        ],
+    )
+    def test_mutated_coproduct_fails_both(self, fresh_coproducts, generator, delta):
+        fresh_coproducts.setitem(uqsl2._DELTA_GEN, generator, delta)
+        for q, lam in HOPF_TUPLES:
+            report = check_hopf_on_relations(q, lam)
+            assert not report.passed
+            assert (report.failures[0].equation, report.failures[0].basis) == (
+                "delta_respects_relation", (E, F)
+            )
+            assert _hopf_oracle(q, lam) is not None
+
+    def test_mutated_alpha_fails_both(self, fresh_coproducts):
+        fresh_coproducts.setattr(uqsl2, "uq_alpha", _alpha_scaling_e_by_lam_squared)
+        for q, lam in HOPF_TUPLES:
+            report = check_hopf_on_relations(q, lam)
+            assert not report.passed
+            assert {f.equation for f in report.failures} == {"alpha_respects_relation"}
+            assert report.failures[0].basis == (E, F)
+            assert _hopf_oracle(q, lam) is not None
 
 
 class TestQuantumPlane:
