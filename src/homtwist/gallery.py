@@ -2,12 +2,16 @@
 
 Each gallery bundle carries fully-built objects ready for the checkers, with
 each coefficient formula written down exactly once so tests and the
-acceptance suite share a single source.  Bundles are plain dicts;
-``provenance`` distinguishes the core example families (``paper``) from the
-auxiliary presets this package adds (``auxiliary``).
+acceptance suite share a single source.  ``FAMILIES`` declares each name once,
+with its builder, its provenance and its required and optional parameters;
+``build`` checks the parameters against it and calls the builder with them.
+Bundles are plain dicts; ``provenance`` distinguishes the core example
+families (``paper``) from the auxiliary presets this package adds
+(``auxiliary``).
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .algebra import hom_algebra, yau_twist_algebra
 from .coalgebra import HomBialgebra, hom_coalgebra
@@ -20,23 +24,6 @@ from .twisted import (
 from .twistor import Operator2
 from .uqsl2 import UqParams
 
-GALLERY_NAMES = frozenset(
-    {
-        "ttp_k2_lambda",
-        "homalg_2dim",
-        "homtwistor_2dim",
-        "homtwist_R1",
-        "homtwist_R2",
-        "homtwist_Dk2",
-        "clifford",
-        "sweedler_h4",
-        "group_algebra",
-        "uq_setup",
-        "alpha_ttp_flip",
-        "alpha_ttp_clifford",
-    }
-)
-
 
 @dataclass(frozen=True)
 class GalleryKey:
@@ -44,22 +31,21 @@ class GalleryKey:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.name not in GALLERY_NAMES:
+        if self.name not in FAMILIES:
             raise ParamConstraintViolation(f"unknown gallery name {self.name!r}")
         object.__setattr__(
             self, "params", {k: as_scalar(v) for k, v in self.params.items()}
         )
 
 
-def _require(key, *names, optional=()):
-    """The values of `names`; a parameter in neither `names` nor `optional` is an error."""
+def _require(key, names, optional):
+    """ParamConstraintViolation unless `key` has all `names` and nothing outside `optional`."""
     missing = [n for n in names if n not in key.params]
     if missing:
         raise ParamConstraintViolation(f"{key.name} needs parameters {missing}")
     extra = sorted(set(key.params) - set(names) - set(optional))
     if extra:
         raise ParamConstraintViolation(f"{key.name} got unknown parameters {extra}")
-    return [key.params[n] for n in names]
 
 
 def k2_algebra():
@@ -143,13 +129,14 @@ def _ttp_k2_map(lam):
     return TwistingMapR(2, 2, Matrix.from_columns(columns))
 
 
-def _r1_map(l1, a1, a2, a3, a4, a5):
+def _r_map(s, l1, a1, a2, a3, a4, a5):
+    """R1 at s = 0 and R2 at s = 1; R2 - R1 is the flip."""
     half = ONE / (2 * l1)
-    col0 = (ZERO, ZERO, ZERO, ZERO)
-    col1 = (a1, a2, -(a2 + a1 / l1), ZERO)
+    col0 = (s, ZERO, ZERO, ZERO)
+    col1 = (a1, a2, s - a2 - a1 / l1, ZERO)
     col2 = (
         a3,
-        -half * (a1 + a3 - a4 + a5 + 2 * a2 * l1),
+        -half * (a1 + a3 - a4 + a5 + 2 * a2 * l1 - 2 * s * l1),
         half * (a1 - a3 - a4 + a5 + 2 * a2 * l1),
         ZERO,
     )
@@ -157,26 +144,7 @@ def _r1_map(l1, a1, a2, a3, a4, a5):
         l1 / 2 * (a1 + a3 - a4 - a5),
         a4,
         a5,
-        -half * (a1 + a3 + a4 + a5),
-    )
-    return TwistingMapR(2, 2, Matrix.from_columns([col0, col1, col2, col3]))
-
-
-def _r2_map(l1, a1, a2, a3, a4, a5):
-    half = ONE / (2 * l1)
-    col0 = (ONE, ZERO, ZERO, ZERO)
-    col1 = (a1, a2, ONE - a2 - a1 / l1, ZERO)
-    col2 = (
-        a3,
-        -half * (a1 + a3 - a4 + a5 + 2 * a2 * l1 - 2 * l1),
-        half * (a1 - a3 - a4 + a5 + 2 * a2 * l1),
-        ZERO,
-    )
-    col3 = (
-        l1 / 2 * (a1 + a3 - a4 - a5),
-        a4,
-        a5,
-        -half * (a1 + a3 + a4 + a5 - 2 * l1),
+        -half * (a1 + a3 + a4 + a5 - 2 * s * l1),
     )
     return TwistingMapR(2, 2, Matrix.from_columns([col0, col1, col2, col3]))
 
@@ -187,12 +155,6 @@ def _dk2_map(l1, a1, a2):
     col2 = (ZERO, ZERO, ZERO, ZERO)  # R(f2 (x) e1)
     col3 = (a1 * l1, a2 * l1, -a1, -a2)  # R(f2 (x) e2)
     return TwistingMapR(2, 2, Matrix.from_columns([col0, col1, col2, col3]))
-
-
-def _check_l2_zero(key):
-    l2 = key.params.get("l2", ZERO)
-    if l2 != 0:
-        raise ParamConstraintViolation("this family is defined for l2 = 0")
 
 
 def sweedler_h4():
@@ -232,9 +194,9 @@ def sweedler_h4():
 
 def group_algebra(n):
     """Group algebra of the cyclic group C_n with the group-like coproduct."""
-    n = int(n)
     if n not in (2, 3):
         raise ParamConstraintViolation("group_algebra supports n in {2, 3}")
+    n = int(n)
     mul = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
     comul = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -313,103 +275,110 @@ def c2_trivial_yd():
     return bi, module, act, co
 
 
+# ---------------------------------------------------------------------------
+# the families: each builder takes the family's parameters by name and
+# returns the bundle's members
+# ---------------------------------------------------------------------------
+
+
+def _ttp_k2_lambda(lam):
+    return {
+        "A": k2_algebra(),
+        "B": k2_algebra(),
+        "R": _ttp_k2_map(lam),
+        "expected_mul": _ttp_k2_table(lam),
+    }
+
+
+def _homtwistor_2dim(a, l1, l2):
+    return {
+        "D": _two_dim_algebra(a, l1, l2),
+        "T": _two_dim_twistor(l1, l2),
+        "expected_mul": _two_dim_deformed_mul(a, l1, l2),
+    }
+
+
+def _l2_zero_algebra(a, l1, l2):
+    """The 2-dimensional Hom-algebra that the Hom-twisting families live on."""
+    if l2 != 0:
+        raise ParamConstraintViolation("this family is defined for l2 = 0")
+    if not l1:
+        raise ParamConstraintViolation("l1 must be nonzero")
+    return _two_dim_algebra(a, l1, ZERO)
+
+
+def _homtwist_r(s, a, l1, a1, a2, a3, a4, a5, l2=ZERO):
+    d = _l2_zero_algebra(a, l1, l2)
+    return {"A": d, "B": d, "R": _r_map(s, l1, a1, a2, a3, a4, a5)}
+
+
+def _homtwist_dk2(a, l1, a1, a2, l2=ZERO):
+    return {"A": _l2_zero_algebra(a, l1, l2), "B": k2_algebra(), "R": _dk2_map(l1, a1, a2)}
+
+
+def _clifford(q):
+    a = yau_twist_algebra(k2_algebra(), swap_matrix())
+    params = CliffordParams(q, swap_matrix())
+    abar, rmap = clifford(a, params)
+    return {"A": a, "params": params, "Abar": abar, "R": rmap}
+
+
+def _uq_setup(q, lam, xi, l):
+    if l != int(l):
+        raise ParamConstraintViolation("l must be an integer")
+    return {"params": UqParams(q, lam, xi, int(l))}
+
+
+def _alpha_ttp_flip():
+    alpha = swap_matrix()
+    rmat = mat_mul(kron(alpha, alpha), flip(2, 2).matrix)
+    return {
+        "A": k2_algebra(),
+        "B": k2_algebra(),
+        "alphaA": alpha,
+        "alphaB": alpha,
+        "R": TwistingMapR(2, 2, rmat),
+    }
+
+
+def _alpha_ttp_clifford(q):
+    sigma = swap_matrix()
+    # (sigma (x) id) o R: 1 (x) a -> sigma(a) (x) 1 and v (x) a -> a (x) v
+    rmat = mat_mul(kron(sigma, Matrix.identity(2)), clifford_twisting_map(sigma).matrix)
+    return {
+        "A": k2_algebra(),
+        "B": clifford_algebra(q),
+        "alphaA": sigma,
+        "alphaB": Matrix.identity(2),
+        "sigma": sigma,
+        "q": as_scalar(q),
+        "R": TwistingMapR(2, 2, rmat),
+    }
+
+
+_R_PARAMS = ("a", "l1", "a1", "a2", "a3", "a4", "a5")
+
+# name -> (builder, provenance, required parameters, optional parameters)
+FAMILIES = {
+    "ttp_k2_lambda": (_ttp_k2_lambda, "paper", ("lam",), ()),
+    "homalg_2dim": (
+        lambda a, l1, l2: {"D": _two_dim_algebra(a, l1, l2)}, "paper", ("a", "l1", "l2"), ()
+    ),
+    "homtwistor_2dim": (_homtwistor_2dim, "paper", ("a", "l1", "l2"), ()),
+    "homtwist_R1": (partial(_homtwist_r, ZERO), "paper", _R_PARAMS, ("l2",)),
+    "homtwist_R2": (partial(_homtwist_r, ONE), "paper", _R_PARAMS, ("l2",)),
+    "homtwist_Dk2": (_homtwist_dk2, "paper", ("a", "l1", "a1", "a2"), ("l2",)),
+    "clifford": (_clifford, "paper", ("q",), ()),
+    "sweedler_h4": (lambda: {"H": sweedler_h4()}, "auxiliary", (), ()),
+    "group_algebra": (lambda n: {"H": group_algebra(n)}, "auxiliary", ("n",), ()),
+    "uq_setup": (_uq_setup, "paper", ("q", "lam", "xi", "l"), ()),
+    "alpha_ttp_flip": (_alpha_ttp_flip, "paper", (), ()),
+    "alpha_ttp_clifford": (_alpha_ttp_clifford, "paper", ("q",), ()),
+}
+
+
 def build(key):
     """Construct the named bundle; raises ParamConstraintViolation on bad parameters."""
-    name = key.name
-    if name == "ttp_k2_lambda":
-        (lam,) = _require(key, "lam")
-        a = k2_algebra()
-        return {
-            "provenance": "paper",
-            "A": a,
-            "B": k2_algebra(),
-            "R": _ttp_k2_map(lam),
-            "expected_mul": _ttp_k2_table(lam),
-        }
-    if name == "homalg_2dim":
-        a, l1, l2 = _require(key, "a", "l1", "l2")
-        return {"provenance": "paper", "D": _two_dim_algebra(a, l1, l2)}
-    if name == "homtwistor_2dim":
-        a, l1, l2 = _require(key, "a", "l1", "l2")
-        return {
-            "provenance": "paper",
-            "D": _two_dim_algebra(a, l1, l2),
-            "T": _two_dim_twistor(l1, l2),
-            "expected_mul": _two_dim_deformed_mul(a, l1, l2),
-        }
-    if name in ("homtwist_R1", "homtwist_R2"):
-        a, l1, a1, a2, a3, a4, a5 = _require(
-            key, "a", "l1", "a1", "a2", "a3", "a4", "a5", optional=("l2",)
-        )
-        _check_l2_zero(key)
-        if not l1:
-            raise ParamConstraintViolation("l1 must be nonzero")
-        d = _two_dim_algebra(a, l1, ZERO)
-        rmap = (
-            _r1_map(l1, a1, a2, a3, a4, a5)
-            if name == "homtwist_R1"
-            else _r2_map(l1, a1, a2, a3, a4, a5)
-        )
-        return {"provenance": "paper", "A": d, "B": d, "R": rmap}
-    if name == "homtwist_Dk2":
-        a, l1, a1, a2 = _require(key, "a", "l1", "a1", "a2", optional=("l2",))
-        _check_l2_zero(key)
-        if not l1:
-            raise ParamConstraintViolation("l1 must be nonzero")
-        return {
-            "provenance": "paper",
-            "A": _two_dim_algebra(a, l1, ZERO),
-            "B": k2_algebra(),
-            "R": _dk2_map(l1, a1, a2),
-        }
-    if name == "clifford":
-        (q,) = _require(key, "q")
-        a = yau_twist_algebra(k2_algebra(), swap_matrix())
-        params = CliffordParams(q, swap_matrix())
-        abar, rmap = clifford(a, params)
-        return {
-            "provenance": "paper",
-            "A": a,
-            "params": params,
-            "Abar": abar,
-            "R": rmap,
-        }
-    if name == "sweedler_h4":
-        _require(key)
-        return {"provenance": "auxiliary", "H": sweedler_h4()}
-    if name == "group_algebra":
-        (n,) = _require(key, "n")
-        return {"provenance": "auxiliary", "H": group_algebra(n)}
-    if name == "uq_setup":
-        q, lam, xi, l = _require(key, "q", "lam", "xi", "l")
-        if l != int(l):
-            raise ParamConstraintViolation("l must be an integer")
-        return {"provenance": "paper", "params": UqParams(q, lam, xi, int(l))}
-    if name == "alpha_ttp_flip":
-        _require(key)
-        alpha = swap_matrix()
-        rmat = mat_mul(kron(alpha, alpha), flip(2, 2).matrix)
-        return {
-            "provenance": "paper",
-            "A": k2_algebra(),
-            "B": k2_algebra(),
-            "alphaA": alpha,
-            "alphaB": alpha,
-            "R": TwistingMapR(2, 2, rmat),
-        }
-    if name == "alpha_ttp_clifford":
-        (q,) = _require(key, "q")
-        sigma = swap_matrix()
-        # (sigma (x) id) o R: 1 (x) a -> sigma(a) (x) 1 and v (x) a -> a (x) v
-        rmat = mat_mul(kron(sigma, Matrix.identity(2)), clifford_twisting_map(sigma).matrix)
-        return {
-            "provenance": "paper",
-            "A": k2_algebra(),
-            "B": clifford_algebra(q),
-            "alphaA": sigma,
-            "alphaB": Matrix.identity(2),
-            "sigma": sigma,
-            "q": as_scalar(q),
-            "R": TwistingMapR(2, 2, rmat),
-        }
-    raise ParamConstraintViolation(f"unknown gallery name {name!r}")
+    builder, provenance, required, optional = FAMILIES[key.name]
+    _require(key, required, optional)
+    return {"provenance": provenance, **builder(**key.params)}

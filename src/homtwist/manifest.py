@@ -11,6 +11,10 @@ Scalars are integers or strings in the ``-?digits(/digits)?`` syntax.  Gallery
 bundles bind dotted member names (``g.D``).  Check tasks pass when the scan
 passes; construct tasks pass when construction succeeds, fail when a domain
 error is raised, and bind their result under ``as``.
+
+Two tables hold what parsing, execution and ``table`` need to know:
+``OBJECT_KINDS`` gives each kind's builder and fields, and ``SIGNATURES`` each
+op's argument kinds and result.  The verb tables only forward to the layers.
 """
 
 import json
@@ -153,145 +157,120 @@ def _require_fields(raw, where, *names):
                 raise WrongKind(f"{where}: params must be an object")
 
 
+def _hom_bialgebra(dim, mul, comul, alpha) -> HomBialgebra:
+    return HomBialgebra(HomAlgebra(dim, mul, alpha), HomCoalgebra(dim, comul, alpha))
+
+
+def _linear_map(source_dim, target_dim, matrix) -> Matrix:
+    if matrix.rows != target_dim or matrix.cols != source_dim:
+        raise DimensionMismatch("matrix shape does not match declared dims")
+    return matrix
+
+
+def _gallery(name, params) -> dict:
+    return gallery.build(gallery.GalleryKey(name, params))
+
+
+# kind -> (builder, fields): the builder takes the fields in order, each
+# depth-2 scalar field as a Matrix.  A builder that is not the class it builds
+# names that class as its return annotation.
+OBJECT_KINDS = {
+    "hom_algebra": (HomAlgebra, ("dim", "mul", "alpha")),
+    "hom_coalgebra": (HomCoalgebra, ("dim", "comul", "alpha")),
+    "hom_bialgebra": (_hom_bialgebra, ("dim", "mul", "comul", "alpha")),
+    "linear_map": (_linear_map, ("source_dim", "target_dim", "matrix")),
+    "operator2": (Operator2, ("dim", "matrix")),
+    "operator3": (Operator3, ("dim", "matrix")),
+    "twisting_map": (TwistingMapR, ("dim_a", "dim_b", "matrix")),
+    "action": (ActionTable, ("side", "acting_dim", "module_dim", "table", "alpha_m")),
+    "coaction": (CoactionTable, ("side", "coalgebra_dim", "module_dim", "table", "alpha_m")),
+    "gallery": (_gallery, ("name", "params")),
+}
+
+_KIND_OF_TYPE = {
+    builder if isinstance(builder, type) else builder.__annotations__["return"]: kind
+    for kind, (builder, _) in OBJECT_KINDS.items()
+}
+
+
 def _build_object(name, raw):
     """Build an object from its parsed definition (see _parse_def)."""
     kind = raw["kind"]
+    if not isinstance(kind, str) or kind not in OBJECT_KINDS:
+        raise WrongKind(f"object {name!r}: unknown kind {kind!r}")
+    builder, fields = OBJECT_KINDS[kind]
     where = f"object {name!r} ({kind})"
-    if kind == "hom_algebra":
-        _require_fields(raw, where, "dim", "mul", "alpha")
-        return HomAlgebra(raw["dim"], raw["mul"], Matrix(raw["alpha"]))
-    if kind == "hom_coalgebra":
-        _require_fields(raw, where, "dim", "comul", "alpha")
-        return HomCoalgebra(raw["dim"], raw["comul"], Matrix(raw["alpha"]))
-    if kind == "hom_bialgebra":
-        _require_fields(raw, where, "dim", "mul", "comul", "alpha")
-        alpha = Matrix(raw["alpha"])
-        return HomBialgebra(
-            HomAlgebra(raw["dim"], raw["mul"], alpha),
-            HomCoalgebra(raw["dim"], raw["comul"], alpha),
-        )
-    if kind == "linear_map":
-        _require_fields(raw, where, "source_dim", "target_dim", "matrix")
-        m = Matrix(raw["matrix"])
-        if m.rows != raw["target_dim"] or m.cols != raw["source_dim"]:
-            raise DimensionMismatch(f"{where}: matrix shape does not match declared dims")
-        return m
-    if kind == "operator2":
-        _require_fields(raw, where, "dim", "matrix")
-        return Operator2(raw["dim"], Matrix(raw["matrix"]))
-    if kind == "operator3":
-        _require_fields(raw, where, "dim", "matrix")
-        return Operator3(raw["dim"], Matrix(raw["matrix"]))
-    if kind == "twisting_map":
-        _require_fields(raw, where, "dim_a", "dim_b", "matrix")
-        return TwistingMapR(raw["dim_a"], raw["dim_b"], Matrix(raw["matrix"]))
-    if kind == "action":
-        _require_fields(raw, where, "side", "acting_dim", "module_dim", "table", "alpha_m")
-        return ActionTable(
-            raw["side"], raw["acting_dim"], raw["module_dim"], raw["table"], Matrix(raw["alpha_m"])
-        )
-    if kind == "coaction":
-        _require_fields(raw, where, "side", "coalgebra_dim", "module_dim", "table", "alpha_m")
-        return CoactionTable(
-            raw["side"],
-            raw["coalgebra_dim"],
-            raw["module_dim"],
-            raw["table"],
-            Matrix(raw["alpha_m"]),
-        )
-    if kind == "gallery":
-        _require_fields(raw, where, "name", "params")
-        key = gallery.GalleryKey(raw["name"], dict(raw["params"]))
-        return gallery.build(key)
-    raise WrongKind(f"object {name!r}: unknown kind {kind!r}")
+    _require_fields(raw, where, *fields)
+    values = [Matrix(raw[f]) if _SCALAR_FIELDS.get(f) == 2 else raw[f] for f in fields]
+    try:
+        return builder(*values)
+    except DimensionMismatch as exc:
+        raise DimensionMismatch(f"{where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # task verbs
 # ---------------------------------------------------------------------------
 
-
-def _alg(obj):
-    """Accept a HomBialgebra wherever a HomAlgebra is expected."""
-    return obj.algebra if isinstance(obj, HomBialgebra) else obj
-
-
-def _coalg(obj):
-    return obj.coalgebra if isinstance(obj, HomBialgebra) else obj
-
-
+# Each verb forwards to its layer function through the module attribute, so a
+# wrapper installed on the module sees the call.  Arguments arrive already
+# coerced to the first kind of their slot in SIGNATURES.
 CHECK_VERBS = {
-    "check_hom_algebra": lambda a: algebra.check_hom_algebra(_alg(a)),
-    "check_associative": lambda a: algebra.check_associative(_alg(a)),
-    "check_lemma_four_elements": lambda a: algebra.check_lemma_four_elements(_alg(a)),
-    "check_algebra_morphism": lambda f, a, b: algebra.check_algebra_morphism(
-        f, _alg(a), _alg(b)
-    ),
-    "check_hom_coalgebra": lambda c: coalgebra.check_hom_coalgebra(_coalg(c)),
+    "check_hom_algebra": lambda a: algebra.check_hom_algebra(a),
+    "check_associative": lambda a: algebra.check_associative(a),
+    "check_lemma_four_elements": lambda a: algebra.check_lemma_four_elements(a),
+    "check_algebra_morphism": lambda f, a, b: algebra.check_algebra_morphism(f, a, b),
+    "check_hom_coalgebra": lambda c: coalgebra.check_hom_coalgebra(c),
     "check_hom_bialgebra": lambda h: coalgebra.check_hom_bialgebra(h),
-    "check_twistor": lambda d, t: twistor.check_twistor(_alg(d), t),
-    "check_hom_twistor": lambda d, t: twistor.check_hom_twistor(_alg(d), t),
-    "check_pseudotwistor": lambda d, t, c1, c2: twistor.check_pseudotwistor(
-        _alg(d), t, c1, c2
-    ),
+    "check_twistor": lambda d, t: twistor.check_twistor(d, t),
+    "check_hom_twistor": lambda d, t: twistor.check_hom_twistor(d, t),
+    "check_pseudotwistor": lambda d, t, c1, c2: twistor.check_pseudotwistor(d, t, c1, c2),
     "check_hom_pseudotwistor": lambda d, t, c1, c2: twistor.check_hom_pseudotwistor(
-        _alg(d), t, c1, c2
+        d, t, c1, c2
     ),
     "check_alpha_pseudotwistor": lambda d, f, t, c1, c2: twistor.check_alpha_pseudotwistor(
-        _alg(d), f, t, c1, c2
+        d, f, t, c1, c2
     ),
-    "check_yau_compat": lambda d, f, t, c1, c2: twistor.check_yau_compat(
-        _alg(d), f, t, c1, c2
-    ),
-    "check_twisting_map": lambda a, b, r: twisted.check_twisting_map(_alg(a), _alg(b), r),
-    "check_hom_twisting_map": lambda a, b, r: twisted.check_hom_twisting_map(
-        _alg(a), _alg(b), r
-    ),
+    "check_yau_compat": lambda d, f, t, c1, c2: twistor.check_yau_compat(d, f, t, c1, c2),
+    "check_twisting_map": lambda a, b, r: twisted.check_twisting_map(a, b, r),
+    "check_hom_twisting_map": lambda a, b, r: twisted.check_hom_twisting_map(a, b, r),
     "check_braid": lambda r1, r2, r3: twisted.check_braid(r1, r2, r3),
     "check_alphaAB_twisting_map": lambda a, b, f, g, r: twisted.check_alphaAB_twisting_map(
-        _alg(a), _alg(b), f, g, r
+        a, b, f, g, r
     ),
     "check_deform_compat_ttp": lambda a, b, f, g, p: twisted.check_deform_compat_ttp(
-        _alg(a), _alg(b), f, g, p
+        a, b, f, g, p
     ),
-    "check_module": lambda h, act: modsmash.check_module(act.side, _alg(h), act),
+    "check_module": lambda h, act: modsmash.check_module(act.side, h, act),
     "check_module_hom_algebra": lambda h, a, act: modsmash.check_module_hom_algebra(
-        act.side, h, _alg(a), act
+        act.side, h, a, act
     ),
-    "check_comodule": lambda c, co: modsmash.check_comodule(co.side, _coalg(c), co),
+    "check_comodule": lambda c, co: modsmash.check_comodule(co.side, c, co),
     "check_comodule_hom_algebra": lambda h, d, co: modsmash.check_comodule_hom_algebra(
-        co.side, h, _alg(d), co
+        co.side, h, d, co
     ),
-    "check_bicomodule": lambda c, lam, rho: modsmash.check_bicomodule(_coalg(c), lam, rho),
+    "check_bicomodule": lambda c, lam, rho: modsmash.check_bicomodule(c, lam, rho),
     "check_yetter_drinfeld": lambda h, act, co: modsmash.check_yetter_drinfeld(h, act, co),
 }
 
 CONSTRUCT_VERBS = {
-    "yau_twist_algebra": lambda a, f: algebra.yau_twist_algebra(_alg(a), f),
-    "yau_twist_coalgebra": lambda c, f: coalgebra.yau_twist_coalgebra(_coalg(c), f),
+    "yau_twist_algebra": lambda a, f: algebra.yau_twist_algebra(a, f),
+    "yau_twist_coalgebra": lambda c, f: coalgebra.yau_twist_coalgebra(c, f),
     "yau_twist_bialgebra": lambda h, f: coalgebra.yau_twist_bialgebra(h, f),
-    "tensor_algebra": lambda a, b: algebra.tensor_algebra(_alg(a), _alg(b)),
-    "ttp": lambda a, b, r: twisted.ttp(_alg(a), _alg(b), r),
-    "hom_ttp": lambda a, b, r: twisted.hom_ttp(_alg(a), _alg(b), r),
-    "twistor_from_R": lambda a, b, r: twisted.twistor_from_R(_alg(a), _alg(b), r),
-    "hom_twistor_from_R": lambda a, b, r: twisted.hom_twistor_from_R(_alg(a), _alg(b), r),
-    "deform": lambda d, t: twistor.deform(_alg(d), t, verified="manifest"),
+    "tensor_algebra": lambda a, b: algebra.tensor_algebra(a, b),
+    "ttp": lambda a, b, r: twisted.ttp(a, b, r),
+    "hom_ttp": lambda a, b, r: twisted.hom_ttp(a, b, r),
+    "twistor_from_R": lambda a, b, r: twisted.twistor_from_R(a, b, r),
+    "hom_twistor_from_R": lambda a, b, r: twisted.hom_twistor_from_R(a, b, r),
+    "deform": lambda d, t: twistor.deform(d, t, verified="manifest"),
     "lift_13": lambda t: twistor.lift_13(t),
-    "smash_left": lambda a, h, act: dict(
-        zip(("R", "algebra"), modsmash.smash_left(_alg(a), h, act))
-    ),
-    "smash_right": lambda h, c, act: dict(
-        zip(("R", "algebra"), modsmash.smash_right(h, _alg(c), act))
-    ),
-    "iterated_ttp": lambda a, b, c, r1, r2, r3: dict(
-        zip(
-            ("algebra", "P1", "P2"),
-            twisted.iterated_ttp(_alg(a), _alg(b), _alg(c), r1, r2, r3),
-        )
-    ),
+    "smash_left": lambda a, h, act: modsmash.smash_left(a, h, act),
+    "smash_right": lambda h, c, act: modsmash.smash_right(h, c, act),
+    "iterated_ttp": lambda a, b, c, r1, r2, r3: twisted.iterated_ttp(a, b, c, r1, r2, r3),
 }
 
-# The kinds one argument accepts; a bialgebra stands in for its algebra or coalgebra.
+# The kinds one argument accepts; the first is the one the verb takes, and a
+# bialgebra stands in for its algebra or coalgebra (see _coerce).
 _ALG = ("hom_algebra", "hom_bialgebra")
 _COALG = ("hom_coalgebra", "hom_bialgebra")
 _BIALG = ("hom_bialgebra",)
@@ -303,7 +282,8 @@ _ACT = ("action",)
 _COACT = ("coaction",)
 
 # op -> (accepted kinds of each argument, kind of the result).  A check binds no
-# result; a construct that returns several objects gives the kind of each member.
+# result; a construct that returns several objects names each member, in the
+# order it returns them, with its kind.
 SIGNATURES = {
     "check_hom_algebra": ((_ALG,), None),
     "check_associative": ((_ALG,), None),
@@ -346,17 +326,15 @@ SIGNATURES = {
     ),
 }
 
-_KIND_OF_TYPE = {
-    HomAlgebra: "hom_algebra",
-    HomCoalgebra: "hom_coalgebra",
-    HomBialgebra: "hom_bialgebra",
-    Matrix: "linear_map",
-    Operator2: "operator2",
-    Operator3: "operator3",
-    TwistingMapR: "twisting_map",
-    ActionTable: "action",
-    CoactionTable: "coaction",
-}
+# The member of a bialgebra that stands in for it in a slot of this first kind.
+_STAND_IN = {"hom_algebra": "algebra", "hom_coalgebra": "coalgebra"}
+
+
+def _coerce(obj, accepted):
+    """`obj` as the first of its `accepted` kinds: a bialgebra gives its algebra or coalgebra."""
+    if isinstance(obj, HomBialgebra) and accepted[0] in _STAND_IN:
+        return getattr(obj, _STAND_IN[accepted[0]])
+    return obj
 
 
 def _kind(obj):
@@ -514,7 +492,8 @@ def _execute(task, env):
     unbound = [a for a in task.args if a not in env]
     if unbound:
         return "fail", [f"UnknownName: undefined name {unbound[0]!r} (its construct task failed)"]
-    args = [env[a] for a in task.args]
+    accepted, members = SIGNATURES[task.op]
+    args = [_coerce(env[a], ok) for a, ok in zip(task.args, accepted)]
     try:
         if task.op in CHECK_VERBS:
             report = CHECK_VERBS[task.op](*args)
@@ -522,6 +501,8 @@ def _execute(task, env):
         result = CONSTRUCT_VERBS[task.op](*args)
     except HomTwistError as exc:
         return "fail", [f"{type(exc).__name__}: {exc}"]
+    if isinstance(members, dict):
+        result = dict(zip(members, result))
     if task.store is not None:
         env[task.store] = result
         if isinstance(result, dict):
@@ -577,9 +558,7 @@ def table(manifest, name):
             _execute(task, env)
     if name not in env:
         raise UnknownName(f"undefined name {name!r}")
-    obj = env[name]
-    if isinstance(obj, HomBialgebra):
-        obj = obj.algebra
+    obj = _coerce(env[name], _ALG)
     if not isinstance(obj, HomAlgebra):
         raise WrongKind(f"{name!r} is not an algebra (got {type(obj).__name__})")
     d = obj.dim

@@ -101,6 +101,34 @@ def _alpha_equation(name, rmap, alpha_a, alpha_b):
     return ((rmap.dim_b, rmap.dim_a), [(name, lhs, rhs)])
 
 
+def _twisting_axioms(prefix, a, b, rmap, hom=None, alphas=None):
+    """Scan the twisting-map equations of R, classical unless a pair of maps is given.
+
+    `hom` is the structure maps (alpha_A, alpha_B) of the Hom variant, which
+    enter both module equations; `alphas` the endomorphisms of the
+    (alpha_A, alpha_B) variant, whose inverses enter between the two R's.
+    """
+    r, mu_a, mu_b = rmap.map, a.map, b.map
+    ha0 = ha1 = hb0 = hb1 = ia = ib = []
+    blocks = []
+    if hom:
+        fa, fb = (LinearMap.from_matrix(m) for m in hom)
+        ha0, ha1, hb0, hb1 = [(fa, 0)], [(fa, 1)], [(fb, 0)], [(fb, 1)]
+    if alphas:  # NotInvertible propagates
+        ia, ib = ([(LinearMap.from_matrix(mat_inv(m)), 1)] for m in alphas)
+    if hom or alphas:
+        blocks.append(_alpha_equation(f"{prefix}_0", rmap, *(hom or alphas)))
+    da, db = a.dim, b.dim
+    return scan_composites(blocks + [
+        ((db, da, da), [(
+            f"{prefix}_1", hb0 + [(mu_a, 1), (r, 0)], [(r, 0)] + ib + [(r, 1), (mu_a, 0)] + hb1
+        )]),
+        ((db, db, da), [(
+            f"{prefix}_2", [(mu_b, 0)] + ha1 + [(r, 0)], [(r, 1)] + ia + [(r, 0), (mu_b, 1)] + ha0
+        )]),
+    ])
+
+
 def check_twisting_map(a, b, rmap):
     """Classical twisting map equations over associative algebras."""
     _check_r_dims(a, b, rmap)
@@ -110,12 +138,7 @@ def check_twisting_map(a, b, rmap):
             raise PreconditionFailure(f"{name} must have identity structure map")
         if _first_time(seen, alg):
             check_associative(alg).require(f"check_associative:{name}")
-    r, mu_a, mu_b = rmap.map, a.map, b.map
-    da, db = a.dim, b.dim
-    return scan_composites([
-        ((db, da, da), [("twisting_map_1", [(mu_a, 1), (r, 0)], [(r, 0), (r, 1), (mu_a, 0)])]),
-        ((db, db, da), [("twisting_map_2", [(mu_b, 0), (r, 0)], [(r, 1), (r, 0), (mu_b, 1)])]),
-    ])
+    return _twisting_axioms("twisting_map", a, b, rmap)
 
 
 def check_hom_twisting_map(a, b, rmap):
@@ -129,22 +152,7 @@ def _hom_twisting_report(a, b, rmap, seen):
     for alg, name in ((a, "A"), (b, "B")):
         if _first_time(seen, alg):
             check_hom_algebra(alg).require(f"check_hom_algebra:{name}")
-    r, mu_a, mu_b = rmap.map, a.map, b.map
-    fa, fb = LinearMap.from_matrix(a.alpha), LinearMap.from_matrix(b.alpha)
-    da, db = a.dim, b.dim
-    return scan_composites([
-        _alpha_equation("hom_twisting_map_0", rmap, a.alpha, b.alpha),
-        ((db, da, da), [(
-            "hom_twisting_map_1",
-            [(fb, 0), (mu_a, 1), (r, 0)],
-            [(r, 0), (r, 1), (mu_a, 0), (fb, 1)],
-        )]),
-        ((db, db, da), [(
-            "hom_twisting_map_2",
-            [(mu_b, 0), (fa, 1), (r, 0)],
-            [(r, 1), (r, 0), (mu_b, 1), (fa, 0)],
-        )]),
-    ])
+    return _twisting_axioms("hom_twisting_map", a, b, rmap, hom=(a.alpha, b.alpha))
 
 
 def _require_hom_twisting(a, b, rmap, cause, seen):
@@ -343,23 +351,7 @@ def check_alphaAB_twisting_map(a, b, alpha_a, alpha_b, rmap):
             multiplicativity_scan(alg, endo).require(
                 f"alpha_{name} is not multiplicative", NotMultiplicative
             )
-    inv_a = LinearMap.from_matrix(mat_inv(alpha_a))  # NotInvertible propagates
-    inv_b = LinearMap.from_matrix(mat_inv(alpha_b))
-    r, mu_a, mu_b = rmap.map, a.map, b.map
-    da, db = a.dim, b.dim
-    return scan_composites([
-        _alpha_equation("alpha_twisting_map_0", rmap, alpha_a, alpha_b),
-        ((db, da, da), [(
-            "alpha_twisting_map_1",
-            [(mu_a, 1), (r, 0)],
-            [(r, 0), (inv_b, 1), (r, 1), (mu_a, 0)],
-        )]),
-        ((db, db, da), [(
-            "alpha_twisting_map_2",
-            [(mu_b, 0), (r, 0)],
-            [(r, 1), (inv_a, 1), (r, 0), (mu_b, 1)],
-        )]),
-    ])
+    return _twisting_axioms("alpha_twisting_map", a, b, rmap, alphas=(alpha_a, alpha_b))
 
 
 def alphaAB_ttp(a, b, alpha_a, alpha_b, rmap):

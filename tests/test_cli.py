@@ -237,6 +237,20 @@ class TestMalformedManifest:
         assert main(["check", self.write(tmp_path, doc)]) == 3
         assert "field 'dim_a' must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", [[], 3, None], ids=["list", "int", "null"])
+    def test_kind_not_a_string_exits_three(self, tmp_path, capsys, kind):
+        doc = {"objects": {"X": {"kind": kind}}, "tasks": []}
+        assert main(["check", self.write(tmp_path, doc)]) == 3
+        assert f"object 'X': unknown kind {kind!r}" in capsys.readouterr().err
+
+    def test_group_algebra_non_integer_order_exits_three(self, tmp_path, capsys):
+        doc = {"objects": {"G": {"kind": "gallery", "name": "group_algebra", "params": {"n": "5/2"}}},
+               "tasks": [{"op": "check_hom_bialgebra", "args": ["G.H"]}]}
+        assert main(["check", self.write(tmp_path, doc)]) == 3
+        captured = capsys.readouterr()
+        assert "group_algebra supports n in {2, 3}" in captured.err
+        assert captured.out == ""
+
     def test_dimension_zero_deform_exits_zero(self, tmp_path):
         # the deformed table of a dim-0 algebra is empty, not a traceback
         doc = {

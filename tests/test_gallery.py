@@ -62,6 +62,12 @@ class TestParamConstraints:
         with pytest.raises(ParamConstraintViolation):
             build(GalleryKey("group_algebra", {"n": 5}))
 
+    @pytest.mark.parametrize("n", ["5/2", "7/3", Q(3, 2)])
+    def test_group_algebra_non_integer_order(self, n):
+        # int() would truncate 5/2 to 2 and build k[C2]
+        with pytest.raises(ParamConstraintViolation, match="n in"):
+            build(GalleryKey("group_algebra", {"n": n}))
+
     def test_uq_setup_degenerate(self):
         with pytest.raises(DegenerateQ):
             build(GalleryKey("uq_setup", {"q": 1, "lam": 1, "xi": 1, "l": 0}))

@@ -1,22 +1,29 @@
 import inspect
 import json
+import pathlib
+import re
 
 import pytest
 
 import homtwist.exact
 import homtwist.manifest
 
+from homtwist import algebra, coalgebra, modsmash, twisted, twistor
 from homtwist.errors import (
+    DimensionMismatch,
     DuplicateName,
+    HomTwistError,
     ManifestSyntaxError,
     UnknownName,
     WrongKind,
 )
+from homtwist.gallery import FAMILIES
 from homtwist.manifest import (
     CHECK_VERBS,
     CONSTRUCT_VERBS,
     EXIT_EXPECTATION,
     EXIT_OK,
+    OBJECT_KINDS,
     SIGNATURES,
     parse_manifest,
     run,
@@ -24,6 +31,8 @@ from homtwist.manifest import (
     table,
 )
 from homtwist.suite import GOLDEN_MANIFEST
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def unit_rows(rows, cols):
@@ -107,6 +116,10 @@ class TestParse:
         [
             ('"dim": 2', '"dim": "two"'),
             ('"side": "left"', '"side": "sideways"'),
+            # a kind that is not a string is looked up in the kind table, so must hash
+            ('"kind": "action"', '"kind": []'),
+            ('"kind": "action"', '"kind": 3'),
+            ('"kind": "action"', '"kind": null'),
         ],
     )
     def test_malformed_fields_are_semantic_errors(self, mangle):
@@ -126,6 +139,12 @@ class TestParse:
         }
         text = json.dumps(doc).replace(*mangle)
         with pytest.raises(WrongKind):
+            parse_manifest(text)
+
+    def test_linear_map_shape_names_the_object(self):
+        text = json.dumps({"objects": {"f": {"kind": "linear_map", "source_dim": 2,
+                                             "target_dim": 1, "matrix": [[1]]}}})
+        with pytest.raises(DimensionMismatch, match=r"^object 'f' \(linear_map\): matrix shape"):
             parse_manifest(text)
 
     def test_gallery_binds_members(self):
@@ -185,6 +204,81 @@ class TestSignatures:
             parse_manifest(json.dumps({**doc, "tasks": doc["tasks"][:1] + [
                 {"op": "check_hom_algebra", "args": ["I"]}]}))
         assert run(manifest)[0] == EXIT_OK
+
+
+class TestBialgebraStandsIn:
+    """A hom_bialgebra in an algebra or coalgebra slot reaches the layer function as
+    its .algebra or .coalgebra, for every op that has such a slot."""
+
+    ONE_DIM = {
+        "A": {"kind": "hom_algebra", "dim": 1, "mul": [[[1]]], "alpha": [[1]]},
+        "C": {"kind": "hom_coalgebra", "dim": 1, "comul": [[[1]]], "alpha": [[1]]},
+        "H": {"kind": "hom_bialgebra", "dim": 1, "mul": [[[1]]], "comul": [[[1]]], "alpha": [[1]]},
+        "H2": {"kind": "hom_bialgebra", "dim": 1, "mul": [[[1]]], "comul": [[[1]]], "alpha": [[1]]},
+        "f": {"kind": "linear_map", "source_dim": 1, "target_dim": 1, "matrix": [[1]]},
+        "T": {"kind": "operator2", "dim": 1, "matrix": [[1]]},
+        "T3": {"kind": "operator3", "dim": 1, "matrix": [[1]]},
+        "R": {"kind": "twisting_map", "dim_a": 1, "dim_b": 1, "matrix": [[1]]},
+        "act": {"kind": "action", "side": "left", "acting_dim": 1, "module_dim": 1,
+                "table": [[[1]]], "alpha_m": [[1]]},
+        "co": {"kind": "coaction", "side": "left", "coalgebra_dim": 1, "module_dim": 1,
+               "table": [[[1]]], "alpha_m": [[1]]},
+    }
+    # the object bound in a slot of each first kind; H2 keeps H out of bialgebra-only slots
+    FILLER = {"hom_algebra": "A", "hom_coalgebra": "C", "hom_bialgebra": "H2", "linear_map": "f",
+              "operator2": "T", "operator3": "T3", "twisting_map": "R", "action": "act",
+              "coaction": "co"}
+    MEMBER = {"hom_algebra": "algebra", "hom_coalgebra": "coalgebra"}
+    SLOTS = [
+        (op, slot)
+        for op, (accepted, _) in SIGNATURES.items()
+        for slot, kinds in enumerate(accepted)
+        if kinds[0] in ("hom_algebra", "hom_coalgebra")
+    ]
+
+    class Recorded(HomTwistError):
+        pass
+
+    @pytest.mark.parametrize("op, slot", SLOTS, ids=[f"{op}-{slot}" for op, slot in SLOTS])
+    def test_layer_function_receives_the_member(self, monkeypatch, op, slot):
+        (module,) = [m for m in (algebra, coalgebra, twistor, twisted, modsmash)
+                     if getattr(getattr(m, op, None), "__module__", None) == m.__name__]
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append(args)
+            raise self.Recorded("recorded")
+
+        monkeypatch.setattr(module, op, record)
+        accepted, _ = SIGNATURES[op]
+        args = [self.FILLER[kinds[0]] for kinds in accepted]
+        args[slot] = "H"
+        doc = {"objects": self.ONE_DIM, "tasks": [{"op": op, "args": args, "expect": "any"}]}
+        manifest = parse_manifest(json.dumps(doc))
+        run(manifest)
+        bialgebra = manifest.objects["H"]
+        member = getattr(bialgebra, self.MEMBER[accepted[slot][0]])
+        (received,) = calls
+        assert any(a is member for a in received)
+        assert not any(a is bialgebra for a in received)
+
+
+class TestReadme:
+    """README's lists of kinds and gallery names are the tables the code reads."""
+
+    TEXT = README.read_text(encoding="utf-8")
+
+    def test_kinds_and_their_fields(self):
+        section = re.search(r"^\* Kinds(.*?)\.\s", self.TEXT, re.M | re.S).group(1)
+        listed = {
+            kind: tuple(re.split(r",\s+", fields))
+            for kind, fields in re.findall(r"`(\w+)`\s+\(([^)]*)\)", section)
+        }
+        assert listed == {kind: fields for kind, (_, fields) in OBJECT_KINDS.items()}
+
+    def test_gallery_names(self):
+        section = re.search(r"^Gallery names(.*?)\n\n", self.TEXT, re.M | re.S).group(1)
+        assert re.findall(r"`(\w+)`", section) == list(FAMILIES)
 
 
 class TestParseOnce:
