@@ -31,7 +31,6 @@ from .exact import (
     flatten_index,
     kron,
     mat_inv,
-    mat_mul,
     rat_parse,
     rat_str,
     unflatten_index,

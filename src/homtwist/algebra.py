@@ -9,8 +9,9 @@ nonunital throughout.
 ``check_hom_algebra`` and ``check_associative`` scan their d^3 triples on
 sparse columns tabulated once per call: the nonzero constants ``map.cols``
 and, for Hom-associativity, the 2d^2 products alpha(e_i) e_l and
-e_l alpha(e_k).  ``HomAlgebra.product`` forms those tables, and with
-``Matrix.apply`` runs ``_multiplicative``, the one d^2 scan of
+e_l alpha(e_k), the columns of mu o (alpha (x) id) and mu o (id (x) alpha)
+as ``compose`` tabulates them.  ``HomAlgebra.product`` and ``Matrix.apply``
+serve only ``_multiplicative``, the one d^2 scan of
 f(e_i e_j) = f(e_i) f(e_j) shared by ``check_hom_algebra``,
 ``multiplicativity_scan`` and ``check_algebra_morphism``.  Every other
 equation here (alpha-intertwining, the four-element lemma) is a
@@ -29,13 +30,11 @@ from .exact import (
     Scan,
     ZERO,
     as_constants,
-    basis_vec,
     compose,
     kron,
     mat_inv,
     scan_composites,
     to_dense,
-    to_sparse,
 )
 
 
@@ -95,9 +94,6 @@ class HomAlgebra:
                     out[k] = out[k] + w * c
         return out
 
-    def alpha_col(self, i):
-        return self.alpha.col(i)
-
     def is_classical(self):
         return self.alpha.is_identity()
 
@@ -117,11 +113,6 @@ def hom_algebra(dim, mul, alpha=None, provenance=()):
     return HomAlgebra(dim, mul, alpha, tuple(provenance))
 
 
-def zero_algebra(dim):
-    z = tuple(tuple((ZERO,) * dim for _ in range(dim)) for _ in range(dim))
-    return hom_algebra(dim, z)
-
-
 def same_structure(a, b):
     """Entry-wise equality of dimension, structure constants and structure maps."""
     return a.dim == b.dim and a.mul == b.mul and a.alpha == b.alpha
@@ -135,17 +126,18 @@ def same_structure(a, b):
 def check_hom_algebra(algebra):
     """Scan multiplicativity of alpha and Hom-associativity over all basis tuples.
 
-    Hom-associativity reads alpha(e_i) e_l and e_l alpha(e_k), tabulated once,
-    through the sparse constants of e_j e_k and e_i e_j.
+    Hom-associativity reads alpha(e_i) e_l and e_l alpha(e_k), tabulated once
+    by ``compose``, through the sparse constants of e_j e_k and e_i e_j.
     """
     d = algebra.dim
     scan = Scan()
     _multiplicative(scan, "multiplicativity", algebra.alpha, algebra, algebra)
-    acol = [algebra.alpha_col(i) for i in range(d)]
-    basis = [basis_vec(d, l) for l in range(d)]
-    left = [[to_sparse(algebra.product(acol[i], e)) for e in basis] for i in range(d)]
-    right = [[to_sparse(algebra.product(e, acol[k])) for e in basis] for k in range(d)]
-    _triple_scan(scan, "hom_associativity", algebra.map.cols, left, right, True)
+    mu, alpha = algebra.map, LinearMap.from_matrix(algebra.alpha)
+    left = [dict(col) for col in compose([(alpha, 0), (mu, 0)], (d, d)).cols]
+    right = [dict(col) for col in compose([(alpha, 1), (mu, 0)], (d, d)).cols]
+    left = [left[i * d:(i + 1) * d] for i in range(d)]
+    right = [right[k::d] for k in range(d)]
+    _triple_scan(scan, "hom_associativity", mu.cols, left, right, True)
     return scan.done()
 
 

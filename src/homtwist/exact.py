@@ -7,7 +7,7 @@ Everything else in the package builds on the conventions pinned here, once:
 * every stored zero is the one shared object ``ZERO``.  ``rat_parse`` and
   ``as_scalar`` return ``ZERO`` for any zero, and ``as_scalar`` hands a value
   that already has the scalar type back unchanged, so building a table from
-  scalars creates no new ones.  ``Matrix.apply``, ``mat_mul``, ``kron`` and
+  scalars creates no new ones.  ``Matrix.apply``, ``kron`` and
   ``HomAlgebra.product`` skip an input entry when it ``is ZERO``; a zero made
   by arithmetic is not skipped, only multiplied through, so the skip never
   changes a value.  ``LinearMap.table()`` returns canonical tables (absent
@@ -24,12 +24,12 @@ Everything else in the package builds on the conventions pinned here, once:
   a ``LinearMap`` between tensor products, and ``apply_at`` is the one place
   that applies such a map to a run of factors; an axiom is a pair of paths of
   ``(map, position)`` checked per basis tuple by ``scan_composites``, and a
-  derived table is such a path tabulated by ``compose``.  The exceptions
-  are in ``algebra``: Hom-associativity and associativity of one algebra,
-  scanned on sparse columns tabulated once per call by
-  ``HomAlgebra.product``, and the one multiplicativity scan
-  f(e_i e_j) = f(e_i) f(e_j), which reads ``Matrix.apply`` and
-  ``HomAlgebra.product``.
+  derived table (a product table, a lifted map, a composite of two matrices)
+  is such a path tabulated by ``compose``.  The exceptions are in ``algebra``:
+  Hom-associativity and associativity of one algebra, scanned on sparse
+  columns that ``compose`` tabulates once per call, and the one
+  multiplicativity scan f(e_i e_j) = f(e_i) f(e_j), the only reader of
+  ``Matrix.apply`` and ``HomAlgebra.product``.
 * a precondition is a check whose report must pass; ``CheckReport.require`` is
   the one place that turns a failed report into an exception.  A composite
   constructor checks each fact once per call: it skips a scan only when the
@@ -194,14 +194,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({[[str(x) for x in row] for row in self.data]})"
 
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            return mat_mul(self, other)
-        return NotImplemented
-
-    def transpose(self):
-        return Matrix(tuple(self.col(c) for c in range(self.cols)))
-
     def is_identity(self):
         return self.rows == self.cols and all(
             self.data[r][c] == (ONE if r == c else ZERO)
@@ -222,25 +214,6 @@ class Matrix:
             for r, m in col:
                 out[r] = out[r] + m * xc
         return out
-
-
-def mat_mul(a, b):
-    """Exact matrix product."""
-    if a.cols != b.rows:
-        raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    out = []
-    for r in range(a.rows):
-        arow = a.data[r]
-        orow = [ZERO] * b.cols
-        for k, ak in enumerate(arow):
-            if ak is ZERO:
-                continue
-            brow = b.data[k]
-            for c, bk in enumerate(brow):
-                if bk is not ZERO:
-                    orow[c] = orow[c] + ak * bk
-        out.append(tuple(orow))
-    return Matrix(out)
 
 
 def mat_inv(a):
@@ -279,17 +252,6 @@ def kron(a, b):
                     row.extend((ZERO,) * b.cols)
             out.append(tuple(row))
     return Matrix(out)
-
-
-# ---------------------------------------------------------------------------
-# vectors (plain lists of scalars)
-# ---------------------------------------------------------------------------
-
-
-def basis_vec(n, i):
-    v = [ZERO] * n
-    v[i] = ONE
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +347,6 @@ def _nested(items, dims):
         d = dims[k]
         items = [tuple(items[i * d:(i + 1) * d]) for i in range(_size(dims[:k]))]
     return tuple(items)
-
-
-def to_sparse(vec):
-    """A dense coordinate vector as a sparse tensor {flat index: coefficient}."""
-    return dict(_nonzero(vec))
 
 
 def to_dense(x, dims):
@@ -513,14 +470,14 @@ DEFAULT_FAILURE_CAP = 16
 
 
 class Scan:
-    """Accumulator for axiom scans; records at most `cap` witnesses.
+    """Accumulator for axiom scans; records at most DEFAULT_FAILURE_CAP witnesses.
 
     `passed` always reflects the full scan; the cap only bounds the recorded
-    witness list.  Pass cap explicitly or rebind DEFAULT_FAILURE_CAP.
+    witness list.  Rebind DEFAULT_FAILURE_CAP to record more or fewer.
     """
 
-    def __init__(self, cap=None):
-        self.cap = DEFAULT_FAILURE_CAP if cap is None else cap
+    def __init__(self):
+        self.cap = DEFAULT_FAILURE_CAP
         self.passed = True
         self.failures = []
 

@@ -16,10 +16,16 @@ from functools import partial
 from .algebra import hom_algebra, yau_twist_algebra
 from .coalgebra import HomBialgebra, hom_coalgebra
 from .errors import ParamConstraintViolation
-from .exact import Matrix, ONE, ZERO, as_scalar, kron, mat_mul
+from .exact import Matrix, ONE, ZERO, as_scalar
 from .modsmash import LEFT, RIGHT, ActionTable, CoactionTable
 from .twisted import (
-    CliffordParams, TwistingMapR, clifford, clifford_algebra, clifford_twisting_map, flip
+    CliffordParams,
+    TwistingMapR,
+    alphaAB_from_classical,
+    clifford,
+    clifford_algebra,
+    clifford_twisting_map,
+    flip,
 )
 from .twistor import Operator2
 from .uqsl2 import UqParams
@@ -331,20 +337,18 @@ def _uq_setup(q, lam, xi, l):
 
 def _alpha_ttp_flip():
     alpha = swap_matrix()
-    rmat = mat_mul(kron(alpha, alpha), flip(2, 2).matrix)
     return {
         "A": k2_algebra(),
         "B": k2_algebra(),
         "alphaA": alpha,
         "alphaB": alpha,
-        "R": TwistingMapR(2, 2, rmat),
+        "R": alphaAB_from_classical(flip(2, 2), alpha, alpha),
     }
 
 
 def _alpha_ttp_clifford(q):
     sigma = swap_matrix()
-    # (sigma (x) id) o R: 1 (x) a -> sigma(a) (x) 1 and v (x) a -> a (x) v
-    rmat = mat_mul(kron(sigma, Matrix.identity(2)), clifford_twisting_map(sigma).matrix)
+    # R = (sigma (x) id) o P_sigma: 1 (x) a -> sigma(a) (x) 1 and v (x) a -> a (x) v
     return {
         "A": k2_algebra(),
         "B": clifford_algebra(q),
@@ -352,7 +356,7 @@ def _alpha_ttp_clifford(q):
         "alphaB": Matrix.identity(2),
         "sigma": sigma,
         "q": as_scalar(q),
-        "R": TwistingMapR(2, 2, rmat),
+        "R": alphaAB_from_classical(clifford_twisting_map(sigma), sigma, Matrix.identity(2)),
     }
 
 

@@ -549,11 +549,15 @@ def table(manifest, name):
     """The basis-pair multiplication table of a named algebra; rows are left factors.
 
     Names bound by construct tasks are visible, so a manifest can build a
-    twisted tensor product and print its table.  Check tasks are skipped; a
-    construct task that fails leaves its name unbound.
+    twisted tensor product and print its table.  Construct tasks run in order
+    only until `name` is bound, so none run for an object of the manifest;
+    check tasks are skipped, and a construct task that fails leaves its name
+    unbound.
     """
     env = dict(manifest.objects)
     for task in manifest.tasks:
+        if name in env:
+            break
         if task.op in CONSTRUCT_VERBS and task.store is not None:
             _execute(task, env)
     if name not in env:

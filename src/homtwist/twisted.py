@@ -42,10 +42,9 @@ from .exact import (
     compose,
     kron,
     mat_inv,
-    mat_mul,
     scan_composites,
 )
-from .twistor import Operator2, Operator3, deform_with_alpha, lift_13, structure_constants_block
+from .twistor import Operator2, Operator3, _t13, deform_with_alpha, structure_constants_block
 
 
 @dataclass(frozen=True)
@@ -271,7 +270,8 @@ class CliffordParams:
             raise ParamConstraintViolation("q must be nonzero")
         if self.sigma.rows != self.sigma.cols:
             raise DimensionMismatch("sigma must be square")
-        if mat_mul(self.sigma, self.sigma) != Matrix.identity(self.sigma.rows):
+        s = LinearMap.from_matrix(self.sigma)
+        if compose([(s, 0), (s, 0)], s.src).matrix() != Matrix.identity(self.sigma.rows):
             raise NotInvolutive("sigma squared is not the identity")
 
 
@@ -292,7 +292,9 @@ def clifford(a, params):
     if sigma.rows != a.dim:
         raise DimensionMismatch("sigma shape does not match the algebra")
     multiplicativity_scan(a, sigma).require("sigma is not multiplicative", NotMultiplicative)
-    if mat_mul(sigma, a.alpha) != mat_mul(a.alpha, sigma):
+    s, alpha = LinearMap.from_matrix(sigma), LinearMap.from_matrix(a.alpha)
+    sigma_alpha = compose([(alpha, 0), (s, 0)], s.src).matrix()
+    if sigma_alpha != compose([(s, 0), (alpha, 0)], s.src).matrix():
         raise NotCommutingWithAlpha("sigma does not commute with the structure map")
     rmap = clifford_twisting_map(sigma)
     return hom_ttp(a, clifford_algebra(params.q), rmap).with_provenance("clifford"), rmap
@@ -313,8 +315,11 @@ def clifford_twisting_map(sigma):
 
 def _alpha_lift(pmap, alpha_a, alpha_b):
     """(alpha_A (x) alpha_B) o P, which must equal P o (alpha_B (x) alpha_A)."""
-    left = mat_mul(kron(alpha_a, alpha_b), pmap.matrix)
-    if left != mat_mul(pmap.matrix, kron(alpha_b, alpha_a)):
+    if {alpha_a.rows, alpha_a.cols} != {pmap.dim_a} or {alpha_b.rows, alpha_b.cols} != {pmap.dim_b}:
+        raise DimensionMismatch("alpha shapes do not match the twisting map")
+    dims, [(_, lhs, rhs)] = _alpha_equation("alpha_lift", pmap, alpha_a, alpha_b)
+    left = compose(lhs, dims).matrix()
+    if left != compose(rhs, dims).matrix():
         raise CommutationFailure(
             "(alpha_A (x) alpha_B) o P differs from P o (alpha_B (x) alpha_A)"
         )
@@ -366,11 +371,11 @@ def alphaAB_ttp(a, b, alpha_a, alpha_b, rmap):
     ends = [(LinearMap.from_matrix(alpha_a), 0), (LinearMap.from_matrix(alpha_b), 3)]
     top = Operator2(n, compose(_twistor_path(a, b, rmap) + ends, (a.dim, b.dim) * 2).matrix())
 
-    inv_ab = kron(mat_inv(alpha_a), mat_inv(alpha_b))
-    ident = Matrix.identity(n * n)
-    lifted = lift_13(top).matrix
-    comp1 = Operator3(n, mat_mul(lifted, kron(inv_ab, ident)))
-    comp2 = Operator3(n, mat_mul(lifted, kron(ident, inv_ab)))
+    # C1 = T_13 o (alpha^-1 (x) id (x) id), C2 = T_13 o (id (x) id (x) alpha^-1)
+    inv_ab = LinearMap.from_matrix(kron(mat_inv(alpha_a), mat_inv(alpha_b)))
+    comp1, comp2 = (
+        Operator3(n, compose([(inv_ab, p)] + _t13(top), (n, n, n)).matrix()) for p in (0, 2)
+    )
 
     algebra = deform_with_alpha(
         tensor_algebra(a, b), kron(alpha_a, alpha_b), top, verified="alpha_pseudotwistor"
@@ -380,6 +385,4 @@ def alphaAB_ttp(a, b, alpha_a, alpha_b, rmap):
 
 def alphaAB_from_classical(pmap, alpha_a, alpha_b):
     """Lift a classical twisting map to the alpha setting: R = (alpha_A (x) alpha_B) o P."""
-    if alpha_a.rows != pmap.dim_a or alpha_b.rows != pmap.dim_b:
-        raise DimensionMismatch("alpha shapes do not match the twisting map")
     return TwistingMapR(pmap.dim_a, pmap.dim_b, _alpha_lift(pmap, alpha_a, alpha_b))

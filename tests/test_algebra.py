@@ -15,12 +15,11 @@ from homtwist.algebra import (
     same_structure,
     tensor_algebra,
     yau_twist_algebra,
-    zero_algebra,
 )
 from homtwist import exact
 from homtwist.errors import DimensionMismatch, NotMultiplicative, PreconditionFailure
 from homtwist.exact import (
-    ONE, ZERO, LinearMap, Matrix, Q, Scan, as_constants, basis_vec, kron
+    ONE, ZERO, LinearMap, Matrix, Q, Scan, as_constants, kron
 )
 from homtwist.gallery import GalleryKey, build, k2_algebra, swap_matrix
 from homtwist.twisted import flip, ttp
@@ -28,6 +27,15 @@ from homtwist.twisted import flip, ttp
 
 def example_2dim(a=1, l1=1, l2=2):
     return build(GalleryKey("homalg_2dim", {"a": a, "l1": l1, "l2": l2}))["D"]
+
+
+def zero_algebra(dim):
+    """Zero multiplication, identity structure map."""
+    return hom_algebra(dim, [[[0] * dim for _ in range(dim)] for _ in range(dim)])
+
+
+def basis_vec(n, i):
+    return [ONE if p == i else ZERO for p in range(n)]
 
 
 class TestCheckHomAlgebra:
@@ -271,7 +279,7 @@ def loop_check_hom_algebra(algebra):
     """check_hom_algebra before it read tabulated sparse columns, kept as the test oracle."""
     d = algebra.dim
     scan = Scan()
-    acol = [algebra.alpha_col(i) for i in range(d)]
+    acol = [algebra.alpha.col(i) for i in range(d)]
     for i in range(d):
         for j in range(d):
             lhs = algebra.alpha.apply(algebra.mul[i][j])

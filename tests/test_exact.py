@@ -1,8 +1,10 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from homtwist import exact
 from homtwist.errors import (
     DimensionMismatch,
     MalformedRational,
@@ -22,10 +24,10 @@ from homtwist.exact import (
     apply_path,
     as_constants,
     as_scalar,
+    compose,
     flatten_index,
     kron,
     mat_inv,
-    mat_mul,
     rat_parse,
     rat_str,
     scan_composites,
@@ -61,17 +63,25 @@ def swap2():
     return Matrix([[0, 1], [1, 0]])
 
 
+def composite(*matrices):
+    """The matrix of applying `matrices` in turn, the first one first, tabulated by compose."""
+    path = [(LinearMap.from_matrix(m), 0) for m in matrices]
+    return compose(path, (matrices[0].cols,)).matrix()
+
+
 class TestMatrices:
     def test_identity_product(self):
         m = Matrix([[1, 2], [3, "4/5"]])
-        assert mat_mul(Matrix.identity(2), m) == m
+        assert composite(m, Matrix.identity(2)) == m
+        assert composite(Matrix.identity(2), m) == m
 
     def test_involution(self):
-        assert mat_mul(swap2(), swap2()) == Matrix.identity(2)
+        assert composite(swap2(), swap2()) == Matrix.identity(2)
 
     def test_shape_mismatch(self):
+        # a 2 -> 2 map followed by a map out of a 3-dimensional space
         with pytest.raises(DimensionMismatch):
-            mat_mul(Matrix.zero(2, 3), Matrix.zero(2, 2))
+            composite(Matrix.zero(2, 2), Matrix.zero(2, 3))
 
     def test_inverse_identity(self):
         assert mat_inv(Matrix.identity(3)) == Matrix.identity(3)
@@ -79,10 +89,20 @@ class TestMatrices:
     def test_inverse_unipotent(self):
         m = Matrix([[1, 1], [0, 1]])
         inv = mat_inv(m)
-        # independent check: multiply back instead of trusting the elimination
-        assert mat_mul(m, inv) == Matrix.identity(2)
-        assert mat_mul(inv, m) == Matrix.identity(2)
+        # independent check: compose back instead of trusting the elimination
+        assert composite(m, inv) == Matrix.identity(2)
+        assert composite(inv, m) == Matrix.identity(2)
         assert inv == Matrix([[1, -1], [0, 1]])
+
+    @given(st.lists(st.integers(-3, 3), min_size=9, max_size=9))
+    @settings(max_examples=40, deadline=None)
+    def test_inverse_composes_to_the_identity(self, xs):
+        m = Matrix([xs[:3], xs[3:6], xs[6:]])
+        try:
+            inv = mat_inv(m)
+        except NotInvertible:
+            assume(False)
+        assert composite(m, inv) == composite(inv, m) == Matrix.identity(3)
 
     def test_inverse_rank_deficient(self):
         with pytest.raises(NotInvertible):
@@ -132,7 +152,19 @@ class TestKron:
         b = Matrix([ys[:2], ys[2:]])
         c = Matrix([zs[:2], zs[2:]])
         d = Matrix([ws[:2], ws[2:]])
-        assert mat_mul(kron(a, b), kron(c, d)) == kron(mat_mul(a, c), mat_mul(b, d))
+        # (a (x) b) o (c (x) d) = (a o c) (x) (b o d)
+        assert composite(kron(c, d), kron(a, b)) == kron(composite(c, a), composite(d, b))
+
+    @given(
+        st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+        st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_is_the_composite_on_two_factors(self, xs, ys):
+        a = Matrix([xs[:3], xs[3:]])  # 3 -> 2
+        b = Matrix([ys[:2], ys[2:4], ys[4:]])  # 2 -> 3
+        path = [(LinearMap.from_matrix(a), 0), (LinearMap.from_matrix(b), 1)]
+        assert kron(a, b) == compose(path, (3, 2)).matrix()
 
 
 class TestTensorIndex:
@@ -158,7 +190,8 @@ class TestTensorIndex:
 
 class TestCheckReport:
     def test_cap_does_not_mask_failure(self):
-        scan = Scan(cap=2)
+        with mock.patch.object(exact, "DEFAULT_FAILURE_CAP", 2):
+            scan = Scan()
         for i in range(5):
             scan.eq("bogus", (i,), [0], [1])
         rep = scan.done()

@@ -1,8 +1,10 @@
-"""One precondition gate, and each fact checked once per call.
+"""One precondition gate, each fact checked once per call, one dense product path.
 
 ``CheckReport.require`` is the only place where a failed report becomes an
 exception, and a composite constructor scans the same fact on the same
-objects at most once in one call.
+objects at most once in one call.  ``HomAlgebra.product`` and
+``Matrix.apply`` are read only by ``algebra._multiplicative``; every other
+composite goes through ``exact.compose`` or ``exact.scan_composites``.
 """
 
 import ast
@@ -178,3 +180,59 @@ class TestSingleGate:
             "        return False, 'braid fails'\n"
         )
         assert scan_and_raise_sites(capture, "suite.py") == []
+
+
+# Receivers of a `.product(` or `.apply(` call that are not a HomAlgebra or a Matrix.
+OTHER_PRODUCTS = {"itertools", "LinearMap"}
+
+
+def dense_product_sites(source, filename):
+    """`file:function` of each `.product(`/`.apply(` call on an object, innermost function."""
+    sites = []
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self):
+            self.stack = []
+
+        def visit_FunctionDef(self, node):
+            self.stack.append(node.name)
+            self.generic_visit(node)
+            self.stack.pop()
+
+        def visit_Call(self, node):
+            func = node.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr in ("product", "apply")
+                and not (isinstance(func.value, ast.Name) and func.value.id in OTHER_PRODUCTS)
+            ):
+                where = self.stack[-1] if self.stack else "<module>"
+                sites.append(f"{filename}:{where}")
+            self.generic_visit(node)
+
+    Visitor().visit(ast.parse(source))
+    return sites
+
+
+class TestOneDenseProductPath:
+    def test_only_the_multiplicativity_scan_reads_product_and_apply(self):
+        sites = []
+        for path in sorted(SRC.glob("*.py")):
+            sites += dense_product_sites(path.read_text(encoding="utf-8"), path.name)
+        assert sorted(set(sites)) == ["algebra.py:_multiplicative"]
+
+    def test_the_guard_sees_a_hand_built_table(self):
+        old = (
+            "def check_hom_algebra(algebra):\n"
+            "    left = [[algebra.product(acol[i], e) for e in basis] for i in range(d)]\n"
+            "    return [alpha.apply(col) for col in left]\n"
+        )
+        assert dense_product_sites(old, "algebra.py") == ["algebra.py:check_hom_algebra"] * 2
+
+    def test_the_guard_allows_the_kernel_and_itertools(self):
+        kernel = (
+            "def scan(dims, mul):\n"
+            "    mu = LinearMap.product(mul)\n"
+            "    return list(itertools.product(*(range(d) for d in dims)))\n"
+        )
+        assert dense_product_sites(kernel, "exact.py") == []

@@ -441,6 +441,40 @@ class TestTable:
         third = [c.strip() for c in rows[4].split("|")]
         assert third[1:] == ["2*e2", "e3", "-1*e2", "-1*e3"]
 
+    @pytest.mark.parametrize("name, constructs", [
+        ("M2", []),
+        ("g.A", []),
+        ("P", ["hom_ttp"]),
+        ("Q", ["hom_ttp", "ttp"]),
+    ])
+    def test_runs_construct_tasks_only_until_the_name_is_bound(
+        self, monkeypatch, name, constructs
+    ):
+        text = json.dumps({
+            "objects": {
+                "M2": json.loads(small_manifest())["objects"]["K2"],
+                "g": {"kind": "gallery", "name": "ttp_k2_lambda", "params": {"lam": "2"}},
+            },
+            "tasks": [
+                {"op": "check_hom_algebra", "args": ["M2"]},
+                {"op": "hom_ttp", "args": ["g.A", "g.B", "g.R"], "as": "P"},
+                {"op": "check_associative", "args": ["P"]},
+                {"op": "ttp", "args": ["g.A", "g.B", "g.R"], "as": "Q"},
+                {"op": "hom_ttp", "args": ["g.A", "g.B", "g.R"], "as": "S"},
+            ],
+        })
+        m = parse_manifest(text)
+        expected = table(m, name)
+        called = []
+        for op, fn in CONSTRUCT_VERBS.items():
+            def counted(*args, op=op, fn=fn):
+                called.append(op)
+                return fn(*args)
+
+            monkeypatch.setitem(CONSTRUCT_VERBS, op, counted)
+        assert table(m, name) == expected
+        assert called == constructs
+
     def test_unknown_name(self):
         m = parse_manifest(small_manifest())
         with pytest.raises(UnknownName):

@@ -1,6 +1,6 @@
 import pytest
 
-from homtwist.algebra import check_hom_algebra, tensor_algebra, zero_algebra
+from homtwist.algebra import check_hom_algebra, hom_algebra, tensor_algebra
 from homtwist.errors import DimensionMismatch, IntertwiningFailure, PreconditionFailure
 from homtwist.exact import Matrix, ONE, Q, ZERO
 from homtwist.gallery import (
@@ -33,6 +33,11 @@ from homtwist.modsmash import (
     tensor_modules,
     yau_twist_module_algebra,
 )
+
+
+def zero_algebra(dim):
+    """Zero multiplication, identity structure map."""
+    return hom_algebra(dim, [[[0] * dim for _ in range(dim)] for _ in range(dim)])
 
 
 def regular_action(bialgebra):

@@ -1,10 +1,17 @@
 """Crash isolation in the acceptance runner and in the closure criterion."""
 
-from homtwist import suite
+from homtwist import exact, suite
 from homtwist.algebra import check_associative
-from homtwist.exact import CheckReport, Failure
+from homtwist.exact import CheckReport, Failure, Matrix
 from homtwist.gallery import GalleryKey, build, k2_algebra
-from homtwist.suite import Recorder, criterion_8_quantum, criterion_9_closure, run_criteria
+from homtwist.suite import (
+    Recorder,
+    criterion_4_clifford,
+    criterion_8_quantum,
+    criterion_9_closure,
+    run_criteria,
+)
+from homtwist.twisted import CliffordParams, clifford
 
 
 def _boom(rec, bounds):
@@ -68,4 +75,45 @@ class TestQuantumCriterion:
         )
         assert criterion_8_quantum(Recorder(), None) == (
             False, "Hopf check on the relations fails at q=2, lambda=3"
+        )
+
+
+class TestCliffordCriterion:
+    EQUATIONS = ("doubling_1_1", "doubling_1_v", "doubling_v_1", "doubling_v_v")
+
+    def test_four_equations_on_every_basis_pair_of_a(self, monkeypatch):
+        seen = []
+        eq = exact.Scan.eq
+
+        def recorded(scan, equation, basis, lhs, rhs):
+            if equation.startswith("doubling_"):
+                seen.append((equation, basis))
+            return eq(scan, equation, basis, lhs, rhs)
+
+        monkeypatch.setattr(exact.Scan, "eq", recorded)
+        assert criterion_4_clifford(Recorder(), None) == (
+            True, "3 q-values verified against the closed doubling formula (4 equations x 4 basis pairs)"
+        )
+        # per q: the basis pairs (a, c) of A in order, the four equations for each
+        per_q = [(name, (i, j)) for i in range(2) for j in range(2) for name in self.EQUATIONS]
+        assert len(per_q) == 16
+        assert seen == per_q * 3
+
+    def test_sigma_identity_fails_with_the_first_witness(self, monkeypatch):
+        gallery_build = suite.build
+
+        def built_with_identity_sigma(key):
+            bundle = gallery_build(key)
+            if key.name == "clifford":
+                params = CliffordParams(key.params["q"], Matrix.identity(2))
+                bundle = {**bundle, "Abar": clifford(bundle["A"], params)[0]}
+            return bundle
+
+        monkeypatch.setattr(suite, "build", built_with_identity_sigma)
+        # A = yau_twist(k2, swap): e0 e0 = e1 and e0 e1 = 0, so (e0 (x) v)(e0 (x) 1) = e1 (x) v
+        # in the flip-twisted product, while the doubling formula asks for e0 sigma(e0) (x) v = 0
+        assert criterion_4_clifford(Recorder(), None) == (
+            False,
+            "closed doubling formula fails at q=1: "
+            "doubling_v_1 at (0, 0): lhs=[0, 0, 0, 1] rhs=[0, 0, 0, 0]",
         )

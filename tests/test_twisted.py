@@ -17,7 +17,7 @@ from homtwist.errors import (
     ParamConstraintViolation,
     PreconditionFailure,
 )
-from homtwist.exact import Matrix, ONE, Q, ZERO, kron, mat_mul
+from homtwist.exact import LinearMap, Matrix, ONE, Q, ZERO, compose, kron
 from homtwist.gallery import GalleryKey, build, k2_algebra, swap_matrix
 from homtwist.twisted import (
     CliffordParams,
@@ -42,6 +42,12 @@ from homtwist.twisted import (
 from homtwist.twistor import check_alpha_pseudotwistor, check_hom_twistor, check_twistor, deform
 
 
+def composite(*matrices):
+    """The matrix of applying `matrices` in turn, the first one first, tabulated by compose."""
+    path = [(LinearMap.from_matrix(m), 0) for m in matrices]
+    return compose(path, (matrices[0].cols,)).matrix()
+
+
 def lambda_bundle(lam=2):
     return build(GalleryKey("ttp_k2_lambda", {"lam": lam}))
 
@@ -60,8 +66,8 @@ class TestFlip:
         f = flip(2, 2)
         assert all(sum(1 for x in f.matrix.col(c) if x) == 1 for c in range(4))
         # flip(a, b) maps A (x) B to B (x) A, so flip(b, a) undoes it, not flip(a, b) itself
-        assert mat_mul(flip(3, 2).matrix, flip(2, 3).matrix) == Matrix.identity(6)
-        assert mat_mul(flip(2, 3).matrix, flip(2, 3).matrix) != Matrix.identity(6)
+        assert composite(flip(2, 3).matrix, flip(3, 2).matrix) == Matrix.identity(6)
+        assert composite(flip(2, 3).matrix, flip(2, 3).matrix) != Matrix.identity(6)
 
     def test_hom_ttp_with_flip_is_tensor(self):
         d = build(GalleryKey("homalg_2dim", {"a": 1, "l1": 1, "l2": 2}))["D"]
@@ -176,9 +182,9 @@ class TestBraid:
     def test_two_flips_make_braid_vacuous(self):
         # with R2 = R3 = flip both braid sides reduce to a_R (x) b_R (x) c,
         # so ANY R1 satisfies the condition
-        skew = TwistingMapR(2, 2, mat_mul(flip(2, 2).matrix, Matrix(
+        skew = TwistingMapR(2, 2, composite(Matrix(
             [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-        )))
+        ), flip(2, 2).matrix))
         assert check_braid(skew, flip(2, 2), flip(2, 2)).passed
 
     def test_lambda_family_with_flip_breaks_braid(self):
@@ -288,11 +294,22 @@ class TestDeformCompatTtp:
         ident = Matrix.identity(2)
         assert check_deform_compat_ttp(b["A"], b["B"], ident, ident, b["R"]).passed
 
+    @pytest.mark.parametrize("alpha", [Matrix.identity(3), Matrix.zero(2, 3), Matrix.zero(3, 2)])
+    def test_alpha_shape_is_named(self, alpha):
+        b = lambda_bundle(2)
+        ident = Matrix.identity(2)
+        message = "^alpha shapes do not match the twisting map$"
+        for alphas in ((alpha, ident), (ident, alpha)):
+            with pytest.raises(DimensionMismatch, match=message):
+                check_deform_compat_ttp(b["A"], b["B"], *alphas, b["R"])
+            with pytest.raises(DimensionMismatch, match=message):
+                alphaAB_from_classical(b["R"], *alphas)
+
     def test_lambda_family_swap_alphas(self):
         b = lambda_bundle(2)
         sw = swap_matrix()
-        left = mat_mul(kron(sw, sw), b["R"].matrix)
-        right = mat_mul(b["R"].matrix, kron(sw, sw))
+        left = composite(b["R"].matrix, kron(sw, sw))
+        right = composite(kron(sw, sw), b["R"].matrix)
         if left == right:
             assert check_deform_compat_ttp(b["A"], b["B"], sw, sw, b["R"]).passed
         else:
@@ -371,8 +388,8 @@ class TestAlphaABFromClassical:
     def test_lambda_family_swap_alphas_branch(self):
         b = lambda_bundle(2)
         sw = swap_matrix()
-        left = mat_mul(kron(sw, sw), b["R"].matrix)
-        right = mat_mul(b["R"].matrix, kron(sw, sw))
+        left = composite(b["R"].matrix, kron(sw, sw))
+        right = composite(kron(sw, sw), b["R"].matrix)
         if left == right:
             lifted = alphaAB_from_classical(b["R"], sw, sw)
             assert check_alphaAB_twisting_map(b["A"], b["B"], sw, sw, lifted).passed

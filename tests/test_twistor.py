@@ -8,7 +8,7 @@ from homtwist.algebra import (
     yau_twist_algebra,
 )
 from homtwist.errors import DimensionMismatch, NotMultiplicative, PreconditionFailure
-from homtwist.exact import Matrix, Q, ZERO, kron
+from homtwist.exact import LinearMap, Matrix, Q, ZERO, compose, kron
 from homtwist.gallery import GalleryKey, build, k2_algebra, swap_matrix
 from homtwist.twisted import twistor_from_R
 from homtwist.twistor import (
@@ -25,6 +25,12 @@ from homtwist.twistor import (
     lift_13,
     yau_operator,
 )
+
+
+def composite(*matrices):
+    """The matrix of applying `matrices` in turn, the first one first, tabulated by compose."""
+    path = [(LinearMap.from_matrix(m), 0) for m in matrices]
+    return compose(path, (matrices[0].cols,)).matrix()
 
 
 def example_bundle(a=1, l1=1, l2=2):
@@ -243,8 +249,8 @@ class TestYauCompat:
         ten, t = lambda_twistor(2)
         lifted = lift_13(t)
         alpha = kron(swap_matrix(), swap_matrix())
-        left = kron(alpha, alpha) * t.matrix
-        right = t.matrix * kron(alpha, alpha)
+        left = composite(t.matrix, kron(alpha, alpha))
+        right = composite(kron(alpha, alpha), t.matrix)
         if left == right:
             assert check_yau_compat(ten, alpha, t, lifted, lifted).passed
         else:
