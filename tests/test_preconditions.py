@@ -9,7 +9,12 @@ import pytest
 
 from homtwist.algebra import hom_algebra
 from homtwist.coalgebra import HomBialgebra, hom_coalgebra, yau_twist_bialgebra
-from homtwist.errors import BraidViolation, NotMultiplicative, PreconditionFailure
+from homtwist.errors import (
+    BraidViolation,
+    DimensionMismatch,
+    NotMultiplicative,
+    PreconditionFailure,
+)
 from homtwist.exact import Matrix, ONE, ZERO
 from homtwist.gallery import (
     GalleryKey,
@@ -21,7 +26,19 @@ from homtwist.gallery import (
     k2_algebra,
     sweedler_h4,
 )
-from homtwist.modsmash import LEFT, RIGHT, ActionTable, smash_two_sided, yau_twist_module_algebra
+from homtwist.modsmash import (
+    LEFT,
+    RIGHT,
+    ActionTable,
+    CoactionTable,
+    check_smash_twist_compat,
+    coaction_lambda_smash,
+    smash_left,
+    smash_right,
+    smash_two_sided,
+    tensor_modules,
+    yau_twist_module_algebra,
+)
 from homtwist.twisted import TwistingMapR, alphaAB_ttp, check_deform_compat_ttp, flip, iterated_ttp
 from homtwist.twistor import Operator2, Operator3, check_yau_compat
 
@@ -52,6 +69,21 @@ def _g_swaps_action():
     z, o = ZERO, ONE
     table = (((o, z), (z, o)), ((z, o), (o, z)), ((z, z), (z, z)), ((z, z), (z, z)))
     return ActionTable(LEFT, 4, 2, table, Matrix.identity(2))
+
+
+def _broken_left_action():
+    """H4's left action with x . y = 2: not a module."""
+    left = h4_left_action()
+    table = [[list(row) for row in plane] for plane in left.table]
+    table[2][1][0] = table[2][1][0] + 1
+    return ActionTable(LEFT, 4, 2, table, left.alpha_m)
+
+
+def _trivial_coaction():
+    """y^i -> 1 (x) y^i, a left H4-coaction on the dual numbers."""
+    table = [[[ONE if (h, j) == (0, m) else ZERO for j in range(2)] for h in range(4)]
+             for m in range(2)]
+    return CoactionTable(LEFT, 4, 2, table, Matrix.identity(2))
 
 
 def _perturbed_h4():
@@ -114,6 +146,26 @@ def _cases():
         ("yau_twist_module_algebra/not_a_module_algebra",
          lambda: yau_twist_module_algebra(LEFT, h4, a, _g_swaps_action(), alpha_h, alpha_a),
          PreconditionFailure, "precondition failed: classical module algebra axioms"),
+        ("smash_left/not_a_module_algebra",
+         lambda: smash_left(a, h4, _g_swaps_action()),
+         PreconditionFailure, "precondition failed: check_module_hom_algebra"),
+        ("smash_right/not_a_module",
+         lambda: smash_right(h4, a, _broken_right_action()),
+         PreconditionFailure, "precondition failed: check_module"),
+        ("tensor_modules/n_not_a_module",
+         lambda: tensor_modules(h4, h4_left_action(), _broken_left_action()),
+         PreconditionFailure, "precondition failed: check_module:N"),
+        ("check_smash_twist_compat/not_a_module_algebra",
+         lambda: check_smash_twist_compat(LEFT, h4, a, _g_swaps_action(), alpha_h, alpha_a),
+         PreconditionFailure, "precondition failed: classical module algebra axioms"),
+        ("coaction_lambda_smash/not_a_module_algebra",
+         lambda: coaction_lambda_smash(a, h4, _g_swaps_action(), _trivial_coaction()),
+         PreconditionFailure, "precondition failed: check_module_hom_algebra"),
+        ("check_yau_compat/operator_dimension",
+         lambda: check_yau_compat(
+             k2, Matrix.identity(2), Operator2.identity(3), Operator3.identity(3),
+             Operator3.identity(3)),
+         DimensionMismatch, "operator dimension does not match the algebra"),
     ]
 
 
