@@ -135,11 +135,6 @@ def yau_twist_coalgebra(coalgebra, alpha):
     _comultiplicativity_scan(coalgebra, alpha).require(
         "alpha is not comultiplicative", NotComultiplicative
     )
-    return _yau_cotwisted(coalgebra, alpha)
-
-
-def _yau_cotwisted(coalgebra, alpha):
-    """The Yau twist Delta o alpha with structure map alpha; nothing is checked."""
     path = [(LinearMap.from_matrix(alpha), 0), (LinearMap.coproduct(coalgebra.comul), 0)]
     new_comul = compose(path, (coalgebra.dim,)).table()
     return HomCoalgebra(coalgebra.dim, new_comul, alpha, coalgebra.provenance + ("yau_twist",))

@@ -32,10 +32,10 @@ Everything else in the package builds on the conventions pinned here, once:
   ``Matrix.apply`` and ``HomAlgebra.product``.
 * a precondition is a check whose report must pass; ``CheckReport.require`` is
   the one place that turns a failed report into an exception.  A composite
-  constructor checks each fact once per call: it skips a scan only when the
-  same checker already passed on the very same objects (``is``) earlier in
-  the same call, and builds through private builders that check nothing.
-  No verified fact is cached across calls (``uqsl2`` memoizes pure values only).
+  constructor calls the public checked constructors it is built from, and
+  calls a private builder (which checks nothing) only directly after it has
+  verified that builder's inputs itself.  No object identity is tracked and
+  no verified fact is cached (``uqsl2`` memoizes pure values only).
 """
 
 import re
@@ -162,10 +162,6 @@ class Matrix:
     @classmethod
     def identity(cls, n):
         return cls(tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls(tuple((ZERO,) * cols for _ in range(rows)))
 
     @classmethod
     def from_columns(cls, columns):

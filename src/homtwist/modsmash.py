@@ -15,14 +15,8 @@ maps, with flips bringing the factors each map acts on together.
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import _twisted_product, _yau_twisted, multiplicativity_scan, yau_twist_algebra
-from .coalgebra import (
-    HomBialgebra,
-    _comultiplicativity_scan,
-    _yau_cotwisted,
-    check_coassociative,
-    check_hom_bialgebra,
-)
+from .algebra import multiplicativity_scan, yau_twist_algebra
+from .coalgebra import _comultiplicativity_scan, yau_twist_bialgebra
 from .errors import (
     DimensionMismatch,
     IntertwiningFailure,
@@ -31,7 +25,7 @@ from .errors import (
     YDViolation,
 )
 from .exact import LinearMap, Matrix, as_constants, compose, kron, mat_inv, scan_composites
-from .twisted import TwistingMapR, _first_time, _iterated, _require_hom_twisting, flip
+from .twisted import TwistingMapR, check_hom_twisting_map, flip, hom_ttp, iterated_ttp
 from .twistor import structure_constants_block
 
 LEFT = "left"
@@ -168,11 +162,8 @@ def yau_twist_module_algebra(side, bialgebra, algebra, action, alpha_h, alpha_a)
     scan_composites([
         (dims, [("intertwining", [(act, 0), (fa, 0)], [(fh, 0), (fa, 1), (act, 0)])]),
     ]).require("alpha_A(h.a) != alpha_H(h).alpha_A(a)", IntertwiningFailure)
-    # yau_twist_bialgebra and yau_twist_algebra, less the scans that passed above
-    check_hom_bialgebra(bialgebra).require("check_hom_bialgebra")
-    check_coassociative(c).require("coassociativity")
-    twisted_bi = HomBialgebra(_yau_twisted(h, alpha_h), _yau_cotwisted(c, alpha_h))
-    twisted_alg = _yau_twisted(algebra, alpha_a)
+    twisted_bi = yau_twist_bialgebra(bialgebra, alpha_h)
+    twisted_alg = yau_twist_algebra(algebra, alpha_a)
     new_table = compose([(act, 0), (fa, 0)], dims).table()
     twisted_action = ActionTable(side, bialgebra.dim, algebra.dim, new_table, alpha_a)
     return twisted_bi, twisted_alg, twisted_action
@@ -184,10 +175,8 @@ def tensor_modules(bialgebra, act_m, act_n):
         raise PreconditionFailure("tensor_modules requires left modules")
     if act_m.acting_dim != bialgebra.dim or act_n.acting_dim != bialgebra.dim:
         raise DimensionMismatch("acting dimensions do not match the bialgebra")
-    seen = []
     for act, name in ((act_m, "M"), (act_n, "N")):
-        if _first_time(seen, act):
-            check_module(LEFT, bialgebra.algebra, act).require(f"check_module:{name}")
+        check_module(LEFT, bialgebra.algebra, act).require(f"check_module:{name}")
     dh = bialgebra.dim
     dm, dn = act_m.module_dim, act_n.module_dim
     path = [
@@ -276,11 +265,6 @@ def check_yetter_drinfeld(bialgebra, action, coaction):
         raise PreconditionFailure("action and coaction must share the module and alpha_M")
     check_module(LEFT, bialgebra.algebra, action).require("check_module")
     check_comodule(LEFT, bialgebra.coalgebra, coaction).require("check_comodule")
-    return _yetter_drinfeld_scan(bialgebra, action, coaction)
-
-
-def _yetter_drinfeld_scan(bialgebra, action, coaction):
-    """The Yetter-Drinfeld equation alone; the (co)module axioms are not checked."""
     dh, dm = bialgebra.dim, action.module_dim
     a, act, co = LinearMap.from_matrix(bialgebra.alpha), action.map, coaction.map
     mu, delta = bialgebra.algebra.map, LinearMap.coproduct(bialgebra.comul)
@@ -300,22 +284,18 @@ def _yetter_drinfeld_scan(bialgebra, action, coaction):
 # ---------------------------------------------------------------------------
 
 
-def _smash_preconditions(side, bialgebra, algebra, action, seen):
-    """The module-algebra check; returns the inverses of alpha_H and the algebra's alpha.
-
-    The scan is skipped when `seen` records it as passed on these very objects.
-    """
-    if _first_time(seen, side, bialgebra, algebra, action):
-        check_module_hom_algebra(side, bialgebra, algebra, action).require(
-            "check_module_hom_algebra"
-        )
+def _smash_preconditions(side, bialgebra, algebra, action):
+    """The module-algebra check; returns the inverses of alpha_H and the algebra's alpha."""
+    check_module_hom_algebra(side, bialgebra, algebra, action).require(
+        "check_module_hom_algebra"
+    )
     inv_h = LinearMap.from_matrix(mat_inv(bialgebra.alpha))  # NotInvertible propagates
     return inv_h, LinearMap.from_matrix(mat_inv(algebra.alpha))
 
 
-def _smash_left_map(algebra, bialgebra, action, seen):
+def _smash_left_map(algebra, bialgebra, action):
     """R(h (x) a) = alpha_H^{-2}(h1) . alpha_A^{-1}(a) (x) alpha_H^{-1}(h2)."""
-    inv_h, inv_a = _smash_preconditions(LEFT, bialgebra, algebra, action, seen)
+    inv_h, inv_a = _smash_preconditions(LEFT, bialgebra, algebra, action)
     da, dh = algebra.dim, bialgebra.dim
     path = [
         (LinearMap.coproduct(bialgebra.comul), 0),
@@ -326,9 +306,9 @@ def _smash_left_map(algebra, bialgebra, action, seen):
     return TwistingMapR(da, dh, compose(path, (dh, da)).matrix())
 
 
-def _smash_right_map(bialgebra, algebra, action, seen):
+def _smash_right_map(bialgebra, algebra, action):
     """R(c (x) h) = alpha_H^{-1}(h1) (x) alpha_C^{-1}(c) . alpha_H^{-2}(h2)."""
-    inv_h, inv_c = _smash_preconditions(RIGHT, bialgebra, algebra, action, seen)
+    inv_h, inv_c = _smash_preconditions(RIGHT, bialgebra, algebra, action)
     dh, dc = bialgebra.dim, algebra.dim
     path = [
         (LinearMap.coproduct(bialgebra.comul), 1),
@@ -341,28 +321,14 @@ def _smash_right_map(bialgebra, algebra, action, seen):
 
 def smash_left(algebra, bialgebra, action):
     """Left Hom-smash product A # H; returns (R, A # H)."""
-    return _smash_left(algebra, bialgebra, action, [])
-
-
-def _smash_left(algebra, bialgebra, action, seen):
-    """smash_left within one call; the hom_ttp scans that `seen` records are skipped."""
-    h = bialgebra.algebra
-    rmap = _smash_left_map(algebra, bialgebra, action, seen)
-    _require_hom_twisting(algebra, h, rmap, "check_hom_twisting_map", seen)
-    return rmap, _twisted_product(algebra, h, rmap.map, "hom_ttp").with_provenance("smash_left")
+    rmap = _smash_left_map(algebra, bialgebra, action)
+    return rmap, hom_ttp(algebra, bialgebra.algebra, rmap).with_provenance("smash_left")
 
 
 def smash_right(bialgebra, algebra, action):
     """Right Hom-smash product H # C; returns (R, H # C)."""
-    return _smash_right(bialgebra, algebra, action, [])
-
-
-def _smash_right(bialgebra, algebra, action, seen):
-    """smash_right within one call; the hom_ttp scans that `seen` records are skipped."""
-    h = bialgebra.algebra
-    rmap = _smash_right_map(bialgebra, algebra, action, seen)
-    _require_hom_twisting(h, algebra, rmap, "check_hom_twisting_map", seen)
-    return rmap, _twisted_product(h, algebra, rmap.map, "hom_ttp").with_provenance("smash_right")
+    rmap = _smash_right_map(bialgebra, algebra, action)
+    return rmap, hom_ttp(bialgebra.algebra, algebra, rmap).with_provenance("smash_right")
 
 
 def smash_two_sided(algebra_a, bialgebra, algebra_c, action_left, action_right):
@@ -372,13 +338,13 @@ def smash_two_sided(algebra_a, bialgebra, algebra_c, action_left, action_right):
     formula before being returned.
     """
     # the twisting maps of smash_left and smash_right, verified as their hom_ttp would
-    h, seen = bialgebra.algebra, []
-    r1 = _smash_left_map(algebra_a, bialgebra, action_left, seen)
-    _require_hom_twisting(algebra_a, h, r1, "check_hom_twisting_map", seen)
-    r2 = _smash_right_map(bialgebra, algebra_c, action_right, seen)
-    _require_hom_twisting(h, algebra_c, r2, "check_hom_twisting_map", seen)
+    h = bialgebra.algebra
+    r1 = _smash_left_map(algebra_a, bialgebra, action_left)
+    check_hom_twisting_map(algebra_a, h, r1).require("check_hom_twisting_map")
+    r2 = _smash_right_map(bialgebra, algebra_c, action_right)
+    check_hom_twisting_map(h, algebra_c, r2).require("check_hom_twisting_map")
     r3 = flip(algebra_a.dim, algebra_c.dim)
-    product, _p1, _p2 = _iterated(algebra_a, h, algebra_c, r1, r2, r3, seen)
+    product, _p1, _p2 = iterated_ttp(algebra_a, h, algebra_c, r1, r2, r3)
 
     da, dh, dc = algebra_a.dim, bialgebra.dim, algebra_c.dim
     inv_h = LinearMap.from_matrix(mat_inv(bialgebra.alpha))
@@ -411,7 +377,7 @@ def smash_two_sided(algebra_a, bialgebra, algebra_c, action_left, action_right):
 
 def coaction_rho_smash(algebra, bialgebra, action):
     """rho(a # h) = (alpha_A(a) # h1) (x) h2 on A # H."""
-    _smash_preconditions(LEFT, bialgebra, algebra, action, [])
+    _smash_preconditions(LEFT, bialgebra, algebra, action)
     da, dh = algebra.dim, bialgebra.dim
     path = [(LinearMap.coproduct(bialgebra.comul), 1), (LinearMap.from_matrix(algebra.alpha), 0)]
     table = compose(path, (da, dh)).reshaped((da * dh,), (da * dh, dh)).table()
@@ -424,12 +390,11 @@ def coaction_lambda_smash(algebra, bialgebra, action, coaction_a):
     Requires A to be a left H-comodule Hom-algebra and (A, action, coaction)
     to be a Yetter-Drinfeld module.
     """
-    _smash_preconditions(LEFT, bialgebra, algebra, action, [])
+    _smash_preconditions(LEFT, bialgebra, algebra, action)
     check_comodule_hom_algebra(LEFT, bialgebra, algebra, coaction_a).require(
         "check_comodule_hom_algebra"
     )
-    # check_yetter_drinfeld less its module and comodule scans, which passed above
-    _yetter_drinfeld_scan(bialgebra, action, coaction_a).require(
+    check_yetter_drinfeld(bialgebra, action, coaction_a).require(
         "Yetter-Drinfeld compatibility fails", YDViolation
     )
     da, dh = algebra.dim, bialgebra.dim
@@ -447,7 +412,7 @@ def coaction_lambda_smash(algebra, bialgebra, action, coaction_a):
 
 def coaction_lambda_right_smash(bialgebra, algebra, action):
     """lambda(h # c) = h1 (x) (h2 # alpha_C(c)) on H # C."""
-    _smash_preconditions(RIGHT, bialgebra, algebra, action, [])
+    _smash_preconditions(RIGHT, bialgebra, algebra, action)
     dh, dc = bialgebra.dim, algebra.dim
     path = [(LinearMap.coproduct(bialgebra.comul), 0), (LinearMap.from_matrix(algebra.alpha), 2)]
     table = compose(path, (dh, dc)).reshaped((dh * dc,), (dh, dh * dc)).table()
@@ -472,16 +437,13 @@ def check_smash_twist_compat(side, bialgebra, algebra, action, alpha_h, alpha_x)
     twisted_bi, twisted_alg, twisted_act = yau_twist_module_algebra(
         side, bialgebra, algebra, action, alpha_h, alpha_x
     )
-    # the classical module-algebra axioms, and H's Hom-associativity inside
-    # check_hom_bialgebra, passed in yau_twist_module_algebra
-    seen = [(side, bialgebra, algebra, action), (bialgebra.algebra,)]
     if side == LEFT:
-        pmap, classical = _smash_left(algebra, bialgebra, action, seen)
-        rmap, hom_smash = _smash_left(twisted_alg, twisted_bi, twisted_act, seen)
+        pmap, classical = smash_left(algebra, bialgebra, action)
+        rmap, hom_smash = smash_left(twisted_alg, twisted_bi, twisted_act)
         twist = kron(alpha_x, alpha_h)
     else:
-        pmap, classical = _smash_right(bialgebra, algebra, action, seen)
-        rmap, hom_smash = _smash_right(twisted_bi, twisted_alg, twisted_act, seen)
+        pmap, classical = smash_right(bialgebra, algebra, action)
+        rmap, hom_smash = smash_right(twisted_bi, twisted_alg, twisted_act)
         twist = kron(alpha_h, alpha_x)
     twisted_classical = yau_twist_algebra(classical, twist)
     r, p = LinearMap.from_matrix(rmap.matrix), LinearMap.from_matrix(pmap.matrix)

@@ -36,7 +36,6 @@ from .errors import (
 from .exact import (
     LinearMap,
     Matrix,
-    Scan,
     ZERO,
     as_scalar,
     compose,
@@ -85,14 +84,6 @@ def _check_r_dims(a, b, rmap):
         )
 
 
-def _first_time(seen, *objs):
-    """False if `seen` already holds these very objects (by identity); else record them."""
-    if any(len(s) == len(objs) and all(x is y for x, y in zip(s, objs)) for s in seen):
-        return False
-    seen.append(objs)
-    return True
-
-
 def _alpha_equation(name, rmap, alpha_a, alpha_b):
     """(alpha_A (x) alpha_B) o R = R o (alpha_B (x) alpha_A) on basis pairs."""
     r, fa, fb = rmap.map, LinearMap.from_matrix(alpha_a), LinearMap.from_matrix(alpha_b)
@@ -131,37 +122,19 @@ def _twisting_axioms(prefix, a, b, rmap, hom=None, alphas=None):
 def check_twisting_map(a, b, rmap):
     """Classical twisting map equations over associative algebras."""
     _check_r_dims(a, b, rmap)
-    seen = []
     for alg, name in ((a, "A"), (b, "B")):
         if not alg.is_classical():
             raise PreconditionFailure(f"{name} must have identity structure map")
-        if _first_time(seen, alg):
-            check_associative(alg).require(f"check_associative:{name}")
+        check_associative(alg).require(f"check_associative:{name}")
     return _twisting_axioms("twisting_map", a, b, rmap)
 
 
 def check_hom_twisting_map(a, b, rmap):
     """Hom-twisting map equations over Hom-associative algebras."""
-    return _hom_twisting_report(a, b, rmap, [])
-
-
-def _hom_twisting_report(a, b, rmap, seen):
-    """check_hom_twisting_map, less the algebra scans that `seen` records as passed."""
     _check_r_dims(a, b, rmap)
     for alg, name in ((a, "A"), (b, "B")):
-        if _first_time(seen, alg):
-            check_hom_algebra(alg).require(f"check_hom_algebra:{name}")
+        check_hom_algebra(alg).require(f"check_hom_algebra:{name}")
     return _twisting_axioms("hom_twisting_map", a, b, rmap, hom=(a.alpha, b.alpha))
-
-
-def _require_hom_twisting(a, b, rmap, cause, seen):
-    """check_hom_twisting_map(a, b, rmap).require(cause) within one call.
-
-    `seen` lists the algebras and (a, b, rmap) triples already verified in
-    the call, by identity; their scans are skipped and the new ones recorded.
-    """
-    if _first_time(seen, a, b, rmap):
-        _hom_twisting_report(a, b, rmap, seen).require(cause)
 
 
 def check_braid(r1, r2, r3):
@@ -226,13 +199,8 @@ def iterated_ttp(a, b, c, r1, r2, r3):
     Returns (algebra, P1, P2) where P1 twists (A (x) B) with C and P2 twists A
     with (B (x) C); the two bracketings are compared entry-wise.
     """
-    return _iterated(a, b, c, r1, r2, r3, [])
-
-
-def _iterated(a, b, c, r1, r2, r3, seen):
-    """iterated_ttp within one call whose verified objects `seen` records."""
     for rmap, left, right, name in ((r1, a, b, "R1"), (r2, b, c, "R2"), (r3, a, c, "R3")):
-        _require_hom_twisting(left, right, rmap, f"check_hom_twisting_map:{name}", seen)
+        check_hom_twisting_map(left, right, rmap).require(f"check_hom_twisting_map:{name}")
     check_braid(r1, r2, r3).require("braid condition fails", BraidViolation)
     da, db, dc = a.dim, b.dim, c.dim
     # P1: c (x) (a (x) b) -> (a (x) b) (x) c;  P2: (b (x) c) (x) a -> a (x) (b (x) c)
@@ -241,12 +209,11 @@ def _iterated(a, b, c, r1, r2, r3, seen):
     p1 = TwistingMapR(da * db, dc, p1.matrix())
     p2 = TwistingMapR(da, db * dc, p2.matrix())
 
+    # hom_ttp of (a, b, r1) and (b, c, r2), whose twisting maps passed above
     ab = _twisted_product(a, b, r1.map, "hom_ttp")
-    _require_hom_twisting(ab, c, p1, "check_hom_twisting_map", seen)
-    left_first = _twisted_product(ab, c, p1.map, "hom_ttp")
+    left_first = hom_ttp(ab, c, p1)
     bc = _twisted_product(b, c, r2.map, "hom_ttp")
-    _require_hom_twisting(a, bc, p2, "check_hom_twisting_map", seen)
-    right_first = _twisted_product(a, bc, p2.map, "hom_ttp")
+    right_first = hom_ttp(a, bc, p2)
     if left_first.mul != right_first.mul or left_first.alpha != right_first.alpha:
         raise BraidViolation("bracketings disagree despite a passing braid check")
     return left_first.with_provenance("iterated_ttp"), p1, p2
@@ -328,34 +295,25 @@ def _alpha_lift(pmap, alpha_a, alpha_b):
 
 def check_deform_compat_ttp(a, b, alpha_a, alpha_b, pmap):
     """Twisting then Yau-deforming equals Yau-deforming then twisting."""
-    check_twisting_map(a, b, pmap).require("check_twisting_map")
+    classical = ttp(a, b, pmap)
     _alpha_lift(pmap, alpha_a, alpha_b)
     at = yau_twist_algebra(a, alpha_a)
     bt = yau_twist_algebra(b, alpha_b)
-    on_twists = check_hom_twisting_map(at, bt, pmap)
-    scan = Scan()
-    scan.absorb("hom_twisting_map_on_twists", on_twists)
-    # ttp and hom_ttp of inputs whose twisting-map checks ran above
-    classical = _twisted_product(a, b, pmap.map, "ttp")
     twisted_classical = yau_twist_algebra(classical, kron(alpha_a, alpha_b))
-    on_twists.require("check_hom_twisting_map")
-    hom_side = _twisted_product(at, bt, pmap.map, "hom_ttp")
-    return scan_composites([structure_constants_block(twisted_classical, hom_side)], scan)
+    hom_side = hom_ttp(at, bt, pmap)
+    return scan_composites([structure_constants_block(twisted_classical, hom_side)])
 
 
 def check_alphaAB_twisting_map(a, b, alpha_a, alpha_b, rmap):
     """(alpha_A, alpha_B)-twisting map equations over associative algebras."""
     _check_r_dims(a, b, rmap)
-    seen = []
     for alg, endo, name in ((a, alpha_a, "A"), (b, alpha_b, "B")):
         if not alg.is_classical():
             raise PreconditionFailure(f"{name} must have identity structure map")
-        if _first_time(seen, alg):
-            check_associative(alg).require(f"check_associative:{name}")
-        if _first_time(seen, alg, endo):
-            multiplicativity_scan(alg, endo).require(
-                f"alpha_{name} is not multiplicative", NotMultiplicative
-            )
+        check_associative(alg).require(f"check_associative:{name}")
+        multiplicativity_scan(alg, endo).require(
+            f"alpha_{name} is not multiplicative", NotMultiplicative
+        )
     return _twisting_axioms("alpha_twisting_map", a, b, rmap, alphas=(alpha_a, alpha_b))
 
 

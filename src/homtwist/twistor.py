@@ -15,10 +15,10 @@ from functools import cached_property
 
 from .algebra import (
     HomAlgebra,
-    _yau_twisted,
     check_associative,
     check_hom_algebra,
     multiplicativity_scan,
+    yau_twist_algebra,
 )
 from .errors import DimensionMismatch, NotMultiplicative, PreconditionFailure
 from .exact import LinearMap, Matrix, Scan, compose, kron, scan_composites
@@ -236,18 +236,15 @@ def check_yau_compat(algebra, alpha, op, comp1, comp2):
     if not algebra.is_classical():
         raise PreconditionFailure("associative input required (identity structure map)")
     check_associative(algebra).require("check_associative")
-    # check_pseudotwistor less the associativity scan that just passed
-    _check_shapes(algebra, op, comp1, comp2)
-    _twistor_axioms("pseudotwistor", algebra, op, (comp1, comp2)).require("check_pseudotwistor")
+    check_pseudotwistor(algebra, op, comp1, comp2).require("check_pseudotwistor")
     multiplicativity_scan(algebra, alpha).require("alpha_multiplicative_for_base")
     scan_composites([_commutes_with_alpha(alpha, op)]).require("alpha_commutes_with_operator")
     deformed = deform(algebra, op, verified="pseudotwistor")
     multiplicativity_scan(deformed, alpha).require("alpha_multiplicative_for_deformed")
 
-    # both Yau twists are of (algebra, alpha) pairs whose multiplicativity passed above
-    twisted = _yau_twisted(algebra, alpha)
+    twisted = yau_twist_algebra(algebra, alpha)
     scan = Scan()
     scan.absorb("hom_pseudotwistor_on_twist", check_hom_pseudotwistor(twisted, op, comp1, comp2))
     twist_then_deform = deform(twisted, op, verified="hom_pseudotwistor")
-    deform_then_twist = _yau_twisted(deformed, alpha)
+    deform_then_twist = yau_twist_algebra(deformed, alpha)
     return scan_composites([structure_constants_block(twist_then_deform, deform_then_twist)], scan)

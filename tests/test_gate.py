@@ -1,10 +1,12 @@
-"""One precondition gate, each fact checked once per call, one dense product path.
+"""One precondition gate, composites built from checked constructors, one dense product path.
 
 ``CheckReport.require`` is the only place where a failed report becomes an
-exception, and a composite constructor scans the same fact on the same
-objects at most once in one call.  ``HomAlgebra.product`` and
-``Matrix.apply`` are read only by ``algebra._multiplicative``; every other
-composite goes through ``exact.compose`` or ``exact.scan_composites``.
+exception.  A composite constructor calls the public checked constructors it
+is built from, and calls a private builder only directly after it has
+verified that builder's inputs itself; no object identity is tracked and no
+verified fact is cached.  ``HomAlgebra.product`` and ``Matrix.apply`` are
+read only by ``algebra._multiplicative``; every other composite goes through
+``exact.compose`` or ``exact.scan_composites``.
 """
 
 import ast
@@ -12,82 +14,29 @@ import pathlib
 
 import pytest
 
-from homtwist import coalgebra, modsmash, twisted
+from homtwist import twisted
 from homtwist.errors import PreconditionFailure
 from homtwist.exact import Matrix
-from homtwist.gallery import (
-    GalleryKey,
-    build,
-    dual_numbers,
-    h4_left_action,
-    h4_right_action,
-    h4_twists,
-    k2_algebra,
-    sweedler_h4,
-)
-from homtwist.modsmash import smash_two_sided
+from homtwist.gallery import GalleryKey, build, k2_algebra
 
 SRC = pathlib.Path(twisted.__file__).parent
 
 
-def _counting(monkeypatch, name, *modules):
-    """Record the first argument of every call to <module>.<name>, in one list.
+def _counting(monkeypatch, name):
+    """Record the first argument of every call to twisted.<name>."""
+    calls = []
+    original = getattr(twisted, name)
 
-    `modules` defaults to `twisted`.
-    """
-    seen = []
-    for module in modules or (twisted,):
-        original = getattr(module, name)
+    def counted(first, *rest):
+        calls.append(first)
+        return original(first, *rest)
 
-        def counted(first, *rest, original=original):
-            seen.append(first)
-            return original(first, *rest)
-
-        monkeypatch.setattr(module, name, counted)
-    return seen
-
-
-class TestOncePerCall:
-    def test_iterated_ttp_scans_each_algebra_once(self, monkeypatch):
-        scanned = _counting(monkeypatch, "check_hom_algebra")
-        m, f = k2_algebra(), twisted.flip(2, 2)
-        product, _, _ = twisted.iterated_ttp(m, m, m, f, f, f)
-        # M itself, then the inner products M (x) M of the two bracketings
-        assert len(scanned) == len({id(x) for x in scanned}) == 3
-        assert scanned[0] is m
-        assert product.dim == 8
-
-    def test_smash_two_sided_scans_each_algebra_once(self, monkeypatch):
-        scanned = _counting(monkeypatch, "check_hom_algebra")
-        a, h4, c = dual_numbers(), sweedler_h4(), dual_numbers()
-        smash_two_sided(a, h4, c, h4_left_action(), h4_right_action())
-        # A, H and C, then the inner products A # H and H # C of the two bracketings
-        assert len(scanned) == len({id(x) for x in scanned}) == 5
-        assert all(x is y for x, y in zip(scanned, (a, h4.algebra, c)))
-
-    def test_no_state_survives_the_call(self, monkeypatch):
-        scanned = _counting(monkeypatch, "check_hom_algebra")
-        m, f = k2_algebra(), twisted.flip(2, 2)
-        twisted.iterated_ttp(m, m, m, f, f, f)
-        twisted.iterated_ttp(m, m, m, f, f, f)
-        assert sum(x is m for x in scanned) == 2
+    monkeypatch.setattr(twisted, name, counted)
+    return calls
 
 
 class TestRepeatedArguments:
-    """A classical checker given the same object twice scans it once."""
-
-    def test_check_twisting_map_scans_a_once(self, monkeypatch):
-        scanned = _counting(monkeypatch, "check_associative")
-        a = k2_algebra()
-        assert twisted.check_twisting_map(a, a, twisted.flip(2, 2)).passed
-        assert scanned == [a]
-
-    def test_check_alphaAB_twisting_map_scans_a_and_f_once(self, monkeypatch):
-        scanned = _counting(monkeypatch, "check_associative")
-        multiplied = _counting(monkeypatch, "multiplicativity_scan")
-        a, f, r = k2_algebra(), Matrix.identity(2), twisted.flip(2, 2)
-        assert twisted.check_alphaAB_twisting_map(a, a, f, f, r).passed
-        assert scanned == [a] and multiplied == [a]
+    """A checker given the same object twice scans it twice: no identity is tracked."""
 
     def test_check_alphaAB_twisting_map_scans_each_distinct_map(self, monkeypatch):
         multiplied = _counting(monkeypatch, "multiplicativity_scan")
@@ -95,38 +44,6 @@ class TestRepeatedArguments:
         f, g = Matrix.identity(2), Matrix.identity(2)
         assert twisted.check_alphaAB_twisting_map(a, a, f, g, r).passed
         assert multiplied == [a, a]
-
-    def test_tensor_modules_scans_m_once(self, monkeypatch):
-        checked = _counting(monkeypatch, "check_module", modsmash)
-        act = h4_left_action()
-        modsmash.tensor_modules(sweedler_h4(), act, act)
-        assert checked == [modsmash.LEFT]
-
-    @pytest.mark.parametrize("side, action", [
-        (modsmash.LEFT, h4_left_action), (modsmash.RIGHT, h4_right_action)
-    ])
-    def test_check_smash_twist_compat_scans_the_classical_module_algebra_once(
-        self, monkeypatch, side, action
-    ):
-        checked = _counting(monkeypatch, "check_module_hom_algebra", modsmash)
-        alpha_h, alpha_a = h4_twists(2)
-        assert modsmash.check_smash_twist_compat(
-            side, sweedler_h4(), dual_numbers(), action(), alpha_h, alpha_a
-        ).passed
-        # the classical inputs inside yau_twist_module_algebra, then their twists
-        assert checked == [side, side]
-
-    @pytest.mark.parametrize("side, action", [
-        (modsmash.LEFT, h4_left_action), (modsmash.RIGHT, h4_right_action)
-    ])
-    def test_check_smash_twist_compat_scans_h_once(self, monkeypatch, side, action):
-        scanned = _counting(monkeypatch, "check_hom_algebra", coalgebra, twisted)
-        h4, a = sweedler_h4(), dual_numbers()
-        alpha_h, alpha_a = h4_twists(2)
-        assert modsmash.check_smash_twist_compat(side, h4, a, action(), alpha_h, alpha_a).passed
-        # H inside check_hom_bialgebra, then A and the two twists for the hom_ttp scans
-        assert len(scanned) == len({id(x) for x in scanned}) == 4
-        assert scanned[0] is h4.algebra and scanned[1] is a
 
 
 class TestCheckOrder:
@@ -186,8 +103,8 @@ class TestSingleGate:
 OTHER_PRODUCTS = {"itertools", "LinearMap"}
 
 
-def dense_product_sites(source, filename):
-    """`file:function` of each `.product(`/`.apply(` call on an object, innermost function."""
+def call_sites(source, filename, matches):
+    """`file:function` of each call whose callee node `matches`, innermost function."""
     sites = []
 
     class Visitor(ast.NodeVisitor):
@@ -200,18 +117,22 @@ def dense_product_sites(source, filename):
             self.stack.pop()
 
         def visit_Call(self, node):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in ("product", "apply")
-                and not (isinstance(func.value, ast.Name) and func.value.id in OTHER_PRODUCTS)
-            ):
+            if matches(node.func):
                 where = self.stack[-1] if self.stack else "<module>"
                 sites.append(f"{filename}:{where}")
             self.generic_visit(node)
 
     Visitor().visit(ast.parse(source))
     return sites
+
+
+def dense_product_sites(source, filename):
+    """`file:function` of each `.product(`/`.apply(` call on an object, innermost function."""
+    return call_sites(source, filename, lambda func: (
+        isinstance(func, ast.Attribute)
+        and func.attr in ("product", "apply")
+        and not (isinstance(func.value, ast.Name) and func.value.id in OTHER_PRODUCTS)
+    ))
 
 
 class TestOneDenseProductPath:
@@ -236,3 +157,80 @@ class TestOneDenseProductPath:
             "    return list(itertools.product(*(range(d) for d in dims)))\n"
         )
         assert dense_product_sites(kernel, "exact.py") == []
+
+
+# The builders that check nothing, and the checked constructors allowed to call them.
+PRIVATE_BUILDERS = {"_twisted_product", "_yau_twisted", "_deformed"}
+BUILDER_CALLERS = [
+    "algebra.py:tensor_algebra",
+    "algebra.py:yau_twist_algebra",
+    "twisted.py:hom_ttp",
+    "twisted.py:iterated_ttp",
+    "twisted.py:ttp",
+    "twistor.py:deform",
+    "twistor.py:deform_with_alpha",
+]
+
+
+def private_builder_sites(source, filename):
+    """`file:function` of each call to a private builder, innermost function."""
+    return call_sites(source, filename, lambda func: (
+        func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    ) in PRIVATE_BUILDERS)
+
+
+def seen_tracking_sites(source, filename):
+    """`file:line` of each `seen` parameter and each definition of `_first_time`."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        params = []
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        defines = (
+            isinstance(node, ast.FunctionDef) and node.name == "_first_time"
+            or isinstance(node, ast.Name) and node.id == "_first_time"
+            and isinstance(node.ctx, ast.Store)
+        )
+        if defines or any(a.arg == "seen" for a in params):
+            sites.append(f"{filename}:{node.lineno}")
+    return sites
+
+
+class TestCompositesCallCheckedConstructors:
+    def _sources(self):
+        return [(p.read_text(encoding="utf-8"), p.name) for p in sorted(SRC.glob("*.py"))]
+
+    def test_no_call_tracks_the_objects_it_has_seen(self):
+        assert [site for src in self._sources() for site in seen_tracking_sites(*src)] == []
+
+    def test_only_checked_constructors_call_the_private_builders(self):
+        sites = [site for src in self._sources() for site in private_builder_sites(*src)]
+        assert sorted(set(sites)) == BUILDER_CALLERS
+
+    def test_the_guard_sees_seen_tracking(self):
+        old = (
+            "def _first_time(seen, *objs):\n"
+            "    return True\n"
+            "def _iterated(a, b, c, r1, r2, r3, seen):\n"
+            "    return a\n"
+        )
+        assert seen_tracking_sites(old, "twisted.py") == ["twisted.py:1", "twisted.py:3"]
+
+    def test_the_guard_sees_a_composite_calling_a_builder(self):
+        old = (
+            "def check_deform_compat_ttp(a, b, alpha_a, alpha_b, pmap):\n"
+            "    classical = _twisted_product(a, b, pmap.map, 'ttp')\n"
+            "    return algebra._yau_twisted(classical, alpha_a)\n"
+        )
+        sites = private_builder_sites(old, "twisted.py")
+        assert sites == ["twisted.py:check_deform_compat_ttp"] * 2
+
+    def test_the_guard_allows_other_seen_names(self):
+        loop = (
+            "def _fields(pairs):\n"
+            "    seen = {}\n"
+            "    return [seen.setdefault(k, v) for k, v in pairs]\n"
+        )
+        assert seen_tracking_sites(loop, "manifest.py") == []
