@@ -3,7 +3,7 @@
 Subcommands:
     homtwist check <file.json>            run a manifest's tasks
     homtwist table <file.json> <name>     print an algebra's multiplication table
-    homtwist paper [--filter S] [--bounds N]   run the acceptance suite
+    homtwist paper [--filter S]           run the acceptance suite
 
 Exit codes: 0 success, 1 expectation failure, 2 parse error, 3 semantic error.
 """
@@ -15,13 +15,6 @@ import sys
 from .errors import HomTwistError, ManifestError, ManifestSyntaxError
 from .manifest import EXIT_SEMANTIC, EXIT_SYNTAX, parse_manifest, run, table
 from .suite import paper_suite, selected_criteria
-
-
-def _bound(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"bound must be >= 0, got {value}")
-    return value
 
 
 def _load(path):
@@ -62,7 +55,6 @@ def main(argv=None):
 
     p_paper = sub.add_parser("paper", help="run the built-in acceptance suite")
     p_paper.add_argument("--filter", default=None, help="only criteria containing this substring")
-    p_paper.add_argument("--bounds", type=_bound, default=None, help="cap quantum degree bounds")
 
     args = parser.parse_args(argv)
 
@@ -70,7 +62,7 @@ def main(argv=None):
         if not selected_criteria(args.filter):
             print(f"no criterion matches --filter {args.filter!r}", file=sys.stderr)
             return EXIT_SEMANTIC
-        return paper_suite(filter_substr=args.filter, bounds=args.bounds, out=_emit)
+        return paper_suite(filter_substr=args.filter, out=_emit)
 
     try:
         manifest = _load(args.file)

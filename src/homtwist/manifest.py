@@ -14,7 +14,8 @@ error is raised, and bind their result under ``as``.
 
 Two tables hold what parsing, execution and ``table`` need to know:
 ``OBJECT_KINDS`` gives each kind's builder and fields, and ``SIGNATURES`` each
-op's argument kinds and result.  The verb tables only forward to the layers.
+op's layer module, argument kinds and result.  The verb tables are built from
+``SIGNATURES``: each verb calls the layer function of the op's name.
 """
 
 import json
@@ -212,63 +213,6 @@ def _build_object(name, raw):
 # task verbs
 # ---------------------------------------------------------------------------
 
-# Each verb forwards to its layer function through the module attribute, so a
-# wrapper installed on the module sees the call.  Arguments arrive already
-# coerced to the first kind of their slot in SIGNATURES.
-CHECK_VERBS = {
-    "check_hom_algebra": lambda a: algebra.check_hom_algebra(a),
-    "check_associative": lambda a: algebra.check_associative(a),
-    "check_lemma_four_elements": lambda a: algebra.check_lemma_four_elements(a),
-    "check_algebra_morphism": lambda f, a, b: algebra.check_algebra_morphism(f, a, b),
-    "check_hom_coalgebra": lambda c: coalgebra.check_hom_coalgebra(c),
-    "check_hom_bialgebra": lambda h: coalgebra.check_hom_bialgebra(h),
-    "check_twistor": lambda d, t: twistor.check_twistor(d, t),
-    "check_hom_twistor": lambda d, t: twistor.check_hom_twistor(d, t),
-    "check_pseudotwistor": lambda d, t, c1, c2: twistor.check_pseudotwistor(d, t, c1, c2),
-    "check_hom_pseudotwistor": lambda d, t, c1, c2: twistor.check_hom_pseudotwistor(
-        d, t, c1, c2
-    ),
-    "check_alpha_pseudotwistor": lambda d, f, t, c1, c2: twistor.check_alpha_pseudotwistor(
-        d, f, t, c1, c2
-    ),
-    "check_yau_compat": lambda d, f, t, c1, c2: twistor.check_yau_compat(d, f, t, c1, c2),
-    "check_twisting_map": lambda a, b, r: twisted.check_twisting_map(a, b, r),
-    "check_hom_twisting_map": lambda a, b, r: twisted.check_hom_twisting_map(a, b, r),
-    "check_braid": lambda r1, r2, r3: twisted.check_braid(r1, r2, r3),
-    "check_alphaAB_twisting_map": lambda a, b, f, g, r: twisted.check_alphaAB_twisting_map(
-        a, b, f, g, r
-    ),
-    "check_deform_compat_ttp": lambda a, b, f, g, p: twisted.check_deform_compat_ttp(
-        a, b, f, g, p
-    ),
-    "check_module": lambda h, act: modsmash.check_module(act.side, h, act),
-    "check_module_hom_algebra": lambda h, a, act: modsmash.check_module_hom_algebra(
-        act.side, h, a, act
-    ),
-    "check_comodule": lambda c, co: modsmash.check_comodule(co.side, c, co),
-    "check_comodule_hom_algebra": lambda h, d, co: modsmash.check_comodule_hom_algebra(
-        co.side, h, d, co
-    ),
-    "check_bicomodule": lambda c, lam, rho: modsmash.check_bicomodule(c, lam, rho),
-    "check_yetter_drinfeld": lambda h, act, co: modsmash.check_yetter_drinfeld(h, act, co),
-}
-
-CONSTRUCT_VERBS = {
-    "yau_twist_algebra": lambda a, f: algebra.yau_twist_algebra(a, f),
-    "yau_twist_coalgebra": lambda c, f: coalgebra.yau_twist_coalgebra(c, f),
-    "yau_twist_bialgebra": lambda h, f: coalgebra.yau_twist_bialgebra(h, f),
-    "tensor_algebra": lambda a, b: algebra.tensor_algebra(a, b),
-    "ttp": lambda a, b, r: twisted.ttp(a, b, r),
-    "hom_ttp": lambda a, b, r: twisted.hom_ttp(a, b, r),
-    "twistor_from_R": lambda a, b, r: twisted.twistor_from_R(a, b, r),
-    "hom_twistor_from_R": lambda a, b, r: twisted.hom_twistor_from_R(a, b, r),
-    "deform": lambda d, t: twistor.deform(d, t, verified="manifest"),
-    "lift_13": lambda t: twistor.lift_13(t),
-    "smash_left": lambda a, h, act: modsmash.smash_left(a, h, act),
-    "smash_right": lambda h, c, act: modsmash.smash_right(h, c, act),
-    "iterated_ttp": lambda a, b, c, r1, r2, r3: twisted.iterated_ttp(a, b, c, r1, r2, r3),
-}
-
 # The kinds one argument accepts; the first is the one the verb takes, and a
 # bialgebra stands in for its algebra or coalgebra (see _coerce).
 _ALG = ("hom_algebra", "hom_bialgebra")
@@ -280,51 +224,76 @@ _OP3 = ("operator3",)
 _R = ("twisting_map",)
 _ACT = ("action",)
 _COACT = ("coaction",)
+# the bundle a smash product construct returns
+_SMASH = {"R": "twisting_map", "algebra": "hom_algebra"}
 
-# op -> (accepted kinds of each argument, kind of the result).  A check binds no
+# op -> (layer module, accepted kinds of each argument, kind of the result).  The
+# layer function is the module attribute named after the op.  A check binds no
 # result; a construct that returns several objects names each member, in the
 # order it returns them, with its kind.
 SIGNATURES = {
-    "check_hom_algebra": ((_ALG,), None),
-    "check_associative": ((_ALG,), None),
-    "check_lemma_four_elements": ((_ALG,), None),
-    "check_algebra_morphism": ((_MAP, _ALG, _ALG), None),
-    "check_hom_coalgebra": ((_COALG,), None),
-    "check_hom_bialgebra": ((_BIALG,), None),
-    "check_twistor": ((_ALG, _OP2), None),
-    "check_hom_twistor": ((_ALG, _OP2), None),
-    "check_pseudotwistor": ((_ALG, _OP2, _OP3, _OP3), None),
-    "check_hom_pseudotwistor": ((_ALG, _OP2, _OP3, _OP3), None),
-    "check_alpha_pseudotwistor": ((_ALG, _MAP, _OP2, _OP3, _OP3), None),
-    "check_yau_compat": ((_ALG, _MAP, _OP2, _OP3, _OP3), None),
-    "check_twisting_map": ((_ALG, _ALG, _R), None),
-    "check_hom_twisting_map": ((_ALG, _ALG, _R), None),
-    "check_braid": ((_R, _R, _R), None),
-    "check_alphaAB_twisting_map": ((_ALG, _ALG, _MAP, _MAP, _R), None),
-    "check_deform_compat_ttp": ((_ALG, _ALG, _MAP, _MAP, _R), None),
-    "check_module": ((_ALG, _ACT), None),
-    "check_module_hom_algebra": ((_BIALG, _ALG, _ACT), None),
-    "check_comodule": ((_COALG, _COACT), None),
-    "check_comodule_hom_algebra": ((_BIALG, _ALG, _COACT), None),
-    "check_bicomodule": ((_COALG, _COACT, _COACT), None),
-    "check_yetter_drinfeld": ((_BIALG, _ACT, _COACT), None),
-    "yau_twist_algebra": ((_ALG, _MAP), "hom_algebra"),
-    "yau_twist_coalgebra": ((_COALG, _MAP), "hom_coalgebra"),
-    "yau_twist_bialgebra": ((_BIALG, _MAP), "hom_bialgebra"),
-    "tensor_algebra": ((_ALG, _ALG), "hom_algebra"),
-    "ttp": ((_ALG, _ALG, _R), "hom_algebra"),
-    "hom_ttp": ((_ALG, _ALG, _R), "hom_algebra"),
-    "twistor_from_R": ((_ALG, _ALG, _R), "operator2"),
-    "hom_twistor_from_R": ((_ALG, _ALG, _R), "operator2"),
-    "deform": ((_ALG, _OP2), "hom_algebra"),
-    "lift_13": ((_OP2,), "operator3"),
-    "smash_left": ((_ALG, _BIALG, _ACT), {"R": "twisting_map", "algebra": "hom_algebra"}),
-    "smash_right": ((_BIALG, _ALG, _ACT), {"R": "twisting_map", "algebra": "hom_algebra"}),
+    "check_hom_algebra": (algebra, (_ALG,), None),
+    "check_associative": (algebra, (_ALG,), None),
+    "check_lemma_four_elements": (algebra, (_ALG,), None),
+    "check_algebra_morphism": (algebra, (_MAP, _ALG, _ALG), None),
+    "check_hom_coalgebra": (coalgebra, (_COALG,), None),
+    "check_hom_bialgebra": (coalgebra, (_BIALG,), None),
+    "check_twistor": (twistor, (_ALG, _OP2), None),
+    "check_hom_twistor": (twistor, (_ALG, _OP2), None),
+    "check_pseudotwistor": (twistor, (_ALG, _OP2, _OP3, _OP3), None),
+    "check_hom_pseudotwistor": (twistor, (_ALG, _OP2, _OP3, _OP3), None),
+    "check_alpha_pseudotwistor": (twistor, (_ALG, _MAP, _OP2, _OP3, _OP3), None),
+    "check_yau_compat": (twistor, (_ALG, _MAP, _OP2, _OP3, _OP3), None),
+    "check_twisting_map": (twisted, (_ALG, _ALG, _R), None),
+    "check_hom_twisting_map": (twisted, (_ALG, _ALG, _R), None),
+    "check_braid": (twisted, (_R, _R, _R), None),
+    "check_alphaAB_twisting_map": (twisted, (_ALG, _ALG, _MAP, _MAP, _R), None),
+    "check_deform_compat_ttp": (twisted, (_ALG, _ALG, _MAP, _MAP, _R), None),
+    "check_module": (modsmash, (_ALG, _ACT), None),
+    "check_module_hom_algebra": (modsmash, (_BIALG, _ALG, _ACT), None),
+    "check_comodule": (modsmash, (_COALG, _COACT), None),
+    "check_comodule_hom_algebra": (modsmash, (_BIALG, _ALG, _COACT), None),
+    "check_bicomodule": (modsmash, (_COALG, _COACT, _COACT), None),
+    "check_yetter_drinfeld": (modsmash, (_BIALG, _ACT, _COACT), None),
+    "yau_twist_algebra": (algebra, (_ALG, _MAP), "hom_algebra"),
+    "yau_twist_coalgebra": (coalgebra, (_COALG, _MAP), "hom_coalgebra"),
+    "yau_twist_bialgebra": (coalgebra, (_BIALG, _MAP), "hom_bialgebra"),
+    "tensor_algebra": (algebra, (_ALG, _ALG), "hom_algebra"),
+    "ttp": (twisted, (_ALG, _ALG, _R), "hom_algebra"),
+    "hom_ttp": (twisted, (_ALG, _ALG, _R), "hom_algebra"),
+    "twistor_from_R": (twisted, (_ALG, _ALG, _R), "operator2"),
+    "hom_twistor_from_R": (twisted, (_ALG, _ALG, _R), "operator2"),
+    "deform": (twistor, (_ALG, _OP2), "hom_algebra"),
+    "lift_13": (twistor, (_OP2,), "operator3"),
+    "smash_left": (modsmash, (_ALG, _BIALG, _ACT), _SMASH),
+    "smash_right": (modsmash, (_BIALG, _ALG, _ACT), _SMASH),
     "iterated_ttp": (
+        twisted,
         (_ALG, _ALG, _ALG, _R, _R, _R),
         {"algebra": "hom_algebra", "P1": "twisting_map", "P2": "twisting_map"},
     ),
 }
+
+# The modsmash checks whose last argument is a one-sided table: the layer
+# function takes that table's side first.
+_SIDED = ("check_module", "check_module_hom_algebra", "check_comodule",
+          "check_comodule_hom_algebra")
+
+
+def _verb(module, op):
+    """The verb that calls `module.op` on a task's arguments.
+
+    The function is looked up on the module at call time, never stored, so a
+    wrapper installed on the module sees the call.  Arguments arrive already
+    coerced to the first kind of their slot in SIGNATURES.
+    """
+    if op in _SIDED:
+        return lambda *args: getattr(module, op)(args[-1].side, *args)
+    return lambda *args: getattr(module, op)(*args)
+
+
+CHECK_VERBS = {op: _verb(m, op) for op, (m, _, res) in SIGNATURES.items() if res is None}
+CONSTRUCT_VERBS = {op: _verb(m, op) for op, (m, _, res) in SIGNATURES.items() if res is not None}
 
 # The member of a bialgebra that stands in for it in a slot of this first kind.
 _STAND_IN = {"hom_algebra": "algebra", "hom_coalgebra": "coalgebra"}
@@ -346,7 +315,7 @@ def _kind(obj):
 
 def _check_signature(where, op, args, kinds):
     """WrongKind unless `args` (names bound to `kinds`) fit the signature of `op`."""
-    accepted, _ = SIGNATURES[op]
+    _, accepted, _ = SIGNATURES[op]
     if len(args) != len(accepted):
         raise WrongKind(f"{where}: {op} takes {len(accepted)} arguments, got {len(args)}")
     for position, (a, ok) in enumerate(zip(args, accepted), start=1):
@@ -451,7 +420,7 @@ def parse_manifest(text):
                 raise WrongKind(f"{where}: 'as' must be a plain name")
             if store in kinds:
                 raise DuplicateName(f"{where}: name {store!r} already defined")
-            result = SIGNATURES[op][1]
+            result = SIGNATURES[op][2]
             if isinstance(result, dict):
                 kinds[store] = "bundle"
                 kinds.update((f"{store}.{member}", k) for member, k in result.items())
@@ -492,7 +461,7 @@ def _execute(task, env):
     unbound = [a for a in task.args if a not in env]
     if unbound:
         return "fail", [f"UnknownName: undefined name {unbound[0]!r} (its construct task failed)"]
-    accepted, members = SIGNATURES[task.op]
+    _, accepted, members = SIGNATURES[task.op]
     args = [_coerce(env[a], ok) for a, ok in zip(task.args, accepted)]
     try:
         if task.op in CHECK_VERBS:

@@ -25,7 +25,7 @@ from .errors import (
     YDViolation,
 )
 from .exact import LinearMap, Matrix, as_constants, compose, kron, mat_inv, scan_composites
-from .twisted import TwistingMapR, check_hom_twisting_map, flip, hom_ttp, iterated_ttp
+from .twisted import TwistingMapR, flip, hom_ttp, iterated_ttp
 from .twistor import structure_constants_block
 
 LEFT = "left"
@@ -337,12 +337,10 @@ def smash_two_sided(algebra_a, bialgebra, algebra_c, action_left, action_right):
     The result is compared entry-wise against the closed multiplication
     formula before being returned.
     """
-    # the twisting maps of smash_left and smash_right, verified as their hom_ttp would
+    # the twisting maps of smash_left and smash_right; iterated_ttp verifies both
     h = bialgebra.algebra
     r1 = _smash_left_map(algebra_a, bialgebra, action_left)
-    check_hom_twisting_map(algebra_a, h, r1).require("check_hom_twisting_map")
     r2 = _smash_right_map(bialgebra, algebra_c, action_right)
-    check_hom_twisting_map(h, algebra_c, r2).require("check_hom_twisting_map")
     r3 = flip(algebra_a.dim, algebra_c.dim)
     product, _p1, _p2 = iterated_ttp(algebra_a, h, algebra_c, r1, r2, r3)
 

@@ -108,7 +108,7 @@ def _rand_rat(rng):
 # ---------------------------------------------------------------------------
 
 
-def criterion_1_ttp_table(rec, bounds):
+def criterion_1_ttp_table(rec):
     """The k2 (x) k2 twisted multiplication table for lambda in {0, 1, 2, -1}."""
     checked = 0
     for lam in (0, 1, 2, -1):
@@ -124,7 +124,7 @@ def criterion_1_ttp_table(rec, bounds):
     return True, f"{checked} table entries match at lambda in {{0, 1, 2, -1}}"
 
 
-def criterion_2_two_dim_algebra(rec, bounds):
+def criterion_2_two_dim_algebra(rec):
     """The 2-dimensional Hom-algebra, its twistor and the deformed table."""
     cases = ((1, 1, 2), (2, 3, -1), (1, 2, Q(1, 2)))
     for a, l1, l2 in cases:
@@ -148,7 +148,7 @@ def criterion_2_two_dim_algebra(rec, bounds):
     return True, f"{len(cases)} parameter tuples verified, plus the lambda2=0 degenerations"
 
 
-def criterion_3_hom_twisting_families(rec, bounds):
+def criterion_3_hom_twisting_families(rec):
     """R1/R2 families and the D-k2 family pass the Hom-twisting axioms."""
     rng = random.Random(20240229)
     witness = None
@@ -179,7 +179,7 @@ def criterion_3_hom_twisting_families(rec, bounds):
     return True, f"50 tuples pass; R1 classical-axiom witness at {shown}: {failure}"
 
 
-def criterion_4_clifford(rec, bounds):
+def criterion_4_clifford(rec):
     """Clifford process on yau_twist(k2, swap) for q in {1, 2, -3}."""
     for q in (1, 2, -3):
         bundle = build(GalleryKey("clifford", {"q": q}))
@@ -219,7 +219,7 @@ def _doubling_block(a, abar, params):
     ])
 
 
-def criterion_5_iterated(rec, bounds):
+def criterion_5_iterated(rec):
     """Braid condition and coinciding bracketings for the smash triple and flips."""
     h4 = sweedler_h4()
     a = dual_numbers()
@@ -248,7 +248,7 @@ def criterion_5_iterated(rec, bounds):
     return True, "smash triple braid + both bracketings coincide; all-flip triple reduces to A(x)B(x)C"
 
 
-def criterion_6_smash_suite(rec, bounds):
+def criterion_6_smash_suite(rec):
     """Left/right smashes, twist compatibility, comodule structures, YD instance."""
     h4 = sweedler_h4()
     a = dual_numbers()
@@ -302,7 +302,7 @@ def criterion_6_smash_suite(rec, bounds):
     return True, "both alphas variants pass all smash, coaction and YD checks"
 
 
-def criterion_7_alpha_pseudotwistor(rec, bounds):
+def criterion_7_alpha_pseudotwistor(rec):
     """Yau operator triple, alphaAB flip lift and the Clifford alpha variant."""
     d0 = build(GalleryKey("homalg_2dim", {"a": 1, "l1": 2, "l2": 0}))["D"]
     cases = [(hom_algebra(2, d0.mul), d0.alpha, "Example algebra, l2=0")]
@@ -346,12 +346,11 @@ def criterion_7_alpha_pseudotwistor(rec, bounds):
     return True, "Yau operator, flip lift and Clifford alpha variant all coincide as stated"
 
 
-def criterion_8_quantum(rec, bounds):
+def criterion_8_quantum(rec):
     """PBW relations, the Hopf maps on the rules, the rho oracle and the closed formulas."""
-    bound_mod = 3 if bounds is None else min(3, bounds)
-    bound_32 = 2 if bounds is None else min(2, bounds)
-    bound_rho = 4 if bounds is None else min(4, bounds + 2)
-
+    # plane degree of the module scan, m, n, r, s of the closed forms, and the
+    # degrees of the rho oracle
+    bound_mod, bound_32, bound_rho = 3, 2, 4
     for q, lam in ((Q(2), Q(3)), (Q(3), Q(1, 2))):
         inv = ONE / (q - 1 / q)
         relations = (
@@ -392,7 +391,7 @@ def criterion_8_quantum(rec, bounds):
     )
 
 
-def criterion_9_closure(rec, bounds):
+def criterion_9_closure(rec):
     """Re-validate every recorded constructor output with its axiom scanner."""
     if not rec.entries:
         return False, "no constructed objects recorded: nothing to re-validate"
@@ -502,7 +501,7 @@ GOLDEN_MANIFEST = {
 }
 
 
-def criterion_10_cli(rec, bounds):
+def criterion_10_cli(rec):
     """Manifest round-trip and the three CLI exit paths."""
     text = json.dumps(GOLDEN_MANIFEST)
     parsed = manifest_mod.parse_manifest(text)
@@ -545,7 +544,7 @@ def selected_criteria(filter_substr=None):
     return [(cid, fn) for cid, fn in CRITERIA if not filter_substr or filter_substr in cid]
 
 
-def run_criteria(filter_substr=None, bounds=None):
+def run_criteria(filter_substr=None):
     """Run the selected criteria in order on one shared recorder.
 
     Yields (cid, passed, detail, elapsed) per criterion.  A criterion that
@@ -556,18 +555,18 @@ def run_criteria(filter_substr=None, bounds=None):
     for cid, fn in selected_criteria(filter_substr):
         start = time.perf_counter()
         try:
-            passed, detail = fn(recorder, bounds)
+            passed, detail = fn(recorder)
         except Exception as exc:  # a crash is a failure, not a missing line
             passed, detail = False, f"{type(exc).__name__}: {exc}"
         yield cid, passed, detail, time.perf_counter() - start
 
 
-def paper_suite(filter_substr=None, bounds=None, out=None):
+def paper_suite(filter_substr=None, out=None):
     """Run the acceptance matrix; returns 0 iff every selected criterion passes."""
     emit = out if out is not None else print
     all_passed = True
     total = 0.0
-    for cid, passed, detail, elapsed in run_criteria(filter_substr, bounds):
+    for cid, passed, detail, elapsed in run_criteria(filter_substr):
         total += elapsed
         all_passed = all_passed and passed
         emit(f"{'PASS' if passed else 'FAIL'}  {cid:<26} ({elapsed:6.2f}s)  {detail}")

@@ -142,7 +142,7 @@ class TestPaperCommand:
         assert "FAIL  9-oracle-closure" in out and "SOME CRITERIA FAILED" in out
 
     def test_uq_filter_selects_quantum_criterion(self, capsys):
-        assert main(["paper", "--filter", "uq", "--bounds", "1"]) == 0
+        assert main(["paper", "--filter", "uq"]) == 0
         out = capsys.readouterr().out
         assert "uq-quantum" in out
 
@@ -152,13 +152,7 @@ class TestPaperCommand:
         assert "no criterion matches" in captured.err
         assert "ALL CRITERIA PASS" not in captured.out
 
-    def test_negative_bounds_rejected(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["paper", "--filter", "uq", "--bounds", "-5"])
-        assert err.value.code == 2
-        assert "bound must be >= 0" in capsys.readouterr().err
-
-    def test_bounds_reduce_quantum_work(self, capsys):
+    def test_k2_table_criterion_alone_passes(self, capsys):
         assert main(["paper", "--filter", "1-k2"]) == 0
 
 
@@ -186,7 +180,7 @@ class TestClosedPipe:
     """A reader that stops early, as `| head -1` does, ends no run in a traceback."""
 
     def test_paper_finishes_with_its_exit_code(self):
-        line, code, err = _read_one_line_then_close("paper", "--bounds", "0")
+        line, code, err = _read_one_line_then_close("paper")
         assert line.startswith("PASS  1-k2-ttp-table")
         assert (code, err) == (0, "")
 

@@ -2,13 +2,13 @@ import inspect
 import json
 import pathlib
 import re
+import types
 
 import pytest
 
 import homtwist.exact
 import homtwist.manifest
 
-from homtwist import algebra, coalgebra, modsmash, twisted, twistor
 from homtwist.errors import (
     DimensionMismatch,
     DuplicateName,
@@ -25,6 +25,7 @@ from homtwist.manifest import (
     EXIT_OK,
     OBJECT_KINDS,
     SIGNATURES,
+    _SIDED,
     parse_manifest,
     run,
     serialize_manifest,
@@ -167,10 +168,23 @@ class TestParse:
 class TestSignatures:
     def test_every_verb_has_a_signature_of_its_arity(self):
         assert set(SIGNATURES) == set(CHECK_VERBS) | set(CONSTRUCT_VERBS)
-        for op, fn in {**CHECK_VERBS, **CONSTRUCT_VERBS}.items():
-            kinds, result = SIGNATURES[op]
-            assert len(kinds) == len(inspect.signature(fn).parameters), op
+        for op, (module, kinds, result) in SIGNATURES.items():
+            params = inspect.signature(getattr(module, op)).parameters.values()
+            positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+            required = [p for p in params if p.kind in positional and p.default is p.empty]
+            # a sided check takes its table's side before the manifest arguments
+            assert len(kinds) + (op in _SIDED) == len(required), op
             assert (result is None) == (op in CHECK_VERBS), op
+
+    @pytest.mark.parametrize("op", sorted(SIGNATURES))
+    def test_verb_calls_the_module_attribute_at_call_time(self, monkeypatch, op):
+        module, kinds, _ = SIGNATURES[op]
+        calls = []
+        monkeypatch.setattr(module, op, lambda *args: calls.append(args) or "result")
+        args = [types.SimpleNamespace(side=f"side of argument {i}") for i in range(len(kinds))]
+        assert {**CHECK_VERBS, **CONSTRUCT_VERBS}[op](*args) == "result"
+        side = (args[-1].side,) if op in _SIDED else ()
+        assert calls == [side + tuple(args)]
 
     @pytest.mark.parametrize("op, args", [
         ("check_hom_twisting_map", ["K2", "K2", "K2"]),
@@ -231,7 +245,7 @@ class TestBialgebraStandsIn:
     MEMBER = {"hom_algebra": "algebra", "hom_coalgebra": "coalgebra"}
     SLOTS = [
         (op, slot)
-        for op, (accepted, _) in SIGNATURES.items()
+        for op, (_, accepted, _) in SIGNATURES.items()
         for slot, kinds in enumerate(accepted)
         if kinds[0] in ("hom_algebra", "hom_coalgebra")
     ]
@@ -241,8 +255,7 @@ class TestBialgebraStandsIn:
 
     @pytest.mark.parametrize("op, slot", SLOTS, ids=[f"{op}-{slot}" for op, slot in SLOTS])
     def test_layer_function_receives_the_member(self, monkeypatch, op, slot):
-        (module,) = [m for m in (algebra, coalgebra, twistor, twisted, modsmash)
-                     if getattr(getattr(m, op, None), "__module__", None) == m.__name__]
+        module, accepted, _ = SIGNATURES[op]
         calls = []
 
         def record(*args, **kwargs):
@@ -250,7 +263,6 @@ class TestBialgebraStandsIn:
             raise self.Recorded("recorded")
 
         monkeypatch.setattr(module, op, record)
-        accepted, _ = SIGNATURES[op]
         args = [self.FILLER[kinds[0]] for kinds in accepted]
         args[slot] = "H"
         doc = {"objects": self.ONE_DIM, "tasks": [{"op": op, "args": args, "expect": "any"}]}

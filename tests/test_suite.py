@@ -14,11 +14,11 @@ from homtwist.suite import (
 from homtwist.twisted import CliffordParams, clifford
 
 
-def _boom(rec, bounds):
+def _boom(rec):
     raise ZeroDivisionError("division by zero in a criterion")
 
 
-def _ok(rec, bounds):
+def _ok(rec):
     return True, "fine"
 
 
@@ -52,17 +52,17 @@ class TestClosure:
         rec = Recorder()
         rec.record("broken(X)", lambda: undefined_checker())  # noqa: F821
         rec.record("k2", passing)
-        assert criterion_9_closure(rec, None) == (False, "closure failures: ['broken(X): NameError']")
+        assert criterion_9_closure(rec) == (False, "closure failures: ['broken(X): NameError']")
         assert ran == ["k2"]
 
     def test_failing_report_is_named(self):
         d = build(GalleryKey("homtwistor_2dim", {"a": 1, "l1": 1, "l2": 2}))["D"]
         rec = Recorder()
         rec.record("D", lambda: check_associative(d))
-        assert criterion_9_closure(rec, None) == (False, "closure failures: ['D']")
+        assert criterion_9_closure(rec) == (False, "closure failures: ['D']")
 
     def test_empty_recorder_fails(self):
-        passed, detail = criterion_9_closure(Recorder(), None)
+        passed, detail = criterion_9_closure(Recorder())
         assert not passed
         assert "no constructed objects" in detail
 
@@ -73,7 +73,7 @@ class TestQuantumCriterion:
         monkeypatch.setattr(
             suite, "check_hopf_on_relations", lambda q, lam: CheckReport(False, (failure,))
         )
-        assert criterion_8_quantum(Recorder(), None) == (
+        assert criterion_8_quantum(Recorder()) == (
             False, "Hopf check on the relations fails at q=2, lambda=3"
         )
 
@@ -91,7 +91,7 @@ class TestCliffordCriterion:
             return eq(scan, equation, basis, lhs, rhs)
 
         monkeypatch.setattr(exact.Scan, "eq", recorded)
-        assert criterion_4_clifford(Recorder(), None) == (
+        assert criterion_4_clifford(Recorder()) == (
             True, "3 q-values verified against the closed doubling formula (4 equations x 4 basis pairs)"
         )
         # per q: the basis pairs (a, c) of A in order, the four equations for each
@@ -112,7 +112,7 @@ class TestCliffordCriterion:
         monkeypatch.setattr(suite, "build", built_with_identity_sigma)
         # A = yau_twist(k2, swap): e0 e0 = e1 and e0 e1 = 0, so (e0 (x) v)(e0 (x) 1) = e1 (x) v
         # in the flip-twisted product, while the doubling formula asks for e0 sigma(e0) (x) v = 0
-        assert criterion_4_clifford(Recorder(), None) == (
+        assert criterion_4_clifford(Recorder()) == (
             False,
             "closed doubling formula fails at q=1: "
             "doubling_v_1 at (0, 0): lhs=[0, 0, 0, 1] rhs=[0, 0, 0, 0]",
