@@ -491,9 +491,9 @@ def _canonical(obj):
     if isinstance(obj, dict):
         return "{" + ",".join(f"{k}:{_canonical(v)}" for k, v in sorted(obj.items())) + "}"
     if isinstance(obj, HomAlgebra):
-        return f"A{obj.dim}{_canonical(obj.mul)}{_canonical(obj.alpha)}{obj.provenance}"
+        return f"A{obj.dim}{_canonical(obj.mul)}{_canonical(obj.alpha)}"
     if isinstance(obj, HomCoalgebra):
-        return f"C{obj.dim}{_canonical(obj.comul)}{_canonical(obj.alpha)}{obj.provenance}"
+        return f"C{obj.dim}{_canonical(obj.comul)}{_canonical(obj.alpha)}"
     if isinstance(obj, HomBialgebra):
         return f"B{_canonical(obj.algebra)}{_canonical(obj.coalgebra)}"
     if isinstance(obj, TwistingMapR):
