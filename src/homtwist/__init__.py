@@ -9,7 +9,6 @@ from .algebra import (
     check_hom_algebra,
     check_lemma_four_elements,
     hom_algebra,
-    same_structure,
     tensor_algebra,
     yau_twist_algebra,
 )

@@ -19,8 +19,7 @@ equation here (alpha-intertwining, the four-element lemma) is a
 of ``compose``.
 """
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DimensionMismatch, NotMultiplicative, PreconditionFailure
@@ -40,12 +39,11 @@ from .exact import (
 
 @dataclass(frozen=True)
 class HomAlgebra:
-    """Structure-constant algebra with a structure map; immutable."""
+    """Structure-constant algebra with a structure map; immutable, equal iff dim, mul, alpha are."""
 
     dim: int
     mul: tuple
     alpha: Matrix
-    provenance: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         d = self.dim
@@ -57,14 +55,14 @@ class HomAlgebra:
             )
 
     @classmethod
-    def _canonical(cls, dim, mul, alpha, provenance):
+    def _canonical(cls, dim, mul, alpha):
         """An algebra over a table with no coercion walk.
 
         `mul` must already be canonical: nested tuples of scalars with every
         zero the shared ``ZERO``, as ``LinearMap.table()`` returns them.
         """
         algebra = object.__new__(cls)
-        algebra.__dict__.update(dim=dim, mul=mul, alpha=alpha, provenance=provenance)
+        algebra.__dict__.update(dim=dim, mul=mul, alpha=alpha)
         return algebra
 
     @cached_property
@@ -97,25 +95,14 @@ class HomAlgebra:
     def is_classical(self):
         return self.alpha.is_identity()
 
-    def with_provenance(self, *tags):
-        """The same algebra, sharing its tables and cached map, with more provenance."""
-        tagged = copy.copy(self)
-        object.__setattr__(tagged, "provenance", self.provenance + tags)
-        return tagged
 
-
-def hom_algebra(dim, mul, alpha=None, provenance=()):
+def hom_algebra(dim, mul, alpha=None):
     """Convenience constructor; alpha defaults to the identity."""
     if alpha is None:
         alpha = Matrix.identity(dim)
     elif not isinstance(alpha, Matrix):
         alpha = Matrix(alpha)
-    return HomAlgebra(dim, mul, alpha, tuple(provenance))
-
-
-def same_structure(a, b):
-    """Entry-wise equality of dimension, structure constants and structure maps."""
-    return a.dim == b.dim and a.mul == b.mul and a.alpha == b.alpha
+    return HomAlgebra(dim, mul, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +249,15 @@ def _yau_twisted(algebra, alpha):
     """The Yau twist alpha o mul with structure map alpha; nothing is checked."""
     d = algebra.dim
     mul = compose([(algebra.map, 0), (LinearMap.from_matrix(alpha), 0)], (d, d)).table()
-    return HomAlgebra._canonical(d, mul, alpha, algebra.provenance + ("yau_twist",))
+    return HomAlgebra._canonical(d, mul, alpha)
 
 
 def tensor_algebra(a, b):
     """Componentwise tensor product algebra with structure map alphaA (x) alphaB."""
-    return _twisted_product(a, b, LinearMap.flip(b.dim, a.dim), "tensor_algebra")
+    return _twisted_product(a, b, LinearMap.flip(b.dim, a.dim))
 
 
-def _twisted_product(a, b, r, tag):
+def _twisted_product(a, b, r):
     """A (x)_R B for a LinearMap R: B (x) A -> A (x) B; nothing is checked.
 
     (a (x) b)(a' (x) b') = a a'_R (x) b_R b', with structure map alpha_A (x) alpha_B.
@@ -279,4 +266,4 @@ def _twisted_product(a, b, r, tag):
     n = da * db
     path = [(r, 1), (a.map, 0), (b.map, 1)]
     mul = compose(path, (da, db, da, db)).reshaped((n, n), (n,)).table()
-    return HomAlgebra._canonical(n, mul, kron(a.alpha, b.alpha), (tag,))
+    return HomAlgebra._canonical(n, mul, kron(a.alpha, b.alpha))

@@ -57,6 +57,9 @@ def main(argv=None):
     p_paper.add_argument("--filter", default=None, help="only criteria containing this substring")
 
     args = parser.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):
+        # exact arithmetic on short inputs can print integers of any length
+        sys.set_int_max_str_digits(0)
 
     if args.command == "paper":
         if not selected_criteria(args.filter):

@@ -4,7 +4,7 @@
 Counits and antipodes are not modeled.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import HomAlgebra, check_hom_algebra, yau_twist_algebra
 from .errors import DimensionMismatch, NotComultiplicative, PreconditionFailure
@@ -16,7 +16,6 @@ class HomCoalgebra:
     dim: int
     comul: tuple
     alpha: Matrix
-    provenance: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         d = self.dim
@@ -29,12 +28,12 @@ class HomCoalgebra:
         return self.alpha.is_identity()
 
 
-def hom_coalgebra(dim, comul, alpha=None, provenance=()):
+def hom_coalgebra(dim, comul, alpha=None):
     if alpha is None:
         alpha = Matrix.identity(dim)
     elif not isinstance(alpha, Matrix):
         alpha = Matrix(alpha)
-    return HomCoalgebra(dim, comul, alpha, tuple(provenance))
+    return HomCoalgebra(dim, comul, alpha)
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,7 @@ def yau_twist_coalgebra(coalgebra, alpha):
     )
     path = [(LinearMap.from_matrix(alpha), 0), (LinearMap.coproduct(coalgebra.comul), 0)]
     new_comul = compose(path, (coalgebra.dim,)).table()
-    return HomCoalgebra(coalgebra.dim, new_comul, alpha, coalgebra.provenance + ("yau_twist",))
+    return HomCoalgebra(coalgebra.dim, new_comul, alpha)
 
 
 def yau_twist_bialgebra(bialgebra, alpha):

@@ -3,7 +3,9 @@
 Everything else in the package builds on the conventions pinned here, once:
 
 * scalars are ``fractions.Fraction`` rationals, always stored reduced with a
-  positive denominator.  No floating point exists anywhere.
+  positive denominator.  No floating point exists anywhere: ``as_scalar``
+  rejects a float with ``MalformedRational`` rather than read its binary
+  expansion.
 * every stored zero is the one shared object ``ZERO``.  ``rat_parse`` and
   ``as_scalar`` return ``ZERO`` for any zero, and ``as_scalar`` hands a value
   that already has the scalar type back unchanged, so building a table from
@@ -81,13 +83,16 @@ def rat_str(x):
 def as_scalar(x):
     """Coerce ints, backend rationals or literal strings to the scalar type.
 
-    A value of the scalar type comes back unchanged, and every zero as ``ZERO``.
+    A value of the scalar type comes back unchanged, and every zero as ``ZERO``;
+    a float is rejected.
     """
     if x is ZERO:
         return x
     if type(x) is not Q:
         if isinstance(x, str):
             return rat_parse(x)
+        if isinstance(x, float):
+            raise MalformedRational(f"not an exact scalar: {x!r}")
         x = Q(x)
     return x if x else ZERO
 

@@ -3,11 +3,9 @@
 Each gallery bundle carries fully-built objects ready for the checkers, with
 each coefficient formula written down exactly once so tests and the
 acceptance suite share a single source.  ``FAMILIES`` declares each name once,
-with its builder, its provenance and its required and optional parameters;
-``build`` checks the parameters against it and calls the builder with them.
-Bundles are plain dicts; ``provenance`` distinguishes the core example
-families (``paper``) from the auxiliary presets this package adds
-(``auxiliary``).
+with its builder and its required and optional parameters; ``build``
+checks the parameters against it and calls the builder with them.  Bundles
+are plain dicts of built objects.
 """
 
 from dataclasses import dataclass, field
@@ -362,27 +360,25 @@ def _alpha_ttp_clifford(q):
 
 _R_PARAMS = ("a", "l1", "a1", "a2", "a3", "a4", "a5")
 
-# name -> (builder, provenance, required parameters, optional parameters)
+# name -> (builder, required parameters, optional parameters)
 FAMILIES = {
-    "ttp_k2_lambda": (_ttp_k2_lambda, "paper", ("lam",), ()),
-    "homalg_2dim": (
-        lambda a, l1, l2: {"D": _two_dim_algebra(a, l1, l2)}, "paper", ("a", "l1", "l2"), ()
-    ),
-    "homtwistor_2dim": (_homtwistor_2dim, "paper", ("a", "l1", "l2"), ()),
-    "homtwist_R1": (partial(_homtwist_r, ZERO), "paper", _R_PARAMS, ("l2",)),
-    "homtwist_R2": (partial(_homtwist_r, ONE), "paper", _R_PARAMS, ("l2",)),
-    "homtwist_Dk2": (_homtwist_dk2, "paper", ("a", "l1", "a1", "a2"), ("l2",)),
-    "clifford": (_clifford, "paper", ("q",), ()),
-    "sweedler_h4": (lambda: {"H": sweedler_h4()}, "auxiliary", (), ()),
-    "group_algebra": (lambda n: {"H": group_algebra(n)}, "auxiliary", ("n",), ()),
-    "uq_setup": (_uq_setup, "paper", ("q", "lam", "xi", "l"), ()),
-    "alpha_ttp_flip": (_alpha_ttp_flip, "paper", (), ()),
-    "alpha_ttp_clifford": (_alpha_ttp_clifford, "paper", ("q",), ()),
+    "ttp_k2_lambda": (_ttp_k2_lambda, ("lam",), ()),
+    "homalg_2dim": (lambda a, l1, l2: {"D": _two_dim_algebra(a, l1, l2)}, ("a", "l1", "l2"), ()),
+    "homtwistor_2dim": (_homtwistor_2dim, ("a", "l1", "l2"), ()),
+    "homtwist_R1": (partial(_homtwist_r, ZERO), _R_PARAMS, ("l2",)),
+    "homtwist_R2": (partial(_homtwist_r, ONE), _R_PARAMS, ("l2",)),
+    "homtwist_Dk2": (_homtwist_dk2, ("a", "l1", "a1", "a2"), ("l2",)),
+    "clifford": (_clifford, ("q",), ()),
+    "sweedler_h4": (lambda: {"H": sweedler_h4()}, (), ()),
+    "group_algebra": (lambda n: {"H": group_algebra(n)}, ("n",), ()),
+    "uq_setup": (_uq_setup, ("q", "lam", "xi", "l"), ()),
+    "alpha_ttp_flip": (_alpha_ttp_flip, (), ()),
+    "alpha_ttp_clifford": (_alpha_ttp_clifford, ("q",), ()),
 }
 
 
 def build(key):
     """Construct the named bundle; raises ParamConstraintViolation on bad parameters."""
-    builder, provenance, required, optional = FAMILIES[key.name]
+    builder, required, optional = FAMILIES[key.name]
     _require(key, required, optional)
-    return {"provenance": provenance, **builder(**key.params)}
+    return builder(**key.params)

@@ -153,9 +153,6 @@ def _require_fields(raw, where, *names):
         elif n == "name":
             if not isinstance(value, str):
                 raise WrongKind(f"{where}: name must be a string")
-        elif n == "params":
-            if not isinstance(value, dict):
-                raise WrongKind(f"{where}: params must be an object")
 
 
 def _hom_bialgebra(dim, mul, comul, alpha) -> HomBialgebra:
@@ -392,8 +389,7 @@ def parse_manifest(text):
         objects[name] = built
         if isinstance(built, dict):  # gallery bundle: bind dotted members
             for member, value in built.items():
-                if member != "provenance":
-                    objects[f"{name}.{member}"] = value
+                objects[f"{name}.{member}"] = value
 
     tasks = []
     kinds = {name: _kind(obj) for name, obj in objects.items()}

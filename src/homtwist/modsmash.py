@@ -322,13 +322,13 @@ def _smash_right_map(bialgebra, algebra, action):
 def smash_left(algebra, bialgebra, action):
     """Left Hom-smash product A # H; returns (R, A # H)."""
     rmap = _smash_left_map(algebra, bialgebra, action)
-    return rmap, hom_ttp(algebra, bialgebra.algebra, rmap).with_provenance("smash_left")
+    return rmap, hom_ttp(algebra, bialgebra.algebra, rmap)
 
 
 def smash_right(bialgebra, algebra, action):
     """Right Hom-smash product H # C; returns (R, H # C)."""
     rmap = _smash_right_map(bialgebra, algebra, action)
-    return rmap, hom_ttp(bialgebra.algebra, algebra, rmap).with_provenance("smash_right")
+    return rmap, hom_ttp(bialgebra.algebra, algebra, rmap)
 
 
 def smash_two_sided(algebra_a, bialgebra, algebra_c, action_left, action_right):
@@ -365,7 +365,7 @@ def smash_two_sided(algebra_a, bialgebra, algebra_c, action_left, action_right):
     scan_composites([((n, n), [(
         "two_sided_closed_formula", [(product.map, 0)], [(expected, 0)]
     )])]).require("two_sided_closed_formula")
-    return product.with_provenance("smash_two_sided")
+    return product
 
 
 # ---------------------------------------------------------------------------

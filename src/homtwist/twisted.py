@@ -157,13 +157,13 @@ def check_braid(r1, r2, r3):
 def ttp(a, b, rmap):
     """Classical twisted tensor product; requires a verified twisting map."""
     check_twisting_map(a, b, rmap).require("check_twisting_map")
-    return _twisted_product(a, b, rmap.map, "ttp")
+    return _twisted_product(a, b, rmap.map)
 
 
 def hom_ttp(a, b, rmap):
     """Hom-twisted tensor product; requires a verified Hom-twisting map."""
     check_hom_twisting_map(a, b, rmap).require("check_hom_twisting_map")
-    return _twisted_product(a, b, rmap.map, "hom_ttp")
+    return _twisted_product(a, b, rmap.map)
 
 
 def _twistor_path(a, b, rmap):
@@ -210,13 +210,13 @@ def iterated_ttp(a, b, c, r1, r2, r3):
     p2 = TwistingMapR(da, db * dc, p2.matrix())
 
     # hom_ttp of (a, b, r1) and (b, c, r2), whose twisting maps passed above
-    ab = _twisted_product(a, b, r1.map, "hom_ttp")
+    ab = _twisted_product(a, b, r1.map)
     left_first = hom_ttp(ab, c, p1)
-    bc = _twisted_product(b, c, r2.map, "hom_ttp")
+    bc = _twisted_product(b, c, r2.map)
     right_first = hom_ttp(a, bc, p2)
-    if left_first.mul != right_first.mul or left_first.alpha != right_first.alpha:
+    if left_first != right_first:
         raise BraidViolation("bracketings disagree despite a passing braid check")
-    return left_first.with_provenance("iterated_ttp"), p1, p2
+    return left_first, p1, p2
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +250,7 @@ def clifford_algebra(q):
         ((one, ZERO), (ZERO, one)),
         ((ZERO, one), (q, ZERO)),
     )
-    return HomAlgebra(2, mul, Matrix.identity(2), ("clifford_factor",))
+    return HomAlgebra(2, mul, Matrix.identity(2))
 
 
 def clifford(a, params):
@@ -264,7 +264,7 @@ def clifford(a, params):
     if sigma_alpha != compose([(s, 0), (alpha, 0)], s.src).matrix():
         raise NotCommutingWithAlpha("sigma does not commute with the structure map")
     rmap = clifford_twisting_map(sigma)
-    return hom_ttp(a, clifford_algebra(params.q), rmap).with_provenance("clifford"), rmap
+    return hom_ttp(a, clifford_algebra(params.q), rmap), rmap
 
 
 def clifford_twisting_map(sigma):
@@ -335,9 +335,7 @@ def alphaAB_ttp(a, b, alpha_a, alpha_b, rmap):
         Operator3(n, compose([(inv_ab, p)] + _t13(top), (n, n, n)).matrix()) for p in (0, 2)
     )
 
-    algebra = deform_with_alpha(
-        tensor_algebra(a, b), kron(alpha_a, alpha_b), top, verified="alpha_pseudotwistor"
-    ).with_provenance("alphaAB_ttp")
+    algebra = deform_with_alpha(tensor_algebra(a, b), kron(alpha_a, alpha_b), top)
     return algebra, top, comp1, comp2
 
 

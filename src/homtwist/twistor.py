@@ -190,26 +190,26 @@ def check_alpha_pseudotwistor(algebra, alpha, op, comp1, comp2):
 # ---------------------------------------------------------------------------
 
 
-def _deformed(algebra, op, alpha, verified):
-    """mu o T with structure map `alpha`, tagged `deform:verified`; nothing is checked."""
+def _deformed(algebra, op, alpha):
+    """mu o T with structure map `alpha`; nothing is checked."""
     d = algebra.dim
     mul = compose([(op.map, 0), (algebra.map, 0)], (d, d)).table()
-    return HomAlgebra._canonical(d, mul, alpha, algebra.provenance + (f"deform:{verified}",))
+    return HomAlgebra._canonical(d, mul, alpha)
 
 
-def deform(algebra, op, verified="unverified"):
-    """Replace the multiplication by mu o T; records which axiom set was verified."""
+def deform(algebra, op):
+    """Replace the multiplication by mu o T; only the shapes are checked."""
     _check_shapes(algebra, op)
-    return _deformed(algebra, op, algebra.alpha, verified)
+    return _deformed(algebra, op, algebra.alpha)
 
 
-def deform_with_alpha(algebra, alpha, op, verified="unverified"):
+def deform_with_alpha(algebra, alpha, op):
     """mu o T on an associative algebra, with alpha installed as the structure map."""
     _check_shapes(algebra, op)
     if not algebra.is_classical():
         raise PreconditionFailure("base algebra must have identity structure map")
     multiplicativity_scan(algebra, alpha).require("alpha is not multiplicative", NotMultiplicative)
-    return _deformed(algebra, op, alpha, verified)
+    return _deformed(algebra, op, alpha)
 
 
 def yau_operator(alpha):
@@ -239,12 +239,12 @@ def check_yau_compat(algebra, alpha, op, comp1, comp2):
     check_pseudotwistor(algebra, op, comp1, comp2).require("check_pseudotwistor")
     multiplicativity_scan(algebra, alpha).require("alpha_multiplicative_for_base")
     scan_composites([_commutes_with_alpha(alpha, op)]).require("alpha_commutes_with_operator")
-    deformed = deform(algebra, op, verified="pseudotwistor")
+    deformed = deform(algebra, op)
     multiplicativity_scan(deformed, alpha).require("alpha_multiplicative_for_deformed")
 
     twisted = yau_twist_algebra(algebra, alpha)
     scan = Scan()
     scan.absorb("hom_pseudotwistor_on_twist", check_hom_pseudotwistor(twisted, op, comp1, comp2))
-    twist_then_deform = deform(twisted, op, verified="hom_pseudotwistor")
+    twist_then_deform = deform(twisted, op)
     deform_then_twist = yau_twist_algebra(deformed, alpha)
     return scan_composites([structure_constants_block(twist_then_deform, deform_then_twist)], scan)

@@ -286,6 +286,74 @@ class TestMalformedManifest:
         assert main(["check", str(path)]) == 2
         assert "parse error: invalid UTF-8 (line 2, column 13)" in capsys.readouterr().err
 
+    A = {"kind": "hom_algebra", "dim": 1, "mul": [[[1]]], "alpha": [[1]]}
+    CHECK = {"op": "check_hom_algebra", "args": ["A"]}
+    TENSOR = {"op": "tensor_algebra", "args": ["A", "A"]}
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "manifest root must be a JSON object"),
+        ({"objects": {}, "tasks": [], "extra": 1},
+         "manifest has unknown top-level fields ['extra']"),
+        ({"objects": {"A.B": A}}, "object name 'A.B' may not contain '.'"),
+        ({"objects": {"A": {**A, "colour": "red"}}},
+         "object 'A' (hom_algebra): unknown fields ['colour']"),
+        ({"objects": {"G": {"kind": "gallery", "name": 3, "params": {}}}},
+         "object 'G' (gallery): name must be a string"),
+        ({"objects": {"G": {"kind": "gallery", "name": "sweedler_h4", "params": []}}},
+         "object 'G': params must be an object"),
+        ({"tasks": [3]}, "task 1: must be a JSON object"),
+        ({"objects": {"A": A}, "tasks": [{**CHECK, "note": "x"}]},
+         "task 1: unknown fields ['note']"),
+        ({"objects": {"A": A}, "tasks": [{**TENSOR, "as": "A.A"}]},
+         "task 1: 'as' must be a plain name"),
+        ({"objects": {"A": A}, "tasks": [{**TENSOR, "as": "A"}]},
+         "task 1: name 'A' already defined"),
+        ({"objects": {"A": A}, "tasks": [{**CHECK, "expect": "maybe"}]},
+         "task 1: expect must be one of ('pass', 'fail', 'any')"),
+        ({"objects": {"A": A}, "tasks": [{**CHECK, "as": "X"}]},
+         "task 1: check ops do not bind a result"),
+    ], ids=[
+        "root", "top-level-field", "dotted-name", "object-field", "gallery-name", "gallery-params",
+        "task", "task-field", "as-dotted", "as-defined", "expect", "check-as",
+    ])
+    def test_rejected_manifest_exits_three(self, tmp_path, capsys, doc, message):
+        assert main(["check", self.write(tmp_path, doc)]) == 3
+        assert capsys.readouterr().err == f"semantic error: {message}\n"
+
+
+class TestLongIntegers:
+    """Integers of any length are read and printed, past the interpreter's digit limit."""
+
+    DIGITS = "1" * 5000
+
+    def write(self, tmp_path, mul, alpha, expect):
+        # written as text: a 5,000-digit int is past the default str() limit
+        algebra = f'{{"kind": "hom_algebra", "dim": 1, "mul": [[[{mul}]]], "alpha": [[{alpha}]]}}'
+        task = f'{{"op": "check_hom_algebra", "args": ["A"], "expect": "{expect}"}}'
+        path = tmp_path / "long.json"
+        path.write_text(f'{{"objects": {{"A": {algebra}}}, "tasks": [{task}]}}')
+        return str(path)
+
+    @pytest.mark.parametrize("mul, alpha", [
+        (DIGITS, "1"),
+        (f'"{DIGITS}"', '"1"'),
+        ('"1"', f'"1/{DIGITS}"'),
+    ], ids=["json-integer", "string-integer", "string-fraction"])
+    def test_long_scalars_are_read(self, tmp_path, capsys, mul, alpha):
+        assert main(["check", self.write(tmp_path, mul, alpha, "any")]) == 0
+        assert capsys.readouterr().out.endswith("all expectations met\n")
+
+    def test_a_witness_past_the_limit_is_printed_in_full(self, tmp_path, capsys):
+        # alpha = 10^2200 is within the limit; alpha(e) alpha(e) = 10^4400 is not
+        alpha = "1" + "0" * 2200
+        assert main(["check", self.write(tmp_path, "1", alpha, "fail")]) == 0
+        rhs = "1" + "0" * 4400
+        assert capsys.readouterr().out == (
+            "task 1: check_hom_algebra(A) -> fail (expected fail) OK\n"
+            f"    witness: multiplicativity at (0, 0): lhs=[{alpha}] rhs=[{rhs}]\n"
+            "all expectations met\n"
+        )
+
 
 def _paths(value, prefix=()):
     """Every (container path, key) in a JSON document, outermost first."""

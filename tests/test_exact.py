@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from homtwist import exact
+from homtwist.algebra import hom_algebra
 from homtwist.errors import (
     DimensionMismatch,
     MalformedRational,
@@ -34,6 +35,9 @@ from homtwist.exact import (
     to_dense,
     unflatten_index,
 )
+from homtwist.gallery import GalleryKey
+from homtwist.twisted import CliffordParams
+from homtwist.uqsl2 import UqParams
 
 
 class TestRatParse:
@@ -353,6 +357,26 @@ class TestCanonicalScalars:
     def test_matrix_stores_only_the_shared_zero(self):
         m = Matrix([[0, "0"], [Fraction(0), "-0/3"]])
         assert all(x is ZERO for row in m.data for x in row)
+
+
+class TestFloatsAreRejected:
+    """A float never becomes a scalar: its binary expansion is not the number meant."""
+
+    @pytest.mark.parametrize("x", [0.1, 0.0, 2.0, float("inf")])
+    def test_as_scalar(self, x):
+        with pytest.raises(MalformedRational):
+            as_scalar(x)
+
+    @pytest.mark.parametrize("build", [
+        lambda: hom_algebra(1, [[[0.5]]]),
+        lambda: Matrix([[1, 0.1]]),
+        lambda: GalleryKey("clifford", {"q": 2.0}),
+        lambda: CliffordParams(0.5, Matrix.identity(2)),
+        lambda: UqParams(2, 0.1, 1),
+    ], ids=["hom_algebra", "Matrix", "GalleryKey", "CliffordParams", "UqParams"])
+    def test_entry_points(self, build):
+        with pytest.raises(MalformedRational):
+            build()
 
 
 def dense_apply(self, vec):

@@ -124,7 +124,6 @@ class TestClaimedCheckers:
 
     def test_sweedler_h4(self):
         bundle = build(GalleryKey("sweedler_h4", {}))
-        assert bundle["provenance"] == "auxiliary"
         assert check_hom_bialgebra(bundle["H"]).passed
 
     @pytest.mark.parametrize("n", [2, 3])

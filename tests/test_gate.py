@@ -221,7 +221,7 @@ class TestCompositesCallCheckedConstructors:
     def test_the_guard_sees_a_composite_calling_a_builder(self):
         old = (
             "def check_deform_compat_ttp(a, b, alpha_a, alpha_b, pmap):\n"
-            "    classical = _twisted_product(a, b, pmap.map, 'ttp')\n"
+            "    classical = _twisted_product(a, b, pmap.map)\n"
             "    return algebra._yau_twisted(classical, alpha_a)\n"
         )
         sites = private_builder_sites(old, "twisted.py")

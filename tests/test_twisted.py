@@ -4,7 +4,6 @@ from homtwist.algebra import (
     check_associative,
     check_hom_algebra,
     hom_algebra,
-    same_structure,
     tensor_algebra,
     yau_twist_algebra,
 )
@@ -346,7 +345,7 @@ class TestAlphaABTtp:
         alg, t, c1, c2 = alphaAB_ttp(b["A"], b["B"], b["alphaA"], b["alphaB"], b["R"])
         ten = tensor_algebra(b["A"], b["B"])
         twist = kron(b["alphaA"], b["alphaB"])
-        assert same_structure(alg, yau_twist_algebra(ten, twist))
+        assert alg == yau_twist_algebra(ten, twist)
         assert check_alpha_pseudotwistor(ten, twist, t, c1, c2).passed
 
     def test_identity_alphas_give_ttp(self):
@@ -372,7 +371,7 @@ class TestAlphaABTtp:
                 columns.append(col)
         abar = ttp(b["A"], clifford_algebra(2), TwistingMapR(2, 2, Matrix.from_columns(columns)))
         sigma_bar = kron(b["sigma"], Matrix.identity(2))
-        assert same_structure(alg, yau_twist_algebra(abar, sigma_bar))
+        assert alg == yau_twist_algebra(abar, sigma_bar)
 
 
 class TestAlphaABFromClassical:
@@ -397,7 +396,7 @@ class TestAlphaABFromClassical:
             assert check_alphaAB_twisting_map(b["A"], b["B"], sw, sw, lifted).passed
             alg, _, _, _ = alphaAB_ttp(b["A"], b["B"], sw, sw, lifted)
             expected = yau_twist_algebra(ttp(b["A"], b["B"], b["R"]), kron(sw, sw))
-            assert same_structure(alg, expected)
+            assert alg == expected
         else:
             with pytest.raises(CommutationFailure):
                 alphaAB_from_classical(b["R"], sw, sw)

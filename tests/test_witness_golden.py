@@ -447,7 +447,7 @@ def constructor_cases():
             "alphaAB_ttp_clifford",
             lambda: alphaAB_ttp(acl["A"], acl["B"], acl["alphaA"], acl["alphaB"], acl["R"]),
         ),
-        ("deform", lambda: deform(tb["D"], tb["T"], verified="hom_twistor")),
+        ("deform", lambda: deform(tb["D"], tb["T"])),
         ("deform_with_alpha", lambda: deform_with_alpha(k2, sw, yau_operator(sw)[0])),
         ("lift_13", lambda: lift_13(tb["T"])),
         ("lift_13_dim4", lambda: lift_13(twistor_from_R(lb["A"], lb["B"], lb["R"]))),
