@@ -25,6 +25,7 @@ from .exact import (
     BACKEND,
     CheckReport,
     Failure,
+    LinearMap,
     Matrix,
     Q,
     flatten_index,

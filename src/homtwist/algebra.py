@@ -1,7 +1,8 @@
 """Finite-dimensional (Hom-)associative algebras given by structure constants.
 
 An algebra is a triple (dim, mul, alpha): ``mul[i][j][k]`` is the coefficient
-of ``e_k`` in ``e_i e_j`` and ``alpha`` is the structure map as a matrix.  A
+of ``e_k`` in ``e_i e_j`` and ``alpha`` is the structure map as a
+``LinearMap`` (d,) -> (d,).  A
 plain associative algebra is the same record with ``alpha`` the identity.  No
 axiom is assumed at construction; the checkers decide status.  Algebras are
 nonunital throughout.
@@ -10,9 +11,9 @@ nonunital throughout.
 sparse columns tabulated once per call: the nonzero constants ``map.cols``
 and, for Hom-associativity, the 2d^2 products alpha(e_i) e_l and
 e_l alpha(e_k), the columns of mu o (alpha (x) id) and mu o (id (x) alpha)
-as ``compose`` tabulates them.  ``HomAlgebra.product`` and ``Matrix.apply``
-serve only ``_multiplicative``, the one d^2 scan of
-f(e_i e_j) = f(e_i) f(e_j) shared by ``check_hom_algebra``,
+as ``compose`` tabulates them.  ``HomAlgebra.product`` and the dense view
+of f (``Matrix.apply``, ``Matrix.col``) serve only ``_multiplicative``, the
+one d^2 scan of f(e_i e_j) = f(e_i) f(e_j) shared by ``check_hom_algebra``,
 ``multiplicativity_scan`` and ``check_algebra_morphism``.  Every other
 equation here (alpha-intertwining, the four-element lemma) is a
 ``scan_composites`` declaration, and the Yau twist alpha o mu is a table
@@ -25,7 +26,6 @@ from functools import cached_property
 from .errors import DimensionMismatch, NotMultiplicative, PreconditionFailure
 from .exact import (
     LinearMap,
-    Matrix,
     Scan,
     ZERO,
     as_constants,
@@ -43,16 +43,16 @@ class HomAlgebra:
 
     dim: int
     mul: tuple
-    alpha: Matrix
+    alpha: LinearMap
 
     def __post_init__(self):
         d = self.dim
         message = f"structure constants are not {d}^3 shaped"
         object.__setattr__(self, "mul", as_constants(self.mul, (d, d, d), message))
-        if self.alpha.rows != self.dim or self.alpha.cols != self.dim:
-            raise DimensionMismatch(
-                f"alpha is {self.alpha.rows}x{self.alpha.cols}, expected {self.dim}x{self.dim}"
-            )
+        rows, cols = self.alpha.shape
+        if (rows, cols) != (d, d):
+            raise DimensionMismatch(f"alpha is {rows}x{cols}, expected {d}x{d}")
+        object.__setattr__(self, "alpha", self.alpha.reshaped((d,), (d,)))
 
     @classmethod
     def _canonical(cls, dim, mul, alpha):
@@ -62,7 +62,7 @@ class HomAlgebra:
         zero the shared ``ZERO``, as ``LinearMap.table()`` returns them.
         """
         algebra = object.__new__(cls)
-        algebra.__dict__.update(dim=dim, mul=mul, alpha=alpha)
+        algebra.__dict__.update(dim=dim, mul=mul, alpha=alpha.reshaped((dim,), (dim,)))
         return algebra
 
     @cached_property
@@ -97,11 +97,11 @@ class HomAlgebra:
 
 
 def hom_algebra(dim, mul, alpha=None):
-    """Convenience constructor; alpha defaults to the identity."""
+    """Convenience constructor; alpha is a LinearMap, a Matrix or its rows (default identity)."""
     if alpha is None:
-        alpha = Matrix.identity(dim)
-    elif not isinstance(alpha, Matrix):
-        alpha = Matrix(alpha)
+        alpha = LinearMap.identity(dim)
+    elif not isinstance(alpha, LinearMap):
+        alpha = LinearMap.from_matrix(alpha)
     return HomAlgebra(dim, mul, alpha)
 
 
@@ -119,7 +119,7 @@ def check_hom_algebra(algebra):
     d = algebra.dim
     scan = Scan()
     _multiplicative(scan, "multiplicativity", algebra.alpha, algebra, algebra)
-    mu, alpha = algebra.map, LinearMap.from_matrix(algebra.alpha)
+    mu, alpha = algebra.map, algebra.alpha
     left = [dict(col) for col in compose([(alpha, 0), (mu, 0)], (d, d)).cols]
     right = [dict(col) for col in compose([(alpha, 1), (mu, 0)], (d, d)).cols]
     left = [left[i * d:(i + 1) * d] for i in range(d)]
@@ -182,9 +182,11 @@ def _combination(terms, columns):
 def _multiplicative(scan, name, f, source, target):
     """Scan f(e_i e_j) = f(e_i) f(e_j) on every basis pair (i, j) of `source`, in order.
 
-    `f` is a Matrix from `source` to `target`; the left side applies it to the
-    constants of e_i e_j and the right side multiplies two of its columns.
+    `f` is a LinearMap from `source` to `target`, read through its dense view:
+    the left side applies it to the constants of e_i e_j and the right side
+    multiplies two of its columns.
     """
+    f = f.matrix()
     d = source.dim
     for i in range(d):
         fi = f.col(i)
@@ -194,7 +196,7 @@ def _multiplicative(scan, name, f, source, target):
 
 def multiplicativity_scan(algebra, endo):
     """Does `endo` satisfy endo(e_i e_j) = endo(e_i) endo(e_j) for algebra.mul?"""
-    if endo.rows != algebra.dim or endo.cols != algebra.dim:
+    if endo.shape != (algebra.dim, algebra.dim):
         raise DimensionMismatch("alpha shape does not match the algebra")
     scan = Scan()
     _multiplicative(scan, "multiplicativity", endo, algebra, algebra)
@@ -203,15 +205,12 @@ def multiplicativity_scan(algebra, endo):
 
 def check_algebra_morphism(f, source, target):
     """f is a morphism iff it intertwines structure maps and is multiplicative."""
-    if f.cols != source.dim or f.rows != target.dim:
-        raise DimensionMismatch(
-            f"map is {f.rows}x{f.cols}, expected {target.dim}x{source.dim}"
-        )
-    fmap = LinearMap.from_matrix(f)
-    alpha_s, alpha_t = LinearMap.from_matrix(source.alpha), LinearMap.from_matrix(target.alpha)
+    rows, cols = f.shape
+    if (rows, cols) != (target.dim, source.dim):
+        raise DimensionMismatch(f"map is {rows}x{cols}, expected {target.dim}x{source.dim}")
     scan = Scan()
     scan_composites([((source.dim,), [
-        ("intertwines_alpha", [(fmap, 0), (alpha_t, 0)], [(alpha_s, 0), (fmap, 0)]),
+        ("intertwines_alpha", [(f, 0), (target.alpha, 0)], [(source.alpha, 0), (f, 0)]),
     ])], scan)
     _multiplicative(scan, "multiplicative", f, source, target)
     return scan.done()
@@ -220,8 +219,8 @@ def check_algebra_morphism(f, source, target):
 def check_lemma_four_elements(algebra):
     """(ab)(cd) = alpha(a)(alpha^{-1}(bc) d) over all basis quadruples."""
     check_hom_algebra(algebra).require("check_hom_algebra")
-    inv = LinearMap.from_matrix(mat_inv(algebra.alpha))  # NotInvertible propagates
-    mu, alpha = algebra.map, LinearMap.from_matrix(algebra.alpha)
+    inv = mat_inv(algebra.alpha)  # NotInvertible propagates
+    mu, alpha = algebra.map, algebra.alpha
     d = algebra.dim
     return scan_composites([((d, d, d, d), [(
         "four_elements",
@@ -237,7 +236,7 @@ def check_lemma_four_elements(algebra):
 
 def yau_twist_algebra(algebra, alpha):
     """Twist a plain associative algebra: new multiplication alpha o mul."""
-    if alpha.rows != algebra.dim or alpha.cols != algebra.dim:
+    if alpha.shape != (algebra.dim, algebra.dim):
         raise DimensionMismatch("alpha shape does not match the algebra")
     if not algebra.is_classical():
         raise PreconditionFailure("yau twist input must have identity structure map")
@@ -248,7 +247,7 @@ def yau_twist_algebra(algebra, alpha):
 def _yau_twisted(algebra, alpha):
     """The Yau twist alpha o mul with structure map alpha; nothing is checked."""
     d = algebra.dim
-    mul = compose([(algebra.map, 0), (LinearMap.from_matrix(alpha), 0)], (d, d)).table()
+    mul = compose([(algebra.map, 0), (alpha, 0)], (d, d)).table()
     return HomAlgebra._canonical(d, mul, alpha)
 
 

@@ -1,4 +1,4 @@
-"""Exact scalars, dense matrices, tensor-index conventions and check reports.
+"""Exact scalars, linear maps, tensor-index conventions and check reports.
 
 Everything else in the package builds on the conventions pinned here, once:
 
@@ -9,7 +9,7 @@ Everything else in the package builds on the conventions pinned here, once:
 * every stored zero is the one shared object ``ZERO``.  ``rat_parse`` and
   ``as_scalar`` return ``ZERO`` for any zero, and ``as_scalar`` hands a value
   that already has the scalar type back unchanged, so building a table from
-  scalars creates no new ones.  ``Matrix.apply``, ``kron`` and
+  scalars creates no new ones.  ``Matrix.apply`` and
   ``HomAlgebra.product`` skip an input entry when it ``is ZERO``; a zero made
   by arithmetic is not skipped, only multiplied through, so the skip never
   changes a value.  ``LinearMap.table()`` returns canonical tables (absent
@@ -23,15 +23,19 @@ Everything else in the package builds on the conventions pinned here, once:
 * a matrix ``M`` acts on column coordinate vectors: the linear map it
   represents sends basis element ``e_c`` to ``sum_r M[r, c] e_r``.
 * every structure map (mu, Delta, alpha, R, T, actions, coactions, flips) is
-  a ``LinearMap`` between tensor products, and ``apply_at`` is the one place
-  that applies such a map to a run of factors; an axiom is a pair of paths of
-  ``(map, position)`` checked per basis tuple by ``scan_composites``, and a
-  derived table (a product table, a lifted map, a composite of two matrices)
-  is such a path tabulated by ``compose``.  The exceptions are in ``algebra``:
+  stored as a ``LinearMap`` between tensor products, and ``apply_at`` is the
+  one place that applies such a map to a run of factors; an axiom is a pair
+  of paths of ``(map, position)`` checked per basis tuple by
+  ``scan_composites``, and a derived map (a product table, a lifted map, a
+  composite of two maps) is such a path tabulated by ``compose``.
+  ``mat_inv`` and ``kron`` take and return ``LinearMap``s.  A ``Matrix`` is
+  only input syntax (nested rows, read once by ``LinearMap.from_matrix`` in
+  the manifest, the gallery and ``hom_algebra``/``hom_coalgebra``) and the
+  dense view ``LinearMap.matrix()``.  The exceptions are in ``algebra``:
   Hom-associativity and associativity of one algebra, scanned on sparse
   columns that ``compose`` tabulates once per call, and the one
-  multiplicativity scan f(e_i e_j) = f(e_i) f(e_j), the only reader of
-  ``Matrix.apply`` and ``HomAlgebra.product``.
+  multiplicativity scan f(e_i e_j) = f(e_i) f(e_j), the only reader of the
+  dense view, ``Matrix.apply`` and ``HomAlgebra.product``.
 * a precondition is a check whose report must pass; ``CheckReport.require`` is
   the one place that turns a failed report into an exception.  A composite
   constructor calls the public checked constructors it is built from, and
@@ -144,19 +148,19 @@ def unflatten_index(dims, flat):
 
 
 # ---------------------------------------------------------------------------
-# dense exact matrices
+# dense exact matrices: the input syntax of a map, and its dense view
 # ---------------------------------------------------------------------------
 
 
 class Matrix:
-    """Immutable dense matrix of exact rationals."""
+    """Immutable dense matrix of exact rationals; `cols` sizes a matrix with no rows."""
 
     __slots__ = ("rows", "cols", "data", "_coldata", "_sparse")
 
-    def __init__(self, data):
+    def __init__(self, data, cols=0):
         data = tuple(tuple(map(as_scalar, row)) for row in data)
         self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
+        self.cols = len(data[0]) if data else cols
         for row in data:
             if len(row) != self.cols:
                 raise DimensionMismatch("ragged rows in matrix literal")
@@ -164,43 +168,12 @@ class Matrix:
         self._coldata = None
         self._sparse = None
 
-    @classmethod
-    def identity(cls, n):
-        return cls(tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def from_columns(cls, columns):
-        rows = len(columns[0]) if columns else 0
-        return cls(tuple(tuple(col[r] for col in columns) for r in range(rows)))
-
-    def __getitem__(self, rc):
-        r, c = rc
-        return self.data[r][c]
-
     def col(self, c):
         if self._coldata is None:
             self._coldata = tuple(
                 tuple(self.data[r][j] for r in range(self.rows)) for j in range(self.cols)
             )
         return self._coldata[c]
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self.data == other.data
-
-    def __hash__(self):
-        return hash(self.data)
-
-    def __repr__(self):
-        return f"Matrix({[[str(x) for x in row] for row in self.data]})"
-
-    def is_identity(self):
-        return self.rows == self.cols and all(
-            self.data[r][c] == (ONE if r == c else ZERO)
-            for r in range(self.rows)
-            for c in range(self.cols)
-        )
 
     def apply(self, vec):
         """Apply to a column coordinate vector; skips input entries that are ZERO."""
@@ -215,44 +188,6 @@ class Matrix:
             for r, m in col:
                 out[r] = out[r] + m * xc
         return out
-
-
-def mat_inv(a):
-    """Exact inverse by Gauss-Jordan elimination; NotInvertible on rank deficiency."""
-    if a.rows != a.cols:
-        raise DimensionMismatch(f"cannot invert non-square {a.rows}x{a.cols} matrix")
-    n = a.rows
-    m = [list(a.data[r]) + [ONE if r == c else ZERO for c in range(n)] for r in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            raise NotInvertible(f"exact rank deficiency at column {col}")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv_p = ONE / m[col][col]
-        m[col] = [x * inv_p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return Matrix(tuple(tuple(m[r][n:]) for r in range(n)))
-
-
-def kron(a, b):
-    """Kronecker product consistent with flatten_index: out[(i,j),(p,q)] = a[i,p]*b[j,q]."""
-    out = []
-    for i in range(a.rows):
-        for j in range(b.rows):
-            row = []
-            arow = a.data[i]
-            brow = b.data[j]
-            for p in range(a.cols):
-                ap = arow[p]
-                if ap is not ZERO:
-                    row.extend(ap * bq for bq in brow)
-                else:
-                    row.extend((ZERO,) * b.cols)
-            out.append(tuple(row))
-    return Matrix(out)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +211,9 @@ class LinearMap:
 
     ``src`` and ``dst`` are the factor dims.  ``cols[c]`` holds the nonzero
     ``(r, coefficient)`` pairs of the image of source basis element ``c``; both
-    indices are flattened by the module convention.
+    indices are flattened by the module convention.  Two maps are equal when
+    they map between the same factors with the same coefficients, in whatever
+    order each column lists its pairs.
     """
 
     __slots__ = ("src", "dst", "cols")
@@ -288,9 +225,25 @@ class LinearMap:
         if len(self.cols) != _size(self.src):
             raise DimensionMismatch(f"{len(self.cols)} columns for source dims {self.src}")
 
+    def __eq__(self, other):
+        if not isinstance(other, LinearMap):
+            return NotImplemented
+        return (self.src, self.dst) == (other.src, other.dst) and all(
+            a == b or dict(a) == dict(b) for a, b in zip(self.cols, other.cols)
+        )
+
+    def __hash__(self):
+        return hash((self.src, self.dst, tuple(frozenset(col) for col in self.cols)))
+
+    @property
+    def shape(self):
+        """(rows, columns) of the map's matrix."""
+        return _size(self.dst), _size(self.src)
+
     @classmethod
     def from_matrix(cls, m, src=None, dst=None):
-        """The map of a matrix, read as acting between the given factor dims."""
+        """The map of a Matrix (or of its rows), read as acting between the given factor dims."""
+        m = m if isinstance(m, Matrix) else Matrix(m)
         src = (m.cols,) if src is None else src
         dst = (m.rows,) if dst is None else dst
         if _size(src) != m.cols or _size(dst) != m.rows:
@@ -323,6 +276,14 @@ class LinearMap:
         return cls.from_constants(comul, (d,), (d, d))
 
     @classmethod
+    def identity(cls, d):
+        return cls((d,), (d,), (((c, ONE),) for c in range(d)))
+
+    def is_identity(self):
+        rows, cols = self.shape
+        return rows == cols and all(col == ((c, ONE),) for c, col in enumerate(self.cols))
+
+    @classmethod
     def flip(cls, d1, d2):
         """u (x) v -> v (x) u for u, v in factors of dims d1, d2."""
         return cls((d1, d2), (d2, d1), (((j * d1 + i, ONE),) for i in range(d1) for j in range(d2)))
@@ -334,12 +295,47 @@ class LinearMap:
         return LinearMap(src, dst, self.cols)
 
     def matrix(self):
-        return Matrix.from_columns([to_dense(dict(col), self.dst) for col in self.cols])
+        """The dense view, of the map's shape even when it has no rows."""
+        columns = [to_dense(dict(col), self.dst) for col in self.cols]
+        rows, cols = self.shape
+        return Matrix([[column[r] for column in columns] for r in range(rows)], cols)
 
     def table(self):
         """Dense constants nested source factors first, then target factors."""
         columns = [_nested(to_dense(dict(col), self.dst), self.dst) for col in self.cols]
         return _nested(columns, self.src)
+
+
+def mat_inv(f):
+    """Exact inverse by Gauss-Jordan elimination; NotInvertible on rank deficiency."""
+    n, cols = f.shape
+    if n != cols:
+        raise DimensionMismatch(f"cannot invert non-square {n}x{cols} matrix")
+    m = [[ZERO] * n + [ONE if r == c else ZERO for c in range(n)] for r in range(n)]
+    for c, col in enumerate(f.cols):
+        for r, v in col:
+            m[r][c] = v
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            raise NotInvertible(f"exact rank deficiency at column {col}")
+        m[col], m[pivot] = m[pivot], m[col]
+        inv_p = ONE / m[col][col]
+        m[col] = [x * inv_p for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f_r = m[r][col]
+                m[r] = [x - f_r * y for x, y in zip(m[r], m[col])]
+    return LinearMap(f.dst, f.src, (_nonzero([m[r][n + c] for r in range(n)]) for c in range(n)))
+
+
+def kron(f, g):
+    """f (x) g between single factors: the Kronecker product of the two matrices."""
+    rows = _size(g.dst)
+    cols = [
+        tuple((i * rows + j, a * b) for i, a in fc for j, b in gc) for fc in f.cols for gc in g.cols
+    ]
+    return LinearMap((_size(f.src) * _size(g.src),), (_size(f.dst) * rows,), cols)
 
 
 def _nested(items, dims):

@@ -5,7 +5,8 @@ each coefficient formula written down exactly once so tests and the
 acceptance suite share a single source.  ``FAMILIES`` declares each name once,
 with its builder and its required and optional parameters; ``build``
 checks the parameters against it and calls the builder with them.  Bundles
-are plain dicts of built objects.
+are plain dicts of built objects.  Each matrix is written as rows (or as
+columns, transposed) and read once into a ``LinearMap``.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +15,7 @@ from functools import partial
 from .algebra import hom_algebra, yau_twist_algebra
 from .coalgebra import HomBialgebra, hom_coalgebra
 from .errors import ParamConstraintViolation
-from .exact import Matrix, ONE, ZERO, as_scalar
+from .exact import ONE, ZERO, LinearMap, as_scalar
 from .modsmash import LEFT, RIGHT, ActionTable, CoactionTable
 from .twisted import (
     CliffordParams,
@@ -62,7 +63,8 @@ def k2_algebra():
 
 
 def swap_matrix():
-    return Matrix(((ZERO, ONE), (ONE, ZERO)))
+    """The map of k^2 exchanging its two basis vectors."""
+    return LinearMap.from_matrix(((ZERO, ONE), (ONE, ZERO)))
 
 
 def _two_dim_algebra(a, l1, l2):
@@ -78,8 +80,7 @@ def _two_dim_algebra(a, l1, l2):
             (l1 * l1 * (ONE - 2 * l2) * a / (one_m * one_m), 2 * l1 * l2 * a / one_m),
         ),
     )
-    alpha = Matrix(((ONE, l1), (ZERO, l2)))
-    return hom_algebra(2, mul, alpha)
+    return hom_algebra(2, mul, ((ONE, l1), (ZERO, l2)))
 
 
 def _two_dim_twistor(l1, l2):
@@ -89,7 +90,7 @@ def _two_dim_twistor(l1, l2):
     rows[0][1] = c  # T(e1 (x) e2) = c e1 (x) e1
     rows[2][2] = ONE  # T(e2 (x) e1) = e2 (x) e1
     rows[2][3] = c  # T(e2 (x) e2) = c e2 (x) e1
-    return Operator2(2, Matrix(rows))
+    return Operator2(2, LinearMap.from_matrix(rows))
 
 
 def _two_dim_deformed_mul(a, l1, l2):
@@ -121,6 +122,11 @@ def _ttp_k2_table(lam):
     return tuple(mul)
 
 
+def _by_columns(dim_a, dim_b, columns):
+    """The twisting map whose matrix has the given columns."""
+    return TwistingMapR(dim_a, dim_b, LinearMap.from_matrix(list(zip(*columns))))
+
+
 def _ttp_k2_map(lam):
     one_m = ONE - lam
     lam_m = lam - ONE
@@ -130,7 +136,7 @@ def _ttp_k2_map(lam):
         (one_m, one_m, -lam, one_m),  # R(e2 (x) e1)
         (lam_m, lam, lam, lam),  # R(e2 (x) e2)
     ]
-    return TwistingMapR(2, 2, Matrix.from_columns(columns))
+    return _by_columns(2, 2, columns)
 
 
 def _r_map(s, l1, a1, a2, a3, a4, a5):
@@ -150,7 +156,7 @@ def _r_map(s, l1, a1, a2, a3, a4, a5):
         a5,
         -half * (a1 + a3 + a4 + a5 - 2 * s * l1),
     )
-    return TwistingMapR(2, 2, Matrix.from_columns([col0, col1, col2, col3]))
+    return _by_columns(2, 2, [col0, col1, col2, col3])
 
 
 def _dk2_map(l1, a1, a2):
@@ -158,7 +164,7 @@ def _dk2_map(l1, a1, a2):
     col1 = (a1, a2, -a1 / l1, -a2 / l1)  # R(f1 (x) e2)
     col2 = (ZERO, ZERO, ZERO, ZERO)  # R(f2 (x) e1)
     col3 = (a1 * l1, a2 * l1, -a1, -a2)  # R(f2 (x) e2)
-    return TwistingMapR(2, 2, Matrix.from_columns([col0, col1, col2, col3]))
+    return _by_columns(2, 2, [col0, col1, col2, col3])
 
 
 def sweedler_h4():
@@ -230,7 +236,7 @@ def h4_left_action():
         ((z, z), (ONE, z)),  # x: x.1 = 0, x.y = 1
         ((z, z), (ONE, z)),  # gx: gx.1 = 0, gx.y = g.(x.y) = 1
     )
-    return ActionTable(LEFT, 4, 2, table, Matrix.identity(2))
+    return ActionTable(LEFT, 4, 2, table, LinearMap.identity(2))
 
 
 def h4_right_action():
@@ -242,7 +248,7 @@ def h4_right_action():
         ((z, z), (ONE, z)),  # . x
         ((z, z), (-ONE, z)),  # . gx, via c.(gx) = (c.g).x
     )
-    return ActionTable(RIGHT, 4, 2, table, Matrix.identity(2))
+    return ActionTable(RIGHT, 4, 2, table, LinearMap.identity(2))
 
 
 def h4_twists(c):
@@ -250,7 +256,7 @@ def h4_twists(c):
     c = as_scalar(c)
     if not c:
         raise ParamConstraintViolation("twist scale must be nonzero")
-    alpha_h = Matrix(
+    alpha_h = LinearMap.from_matrix(
         (
             (ONE, ZERO, ZERO, ZERO),
             (ZERO, ONE, ZERO, ZERO),
@@ -258,7 +264,7 @@ def h4_twists(c):
             (ZERO, ZERO, ZERO, c),
         )
     )
-    alpha_a = Matrix(((ONE, ZERO), (ZERO, ONE / c)))
+    alpha_a = LinearMap.from_matrix(((ONE, ZERO), (ZERO, ONE / c)))
     return alpha_h, alpha_a
 
 
@@ -266,7 +272,7 @@ def c2_trivial_yd():
     """k[C2] with the trivial action and trivial coaction on k[y]/(y^2)."""
     bi = group_algebra(2)
     module = dual_numbers()
-    ident = Matrix.identity(2)
+    ident = LinearMap.identity(2)
     act = ActionTable(
         LEFT, 2, 2, (((ONE, ZERO), (ZERO, ONE)), ((ONE, ZERO), (ZERO, ONE))), ident
     )
@@ -351,10 +357,10 @@ def _alpha_ttp_clifford(q):
         "A": k2_algebra(),
         "B": clifford_algebra(q),
         "alphaA": sigma,
-        "alphaB": Matrix.identity(2),
+        "alphaB": LinearMap.identity(2),
         "sigma": sigma,
         "q": as_scalar(q),
-        "R": alphaAB_from_classical(clifford_twisting_map(sigma), sigma, Matrix.identity(2)),
+        "R": alphaAB_from_classical(clifford_twisting_map(sigma), sigma, LinearMap.identity(2)),
     }
 
 

@@ -33,7 +33,7 @@ from .errors import (
     UnknownName,
     WrongKind,
 )
-from .exact import Matrix, rat_parse, rat_str
+from .exact import LinearMap, Matrix, rat_parse, rat_str
 from .modsmash import ActionTable, CoactionTable
 from .twisted import TwistingMapR
 from .twistor import Operator2, Operator3
@@ -159,8 +159,8 @@ def _hom_bialgebra(dim, mul, comul, alpha) -> HomBialgebra:
     return HomBialgebra(HomAlgebra(dim, mul, alpha), HomCoalgebra(dim, comul, alpha))
 
 
-def _linear_map(source_dim, target_dim, matrix) -> Matrix:
-    if matrix.rows != target_dim or matrix.cols != source_dim:
+def _linear_map(source_dim, target_dim, matrix) -> LinearMap:
+    if matrix.shape != (target_dim, source_dim):
         raise DimensionMismatch("matrix shape does not match declared dims")
     return matrix
 
@@ -170,8 +170,8 @@ def _gallery(name, params) -> dict:
 
 
 # kind -> (builder, fields): the builder takes the fields in order, each
-# depth-2 scalar field as a Matrix.  A builder that is not the class it builds
-# names that class as its return annotation.
+# depth-2 scalar field as the LinearMap of its matrix, read once.  A builder
+# that is not the class it builds names that class as its return annotation.
 OBJECT_KINDS = {
     "hom_algebra": (HomAlgebra, ("dim", "mul", "alpha")),
     "hom_coalgebra": (HomCoalgebra, ("dim", "comul", "alpha")),
@@ -199,7 +199,12 @@ def _build_object(name, raw):
     builder, fields = OBJECT_KINDS[kind]
     where = f"object {name!r} ({kind})"
     _require_fields(raw, where, *fields)
-    values = [Matrix(raw[f]) if _SCALAR_FIELDS.get(f) == 2 else raw[f] for f in fields]
+    # a matrix with no rows has no columns, except a linear_map's: source_dim of them
+    values = [
+        LinearMap.from_matrix(Matrix(raw[f], raw.get("source_dim", 0)))
+        if _SCALAR_FIELDS.get(f) == 2 else raw[f]
+        for f in fields
+    ]
     try:
         return builder(*values)
     except DimensionMismatch as exc:

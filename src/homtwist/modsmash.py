@@ -7,9 +7,11 @@ Action constants: ``table[h][m][m']`` is the coefficient of ``e_{m'}`` in
 ``e_m``, where the pair reads (coalgebra, module) on the left side and
 (module, coalgebra) on the right side.
 
-An action's ``map`` reads its constants as (h, m) -> m' on either side, so
-every axiom below is a composite of these maps, mu, Delta and the structure
-maps, with flips bringing the factors each map acts on together.
+An action's ``map`` reads its constants as (h, m) -> m' on either side, and
+``alpha_m`` is a ``LinearMap`` (dm,) -> (dm,), so every axiom below is a
+composite of these maps, mu, Delta (each algebra's and coalgebra's cached
+``map``) and the structure maps, with flips bringing the factors each map
+acts on together.
 """
 
 from dataclasses import dataclass
@@ -24,7 +26,7 @@ from .errors import (
     PreconditionFailure,
     YDViolation,
 )
-from .exact import LinearMap, Matrix, as_constants, compose, kron, mat_inv, scan_composites
+from .exact import LinearMap, as_constants, compose, kron, mat_inv, scan_composites
 from .twisted import TwistingMapR, flip, hom_ttp, iterated_ttp
 from .twistor import structure_constants_block
 
@@ -37,6 +39,14 @@ def _check_side(side):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
+def _set_alpha_m(table):
+    """Check that alpha_M is dm x dm and store it as a map (dm,) -> (dm,)."""
+    dm = table.module_dim
+    if table.alpha_m.shape != (dm, dm):
+        raise DimensionMismatch("alpha_M shape does not match the module")
+    object.__setattr__(table, "alpha_m", table.alpha_m.reshaped((dm,), (dm,)))
+
+
 @dataclass(frozen=True)
 class ActionTable:
     """Structure constants of a one-sided action together with alpha_M."""
@@ -45,15 +55,14 @@ class ActionTable:
     acting_dim: int
     module_dim: int
     table: tuple
-    alpha_m: Matrix
+    alpha_m: LinearMap
 
     def __post_init__(self):
         _check_side(self.side)
         dh, dm = self.acting_dim, self.module_dim
         message = f"action constants are not {dh}x{dm}x{dm} shaped"
         object.__setattr__(self, "table", as_constants(self.table, (dh, dm, dm), message))
-        if self.alpha_m.rows != self.module_dim or self.alpha_m.cols != self.module_dim:
-            raise DimensionMismatch("alpha_M shape does not match the module")
+        _set_alpha_m(self)
 
     @cached_property
     def map(self):
@@ -71,7 +80,7 @@ class CoactionTable:
     coalgebra_dim: int
     module_dim: int
     table: tuple
-    alpha_m: Matrix
+    alpha_m: LinearMap
 
     def __post_init__(self):
         _check_side(self.side)
@@ -82,8 +91,7 @@ class CoactionTable:
         dm = self.module_dim
         message = f"coaction constants are not {dm}x{d1}x{d2} shaped"
         object.__setattr__(self, "table", as_constants(self.table, (dm, d1, d2), message))
-        if self.alpha_m.rows != self.module_dim or self.alpha_m.cols != self.module_dim:
-            raise DimensionMismatch("alpha_M shape does not match the module")
+        _set_alpha_m(self)
 
     @cached_property
     def map(self):
@@ -108,7 +116,7 @@ def check_module(side, algebra, action):
         raise DimensionMismatch("acting dimension does not match the algebra")
     d, dm = algebra.dim, action.module_dim
     act = action.map
-    ah, am = LinearMap.from_matrix(algebra.alpha), LinearMap.from_matrix(action.alpha_m)
+    ah, am = algebra.alpha, action.alpha_m
     # left: alpha(h) . (h' . m); right: (m . h) . alpha(h'), so h goes first
     first = [] if side == LEFT else [(LinearMap.flip(d, d), 0)]
     return scan_composites([
@@ -129,8 +137,8 @@ def check_module_hom_algebra(side, bialgebra, algebra, action):
         raise PreconditionFailure("action alpha_M must equal the algebra structure map")
     check_module(side, bialgebra.algebra, action).require("check_module")
     dh, da = bialgebra.dim, algebra.dim
-    ah, act, mu = LinearMap.from_matrix(bialgebra.alpha), action.map, algebra.map
-    delta = LinearMap.coproduct(bialgebra.comul)
+    ah, act, mu = bialgebra.alpha, action.map, algebra.map
+    delta = bialgebra.coalgebra.map
     return scan_composites([((dh, da, da), [(
         "module_algebra_compat",
         [(mu, 1), (ah, 0), (ah, 0), (act, 0)],
@@ -157,7 +165,7 @@ def yau_twist_module_algebra(side, bialgebra, algebra, action, alpha_h, alpha_a)
     multiplicativity_scan(algebra, alpha_a).require(
         "alpha_A is not multiplicative", NotMultiplicative
     )
-    act, fa, fh = action.map, LinearMap.from_matrix(alpha_a), LinearMap.from_matrix(alpha_h)
+    act, fa, fh = action.map, alpha_a, alpha_h
     dims = (bialgebra.dim, algebra.dim)
     scan_composites([
         (dims, [("intertwining", [(act, 0), (fa, 0)], [(fh, 0), (fa, 1), (act, 0)])]),
@@ -180,7 +188,7 @@ def tensor_modules(bialgebra, act_m, act_n):
     dh = bialgebra.dim
     dm, dn = act_m.module_dim, act_n.module_dim
     path = [
-        (LinearMap.coproduct(bialgebra.comul), 0),
+        (bialgebra.coalgebra.map, 0),
         (LinearMap.flip(dh, dm), 1),
         (act_m.map, 0),
         (act_n.map, 1),
@@ -202,8 +210,7 @@ def check_comodule(side, coalgebra, coaction):
     if coaction.coalgebra_dim != coalgebra.dim:
         raise DimensionMismatch("coalgebra dimension does not match")
     co = coaction.map
-    am, ac = LinearMap.from_matrix(coaction.alpha_m), LinearMap.from_matrix(coalgebra.alpha)
-    delta = LinearMap.coproduct(coalgebra.comul)
+    am, ac, delta = coaction.alpha_m, coalgebra.alpha, coalgebra.map
     if side == LEFT:
         # (alpha_C (x) alpha_M) o lambda, and
         # (Delta (x) alpha_M) o lambda = (alpha_C (x) lambda) o lambda
@@ -229,7 +236,7 @@ def check_bicomodule(coalgebra, lam, rho):
         raise PreconditionFailure("coactions must share the module and alpha_M")
     for side, table, name in ((LEFT, lam, "left"), (RIGHT, rho, "right")):
         check_comodule(side, coalgebra, table).require(f"check_comodule:{name}")
-    ac = LinearMap.from_matrix(coalgebra.alpha)
+    ac = coalgebra.alpha
     return scan_composites([((lam.module_dim,), [(
         "bicomodule_interchange",
         [(rho.map, 0), (lam.map, 0), (ac, 2)],
@@ -266,8 +273,8 @@ def check_yetter_drinfeld(bialgebra, action, coaction):
     check_module(LEFT, bialgebra.algebra, action).require("check_module")
     check_comodule(LEFT, bialgebra.coalgebra, coaction).require("check_comodule")
     dh, dm = bialgebra.dim, action.module_dim
-    a, act, co = LinearMap.from_matrix(bialgebra.alpha), action.map, coaction.map
-    mu, delta = bialgebra.algebra.map, LinearMap.coproduct(bialgebra.comul)
+    a, act, co = bialgebra.alpha, action.map, coaction.map
+    mu, delta = bialgebra.algebra.map, bialgebra.coalgebra.map
     return scan_composites([((dh, dm), [(
         "yetter_drinfeld",
         # (h1.m)_{(-1)} alpha^2(h2) (x) (h1.m)_{(0)}
@@ -289,8 +296,7 @@ def _smash_preconditions(side, bialgebra, algebra, action):
     check_module_hom_algebra(side, bialgebra, algebra, action).require(
         "check_module_hom_algebra"
     )
-    inv_h = LinearMap.from_matrix(mat_inv(bialgebra.alpha))  # NotInvertible propagates
-    return inv_h, LinearMap.from_matrix(mat_inv(algebra.alpha))
+    return mat_inv(bialgebra.alpha), mat_inv(algebra.alpha)  # NotInvertible propagates
 
 
 def _smash_left_map(algebra, bialgebra, action):
@@ -298,12 +304,12 @@ def _smash_left_map(algebra, bialgebra, action):
     inv_h, inv_a = _smash_preconditions(LEFT, bialgebra, algebra, action)
     da, dh = algebra.dim, bialgebra.dim
     path = [
-        (LinearMap.coproduct(bialgebra.comul), 0),
+        (bialgebra.coalgebra.map, 0),
         (LinearMap.flip(dh, da), 1),
         (inv_h, 0), (inv_h, 0), (inv_a, 1), (action.map, 0),
         (inv_h, 1),
     ]
-    return TwistingMapR(da, dh, compose(path, (dh, da)).matrix())
+    return TwistingMapR(da, dh, compose(path, (dh, da)))
 
 
 def _smash_right_map(bialgebra, algebra, action):
@@ -311,12 +317,12 @@ def _smash_right_map(bialgebra, algebra, action):
     inv_h, inv_c = _smash_preconditions(RIGHT, bialgebra, algebra, action)
     dh, dc = bialgebra.dim, algebra.dim
     path = [
-        (LinearMap.coproduct(bialgebra.comul), 1),
+        (bialgebra.coalgebra.map, 1),
         (LinearMap.flip(dc, dh), 0),
         (LinearMap.flip(dc, dh), 1),
         (inv_h, 0), (inv_h, 1), (inv_h, 1), (inv_c, 2), (action.map, 1),
     ]
-    return TwistingMapR(dh, dc, compose(path, (dc, dh)).matrix())
+    return TwistingMapR(dh, dc, compose(path, (dc, dh)))
 
 
 def smash_left(algebra, bialgebra, action):
@@ -345,10 +351,8 @@ def smash_two_sided(algebra_a, bialgebra, algebra_c, action_left, action_right):
     product, _p1, _p2 = iterated_ttp(algebra_a, h, algebra_c, r1, r2, r3)
 
     da, dh, dc = algebra_a.dim, bialgebra.dim, algebra_c.dim
-    inv_h = LinearMap.from_matrix(mat_inv(bialgebra.alpha))
-    inv_a = LinearMap.from_matrix(mat_inv(algebra_a.alpha))
-    inv_c = LinearMap.from_matrix(mat_inv(algebra_c.alpha))
-    delta = LinearMap.coproduct(bialgebra.comul)
+    inv_h, inv_a, inv_c = (mat_inv(x.alpha) for x in (bialgebra, algebra_a, algebra_c))
+    delta = bialgebra.coalgebra.map
     mu_a, mu_h, mu_c = (x.map for x in (algebra_a, h, algebra_c))
     # (a # h # c)(a' # h' # c') = a (alpha^{-2}(h1) . alpha^{-1}(a'))
     #   # alpha^{-1}(h2 h'1) # (alpha^{-1}(c) . alpha^{-2}(h'2)) c'
@@ -377,7 +381,7 @@ def coaction_rho_smash(algebra, bialgebra, action):
     """rho(a # h) = (alpha_A(a) # h1) (x) h2 on A # H."""
     _smash_preconditions(LEFT, bialgebra, algebra, action)
     da, dh = algebra.dim, bialgebra.dim
-    path = [(LinearMap.coproduct(bialgebra.comul), 1), (LinearMap.from_matrix(algebra.alpha), 0)]
+    path = [(bialgebra.coalgebra.map, 1), (algebra.alpha, 0)]
     table = compose(path, (da, dh)).reshaped((da * dh,), (da * dh, dh)).table()
     return CoactionTable(RIGHT, dh, da * dh, table, kron(algebra.alpha, bialgebra.alpha))
 
@@ -398,25 +402,21 @@ def coaction_lambda_smash(algebra, bialgebra, action, coaction_a):
     da, dh = algebra.dim, bialgebra.dim
     path = [
         (coaction_a.map, 0),  # a_{(-1)} a_{(0)} h
-        (LinearMap.coproduct(bialgebra.comul), 2),
+        (bialgebra.coalgebra.map, 2),
         (LinearMap.flip(da, dh), 1),
         (bialgebra.algebra.map, 0),
     ]
     table = compose(path, (da, dh)).reshaped((da * dh,), (dh, da * dh)).table()
-    return CoactionTable(
-        LEFT, dh, da * dh, table, kron(algebra.alpha, bialgebra.alpha)
-    )
+    return CoactionTable(LEFT, dh, da * dh, table, kron(algebra.alpha, bialgebra.alpha))
 
 
 def coaction_lambda_right_smash(bialgebra, algebra, action):
     """lambda(h # c) = h1 (x) (h2 # alpha_C(c)) on H # C."""
     _smash_preconditions(RIGHT, bialgebra, algebra, action)
     dh, dc = bialgebra.dim, algebra.dim
-    path = [(LinearMap.coproduct(bialgebra.comul), 0), (LinearMap.from_matrix(algebra.alpha), 2)]
+    path = [(bialgebra.coalgebra.map, 0), (algebra.alpha, 2)]
     table = compose(path, (dh, dc)).reshaped((dh * dc,), (dh, dh * dc)).table()
-    return CoactionTable(
-        LEFT, dh, dh * dc, table, kron(bialgebra.alpha, algebra.alpha)
-    )
+    return CoactionTable(LEFT, dh, dh * dc, table, kron(bialgebra.alpha, algebra.alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +444,9 @@ def check_smash_twist_compat(side, bialgebra, algebra, action, alpha_h, alpha_x)
         rmap, hom_smash = smash_right(twisted_bi, twisted_alg, twisted_act)
         twist = kron(alpha_h, alpha_x)
     twisted_classical = yau_twist_algebra(classical, twist)
-    r, p = LinearMap.from_matrix(rmap.matrix), LinearMap.from_matrix(pmap.matrix)
+    n = rmap.map.shape[1]
+    r, p = (x.map.reshaped((n,), (n,)) for x in (rmap, pmap))
     return scan_composites([
         structure_constants_block(twisted_classical, hom_smash),
-        ((rmap.matrix.cols,), [("twisting_map_equals_classical", [(r, 0)], [(p, 0)])]),
+        ((n,), [("twisting_map_equals_classical", [(r, 0)], [(p, 0)])]),
     ])

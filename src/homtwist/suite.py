@@ -20,7 +20,7 @@ from .algebra import (
     yau_twist_algebra,
 )
 from .coalgebra import check_hom_bialgebra
-from .exact import LinearMap, Matrix, ONE, Q, kron, scan_composites
+from .exact import ONE, LinearMap, Q, kron, scan_composites
 from .gallery import (
     GalleryKey,
     build,
@@ -209,7 +209,7 @@ def _doubling_block(a, abar, params):
         return LinearMap((d,), (2 * d,), [((x * 2 + c, coeff),) for x in range(d)])
 
     one, v, q_one = embed(0), embed(1), embed(0, params.q)
-    mu, bar, sigma = a.map, abar.map, LinearMap.from_matrix(params.sigma)
+    mu, bar, sigma = a.map, abar.map, params.sigma
     return ((d, d), [
         ("doubling_1_1", [(one, 0), (one, 1), (bar, 0)], [(mu, 0), (one, 0)]),
         ("doubling_1_v", [(one, 0), (v, 1), (bar, 0)], [(mu, 0), (v, 0)]),
@@ -339,7 +339,7 @@ def criterion_7_alpha_pseudotwistor(rec):
     sigma = bundle["sigma"]
     abar = ttp(bundle["A"], clifford_algebra(q), clifford_twisting_map(sigma))
     rec.record("classical clifford ttp", lambda p=abar: check_associative(p))
-    sigma_bar = kron(sigma, Matrix.identity(2))
+    sigma_bar = kron(sigma, LinearMap.identity(2))
     if alg != yau_twist_algebra(abar, sigma_bar):
         return False, "Clifford alpha variant does not equal (Abar)_sigmabar"
     return True, "Yau operator, flip lift and Clifford alpha variant all coincide as stated"

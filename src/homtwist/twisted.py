@@ -1,10 +1,12 @@
 """Twisting maps, (Hom-/alpha-)twisted tensor products, iterated products and
 the Clifford process.
 
-A TwistingMapR represents R: B (x) A -> A (x) B.  Input coordinates flatten as
-(b-index, a-index) and output coordinates as (a-index, b-index), both
-row-major.  This is the single most error-prone convention in Sweedler
-notation, so it is pinned here and reused by the manifest format.
+A TwistingMapR stores R: B (x) A -> A (x) B as an ``exact.LinearMap`` with
+source factors (dim_b, dim_a) and target factors (dim_a, dim_b): input
+coordinates flatten as (b-index, a-index) and output coordinates as
+(a-index, b-index), both row-major.  This is the single most error-prone
+convention in Sweedler notation, so it is pinned here and reused by the
+manifest format.
 
 Every axiom below is a pair of paths of ``exact.LinearMap``s checked by
 ``exact.scan_composites``, and every product table or derived twisting map
@@ -12,7 +14,6 @@ is such a path tabulated by ``exact.compose``.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .algebra import (
     HomAlgebra,
@@ -33,43 +34,34 @@ from .errors import (
     ParamConstraintViolation,
     PreconditionFailure,
 )
-from .exact import (
-    LinearMap,
-    Matrix,
-    ZERO,
-    as_scalar,
-    compose,
-    kron,
-    mat_inv,
-    scan_composites,
-)
+from .exact import ONE, ZERO, LinearMap, as_scalar, compose, kron, mat_inv, scan_composites
 from .twistor import Operator2, Operator3, _t13, deform_with_alpha, structure_constants_block
 
 
 @dataclass(frozen=True)
 class TwistingMapR:
-    """Linear map R: B (x) A -> A (x) B by its matrix; no axiom assumed."""
+    """Linear map R: B (x) A -> A (x) B; no axiom assumed.
+
+    Any map of size (dim_a dim_b) x (dim_a dim_b) is accepted and regrouped
+    into the factors (dim_b, dim_a) -> (dim_a, dim_b).
+    """
 
     dim_a: int
     dim_b: int
-    matrix: Matrix
+    map: LinearMap
 
     def __post_init__(self):
-        if self.dim_a < 0 or self.dim_b < 0:
-            raise DimensionMismatch(f"negative dimensions ({self.dim_a},{self.dim_b})")
-        n = self.dim_a * self.dim_b
-        if self.matrix.rows != n or self.matrix.cols != n:
-            raise DimensionMismatch(f"twisting map matrix must be {n}x{n}")
-
-    @cached_property
-    def map(self):
         a, b = self.dim_a, self.dim_b
-        return LinearMap.from_matrix(self.matrix, (b, a), (a, b))
+        if a < 0 or b < 0:
+            raise DimensionMismatch(f"negative dimensions ({a},{b})")
+        if self.map.shape != (a * b, a * b):
+            raise DimensionMismatch(f"twisting map matrix must be {a * b}x{a * b}")
+        object.__setattr__(self, "map", self.map.reshaped((b, a), (a, b)))
 
 
 def flip(dim_a, dim_b):
     """The flip b (x) a -> a (x) b as a permutation twisting map."""
-    return TwistingMapR(dim_a, dim_b, LinearMap.flip(dim_b, dim_a).matrix())
+    return TwistingMapR(dim_a, dim_b, LinearMap.flip(dim_b, dim_a))
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +78,8 @@ def _check_r_dims(a, b, rmap):
 
 def _alpha_equation(name, rmap, alpha_a, alpha_b):
     """(alpha_A (x) alpha_B) o R = R o (alpha_B (x) alpha_A) on basis pairs."""
-    r, fa, fb = rmap.map, LinearMap.from_matrix(alpha_a), LinearMap.from_matrix(alpha_b)
-    lhs, rhs = [(r, 0), (fa, 0), (fb, 1)], [(fb, 0), (fa, 1), (r, 0)]
+    r = rmap.map
+    lhs, rhs = [(r, 0), (alpha_a, 0), (alpha_b, 1)], [(alpha_b, 0), (alpha_a, 1), (r, 0)]
     return ((rmap.dim_b, rmap.dim_a), [(name, lhs, rhs)])
 
 
@@ -102,10 +94,10 @@ def _twisting_axioms(prefix, a, b, rmap, hom=None, alphas=None):
     ha0 = ha1 = hb0 = hb1 = ia = ib = []
     blocks = []
     if hom:
-        fa, fb = (LinearMap.from_matrix(m) for m in hom)
+        fa, fb = hom
         ha0, ha1, hb0, hb1 = [(fa, 0)], [(fa, 1)], [(fb, 0)], [(fb, 1)]
     if alphas:  # NotInvertible propagates
-        ia, ib = ([(LinearMap.from_matrix(mat_inv(m)), 1)] for m in alphas)
+        ia, ib = ([(mat_inv(m), 1)] for m in alphas)
     if hom or alphas:
         blocks.append(_alpha_equation(f"{prefix}_0", rmap, *(hom or alphas)))
     da, db = a.dim, b.dim
@@ -171,21 +163,20 @@ def _twistor_path(a, b, rmap):
     return [(rmap.map, 1), (LinearMap.flip(a.dim, b.dim), 1)]
 
 
-def _twistor_matrix(a, b, rmap):
-    n = a.dim * b.dim
-    return Operator2(n, compose(_twistor_path(a, b, rmap), (a.dim, b.dim) * 2).matrix())
+def _twistor(a, b, rmap):
+    return Operator2(a.dim * b.dim, compose(_twistor_path(a, b, rmap), (a.dim, b.dim) * 2))
 
 
 def twistor_from_R(a, b, rmap):
     """The twistor on A (x) B induced by a classical twisting map."""
     check_twisting_map(a, b, rmap).require("check_twisting_map")
-    return _twistor_matrix(a, b, rmap)
+    return _twistor(a, b, rmap)
 
 
 def hom_twistor_from_R(a, b, rmap):
     """The Hom-twistor on A (x) B induced by a Hom-twisting map."""
     check_hom_twisting_map(a, b, rmap).require("check_hom_twisting_map")
-    return _twistor_matrix(a, b, rmap)
+    return _twistor(a, b, rmap)
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +195,8 @@ def iterated_ttp(a, b, c, r1, r2, r3):
     check_braid(r1, r2, r3).require("braid condition fails", BraidViolation)
     da, db, dc = a.dim, b.dim, c.dim
     # P1: c (x) (a (x) b) -> (a (x) b) (x) c;  P2: (b (x) c) (x) a -> a (x) (b (x) c)
-    p1 = compose([(r3.map, 0), (r2.map, 1)], (dc, da, db))
-    p2 = compose([(r3.map, 1), (r1.map, 0)], (db, dc, da))
-    p1 = TwistingMapR(da * db, dc, p1.matrix())
-    p2 = TwistingMapR(da, db * dc, p2.matrix())
+    p1 = TwistingMapR(da * db, dc, compose([(r3.map, 0), (r2.map, 1)], (dc, da, db)))
+    p2 = TwistingMapR(da, db * dc, compose([(r3.map, 1), (r1.map, 0)], (db, dc, da)))
 
     # hom_ttp of (a, b, r1) and (b, c, r2), whose twisting maps passed above
     ab = _twisted_product(a, b, r1.map)
@@ -229,16 +218,18 @@ class CliffordParams:
     """q and the involution sigma for doubling along k[v]/(v^2 = q)."""
 
     q: object
-    sigma: Matrix
+    sigma: LinearMap
 
     def __post_init__(self):
         object.__setattr__(self, "q", as_scalar(self.q))
         if not self.q:
             raise ParamConstraintViolation("q must be nonzero")
-        if self.sigma.rows != self.sigma.cols:
+        n, cols = self.sigma.shape
+        if n != cols:
             raise DimensionMismatch("sigma must be square")
-        s = LinearMap.from_matrix(self.sigma)
-        if compose([(s, 0), (s, 0)], s.src).matrix() != Matrix.identity(self.sigma.rows):
+        s = self.sigma.reshaped((n,), (n,))
+        object.__setattr__(self, "sigma", s)
+        if compose([(s, 0), (s, 0)], (n,)) != LinearMap.identity(n):
             raise NotInvolutive("sigma squared is not the identity")
 
 
@@ -250,29 +241,27 @@ def clifford_algebra(q):
         ((one, ZERO), (ZERO, one)),
         ((ZERO, one), (q, ZERO)),
     )
-    return HomAlgebra(2, mul, Matrix.identity(2))
+    return HomAlgebra(2, mul, LinearMap.identity(2))
 
 
 def clifford(a, params):
     """Clifford process: double A along C(k, q) with the sigma-twisting map."""
-    sigma = params.sigma
-    if sigma.rows != a.dim:
+    s, alpha = params.sigma, a.alpha
+    if s.shape[0] != a.dim:
         raise DimensionMismatch("sigma shape does not match the algebra")
-    multiplicativity_scan(a, sigma).require("sigma is not multiplicative", NotMultiplicative)
-    s, alpha = LinearMap.from_matrix(sigma), LinearMap.from_matrix(a.alpha)
-    sigma_alpha = compose([(alpha, 0), (s, 0)], s.src).matrix()
-    if sigma_alpha != compose([(s, 0), (alpha, 0)], s.src).matrix():
+    multiplicativity_scan(a, s).require("sigma is not multiplicative", NotMultiplicative)
+    if compose([(alpha, 0), (s, 0)], s.src) != compose([(s, 0), (alpha, 0)], s.src):
         raise NotCommutingWithAlpha("sigma does not commute with the structure map")
-    rmap = clifford_twisting_map(sigma)
+    rmap = clifford_twisting_map(s)
     return hom_ttp(a, clifford_algebra(params.q), rmap), rmap
 
 
 def clifford_twisting_map(sigma):
     """R: C(k, q) (x) A -> A (x) C(k, q), R(1 (x) a) = a (x) 1 and R(v (x) a) = sigma(a) (x) v."""
-    da = sigma.rows
-    lifts = (Matrix.identity(2 * da), kron(sigma, Matrix.identity(2)))
-    columns = [lifts[b].col(a * 2 + b) for b in range(2) for a in range(da)]
-    return TwistingMapR(da, 2, Matrix.from_columns(columns))
+    da = sigma.shape[0]
+    ones = [((2 * a, ONE),) for a in range(da)]
+    vs = [tuple((2 * r + 1, c) for r, c in col) for col in sigma.cols]
+    return TwistingMapR(da, 2, LinearMap((2, da), (da, 2), ones + vs))
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +271,11 @@ def clifford_twisting_map(sigma):
 
 def _alpha_lift(pmap, alpha_a, alpha_b):
     """(alpha_A (x) alpha_B) o P, which must equal P o (alpha_B (x) alpha_A)."""
-    if {alpha_a.rows, alpha_a.cols} != {pmap.dim_a} or {alpha_b.rows, alpha_b.cols} != {pmap.dim_b}:
+    if set(alpha_a.shape) != {pmap.dim_a} or set(alpha_b.shape) != {pmap.dim_b}:
         raise DimensionMismatch("alpha shapes do not match the twisting map")
     dims, [(_, lhs, rhs)] = _alpha_equation("alpha_lift", pmap, alpha_a, alpha_b)
-    left = compose(lhs, dims).matrix()
-    if left != compose(rhs, dims).matrix():
+    left = compose(lhs, dims)
+    if left != compose(rhs, dims):
         raise CommutationFailure(
             "(alpha_A (x) alpha_B) o P differs from P o (alpha_B (x) alpha_A)"
         )
@@ -326,14 +315,12 @@ def alphaAB_ttp(a, b, alpha_a, alpha_b, rmap):
     check_alphaAB_twisting_map(a, b, alpha_a, alpha_b, rmap).require("check_alphaAB_twisting_map")
     n = a.dim * b.dim
     # T(a (x) b (x) a' (x) b') = alpha_A(a) (x) b_R (x) a'_R (x) alpha_B(b')
-    ends = [(LinearMap.from_matrix(alpha_a), 0), (LinearMap.from_matrix(alpha_b), 3)]
-    top = Operator2(n, compose(_twistor_path(a, b, rmap) + ends, (a.dim, b.dim) * 2).matrix())
+    ends = [(alpha_a, 0), (alpha_b, 3)]
+    top = Operator2(n, compose(_twistor_path(a, b, rmap) + ends, (a.dim, b.dim) * 2))
 
     # C1 = T_13 o (alpha^-1 (x) id (x) id), C2 = T_13 o (id (x) id (x) alpha^-1)
-    inv_ab = LinearMap.from_matrix(kron(mat_inv(alpha_a), mat_inv(alpha_b)))
-    comp1, comp2 = (
-        Operator3(n, compose([(inv_ab, p)] + _t13(top), (n, n, n)).matrix()) for p in (0, 2)
-    )
+    inv_ab = kron(mat_inv(alpha_a), mat_inv(alpha_b))
+    comp1, comp2 = (Operator3(n, compose([(inv_ab, p)] + _t13(top), (n, n, n))) for p in (0, 2))
 
     algebra = deform_with_alpha(tensor_algebra(a, b), kron(alpha_a, alpha_b), top)
     return algebra, top, comp1, comp2

@@ -1,9 +1,10 @@
 """Operators on D(x)D and D(x)D(x)D: twistors, pseudotwistors and their
 Hom- and alpha- variants, plus the deformation constructor.
 
-Each axiom is an equality of two composites of mu, alpha, T and the
-companions, declared as paths of ``exact.LinearMap``s and checked per basis
-tuple by ``exact.scan_composites`` (never as one giant dim^3 x dim^3 matrix
+An operator on k factors stores its map (d,)*k -> (d,)*k as an
+``exact.LinearMap``.  Each axiom is an equality of two composites of mu,
+alpha, T and the companions, declared as paths of these maps and checked per
+basis tuple by ``exact.scan_composites`` (never as one giant dim^3 x dim^3 matrix
 equality), so failures come with a witness tuple and the memory stays
 bounded.  T acting on factors 1 and 3 is T between two flips of factors 2
 and 3.  The lift of T to factors 1 and 3 and the deformed product mu o T
@@ -11,7 +12,6 @@ are the same kind of path, tabulated once by ``exact.compose``.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .algebra import (
     HomAlgebra,
@@ -21,55 +21,43 @@ from .algebra import (
     yau_twist_algebra,
 )
 from .errors import DimensionMismatch, NotMultiplicative, PreconditionFailure
-from .exact import LinearMap, Matrix, Scan, compose, kron, scan_composites
+from .exact import LinearMap, Scan, compose, scan_composites
 
 
 @dataclass(frozen=True)
-class Operator2:
-    """Linear operator on D(x)D as a dim^2 x dim^2 matrix."""
+class _Operator:
+    """A linear operator on `arity` factors of dimension `dim`.
+
+    Any map of the right size is accepted and regrouped into those factors.
+    """
 
     dim: int
-    matrix: Matrix
+    map: LinearMap
 
     def __post_init__(self):
         if self.dim < 0:
             raise DimensionMismatch(f"negative operator dimension {self.dim}")
-        n = self.dim * self.dim
-        if self.matrix.rows != n or self.matrix.cols != n:
+        n = self.dim ** self.arity
+        if self.map.shape != (n, n):
             raise DimensionMismatch(f"operator matrix must be {n}x{n}")
+        dims = (self.dim,) * self.arity
+        object.__setattr__(self, "map", self.map.reshaped(dims, dims))
 
     @classmethod
     def identity(cls, dim):
-        return cls(dim, Matrix.identity(dim * dim))
-
-    @cached_property
-    def map(self):
-        d = self.dim
-        return LinearMap.from_matrix(self.matrix, (d, d), (d, d))
+        return cls(dim, LinearMap.identity(dim ** cls.arity))
 
 
-@dataclass(frozen=True)
-class Operator3:
-    """Linear operator on D(x)D(x)D as a dim^3 x dim^3 matrix."""
+class Operator2(_Operator):
+    """Linear operator on D(x)D."""
 
-    dim: int
-    matrix: Matrix
+    arity = 2
 
-    def __post_init__(self):
-        if self.dim < 0:
-            raise DimensionMismatch(f"negative operator dimension {self.dim}")
-        n = self.dim ** 3
-        if self.matrix.rows != n or self.matrix.cols != n:
-            raise DimensionMismatch(f"operator matrix must be {n}x{n}")
 
-    @classmethod
-    def identity(cls, dim):
-        return cls(dim, Matrix.identity(dim ** 3))
+class Operator3(_Operator):
+    """Linear operator on D(x)D(x)D."""
 
-    @cached_property
-    def map(self):
-        d = self.dim
-        return LinearMap.from_matrix(self.matrix, (d, d, d), (d, d, d))
+    arity = 3
 
 
 def _t13(op):
@@ -81,7 +69,7 @@ def _t13(op):
 def lift_13(op):
     """Lift an Operator2 to act on factors 1 and 3 of D(x)D(x)D."""
     d = op.dim
-    return Operator3(d, compose(_t13(op), (d, d, d)).matrix())
+    return Operator3(d, compose(_t13(op), (d, d, d)))
 
 
 def _check_shapes(algebra, *ops):
@@ -97,9 +85,8 @@ def _check_shapes(algebra, *ops):
 
 def _commutes_with_alpha(alpha, op):
     """(alpha (x) alpha) o T = T o (alpha (x) alpha) on basis pairs."""
-    a, t = LinearMap.from_matrix(alpha), op.map
-    d = op.dim
-    both = [(a, 0), (a, 1)]
+    t, d = op.map, op.dim
+    both = [(alpha, 0), (alpha, 1)]
     return ((d, d), [("commutes_with_alpha", [(t, 0)] + both, both + [(t, 0)])])
 
 
@@ -122,12 +109,10 @@ def _twistor_axioms(prefix, algebra, op, companions, hom_alpha=None, alpha=None)
     h0 = h1 = a0 = a2 = []
     blocks = []
     if hom_alpha is not None:
-        h = LinearMap.from_matrix(hom_alpha)
-        h0, h1 = [(h, 0)], [(h, 1)]
+        h0, h1 = [(hom_alpha, 0)], [(hom_alpha, 1)]
         blocks.append(_commutes_with_alpha(hom_alpha, op))
     if alpha is not None:
-        a = LinearMap.from_matrix(alpha)
-        a0, a2 = [(a, 0)], [(a, 2)]
+        a0, a2 = [(alpha, 0)], [(alpha, 2)]
         blocks.append(_commutes_with_alpha(alpha, op))
     last = "commute" if companions is None else "interchange"
     blocks.append(((d, d, d), [
@@ -214,14 +199,13 @@ def deform_with_alpha(algebra, alpha, op):
 
 def yau_operator(alpha):
     """The operator triple (alpha (x) alpha, id (x) id (x) alpha, alpha (x) id (x) id)."""
-    if alpha.rows != alpha.cols:
+    d, cols = alpha.shape
+    if d != cols:
         raise DimensionMismatch("alpha must be square")
-    d = alpha.rows
-    ident2 = Matrix.identity(d * d)
     return (
-        Operator2(d, kron(alpha, alpha)),
-        Operator3(d, kron(ident2, alpha)),
-        Operator3(d, kron(alpha, ident2)),
+        Operator2(d, compose([(alpha, 0), (alpha, 1)], (d, d))),
+        Operator3(d, compose([(alpha, 2)], (d, d, d))),
+        Operator3(d, compose([(alpha, 0)], (d, d, d))),
     )
 
 

@@ -490,8 +490,11 @@ def check_uq_module_hom_algebra(params, bound):
     """Module axioms and module-algebra compatibility up to plane degree `bound`.
 
     Generators h range over {E, F, K, K^{-1}}; plane monomials over
-    m + n <= bound.
+    m + n <= bound.  A negative bound is a ParamConstraintViolation, not an
+    empty pass.
     """
+    if bound < 0:
+        raise ParamConstraintViolation(f"plane degree bound must be non-negative, got {bound}")
     gens = {g: UqElement.monomial(mon) for g, mon in GEN_MONOMIAL.items()}
     planes = {
         mn: QPlaneElement.monomial(mn) for mn in _plane_monomials(bound)
@@ -583,8 +586,11 @@ def verify_smash_closed_forms(params, bounds):
     """Closed smash-product formulas for the K/Kinv, E and F rows at l = 0.
 
     Scans all m, n, r, s <= bounds and G in {1, E, F, K, Kinv, EK}, comparing
-    smash_mul_uq against the closed forms after PBW normalization.
+    smash_mul_uq against the closed forms after PBW normalization.  Negative
+    bounds are a ParamConstraintViolation, not an empty pass.
     """
+    if bounds < 0:
+        raise ParamConstraintViolation(f"bounds must be non-negative, got {bounds}")
     if params.l != 0:
         raise ParamConstraintViolation("the closed formulas are stated for l = 0")
     q, lam, xi = params.q, params.lam, params.xi

@@ -33,7 +33,7 @@ from homtwist.algebra import (
     hom_algebra,
     multiplicativity_scan,
 )
-from homtwist.exact import ZERO, Matrix, Q, mat_inv
+from homtwist.exact import ZERO, LinearMap, Matrix, Q, mat_inv
 from homtwist.gallery import GalleryKey, build, k2_algebra, swap_matrix
 
 PIN = pathlib.Path(__file__).with_name("algebra_pin.json")
@@ -43,7 +43,9 @@ ENTRIES = (0, 0, 0, 1, -1, 2, Q(1, 2), Q(-1, 2), Q(3, 2))
 
 
 def _matrix(rng, rows, cols):
-    return Matrix([[rng.choice(ENTRIES) for _ in range(cols)] for _ in range(rows)])
+    return LinearMap.from_matrix(
+        Matrix([[rng.choice(ENTRIES) for _ in range(cols)] for _ in range(rows)])
+    )
 
 
 def _algebra(rng, d, classical=False):
@@ -81,14 +83,16 @@ LEMMA_PARAMS = {"a1_l1_l2_2": (1, 1, 2), "a2_l3_l2_-1": (2, 3, -1), "a1_l2_l2_1/
 
 
 def _doubled_inverse(m):
-    return Matrix([[2 * x for x in row] for row in mat_inv(m).data])
+    inv = mat_inv(m)
+    return LinearMap(inv.src, inv.dst, [tuple((r, 2 * x) for r, x in col) for col in inv.cols])
 
 
 def _cancelling_yau_inputs():
     one, half = Q(1), Q(1, 2)
     # dual numbers in the basis (1 + x, x) and the twist x -> x/2: alpha(p p) cancels in q
     dual = hom_algebra(2, [[[one, one], [ZERO, one]], [[ZERO, one], [ZERO, ZERO]]])
-    inputs = {"dual_numbers_half": (dual, Matrix([[one, ZERO], [-half, half]]))}
+    half_x = LinearMap.from_matrix(Matrix([[one, ZERO], [-half, half]]))
+    inputs = {"dual_numbers_half": (dual, half_x)}
     for seed in range(4):
         rng = random.Random(100 + seed)
         d = 2 + seed % 2

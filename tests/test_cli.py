@@ -255,6 +255,27 @@ class TestMalformedManifest:
         }
         assert main(["check", self.write(tmp_path, doc)]) == 0
 
+    def test_morphisms_through_the_zero_algebra_exit_zero(self, tmp_path, capsys):
+        # D -> 0 has two columns and no rows: `[]` is read with the declared dims
+        doc = {
+            "objects": {
+                "D": GOLDEN_MANIFEST["objects"]["D"],
+                "Z": {"kind": "hom_algebra", "dim": 0, "mul": [], "alpha": []},
+                "f": {"kind": "linear_map", "source_dim": 2, "target_dim": 0, "matrix": []},
+                "g": {"kind": "linear_map", "source_dim": 0, "target_dim": 2, "matrix": [[], []]},
+            },
+            "tasks": [{"op": "check_algebra_morphism", "args": ["f", "D", "Z"], "expect": "pass"},
+                      {"op": "check_algebra_morphism", "args": ["g", "Z", "D"], "expect": "pass"}],
+        }
+        assert main(["check", self.write(tmp_path, doc)]) == 0
+        assert capsys.readouterr().out.count("-> pass (expected pass) OK") == 2
+
+    def test_a_zero_row_matrix_with_a_row_exits_three(self, tmp_path, capsys):
+        doc = {"objects": {"f": {"kind": "linear_map", "source_dim": 2, "target_dim": 0,
+                                 "matrix": [[]]}}}
+        assert main(["check", self.write(tmp_path, doc)]) == 3
+        assert "matrix shape does not match declared dims" in capsys.readouterr().err
+
     def test_negative_twisting_map_dims_exit_three(self, tmp_path, capsys):
         # dims -2 x -2 multiply to a 4x4 matrix; a braid check over them would scan nothing
         identity = [[1 if r == c else 0 for c in range(4)] for r in range(4)]

@@ -15,6 +15,7 @@ from homtwist.errors import (
     ZeroDenominator,
 )
 from homtwist.exact import (
+    ONE,
     CheckReport,
     LinearMap,
     Matrix,
@@ -63,58 +64,62 @@ class TestRatParse:
         assert rat_parse(rat_str(x)) == x
 
 
+def lmap(rows):
+    """The LinearMap of the matrix with these rows."""
+    return LinearMap.from_matrix(Matrix(rows))
+
+
 def swap2():
-    return Matrix([[0, 1], [1, 0]])
+    return lmap([[0, 1], [1, 0]])
 
 
-def composite(*matrices):
-    """The matrix of applying `matrices` in turn, the first one first, tabulated by compose."""
-    path = [(LinearMap.from_matrix(m), 0) for m in matrices]
-    return compose(path, (matrices[0].cols,)).matrix()
+def composite(*maps):
+    """The map of applying `maps` in turn, the first one first, tabulated by compose."""
+    return compose([(f, 0) for f in maps], maps[0].src)
 
 
 class TestMatrices:
     def test_identity_product(self):
-        m = Matrix([[1, 2], [3, "4/5"]])
-        assert composite(m, Matrix.identity(2)) == m
-        assert composite(Matrix.identity(2), m) == m
+        m = lmap([[1, 2], [3, "4/5"]])
+        assert composite(m, LinearMap.identity(2)) == m
+        assert composite(LinearMap.identity(2), m) == m
 
     def test_involution(self):
-        assert composite(swap2(), swap2()) == Matrix.identity(2)
+        assert composite(swap2(), swap2()) == LinearMap.identity(2)
 
     def test_shape_mismatch(self):
         # a 2 -> 2 map followed by a map out of a 3-dimensional space
         with pytest.raises(DimensionMismatch):
-            composite(Matrix([[0, 0], [0, 0]]), Matrix([[0, 0, 0], [0, 0, 0]]))
+            composite(lmap([[0, 0], [0, 0]]), lmap([[0, 0, 0], [0, 0, 0]]))
 
     def test_inverse_identity(self):
-        assert mat_inv(Matrix.identity(3)) == Matrix.identity(3)
+        assert mat_inv(LinearMap.identity(3)) == LinearMap.identity(3)
 
     def test_inverse_unipotent(self):
-        m = Matrix([[1, 1], [0, 1]])
+        m = lmap([[1, 1], [0, 1]])
         inv = mat_inv(m)
         # independent check: compose back instead of trusting the elimination
-        assert composite(m, inv) == Matrix.identity(2)
-        assert composite(inv, m) == Matrix.identity(2)
-        assert inv == Matrix([[1, -1], [0, 1]])
+        assert composite(m, inv) == LinearMap.identity(2)
+        assert composite(inv, m) == LinearMap.identity(2)
+        assert inv == lmap([[1, -1], [0, 1]])
 
     @given(st.lists(st.integers(-3, 3), min_size=9, max_size=9))
     @settings(max_examples=40, deadline=None)
     def test_inverse_composes_to_the_identity(self, xs):
-        m = Matrix([xs[:3], xs[3:6], xs[6:]])
+        m = lmap([xs[:3], xs[3:6], xs[6:]])
         try:
             inv = mat_inv(m)
         except NotInvertible:
             assume(False)
-        assert composite(m, inv) == composite(inv, m) == Matrix.identity(3)
+        assert composite(m, inv) == composite(inv, m) == LinearMap.identity(3)
 
     def test_inverse_rank_deficient(self):
         with pytest.raises(NotInvertible):
-            mat_inv(Matrix([[1, 1], [1, 1]]))
+            mat_inv(lmap([[1, 1], [1, 1]]))
 
     def test_inverse_non_square(self):
         with pytest.raises(DimensionMismatch):
-            mat_inv(Matrix([[0, 0, 0], [0, 0, 0]]))
+            mat_inv(lmap([[0, 0, 0], [0, 0, 0]]))
 
     def test_apply_matches_columns(self):
         m = Matrix([[1, 2], [3, 4]])
@@ -124,25 +129,25 @@ class TestMatrices:
 
 class TestKron:
     def test_identities(self):
-        assert kron(Matrix.identity(2), Matrix.identity(2)) == Matrix.identity(4)
+        assert kron(LinearMap.identity(2), LinearMap.identity(2)) == LinearMap.identity(4)
 
     def test_unit_factor(self):
-        assert kron(swap2(), Matrix.identity(1)) == swap2()
+        assert kron(swap2(), LinearMap.identity(1)) == swap2()
 
     def test_one_dim_scalars(self):
-        assert kron(Matrix([[2]]), Matrix([[3]])) == Matrix([[6]])
+        assert kron(lmap([[2]]), lmap([[3]])) == lmap([[6]])
 
     def test_index_convention(self):
-        a = Matrix([[1, 2], [3, 4]])
-        b = Matrix([[5, 6], [7, 8]])
-        k = kron(a, b)
+        a = [[1, 2], [3, 4]]
+        b = [[5, 6], [7, 8]]
+        k = kron(lmap(a), lmap(b)).matrix().data
         for i in range(2):
             for j in range(2):
                 for p in range(2):
                     for q in range(2):
                         row = flatten_index((2, 2), (i, j))
                         col = flatten_index((2, 2), (p, q))
-                        assert k[row, col] == a[i, p] * b[j, q]
+                        assert k[row][col] == a[i][p] * b[j][q]
 
     @given(
         st.lists(st.integers(-3, 3), min_size=4, max_size=4),
@@ -152,10 +157,10 @@ class TestKron:
     )
     @settings(max_examples=40, deadline=None)
     def test_composition(self, xs, ys, zs, ws):
-        a = Matrix([xs[:2], xs[2:]])
-        b = Matrix([ys[:2], ys[2:]])
-        c = Matrix([zs[:2], zs[2:]])
-        d = Matrix([ws[:2], ws[2:]])
+        a = lmap([xs[:2], xs[2:]])
+        b = lmap([ys[:2], ys[2:]])
+        c = lmap([zs[:2], zs[2:]])
+        d = lmap([ws[:2], ws[2:]])
         # (a (x) b) o (c (x) d) = (a o c) (x) (b o d)
         assert composite(kron(c, d), kron(a, b)) == kron(composite(c, a), composite(d, b))
 
@@ -165,10 +170,10 @@ class TestKron:
     )
     @settings(max_examples=40, deadline=None)
     def test_is_the_composite_on_two_factors(self, xs, ys):
-        a = Matrix([xs[:3], xs[3:]])  # 3 -> 2
-        b = Matrix([ys[:2], ys[2:4], ys[4:]])  # 2 -> 3
-        path = [(LinearMap.from_matrix(a), 0), (LinearMap.from_matrix(b), 1)]
-        assert kron(a, b) == compose(path, (3, 2)).matrix()
+        a = lmap([xs[:3], xs[3:]])  # 3 -> 2
+        b = lmap([ys[:2], ys[2:4], ys[4:]])  # 2 -> 3
+        path = [(a, 0), (b, 1)]
+        assert kron(a, b) == compose(path, (3, 2)).reshaped((6,), (6,))
 
 
 class TestTensorIndex:
@@ -286,8 +291,10 @@ class TestApplyAt:
         m = Matrix([entries[r * n_in:(r + 1) * n_in] for r in range(n_out)])
         out_dims = dims[:pos] + tuple(dst) + dims[pos + k:]
         got = to_dense(apply_at(LinearMap.from_matrix(m, src, dst), x, dims, pos), out_dims)
-        full = kron(kron(Matrix.identity(_size(dims[:pos])), m), Matrix.identity(_size(dims[pos + k:])))
-        assert got == full.apply(to_dense(x, dims))
+        left = LinearMap.identity(_size(dims[:pos]))
+        right = LinearMap.identity(_size(dims[pos + k:]))
+        full = kron(kron(left, LinearMap.from_matrix(m)), right)
+        assert got == full.matrix().apply(to_dense(x, dims))
 
     @given(_tensor_and_run())
     @settings(max_examples=40, deadline=None)
@@ -371,7 +378,7 @@ class TestFloatsAreRejected:
         lambda: hom_algebra(1, [[[0.5]]]),
         lambda: Matrix([[1, 0.1]]),
         lambda: GalleryKey("clifford", {"q": 2.0}),
-        lambda: CliffordParams(0.5, Matrix.identity(2)),
+        lambda: CliffordParams(0.5, LinearMap.identity(2)),
         lambda: UqParams(2, 0.1, 1),
     ], ids=["hom_algebra", "Matrix", "GalleryKey", "CliffordParams", "UqParams"])
     def test_entry_points(self, build):
@@ -414,4 +421,123 @@ class TestSparseApply:
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            Matrix.identity(2).apply([Q(1)])
+            Matrix([[1, 0], [0, 1]]).apply([Q(1)])
+
+
+def dense_mat_inv(a):
+    """mat_inv on a dense Matrix, before structure maps were stored as LinearMaps; the oracle."""
+    if a.rows != a.cols:
+        raise DimensionMismatch(f"cannot invert non-square {a.rows}x{a.cols} matrix")
+    n = a.rows
+    m = [list(a.data[r]) + [ONE if r == c else ZERO for c in range(n)] for r in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            raise NotInvertible(f"exact rank deficiency at column {col}")
+        m[col], m[pivot] = m[pivot], m[col]
+        inv_p = ONE / m[col][col]
+        m[col] = [x * inv_p for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return Matrix(tuple(tuple(m[r][n:]) for r in range(n)))
+
+
+def dense_is_identity(self):
+    """Matrix.is_identity, before structure maps were stored as LinearMaps; the oracle."""
+    return self.rows == self.cols and all(
+        self.data[r][c] == (ONE if r == c else ZERO)
+        for r in range(self.rows)
+        for c in range(self.cols)
+    )
+
+
+@st.composite
+def _dense_rows(draw, square=True):
+    """Rows of a small matrix: often singular, often the identity with one entry changed."""
+    n = draw(st.integers(0, 4))
+    cols = n if square else draw(st.integers(0, 4))
+    rows = [[ONE if r == c else ZERO for c in range(cols)] for r in range(n)]
+    if draw(st.booleans()):
+        entries = st.one_of(st.integers(-2, 2), st.builds(Q, st.integers(-3, 3), st.integers(1, 3)))
+        rows = [[draw(entries) for _ in range(cols)] for _ in range(n)]
+    elif n and cols and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, cols - 1))] = draw(_sparse_entry)
+    return rows
+
+
+@st.composite
+def _paths(draw):
+    """Factor dims and a path of one to three (map, position) steps that applies to them."""
+    dims = start = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    path = []
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(dims) - 1))
+        k = draw(st.integers(1, min(2, len(dims) - pos)))
+        src = dims[pos:pos + k]
+        if k == 2 and draw(st.booleans()):
+            step = LinearMap.flip(*src)
+        else:
+            dst = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+            n_in, n_out = _size(src), _size(dst)
+            entries = draw(st.lists(_sparse_entry, min_size=n_in * n_out, max_size=n_in * n_out))
+            rows = [entries[r * n_in:(r + 1) * n_in] for r in range(n_out)]
+            step = LinearMap.from_matrix(Matrix(rows), src, dst)
+        path.append((step, pos))
+        dims = dims[:pos] + step.dst + dims[pos + k:]
+    return start, path
+
+
+class TestLinearMapValues:
+    """A LinearMap is its value: equality and hash ignore the order of a column's pairs."""
+
+    def test_compose_keeps_path_order_and_still_equals_the_dense_read(self):
+        flip = LinearMap.flip(2, 2)
+        rows = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        m = LinearMap.from_matrix(Matrix(rows), (2, 2), (2, 2))
+        path = compose([(flip, 0), (m, 0), (flip, 0)], (2, 2))
+        dense = LinearMap.from_matrix(path.matrix(), (2, 2), (2, 2))
+        assert path.cols[1] == ((2, ONE), (1, ONE)) and dense.cols[1] == ((1, ONE), (2, ONE))
+        assert path == dense and hash(path) == hash(dense)
+
+    @given(_paths())
+    @settings(max_examples=80, deadline=None)
+    def test_a_composite_equals_the_read_of_its_dense_view(self, case):
+        dims, path = case
+        f = compose(path, dims)
+        g = LinearMap.from_matrix(f.matrix(), f.src, f.dst)
+        assert f == g and hash(f) == hash(g)
+        assert f.matrix().data == g.matrix().data
+
+    def test_values_and_factors_both_count(self):
+        f = lmap([[1, 2], [3, 4]])
+        assert f != lmap([[1, 2], [3, 5]])
+        assert f.reshaped((2, 1), (2,)) != f
+        assert f != f.matrix()
+
+    @pytest.mark.parametrize(
+        "src, dst", [((0,), (3,)), ((2,), (0,)), ((2, 0), (1,)), ((1,), (0, 2))]
+    )
+    def test_zero_size_round_trip(self, src, dst):
+        f = LinearMap(src, dst, [()] * _size(src))
+        m = f.matrix()
+        assert (m.rows, m.cols) == f.shape == (_size(dst), _size(src))
+        assert LinearMap.from_matrix(m, src, dst) == f
+
+    @given(_dense_rows())
+    @settings(max_examples=80, deadline=None)
+    def test_mat_inv_matches_dense_gauss_jordan(self, rows):
+        try:
+            expected = dense_mat_inv(Matrix(rows))
+        except (NotInvertible, DimensionMismatch) as exc:
+            with pytest.raises(type(exc), match=f"^{exc}$"):
+                mat_inv(lmap(rows))
+            return
+        got = mat_inv(lmap(rows))
+        assert got.matrix().data == expected.data and got.shape == (expected.rows, expected.cols)
+
+    @given(st.one_of(_dense_rows(), _dense_rows(square=False)))
+    @settings(max_examples=80, deadline=None)
+    def test_is_identity_matches_the_dense_check(self, rows):
+        assert lmap(rows).is_identity() == dense_is_identity(Matrix(rows))

@@ -81,12 +81,12 @@ class TestGalleryCoefficients:
     def test_ttp_map_at_lambda_zero(self):
         bundle = build(GalleryKey("ttp_k2_lambda", {"lam": 0}))
         # R(e1 (x) e1) = -e2 (x) e2 at lambda = 0
-        assert list(bundle["R"].matrix.col(0)) == [Q(0), Q(0), Q(0), Q(-1)]
+        assert list(bundle["R"].map.matrix().col(0)) == [Q(0), Q(0), Q(0), Q(-1)]
 
     def test_twistor_coefficient(self):
         bundle = build(GalleryKey("homtwistor_2dim", {"a": 1, "l1": 1, "l2": 2}))
         # T(e2 (x) e2) = l1/(1 - l2) e2 (x) e1 = -e2 (x) e1
-        assert list(bundle["T"].matrix.col(3)) == [Q(0), Q(0), Q(-1), Q(0)]
+        assert list(bundle["T"].map.matrix().col(3)) == [Q(0), Q(0), Q(-1), Q(0)]
 
 
 class TestClaimedCheckers:

@@ -4,20 +4,27 @@
 exception.  A composite constructor calls the public checked constructors it
 is built from, and calls a private builder only directly after it has
 verified that builder's inputs itself; no object identity is tracked and no
-verified fact is cached.  ``HomAlgebra.product`` and ``Matrix.apply`` are
-read only by ``algebra._multiplicative``; every other composite goes through
+verified fact is cached.  Every structure map is stored as a ``LinearMap``:
+a ``Matrix`` is made only at the input boundary (the manifest, the gallery,
+``hom_algebra``/``hom_coalgebra``) and as the dense view that
+``algebra._multiplicative`` reads through ``Matrix.apply`` and
+``HomAlgebra.product``; every other composite goes through
 ``exact.compose`` or ``exact.scan_composites``.
 """
 
 import ast
+import dataclasses
+import json
 import pathlib
 
 import pytest
 
 from homtwist import twisted
 from homtwist.errors import PreconditionFailure
-from homtwist.exact import Matrix
+from homtwist.exact import LinearMap, Matrix
 from homtwist.gallery import GalleryKey, build, k2_algebra
+from homtwist.manifest import parse_manifest
+from homtwist.suite import GOLDEN_MANIFEST
 
 SRC = pathlib.Path(twisted.__file__).parent
 
@@ -41,7 +48,7 @@ class TestRepeatedArguments:
     def test_check_alphaAB_twisting_map_scans_each_distinct_map(self, monkeypatch):
         multiplied = _counting(monkeypatch, "multiplicativity_scan")
         a, r = k2_algebra(), twisted.flip(2, 2)
-        f, g = Matrix.identity(2), Matrix.identity(2)
+        f, g = LinearMap.identity(2), LinearMap.identity(2)
         assert twisted.check_alphaAB_twisting_map(a, a, f, g, r).passed
         assert multiplied == [a, a]
 
@@ -50,8 +57,10 @@ class TestCheckOrder:
     def test_twisting_maps_before_the_braid(self):
         """R3 fails its axioms and the triple fails the braid: R3 is reported."""
         lb = build(GalleryKey("ttp_k2_lambda", {"lam": 2}))
-        flip = twisted.flip(2, 2).matrix
-        doubled = twisted.TwistingMapR(2, 2, Matrix([[2 * x for x in row] for row in flip.data]))
+        flip = twisted.flip(2, 2).map.matrix()
+        doubled = twisted.TwistingMapR(
+            2, 2, LinearMap.from_matrix(Matrix([[2 * x for x in row] for row in flip.data]))
+        )
         with pytest.raises(PreconditionFailure) as info:
             twisted.iterated_ttp(lb["A"], lb["B"], k2_algebra(), lb["R"], lb["R"], doubled)
         assert str(info.value) == "precondition failed: check_hom_twisting_map:R3"
@@ -136,6 +145,9 @@ def dense_product_sites(source, filename):
 
 
 class TestOneDenseProductPath:
+    """``HomAlgebra.product`` and ``Matrix.apply`` on the dense view of a stored
+    LinearMap are read only by the one multiplicativity scan."""
+
     def test_only_the_multiplicativity_scan_reads_product_and_apply(self):
         sites = []
         for path in sorted(SRC.glob("*.py")):
@@ -157,6 +169,86 @@ class TestOneDenseProductPath:
             "    return list(itertools.product(*(range(d) for d in dims)))\n"
         )
         assert dense_product_sites(kernel, "exact.py") == []
+
+
+# Where a Matrix is made or read into a LinearMap, or a LinearMap viewed densely: the
+# input boundary, the multiplicativity scan's dense view, and the two conversions.
+DENSE_BOUNDARY = ("manifest.py:", "gallery.py:")
+DENSE_SITES = [
+    "algebra.py:_multiplicative",
+    "algebra.py:hom_algebra",
+    "coalgebra.py:hom_coalgebra",
+    "exact.py:from_matrix",
+    "exact.py:matrix",
+]
+
+
+def _names_matrix(node):
+    return isinstance(node, ast.Name) and node.id == "Matrix"
+
+
+def dense_sites(source, filename):
+    """`file:function` of each `Matrix(`, `Matrix.x(`, `from_matrix(` and `.matrix()` call."""
+    return call_sites(source, filename, lambda func: _names_matrix(func) or (
+        isinstance(func, ast.Attribute)
+        and (func.attr in ("from_matrix", "matrix") or _names_matrix(func.value))
+    ))
+
+
+def _stored_matrices(obj, where):
+    """Paths of the Matrix values inside a built object, through dataclass fields and bundles."""
+    if isinstance(obj, Matrix):
+        return [where]
+    if isinstance(obj, dict):
+        return [p for k, v in obj.items() for p in _stored_matrices(v, f"{where}.{k}")]
+    if dataclasses.is_dataclass(obj):
+        return [p for f in dataclasses.fields(obj)
+                for p in _stored_matrices(getattr(obj, f.name), f"{where}.{f.name}")]
+    return []
+
+
+class TestOneDenseView:
+    def test_matrices_appear_only_at_the_boundary_and_in_the_dense_view(self):
+        sites = []
+        for path in sorted(SRC.glob("*.py")):
+            sites += dense_sites(path.read_text(encoding="utf-8"), path.name)
+        inside = sorted({s for s in sites if not s.startswith(DENSE_BOUNDARY)})
+        assert inside == DENSE_SITES
+
+    def test_the_guard_sees_a_round_trip(self):
+        old = (
+            "def iterated_ttp(a, b, c, r1, r2, r3):\n"
+            "    p1 = TwistingMapR(a, b, compose(path, dims).matrix())\n"
+            "    return LinearMap.from_matrix(p1.matrix, (b, a), (a, b))\n"
+        )
+        assert dense_sites(old, "twisted.py") == ["twisted.py:iterated_ttp"] * 2
+
+    def test_the_guard_sees_dense_matrices_built(self):
+        old = (
+            "def yau_operator(alpha):\n"
+            "    ident2 = Matrix.identity(d * d)\n"
+            "    return Operator2(d, kron(alpha, alpha)), Operator3(d, kron(ident2, alpha))\n"
+            "def clifford_twisting_map(sigma):\n"
+            "    return TwistingMapR(da, 2, Matrix.from_columns(columns))\n"
+        )
+        assert dense_sites(old, "twisted.py") == [
+            "twisted.py:yau_operator", "twisted.py:clifford_twisting_map"
+        ]
+
+    def test_the_guard_allows_sparse_maps(self):
+        sparse = (
+            "def yau_operator(alpha):\n"
+            "    return Operator2(d, compose([(alpha, 0), (alpha, 1)], (d, d)))\n"
+        )
+        assert dense_sites(sparse, "twistor.py") == []
+
+    def test_no_parsed_or_gallery_object_stores_a_matrix(self):
+        objects = parse_manifest(json.dumps(GOLDEN_MANIFEST)).objects
+        for key in (GalleryKey("clifford", {"q": 2}), GalleryKey("alpha_ttp_clifford", {"q": 2}),
+                    GalleryKey("ttp_k2_lambda", {"lam": 2})):
+            objects[key.name] = build(key)
+        assert [p for name, obj in objects.items() for p in _stored_matrices(obj, name)] == []
+        assert isinstance(objects["idmap"], LinearMap)
 
 
 # The builders that check nothing, and the checked constructors allowed to call them.

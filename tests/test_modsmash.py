@@ -2,7 +2,7 @@ import pytest
 
 from homtwist.algebra import check_hom_algebra, hom_algebra, tensor_algebra
 from homtwist.errors import DimensionMismatch, IntertwiningFailure, PreconditionFailure
-from homtwist.exact import Matrix, ONE, Q, ZERO
+from homtwist.exact import LinearMap, Matrix, ONE, Q, ZERO
 from homtwist.gallery import (
     c2_trivial_yd,
     dual_numbers,
@@ -35,6 +35,11 @@ from homtwist.modsmash import (
 )
 
 
+def lmap(rows):
+    """The LinearMap of the matrix with these rows."""
+    return LinearMap.from_matrix(Matrix(rows))
+
+
 def zero_algebra(dim):
     """Zero multiplication, identity structure map."""
     return hom_algebra(dim, [[[0] * dim for _ in range(dim)] for _ in range(dim)])
@@ -51,7 +56,8 @@ def zero_action(bialgebra, module_dim, alpha_m=None, side=LEFT):
     table = tuple(
         tuple((ZERO,) * module_dim for _ in range(module_dim)) for _ in range(bialgebra.dim)
     )
-    return ActionTable(side, bialgebra.dim, module_dim, table, alpha_m or Matrix.identity(module_dim))
+    alpha_m = alpha_m or LinearMap.identity(module_dim)
+    return ActionTable(side, bialgebra.dim, module_dim, table, alpha_m)
 
 
 def regular_coaction(bialgebra, side):
@@ -68,7 +74,7 @@ def zero_coaction(bialgebra, module_dim, side):
     table = tuple(
         tuple((ZERO,) * dims[1] for _ in range(dims[0])) for _ in range(module_dim)
     )
-    return CoactionTable(side, bialgebra.dim, module_dim, table, Matrix.identity(module_dim))
+    return CoactionTable(side, bialgebra.dim, module_dim, table, LinearMap.identity(module_dim))
 
 
 class TestCheckModule:
@@ -143,7 +149,7 @@ class TestModuleHomAlgebra:
             ((z, z), (z, z)),  # x acts as zero
             ((z, z), (z, z)),  # gx = g(x .) acts as zero
         )
-        bad = ActionTable(LEFT, 4, 2, table, Matrix.identity(2))
+        bad = ActionTable(LEFT, 4, 2, table, LinearMap.identity(2))
         assert check_module(LEFT, h4.algebra, bad).passed
         rep = check_module_hom_algebra(LEFT, h4, dual_numbers(), bad)
         assert not rep.passed
@@ -157,7 +163,7 @@ class TestModuleHomAlgebra:
 class TestYauTwistModuleAlgebra:
     def test_identity_unchanged(self):
         h4 = sweedler_h4()
-        ident4, ident2 = Matrix.identity(4), Matrix.identity(2)
+        ident4, ident2 = LinearMap.identity(4), LinearMap.identity(2)
         hb, alg, act = yau_twist_module_algebra(
             LEFT, h4, dual_numbers(), h4_left_action(), ident4, ident2
         )
@@ -176,7 +182,7 @@ class TestYauTwistModuleAlgebra:
     def test_unbalanced_twists_fail_intertwining(self):
         h4 = sweedler_h4()
         alpha_h, _ = h4_twists(-1)
-        alpha_a = Matrix([[1, 0], [0, 2]])  # y -> 2y does not balance x -> -x
+        alpha_a = lmap([[1, 0], [0, 2]])  # y -> 2y does not balance x -> -x
         with pytest.raises(IntertwiningFailure) as err:
             yau_twist_module_algebra(LEFT, h4, dual_numbers(), h4_left_action(), alpha_h, alpha_a)
         assert err.value.witness is not None
@@ -193,7 +199,7 @@ class TestYauTwistModuleAlgebra:
 class TestTensorModules:
     def test_trivial_one_dimensional(self):
         c2 = group_algebra(2)
-        triv = ActionTable(LEFT, 2, 1, (((ONE,),), ((ONE,),)), Matrix.identity(1))
+        triv = ActionTable(LEFT, 2, 1, (((ONE,),), ((ONE,),)), LinearMap.identity(1))
         assert check_module(LEFT, c2.algebra, triv).passed
         squared = tensor_modules(c2, triv, triv)
         assert squared.module_dim == 1
@@ -208,7 +214,7 @@ class TestTensorModules:
     def test_dimension_mismatch(self):
         h4 = sweedler_h4()
         c2 = group_algebra(2)
-        triv = ActionTable(LEFT, 2, 1, (((ONE,),), ((ONE,),)), Matrix.identity(1))
+        triv = ActionTable(LEFT, 2, 1, (((ONE,),), ((ONE,),)), LinearMap.identity(1))
         with pytest.raises(DimensionMismatch):
             tensor_modules(h4, h4_left_action(), triv)
 
@@ -454,7 +460,7 @@ class TestYetterDrinfeld:
         table = [list(list(r) for r in p) for p in co.table]
         for m in range(2):
             table[m][0][m] = ONE  # m -> e (x) m
-        trivial = CoactionTable(LEFT, 2, 2, table, Matrix.identity(2))
+        trivial = CoactionTable(LEFT, 2, 2, table, LinearMap.identity(2))
         assert check_yetter_drinfeld(c2, act, trivial).passed
 
     def test_regular_coaction_is_not_yd(self):
@@ -486,7 +492,7 @@ class TestYetterDrinfeld:
 class TestSmashTwistCompat:
     def test_identity_alphas(self):
         h4 = sweedler_h4()
-        ident4, ident2 = Matrix.identity(4), Matrix.identity(2)
+        ident4, ident2 = LinearMap.identity(4), LinearMap.identity(2)
         assert check_smash_twist_compat(
             LEFT, h4, dual_numbers(), h4_left_action(), ident4, ident2
         ).passed
@@ -502,7 +508,7 @@ class TestSmashTwistCompat:
     def test_broken_intertwining_reported(self):
         h4 = sweedler_h4()
         alpha_h, _ = h4_twists(2)
-        alpha_a = Matrix([[1, 0], [0, 3]])
+        alpha_a = lmap([[1, 0], [0, 3]])
         with pytest.raises(IntertwiningFailure):
             check_smash_twist_compat(
                 LEFT, h4, dual_numbers(), h4_left_action(), alpha_h, alpha_a

@@ -15,7 +15,7 @@ from homtwist.errors import (
     NotMultiplicative,
     PreconditionFailure,
 )
-from homtwist.exact import Matrix, ONE, ZERO
+from homtwist.exact import LinearMap, Matrix, ONE, ZERO
 from homtwist.gallery import (
     GalleryKey,
     build,
@@ -43,9 +43,14 @@ from homtwist.twisted import TwistingMapR, alphaAB_ttp, check_deform_compat_ttp,
 from homtwist.twistor import Operator2, Operator3, check_yau_compat
 
 
+def lmap(rows):
+    """The LinearMap of the matrix with these rows."""
+    return LinearMap.from_matrix(Matrix(rows))
+
+
 def _diagonal(*entries):
     n = len(entries)
-    return Matrix([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return lmap([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def _not_hom_associative():
@@ -54,7 +59,7 @@ def _not_hom_associative():
 
 
 def _doubled_flip():
-    return TwistingMapR(2, 2, Matrix([[2 * x for x in row] for row in flip(2, 2).matrix.data]))
+    return TwistingMapR(2, 2, lmap([[2 * x for x in row] for row in flip(2, 2).map.matrix().data]))
 
 
 def _broken_right_action():
@@ -68,7 +73,7 @@ def _g_swaps_action():
     """g swaps 1 and y: a module, but not a module algebra."""
     z, o = ZERO, ONE
     table = (((o, z), (z, o)), ((z, o), (o, z)), ((z, z), (z, z)), ((z, z), (z, z)))
-    return ActionTable(LEFT, 4, 2, table, Matrix.identity(2))
+    return ActionTable(LEFT, 4, 2, table, LinearMap.identity(2))
 
 
 def _broken_left_action():
@@ -83,7 +88,7 @@ def _trivial_coaction():
     """y^i -> 1 (x) y^i, a left H4-coaction on the dual numbers."""
     table = [[[ONE if (h, j) == (0, m) else ZERO for j in range(2)] for h in range(4)]
              for m in range(2)]
-    return CoactionTable(LEFT, 4, 2, table, Matrix.identity(2))
+    return CoactionTable(LEFT, 4, 2, table, LinearMap.identity(2))
 
 
 def _perturbed_h4():
@@ -138,10 +143,10 @@ def _cases():
          "precondition failed: yau twist input must be a classical bialgebra"),
         ("check_deform_compat_ttp/not_a_twisting_map",
          lambda: check_deform_compat_ttp(
-             lb["A"], lb["B"], Matrix.identity(2), Matrix.identity(2), _doubled_flip()),
+             lb["A"], lb["B"], LinearMap.identity(2), LinearMap.identity(2), _doubled_flip()),
          PreconditionFailure, "precondition failed: check_twisting_map"),
         ("alphaAB_ttp/alpha_a_not_multiplicative",
-         lambda: alphaAB_ttp(k2, k2, _diagonal(2, 2), Matrix.identity(2), f),
+         lambda: alphaAB_ttp(k2, k2, _diagonal(2, 2), LinearMap.identity(2), f),
          NotMultiplicative, "alpha_A is not multiplicative; witness (0, 0)"),
         ("yau_twist_module_algebra/not_a_module_algebra",
          lambda: yau_twist_module_algebra(LEFT, h4, a, _g_swaps_action(), alpha_h, alpha_a),
@@ -163,7 +168,7 @@ def _cases():
          PreconditionFailure, "precondition failed: check_module_hom_algebra"),
         ("check_yau_compat/operator_dimension",
          lambda: check_yau_compat(
-             k2, Matrix.identity(2), Operator2.identity(3), Operator3.identity(3),
+             k2, LinearMap.identity(2), Operator2.identity(3), Operator3.identity(3),
              Operator3.identity(3)),
          DimensionMismatch, "operator dimension does not match the algebra"),
     ]

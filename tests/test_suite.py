@@ -2,7 +2,7 @@
 
 from homtwist import exact, suite
 from homtwist.algebra import check_associative
-from homtwist.exact import CheckReport, Failure, Matrix
+from homtwist.exact import CheckReport, Failure, LinearMap
 from homtwist.gallery import GalleryKey, build, k2_algebra
 from homtwist.suite import (
     Recorder,
@@ -105,7 +105,7 @@ class TestCliffordCriterion:
         def built_with_identity_sigma(key):
             bundle = gallery_build(key)
             if key.name == "clifford":
-                params = CliffordParams(key.params["q"], Matrix.identity(2))
+                params = CliffordParams(key.params["q"], LinearMap.identity(2))
                 bundle = {**bundle, "Abar": clifford(bundle["A"], params)[0]}
             return bundle
 

@@ -41,10 +41,20 @@ from homtwist.twisted import (
 from homtwist.twistor import check_alpha_pseudotwistor, check_hom_twistor, check_twistor, deform
 
 
-def composite(*matrices):
-    """The matrix of applying `matrices` in turn, the first one first, tabulated by compose."""
-    path = [(LinearMap.from_matrix(m), 0) for m in matrices]
-    return compose(path, (matrices[0].cols,)).matrix()
+def lmap(rows):
+    """The LinearMap of the matrix with these rows."""
+    return LinearMap.from_matrix(Matrix(rows))
+
+
+def flat(f):
+    """`f` as a map between single factors, as its matrix reads."""
+    rows, cols = f.shape
+    return f.reshaped((cols,), (rows,))
+
+
+def composite(*maps):
+    """The map of applying `maps` in turn, the first one first, tabulated by compose."""
+    return compose([(flat(f), 0) for f in maps], (maps[0].shape[1],))
 
 
 def lambda_bundle(lam=2):
@@ -59,14 +69,14 @@ def r1_bundle(**params):
 
 class TestFlip:
     def test_one_dimensional(self):
-        assert flip(1, 1).matrix == Matrix.identity(1)
+        assert flat(flip(1, 1).map) == LinearMap.identity(1)
 
     def test_permutation(self):
         f = flip(2, 2)
-        assert all(sum(1 for x in f.matrix.col(c) if x) == 1 for c in range(4))
+        assert all(sum(1 for x in f.map.matrix().col(c) if x) == 1 for c in range(4))
         # flip(a, b) maps A (x) B to B (x) A, so flip(b, a) undoes it, not flip(a, b) itself
-        assert composite(flip(2, 3).matrix, flip(3, 2).matrix) == Matrix.identity(6)
-        assert composite(flip(2, 3).matrix, flip(2, 3).matrix) != Matrix.identity(6)
+        assert composite(flip(2, 3).map, flip(3, 2).map) == LinearMap.identity(6)
+        assert composite(flip(2, 3).map, flip(2, 3).map) != LinearMap.identity(6)
 
     def test_hom_ttp_with_flip_is_tensor(self):
         d = build(GalleryKey("homalg_2dim", {"a": 1, "l1": 1, "l2": 2}))["D"]
@@ -149,9 +159,9 @@ class TestHomTwistingMap:
 
     def test_perturbed_output_fails(self):
         b = r1_bundle()
-        rows = [list(r) for r in b["R"].matrix.data]
+        rows = [list(r) for r in b["R"].map.matrix().data]
         rows[0][0] = rows[0][0] + 1
-        bad = TwistingMapR(2, 2, Matrix(rows))
+        bad = TwistingMapR(2, 2, lmap(rows))
         assert not check_hom_twisting_map(b["A"], b["B"], bad).passed
 
 
@@ -181,9 +191,9 @@ class TestBraid:
     def test_two_flips_make_braid_vacuous(self):
         # with R2 = R3 = flip both braid sides reduce to a_R (x) b_R (x) c,
         # so ANY R1 satisfies the condition
-        skew = TwistingMapR(2, 2, composite(Matrix(
+        skew = TwistingMapR(2, 2, composite(lmap(
             [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-        ), flip(2, 2).matrix))
+        ), flip(2, 2).map))
         assert check_braid(skew, flip(2, 2), flip(2, 2)).passed
 
     def test_lambda_family_with_flip_breaks_braid(self):
@@ -205,10 +215,10 @@ class TestDimensions:
     def test_negative_dims_rejected(self):
         # -2 * -2 = 4 would otherwise admit a 4x4 matrix
         with pytest.raises(DimensionMismatch):
-            TwistingMapR(-2, -2, Matrix.identity(4))
+            TwistingMapR(-2, -2, LinearMap.identity(4))
 
     def test_dimension_zero_is_legal(self):
-        assert TwistingMapR(0, 3, Matrix(())).map.cols == ()
+        assert TwistingMapR(0, 3, lmap(())).map.cols == ()
 
 class TestIterated:
     def test_three_flips(self):
@@ -239,13 +249,13 @@ class TestIterated:
 class TestClifford:
     def test_dim1_substitution(self):
         unit_line = hom_algebra(1, (((ONE,),),))
-        abar, _ = clifford(unit_line, CliffordParams(2, Matrix.identity(1)))
+        abar, _ = clifford(unit_line, CliffordParams(2, LinearMap.identity(1)))
         # (1 (x) v)(1 (x) v) = q (1 (x) 1)
         assert list(abar.mul[1][1]) == [Q(2), Q(0)]
 
     def test_q_one_doubling(self):
         k2 = k2_algebra()
-        abar, _ = clifford(k2, CliffordParams(1, Matrix.identity(2)))
+        abar, _ = clifford(k2, CliffordParams(1, LinearMap.identity(2)))
         assert check_associative(abar).passed
 
     def test_yau_twisted_k2_with_sigma_alpha(self):
@@ -265,19 +275,20 @@ class TestClifford:
         assert (rmap.dim_a, rmap.dim_b) == (2, 2)
         images = {(0, 0): 0, (0, 1): 2, (1, 0): 3, (1, 1): 1}  # (b, a) -> a' * 2 + b
         for (b, a), row in images.items():
-            assert rmap.matrix.col(b * 2 + a) == tuple(ONE if r == row else ZERO for r in range(4))
+            expected = tuple(ONE if r == row else ZERO for r in range(4))
+            assert rmap.map.matrix().col(b * 2 + a) == expected
         a = yau_twist_algebra(k2_algebra(), swap_matrix())
         assert clifford(a, CliffordParams(2, swap_matrix()))[1] == rmap
 
     def test_invalid_params(self):
         with pytest.raises(ParamConstraintViolation):
-            CliffordParams(0, Matrix.identity(2))
+            CliffordParams(0, LinearMap.identity(2))
         with pytest.raises(NotInvolutive):
-            CliffordParams(1, Matrix([[1, 1], [0, 1]]))
+            CliffordParams(1, lmap([[1, 1], [0, 1]]))
 
     def test_sigma_must_commute_with_alpha(self):
         d = build(GalleryKey("homalg_2dim", {"a": 1, "l1": 1, "l2": 0}))["D"]
-        sigma = Matrix.identity(2)
+        sigma = LinearMap.identity(2)
         ok_params = CliffordParams(1, sigma)
         clifford(d, ok_params)  # identity commutes
         # zero product, so the swap is multiplicative; it does not commute with alpha
@@ -290,15 +301,15 @@ class TestClifford:
 class TestDeformCompatTtp:
     def test_identity_alphas(self):
         b = lambda_bundle(2)
-        ident = Matrix.identity(2)
+        ident = LinearMap.identity(2)
         assert check_deform_compat_ttp(b["A"], b["B"], ident, ident, b["R"]).passed
 
     @pytest.mark.parametrize("alpha", [
-        Matrix.identity(3), Matrix([[0, 0, 0], [0, 0, 0]]), Matrix([[0, 0], [0, 0], [0, 0]])
+        LinearMap.identity(3), lmap([[0, 0, 0], [0, 0, 0]]), lmap([[0, 0], [0, 0], [0, 0]])
     ])
     def test_alpha_shape_is_named(self, alpha):
         b = lambda_bundle(2)
-        ident = Matrix.identity(2)
+        ident = LinearMap.identity(2)
         message = "^alpha shapes do not match the twisting map$"
         for alphas in ((alpha, ident), (ident, alpha)):
             with pytest.raises(DimensionMismatch, match=message):
@@ -309,8 +320,8 @@ class TestDeformCompatTtp:
     def test_lambda_family_swap_alphas(self):
         b = lambda_bundle(2)
         sw = swap_matrix()
-        left = composite(b["R"].matrix, kron(sw, sw))
-        right = composite(kron(sw, sw), b["R"].matrix)
+        left = composite(b["R"].map, kron(sw, sw))
+        right = composite(kron(sw, sw), b["R"].map)
         if left == right:
             assert check_deform_compat_ttp(b["A"], b["B"], sw, sw, b["R"]).passed
         else:
@@ -327,7 +338,7 @@ class TestAlphaABTwistingMap:
 
     def test_identity_alphas_reduce_to_classical(self):
         b = lambda_bundle(2)
-        ident = Matrix.identity(2)
+        ident = LinearMap.identity(2)
         classical = check_twisting_map(b["A"], b["B"], b["R"])
         with_alpha = check_alphaAB_twisting_map(b["A"], b["B"], ident, ident, b["R"])
         assert classical.passed == with_alpha.passed
@@ -350,7 +361,7 @@ class TestAlphaABTtp:
 
     def test_identity_alphas_give_ttp(self):
         b = lambda_bundle(2)
-        ident = Matrix.identity(2)
+        ident = LinearMap.identity(2)
         alg, _, _, _ = alphaAB_ttp(b["A"], b["B"], ident, ident, b["R"])
         assert alg.mul == ttp(b["A"], b["B"], b["R"]).mul
 
@@ -365,12 +376,12 @@ class TestAlphaABTtp:
                 if bb == 0:
                     col[a_idx * 2] = ONE
                 else:
-                    for p, s in enumerate(b["sigma"].col(a_idx)):
+                    for p, s in enumerate(b["sigma"].matrix().col(a_idx)):
                         if s:
                             col[p * 2 + 1] = s
                 columns.append(col)
-        abar = ttp(b["A"], clifford_algebra(2), TwistingMapR(2, 2, Matrix.from_columns(columns)))
-        sigma_bar = kron(b["sigma"], Matrix.identity(2))
+        abar = ttp(b["A"], clifford_algebra(2), TwistingMapR(2, 2, lmap(list(zip(*columns)))))
+        sigma_bar = kron(b["sigma"], LinearMap.identity(2))
         assert alg == yau_twist_algebra(abar, sigma_bar)
 
 
@@ -379,18 +390,18 @@ class TestAlphaABFromClassical:
         sw = swap_matrix()
         lifted = alphaAB_from_classical(flip(2, 2), sw, sw)
         b = build(GalleryKey("alpha_ttp_flip", {}))
-        assert lifted.matrix == b["R"].matrix
+        assert lifted.map == b["R"].map
 
     def test_identity_alphas_give_back_p(self):
         b = lambda_bundle(2)
-        ident = Matrix.identity(2)
-        assert alphaAB_from_classical(b["R"], ident, ident).matrix == b["R"].matrix
+        ident = LinearMap.identity(2)
+        assert alphaAB_from_classical(b["R"], ident, ident).map == b["R"].map
 
     def test_lambda_family_swap_alphas_branch(self):
         b = lambda_bundle(2)
         sw = swap_matrix()
-        left = composite(b["R"].matrix, kron(sw, sw))
-        right = composite(kron(sw, sw), b["R"].matrix)
+        left = composite(b["R"].map, kron(sw, sw))
+        right = composite(kron(sw, sw), b["R"].map)
         if left == right:
             lifted = alphaAB_from_classical(b["R"], sw, sw)
             assert check_alphaAB_twisting_map(b["A"], b["B"], sw, sw, lifted).passed

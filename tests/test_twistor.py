@@ -26,10 +26,20 @@ from homtwist.twistor import (
 )
 
 
-def composite(*matrices):
-    """The matrix of applying `matrices` in turn, the first one first, tabulated by compose."""
-    path = [(LinearMap.from_matrix(m), 0) for m in matrices]
-    return compose(path, (matrices[0].cols,)).matrix()
+def lmap(rows):
+    """The LinearMap of the matrix with these rows."""
+    return LinearMap.from_matrix(Matrix(rows))
+
+
+def flat(f):
+    """`f` as a map between single factors, as its matrix reads."""
+    rows, cols = f.shape
+    return f.reshaped((cols,), (rows,))
+
+
+def composite(*maps):
+    """The map of applying `maps` in turn, the first one first, tabulated by compose."""
+    return compose([(flat(f), 0) for f in maps], (maps[0].shape[1],))
 
 
 def example_bundle(a=1, l1=1, l2=2):
@@ -46,12 +56,12 @@ def swap_operator2():
     for i in range(2):
         for j in range(2):
             rows[j * 2 + i][i * 2 + j] = Q(1)
-    return Operator2(2, Matrix(rows))
+    return Operator2(2, lmap(rows))
 
 
 class TestLift13:
     def test_identity(self):
-        assert lift_13(Operator2.identity(2)).matrix == Matrix.identity(8)
+        assert flat(lift_13(Operator2.identity(2)).map) == LinearMap.identity(8)
 
     def test_swap_moves_outer_factors(self):
         lifted = lift_13(swap_operator2())
@@ -60,13 +70,13 @@ class TestLift13:
                 for k in range(2):
                     src = (i * 2 + j) * 2 + k
                     dst = (k * 2 + j) * 2 + i
-                    col = lifted.matrix.col(src)
+                    col = lifted.map.matrix().col(src)
                     assert col[dst] == 1 and sum(1 for x in col if x) == 1
 
     def test_scalar(self):
         c = Q(3)
-        scaled = Operator2(2, Matrix([[c if i == j else ZERO for j in range(4)] for i in range(4)]))
-        assert lift_13(scaled).matrix == Matrix(
+        scaled = Operator2(2, lmap([[c if i == j else ZERO for j in range(4)] for i in range(4)]))
+        assert flat(lift_13(scaled).map) == lmap(
             [[c if i == j else ZERO for j in range(8)] for i in range(8)]
         )
 
@@ -100,7 +110,7 @@ class TestTwistor:
         assert check_twistor(ten, t).passed
 
     def test_random_non_twistor_fails(self):
-        arbitrary = Operator2(2, Matrix([[1, 2, 0, 0], [0, 1, 1, 0], [3, 0, 1, 0], [0, 0, 0, 1]]))
+        arbitrary = Operator2(2, lmap([[1, 2, 0, 0], [0, 1, 1, 0], [3, 0, 1, 0], [0, 0, 0, 1]]))
         assert not check_twistor(k2_algebra(), arbitrary).passed
 
     def test_twistor_implies_pseudotwistor(self):
@@ -121,9 +131,9 @@ class TestHomTwistor:
 
     def test_perturbed_entry_fails(self):
         b = example_bundle()
-        rows = [list(r) for r in b["T"].matrix.data]
+        rows = [list(r) for r in b["T"].map.matrix().data]
         rows[1][1] = rows[1][1] + 1
-        assert not check_hom_twistor(b["D"], Operator2(2, Matrix(rows))).passed
+        assert not check_hom_twistor(b["D"], Operator2(2, lmap(rows))).passed
 
     def test_companions_variant(self):
         b = example_bundle()
@@ -163,14 +173,14 @@ class TestDeform:
     @pytest.mark.parametrize("operator", [Operator2, Operator3])
     def test_negative_operator_dimension_rejected(self, operator):
         with pytest.raises(DimensionMismatch):
-            operator(-2, Matrix.identity(4))
+            operator(-2, LinearMap.identity(4))
 
     def test_dimension_zero(self):
         empty = hom_algebra(0, ())
-        assert deform(empty, Operator2(0, Matrix(()))).mul == ()
-        assert lift_13(Operator2(0, Matrix(()))).matrix == Matrix(())
+        assert deform(empty, Operator2(0, lmap(()))).mul == ()
+        assert flat(lift_13(Operator2(0, lmap(()))).map) == lmap(())
         with pytest.raises(DimensionMismatch):  # a 2x0 alpha on a dim-0 algebra
-            deform_with_alpha(empty, Matrix(((), ())), Operator2(0, Matrix(())))
+            deform_with_alpha(empty, lmap(((), ())), Operator2(0, lmap(())))
 
 
 class TestAlphaPseudotwistor:
@@ -182,7 +192,7 @@ class TestAlphaPseudotwistor:
     def test_identity_alpha_reduces_to_pseudotwistor(self):
         ten, t = lambda_twistor(2)
         lifted = lift_13(t)
-        ident = Matrix.identity(4)
+        ident = LinearMap.identity(4)
         plain = check_pseudotwistor(ten, t, lifted, lifted)
         with_alpha = check_alpha_pseudotwistor(ten, ident, t, lifted, lifted)
         assert plain.passed == with_alpha.passed
@@ -199,7 +209,7 @@ class TestAlphaPseudotwistor:
         with pytest.raises(NotMultiplicative):
             check_alpha_pseudotwistor(
                 k2_algebra(),
-                Matrix([[1, 1], [0, 1]]),
+                lmap([[1, 1], [0, 1]]),
                 Operator2.identity(2),
                 Operator3.identity(2),
                 Operator3.identity(2),
@@ -208,10 +218,10 @@ class TestAlphaPseudotwistor:
 
 class TestYauOperator:
     def test_identity(self):
-        t, c1, c2 = yau_operator(Matrix.identity(2))
-        assert t.matrix == Matrix.identity(4)
-        assert c1.matrix == Matrix.identity(8)
-        assert c2.matrix == Matrix.identity(8)
+        t, c1, c2 = yau_operator(LinearMap.identity(2))
+        assert flat(t.map) == LinearMap.identity(4)
+        assert flat(c1.map) == LinearMap.identity(8)
+        assert flat(c2.map) == LinearMap.identity(8)
 
     def test_swap_deformation(self):
         k2 = k2_algebra()
@@ -221,10 +231,10 @@ class TestYauOperator:
         assert deformed == yau_twist_algebra(k2, swap_matrix())
 
     def test_shapes_dim3(self):
-        alpha = Matrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+        alpha = lmap([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
         t, c1, c2 = yau_operator(alpha)
-        assert t.matrix.rows == 9
-        assert c1.matrix.rows == 27 and c2.matrix.cols == 27
+        assert t.map.shape[0] == 9
+        assert c1.map.shape[0] == 27 and c2.map.shape[1] == 27
 
     def test_yau_operator_mu_compat(self):
         # deform-with-(alpha (x) alpha) equals alpha o mu entry-wise on presets
@@ -240,14 +250,14 @@ class TestYauCompat:
     def test_identity_alpha(self):
         ten, t = lambda_twistor(2)
         lifted = lift_13(t)
-        assert check_yau_compat(ten, Matrix.identity(4), t, lifted, lifted).passed
+        assert check_yau_compat(ten, LinearMap.identity(4), t, lifted, lifted).passed
 
     def test_swap_swap_alpha(self):
         ten, t = lambda_twistor(2)
         lifted = lift_13(t)
         alpha = kron(swap_matrix(), swap_matrix())
-        left = composite(t.matrix, kron(alpha, alpha))
-        right = composite(kron(alpha, alpha), t.matrix)
+        left = composite(t.map, kron(alpha, alpha))
+        right = composite(kron(alpha, alpha), t.map)
         if left == right:
             assert check_yau_compat(ten, alpha, t, lifted, lifted).passed
         else:
@@ -259,6 +269,7 @@ class TestYauCompat:
         k2 = k2_algebra()
         with pytest.raises(PreconditionFailure) as err:
             check_yau_compat(
-                k2, Matrix.identity(2), swap_operator2(), Operator3.identity(2), Operator3.identity(2)
+                k2, LinearMap.identity(2), swap_operator2(),
+                Operator3.identity(2), Operator3.identity(2),
             )
         assert err.value.cause == "check_pseudotwistor"

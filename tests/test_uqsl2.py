@@ -529,6 +529,11 @@ class TestModuleHomAlgebraScan:
     def test_bound_zero_products_vacuous(self):
         assert check_uq_module_hom_algebra(PARAMS, 0).passed
 
+    @pytest.mark.parametrize("bound", [-1, -3])
+    def test_negative_bound_is_an_error_not_a_pass(self, bound):
+        with pytest.raises(ParamConstraintViolation, match="must be non-negative"):
+            check_uq_module_hom_algebra(PARAMS, bound)
+
     def test_perturbed_action_fails(self):
         # dropping one lambda power from the E-row (scale by lam^-b for
         # E-degree b) breaks the module axiom against the EF commutator,
@@ -590,6 +595,11 @@ class TestSmashClosedForms:
 
     def test_bounds_zero(self):
         assert verify_smash_closed_forms(PARAMS, 0).passed
+
+    @pytest.mark.parametrize("bounds", [-1, -3])
+    def test_negative_bounds_are_an_error_not_a_pass(self, bounds):
+        with pytest.raises(ParamConstraintViolation, match="must be non-negative"):
+            verify_smash_closed_forms(PARAMS, bounds)
 
     def test_requires_l_zero(self):
         with pytest.raises(ParamConstraintViolation):

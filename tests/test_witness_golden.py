@@ -30,7 +30,7 @@ from homtwist.coalgebra import (
     yau_twist_coalgebra,
 )
 from homtwist.errors import HomTwistError
-from homtwist.exact import Matrix, ONE, Q, ZERO, kron
+from homtwist.exact import LinearMap, Matrix, ONE, Q, ZERO, kron
 from homtwist.gallery import (
     GalleryKey,
     build,
@@ -105,14 +105,19 @@ FIXTURE = pathlib.Path(__file__).with_name("witness_golden.json")
 # ---------------------------------------------------------------------------
 
 
-def _bumped(matrix, r, c, by=1):
-    rows = [list(row) for row in matrix.data]
+def lmap(rows):
+    """The LinearMap of the matrix with these rows."""
+    return LinearMap.from_matrix(Matrix(rows))
+
+
+def _bumped(f, r, c, by=1):
+    rows = [list(row) for row in f.matrix().data]
     rows[r][c] = rows[r][c] + by
-    return Matrix(rows)
+    return lmap(rows)
 
 
-def _scaled(matrix, by):
-    return Matrix([[x * by for x in row] for row in matrix.data])
+def _scaled(f, by):
+    return lmap([[x * by for x in row] for row in f.matrix().data])
 
 
 def _edit_table(table, edits):
@@ -142,7 +147,7 @@ def lambda_twistor(lam=2):
 
 
 def swap_operator2():
-    return Operator2(2, flip(2, 2).matrix)
+    return Operator2(2, flip(2, 2).map)
 
 
 def regular_action(bialgebra):
@@ -159,7 +164,7 @@ def h4_bad_g_action():
     """g swaps 1 and y: a module, but not a module algebra."""
     z, o = ZERO, ONE
     table = (((o, z), (z, o)), ((z, o), (o, z)), ((z, z), (z, z)), ((z, z), (z, z)))
-    return ActionTable(LEFT, 4, 2, table, Matrix.identity(2))
+    return ActionTable(LEFT, 4, 2, table, LinearMap.identity(2))
 
 
 def twisted_h4(c=2):
@@ -185,7 +190,7 @@ def checker_cases():
     # twisted.py
     lb = lambda_bundle(2)
     case("twisting_map/pass", lambda: check_twisting_map(lb["A"], lb["B"], lb["R"]))
-    bad_r = TwistingMapR(2, 2, _bumped(lb["R"].matrix, 1, 2))
+    bad_r = TwistingMapR(2, 2, _bumped(lb["R"].map, 1, 2))
     case("twisting_map/fail", lambda: check_twisting_map(lb["A"], lb["B"], bad_r))
     case(
         "twisting_map/precondition",
@@ -193,10 +198,10 @@ def checker_cases():
     )
     r1 = r1_bundle()
     case("hom_twisting_map/pass", lambda: check_hom_twisting_map(r1["A"], r1["B"], r1["R"]))
-    bad_r1 = TwistingMapR(2, 2, _bumped(r1["R"].matrix, 0, 3, Q(1, 2)))
+    bad_r1 = TwistingMapR(2, 2, _bumped(r1["R"].map, 0, 3, Q(1, 2)))
     case("hom_twisting_map/fail", lambda: check_hom_twisting_map(r1["A"], r1["B"], bad_r1))
     c3 = group_algebra(3).algebra
-    doubled = TwistingMapR(3, 3, _scaled(flip(3, 3).matrix, 2))
+    doubled = TwistingMapR(3, 3, _scaled(flip(3, 3).map, 2))
     case("hom_twisting_map/cap", lambda: check_hom_twisting_map(c3, c3, doubled))
     bad_alpha = hom_algebra(2, k2_algebra().mul, Matrix([[1, 1], [0, 1]]))
     case(
@@ -208,12 +213,12 @@ def checker_cases():
     case(
         "braid/fail_mixed",
         lambda: check_braid(
-            TwistingMapR(3, 2, _bumped(flip(3, 2).matrix, 4, 1)),
+            TwistingMapR(3, 2, _bumped(flip(3, 2).map, 4, 1)),
             flip(2, 2),
-            TwistingMapR(3, 2, _bumped(flip(3, 2).matrix, 2, 3)),
+            TwistingMapR(3, 2, _bumped(flip(3, 2).map, 2, 3)),
         ),
     )
-    ident2 = Matrix.identity(2)
+    ident2 = LinearMap.identity(2)
     case(
         "deform_compat_ttp/pass",
         lambda: check_deform_compat_ttp(lb["A"], lb["B"], ident2, ident2, lb["R"]),
@@ -239,7 +244,7 @@ def checker_cases():
     case(
         "alphaAB_twisting_map/fail_bumped",
         lambda: check_alphaAB_twisting_map(
-            af["A"], af["B"], af["alphaA"], af["alphaB"], TwistingMapR(2, 2, _bumped(af["R"].matrix, 2, 1))
+            af["A"], af["B"], af["alphaA"], af["alphaB"], TwistingMapR(2, 2, _bumped(af["R"].map, 2, 1))
         ),
     )
 
@@ -250,9 +255,9 @@ def checker_cases():
     i3 = Operator3.identity(2)
     case("pseudotwistor/pass", lambda: check_pseudotwistor(ten, t, lifted, lifted))
     case("pseudotwistor/fail", lambda: check_pseudotwistor(k2, swap_operator2(), i3, i3))
-    lt3 = Operator3(4, _bumped(lifted.matrix, 5, 7))
+    lt3 = Operator3(4, _bumped(lifted.map, 5, 7))
     case("pseudotwistor/fail_companion", lambda: check_pseudotwistor(ten, t, lt3, lifted))
-    arbitrary = Operator2(2, Matrix([[1, 2, 0, 0], [0, 1, 1, 0], [3, 0, 1, 0], [0, 0, 0, 1]]))
+    arbitrary = Operator2(2, lmap([[1, 2, 0, 0], [0, 1, 1, 0], [3, 0, 1, 0], [0, 0, 0, 1]]))
     case("twistor/pass", lambda: check_twistor(ten, t))
     case("twistor/fail", lambda: check_twistor(k2, arbitrary))
     case("twistor/precondition", lambda: check_twistor(twistor_bundle()["D"], t))
@@ -260,7 +265,7 @@ def checker_cases():
     tlift = lift_13(tb["T"])
     case("hom_pseudotwistor/pass", lambda: check_hom_pseudotwistor(tb["D"], tb["T"], tlift, tlift))
     case("hom_pseudotwistor/fail", lambda: check_hom_pseudotwistor(tb["D"], tb["T"], i3, i3))
-    bumped_t = Operator2(2, _bumped(tb["T"].matrix, 1, 1))
+    bumped_t = Operator2(2, _bumped(tb["T"].map, 1, 1))
     case("hom_twistor/pass", lambda: check_hom_twistor(tb["D"], tb["T"]))
     case("hom_twistor/fail", lambda: check_hom_twistor(tb["D"], bumped_t))
     case("hom_twistor/fail_arbitrary", lambda: check_hom_twistor(tb["D"], arbitrary))
@@ -274,9 +279,9 @@ def checker_cases():
     )
     case(
         "alpha_pseudotwistor/precondition",
-        lambda: check_alpha_pseudotwistor(k2, Matrix([[1, 1], [0, 1]]), i2op, i3, i3),
+        lambda: check_alpha_pseudotwistor(k2, lmap([[1, 1], [0, 1]]), i2op, i3, i3),
     )
-    ident4 = Matrix.identity(4)
+    ident4 = LinearMap.identity(4)
     case("yau_compat/pass", lambda: check_yau_compat(ten, ident4, t, lifted, lifted))
     case(
         "yau_compat/swap_swap",
@@ -340,15 +345,15 @@ def checker_cases():
     )
     case("bicomodule/skew", lambda: check_bicomodule(c2.coalgebra, regular_coaction(c2, LEFT), skew))
     flip_lam = CoactionTable(
-        LEFT, 2, 2, ((((ONE, ZERO), (ZERO, ZERO))), ((ZERO, ZERO), (ZERO, ONE))), Matrix.identity(2)
+        LEFT, 2, 2, ((((ONE, ZERO), (ZERO, ZERO))), ((ZERO, ZERO), (ZERO, ONE))), LinearMap.identity(2)
     )
     flip_rho = CoactionTable(
-        RIGHT, 2, 2, ((((ZERO, ONE), (ZERO, ZERO))), ((ONE, ZERO), (ZERO, ZERO))), Matrix.identity(2)
+        RIGHT, 2, 2, ((((ZERO, ONE), (ZERO, ZERO))), ((ONE, ZERO), (ZERO, ZERO))), LinearMap.identity(2)
     )
     case("bicomodule/mixed", lambda: check_bicomodule(c2.coalgebra, flip_lam, flip_rho))
     h = Q(1, 2)
-    graded_lam = CoactionTable(LEFT, 2, 2, (((o, z), (z, z)), ((z, z), (z, o))), Matrix.identity(2))
-    rotated_rho = CoactionTable(RIGHT, 2, 2, (((h, h), (h, -h)), ((h, -h), (h, h))), Matrix.identity(2))
+    graded_lam = CoactionTable(LEFT, 2, 2, (((o, z), (z, z)), ((z, z), (z, o))), LinearMap.identity(2))
+    rotated_rho = CoactionTable(RIGHT, 2, 2, (((h, h), (h, -h)), ((h, -h), (h, h))), LinearMap.identity(2))
     case("bicomodule/fail", lambda: check_bicomodule(c2.coalgebra, graded_lam, rotated_rho))
     bi, module, yd_act, yd_co = c2_trivial_yd()
     case("comodule_hom_algebra/pass", lambda: check_comodule_hom_algebra(LEFT, bi, module, yd_co))
@@ -362,8 +367,8 @@ def checker_cases():
     case("comodule_hom_algebra/precondition", lambda: check_comodule_hom_algebra(LEFT, bi, module, bad_yd_co))
     bad_rho2 = CoactionTable(RIGHT, 4, 8, _edit_table(rho.table, {(5, 4, 1): Q(-1)}), rho.alpha_m)
     case("comodule_hom_algebra/right_precondition", lambda: check_comodule_hom_algebra(RIGHT, h4, smash, bad_rho2))
-    odd_unit_left = CoactionTable(LEFT, 2, 2, (((z, z), (o, z)), ((z, o), (z, z))), Matrix.identity(2))
-    odd_unit_right = CoactionTable(RIGHT, 2, 2, (((z, o), (z, z)), ((z, z), (o, z))), Matrix.identity(2))
+    odd_unit_left = CoactionTable(LEFT, 2, 2, (((z, z), (o, z)), ((z, o), (z, z))), LinearMap.identity(2))
+    odd_unit_right = CoactionTable(RIGHT, 2, 2, (((z, o), (z, z)), ((z, z), (o, z))), LinearMap.identity(2))
     case(
         "comodule_hom_algebra/fail_grading",
         lambda: check_comodule_hom_algebra(LEFT, c2, dual_numbers(), odd_unit_left),
@@ -385,7 +390,7 @@ def checker_cases():
         "yetter_drinfeld/precondition",
         lambda: check_yetter_drinfeld(h4, bad_act, regular_coaction(h4, LEFT)),
     )
-    ident4h = Matrix.identity(4)
+    ident4h = LinearMap.identity(4)
     case(
         "smash_twist_compat/pass",
         lambda: check_smash_twist_compat(LEFT, h4, dual_numbers(), act, ident4h, ident2),
@@ -396,7 +401,7 @@ def checker_cases():
     )
     case(
         "smash_twist_compat/precondition",
-        lambda: check_smash_twist_compat(LEFT, h4, dual_numbers(), act, alpha_h, Matrix([[1, 0], [0, 3]])),
+        lambda: check_smash_twist_compat(LEFT, h4, dual_numbers(), act, alpha_h, lmap([[1, 0], [0, 3]])),
     )
 
     # coalgebra.py
@@ -451,7 +456,7 @@ def constructor_cases():
         ("deform_with_alpha", lambda: deform_with_alpha(k2, sw, yau_operator(sw)[0])),
         ("lift_13", lambda: lift_13(tb["T"])),
         ("lift_13_dim4", lambda: lift_13(twistor_from_R(lb["A"], lb["B"], lb["R"]))),
-        ("yau_operator", lambda: yau_operator(Matrix([[1, 2], [0, 3]]))),
+        ("yau_operator", lambda: yau_operator(lmap([[1, 2], [0, 3]]))),
         ("tensor_modules", lambda: tensor_modules(h4, act, act)),
         ("smash_left", lambda: smash_left(dual_numbers(), h4, act)),
         ("smash_right", lambda: smash_right(h4, dual_numbers(), ract)),
@@ -484,8 +489,8 @@ def _twisted_smash_left():
 
 def _canonical(obj):
     """A text form of a constructed object that covers every structure field."""
-    if isinstance(obj, Matrix):
-        return "M" + repr([[str(x) for x in row] for row in obj.data])
+    if isinstance(obj, LinearMap):  # digested through its dense view
+        return "M" + repr([[str(x) for x in row] for row in obj.matrix().data])
     if isinstance(obj, (list, tuple)):
         return "(" + ",".join(_canonical(x) for x in obj) + ")"
     if isinstance(obj, dict):
@@ -497,9 +502,9 @@ def _canonical(obj):
     if isinstance(obj, HomBialgebra):
         return f"B{_canonical(obj.algebra)}{_canonical(obj.coalgebra)}"
     if isinstance(obj, TwistingMapR):
-        return f"R{obj.dim_a},{obj.dim_b}{_canonical(obj.matrix)}"
+        return f"R{obj.dim_a},{obj.dim_b}{_canonical(obj.map)}"
     if isinstance(obj, (Operator2, Operator3)):
-        return f"{type(obj).__name__}{obj.dim}{_canonical(obj.matrix)}"
+        return f"{type(obj).__name__}{obj.dim}{_canonical(obj.map)}"
     if isinstance(obj, ActionTable):
         return f"act{obj.side}{obj.acting_dim},{obj.module_dim}{_canonical(obj.table)}{_canonical(obj.alpha_m)}"
     if isinstance(obj, CoactionTable):
