@@ -1,11 +1,11 @@
 """Finite-dimensional (Hom-)associative algebras given by structure constants.
 
-An algebra is a triple (dim, mul, alpha): ``mul[i][j][k]`` is the coefficient
-of ``e_k`` in ``e_i e_j`` and ``alpha`` is the structure map as a
-``LinearMap`` (d,) -> (d,).  A
-plain associative algebra is the same record with ``alpha`` the identity.  No
-axiom is assumed at construction; the checkers decide status.  Algebras are
-nonunital throughout.
+An algebra is a triple (dim, map, alpha) of the multiplication mu, a
+``LinearMap`` (d, d) -> (d,), and the structure map, a ``LinearMap``
+(d,) -> (d,).  ``hom_algebra`` reads the constants ``mul[i][j][k]``, the
+coefficient of ``e_k`` in ``e_i e_j``, and ``mul`` is their dense view.  A
+plain associative algebra has ``alpha`` the identity.  No axiom is assumed at
+construction; the checkers decide status.  Algebras are nonunital throughout.
 
 ``check_hom_algebra`` and ``check_associative`` scan their d^3 triples on
 sparse columns tabulated once per call: the nonzero constants ``map.cols``
@@ -16,8 +16,8 @@ of f (``Matrix.apply``, ``Matrix.col``) serve only ``_multiplicative``, the
 one d^2 scan of f(e_i e_j) = f(e_i) f(e_j) shared by ``check_hom_algebra``,
 ``multiplicativity_scan`` and ``check_algebra_morphism``.  Every other
 equation here (alpha-intertwining, the four-element lemma) is a
-``scan_composites`` declaration, and the Yau twist alpha o mu is a table
-of ``compose``.
+``scan_composites`` declaration, and the Yau twist alpha o mu and the
+twisted product are ``compose`` paths, stored as they come.
 """
 
 from dataclasses import dataclass
@@ -39,36 +39,24 @@ from .exact import (
 
 @dataclass(frozen=True)
 class HomAlgebra:
-    """Structure-constant algebra with a structure map; immutable, equal iff dim, mul, alpha are."""
+    """mu (d, d) -> (d,) and alpha (d,) -> (d,) as LinearMaps; equal iff all fields are."""
 
     dim: int
-    mul: tuple
+    map: LinearMap
     alpha: LinearMap
 
     def __post_init__(self):
         d = self.dim
-        message = f"structure constants are not {d}^3 shaped"
-        object.__setattr__(self, "mul", as_constants(self.mul, (d, d, d), message))
         rows, cols = self.alpha.shape
         if (rows, cols) != (d, d):
             raise DimensionMismatch(f"alpha is {rows}x{cols}, expected {d}x{d}")
+        object.__setattr__(self, "map", self.map.reshaped((d, d), (d,)))
         object.__setattr__(self, "alpha", self.alpha.reshaped((d,), (d,)))
 
-    @classmethod
-    def _canonical(cls, dim, mul, alpha):
-        """An algebra over a table with no coercion walk.
-
-        `mul` must already be canonical: nested tuples of scalars with every
-        zero the shared ``ZERO``, as ``LinearMap.table()`` returns them.
-        """
-        algebra = object.__new__(cls)
-        algebra.__dict__.update(dim=dim, mul=mul, alpha=alpha.reshaped((dim,), (dim,)))
-        return algebra
-
     @cached_property
-    def map(self):
-        """The multiplication as a LinearMap (d, d) -> (d,), tabulated once."""
-        return LinearMap.product(self.mul)
+    def mul(self):
+        """The dense view: ``mul[i][j][k]`` is the coefficient of e_k in e_i e_j."""
+        return self.map.table()
 
     def product(self, u, v):
         """Bilinear extension of the structure constants to coefficient vectors.
@@ -96,13 +84,17 @@ class HomAlgebra:
         return self.alpha.is_identity()
 
 
-def hom_algebra(dim, mul, alpha=None):
-    """Convenience constructor; alpha is a LinearMap, a Matrix or its rows (default identity)."""
+def hom_algebra(dim, mul, alpha=None) -> HomAlgebra:
+    """The algebra of nested constants `mul`.
+
+    `alpha` is a LinearMap, a Matrix or its rows (default identity).
+    """
     if alpha is None:
         alpha = LinearMap.identity(dim)
     elif not isinstance(alpha, LinearMap):
         alpha = LinearMap.from_matrix(alpha)
-    return HomAlgebra(dim, mul, alpha)
+    mul = as_constants(mul, (dim, dim, dim), f"structure constants are not {dim}^3 shaped")
+    return HomAlgebra(dim, LinearMap.from_constants(mul, (dim, dim), (dim,)), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +175,17 @@ def _multiplicative(scan, name, f, source, target):
     """Scan f(e_i e_j) = f(e_i) f(e_j) on every basis pair (i, j) of `source`, in order.
 
     `f` is a LinearMap from `source` to `target`, read through its dense view:
-    the left side applies it to the constants of e_i e_j and the right side
-    multiplies two of its columns.
+    the left side applies it to e_i e_j, densified from the sparse column of
+    mu, and the right side multiplies two of its columns.
     """
     f = f.matrix()
     d = source.dim
+    cols = source.map.cols
     for i in range(d):
         fi = f.col(i)
         for j in range(d):
-            scan.eq(name, (i, j), f.apply(source.mul[i][j]), target.product(fi, f.col(j)))
+            eij = to_dense(dict(cols[i * d + j]), (d,))
+            scan.eq(name, (i, j), f.apply(eij), target.product(fi, f.col(j)))
 
 
 def multiplicativity_scan(algebra, endo):
@@ -247,8 +241,7 @@ def yau_twist_algebra(algebra, alpha):
 def _yau_twisted(algebra, alpha):
     """The Yau twist alpha o mul with structure map alpha; nothing is checked."""
     d = algebra.dim
-    mul = compose([(algebra.map, 0), (alpha, 0)], (d, d)).table()
-    return HomAlgebra._canonical(d, mul, alpha)
+    return HomAlgebra(d, compose([(algebra.map, 0), (alpha, 0)], (d, d)), alpha)
 
 
 def tensor_algebra(a, b):
@@ -262,7 +255,5 @@ def _twisted_product(a, b, r):
     (a (x) b)(a' (x) b') = a a'_R (x) b_R b', with structure map alpha_A (x) alpha_B.
     """
     da, db = a.dim, b.dim
-    n = da * db
     path = [(r, 1), (a.map, 0), (b.map, 1)]
-    mul = compose(path, (da, db, da, db)).reshaped((n, n), (n,)).table()
-    return HomAlgebra._canonical(n, mul, kron(a.alpha, b.alpha))
+    return HomAlgebra(da * db, compose(path, (da, db, da, db)), kron(a.alpha, b.alpha))

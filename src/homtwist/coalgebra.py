@@ -1,7 +1,9 @@
 """Hom-coassociative coalgebras and Hom-bialgebras by structure constants.
 
-``comul[i][j][k]`` is the coefficient of ``e_j (x) e_k`` in ``Delta(e_i)``,
-and ``alpha`` is the structure map as a ``LinearMap`` (d,) -> (d,).  Counits
+A coalgebra is a triple (dim, map, alpha) of Delta, a ``LinearMap``
+(d,) -> (d, d), and the structure map, a ``LinearMap`` (d,) -> (d,).
+``hom_coalgebra`` reads the constants ``comul[i][j][k]``, the coefficient of
+``e_j (x) e_k`` in ``Delta(e_i)``, and ``comul`` is their dense view.  Counits
 and antipodes are not modeled.
 """
 
@@ -15,34 +17,37 @@ from .exact import LinearMap, Scan, as_constants, compose, scan_composites
 
 @dataclass(frozen=True)
 class HomCoalgebra:
+    """A coalgebra by its comultiplication and structure map, regrouped as HomAlgebra's are."""
+
     dim: int
-    comul: tuple
+    map: LinearMap
     alpha: LinearMap
 
     def __post_init__(self):
         d = self.dim
-        message = f"comultiplication constants are not {d}^3 shaped"
-        object.__setattr__(self, "comul", as_constants(self.comul, (d, d, d), message))
         if self.alpha.shape != (d, d):
             raise DimensionMismatch("alpha shape does not match the coalgebra")
+        object.__setattr__(self, "map", self.map.reshaped((d,), (d, d)))
         object.__setattr__(self, "alpha", self.alpha.reshaped((d,), (d,)))
 
     @cached_property
-    def map(self):
-        """The comultiplication as a LinearMap (d,) -> (d, d), tabulated once."""
-        return LinearMap.coproduct(self.comul)
+    def comul(self):
+        """The dense view: ``comul[i][j][k]`` is the coefficient of e_j (x) e_k in Delta(e_i)."""
+        return self.map.table()
 
     def is_classical(self):
         return self.alpha.is_identity()
 
 
-def hom_coalgebra(dim, comul, alpha=None):
-    """Convenience constructor; alpha is a LinearMap, a Matrix or its rows (default identity)."""
+def hom_coalgebra(dim, comul, alpha=None) -> HomCoalgebra:
+    """The coalgebra of nested constants `comul`; alpha as in ``hom_algebra``."""
     if alpha is None:
         alpha = LinearMap.identity(dim)
     elif not isinstance(alpha, LinearMap):
         alpha = LinearMap.from_matrix(alpha)
-    return HomCoalgebra(dim, comul, alpha)
+    message = f"comultiplication constants are not {dim}^3 shaped"
+    comul = as_constants(comul, (dim, dim, dim), message)
+    return HomCoalgebra(dim, LinearMap.from_constants(comul, (dim,), (dim, dim)), alpha)
 
 
 @dataclass(frozen=True)
@@ -143,8 +148,7 @@ def yau_twist_coalgebra(coalgebra, alpha):
         "alpha is not comultiplicative", NotComultiplicative
     )
     path = [(alpha, 0), (coalgebra.map, 0)]
-    new_comul = compose(path, (coalgebra.dim,)).table()
-    return HomCoalgebra(coalgebra.dim, new_comul, alpha)
+    return HomCoalgebra(coalgebra.dim, compose(path, (coalgebra.dim,)), alpha)
 
 
 def yau_twist_bialgebra(bialgebra, alpha):

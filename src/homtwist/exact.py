@@ -12,11 +12,9 @@ Everything else in the package builds on the conventions pinned here, once:
   scalars creates no new ones.  ``Matrix.apply`` and
   ``HomAlgebra.product`` skip an input entry when it ``is ZERO``; a zero made
   by arithmetic is not skipped, only multiplied through, so the skip never
-  changes a value.  ``LinearMap.table()`` returns canonical tables (absent
-  entries ``ZERO``, present ones nonzero), and every table the program
-  builds (products, Yau twists, deformations) is one, so it is not walked
-  again; only tables from outside the program (manifest, gallery,
-  ``hom_algebra``) go through ``as_constants``.
+  changes a value.  A ``LinearMap`` stores no zero coefficient, and its
+  dense views ``matrix()`` and ``table()`` fill the absent entries with
+  ``ZERO``.
 * tensor factors flatten row-major, zero-based and left-associatively:
   ``(i, j) -> i*dimB + j``, extended as ``((i, j), k) -> (i*dimB + j)*dimC + k``
   for three or more factors.
@@ -27,15 +25,21 @@ Everything else in the package builds on the conventions pinned here, once:
   one place that applies such a map to a run of factors; an axiom is a pair
   of paths of ``(map, position)`` checked per basis tuple by
   ``scan_composites``, and a derived map (a product table, a lifted map, a
-  composite of two maps) is such a path tabulated by ``compose``.
-  ``mat_inv`` and ``kron`` take and return ``LinearMap``s.  A ``Matrix`` is
-  only input syntax (nested rows, read once by ``LinearMap.from_matrix`` in
-  the manifest, the gallery and ``hom_algebra``/``hom_coalgebra``) and the
-  dense view ``LinearMap.matrix()``.  The exceptions are in ``algebra``:
+  composite of two maps) is such a path tabulated by ``compose`` and stored
+  as it comes.  ``mat_inv`` and ``kron`` take and return ``LinearMap``s.
+  Nested input is read once, at the boundary: rows of a ``Matrix`` by
+  ``LinearMap.from_matrix`` (in the manifest, the gallery and
+  ``hom_algebra``/``hom_coalgebra``), and structure constants by
+  ``as_constants`` then ``LinearMap.from_constants`` (in ``hom_algebra``,
+  ``hom_coalgebra``, ``action_table`` and ``coaction_table``).  Dense views
+  exist only to be read: ``LinearMap.matrix()``, and ``LinearMap.table()``
+  behind the ``mul``, ``comul`` and ``table`` properties of algebras,
+  coalgebras, actions and coactions.  The exceptions are in ``algebra``:
   Hom-associativity and associativity of one algebra, scanned on sparse
   columns that ``compose`` tabulates once per call, and the one
-  multiplicativity scan f(e_i e_j) = f(e_i) f(e_j), the only reader of the
-  dense view, ``Matrix.apply`` and ``HomAlgebra.product``.
+  multiplicativity scan f(e_i e_j) = f(e_i) f(e_j), which reads f through
+  ``matrix()`` and is the only caller of ``Matrix.apply`` and
+  ``HomAlgebra.product``.
 * a precondition is a check whose report must pass; ``CheckReport.require`` is
   the one place that turns a failed report into an exception.  A composite
   constructor calls the public checked constructors it is built from, and
@@ -264,16 +268,6 @@ class LinearMap:
         if len(flat) != _size(src) * n:
             raise DimensionMismatch(f"constants are not shaped {tuple(src) + tuple(dst)}")
         return cls(src, dst, (_nonzero(flat[c * n:(c + 1) * n]) for c in range(_size(src))))
-
-    @classmethod
-    def product(cls, mul):
-        d = len(mul)
-        return cls.from_constants(mul, (d, d), (d,))
-
-    @classmethod
-    def coproduct(cls, comul):
-        d = len(comul)
-        return cls.from_constants(comul, (d,), (d, d))
 
     @classmethod
     def identity(cls, d):

@@ -6,7 +6,8 @@ acceptance suite share a single source.  ``FAMILIES`` declares each name once,
 with its builder and its required and optional parameters; ``build``
 checks the parameters against it and calls the builder with them.  Bundles
 are plain dicts of built objects.  Each matrix is written as rows (or as
-columns, transposed) and read once into a ``LinearMap``.
+columns, transposed) and each table of structure constants as nested
+planes, and either is read once into a ``LinearMap``.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from .algebra import hom_algebra, yau_twist_algebra
 from .coalgebra import HomBialgebra, hom_coalgebra
 from .errors import ParamConstraintViolation
 from .exact import ONE, ZERO, LinearMap, as_scalar
-from .modsmash import LEFT, RIGHT, ActionTable, CoactionTable
+from .modsmash import LEFT, RIGHT, action_table, coaction_table
 from .twisted import (
     CliffordParams,
     TwistingMapR,
@@ -197,8 +198,8 @@ def sweedler_h4():
     comul[x][g][x] = ONE
     comul[gx][gx][g] = ONE
     comul[gx][one][gx] = ONE
-    algebra = hom_algebra(d, tuple(tuple(tuple(r) for r in p) for p in mul))
-    coalgebra = hom_coalgebra(d, tuple(tuple(tuple(r) for r in p) for p in comul))
+    algebra = hom_algebra(d, mul)
+    coalgebra = hom_coalgebra(d, comul)
     return HomBialgebra(algebra, coalgebra)
 
 
@@ -213,8 +214,8 @@ def group_algebra(n):
         comul[i][i][i] = ONE
         for j in range(n):
             mul[i][j][(i + j) % n] = ONE
-    algebra = hom_algebra(n, tuple(tuple(tuple(r) for r in p) for p in mul))
-    coalgebra = hom_coalgebra(n, tuple(tuple(tuple(r) for r in p) for p in comul))
+    algebra = hom_algebra(n, mul)
+    coalgebra = hom_coalgebra(n, comul)
     return HomBialgebra(algebra, coalgebra)
 
 
@@ -236,7 +237,7 @@ def h4_left_action():
         ((z, z), (ONE, z)),  # x: x.1 = 0, x.y = 1
         ((z, z), (ONE, z)),  # gx: gx.1 = 0, gx.y = g.(x.y) = 1
     )
-    return ActionTable(LEFT, 4, 2, table, LinearMap.identity(2))
+    return action_table(LEFT, 4, 2, table, LinearMap.identity(2))
 
 
 def h4_right_action():
@@ -248,7 +249,7 @@ def h4_right_action():
         ((z, z), (ONE, z)),  # . x
         ((z, z), (-ONE, z)),  # . gx, via c.(gx) = (c.g).x
     )
-    return ActionTable(RIGHT, 4, 2, table, LinearMap.identity(2))
+    return action_table(RIGHT, 4, 2, table, LinearMap.identity(2))
 
 
 def h4_twists(c):
@@ -273,15 +274,11 @@ def c2_trivial_yd():
     bi = group_algebra(2)
     module = dual_numbers()
     ident = LinearMap.identity(2)
-    act = ActionTable(
+    act = action_table(
         LEFT, 2, 2, (((ONE, ZERO), (ZERO, ONE)), ((ONE, ZERO), (ZERO, ONE))), ident
     )
-    co_table = []
-    for m in range(2):
-        plane = [[ZERO] * 2 for _ in range(2)]
-        plane[0][m] = ONE  # e (x) e_m
-        co_table.append(tuple(tuple(r) for r in plane))
-    co = CoactionTable(LEFT, 2, 2, tuple(co_table), ident)
+    co_table = (((ONE, ZERO), (ZERO, ZERO)), ((ZERO, ONE), (ZERO, ZERO)))  # e_m -> e (x) e_m
+    co = coaction_table(LEFT, 2, 2, co_table, ident)
     return bi, module, act, co
 
 

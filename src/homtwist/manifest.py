@@ -23,8 +23,8 @@ import re
 from dataclasses import dataclass, field
 
 from . import algebra, coalgebra, gallery, modsmash, twisted, twistor
-from .algebra import HomAlgebra
-from .coalgebra import HomBialgebra, HomCoalgebra
+from .algebra import HomAlgebra, hom_algebra
+from .coalgebra import HomBialgebra, hom_coalgebra
 from .errors import (
     DimensionMismatch,
     DuplicateName,
@@ -34,7 +34,7 @@ from .errors import (
     WrongKind,
 )
 from .exact import LinearMap, Matrix, rat_parse, rat_str
-from .modsmash import ActionTable, CoactionTable
+from .modsmash import action_table, coaction_table
 from .twisted import TwistingMapR
 from .twistor import Operator2, Operator3
 
@@ -156,7 +156,7 @@ def _require_fields(raw, where, *names):
 
 
 def _hom_bialgebra(dim, mul, comul, alpha) -> HomBialgebra:
-    return HomBialgebra(HomAlgebra(dim, mul, alpha), HomCoalgebra(dim, comul, alpha))
+    return HomBialgebra(hom_algebra(dim, mul, alpha), hom_coalgebra(dim, comul, alpha))
 
 
 def _linear_map(source_dim, target_dim, matrix) -> LinearMap:
@@ -170,18 +170,20 @@ def _gallery(name, params) -> dict:
 
 
 # kind -> (builder, fields): the builder takes the fields in order, each
-# depth-2 scalar field as the LinearMap of its matrix, read once.  A builder
-# that is not the class it builds names that class as its return annotation.
+# depth-2 scalar field as the LinearMap of its matrix, read once, and each
+# depth-3 one as nested constants, which the builder reads once into its map.
+# A builder that is not the class it builds names that class as its return
+# annotation.
 OBJECT_KINDS = {
-    "hom_algebra": (HomAlgebra, ("dim", "mul", "alpha")),
-    "hom_coalgebra": (HomCoalgebra, ("dim", "comul", "alpha")),
+    "hom_algebra": (hom_algebra, ("dim", "mul", "alpha")),
+    "hom_coalgebra": (hom_coalgebra, ("dim", "comul", "alpha")),
     "hom_bialgebra": (_hom_bialgebra, ("dim", "mul", "comul", "alpha")),
     "linear_map": (_linear_map, ("source_dim", "target_dim", "matrix")),
     "operator2": (Operator2, ("dim", "matrix")),
     "operator3": (Operator3, ("dim", "matrix")),
     "twisting_map": (TwistingMapR, ("dim_a", "dim_b", "matrix")),
-    "action": (ActionTable, ("side", "acting_dim", "module_dim", "table", "alpha_m")),
-    "coaction": (CoactionTable, ("side", "coalgebra_dim", "module_dim", "table", "alpha_m")),
+    "action": (action_table, ("side", "acting_dim", "module_dim", "table", "alpha_m")),
+    "coaction": (coaction_table, ("side", "coalgebra_dim", "module_dim", "table", "alpha_m")),
     "gallery": (_gallery, ("name", "params")),
 }
 

@@ -1,17 +1,17 @@
 """Modules and comodules over Hom-(bi)algebras, their algebra-compatibility
 checkers, Yetter-Drinfeld modules, and left/right/two-sided Hom-smash products.
 
-Action constants: ``table[h][m][m']`` is the coefficient of ``e_{m'}`` in
-``e_h . e_m`` (left) or ``e_m . e_h`` (right).  Coaction constants:
-``table[m][i][j]`` is the coefficient of ``e_i (x) e_j`` in the coaction of
-``e_m``, where the pair reads (coalgebra, module) on the left side and
-(module, coalgebra) on the right side.
-
-An action's ``map`` reads its constants as (h, m) -> m' on either side, and
-``alpha_m`` is a ``LinearMap`` (dm,) -> (dm,), so every axiom below is a
-composite of these maps, mu, Delta (each algebra's and coalgebra's cached
-``map``) and the structure maps, with flips bringing the factors each map
-acts on together.
+An action stores its map (h, m) -> m' on either side, and a coaction its map
+M -> C (x) M (left) or M -> M (x) C (right), each a ``LinearMap`` beside
+``alpha_m``: (dm,) -> (dm,).  So every axiom below is a composite of these
+maps, mu, Delta and the structure maps, with flips bringing the factors each
+map acts on together, and every action or coaction built here is a
+``compose`` of them.  ``action_table``/``coaction_table`` read nested
+constants, and ``table`` is their dense view: ``table[h][m][m']`` is the
+coefficient of ``e_{m'}`` in ``e_h . e_m`` (left) or ``e_m . e_h`` (right),
+and ``table[m][i][j]`` that of ``e_i (x) e_j`` in the coaction of ``e_m``,
+the pair read (coalgebra, module) on the left and (module, coalgebra) on the
+right.
 """
 
 from dataclasses import dataclass
@@ -39,67 +39,68 @@ def _check_side(side):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def _set_alpha_m(table):
-    """Check that alpha_M is dm x dm and store it as a map (dm,) -> (dm,)."""
-    dm = table.module_dim
-    if table.alpha_m.shape != (dm, dm):
-        raise DimensionMismatch("alpha_M shape does not match the module")
-    object.__setattr__(table, "alpha_m", table.alpha_m.reshaped((dm,), (dm,)))
+@dataclass(frozen=True)
+class _SidedMap:
+    """A one-sided (co)action: its map regrouped into its factors, and alpha_M."""
+
+    def __post_init__(self):
+        _check_side(self.side)
+        dm = self.module_dim
+        if self.alpha_m.shape != (dm, dm):
+            raise DimensionMismatch("alpha_M shape does not match the module")
+        object.__setattr__(self, "map", self.map.reshaped(*self._factors()))
+        object.__setattr__(self, "alpha_m", self.alpha_m.reshaped((dm,), (dm,)))
+
+    @cached_property
+    def table(self):
+        """The dense view of the map's constants (see the module docstring)."""
+        return self.map.table()
 
 
 @dataclass(frozen=True)
-class ActionTable:
-    """Structure constants of a one-sided action together with alpha_M."""
+class ActionTable(_SidedMap):
+    """A one-sided action H (x) M -> M, e_h (x) e_m -> e_h . e_m (or e_m . e_h)."""
 
     side: str
     acting_dim: int
     module_dim: int
-    table: tuple
+    map: LinearMap
     alpha_m: LinearMap
 
-    def __post_init__(self):
-        _check_side(self.side)
-        dh, dm = self.acting_dim, self.module_dim
-        message = f"action constants are not {dh}x{dm}x{dm} shaped"
-        object.__setattr__(self, "table", as_constants(self.table, (dh, dm, dm), message))
-        _set_alpha_m(self)
-
-    @cached_property
-    def map(self):
-        """H (x) M -> M, e_h (x) e_m -> table[h][m], for either side."""
-        return LinearMap.from_constants(
-            self.table, (self.acting_dim, self.module_dim), (self.module_dim,)
-        )
+    def _factors(self):
+        return (self.acting_dim, self.module_dim), (self.module_dim,)
 
 
 @dataclass(frozen=True)
-class CoactionTable:
-    """Structure constants of a one-sided coaction together with alpha_M."""
+class CoactionTable(_SidedMap):
+    """A one-sided coaction: M -> C (x) M on the left side, M -> M (x) C on the right."""
 
     side: str
     coalgebra_dim: int
     module_dim: int
-    table: tuple
+    map: LinearMap
     alpha_m: LinearMap
 
-    def __post_init__(self):
-        _check_side(self.side)
-        if self.side == LEFT:
-            d1, d2 = self.coalgebra_dim, self.module_dim
-        else:
-            d1, d2 = self.module_dim, self.coalgebra_dim
-        dm = self.module_dim
-        message = f"coaction constants are not {dm}x{d1}x{d2} shaped"
-        object.__setattr__(self, "table", as_constants(self.table, (dm, d1, d2), message))
-        _set_alpha_m(self)
-
-    @cached_property
-    def map(self):
-        """M -> C (x) M on the left side, M -> M (x) C on the right side."""
+    def _factors(self):
         pair = (self.coalgebra_dim, self.module_dim)
-        return LinearMap.from_constants(
-            self.table, (self.module_dim,), pair if self.side == LEFT else pair[::-1]
-        )
+        return (self.module_dim,), pair if self.side == LEFT else pair[::-1]
+
+
+def action_table(side, acting_dim, module_dim, table, alpha_m) -> ActionTable:
+    """The action of the nested constants ``table[h][m][m']``."""
+    dh, dm = acting_dim, module_dim
+    table = as_constants(table, (dh, dm, dm), f"action constants are not {dh}x{dm}x{dm} shaped")
+    return ActionTable(side, dh, dm, LinearMap.from_constants(table, (dh, dm), (dm,)), alpha_m)
+
+
+def coaction_table(side, coalgebra_dim, module_dim, table, alpha_m) -> CoactionTable:
+    """The coaction of the nested constants ``table[m][i][j]``."""
+    _check_side(side)
+    dm = module_dim
+    pair = (coalgebra_dim, dm) if side == LEFT else (dm, coalgebra_dim)
+    message = f"coaction constants are not {dm}x{pair[0]}x{pair[1]} shaped"
+    lmap = LinearMap.from_constants(as_constants(table, (dm,) + pair, message), (dm,), pair)
+    return CoactionTable(side, coalgebra_dim, dm, lmap, alpha_m)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +173,8 @@ def yau_twist_module_algebra(side, bialgebra, algebra, action, alpha_h, alpha_a)
     ]).require("alpha_A(h.a) != alpha_H(h).alpha_A(a)", IntertwiningFailure)
     twisted_bi = yau_twist_bialgebra(bialgebra, alpha_h)
     twisted_alg = yau_twist_algebra(algebra, alpha_a)
-    new_table = compose([(act, 0), (fa, 0)], dims).table()
-    twisted_action = ActionTable(side, bialgebra.dim, algebra.dim, new_table, alpha_a)
+    twisted_map = compose([(act, 0), (fa, 0)], dims)
+    twisted_action = ActionTable(side, bialgebra.dim, algebra.dim, twisted_map, alpha_a)
     return twisted_bi, twisted_alg, twisted_action
 
 
@@ -193,8 +194,8 @@ def tensor_modules(bialgebra, act_m, act_n):
         (act_m.map, 0),
         (act_n.map, 1),
     ]
-    table = compose(path, (dh, dm, dn)).reshaped((dh, dm * dn), (dm * dn,)).table()
-    return ActionTable(LEFT, dh, dm * dn, table, kron(act_m.alpha_m, act_n.alpha_m))
+    action = compose(path, (dh, dm, dn))
+    return ActionTable(LEFT, dh, dm * dn, action, kron(act_m.alpha_m, act_n.alpha_m))
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +383,8 @@ def coaction_rho_smash(algebra, bialgebra, action):
     _smash_preconditions(LEFT, bialgebra, algebra, action)
     da, dh = algebra.dim, bialgebra.dim
     path = [(bialgebra.coalgebra.map, 1), (algebra.alpha, 0)]
-    table = compose(path, (da, dh)).reshaped((da * dh,), (da * dh, dh)).table()
-    return CoactionTable(RIGHT, dh, da * dh, table, kron(algebra.alpha, bialgebra.alpha))
+    rho = compose(path, (da, dh))
+    return CoactionTable(RIGHT, dh, da * dh, rho, kron(algebra.alpha, bialgebra.alpha))
 
 
 def coaction_lambda_smash(algebra, bialgebra, action, coaction_a):
@@ -406,8 +407,8 @@ def coaction_lambda_smash(algebra, bialgebra, action, coaction_a):
         (LinearMap.flip(da, dh), 1),
         (bialgebra.algebra.map, 0),
     ]
-    table = compose(path, (da, dh)).reshaped((da * dh,), (dh, da * dh)).table()
-    return CoactionTable(LEFT, dh, da * dh, table, kron(algebra.alpha, bialgebra.alpha))
+    lam = compose(path, (da, dh))
+    return CoactionTable(LEFT, dh, da * dh, lam, kron(algebra.alpha, bialgebra.alpha))
 
 
 def coaction_lambda_right_smash(bialgebra, algebra, action):
@@ -415,8 +416,8 @@ def coaction_lambda_right_smash(bialgebra, algebra, action):
     _smash_preconditions(RIGHT, bialgebra, algebra, action)
     dh, dc = bialgebra.dim, algebra.dim
     path = [(bialgebra.coalgebra.map, 0), (algebra.alpha, 2)]
-    table = compose(path, (dh, dc)).reshaped((dh * dc,), (dh, dh * dc)).table()
-    return CoactionTable(LEFT, dh, dh * dc, table, kron(bialgebra.alpha, algebra.alpha))
+    lam = compose(path, (dh, dc))
+    return CoactionTable(LEFT, dh, dh * dc, lam, kron(bialgebra.alpha, algebra.alpha))
 
 
 # ---------------------------------------------------------------------------

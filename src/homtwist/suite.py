@@ -13,9 +13,9 @@ import time
 
 from . import manifest as manifest_mod
 from .algebra import (
+    HomAlgebra,
     check_associative,
     check_hom_algebra,
-    hom_algebra,
     tensor_algebra,
     yau_twist_algebra,
 )
@@ -160,7 +160,7 @@ def criterion_3_hom_twisting_families(rec):
                 if not check_hom_twisting_map(bundle["A"], bundle["B"], bundle["R"]).passed:
                     return False, f"{name} fails Hom-twisting at l1={l1} sample {sample}"
                 if name == "homtwist_R1" and witness is None:
-                    plain = hom_algebra(2, bundle["A"].mul)
+                    plain = HomAlgebra(2, bundle["A"].map, LinearMap.identity(2))
                     rep = check_twisting_map(plain, plain, bundle["R"])
                     if not rep.passed:
                         witness = (params, rep.failures[0])
@@ -235,14 +235,14 @@ def criterion_5_iterated(rec):
     rec.record("iterated P1", lambda: check_hom_twisting_map(ab, c, p1))
     rec.record("iterated P2", lambda: check_hom_twisting_map(a, bc, p2))
     two_sided = smash_two_sided(a, h4, c, h4_left_action(), h4_right_action())
-    if product.mul != two_sided.mul:
+    if product.map != two_sided.map:
         return False, "iterated product differs from the two-sided smash"
     d = build(GalleryKey("homalg_2dim", {"a": 1, "l1": 1, "l2": 2}))["D"]
     k2 = k2_algebra()
     flips = (flip(2, 2), flip(2, 2), flip(2, 2))
     product2, _, _ = iterated_ttp(d, k2, k2, *flips)
     rec.record("iterated_ttp(all flips)", lambda p=product2: check_hom_algebra(p))
-    if product2.mul != tensor_algebra(tensor_algebra(d, k2), k2).mul:
+    if product2.map != tensor_algebra(tensor_algebra(d, k2), k2).map:
         return False, "all-flip iterated product is not the plain triple tensor product"
     return True, "smash triple braid + both bracketings coincide; all-flip triple reduces to A(x)B(x)C"
 
@@ -304,7 +304,7 @@ def criterion_6_smash_suite(rec):
 def criterion_7_alpha_pseudotwistor(rec):
     """Yau operator triple, alphaAB flip lift and the Clifford alpha variant."""
     d0 = build(GalleryKey("homalg_2dim", {"a": 1, "l1": 2, "l2": 0}))["D"]
-    cases = [(hom_algebra(2, d0.mul), d0.alpha, "Example algebra, l2=0")]
+    cases = [(HomAlgebra(2, d0.map, LinearMap.identity(2)), d0.alpha, "Example algebra, l2=0")]
     cases.append((k2_algebra(), swap_matrix(), "k2 with swap"))
     for algebra_, alpha, tag in cases:
         op, c1, c2 = yau_operator(alpha)

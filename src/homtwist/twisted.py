@@ -16,10 +16,10 @@ is such a path tabulated by ``exact.compose``.
 from dataclasses import dataclass
 
 from .algebra import (
-    HomAlgebra,
     _twisted_product,
     check_associative,
     check_hom_algebra,
+    hom_algebra,
     multiplicativity_scan,
     tensor_algebra,
     yau_twist_algebra,
@@ -235,13 +235,7 @@ class CliffordParams:
 
 def clifford_algebra(q):
     """C(k, q) = k[v]/(v^2 = q) with basis (1, v) and identity structure map."""
-    q = as_scalar(q)
-    one = as_scalar(1)
-    mul = (
-        ((one, ZERO), (ZERO, one)),
-        ((ZERO, one), (q, ZERO)),
-    )
-    return HomAlgebra(2, mul, LinearMap.identity(2))
+    return hom_algebra(2, (((ONE, ZERO), (ZERO, ONE)), ((ZERO, ONE), (q, ZERO))))
 
 
 def clifford(a, params):

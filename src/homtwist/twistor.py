@@ -178,8 +178,7 @@ def check_alpha_pseudotwistor(algebra, alpha, op, comp1, comp2):
 def _deformed(algebra, op, alpha):
     """mu o T with structure map `alpha`; nothing is checked."""
     d = algebra.dim
-    mul = compose([(op.map, 0), (algebra.map, 0)], (d, d)).table()
-    return HomAlgebra._canonical(d, mul, alpha)
+    return HomAlgebra(d, compose([(op.map, 0), (algebra.map, 0)], (d, d)), alpha)
 
 
 def deform(algebra, op):

@@ -321,7 +321,7 @@ class TestApplyAt:
     def test_constants_read_source_factors_first(self):
         # mul[i][j] = e_{i+j mod 2} on k[C2]
         mul = [[[Q(int((i + j) % 2 == k)) for k in range(2)] for j in range(2)] for i in range(2)]
-        mu = LinearMap.product(mul)
+        mu = LinearMap.from_constants(mul, (2, 2), (2,))
         assert mu.src == (2, 2) and mu.dst == (2,)
         assert mu.table() == tuple(tuple(tuple(row) for row in plane) for plane in mul)
 

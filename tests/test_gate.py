@@ -8,7 +8,9 @@ verified fact is cached.  Every structure map is stored as a ``LinearMap``:
 a ``Matrix`` is made only at the input boundary (the manifest, the gallery,
 ``hom_algebra``/``hom_coalgebra``) and as the dense view that
 ``algebra._multiplicative`` reads through ``Matrix.apply`` and
-``HomAlgebra.product``; every other composite goes through
+``HomAlgebra.product``; nested structure constants are read only by the four
+boundary constructors and tabulated only by the dense-view properties
+``mul``, ``comul`` and ``table``; every other composite goes through
 ``exact.compose`` or ``exact.scan_composites``.
 """
 
@@ -21,8 +23,8 @@ import pytest
 
 from homtwist import twisted
 from homtwist.errors import PreconditionFailure
-from homtwist.exact import LinearMap, Matrix
-from homtwist.gallery import GalleryKey, build, k2_algebra
+from homtwist.exact import ONE, LinearMap, Matrix
+from homtwist.gallery import FAMILIES, GalleryKey, build, k2_algebra
 from homtwist.manifest import parse_manifest
 from homtwist.suite import GOLDEN_MANIFEST
 
@@ -109,7 +111,7 @@ class TestSingleGate:
 
 
 # Receivers of a `.product(` or `.apply(` call that are not a HomAlgebra or a Matrix.
-OTHER_PRODUCTS = {"itertools", "LinearMap"}
+OTHER_PRODUCTS = {"itertools"}
 
 
 def call_sites(source, filename, matches):
@@ -165,7 +167,7 @@ class TestOneDenseProductPath:
     def test_the_guard_allows_the_kernel_and_itertools(self):
         kernel = (
             "def scan(dims, mul):\n"
-            "    mu = LinearMap.product(mul)\n"
+            "    mu = apply_path(path, x, dims)\n"
             "    return list(itertools.product(*(range(d) for d in dims)))\n"
         )
         assert dense_product_sites(kernel, "exact.py") == []
@@ -193,6 +195,24 @@ def dense_sites(source, filename):
         isinstance(func, ast.Attribute)
         and (func.attr in ("from_matrix", "matrix") or _names_matrix(func.value))
     ))
+
+
+# One bundle of every gallery family.
+R_PARAMS = {"a": 1, "l1": 1, "a1": 1, "a2": 2, "a3": 3, "a4": 4, "a5": 5}
+GALLERY_KEYS = [
+    GalleryKey("ttp_k2_lambda", {"lam": 2}),
+    GalleryKey("homalg_2dim", {"a": 1, "l1": 1, "l2": 2}),
+    GalleryKey("homtwistor_2dim", {"a": 1, "l1": 1, "l2": 2}),
+    GalleryKey("homtwist_R1", R_PARAMS),
+    GalleryKey("homtwist_R2", R_PARAMS),
+    GalleryKey("homtwist_Dk2", {"a": 1, "l1": 2, "a1": 1, "a2": 1}),
+    GalleryKey("clifford", {"q": 2}),
+    GalleryKey("sweedler_h4", {}),
+    GalleryKey("group_algebra", {"n": 3}),
+    GalleryKey("uq_setup", {"q": 2, "lam": 1, "xi": 1, "l": 1}),
+    GalleryKey("alpha_ttp_flip", {}),
+    GalleryKey("alpha_ttp_clifford", {"q": 2}),
+]
 
 
 def _stored_matrices(obj, where):
@@ -244,11 +264,107 @@ class TestOneDenseView:
 
     def test_no_parsed_or_gallery_object_stores_a_matrix(self):
         objects = parse_manifest(json.dumps(GOLDEN_MANIFEST)).objects
-        for key in (GalleryKey("clifford", {"q": 2}), GalleryKey("alpha_ttp_clifford", {"q": 2}),
-                    GalleryKey("ttp_k2_lambda", {"lam": 2})):
+        for key in GALLERY_KEYS:
             objects[key.name] = build(key)
         assert [p for name, obj in objects.items() for p in _stored_matrices(obj, name)] == []
         assert isinstance(objects["idmap"], LinearMap)
+
+
+# Where nested structure constants are made or read: the dense-view properties
+# (ActionTable and CoactionTable share theirs) and the four boundary constructors.
+TABLE_SITES = ["algebra.py:mul", "coalgebra.py:comul", "modsmash.py:table"]
+CONSTANTS_SITES = [
+    "algebra.py:hom_algebra",
+    "coalgebra.py:hom_coalgebra",
+    "modsmash.py:action_table",
+    "modsmash.py:coaction_table",
+]
+
+def table_sites(source, filename):
+    """`file:function` of each `.table()` call."""
+    return call_sites(source, filename, lambda func: (
+        isinstance(func, ast.Attribute) and func.attr == "table"
+    ))
+
+
+def constants_sites(source, filename):
+    """`file:function` of each `as_constants(` and `from_constants(` call."""
+    return call_sites(source, filename, lambda func: (
+        func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    ) in ("as_constants", "from_constants"))
+
+
+def _stored_tables(obj, where):
+    """Paths of the dataclass fields inside a built object that hold nested tuples."""
+    if isinstance(obj, dict):
+        return [p for k, v in obj.items() for p in _stored_tables(v, f"{where}.{k}")]
+    if not dataclasses.is_dataclass(obj):
+        return []
+    paths = []
+    for f in dataclasses.fields(obj):
+        value, path = getattr(obj, f.name), f"{where}.{f.name}"
+        if isinstance(value, tuple) and any(isinstance(x, tuple) for x in value):
+            paths.append(path)
+        paths += _stored_tables(value, path)
+    return paths
+
+
+@dataclasses.dataclass(frozen=True)
+class _TableField:
+    dim: int
+    mul: tuple
+
+
+class TestOneConstantsBoundary:
+    def _sites(self, find):
+        return sorted({s for p in sorted(SRC.glob("*.py")) for s in find(
+            p.read_text(encoding="utf-8"), p.name)})
+
+    def test_tables_are_made_only_by_the_dense_views(self):
+        assert self._sites(table_sites) == TABLE_SITES
+
+    def test_constants_are_read_only_by_the_boundary_constructors(self):
+        assert self._sites(constants_sites) == CONSTANTS_SITES
+
+    def test_the_guard_sees_a_tabulated_composite(self):
+        old = (
+            "def _yau_twisted(algebra, alpha):\n"
+            "    return HomAlgebra._canonical(d, compose(path, dims).table(), alpha)\n"
+        )
+        assert table_sites(old, "algebra.py") == ["algebra.py:_yau_twisted"]
+
+    def test_the_guard_sees_constants_read_in_a_class(self):
+        old = (
+            "class HomAlgebra:\n"
+            "    def __post_init__(self):\n"
+            "        mul = as_constants(self.mul, (d, d, d), message)\n"
+            "    def map(self):\n"
+            "        return LinearMap.from_constants(self.mul, (d, d), (d,))\n"
+        )
+        assert constants_sites(old, "algebra.py") == ["algebra.py:__post_init__", "algebra.py:map"]
+
+    def test_the_guard_allows_sparse_maps_and_other_tables(self):
+        sparse = (
+            "def _yau_twisted(algebra, alpha):\n"
+            "    mul = compose([(algebra.map, 0), (alpha, 0)], (d, d))\n"
+            "    return HomAlgebra(d, mul, alpha), table(manifest, name)\n"
+        )
+        assert table_sites(sparse, "algebra.py") == []
+        assert constants_sites(sparse, "algebra.py") == []
+
+    def test_every_gallery_family_is_walked(self):
+        assert sorted(key.name for key in GALLERY_KEYS) == sorted(FAMILIES)
+
+    def test_no_parsed_or_gallery_object_stores_a_table(self):
+        objects = parse_manifest(json.dumps(GOLDEN_MANIFEST)).objects
+        for key in GALLERY_KEYS:
+            objects[key.name] = build(key)
+        assert [p for name, obj in objects.items() for p in _stored_tables(obj, name)] == []
+        assert objects["act"].table == (((ONE, 0), (0, ONE)),) * 2
+
+    def test_the_walk_sees_a_stored_table(self):
+        bundle = {"old": _TableField(1, ((ONE,),)), "expected_mul": ((ONE,),)}
+        assert _stored_tables(bundle, "b") == ["b.old.mul"]
 
 
 # The builders that check nothing, and the checked constructors allowed to call them.

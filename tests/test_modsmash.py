@@ -15,8 +15,7 @@ from homtwist.gallery import (
 from homtwist.modsmash import (
     LEFT,
     RIGHT,
-    ActionTable,
-    CoactionTable,
+    action_table,
     check_bicomodule,
     check_comodule,
     check_comodule_hom_algebra,
@@ -27,6 +26,7 @@ from homtwist.modsmash import (
     coaction_lambda_right_smash,
     coaction_lambda_smash,
     coaction_rho_smash,
+    coaction_table,
     smash_left,
     smash_right,
     smash_two_sided,
@@ -49,7 +49,7 @@ def regular_action(bialgebra):
     """H acting on itself by its own multiplication."""
     h = bialgebra.algebra
     table = tuple(tuple(tuple(h.mul[i][j]) for j in range(h.dim)) for i in range(h.dim))
-    return ActionTable(LEFT, h.dim, h.dim, table, h.alpha)
+    return action_table(LEFT, h.dim, h.dim, table, h.alpha)
 
 
 def zero_action(bialgebra, module_dim, alpha_m=None, side=LEFT):
@@ -57,7 +57,7 @@ def zero_action(bialgebra, module_dim, alpha_m=None, side=LEFT):
         tuple((ZERO,) * module_dim for _ in range(module_dim)) for _ in range(bialgebra.dim)
     )
     alpha_m = alpha_m or LinearMap.identity(module_dim)
-    return ActionTable(side, bialgebra.dim, module_dim, table, alpha_m)
+    return action_table(side, bialgebra.dim, module_dim, table, alpha_m)
 
 
 def regular_coaction(bialgebra, side):
@@ -66,7 +66,7 @@ def regular_coaction(bialgebra, side):
         table = tuple(tuple(tuple(row) for row in plane) for plane in c.comul)
     else:
         table = tuple(tuple(tuple(row) for row in plane) for plane in c.comul)
-    return CoactionTable(side, c.dim, c.dim, table, c.alpha)
+    return coaction_table(side, c.dim, c.dim, table, c.alpha)
 
 
 def zero_coaction(bialgebra, module_dim, side):
@@ -74,7 +74,7 @@ def zero_coaction(bialgebra, module_dim, side):
     table = tuple(
         tuple((ZERO,) * dims[1] for _ in range(dims[0])) for _ in range(module_dim)
     )
-    return CoactionTable(side, bialgebra.dim, module_dim, table, LinearMap.identity(module_dim))
+    return coaction_table(side, bialgebra.dim, module_dim, table, LinearMap.identity(module_dim))
 
 
 class TestCheckModule:
@@ -101,7 +101,7 @@ class TestCheckModule:
         act = h4_left_action()
         table = [list(list(r) for r in p) for p in act.table]
         table[2][0][0] = ONE  # x . 1 = 1 breaks the module axioms
-        bad = ActionTable(LEFT, 4, 2, table, act.alpha_m)
+        bad = action_table(LEFT, 4, 2, table, act.alpha_m)
         assert not check_module(LEFT, h4.algebra, bad).passed
 
     def test_right_module(self):
@@ -123,7 +123,7 @@ class TestModuleHomAlgebra:
         act = h4_left_action()
         table = [list(list(r) for r in p) for p in act.table]
         table[2][1][0] = -table[2][1][0]  # x . y = -1 alone breaks g.(x.y) = (gx).y
-        bad = ActionTable(LEFT, 4, 2, table, act.alpha_m)
+        bad = action_table(LEFT, 4, 2, table, act.alpha_m)
         with pytest.raises(PreconditionFailure):
             check_module_hom_algebra(LEFT, h4, dual_numbers(), bad)
 
@@ -135,7 +135,7 @@ class TestModuleHomAlgebra:
         table = [list(list(r) for r in p) for p in act.table]
         table[2][1][0] = -table[2][1][0]
         table[3][1][0] = -table[3][1][0]
-        twisted = ActionTable(LEFT, 4, 2, table, act.alpha_m)
+        twisted = action_table(LEFT, 4, 2, table, act.alpha_m)
         assert check_module_hom_algebra(LEFT, h4, dual_numbers(), twisted).passed
 
     def test_non_automorphism_g_action_fails_compatibility(self):
@@ -149,7 +149,7 @@ class TestModuleHomAlgebra:
             ((z, z), (z, z)),  # x acts as zero
             ((z, z), (z, z)),  # gx = g(x .) acts as zero
         )
-        bad = ActionTable(LEFT, 4, 2, table, LinearMap.identity(2))
+        bad = action_table(LEFT, 4, 2, table, LinearMap.identity(2))
         assert check_module(LEFT, h4.algebra, bad).passed
         rep = check_module_hom_algebra(LEFT, h4, dual_numbers(), bad)
         assert not rep.passed
@@ -199,7 +199,7 @@ class TestYauTwistModuleAlgebra:
 class TestTensorModules:
     def test_trivial_one_dimensional(self):
         c2 = group_algebra(2)
-        triv = ActionTable(LEFT, 2, 1, (((ONE,),), ((ONE,),)), LinearMap.identity(1))
+        triv = action_table(LEFT, 2, 1, (((ONE,),), ((ONE,),)), LinearMap.identity(1))
         assert check_module(LEFT, c2.algebra, triv).passed
         squared = tensor_modules(c2, triv, triv)
         assert squared.module_dim == 1
@@ -214,7 +214,7 @@ class TestTensorModules:
     def test_dimension_mismatch(self):
         h4 = sweedler_h4()
         c2 = group_algebra(2)
-        triv = ActionTable(LEFT, 2, 1, (((ONE,),), ((ONE,),)), LinearMap.identity(1))
+        triv = action_table(LEFT, 2, 1, (((ONE,),), ((ONE,),)), LinearMap.identity(1))
         with pytest.raises(DimensionMismatch):
             tensor_modules(h4, h4_left_action(), triv)
 
@@ -235,7 +235,7 @@ class TestComodules:
         co = regular_coaction(h4, LEFT)
         table = [list(list(r) for r in p) for p in co.table]
         table[1][0][0] = table[1][0][0] + 1
-        bad = CoactionTable(LEFT, 4, 4, table, co.alpha_m)
+        bad = coaction_table(LEFT, 4, 4, table, co.alpha_m)
         assert not check_comodule(LEFT, h4.coalgebra, bad).passed
 
 
@@ -258,7 +258,7 @@ class TestBicomodule:
         rho = regular_coaction(c2, RIGHT)
         table = [list(list(r) for r in p) for p in rho.table]
         table[1] = [[ZERO, ONE], [ZERO, ZERO]]  # rho(g) = e (x) g
-        skew = CoactionTable(RIGHT, 2, 2, table, rho.alpha_m)
+        skew = coaction_table(RIGHT, 2, 2, table, rho.alpha_m)
         if check_comodule(RIGHT, c2.coalgebra, skew).passed:
             assert not check_bicomodule(c2.coalgebra, lam, skew).passed
         else:
@@ -280,7 +280,7 @@ class TestComoduleHomAlgebra:
         bi, module, _act, co = c2_trivial_yd()
         table = [list(list(r) for r in p) for p in co.table]
         table[1][1][1] = ONE  # lambda(y) gains a g (x) y term
-        bad = CoactionTable(LEFT, 2, 2, table, co.alpha_m)
+        bad = coaction_table(LEFT, 2, 2, table, co.alpha_m)
         if check_comodule(LEFT, bi.coalgebra, bad).passed:
             assert not check_comodule_hom_algebra(LEFT, bi, module, bad).passed
         else:
@@ -432,7 +432,7 @@ class TestCoactions:
         rho = coaction_rho_smash(a, h4, h4_left_action())
         table = [list(list(r) for r in p) for p in rho.table]
         table[0][0][1] = table[0][0][1] + 1
-        bad = CoactionTable(RIGHT, 4, 8, table, rho.alpha_m)
+        bad = coaction_table(RIGHT, 4, 8, table, rho.alpha_m)
         assert not check_comodule(RIGHT, h4.coalgebra, bad).passed
 
     def test_lambda_right_smash(self):
@@ -460,7 +460,7 @@ class TestYetterDrinfeld:
         table = [list(list(r) for r in p) for p in co.table]
         for m in range(2):
             table[m][0][m] = ONE  # m -> e (x) m
-        trivial = CoactionTable(LEFT, 2, 2, table, LinearMap.identity(2))
+        trivial = coaction_table(LEFT, 2, 2, table, LinearMap.identity(2))
         assert check_yetter_drinfeld(c2, act, trivial).passed
 
     def test_regular_coaction_is_not_yd(self):
@@ -475,7 +475,7 @@ class TestYetterDrinfeld:
         co = regular_coaction(c2, LEFT)
         table = [list(list(r) for r in p) for p in co.table]
         table[1][1][1] = -table[1][1][1]
-        bad = CoactionTable(LEFT, 2, 2, table, co.alpha_m)
+        bad = coaction_table(LEFT, 2, 2, table, co.alpha_m)
         if check_comodule(LEFT, c2.coalgebra, bad).passed:
             assert not check_yetter_drinfeld(c2, act, bad).passed
         else:

@@ -29,10 +29,10 @@ from homtwist.gallery import (
 from homtwist.modsmash import (
     LEFT,
     RIGHT,
-    ActionTable,
-    CoactionTable,
+    action_table,
     check_smash_twist_compat,
     coaction_lambda_smash,
+    coaction_table,
     smash_left,
     smash_right,
     smash_two_sided,
@@ -66,14 +66,14 @@ def _broken_right_action():
     right = h4_right_action()
     table = [[list(row) for row in plane] for plane in right.table]
     table[1][1][1] = table[1][1][1] + 1
-    return ActionTable(RIGHT, 4, 2, table, right.alpha_m)
+    return action_table(RIGHT, 4, 2, table, right.alpha_m)
 
 
 def _g_swaps_action():
     """g swaps 1 and y: a module, but not a module algebra."""
     z, o = ZERO, ONE
     table = (((o, z), (z, o)), ((z, o), (o, z)), ((z, z), (z, z)), ((z, z), (z, z)))
-    return ActionTable(LEFT, 4, 2, table, LinearMap.identity(2))
+    return action_table(LEFT, 4, 2, table, LinearMap.identity(2))
 
 
 def _broken_left_action():
@@ -81,14 +81,14 @@ def _broken_left_action():
     left = h4_left_action()
     table = [[list(row) for row in plane] for plane in left.table]
     table[2][1][0] = table[2][1][0] + 1
-    return ActionTable(LEFT, 4, 2, table, left.alpha_m)
+    return action_table(LEFT, 4, 2, table, left.alpha_m)
 
 
 def _trivial_coaction():
     """y^i -> 1 (x) y^i, a left H4-coaction on the dual numbers."""
     table = [[[ONE if (h, j) == (0, m) else ZERO for j in range(2)] for h in range(4)]
              for m in range(2)]
-    return CoactionTable(LEFT, 4, 2, table, LinearMap.identity(2))
+    return coaction_table(LEFT, 4, 2, table, LinearMap.identity(2))
 
 
 def _perturbed_h4():

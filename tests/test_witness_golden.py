@@ -49,6 +49,7 @@ from homtwist.modsmash import (
     RIGHT,
     ActionTable,
     CoactionTable,
+    action_table,
     check_bicomodule,
     check_comodule,
     check_comodule_hom_algebra,
@@ -59,6 +60,7 @@ from homtwist.modsmash import (
     coaction_lambda_right_smash,
     coaction_lambda_smash,
     coaction_rho_smash,
+    coaction_table,
     smash_left,
     smash_right,
     smash_two_sided,
@@ -152,19 +154,19 @@ def swap_operator2():
 
 def regular_action(bialgebra):
     h = bialgebra.algebra
-    return ActionTable(LEFT, h.dim, h.dim, h.mul, h.alpha)
+    return action_table(LEFT, h.dim, h.dim, h.mul, h.alpha)
 
 
 def regular_coaction(bialgebra, side):
     c = bialgebra.coalgebra
-    return CoactionTable(side, c.dim, c.dim, c.comul, c.alpha)
+    return coaction_table(side, c.dim, c.dim, c.comul, c.alpha)
 
 
 def h4_bad_g_action():
     """g swaps 1 and y: a module, but not a module algebra."""
     z, o = ZERO, ONE
     table = (((o, z), (z, o)), ((z, o), (o, z)), ((z, z), (z, z)), ((z, z), (z, z)))
-    return ActionTable(LEFT, 4, 2, table, LinearMap.identity(2))
+    return action_table(LEFT, 4, 2, table, LinearMap.identity(2))
 
 
 def twisted_h4(c=2):
@@ -292,13 +294,13 @@ def checker_cases():
     # modsmash.py
     h4 = sweedler_h4()
     act = h4_left_action()
-    bad_act = ActionTable(LEFT, 4, 2, _edit_table(act.table, {(2, 0, 0): ONE}), act.alpha_m)
+    bad_act = action_table(LEFT, 4, 2, _edit_table(act.table, {(2, 0, 0): ONE}), act.alpha_m)
     case("module/pass", lambda: check_module(LEFT, h4.algebra, regular_action(h4)))
     case("module/pass_hom", lambda: check_module(LEFT, twisted_h4().algebra, regular_action(twisted_h4())))
     case("module/fail", lambda: check_module(LEFT, h4.algebra, bad_act))
     case("module/right_pass", lambda: check_module(RIGHT, h4.algebra, h4_right_action()))
     ract = h4_right_action()
-    bad_ract = ActionTable(RIGHT, 4, 2, _edit_table(ract.table, {(1, 0, 0): Q(2)}), ract.alpha_m)
+    bad_ract = action_table(RIGHT, 4, 2, _edit_table(ract.table, {(1, 0, 0): Q(2)}), ract.alpha_m)
     case("module/right_fail", lambda: check_module(RIGHT, h4.algebra, bad_ract))
     case("module/precondition", lambda: check_module(RIGHT, h4.algebra, act))
     case("module_hom_algebra/pass", lambda: check_module_hom_algebra(LEFT, h4, dual_numbers(), act))
@@ -318,7 +320,7 @@ def checker_cases():
     alpha_h, alpha_a = h4_twists(2)
     hb, alg, tact = yau_twist_module_algebra(LEFT, h4, dual_numbers(), act, alpha_h, alpha_a)
     case("module_hom_algebra/twisted_pass", lambda: check_module_hom_algebra(LEFT, hb, alg, tact))
-    bad_tact = ActionTable(LEFT, 4, 2, _edit_table(tact.table, {(3, 1, 0): Q(5)}), tact.alpha_m)
+    bad_tact = action_table(LEFT, 4, 2, _edit_table(tact.table, {(3, 1, 0): Q(5)}), tact.alpha_m)
     case("module_hom_algebra/twisted_precondition", lambda: check_module_hom_algebra(LEFT, hb, alg, bad_tact))
     for side in (LEFT, RIGHT):
         case(f"comodule/{side}_pass", lambda side=side: check_comodule(side, h4.coalgebra, regular_coaction(h4, side)))
@@ -327,10 +329,10 @@ def checker_cases():
             lambda side=side: check_comodule(side, th.coalgebra, regular_coaction(th, side)),
         )
         co = regular_coaction(h4, side)
-        bad_co = CoactionTable(side, 4, 4, _edit_table(co.table, {(1, 0, 0): Q(2), (3, 2, 1): ONE}), co.alpha_m)
+        bad_co = coaction_table(side, 4, 4, _edit_table(co.table, {(1, 0, 0): Q(2), (3, 2, 1): ONE}), co.alpha_m)
         case(f"comodule/{side}_fail", lambda side=side, bad_co=bad_co: check_comodule(side, h4.coalgebra, bad_co))
     rho = coaction_rho_smash(dual_numbers(), h4, act)
-    bad_rho = CoactionTable(RIGHT, 4, 8, _edit_table(rho.table, {(0, 0, 1): ONE}), rho.alpha_m)
+    bad_rho = coaction_table(RIGHT, 4, 8, _edit_table(rho.table, {(0, 0, 1): ONE}), rho.alpha_m)
     case("comodule/rho_smash_fail", lambda: check_comodule(RIGHT, h4.coalgebra, bad_rho))
     case("comodule/precondition", lambda: check_comodule(LEFT, h4.coalgebra, rho))
     lam_h4, rho_h4 = regular_coaction(h4, LEFT), regular_coaction(h4, RIGHT)
@@ -340,20 +342,20 @@ def checker_cases():
         lambda: check_bicomodule(th.coalgebra, regular_coaction(th, LEFT), regular_coaction(th, RIGHT)),
     )
     c2 = group_algebra(2)
-    skew = CoactionTable(
+    skew = coaction_table(
         RIGHT, 2, 2, _edit_table(c2.comul, {(1, 0, 1): ONE, (1, 1, 1): ZERO}), c2.alpha
     )
     case("bicomodule/skew", lambda: check_bicomodule(c2.coalgebra, regular_coaction(c2, LEFT), skew))
-    flip_lam = CoactionTable(
+    flip_lam = coaction_table(
         LEFT, 2, 2, ((((ONE, ZERO), (ZERO, ZERO))), ((ZERO, ZERO), (ZERO, ONE))), LinearMap.identity(2)
     )
-    flip_rho = CoactionTable(
+    flip_rho = coaction_table(
         RIGHT, 2, 2, ((((ZERO, ONE), (ZERO, ZERO))), ((ONE, ZERO), (ZERO, ZERO))), LinearMap.identity(2)
     )
     case("bicomodule/mixed", lambda: check_bicomodule(c2.coalgebra, flip_lam, flip_rho))
     h = Q(1, 2)
-    graded_lam = CoactionTable(LEFT, 2, 2, (((o, z), (z, z)), ((z, z), (z, o))), LinearMap.identity(2))
-    rotated_rho = CoactionTable(RIGHT, 2, 2, (((h, h), (h, -h)), ((h, -h), (h, h))), LinearMap.identity(2))
+    graded_lam = coaction_table(LEFT, 2, 2, (((o, z), (z, z)), ((z, z), (z, o))), LinearMap.identity(2))
+    rotated_rho = coaction_table(RIGHT, 2, 2, (((h, h), (h, -h)), ((h, -h), (h, h))), LinearMap.identity(2))
     case("bicomodule/fail", lambda: check_bicomodule(c2.coalgebra, graded_lam, rotated_rho))
     bi, module, yd_act, yd_co = c2_trivial_yd()
     case("comodule_hom_algebra/pass", lambda: check_comodule_hom_algebra(LEFT, bi, module, yd_co))
@@ -363,12 +365,12 @@ def checker_cases():
     )
     _, smash = smash_left(dual_numbers(), h4, act)
     case("comodule_hom_algebra/right_pass", lambda: check_comodule_hom_algebra(RIGHT, h4, smash, rho))
-    bad_yd_co = CoactionTable(LEFT, 2, 2, _edit_table(yd_co.table, {(1, 1, 1): ONE}), yd_co.alpha_m)
+    bad_yd_co = coaction_table(LEFT, 2, 2, _edit_table(yd_co.table, {(1, 1, 1): ONE}), yd_co.alpha_m)
     case("comodule_hom_algebra/precondition", lambda: check_comodule_hom_algebra(LEFT, bi, module, bad_yd_co))
-    bad_rho2 = CoactionTable(RIGHT, 4, 8, _edit_table(rho.table, {(5, 4, 1): Q(-1)}), rho.alpha_m)
+    bad_rho2 = coaction_table(RIGHT, 4, 8, _edit_table(rho.table, {(5, 4, 1): Q(-1)}), rho.alpha_m)
     case("comodule_hom_algebra/right_precondition", lambda: check_comodule_hom_algebra(RIGHT, h4, smash, bad_rho2))
-    odd_unit_left = CoactionTable(LEFT, 2, 2, (((z, z), (o, z)), ((z, o), (z, z))), LinearMap.identity(2))
-    odd_unit_right = CoactionTable(RIGHT, 2, 2, (((z, o), (z, z)), ((z, z), (o, z))), LinearMap.identity(2))
+    odd_unit_left = coaction_table(LEFT, 2, 2, (((z, z), (o, z)), ((z, o), (z, z))), LinearMap.identity(2))
+    odd_unit_right = coaction_table(RIGHT, 2, 2, (((z, o), (z, z)), ((z, z), (o, z))), LinearMap.identity(2))
     case(
         "comodule_hom_algebra/fail_grading",
         lambda: check_comodule_hom_algebra(LEFT, c2, dual_numbers(), odd_unit_left),
