@@ -382,9 +382,12 @@ def apply_path(path, x, dims):
 
 def compose(path, dims):
     """The composite of `path` on tensors over `dims`, tabulated as a LinearMap."""
-    cols, out_dims = [], tuple(dims)
+    # the empty tensor checks every factor and gives the target dims, even when no
+    # source basis element exists
+    _, out_dims = apply_path(path, {}, dims)
+    cols = []
     for c in range(_size(dims)):
-        y, out_dims = apply_path(path, {c: ONE}, dims)
+        y, _ = apply_path(path, {c: ONE}, dims)
         cols.append(tuple((r, v) for r, v in y.items() if v))
     return LinearMap(dims, out_dims, cols)
 

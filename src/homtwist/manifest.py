@@ -15,7 +15,8 @@ error is raised, and bind their result under ``as``.
 Two tables hold what parsing, execution and ``table`` need to know:
 ``OBJECT_KINDS`` gives each kind's builder and fields, and ``SIGNATURES`` each
 op's layer module, argument kinds and result.  The verb tables are built from
-``SIGNATURES``: each verb calls the layer function of the op's name.
+``SIGNATURES``: each verb calls the layer function of the op's name on the
+task's arguments, with no exception (a one-sided table carries its own side).
 """
 
 import json
@@ -278,21 +279,15 @@ SIGNATURES = {
     ),
 }
 
-# The modsmash checks whose last argument is a one-sided table: the layer
-# function takes that table's side first.
-_SIDED = ("check_module", "check_module_hom_algebra", "check_comodule",
-          "check_comodule_hom_algebra")
-
 
 def _verb(module, op):
     """The verb that calls `module.op` on a task's arguments.
 
     The function is looked up on the module at call time, never stored, so a
     wrapper installed on the module sees the call.  Arguments arrive already
-    coerced to the first kind of their slot in SIGNATURES.
+    coerced to the first kind of their slot in SIGNATURES, and every layer
+    function takes exactly those.
     """
-    if op in _SIDED:
-        return lambda *args: getattr(module, op)(args[-1].side, *args)
     return lambda *args: getattr(module, op)(*args)
 
 

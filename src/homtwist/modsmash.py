@@ -11,7 +11,9 @@ constants, and ``table`` is their dense view: ``table[h][m][m']`` is the
 coefficient of ``e_{m'}`` in ``e_h . e_m`` (left) or ``e_m . e_h`` (right),
 and ``table[m][i][j]`` that of ``e_i (x) e_j`` in the coaction of ``e_m``,
 the pair read (coalgebra, module) on the left and (module, coalgebra) on the
-right.
+right.  A table states its side once: every checker reads ``action.side`` or
+``coaction.side``, and the action's side picks the left smash A # H or the
+right smash H # C.
 """
 
 from dataclasses import dataclass
@@ -108,18 +110,15 @@ def coaction_table(side, coalgebra_dim, module_dim, table, alpha_m) -> CoactionT
 # ---------------------------------------------------------------------------
 
 
-def check_module(side, algebra, action):
-    """Hom-module axioms for the declared side."""
-    _check_side(side)
-    if action.side != side:
-        raise DimensionMismatch(f"action table is {action.side}-sided, expected {side}")
+def check_module(algebra, action):
+    """Hom-module axioms on the action's side."""
     if action.acting_dim != algebra.dim:
         raise DimensionMismatch("acting dimension does not match the algebra")
     d, dm = algebra.dim, action.module_dim
     act = action.map
     ah, am = algebra.alpha, action.alpha_m
     # left: alpha(h) . (h' . m); right: (m . h) . alpha(h'), so h goes first
-    first = [] if side == LEFT else [(LinearMap.flip(d, d), 0)]
+    first = [] if action.side == LEFT else [(LinearMap.flip(d, d), 0)]
     return scan_composites([
         ((d, dm), [("module_alpha", [(act, 0), (am, 0)], [(ah, 0), (am, 1), (act, 0)])]),
         ((d, d, dm), [(
@@ -130,13 +129,13 @@ def check_module(side, algebra, action):
     ])
 
 
-def check_module_hom_algebra(side, bialgebra, algebra, action):
+def check_module_hom_algebra(bialgebra, algebra, action):
     """Module axioms plus alpha_H^2(h) . (a a') = (h1 . a)(h2 . a') (or its mirror)."""
     if action.module_dim != algebra.dim:
         raise DimensionMismatch("module dimension does not match the algebra")
     if action.alpha_m != algebra.alpha:
         raise PreconditionFailure("action alpha_M must equal the algebra structure map")
-    check_module(side, bialgebra.algebra, action).require("check_module")
+    check_module(bialgebra.algebra, action).require("check_module")
     dh, da = bialgebra.dim, algebra.dim
     ah, act, mu = bialgebra.alpha, action.map, algebra.map
     delta = bialgebra.coalgebra.map
@@ -147,7 +146,7 @@ def check_module_hom_algebra(side, bialgebra, algebra, action):
     )])])
 
 
-def yau_twist_module_algebra(side, bialgebra, algebra, action, alpha_h, alpha_a):
+def yau_twist_module_algebra(bialgebra, algebra, action, alpha_h, alpha_a):
     """Twist a classical module algebra into a module Hom-algebra.
 
     The new action is h . a -> alpha_A(h . a); requires the intertwining
@@ -157,9 +156,7 @@ def yau_twist_module_algebra(side, bialgebra, algebra, action, alpha_h, alpha_a)
         raise PreconditionFailure("classical input required (identity structure maps)")
     if not action.alpha_m.is_identity():
         raise PreconditionFailure("classical action required (identity alpha_M)")
-    check_module_hom_algebra(side, bialgebra, algebra, action).require(
-        "classical module algebra axioms"
-    )
+    check_module_hom_algebra(bialgebra, algebra, action).require("classical module algebra axioms")
     h, c = bialgebra.algebra, bialgebra.coalgebra
     multiplicativity_scan(h, alpha_h).require("alpha_H is not multiplicative", NotMultiplicative)
     _comultiplicativity_scan(c, alpha_h).require("alpha_H must be a coalgebra endomorphism")
@@ -174,7 +171,7 @@ def yau_twist_module_algebra(side, bialgebra, algebra, action, alpha_h, alpha_a)
     twisted_bi = yau_twist_bialgebra(bialgebra, alpha_h)
     twisted_alg = yau_twist_algebra(algebra, alpha_a)
     twisted_map = compose([(act, 0), (fa, 0)], dims)
-    twisted_action = ActionTable(side, bialgebra.dim, algebra.dim, twisted_map, alpha_a)
+    twisted_action = ActionTable(action.side, bialgebra.dim, algebra.dim, twisted_map, alpha_a)
     return twisted_bi, twisted_alg, twisted_action
 
 
@@ -185,7 +182,7 @@ def tensor_modules(bialgebra, act_m, act_n):
     if act_m.acting_dim != bialgebra.dim or act_n.acting_dim != bialgebra.dim:
         raise DimensionMismatch("acting dimensions do not match the bialgebra")
     for act, name in ((act_m, "M"), (act_n, "N")):
-        check_module(LEFT, bialgebra.algebra, act).require(f"check_module:{name}")
+        check_module(bialgebra.algebra, act).require(f"check_module:{name}")
     dh = bialgebra.dim
     dm, dn = act_m.module_dim, act_n.module_dim
     path = [
@@ -203,16 +200,13 @@ def tensor_modules(bialgebra, act_m, act_n):
 # ---------------------------------------------------------------------------
 
 
-def check_comodule(side, coalgebra, coaction):
-    """Hom-comodule axioms for the declared side."""
-    _check_side(side)
-    if coaction.side != side:
-        raise DimensionMismatch(f"coaction table is {coaction.side}-sided, expected {side}")
+def check_comodule(coalgebra, coaction):
+    """Hom-comodule axioms on the coaction's side."""
     if coaction.coalgebra_dim != coalgebra.dim:
         raise DimensionMismatch("coalgebra dimension does not match")
     co = coaction.map
     am, ac, delta = coaction.alpha_m, coalgebra.alpha, coalgebra.map
-    if side == LEFT:
+    if coaction.side == LEFT:
         # (alpha_C (x) alpha_M) o lambda, and
         # (Delta (x) alpha_M) o lambda = (alpha_C (x) lambda) o lambda
         pair_alpha = [(ac, 0), (am, 1)]
@@ -235,8 +229,8 @@ def check_bicomodule(coalgebra, lam, rho):
         raise DimensionMismatch("bicomodule needs a left and a right coaction")
     if lam.module_dim != rho.module_dim or lam.alpha_m != rho.alpha_m:
         raise PreconditionFailure("coactions must share the module and alpha_M")
-    for side, table, name in ((LEFT, lam, "left"), (RIGHT, rho, "right")):
-        check_comodule(side, coalgebra, table).require(f"check_comodule:{name}")
+    for table in (lam, rho):
+        check_comodule(coalgebra, table).require(f"check_comodule:{table.side}")
     ac = coalgebra.alpha
     return scan_composites([((lam.module_dim,), [(
         "bicomodule_interchange",
@@ -245,18 +239,18 @@ def check_bicomodule(coalgebra, lam, rho):
     )])])
 
 
-def check_comodule_hom_algebra(side, bialgebra, algebra, coaction):
+def check_comodule_hom_algebra(bialgebra, algebra, coaction):
     """The coaction must be multiplicative into the tensor Hom-algebra."""
     if coaction.module_dim != algebra.dim:
         raise DimensionMismatch("module dimension does not match the algebra")
     if coaction.alpha_m != algebra.alpha:
         raise PreconditionFailure("coaction alpha_M must equal the algebra structure map")
-    check_comodule(side, bialgebra.coalgebra, coaction).require("check_comodule")
+    check_comodule(bialgebra.coalgebra, coaction).require("check_comodule")
     dh, da = bialgebra.dim, algebra.dim
     co = coaction.map
     mu_a, mu_h = algebra.map, bialgebra.algebra.map
     # co(a) co(a'): the two coactions' middle factors trade places, then multiply pairwise
-    if side == LEFT:
+    if coaction.side == LEFT:
         products = [(LinearMap.flip(da, dh), 1), (mu_h, 0), (mu_a, 1)]
     else:
         products = [(LinearMap.flip(dh, da), 1), (mu_a, 0), (mu_h, 1)]
@@ -271,8 +265,8 @@ def check_yetter_drinfeld(bialgebra, action, coaction):
         raise PreconditionFailure("Yetter-Drinfeld data must be left-sided")
     if action.module_dim != coaction.module_dim or action.alpha_m != coaction.alpha_m:
         raise PreconditionFailure("action and coaction must share the module and alpha_M")
-    check_module(LEFT, bialgebra.algebra, action).require("check_module")
-    check_comodule(LEFT, bialgebra.coalgebra, coaction).require("check_comodule")
+    check_module(bialgebra.algebra, action).require("check_module")
+    check_comodule(bialgebra.coalgebra, coaction).require("check_comodule")
     dh, dm = bialgebra.dim, action.module_dim
     a, act, co = bialgebra.alpha, action.map, coaction.map
     mu, delta = bialgebra.algebra.map, bialgebra.coalgebra.map
@@ -293,10 +287,10 @@ def check_yetter_drinfeld(bialgebra, action, coaction):
 
 
 def _smash_preconditions(side, bialgebra, algebra, action):
-    """The module-algebra check; returns the inverses of alpha_H and the algebra's alpha."""
-    check_module_hom_algebra(side, bialgebra, algebra, action).require(
-        "check_module_hom_algebra"
-    )
+    """A `side` action passing the module-algebra check; returns alpha_H^{-1}, alpha_A^{-1}."""
+    if action.side != side:
+        raise DimensionMismatch(f"action table is {action.side}-sided, expected {side}")
+    check_module_hom_algebra(bialgebra, algebra, action).require("check_module_hom_algebra")
     return mat_inv(bialgebra.alpha), mat_inv(algebra.alpha)  # NotInvertible propagates
 
 
@@ -394,7 +388,7 @@ def coaction_lambda_smash(algebra, bialgebra, action, coaction_a):
     to be a Yetter-Drinfeld module.
     """
     _smash_preconditions(LEFT, bialgebra, algebra, action)
-    check_comodule_hom_algebra(LEFT, bialgebra, algebra, coaction_a).require(
+    check_comodule_hom_algebra(bialgebra, algebra, coaction_a).require(
         "check_comodule_hom_algebra"
     )
     check_yetter_drinfeld(bialgebra, action, coaction_a).require(
@@ -425,18 +419,17 @@ def coaction_lambda_right_smash(bialgebra, algebra, action):
 # ---------------------------------------------------------------------------
 
 
-def check_smash_twist_compat(side, bialgebra, algebra, action, alpha_h, alpha_x):
+def check_smash_twist_compat(bialgebra, algebra, action, alpha_h, alpha_x):
     """Twisted classical smash equals Hom-smash of the twists, and R = P.
 
-    `side` selects the left smash A # H or the right smash H # C; all inputs
-    are classical.  P is the classical smash twisting map (h (x) a -> h1 . a
-    (x) h2 on the left, c (x) h -> h1 (x) c . h2 on the right).
+    The action's side selects the left smash A # H or the right smash H # C;
+    all inputs are classical.  P is the classical smash twisting map (h (x) a
+    -> h1 . a (x) h2 on the left, c (x) h -> h1 (x) c . h2 on the right).
     """
-    _check_side(side)
     twisted_bi, twisted_alg, twisted_act = yau_twist_module_algebra(
-        side, bialgebra, algebra, action, alpha_h, alpha_x
+        bialgebra, algebra, action, alpha_h, alpha_x
     )
-    if side == LEFT:
+    if action.side == LEFT:
         pmap, classical = smash_left(algebra, bialgebra, action)
         rmap, hom_smash = smash_left(twisted_alg, twisted_bi, twisted_act)
         twist = kron(alpha_x, alpha_h)

@@ -525,6 +525,11 @@ class TestLinearMapValues:
         assert (m.rows, m.cols) == f.shape == (_size(dst), _size(src))
         assert LinearMap.from_matrix(m, src, dst) == f
 
+    def test_compose_on_a_zero_size_source_keeps_the_target_and_checks_each_factor(self):
+        assert compose([(LinearMap.flip(0, 3), 0)], (0, 3)) == LinearMap.flip(0, 3)
+        with pytest.raises(DimensionMismatch):
+            compose([(LinearMap.flip(2, 3), 0)], (0, 3))
+
     @given(_dense_rows())
     @settings(max_examples=80, deadline=None)
     def test_mat_inv_matches_dense_gauss_jordan(self, rows):

@@ -387,15 +387,20 @@ def private_builder_sites(source, filename):
     ) in PRIVATE_BUILDERS)
 
 
+def _parameters(node):
+    """The parameters of a function or lambda node; none for any other node."""
+    if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        return []
+    args = node.args
+    params = args.posonlyargs + args.args + args.kwonlyargs
+    return params + [a for a in (args.vararg, args.kwarg) if a is not None]
+
+
 def seen_tracking_sites(source, filename):
     """`file:line` of each `seen` parameter and each definition of `_first_time`."""
     sites = []
     for node in ast.walk(ast.parse(source)):
-        params = []
-        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
-            args = node.args
-            params = args.posonlyargs + args.args + args.kwonlyargs
-            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        params = _parameters(node)
         defines = (
             isinstance(node, ast.FunctionDef) and node.name == "_first_time"
             or isinstance(node, ast.Name) and node.id == "_first_time"
@@ -442,3 +447,39 @@ class TestCompositesCallCheckedConstructors:
             "    return [seen.setdefault(k, v) for k, v in pairs]\n"
         )
         assert seen_tracking_sites(loop, "manifest.py") == []
+
+
+# A one-sided table states its side once: the table constructors take it, the
+# table validates it, and the smash products require a left or a right action.
+SIDE_TAKERS = [
+    "modsmash.py:_check_side",
+    "modsmash.py:_smash_preconditions",
+    "modsmash.py:action_table",
+    "modsmash.py:coaction_table",
+]
+
+
+def side_parameter_sites(source, filename):
+    """`file:function` of each function or lambda with a parameter named `side`."""
+    return [
+        f"{filename}:{getattr(node, 'name', '<lambda>')}"
+        for node in ast.walk(ast.parse(source))
+        if any(a.arg == "side" for a in _parameters(node))
+    ]
+
+
+class TestSideStatedOnce:
+    def test_only_the_tables_and_the_smash_take_a_side(self):
+        sites = [
+            site
+            for path in sorted(SRC.glob("*.py"))
+            for site in side_parameter_sites(path.read_text(encoding="utf-8"), path.name)
+        ]
+        assert sorted(sites) == SIDE_TAKERS
+
+    def test_the_guard_sees_a_checker_taking_the_side_again(self):
+        old = (
+            "def check_module(side, algebra, action):\n"
+            "    return scan_composites([])\n"
+        )
+        assert side_parameter_sites(old, "modsmash.py") == ["modsmash.py:check_module"]

@@ -2,7 +2,6 @@ import inspect
 import json
 import pathlib
 import re
-import types
 
 import pytest
 
@@ -25,7 +24,6 @@ from homtwist.manifest import (
     EXIT_OK,
     OBJECT_KINDS,
     SIGNATURES,
-    _SIDED,
     parse_manifest,
     run,
     serialize_manifest,
@@ -172,8 +170,7 @@ class TestSignatures:
             params = inspect.signature(getattr(module, op)).parameters.values()
             positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
             required = [p for p in params if p.kind in positional and p.default is p.empty]
-            # a sided check takes its table's side before the manifest arguments
-            assert len(kinds) + (op in _SIDED) == len(required), op
+            assert len(kinds) == len(required), op
             assert (result is None) == (op in CHECK_VERBS), op
 
     @pytest.mark.parametrize("op", sorted(SIGNATURES))
@@ -181,10 +178,9 @@ class TestSignatures:
         module, kinds, _ = SIGNATURES[op]
         calls = []
         monkeypatch.setattr(module, op, lambda *args: calls.append(args) or "result")
-        args = [types.SimpleNamespace(side=f"side of argument {i}") for i in range(len(kinds))]
+        args = [f"argument {i}" for i in range(len(kinds))]
         assert {**CHECK_VERBS, **CONSTRUCT_VERBS}[op](*args) == "result"
-        side = (args[-1].side,) if op in _SIDED else ()
-        assert calls == [side + tuple(args)]
+        assert calls == [tuple(args)]
 
     @pytest.mark.parametrize("op, args", [
         ("check_hom_twisting_map", ["K2", "K2", "K2"]),

@@ -80,7 +80,7 @@ def zero_coaction(bialgebra, module_dim, side):
 class TestCheckModule:
     def test_regular_representation(self):
         h4 = sweedler_h4()
-        assert check_module(LEFT, h4.algebra, regular_action(h4)).passed
+        assert check_module(h4.algebra, regular_action(h4)).passed
 
     def test_hom_regular_representation(self):
         # for a genuinely Hom bialgebra the module axioms on the regular
@@ -90,11 +90,11 @@ class TestCheckModule:
 
         alpha_h, _ = h4_twists(2)
         twisted = yau_twist_bialgebra(sweedler_h4(), alpha_h)
-        assert check_module(LEFT, twisted.algebra, regular_action(twisted)).passed
+        assert check_module(twisted.algebra, regular_action(twisted)).passed
 
     def test_zero_action(self):
         h4 = sweedler_h4()
-        assert check_module(LEFT, h4.algebra, zero_action(h4, 2)).passed
+        assert check_module(h4.algebra, zero_action(h4, 2)).passed
 
     def test_perturbed_action_fails(self):
         h4 = sweedler_h4()
@@ -102,21 +102,21 @@ class TestCheckModule:
         table = [list(list(r) for r in p) for p in act.table]
         table[2][0][0] = ONE  # x . 1 = 1 breaks the module axioms
         bad = action_table(LEFT, 4, 2, table, act.alpha_m)
-        assert not check_module(LEFT, h4.algebra, bad).passed
+        assert not check_module(h4.algebra, bad).passed
 
     def test_right_module(self):
         h4 = sweedler_h4()
-        assert check_module(RIGHT, h4.algebra, h4_right_action()).passed
+        assert check_module(h4.algebra, h4_right_action()).passed
 
 
 class TestModuleHomAlgebra:
     def test_h4_preset(self):
         h4 = sweedler_h4()
-        assert check_module_hom_algebra(LEFT, h4, dual_numbers(), h4_left_action()).passed
+        assert check_module_hom_algebra(h4, dual_numbers(), h4_left_action()).passed
 
     def test_zero_action(self):
         h4 = sweedler_h4()
-        assert check_module_hom_algebra(LEFT, h4, zero_algebra(2), zero_action(h4, 2)).passed
+        assert check_module_hom_algebra(h4, zero_algebra(2), zero_action(h4, 2)).passed
 
     def test_sign_flipped_x_action_breaks_module_axioms(self):
         h4 = sweedler_h4()
@@ -125,7 +125,7 @@ class TestModuleHomAlgebra:
         table[2][1][0] = -table[2][1][0]  # x . y = -1 alone breaks g.(x.y) = (gx).y
         bad = action_table(LEFT, 4, 2, table, act.alpha_m)
         with pytest.raises(PreconditionFailure):
-            check_module_hom_algebra(LEFT, h4, dual_numbers(), bad)
+            check_module_hom_algebra(h4, dual_numbers(), bad)
 
     def test_flipping_both_derivation_rows_is_still_a_module_algebra(self):
         # x -> -x is a bialgebra automorphism of H4, so twisting the action
@@ -136,7 +136,7 @@ class TestModuleHomAlgebra:
         table[2][1][0] = -table[2][1][0]
         table[3][1][0] = -table[3][1][0]
         twisted = action_table(LEFT, 4, 2, table, act.alpha_m)
-        assert check_module_hom_algebra(LEFT, h4, dual_numbers(), twisted).passed
+        assert check_module_hom_algebra(h4, dual_numbers(), twisted).passed
 
     def test_non_automorphism_g_action_fails_compatibility(self):
         # g acting as the swap of 1 and y is module-legal (involutive) but not
@@ -150,14 +150,14 @@ class TestModuleHomAlgebra:
             ((z, z), (z, z)),  # gx = g(x .) acts as zero
         )
         bad = action_table(LEFT, 4, 2, table, LinearMap.identity(2))
-        assert check_module(LEFT, h4.algebra, bad).passed
-        rep = check_module_hom_algebra(LEFT, h4, dual_numbers(), bad)
+        assert check_module(h4.algebra, bad).passed
+        rep = check_module_hom_algebra(h4, dual_numbers(), bad)
         assert not rep.passed
         assert rep.failures[0].equation == "module_algebra_compat"
 
     def test_right_preset(self):
         h4 = sweedler_h4()
-        assert check_module_hom_algebra(RIGHT, h4, dual_numbers(), h4_right_action()).passed
+        assert check_module_hom_algebra(h4, dual_numbers(), h4_right_action()).passed
 
 
 class TestYauTwistModuleAlgebra:
@@ -165,7 +165,7 @@ class TestYauTwistModuleAlgebra:
         h4 = sweedler_h4()
         ident4, ident2 = LinearMap.identity(4), LinearMap.identity(2)
         hb, alg, act = yau_twist_module_algebra(
-            LEFT, h4, dual_numbers(), h4_left_action(), ident4, ident2
+            h4, dual_numbers(), h4_left_action(), ident4, ident2
         )
         assert act.table == h4_left_action().table
         assert alg.mul == dual_numbers().mul
@@ -175,41 +175,41 @@ class TestYauTwistModuleAlgebra:
         h4 = sweedler_h4()
         alpha_h, alpha_a = h4_twists(c)
         hb, alg, act = yau_twist_module_algebra(
-            LEFT, h4, dual_numbers(), h4_left_action(), alpha_h, alpha_a
+            h4, dual_numbers(), h4_left_action(), alpha_h, alpha_a
         )
-        assert check_module_hom_algebra(LEFT, hb, alg, act).passed
+        assert check_module_hom_algebra(hb, alg, act).passed
 
     def test_unbalanced_twists_fail_intertwining(self):
         h4 = sweedler_h4()
         alpha_h, _ = h4_twists(-1)
         alpha_a = lmap([[1, 0], [0, 2]])  # y -> 2y does not balance x -> -x
         with pytest.raises(IntertwiningFailure) as err:
-            yau_twist_module_algebra(LEFT, h4, dual_numbers(), h4_left_action(), alpha_h, alpha_a)
+            yau_twist_module_algebra(h4, dual_numbers(), h4_left_action(), alpha_h, alpha_a)
         assert err.value.witness is not None
 
     def test_right_side(self):
         h4 = sweedler_h4()
         alpha_h, alpha_c = h4_twists(3)
         hb, alg, act = yau_twist_module_algebra(
-            RIGHT, h4, dual_numbers(), h4_right_action(), alpha_h, alpha_c
+            h4, dual_numbers(), h4_right_action(), alpha_h, alpha_c
         )
-        assert check_module_hom_algebra(RIGHT, hb, alg, act).passed
+        assert check_module_hom_algebra(hb, alg, act).passed
 
 
 class TestTensorModules:
     def test_trivial_one_dimensional(self):
         c2 = group_algebra(2)
         triv = action_table(LEFT, 2, 1, (((ONE,),), ((ONE,),)), LinearMap.identity(1))
-        assert check_module(LEFT, c2.algebra, triv).passed
+        assert check_module(c2.algebra, triv).passed
         squared = tensor_modules(c2, triv, triv)
         assert squared.module_dim == 1
-        assert check_module(LEFT, c2.algebra, squared).passed
+        assert check_module(c2.algebra, squared).passed
 
     def test_h4_module_squared(self):
         h4 = sweedler_h4()
         act = h4_left_action()
         squared = tensor_modules(h4, act, act)
-        assert check_module(LEFT, h4.algebra, squared).passed
+        assert check_module(h4.algebra, squared).passed
 
     def test_dimension_mismatch(self):
         h4 = sweedler_h4()
@@ -223,12 +223,12 @@ class TestComodules:
     @pytest.mark.parametrize("side", [LEFT, RIGHT])
     def test_coalgebra_over_itself(self, side):
         h4 = sweedler_h4()
-        assert check_comodule(side, h4.coalgebra, regular_coaction(h4, side)).passed
+        assert check_comodule(h4.coalgebra, regular_coaction(h4, side)).passed
 
     @pytest.mark.parametrize("side", [LEFT, RIGHT])
     def test_zero_coaction(self, side):
         h4 = sweedler_h4()
-        assert check_comodule(side, h4.coalgebra, zero_coaction(h4, 2, side)).passed
+        assert check_comodule(h4.coalgebra, zero_coaction(h4, 2, side)).passed
 
     def test_perturbed_coaction_fails(self):
         h4 = sweedler_h4()
@@ -236,7 +236,7 @@ class TestComodules:
         table = [list(list(r) for r in p) for p in co.table]
         table[1][0][0] = table[1][0][0] + 1
         bad = coaction_table(LEFT, 4, 4, table, co.alpha_m)
-        assert not check_comodule(LEFT, h4.coalgebra, bad).passed
+        assert not check_comodule(h4.coalgebra, bad).passed
 
 
 class TestBicomodule:
@@ -259,7 +259,7 @@ class TestBicomodule:
         table = [list(list(r) for r in p) for p in rho.table]
         table[1] = [[ZERO, ONE], [ZERO, ZERO]]  # rho(g) = e (x) g
         skew = coaction_table(RIGHT, 2, 2, table, rho.alpha_m)
-        if check_comodule(RIGHT, c2.coalgebra, skew).passed:
+        if check_comodule(c2.coalgebra, skew).passed:
             assert not check_bicomodule(c2.coalgebra, lam, skew).passed
         else:
             with pytest.raises(PreconditionFailure):
@@ -269,23 +269,23 @@ class TestBicomodule:
 class TestComoduleHomAlgebra:
     def test_grouplike_coaction(self):
         bi, module, _act, co = c2_trivial_yd()
-        assert check_comodule_hom_algebra(LEFT, bi, module, co).passed
+        assert check_comodule_hom_algebra(bi, module, co).passed
 
     def test_coproduct_on_itself(self):
         h4 = sweedler_h4()
         co = regular_coaction(h4, LEFT)
-        assert check_comodule_hom_algebra(LEFT, h4, h4.algebra, co).passed
+        assert check_comodule_hom_algebra(h4, h4.algebra, co).passed
 
     def test_perturbed_fails(self):
         bi, module, _act, co = c2_trivial_yd()
         table = [list(list(r) for r in p) for p in co.table]
         table[1][1][1] = ONE  # lambda(y) gains a g (x) y term
         bad = coaction_table(LEFT, 2, 2, table, co.alpha_m)
-        if check_comodule(LEFT, bi.coalgebra, bad).passed:
-            assert not check_comodule_hom_algebra(LEFT, bi, module, bad).passed
+        if check_comodule(bi.coalgebra, bad).passed:
+            assert not check_comodule_hom_algebra(bi, module, bad).passed
         else:
             with pytest.raises(PreconditionFailure):
-                check_comodule_hom_algebra(LEFT, bi, module, bad)
+                check_comodule_hom_algebra(bi, module, bad)
 
 
 class TestSmashLeft:
@@ -328,7 +328,7 @@ class TestSmashLeft:
         h4 = sweedler_h4()
         alpha_h, alpha_a = h4_twists(2)
         hb, alg, act = yau_twist_module_algebra(
-            LEFT, h4, dual_numbers(), h4_left_action(), alpha_h, alpha_a
+            h4, dual_numbers(), h4_left_action(), alpha_h, alpha_a
         )
         rmap, smash = smash_left(alg, hb, act)
         assert check_hom_algebra(smash).passed
@@ -372,7 +372,7 @@ class TestSmashRight:
         h4 = sweedler_h4()
         alpha_h, alpha_c = h4_twists(2)
         hb, alg, act = yau_twist_module_algebra(
-            RIGHT, h4, dual_numbers(), h4_right_action(), alpha_h, alpha_c
+            h4, dual_numbers(), h4_right_action(), alpha_h, alpha_c
         )
         rmap, smash = smash_right(hb, alg, act)
         assert check_hom_algebra(smash).passed
@@ -414,8 +414,8 @@ class TestCoactions:
         act = zero_action(h4, 2)
         rho = coaction_rho_smash(mod, h4, act)
         _, smash = smash_left(mod, h4, act)
-        assert check_comodule(RIGHT, h4.coalgebra, rho).passed
-        assert check_comodule_hom_algebra(RIGHT, h4, smash, rho).passed
+        assert check_comodule(h4.coalgebra, rho).passed
+        assert check_comodule_hom_algebra(h4, smash, rho).passed
 
     def test_rho_on_h4_instance(self):
         h4 = sweedler_h4()
@@ -423,8 +423,8 @@ class TestCoactions:
         act = h4_left_action()
         rho = coaction_rho_smash(a, h4, act)
         _, smash = smash_left(a, h4, act)
-        assert check_comodule(RIGHT, h4.coalgebra, rho).passed
-        assert check_comodule_hom_algebra(RIGHT, h4, smash, rho).passed
+        assert check_comodule(h4.coalgebra, rho).passed
+        assert check_comodule_hom_algebra(h4, smash, rho).passed
 
     def test_perturbed_rho_fails(self):
         h4 = sweedler_h4()
@@ -433,7 +433,7 @@ class TestCoactions:
         table = [list(list(r) for r in p) for p in rho.table]
         table[0][0][1] = table[0][0][1] + 1
         bad = coaction_table(RIGHT, 4, 8, table, rho.alpha_m)
-        assert not check_comodule(RIGHT, h4.coalgebra, bad).passed
+        assert not check_comodule(h4.coalgebra, bad).passed
 
     def test_lambda_right_smash(self):
         h4 = sweedler_h4()
@@ -441,8 +441,36 @@ class TestCoactions:
         act = h4_right_action()
         lam = coaction_lambda_right_smash(h4, c, act)
         _, smash = smash_right(h4, c, act)
-        assert check_comodule(LEFT, h4.coalgebra, lam).passed
-        assert check_comodule_hom_algebra(LEFT, h4, smash, lam).passed
+        assert check_comodule(h4.coalgebra, lam).passed
+        assert check_comodule_hom_algebra(h4, smash, lam).passed
+
+
+# Each smash map and smash coaction, given the action; the coaction that
+# coaction_lambda_smash also takes is never reached.
+LEFT_SMASHES = {
+    "smash_left": lambda act: smash_left(dual_numbers(), sweedler_h4(), act),
+    "coaction_rho_smash": lambda act: coaction_rho_smash(dual_numbers(), sweedler_h4(), act),
+    "coaction_lambda_smash": lambda act: coaction_lambda_smash(dual_numbers(), sweedler_h4(), act, None),
+}
+RIGHT_SMASHES = {
+    "smash_right": lambda act: smash_right(sweedler_h4(), dual_numbers(), act),
+    "coaction_lambda_right_smash": lambda act: coaction_lambda_right_smash(
+        sweedler_h4(), dual_numbers(), act
+    ),
+}
+
+
+class TestSmashSide:
+    """A left smash needs a left action and a right smash a right one."""
+
+    @pytest.mark.parametrize("name, action, message", [
+        *((name, h4_right_action, "action table is right-sided, expected left") for name in LEFT_SMASHES),
+        *((name, h4_left_action, "action table is left-sided, expected right") for name in RIGHT_SMASHES),
+    ])
+    def test_an_action_of_the_other_side_is_refused(self, name, action, message):
+        with pytest.raises(DimensionMismatch) as info:
+            {**LEFT_SMASHES, **RIGHT_SMASHES}[name](action())
+        assert str(info.value) == message
 
 
 class TestYetterDrinfeld:
@@ -476,7 +504,7 @@ class TestYetterDrinfeld:
         table = [list(list(r) for r in p) for p in co.table]
         table[1][1][1] = -table[1][1][1]
         bad = coaction_table(LEFT, 2, 2, table, co.alpha_m)
-        if check_comodule(LEFT, c2.coalgebra, bad).passed:
+        if check_comodule(c2.coalgebra, bad).passed:
             assert not check_yetter_drinfeld(c2, act, bad).passed
         else:
             with pytest.raises(PreconditionFailure):
@@ -494,7 +522,7 @@ class TestSmashTwistCompat:
         h4 = sweedler_h4()
         ident4, ident2 = LinearMap.identity(4), LinearMap.identity(2)
         assert check_smash_twist_compat(
-            LEFT, h4, dual_numbers(), h4_left_action(), ident4, ident2
+            h4, dual_numbers(), h4_left_action(), ident4, ident2
         ).passed
 
     @pytest.mark.parametrize("side,act_fn", [(LEFT, h4_left_action), (RIGHT, h4_right_action)])
@@ -502,7 +530,7 @@ class TestSmashTwistCompat:
         h4 = sweedler_h4()
         alpha_h, alpha_x = h4_twists(2)
         assert check_smash_twist_compat(
-            side, h4, dual_numbers(), act_fn(), alpha_h, alpha_x
+            h4, dual_numbers(), act_fn(), alpha_h, alpha_x
         ).passed
 
     def test_broken_intertwining_reported(self):
@@ -511,5 +539,5 @@ class TestSmashTwistCompat:
         alpha_a = lmap([[1, 0], [0, 3]])
         with pytest.raises(IntertwiningFailure):
             check_smash_twist_compat(
-                LEFT, h4, dual_numbers(), h4_left_action(), alpha_h, alpha_a
+                h4, dual_numbers(), h4_left_action(), alpha_h, alpha_a
             )

@@ -149,7 +149,7 @@ def _cases():
          lambda: alphaAB_ttp(k2, k2, _diagonal(2, 2), LinearMap.identity(2), f),
          NotMultiplicative, "alpha_A is not multiplicative; witness (0, 0)"),
         ("yau_twist_module_algebra/not_a_module_algebra",
-         lambda: yau_twist_module_algebra(LEFT, h4, a, _g_swaps_action(), alpha_h, alpha_a),
+         lambda: yau_twist_module_algebra(h4, a, _g_swaps_action(), alpha_h, alpha_a),
          PreconditionFailure, "precondition failed: classical module algebra axioms"),
         ("smash_left/not_a_module_algebra",
          lambda: smash_left(a, h4, _g_swaps_action()),
@@ -161,7 +161,7 @@ def _cases():
          lambda: tensor_modules(h4, h4_left_action(), _broken_left_action()),
          PreconditionFailure, "precondition failed: check_module:N"),
         ("check_smash_twist_compat/not_a_module_algebra",
-         lambda: check_smash_twist_compat(LEFT, h4, a, _g_swaps_action(), alpha_h, alpha_a),
+         lambda: check_smash_twist_compat(h4, a, _g_swaps_action(), alpha_h, alpha_a),
          PreconditionFailure, "precondition failed: classical module algebra axioms"),
         ("coaction_lambda_smash/not_a_module_algebra",
          lambda: coaction_lambda_smash(a, h4, _g_swaps_action(), _trivial_coaction()),

@@ -121,9 +121,9 @@ class TestBuildersStoreTheirComposite:
         alpha_h, alpha_a = h4_twists(c)
         coalgebra = yau_twist_coalgebra(h4.coalgebra, alpha_h)
         assert reads_back(coalgebra, coalgebra.comul)
-        bi, alg, act = yau_twist_module_algebra(LEFT, h4, module, h4_left_action(), alpha_h, alpha_a)
+        bi, alg, act = yau_twist_module_algebra(h4, module, h4_left_action(), alpha_h, alpha_a)
         bi2, alg2, ract = yau_twist_module_algebra(
-            RIGHT, h4, module, h4_right_action(), alpha_h, alpha_a
+            h4, module, h4_right_action(), alpha_h, alpha_a
         )
         c2, c2_module, c2_act, c2_co = c2_trivial_yd()
         built = [

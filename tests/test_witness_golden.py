@@ -295,46 +295,44 @@ def checker_cases():
     h4 = sweedler_h4()
     act = h4_left_action()
     bad_act = action_table(LEFT, 4, 2, _edit_table(act.table, {(2, 0, 0): ONE}), act.alpha_m)
-    case("module/pass", lambda: check_module(LEFT, h4.algebra, regular_action(h4)))
-    case("module/pass_hom", lambda: check_module(LEFT, twisted_h4().algebra, regular_action(twisted_h4())))
-    case("module/fail", lambda: check_module(LEFT, h4.algebra, bad_act))
-    case("module/right_pass", lambda: check_module(RIGHT, h4.algebra, h4_right_action()))
+    case("module/pass", lambda: check_module(h4.algebra, regular_action(h4)))
+    case("module/pass_hom", lambda: check_module(twisted_h4().algebra, regular_action(twisted_h4())))
+    case("module/fail", lambda: check_module(h4.algebra, bad_act))
+    case("module/right_pass", lambda: check_module(h4.algebra, h4_right_action()))
     ract = h4_right_action()
     bad_ract = action_table(RIGHT, 4, 2, _edit_table(ract.table, {(1, 0, 0): Q(2)}), ract.alpha_m)
-    case("module/right_fail", lambda: check_module(RIGHT, h4.algebra, bad_ract))
-    case("module/precondition", lambda: check_module(RIGHT, h4.algebra, act))
-    case("module_hom_algebra/pass", lambda: check_module_hom_algebra(LEFT, h4, dual_numbers(), act))
+    case("module/right_fail", lambda: check_module(h4.algebra, bad_ract))
+    case("module_hom_algebra/pass", lambda: check_module_hom_algebra(h4, dual_numbers(), act))
     case(
         "module_hom_algebra/fail",
-        lambda: check_module_hom_algebra(LEFT, h4, dual_numbers(), h4_bad_g_action()),
+        lambda: check_module_hom_algebra(h4, dual_numbers(), h4_bad_g_action()),
     )
     case(
         "module_hom_algebra/right_pass",
-        lambda: check_module_hom_algebra(RIGHT, h4, dual_numbers(), ract),
+        lambda: check_module_hom_algebra(h4, dual_numbers(), ract),
     )
     case(
         "module_hom_algebra/precondition",
-        lambda: check_module_hom_algebra(LEFT, h4, dual_numbers(), bad_act),
+        lambda: check_module_hom_algebra(h4, dual_numbers(), bad_act),
     )
     th = twisted_h4()
     alpha_h, alpha_a = h4_twists(2)
-    hb, alg, tact = yau_twist_module_algebra(LEFT, h4, dual_numbers(), act, alpha_h, alpha_a)
-    case("module_hom_algebra/twisted_pass", lambda: check_module_hom_algebra(LEFT, hb, alg, tact))
+    hb, alg, tact = yau_twist_module_algebra(h4, dual_numbers(), act, alpha_h, alpha_a)
+    case("module_hom_algebra/twisted_pass", lambda: check_module_hom_algebra(hb, alg, tact))
     bad_tact = action_table(LEFT, 4, 2, _edit_table(tact.table, {(3, 1, 0): Q(5)}), tact.alpha_m)
-    case("module_hom_algebra/twisted_precondition", lambda: check_module_hom_algebra(LEFT, hb, alg, bad_tact))
+    case("module_hom_algebra/twisted_precondition", lambda: check_module_hom_algebra(hb, alg, bad_tact))
     for side in (LEFT, RIGHT):
-        case(f"comodule/{side}_pass", lambda side=side: check_comodule(side, h4.coalgebra, regular_coaction(h4, side)))
+        case(f"comodule/{side}_pass", lambda side=side: check_comodule(h4.coalgebra, regular_coaction(h4, side)))
         case(
             f"comodule/{side}_pass_hom",
-            lambda side=side: check_comodule(side, th.coalgebra, regular_coaction(th, side)),
+            lambda side=side: check_comodule(th.coalgebra, regular_coaction(th, side)),
         )
         co = regular_coaction(h4, side)
         bad_co = coaction_table(side, 4, 4, _edit_table(co.table, {(1, 0, 0): Q(2), (3, 2, 1): ONE}), co.alpha_m)
-        case(f"comodule/{side}_fail", lambda side=side, bad_co=bad_co: check_comodule(side, h4.coalgebra, bad_co))
+        case(f"comodule/{side}_fail", lambda side=side, bad_co=bad_co: check_comodule(h4.coalgebra, bad_co))
     rho = coaction_rho_smash(dual_numbers(), h4, act)
     bad_rho = coaction_table(RIGHT, 4, 8, _edit_table(rho.table, {(0, 0, 1): ONE}), rho.alpha_m)
-    case("comodule/rho_smash_fail", lambda: check_comodule(RIGHT, h4.coalgebra, bad_rho))
-    case("comodule/precondition", lambda: check_comodule(LEFT, h4.coalgebra, rho))
+    case("comodule/rho_smash_fail", lambda: check_comodule(h4.coalgebra, bad_rho))
     lam_h4, rho_h4 = regular_coaction(h4, LEFT), regular_coaction(h4, RIGHT)
     case("bicomodule/pass", lambda: check_bicomodule(h4.coalgebra, lam_h4, rho_h4))
     case(
@@ -358,26 +356,26 @@ def checker_cases():
     rotated_rho = coaction_table(RIGHT, 2, 2, (((h, h), (h, -h)), ((h, -h), (h, h))), LinearMap.identity(2))
     case("bicomodule/fail", lambda: check_bicomodule(c2.coalgebra, graded_lam, rotated_rho))
     bi, module, yd_act, yd_co = c2_trivial_yd()
-    case("comodule_hom_algebra/pass", lambda: check_comodule_hom_algebra(LEFT, bi, module, yd_co))
+    case("comodule_hom_algebra/pass", lambda: check_comodule_hom_algebra(bi, module, yd_co))
     case(
         "comodule_hom_algebra/pass_regular",
-        lambda: check_comodule_hom_algebra(LEFT, h4, h4.algebra, lam_h4),
+        lambda: check_comodule_hom_algebra(h4, h4.algebra, lam_h4),
     )
     _, smash = smash_left(dual_numbers(), h4, act)
-    case("comodule_hom_algebra/right_pass", lambda: check_comodule_hom_algebra(RIGHT, h4, smash, rho))
+    case("comodule_hom_algebra/right_pass", lambda: check_comodule_hom_algebra(h4, smash, rho))
     bad_yd_co = coaction_table(LEFT, 2, 2, _edit_table(yd_co.table, {(1, 1, 1): ONE}), yd_co.alpha_m)
-    case("comodule_hom_algebra/precondition", lambda: check_comodule_hom_algebra(LEFT, bi, module, bad_yd_co))
+    case("comodule_hom_algebra/precondition", lambda: check_comodule_hom_algebra(bi, module, bad_yd_co))
     bad_rho2 = coaction_table(RIGHT, 4, 8, _edit_table(rho.table, {(5, 4, 1): Q(-1)}), rho.alpha_m)
-    case("comodule_hom_algebra/right_precondition", lambda: check_comodule_hom_algebra(RIGHT, h4, smash, bad_rho2))
+    case("comodule_hom_algebra/right_precondition", lambda: check_comodule_hom_algebra(h4, smash, bad_rho2))
     odd_unit_left = coaction_table(LEFT, 2, 2, (((z, z), (o, z)), ((z, o), (z, z))), LinearMap.identity(2))
     odd_unit_right = coaction_table(RIGHT, 2, 2, (((z, o), (z, z)), ((z, z), (o, z))), LinearMap.identity(2))
     case(
         "comodule_hom_algebra/fail_grading",
-        lambda: check_comodule_hom_algebra(LEFT, c2, dual_numbers(), odd_unit_left),
+        lambda: check_comodule_hom_algebra(c2, dual_numbers(), odd_unit_left),
     )
     case(
         "comodule_hom_algebra/right_fail_grading",
-        lambda: check_comodule_hom_algebra(RIGHT, c2, dual_numbers(), odd_unit_right),
+        lambda: check_comodule_hom_algebra(c2, dual_numbers(), odd_unit_right),
     )
     case("yetter_drinfeld/pass", lambda: check_yetter_drinfeld(bi, yd_act, yd_co))
     case(
@@ -395,15 +393,15 @@ def checker_cases():
     ident4h = LinearMap.identity(4)
     case(
         "smash_twist_compat/pass",
-        lambda: check_smash_twist_compat(LEFT, h4, dual_numbers(), act, ident4h, ident2),
+        lambda: check_smash_twist_compat(h4, dual_numbers(), act, ident4h, ident2),
     )
     case(
         "smash_twist_compat/pass_twisted_right",
-        lambda: check_smash_twist_compat(RIGHT, h4, dual_numbers(), ract, alpha_h, alpha_a),
+        lambda: check_smash_twist_compat(h4, dual_numbers(), ract, alpha_h, alpha_a),
     )
     case(
         "smash_twist_compat/precondition",
-        lambda: check_smash_twist_compat(LEFT, h4, dual_numbers(), act, alpha_h, lmap([[1, 0], [0, 3]])),
+        lambda: check_smash_twist_compat(h4, dual_numbers(), act, alpha_h, lmap([[1, 0], [0, 3]])),
     )
 
     # coalgebra.py
@@ -471,7 +469,7 @@ def constructor_cases():
         ("yau_twist_bialgebra", lambda: yau_twist_bialgebra(h4, alpha_h)),
         (
             "yau_twist_module_algebra",
-            lambda: yau_twist_module_algebra(RIGHT, h4, dual_numbers(), ract, alpha_h, alpha_a),
+            lambda: yau_twist_module_algebra(h4, dual_numbers(), ract, alpha_h, alpha_a),
         ),
     ]
 
@@ -479,7 +477,7 @@ def constructor_cases():
 def _twisted_smash_left():
     alpha_h, alpha_a = h4_twists(Q(-1, 3))
     hb, alg, tact = yau_twist_module_algebra(
-        LEFT, sweedler_h4(), dual_numbers(), h4_left_action(), alpha_h, alpha_a
+        sweedler_h4(), dual_numbers(), h4_left_action(), alpha_h, alpha_a
     )
     return smash_left(alg, hb, tact)
 
