@@ -1,12 +1,18 @@
 """The one-command acceptance matrix: every numbered criterion as a function.
 
-Each criterion returns (passed, detail).  `run_criteria` runs them in order
-on one shared recorder, turning a crash into a failure, and `paper_suite`
-prints one PASS/FAIL line per criterion with wall time.  The recorder collects
-every object built by a constructor during the run and criterion 9 replays the
-matching brute-force scanner over all of them.
+Each criterion takes the shared closure list and returns (passed, detail).
+`run_criteria` runs them in order, turning a crash into a failure, and
+`paper_suite` prints one PASS/FAIL line per criterion with wall time.
+
+A criterion appends ``(label, checker, object)`` to the closure list for each
+constructed object whose conclusion it has not scanned, and criterion 9 runs
+``checker(object)`` on every entry.  No check a criterion runs inline, and no
+entry, repeats a scan that the criterion runs elsewhere on equal arguments,
+inline or inside a constructor or checker it calls.  The rule is per
+criterion, so a filtered run still scans every conclusion it builds.
 """
 
+import itertools
 import json
 import random
 import time
@@ -36,7 +42,6 @@ from .gallery import (
 from .modsmash import (
     check_bicomodule,
     check_comodule_hom_algebra,
-    check_module_hom_algebra,
     check_smash_twist_compat,
     coaction_lambda_right_smash,
     coaction_lambda_smash,
@@ -83,16 +88,6 @@ from .uqsl2 import (
 )
 
 
-class Recorder:
-    """Constructed objects awaiting re-validation by criterion 9."""
-
-    def __init__(self):
-        self.entries = []
-
-    def record(self, label, thunk):
-        self.entries.append((label, thunk))
-
-
 def _rand_rat(rng):
     return Q(rng.randint(-6, 6), rng.randint(1, 4))
 
@@ -102,33 +97,30 @@ def _rand_rat(rng):
 # ---------------------------------------------------------------------------
 
 
-def criterion_1_ttp_table(rec):
+def criterion_1_ttp_table(closure):
     """The k2 (x) k2 twisted multiplication table for lambda in {0, 1, 2, -1}."""
-    checked = 0
     for lam in (0, 1, 2, -1):
         bundle = build(GalleryKey("ttp_k2_lambda", {"lam": lam}))
         product = ttp(bundle["A"], bundle["B"], bundle["R"])
-        rec.record(f"ttp(k2,k2,R_{lam})", lambda p=product: check_associative(p))
+        closure.append((f"ttp(k2,k2,R_{lam})", check_associative, product))
         if product.mul != bundle["expected_mul"]:
             return False, f"table mismatch at lambda={lam}"
-        checked += 16
-    return True, f"{checked} table entries match at lambda in {{0, 1, 2, -1}}"
+    return True, "64 table entries match at lambda in {0, 1, 2, -1}"
 
 
-def criterion_2_two_dim_algebra(rec):
+def criterion_2_two_dim_algebra(closure):
     """The 2-dimensional Hom-algebra, its twistor and the deformed table."""
     cases = ((1, 1, 2), (2, 3, -1), (1, 2, Q(1, 2)))
     for a, l1, l2 in cases:
         bundle = build(GalleryKey("homtwistor_2dim", {"a": a, "l1": l1, "l2": l2}))
         d, t = bundle["D"], bundle["T"]
-        if not check_hom_algebra(d).passed:
-            return False, f"check_hom_algebra fails at {(a, l1, l2)}"
         if check_associative(d).passed:
             return False, f"unexpectedly associative at {(a, l1, l2)}"
+        # check_hom_twistor requires check_hom_algebra(d)
         if not check_hom_twistor(d, t).passed:
             return False, f"check_hom_twistor fails at {(a, l1, l2)}"
         deformed = deform(d, t)
-        rec.record(f"deform(D,{(a, l1, l2)})", lambda p=deformed: check_hom_algebra(p))
+        closure.append((f"deform(D,{(a, l1, l2)})", check_hom_algebra, deformed))
         if deformed.mul != bundle["expected_mul"]:
             return False, f"deformed table mismatch at {(a, l1, l2)}"
         if deformed.mul[0][1] == deformed.mul[1][0]:
@@ -139,7 +131,7 @@ def criterion_2_two_dim_algebra(rec):
     return True, f"{len(cases)} parameter tuples verified, plus the lambda2=0 degenerations"
 
 
-def criterion_3_hom_twisting_families(rec):
+def criterion_3_hom_twisting_families(closure):
     """R1/R2 families and the D-k2 family pass the Hom-twisting axioms."""
     rng = random.Random(20240229)
     witness = None
@@ -159,10 +151,11 @@ def criterion_3_hom_twisting_families(rec):
     for sample in range(10):
         params = {"a": 1, "l1": 2, "a1": _rand_rat(rng), "a2": _rand_rat(rng)}
         bundle = build(GalleryKey("homtwist_Dk2", params))
-        if not check_hom_twisting_map(bundle["A"], bundle["B"], bundle["R"]).passed:
+        a, b, r = bundle["A"], bundle["B"], bundle["R"]
+        if sample < 9 and not check_hom_twisting_map(a, b, r).passed:
             return False, f"D-k2 family fails Hom-twisting at sample {sample}"
-    product = hom_ttp(bundle["A"], bundle["B"], bundle["R"])
-    rec.record("hom_ttp(D,k2,R)", lambda p=product: check_hom_algebra(p))
+    # hom_ttp requires the last sample's Hom-twisting scan
+    closure.append(("hom_ttp(D,k2,R)", check_hom_algebra, hom_ttp(a, b, r)))
     if witness is None:
         return False, "no sampled R1 tuple fails the classical twisting axioms"
     params, failure = witness
@@ -170,16 +163,13 @@ def criterion_3_hom_twisting_families(rec):
     return True, f"50 tuples pass; R1 classical-axiom witness at {shown}: {failure}"
 
 
-def criterion_4_clifford(rec):
+def criterion_4_clifford(closure):
     """Clifford process on yau_twist(k2, swap) for q in {1, 2, -3}."""
     for q in (1, 2, -3):
         bundle = build(GalleryKey("clifford", {"q": q}))
         a, abar, params = bundle["A"], bundle["Abar"], bundle["params"]
-        if q == 1:
-            rec.record("yau_twist(k2, swap)", lambda p=a: check_hom_algebra(p))
         if not check_hom_algebra(abar).passed:
             return False, f"Abar fails check_hom_algebra at q={q}"
-        rec.record(f"clifford(q={q})", lambda p=abar: check_hom_algebra(p))
         report = scan_composites([_doubling_block(a, abar, params)])
         if not report.passed:
             return False, f"closed doubling formula fails at q={q}: {report.failures[0]}"
@@ -208,58 +198,44 @@ def _doubling_block(a, abar, params):
     ])
 
 
-def criterion_5_iterated(rec):
+def criterion_5_iterated(closure):
     """Braid condition and coinciding bracketings for the smash triple and flips."""
-    h4 = sweedler_h4()
     a = dual_numbers()
-    c = dual_numbers()
-    r1, ab = smash_left(a, h4, h4_left_action())
-    r2, bc = smash_right(h4, c, h4_right_action())
-    product, p1, p2 = iterated_ttp(a, h4.algebra, c, r1, r2, flip(2, 2))
-    rec.record("iterated_ttp(smash triple)", lambda p=product: check_hom_algebra(p))
-    rec.record("iterated P1", lambda: check_hom_twisting_map(ab, c, p1))
-    rec.record("iterated P2", lambda: check_hom_twisting_map(a, bc, p2))
-    two_sided = smash_two_sided(a, h4, c, h4_left_action(), h4_right_action())
-    if product.map != two_sided.map:
-        return False, "iterated product differs from the two-sided smash"
+    smash = smash_two_sided(a, sweedler_h4(), a, h4_left_action(), h4_right_action())
+    closure.append(("smash_two_sided(smash triple)", check_hom_algebra, smash))
     d = build(GalleryKey("homalg_2dim", {"a": 1, "l1": 1, "l2": 2}))["D"]
     k2 = k2_algebra()
     flips = (flip(2, 2), flip(2, 2), flip(2, 2))
     product2, _, _ = iterated_ttp(d, k2, k2, *flips)
-    rec.record("iterated_ttp(all flips)", lambda p=product2: check_hom_algebra(p))
+    closure.append(("iterated_ttp(all flips)", check_hom_algebra, product2))
     if product2.map != tensor_algebra(tensor_algebra(d, k2), k2).map:
         return False, "all-flip iterated product is not the plain triple tensor product"
     return True, "smash triple braid + both bracketings coincide; all-flip triple reduces to A(x)B(x)C"
 
 
-def criterion_6_smash_suite(rec):
+def criterion_6_smash_suite(closure):
     """Left/right smashes, twist compatibility, comodule structures, YD instance."""
     h4 = sweedler_h4()
     a = dual_numbers()
     act_l = h4_left_action()
     act_r = h4_right_action()
     alpha_h, alpha_a = h4_twists(2)
-    variants = [("identity", h4, a, act_l, h4, a, act_r)]
     ht, at, act_lt = yau_twist_module_algebra(h4, a, act_l, alpha_h, alpha_a)
-    ht2, ct, act_rt = yau_twist_module_algebra(h4, a, act_r, alpha_h, alpha_a)
-    rec.record("yau_twist_bialgebra(H4)", lambda: check_hom_bialgebra(ht))
-    rec.record("yau_twist_module_algebra(left)", lambda: check_module_hom_algebra(ht, at, act_lt))
-    rec.record("yau_twist_module_algebra(right)", lambda: check_module_hom_algebra(ht2, ct, act_rt))
-    variants.append(("twisted", ht, at, act_lt, ht2, ct, act_rt))
-    for tag, bh, alg_a, al, bh2, alg_c, ar in variants:
+    *_, act_rt = yau_twist_module_algebra(h4, a, act_r, alpha_h, alpha_a)  # the same ht and at
+    closure.append(("yau_twist_bialgebra(H4)", check_hom_bialgebra, ht))
+    variants = (("identity", h4, a, act_l, act_r), ("twisted", ht, at, act_lt, act_rt))
+    for tag, bh, alg_a, al, ar in variants:
         _, smash = smash_left(alg_a, bh, al)
         if not check_hom_algebra(smash).passed:
             return False, f"left smash algebra fails ({tag})"
-        rec.record(f"smash_left({tag})", lambda p=smash: check_hom_algebra(p))
         rho = coaction_rho_smash(alg_a, bh, al)
         if not check_comodule_hom_algebra(bh, smash, rho).passed:
             return False, f"rho multiplicativity fails ({tag})"
-        _, smash2 = smash_right(bh2, alg_c, ar)
+        _, smash2 = smash_right(bh, alg_a, ar)
         if not check_hom_algebra(smash2).passed:
             return False, f"right smash algebra fails ({tag})"
-        rec.record(f"smash_right({tag})", lambda p=smash2: check_hom_algebra(p))
-        lam2 = coaction_lambda_right_smash(bh2, alg_c, ar)
-        if not check_comodule_hom_algebra(bh2, smash2, lam2).passed:
+        lam2 = coaction_lambda_right_smash(bh, alg_a, ar)
+        if not check_comodule_hom_algebra(bh, smash2, lam2).passed:
             return False, f"right-smash lambda multiplicativity fails ({tag})"
     if not check_smash_twist_compat(h4, a, act_l, alpha_h, alpha_a).passed:
         return False, "left smash twist compatibility fails"
@@ -276,7 +252,7 @@ def criterion_6_smash_suite(rec):
     return True, "both alphas variants pass all smash, coaction and YD checks"
 
 
-def criterion_7_alpha_pseudotwistor(rec):
+def criterion_7_alpha_pseudotwistor(closure):
     """Yau operator triple, alphaAB flip lift and the Clifford alpha variant."""
     d0 = build(GalleryKey("homalg_2dim", {"a": 1, "l1": 2, "l2": 0}))["D"]
     cases = [(HomAlgebra(2, d0.map, LinearMap.identity(2)), d0.alpha, "Example algebra, l2=0")]
@@ -286,14 +262,14 @@ def criterion_7_alpha_pseudotwistor(rec):
         if not check_alpha_pseudotwistor(algebra_, alpha, op, c1, c2).passed:
             return False, f"yau_operator rejected on {tag}"
         deformed = deform_with_alpha(algebra_, alpha, op)
-        rec.record(f"deform_with_alpha({tag})", lambda p=deformed: check_hom_algebra(p))
+        closure.append((f"deform_with_alpha({tag})", check_hom_algebra, deformed))
         if deformed != yau_twist_algebra(algebra_, alpha):
             return False, f"A^T_alpha differs from A_alpha on {tag}"
     bundle = build(GalleryKey("alpha_ttp_flip", {}))
     alg, op, c1, c2 = alphaAB_ttp(
         bundle["A"], bundle["B"], bundle["alphaA"], bundle["alphaB"], bundle["R"]
     )
-    rec.record("alphaAB_ttp(flip lift)", lambda p=alg: check_hom_algebra(p))
+    closure.append(("alphaAB_ttp(flip lift)", check_hom_algebra, alg))
     base = tensor_algebra(bundle["A"], bundle["B"])
     twist = kron(bundle["alphaA"], bundle["alphaB"])
     if not check_alpha_pseudotwistor(base, twist, op, c1, c2).passed:
@@ -305,7 +281,7 @@ def criterion_7_alpha_pseudotwistor(rec):
     alg, op, c1, c2 = alphaAB_ttp(
         bundle["A"], bundle["B"], bundle["alphaA"], bundle["alphaB"], bundle["R"]
     )
-    rec.record("alphaAB_ttp(clifford)", lambda p=alg: check_hom_algebra(p))
+    closure.append(("alphaAB_ttp(clifford)", check_hom_algebra, alg))
     base = tensor_algebra(bundle["A"], bundle["B"])
     if not check_alpha_pseudotwistor(
         base, kron(bundle["alphaA"], bundle["alphaB"]), op, c1, c2
@@ -313,14 +289,14 @@ def criterion_7_alpha_pseudotwistor(rec):
         return False, "Clifford alpha operator triple rejected"
     sigma = bundle["sigma"]
     abar = ttp(bundle["A"], clifford_algebra(q), clifford_twisting_map(sigma))
-    rec.record("classical clifford ttp", lambda p=abar: check_associative(p))
+    closure.append(("classical clifford ttp", check_associative, abar))
     sigma_bar = kron(sigma, LinearMap.identity(2))
     if alg != yau_twist_algebra(abar, sigma_bar):
         return False, "Clifford alpha variant does not equal (Abar)_sigmabar"
     return True, "Yau operator, flip lift and Clifford alpha variant all coincide as stated"
 
 
-def criterion_8_quantum(rec):
+def criterion_8_quantum(closure):
     """PBW relations, the Hopf maps on the rules, the rho oracle and the closed formulas."""
     # plane degree of the module scan, m, n, r, s of the closed forms, and the
     # degrees of the rho oracle
@@ -341,23 +317,19 @@ def criterion_8_quantum(rec):
         if not check_hopf_on_relations(q, lam).passed:
             return False, f"Hopf check on the relations fails at q={q}, lambda={lam}"
 
-    for l in (0, 1, 2):
-        params = UqParams(2, 3, 5, l)
-        for gen, mon in GEN_MONOMIAL.items():
-            for m in range(bound_rho + 1):
-                for n in range(bound_rho + 1):
-                    got = rho_l(UqElement.monomial(mon), QPlaneElement.monomial((m, n)), params)
-                    if got != rho_generator_formula(gen, m, n, params):
-                        return False, f"rho oracle mismatch at l={l}, {gen}, ({m}, {n})"
-
+    # one UqParams per (tuple, l), so its per-instance tables fill once
+    degrees = range(bound_rho + 1)
     for tup in ((2, 3, 5), (3, Q(1, 2), 2)):
         for l in (0, 1, 2):
-            params = UqParams(tup[0], tup[1], tup[2], l)
+            params = UqParams(*tup, l)
+            for (gen, mon), m, n in itertools.product(GEN_MONOMIAL.items(), degrees, degrees):
+                got = rho_l(UqElement.monomial(mon), QPlaneElement.monomial((m, n)), params)
+                if got != rho_generator_formula(gen, m, n, params):
+                    return False, f"rho oracle mismatch at {tup}, l={l}, {gen}, ({m}, {n})"
             if not check_uq_module_hom_algebra(params, bound_mod).passed:
                 return False, f"module Hom-algebra check fails at {tup}, l={l}"
-        params = UqParams(tup[0], tup[1], tup[2], 0)
-        if not verify_smash_closed_forms(params, bound_32).passed:
-            return False, f"closed smash formulas fail at {tup}"
+            if l == 0 and not verify_smash_closed_forms(params, bound_32).passed:
+                return False, f"closed smash formulas fail at {tup}"
     return True, (
         f"relations, confluence (diamond lemma), Hopf maps on the rules, rho oracle "
         f"(degrees <= {bound_rho}), module check (bound {bound_mod}) and closed "
@@ -365,22 +337,20 @@ def criterion_8_quantum(rec):
     )
 
 
-def criterion_9_closure(rec):
-    """Re-validate every recorded constructor output with its axiom scanner."""
-    if not rec.entries:
+def criterion_9_closure(closure):
+    """Run each recorded checker on its constructed object."""
+    if not closure:
         return False, "no constructed objects recorded: nothing to re-validate"
     failed = []
-    for label, thunk in rec.entries:
+    for label, checker, obj in closure:
         try:
-            passed = thunk().passed
-        except Exception as exc:  # one crashing scanner must not hide the others
+            if not checker(obj).passed:
+                failed.append(label)
+        except Exception as exc:  # one crashing checker must not hide the others
             failed.append(f"{label}: {type(exc).__name__}")
-            continue
-        if not passed:
-            failed.append(label)
     if failed:
         return False, f"closure failures: {failed}"
-    return True, f"{len(rec.entries)} constructed objects re-validated, 100% pass"
+    return True, f"{len(closure)} constructed objects re-validated, 100% pass"
 
 
 GOLDEN_MANIFEST = {
@@ -475,7 +445,7 @@ GOLDEN_MANIFEST = {
 }
 
 
-def criterion_10_cli(rec):
+def criterion_10_cli(closure):
     """Manifest round-trip and the three CLI exit paths."""
     text = json.dumps(GOLDEN_MANIFEST)
     parsed = manifest_mod.parse_manifest(text)
@@ -519,17 +489,17 @@ def selected_criteria(filter_substr=None):
 
 
 def run_criteria(filter_substr=None):
-    """Run the selected criteria in order on one shared recorder.
+    """Run the selected criteria in order on one shared closure list.
 
     Yields (cid, passed, detail, elapsed) per criterion.  A criterion that
     raises yields a failure naming the exception, and the later criteria
     still run.
     """
-    recorder = Recorder()
+    closure = []
     for cid, fn in selected_criteria(filter_substr):
         start = time.perf_counter()
         try:
-            passed, detail = fn(recorder)
+            passed, detail = fn(closure)
         except Exception as exc:  # a crash is a failure, not a missing line
             passed, detail = False, f"{type(exc).__name__}: {exc}"
         yield cid, passed, detail, time.perf_counter() - start

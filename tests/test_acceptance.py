@@ -1,9 +1,11 @@
 """The acceptance matrix: one test per numbered criterion, exact comparisons.
 
 The matrix runs once, through ``run_criteria``, the same runner that
-``homtwist paper`` prints from (criteria feed the closure recorder in order,
-and a criterion that raises becomes that criterion's failure only); each test
-then asserts its criterion and pytest -v shows one line per criterion.
+``homtwist paper`` prints from.  The criteria run in order on one closure list:
+each appends ``(label, checker, object)`` for the constructed objects whose
+conclusion it has not scanned, and criterion 9 runs each checker on its
+object.  A criterion that raises becomes that criterion's failure only.  Each
+test then asserts its criterion, and pytest -v shows one line per criterion.
 """
 
 import pytest
