@@ -32,7 +32,6 @@ from .exact import (
     kron,
     mat_inv,
     rat_parse,
-    rat_str,
     unflatten_index,
 )
 from .gallery import GalleryKey, build

@@ -3,7 +3,8 @@
 An algebra is a triple (dim, map, alpha) of the multiplication mu, a
 ``LinearMap`` (d, d) -> (d,), and the structure map, a ``LinearMap``
 (d,) -> (d,).  ``hom_algebra`` reads the constants ``mul[i][j][k]``, the
-coefficient of ``e_k`` in ``e_i e_j``, and ``mul`` is their dense view.  A
+coefficient of ``e_k`` in ``e_i e_j``, by ``LinearMap.from_constants``, and
+``mul`` is their dense view.  A
 plain associative algebra has ``alpha`` the identity.  No axiom is assumed at
 construction; the checkers decide status.  Algebras are nonunital throughout.
 
@@ -28,7 +29,6 @@ from .exact import (
     LinearMap,
     Scan,
     ZERO,
-    as_constants,
     compose,
     kron,
     mat_inv,
@@ -93,8 +93,8 @@ def hom_algebra(dim, mul, alpha=None) -> HomAlgebra:
         alpha = LinearMap.identity(dim)
     elif not isinstance(alpha, LinearMap):
         alpha = LinearMap.from_matrix(alpha)
-    mul = as_constants(mul, (dim, dim, dim), f"structure constants are not {dim}^3 shaped")
-    return HomAlgebra(dim, LinearMap.from_constants(mul, (dim, dim), (dim,)), alpha)
+    message = f"structure constants are not {dim}^3 shaped"
+    return HomAlgebra(dim, LinearMap.from_constants(mul, (dim, dim), (dim,), message), alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 A coalgebra is a triple (dim, map, alpha) of Delta, a ``LinearMap``
 (d,) -> (d, d), and the structure map, a ``LinearMap`` (d,) -> (d,).
 ``hom_coalgebra`` reads the constants ``comul[i][j][k]``, the coefficient of
-``e_j (x) e_k`` in ``Delta(e_i)``, and ``comul`` is their dense view.  Counits
-and antipodes are not modeled.
+``e_j (x) e_k`` in ``Delta(e_i)``, by ``LinearMap.from_constants``, and
+``comul`` is their dense view.  Each axiom is a ``scan_composites`` block, so
+``check_hom_coalgebra`` is one scan.  Counits and antipodes are not modeled.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ from functools import cached_property
 
 from .algebra import HomAlgebra, check_hom_algebra, yau_twist_algebra
 from .errors import DimensionMismatch, NotComultiplicative, PreconditionFailure
-from .exact import LinearMap, Scan, as_constants, compose, scan_composites
+from .exact import LinearMap, Scan, compose, scan_composites
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,7 @@ def hom_coalgebra(dim, comul, alpha=None) -> HomCoalgebra:
     elif not isinstance(alpha, LinearMap):
         alpha = LinearMap.from_matrix(alpha)
     message = f"comultiplication constants are not {dim}^3 shaped"
-    comul = as_constants(comul, (dim, dim, dim), message)
-    return HomCoalgebra(dim, LinearMap.from_constants(comul, (dim,), (dim, dim)), alpha)
+    return HomCoalgebra(dim, LinearMap.from_constants(comul, (dim,), (dim, dim), message), alpha)
 
 
 @dataclass(frozen=True)
@@ -84,32 +84,33 @@ class HomBialgebra:
 # ---------------------------------------------------------------------------
 
 
-def _comultiplicativity_scan(coalgebra, endo):
-    """(endo (x) endo) o Delta = Delta o endo, scanned per basis element."""
+def _comultiplicativity_block(coalgebra, endo):
+    """(endo (x) endo) o Delta = Delta o endo, per basis element."""
     delta, e = coalgebra.map, endo
     lhs, rhs = [(delta, 0), (e, 0), (e, 1)], [(e, 0), (delta, 0)]
-    return scan_composites([((coalgebra.dim,), [("comultiplicativity", lhs, rhs)])])
+    return (coalgebra.dim,), [("comultiplicativity", lhs, rhs)]
 
 
-def _hom_coassoc_scan(coalgebra, a, equation="hom_coassociativity"):
+def _hom_coassoc_block(coalgebra, a, equation):
     """(Delta (x) a) o Delta = (a (x) Delta) o Delta per basis element."""
     delta = coalgebra.map
     lhs, rhs = [(delta, 0), (delta, 0), (a, 2)], [(delta, 0), (a, 0), (delta, 1)]
-    return scan_composites([((coalgebra.dim,), [(equation, lhs, rhs)])])
+    return (coalgebra.dim,), [(equation, lhs, rhs)]
 
 
 def check_hom_coalgebra(coalgebra):
-    """Comultiplicativity of alpha plus Hom-coassociativity, per basis element."""
-    scan = Scan()
-    scan.absorb("", _comultiplicativity_scan(coalgebra, coalgebra.alpha))
-    scan.absorb("", _hom_coassoc_scan(coalgebra, coalgebra.alpha))
-    return scan.done()
+    """Comultiplicativity of alpha, then Hom-coassociativity, per basis element."""
+    alpha = coalgebra.alpha
+    return scan_composites([
+        _comultiplicativity_block(coalgebra, alpha),
+        _hom_coassoc_block(coalgebra, alpha, "hom_coassociativity"),
+    ])
 
 
 def check_coassociative(coalgebra):
     """Plain coassociativity, ignoring the structure map."""
     ident = LinearMap.identity(coalgebra.dim)
-    return _hom_coassoc_scan(coalgebra, ident, equation="coassociativity")
+    return scan_composites([_hom_coassoc_block(coalgebra, ident, "coassociativity")])
 
 
 def check_hom_bialgebra(bialgebra):
@@ -142,7 +143,7 @@ def yau_twist_coalgebra(coalgebra, alpha):
     if not coalgebra.is_classical():
         raise PreconditionFailure("yau twist input must have identity structure map")
     check_coassociative(coalgebra).require("coassociativity")
-    _comultiplicativity_scan(coalgebra, alpha).require(
+    scan_composites([_comultiplicativity_block(coalgebra, alpha)]).require(
         "alpha is not comultiplicative", NotComultiplicative
     )
     path = [(alpha, 0), (coalgebra.map, 0)]

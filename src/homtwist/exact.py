@@ -30,11 +30,12 @@ Everything else in the package builds on the conventions pinned here, once:
   Nested input is read once, at the boundary: rows of a ``Matrix`` by
   ``LinearMap.from_matrix`` (in the manifest, the gallery and
   ``hom_algebra``/``hom_coalgebra``), and structure constants by
-  ``as_constants`` then ``LinearMap.from_constants`` (in ``hom_algebra``,
-  ``hom_coalgebra``, ``action_table`` and ``coaction_table``).  Dense views
-  exist only to be read: ``LinearMap.matrix()``, and ``LinearMap.table()``
-  behind the ``mul``, ``comul`` and ``table`` properties of algebras,
-  coalgebras, actions and coactions.  The exceptions are in ``algebra``:
+  ``LinearMap.from_constants``, which checks their nesting and reads each
+  scalar (in ``hom_algebra``, ``hom_coalgebra``, ``action_table`` and
+  ``coaction_table``).  Dense views exist only to be read:
+  ``LinearMap.matrix()``, and ``LinearMap.table()`` behind the ``mul``,
+  ``comul`` and ``table`` properties of algebras, coalgebras, actions and
+  coactions.  The exceptions are in ``algebra``:
   Hom-associativity and associativity of one algebra, scanned on sparse
   columns that ``compose`` tabulates once per call, and the one
   multiplicativity scan f(e_i e_j) = f(e_i) f(e_j), which reads f through
@@ -42,10 +43,11 @@ Everything else in the package builds on the conventions pinned here, once:
   ``HomAlgebra.product``.
 * a precondition is a check whose report must pass; ``CheckReport.require`` is
   the one place that turns a failed report into an exception.  A composite
-  constructor calls the public checked constructors it is built from, and
-  calls a private builder (which checks nothing) only directly after it has
-  verified that builder's inputs itself.  No object identity is tracked and
-  no verified fact is cached (``uqsl2`` memoizes pure values only).
+  constructor calls the public checked constructors it is built from, checks
+  inline nothing that they require on equal arguments, and calls a private
+  builder (which checks nothing) only directly after it has verified that
+  builder's inputs itself.  No object identity is tracked and no verified
+  fact is cached (``uqsl2`` memoizes pure values only).
 """
 
 import re
@@ -83,11 +85,6 @@ def rat_parse(text):
     return Q(num) if num else ZERO
 
 
-def rat_str(x):
-    """Inverse of rat_parse: ``p/q`` reduced, or a bare integer."""
-    return str(x)
-
-
 def as_scalar(x):
     """Coerce ints, backend rationals or literal strings to the scalar type.
 
@@ -103,21 +100,6 @@ def as_scalar(x):
             raise MalformedRational(f"not an exact scalar: {x!r}")
         x = Q(x)
     return x if x else ZERO
-
-
-def as_constants(table, shape, message):
-    """A nested table of structure constants as tuples of scalars.
-
-    The table must nest as ``shape`` (three dims); otherwise DimensionMismatch
-    with `message`.
-    """
-    table = tuple(tuple(tuple(map(as_scalar, row)) for row in plane) for plane in table)
-    d0, d1, d2 = shape
-    if len(table) != d0 or any(
-        len(plane) != d1 or any(len(row) != d2 for row in plane) for plane in table
-    ):
-        raise DimensionMismatch(message)
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -255,19 +237,21 @@ class LinearMap:
         return cls(src, dst, (_nonzero(m.col(c)) for c in range(m.cols)))
 
     @classmethod
-    def from_constants(cls, table, src, dst):
+    def from_constants(cls, table, src, dst, message):
         """Structure constants nested source factors first, then target factors.
 
         ``mul[i][j][k]`` is a map (d, d) -> (d,), ``comul[i][j][k]`` a map
-        (d,) -> (d, d); action and coaction tables read the same way.
+        (d,) -> (d, d); action and coaction tables read the same way.  A table
+        that does not nest as ``src + dst`` raises DimensionMismatch(message).
         """
-        flat = table
-        for _ in range(len(src) + len(dst) - 1):
+        flat = [table]
+        for d in tuple(src) + tuple(dst):
+            if any(len(part) != d for part in flat):
+                raise DimensionMismatch(message)
             flat = [x for part in flat for x in part]
         n = _size(dst)
-        if len(flat) != _size(src) * n:
-            raise DimensionMismatch(f"constants are not shaped {tuple(src) + tuple(dst)}")
-        return cls(src, dst, (_nonzero(flat[c * n:(c + 1) * n]) for c in range(_size(src))))
+        cols = (_nonzero(map(as_scalar, flat[c * n:(c + 1) * n])) for c in range(_size(src)))
+        return cls(src, dst, cols)
 
     @classmethod
     def identity(cls, d):
@@ -471,24 +455,21 @@ class Scan:
     """
 
     def __init__(self):
-        self.cap = DEFAULT_FAILURE_CAP
         self.passed = True
         self.failures = []
 
     def eq(self, equation, basis, lhs, rhs):
         if list(lhs) != list(rhs):
             self.passed = False
-            if len(self.failures) < self.cap:
+            if len(self.failures) < DEFAULT_FAILURE_CAP:
                 self.failures.append(Failure(equation, tuple(basis), tuple(lhs), tuple(rhs)))
 
     def absorb(self, prefix, report):
         if not report.passed:
             self.passed = False
-            for f in report.failures:
-                if len(self.failures) >= self.cap:
-                    break
-                eq = f"{prefix}:{f.equation}" if prefix else f.equation
-                self.failures.append(Failure(eq, f.basis, f.lhs, f.rhs))
+            room = DEFAULT_FAILURE_CAP - len(self.failures)
+            for f in report.failures[:room]:
+                self.failures.append(Failure(f"{prefix}:{f.equation}", f.basis, f.lhs, f.rhs))
 
     def done(self):
         return CheckReport(self.passed, tuple(self.failures))

@@ -34,7 +34,7 @@ from .errors import (
     UnknownName,
     WrongKind,
 )
-from .exact import LinearMap, Matrix, rat_parse, rat_str
+from .exact import LinearMap, Matrix, rat_parse
 from .modsmash import action_table, coaction_table
 from .twisted import TwistingMapR
 from .twistor import Operator2, Operator3
@@ -94,7 +94,7 @@ def _nested(value, depth, where):
 
 def _nested_str(value, depth):
     if depth == 0:
-        return rat_str(value)
+        return str(value)
     return [_nested_str(v, depth - 1) for v in value]
 
 
@@ -123,7 +123,7 @@ def _canonical_def(parsed):
         if fieldname in _SCALAR_FIELDS:
             out[fieldname] = _nested_str(value, _SCALAR_FIELDS[fieldname])
         elif fieldname == "params":
-            out[fieldname] = {k: rat_str(v) for k, v in value.items()}
+            out[fieldname] = {k: str(v) for k, v in value.items()}
         elif fieldname != "kind":
             out[fieldname] = value
     return out

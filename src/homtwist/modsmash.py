@@ -7,28 +7,27 @@ M -> C (x) M (left) or M -> M (x) C (right), each a ``LinearMap`` beside
 maps, mu, Delta and the structure maps, with flips bringing the factors each
 map acts on together, and every action or coaction built here is a
 ``compose`` of them.  ``action_table``/``coaction_table`` read nested
-constants, and ``table`` is their dense view: ``table[h][m][m']`` is the
-coefficient of ``e_{m'}`` in ``e_h . e_m`` (left) or ``e_m . e_h`` (right),
-and ``table[m][i][j]`` that of ``e_i (x) e_j`` in the coaction of ``e_m``,
-the pair read (coalgebra, module) on the left and (module, coalgebra) on the
-right.  A table states its side once: every checker reads ``action.side`` or
-``coaction.side``, and the action's side picks the left smash A # H or the
-right smash H # C.
+constants by ``LinearMap.from_constants``, and ``table`` is their dense view:
+``table[h][m][m']`` is the coefficient of ``e_{m'}`` in ``e_h . e_m`` (left)
+or ``e_m . e_h`` (right), and ``table[m][i][j]`` that of ``e_i (x) e_j`` in
+the coaction of ``e_m``, the pair read (coalgebra, module) on the left and
+(module, coalgebra) on the right.  A table states its side once: every
+checker reads ``action.side`` or ``coaction.side``, and the action's side
+picks the left smash A # H or the right smash H # C.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import multiplicativity_scan, yau_twist_algebra
-from .coalgebra import _comultiplicativity_scan, yau_twist_bialgebra
+from .algebra import yau_twist_algebra
+from .coalgebra import yau_twist_bialgebra
 from .errors import (
     DimensionMismatch,
     IntertwiningFailure,
-    NotMultiplicative,
     PreconditionFailure,
     YDViolation,
 )
-from .exact import LinearMap, as_constants, compose, kron, mat_inv, scan_composites
+from .exact import LinearMap, compose, kron, mat_inv, scan_composites
 from .twisted import TwistingMapR, flip, hom_ttp, iterated_ttp
 from .twistor import structure_constants_block
 
@@ -91,8 +90,9 @@ class CoactionTable(_SidedMap):
 def action_table(side, acting_dim, module_dim, table, alpha_m) -> ActionTable:
     """The action of the nested constants ``table[h][m][m']``."""
     dh, dm = acting_dim, module_dim
-    table = as_constants(table, (dh, dm, dm), f"action constants are not {dh}x{dm}x{dm} shaped")
-    return ActionTable(side, dh, dm, LinearMap.from_constants(table, (dh, dm), (dm,)), alpha_m)
+    message = f"action constants are not {dh}x{dm}x{dm} shaped"
+    lmap = LinearMap.from_constants(table, (dh, dm), (dm,), message)
+    return ActionTable(side, dh, dm, lmap, alpha_m)
 
 
 def coaction_table(side, coalgebra_dim, module_dim, table, alpha_m) -> CoactionTable:
@@ -101,7 +101,7 @@ def coaction_table(side, coalgebra_dim, module_dim, table, alpha_m) -> CoactionT
     dm = module_dim
     pair = (coalgebra_dim, dm) if side == LEFT else (dm, coalgebra_dim)
     message = f"coaction constants are not {dm}x{pair[0]}x{pair[1]} shaped"
-    lmap = LinearMap.from_constants(as_constants(table, (dm,) + pair, message), (dm,), pair)
+    lmap = LinearMap.from_constants(table, (dm,), pair, message)
     return CoactionTable(side, coalgebra_dim, dm, lmap, alpha_m)
 
 
@@ -150,26 +150,21 @@ def yau_twist_module_algebra(bialgebra, algebra, action, alpha_h, alpha_a):
     """Twist a classical module algebra into a module Hom-algebra.
 
     The new action is h . a -> alpha_A(h . a); requires the intertwining
-    alpha_A(h . a) = alpha_H(h) . alpha_A(a).
+    alpha_A(h . a) = alpha_H(h) . alpha_A(a).  The two Yau twists require
+    alpha_H to be a bialgebra endomorphism and alpha_A to be multiplicative.
     """
     if not bialgebra.is_classical() or not algebra.is_classical():
         raise PreconditionFailure("classical input required (identity structure maps)")
     if not action.alpha_m.is_identity():
         raise PreconditionFailure("classical action required (identity alpha_M)")
     check_module_hom_algebra(bialgebra, algebra, action).require("classical module algebra axioms")
-    h, c = bialgebra.algebra, bialgebra.coalgebra
-    multiplicativity_scan(h, alpha_h).require("alpha_H is not multiplicative", NotMultiplicative)
-    _comultiplicativity_scan(c, alpha_h).require("alpha_H must be a coalgebra endomorphism")
-    multiplicativity_scan(algebra, alpha_a).require(
-        "alpha_A is not multiplicative", NotMultiplicative
-    )
+    twisted_bi = yau_twist_bialgebra(bialgebra, alpha_h)
+    twisted_alg = yau_twist_algebra(algebra, alpha_a)
     act, fa, fh = action.map, alpha_a, alpha_h
     dims = (bialgebra.dim, algebra.dim)
     scan_composites([
         (dims, [("intertwining", [(act, 0), (fa, 0)], [(fh, 0), (fa, 1), (act, 0)])]),
     ]).require("alpha_A(h.a) != alpha_H(h).alpha_A(a)", IntertwiningFailure)
-    twisted_bi = yau_twist_bialgebra(bialgebra, alpha_h)
-    twisted_alg = yau_twist_algebra(algebra, alpha_a)
     twisted_map = compose([(act, 0), (fa, 0)], dims)
     twisted_action = ActionTable(action.side, bialgebra.dim, algebra.dim, twisted_map, alpha_a)
     return twisted_bi, twisted_alg, twisted_action

@@ -215,19 +215,17 @@ def structure_constants_block(left, right):
 
 
 def check_yau_compat(algebra, alpha, op, comp1, comp2):
-    """Pseudotwistor vs Yau-twist compatibility: the deformations commute."""
-    if not algebra.is_classical():
-        raise PreconditionFailure("associative input required (identity structure map)")
-    check_associative(algebra).require("check_associative")
+    """Pseudotwistor vs Yau-twist compatibility: the deformations commute.
+
+    The hypotheses are those of ``check_pseudotwistor`` and ``yau_twist_algebra``.
+    """
     check_pseudotwistor(algebra, op, comp1, comp2).require("check_pseudotwistor")
-    multiplicativity_scan(algebra, alpha).require("alpha_multiplicative_for_base")
+    twisted = yau_twist_algebra(algebra, alpha)
     scan_composites([_commutes_with_alpha(alpha, op)]).require("alpha_commutes_with_operator")
     deformed = deform(algebra, op)
-    multiplicativity_scan(deformed, alpha).require("alpha_multiplicative_for_deformed")
+    deform_then_twist = yau_twist_algebra(deformed, alpha)
 
-    twisted = yau_twist_algebra(algebra, alpha)
     scan = Scan()
     scan.absorb("hom_pseudotwistor_on_twist", check_hom_pseudotwistor(twisted, op, comp1, comp2))
     twist_then_deform = deform(twisted, op)
-    deform_then_twist = yau_twist_algebra(deformed, alpha)
     return scan_composites([structure_constants_block(twist_then_deform, deform_then_twist)], scan)

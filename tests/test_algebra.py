@@ -18,7 +18,7 @@ from homtwist.algebra import (
 from homtwist import exact
 from homtwist.errors import DimensionMismatch, NotMultiplicative, PreconditionFailure
 from homtwist.exact import (
-    ONE, ZERO, LinearMap, Matrix, Q, Scan, as_constants, kron
+    ONE, ZERO, LinearMap, Matrix, Q, Scan, kron
 )
 from homtwist.gallery import GalleryKey, build, k2_algebra, swap_matrix
 from homtwist.twisted import flip, ttp
@@ -426,7 +426,8 @@ class TestCanonicalTables:
             entries = [c for plane in algebra.mul for row in plane for c in row]
             assert all(c is ZERO for c in entries if not c)
             assert all(type(c) is Q for c in entries)
-            assert algebra.mul == as_constants(algebra.mul, (algebra.dim,) * 3, "shape")
+            d = algebra.dim
+            assert algebra.map == LinearMap.from_constants(algebra.mul, (d, d), (d,), "shape")
 
     def test_a_product_whose_sums_cancel_is_canonical(self):
         # R(f (x) e_0) = (e_0 + e_1) (x) f, so (e_0 (x) f)(e_0 (x) f) = e_0 (e_0 + e_1) (x) f

@@ -24,14 +24,12 @@ from homtwist.exact import (
     ZERO,
     apply_at,
     apply_path,
-    as_constants,
     as_scalar,
     compose,
     flatten_index,
     kron,
     mat_inv,
     rat_parse,
-    rat_str,
     scan_composites,
     to_dense,
     unflatten_index,
@@ -61,7 +59,7 @@ class TestRatParse:
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, num, den):
         x = Q(num, den)
-        assert rat_parse(rat_str(x)) == x
+        assert rat_parse(str(x)) == x
 
 
 def lmap(rows):
@@ -201,8 +199,8 @@ class TestCheckReport:
     def test_cap_does_not_mask_failure(self):
         with mock.patch.object(exact, "DEFAULT_FAILURE_CAP", 2):
             scan = Scan()
-        for i in range(5):
-            scan.eq("bogus", (i,), [0], [1])
+            for i in range(5):
+                scan.eq("bogus", (i,), [0], [1])
         rep = scan.done()
         assert not rep.passed
         assert len(rep.failures) == 2
@@ -221,11 +219,12 @@ def _failing_report():
     return scan.done()
 
 
-class TestAsConstants:
+class TestFromConstants:
     def test_scalars_and_shape(self):
-        table = as_constants([[["1", 0]], [[Fraction(1, 2), "-0/3"]]], (2, 1, 2), "bad")
-        assert table == ((((Q(1), ZERO),), ((Q(1, 2), ZERO),)))
-        assert table[0][0][1] is ZERO and table[1][0][1] is ZERO
+        m = LinearMap.from_constants([[["1", 0]], [[Fraction(1, 2), "-0/3"]]], (2, 1), (2,), "bad")
+        assert m.cols == (((0, Q(1)),), ((0, Q(1, 2)),))
+        assert m.table() == ((((Q(1), ZERO),), ((Q(1, 2), ZERO),)))
+        assert m.table()[0][0][1] is ZERO and m.table()[1][0][1] is ZERO
 
     @pytest.mark.parametrize("table", [
         [[[1, 0]]],  # too few planes
@@ -234,7 +233,8 @@ class TestAsConstants:
     ])
     def test_wrong_shape_raises_the_given_message(self, table):
         with pytest.raises(DimensionMismatch) as info:
-            as_constants(table, (2, 1, 2), "action constants are not 2x1x2 shaped")
+            LinearMap.from_constants(
+                table, (2, 1), (2,), "action constants are not 2x1x2 shaped")
         assert str(info.value) == "action constants are not 2x1x2 shaped"
 
 
@@ -321,7 +321,7 @@ class TestApplyAt:
     def test_constants_read_source_factors_first(self):
         # mul[i][j] = e_{i+j mod 2} on k[C2]
         mul = [[[Q(int((i + j) % 2 == k)) for k in range(2)] for j in range(2)] for i in range(2)]
-        mu = LinearMap.from_constants(mul, (2, 2), (2,))
+        mu = LinearMap.from_constants(mul, (2, 2), (2,), "mul is not 2x2x2")
         assert mu.src == (2, 2) and mu.dst == (2,)
         assert mu.table() == tuple(tuple(tuple(row) for row in plane) for plane in mul)
 

@@ -2,57 +2,77 @@
 
 ``CheckReport.require`` is the only place where a failed report becomes an
 exception.  A composite constructor calls the public checked constructors it
-is built from, and calls a private builder only directly after it has
-verified that builder's inputs itself; no object identity is tracked and no
-verified fact is cached.  Every structure map is stored as a ``LinearMap``:
+is built from, runs no check that one of them requires on equal arguments,
+and calls a private builder only directly after it has verified that
+builder's inputs itself; no object identity is tracked and no verified fact
+is cached.  Every structure map is stored as a ``LinearMap``:
 a ``Matrix`` is made only at the input boundary (the manifest, the gallery,
 ``hom_algebra``/``hom_coalgebra``) and as the dense view that
 ``algebra._multiplicative`` reads through ``Matrix.apply`` and
 ``HomAlgebra.product``; nested structure constants are read only by the four
 boundary constructors and tabulated only by the dense-view properties
 ``mul``, ``comul`` and ``table``; every other composite goes through
-``exact.compose`` or ``exact.scan_composites``.
+``exact.compose`` or ``exact.scan_composites``.  No module imports a name it
+never reads.
 """
 
 import ast
 import dataclasses
 import json
 import pathlib
+import sys
+import types
 
 import pytest
 
-from homtwist import twisted
+from homtwist import algebra, coalgebra, exact, modsmash, twisted, twistor
 from homtwist.errors import PreconditionFailure
 from homtwist.exact import ONE, LinearMap, Matrix
-from homtwist.gallery import FAMILIES, GalleryKey, build, k2_algebra
+from homtwist.gallery import (
+    FAMILIES,
+    GalleryKey,
+    build,
+    dual_numbers,
+    h4_left_action,
+    h4_twists,
+    k2_algebra,
+    swap_matrix,
+    sweedler_h4,
+)
 from homtwist.manifest import parse_manifest
 from homtwist.suite import GOLDEN_MANIFEST
 
 SRC = pathlib.Path(twisted.__file__).parent
 
 
-def _counting(monkeypatch, name):
-    """Record the first argument of every call to twisted.<name>."""
-    calls = []
-    original = getattr(twisted, name)
+def _calls(monkeypatch, functions):
+    """The arguments of each call to `functions`, by name, wherever a homtwist module binds one."""
+    log = {fn.__name__: [] for fn in functions}
+    wrappers = {}
+    for fn in functions:
+        def logged(*args, _fn=fn):
+            log[_fn.__name__].append(args)
+            return _fn(*args)
 
-    def counted(first, *rest):
-        calls.append(first)
-        return original(first, *rest)
-
-    monkeypatch.setattr(twisted, name, counted)
-    return calls
+        wrappers[fn] = logged
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "homtwist":
+            continue
+        for attr, value in list(vars(module).items()):
+            if isinstance(value, types.FunctionType) and value in wrappers:
+                monkeypatch.setattr(module, attr, wrappers[value])
+    return log
 
 
 class TestRepeatedArguments:
     """A checker given the same object twice scans it twice: no identity is tracked."""
 
     def test_check_alphaAB_twisting_map_scans_each_distinct_map(self, monkeypatch):
-        multiplied = _counting(monkeypatch, "multiplicativity_scan")
+        calls = _calls(monkeypatch, [algebra.multiplicativity_scan])
         a, r = k2_algebra(), twisted.flip(2, 2)
         f, g = LinearMap.identity(2), LinearMap.identity(2)
         assert twisted.check_alphaAB_twisting_map(a, a, f, g, r).passed
-        assert multiplied == [a, a]
+        assert [args[0] for args in calls["multiplicativity_scan"]] == [a, a]
 
 
 class TestCheckOrder:
@@ -288,10 +308,10 @@ def table_sites(source, filename):
 
 
 def constants_sites(source, filename):
-    """`file:function` of each `as_constants(` and `from_constants(` call."""
+    """`file:function` of each `from_constants(` call."""
     return call_sites(source, filename, lambda func: (
         func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    ) in ("as_constants", "from_constants"))
+    ) == "from_constants")
 
 
 def _stored_tables(obj, where):
@@ -337,9 +357,9 @@ class TestOneConstantsBoundary:
         old = (
             "class HomAlgebra:\n"
             "    def __post_init__(self):\n"
-            "        mul = as_constants(self.mul, (d, d, d), message)\n"
+            "        mul = from_constants(self.mul, (d, d), (d,), message)\n"
             "    def map(self):\n"
-            "        return LinearMap.from_constants(self.mul, (d, d), (d,))\n"
+            "        return LinearMap.from_constants(self.mul, (d, d), (d,), message)\n"
         )
         assert constants_sites(old, "algebra.py") == ["algebra.py:__post_init__", "algebra.py:map"]
 
@@ -449,6 +469,44 @@ class TestCompositesCallCheckedConstructors:
         assert seen_tracking_sites(loop, "manifest.py") == []
 
 
+def _equations(scans, name, endo):
+    """The equations called `name` whose left path applies `endo`, over the logged scans."""
+    return [
+        eq
+        for blocks, *_ in scans
+        for _, equations in blocks
+        for eq in equations
+        if eq[0] == name and any(lmap == endo for lmap, _ in eq[1])
+    ]
+
+
+class TestEachHypothesisOnce:
+    """A composite runs no check that a public constructor it calls requires on equal arguments."""
+
+    def test_check_yau_compat(self, monkeypatch):
+        calls = _calls(monkeypatch, [algebra.check_associative, algebra.multiplicativity_scan])
+        ident2, ident3 = twistor.Operator2.identity(2), twistor.Operator3.identity(2)
+        assert twistor.check_yau_compat(k2_algebra(), swap_matrix(), ident2, ident3, ident3)
+        # check_pseudotwistor, then yau_twist_algebra on the base and on the deformation
+        assert len(calls["check_associative"]) == 1
+        assert len(calls["multiplicativity_scan"]) == 2
+
+    def test_yau_twist_module_algebra(self, monkeypatch):
+        calls = _calls(monkeypatch, [algebra.multiplicativity_scan, exact.scan_composites])
+        alpha_h, alpha_a = h4_twists(2)
+        modsmash.yau_twist_module_algebra(
+            sweedler_h4(), dual_numbers(), h4_left_action(), alpha_h, alpha_a
+        )
+        # yau_twist_algebra on H and on A; yau_twist_coalgebra on the coalgebra of H
+        assert len(calls["multiplicativity_scan"]) == 2
+        assert len(_equations(calls["scan_composites"], "comultiplicativity", alpha_h)) == 1
+
+    def test_check_hom_coalgebra_is_one_scan(self, monkeypatch):
+        calls = _calls(monkeypatch, [exact.scan_composites])
+        assert coalgebra.check_hom_coalgebra(sweedler_h4().coalgebra)
+        assert len(calls["scan_composites"]) == 1
+
+
 # A one-sided table states its side once: the table constructors take it, the
 # table validates it, and the smash products require a left or a right action.
 SIDE_TAKERS = [
@@ -483,3 +541,37 @@ class TestSideStatedOnce:
             "    return scan_composites([])\n"
         )
         assert side_parameter_sites(old, "modsmash.py") == ["modsmash.py:check_module"]
+
+
+def unused_imports(source):
+    """Names a module imports and never reads, in import order."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if (alias.asname or alias.name.split(".")[0]) not in read
+    ]
+
+
+class TestNoUnusedImports:
+    def test_no_module_imports_a_name_it_never_reads(self):
+        # the package __init__ imports only to re-export
+        unused = {
+            path.name: unused_imports(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))
+            if path.name != "__init__.py"
+        }
+        assert {name: names for name, names in unused.items() if names} == {}
+
+    def test_the_guard_sees_a_leftover_import(self):
+        old = (
+            "import re\n"
+            "from .algebra import multiplicativity_scan, yau_twist_algebra as twist\n"
+            "from .errors import NotMultiplicative\n"
+            "def yau_twist_module_algebra(algebra, alpha):\n"
+            "    return twist(algebra, alpha)\n"
+        )
+        assert unused_imports(old) == ["re", "multiplicativity_scan", "NotMultiplicative"]

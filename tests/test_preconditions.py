@@ -7,8 +7,8 @@ that order from the outside, one failing hypothesis at a time.
 
 import pytest
 
-from homtwist.algebra import hom_algebra
-from homtwist.coalgebra import HomBialgebra, hom_coalgebra, yau_twist_bialgebra
+from homtwist.algebra import hom_algebra, yau_twist_algebra
+from homtwist.coalgebra import HomBialgebra, hom_coalgebra, yau_twist_bialgebra, yau_twist_coalgebra
 from homtwist.errors import (
     BraidViolation,
     DimensionMismatch,
@@ -39,8 +39,23 @@ from homtwist.modsmash import (
     tensor_modules,
     yau_twist_module_algebra,
 )
-from homtwist.twisted import TwistingMapR, alphaAB_ttp, check_deform_compat_ttp, flip, iterated_ttp
-from homtwist.twistor import Operator2, Operator3, check_yau_compat
+from homtwist.twisted import (
+    TwistingMapR,
+    alphaAB_ttp,
+    check_alphaAB_twisting_map,
+    check_deform_compat_ttp,
+    flip,
+    iterated_ttp,
+)
+from homtwist.twistor import (
+    Operator2,
+    Operator3,
+    check_alpha_pseudotwistor,
+    check_pseudotwistor,
+    check_twistor,
+    check_yau_compat,
+    deform_with_alpha,
+)
 
 
 def lmap(rows):
@@ -84,6 +99,11 @@ def _broken_left_action():
     return action_table(LEFT, 4, 2, table, left.alpha_m)
 
 
+def _scaled_alpha_m_action():
+    """H4's left action on the dual numbers, with alpha_M = diag(1, 2)."""
+    return action_table(LEFT, 4, 2, h4_left_action().table, _diagonal(1, 2))
+
+
 def _trivial_coaction():
     """y^i -> 1 (x) y^i, a left H4-coaction on the dual numbers."""
     table = [[[ONE if (h, j) == (0, m) else ZERO for j in range(2)] for h in range(4)]
@@ -108,6 +128,7 @@ def _cases():
     lb = _lambda_bundle()
     h4, a, c = sweedler_h4(), dual_numbers(), dual_numbers()
     ident2, ident3 = Operator2.identity(2), Operator3.identity(2)
+    id2 = LinearMap.identity(2)
     alpha_h, alpha_a = h4_twists(2)
     return [
         ("iterated_ttp/c_not_hom_associative",
@@ -133,7 +154,7 @@ def _cases():
          PreconditionFailure, "precondition failed: check_module_hom_algebra"),
         ("check_yau_compat/alpha_not_multiplicative",
          lambda: check_yau_compat(k2, _diagonal(2, 2), ident2, ident3, ident3),
-         PreconditionFailure, "precondition failed: alpha_multiplicative_for_base"),
+         NotMultiplicative, "alpha is not multiplicative; witness (0, 0)"),
         ("yau_twist_bialgebra/not_a_bialgebra",
          lambda: yau_twist_bialgebra(_perturbed_h4(), alpha_h),
          PreconditionFailure, "precondition failed: check_hom_bialgebra"),
@@ -166,6 +187,45 @@ def _cases():
         ("coaction_lambda_smash/not_a_module_algebra",
          lambda: coaction_lambda_smash(a, h4, _g_swaps_action(), _trivial_coaction()),
          PreconditionFailure, "precondition failed: check_module_hom_algebra"),
+        ("check_yau_compat/not_classical",
+         lambda: check_yau_compat(_not_hom_associative(), id2, ident2, ident3, ident3),
+         PreconditionFailure,
+         "precondition failed: pseudotwistor base algebra must have identity structure map"),
+        ("check_pseudotwistor/not_classical",
+         lambda: check_pseudotwistor(_not_hom_associative(), ident2, ident3, ident3),
+         PreconditionFailure,
+         "precondition failed: pseudotwistor base algebra must have identity structure map"),
+        ("check_twistor/not_classical",
+         lambda: check_twistor(_not_hom_associative(), ident2),
+         PreconditionFailure,
+         "precondition failed: twistor base algebra must have identity structure map"),
+        ("check_alpha_pseudotwistor/not_classical",
+         lambda: check_alpha_pseudotwistor(_not_hom_associative(), id2, ident2, ident3, ident3),
+         PreconditionFailure, "precondition failed: base algebra must have identity structure map"),
+        ("deform_with_alpha/not_classical",
+         lambda: deform_with_alpha(_not_hom_associative(), id2, ident2),
+         PreconditionFailure, "precondition failed: base algebra must have identity structure map"),
+        ("yau_twist_coalgebra/not_classical",
+         lambda: yau_twist_coalgebra(yau_twist_bialgebra(h4, alpha_h).coalgebra, alpha_h),
+         PreconditionFailure,
+         "precondition failed: yau twist input must have identity structure map"),
+        ("check_alphaAB_twisting_map/b_not_classical",
+         lambda: check_alphaAB_twisting_map(k2, _not_hom_associative(), id2, id2, f),
+         PreconditionFailure, "precondition failed: B must have identity structure map"),
+        ("yau_twist_module_algebra/bialgebra_not_classical",
+         lambda: yau_twist_module_algebra(
+             yau_twist_bialgebra(h4, alpha_h), a, h4_left_action(), alpha_h, alpha_a),
+         PreconditionFailure,
+         "precondition failed: classical input required (identity structure maps)"),
+        ("yau_twist_module_algebra/algebra_not_classical",
+         lambda: yau_twist_module_algebra(
+             h4, yau_twist_algebra(a, alpha_a), h4_left_action(), alpha_h, alpha_a),
+         PreconditionFailure,
+         "precondition failed: classical input required (identity structure maps)"),
+        ("yau_twist_module_algebra/action_not_classical",
+         lambda: yau_twist_module_algebra(h4, a, _scaled_alpha_m_action(), alpha_h, alpha_a),
+         PreconditionFailure,
+         "precondition failed: classical action required (identity alpha_M)"),
         ("check_yau_compat/operator_dimension",
          lambda: check_yau_compat(
              k2, LinearMap.identity(2), Operator2.identity(3), Operator3.identity(3),

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from homtwist.algebra import HomAlgebra, _twisted_product, _yau_twisted, hom_algebra
 from homtwist.coalgebra import hom_coalgebra, yau_twist_coalgebra
-from homtwist.exact import ZERO, LinearMap, Q, as_constants
+from homtwist.exact import ZERO, LinearMap, Q
 from homtwist.gallery import c2_trivial_yd, dual_numbers, h4_left_action, h4_right_action
 from homtwist.gallery import h4_twists, sweedler_h4
 from homtwist.modsmash import (
@@ -49,7 +49,7 @@ def tables(shape, entries=scalars):
 @st.composite
 def maps(draw, src, dst):
     """A LinearMap src -> dst with entries in {-1, 0, 1}."""
-    return LinearMap.from_constants(draw(tables(src + dst, units)), src, dst)
+    return LinearMap.from_constants(draw(tables(src + dst, units)), src, dst, "shape")
 
 
 @st.composite
@@ -61,7 +61,7 @@ def algebras(draw, max_dim=2):
 def reads_back(obj, view):
     """The stored map equals, and hashes as, the map of its dense view."""
     m = obj.map
-    dense = LinearMap.from_constants(view, m.src, m.dst)
+    dense = LinearMap.from_constants(view, m.src, m.dst, "shape")
     return m == dense and hash(m) == hash(dense)
 
 
@@ -74,9 +74,10 @@ class TestBoundary:
     @settings(max_examples=60, deadline=None)
     def test_algebras_and_coalgebras_read_their_constants_back(self, d, data):
         constants = data.draw(tables((d, d, d)))
-        expected = as_constants(constants, (d, d, d), "shape")
-        for view in (hom_algebra(d, constants).mul, hom_coalgebra(d, constants).comul):
-            assert view == expected
+        algebra, coalgebra = hom_algebra(d, constants), hom_coalgebra(d, constants)
+        assert algebra.map == LinearMap.from_constants(constants, (d, d), (d,), "shape")
+        assert coalgebra.map == LinearMap.from_constants(constants, (d,), (d, d), "shape")
+        for view in (algebra.mul, coalgebra.comul):
             assert all(c is ZERO for plane in view for row in plane for c in row if not c)
 
     @given(st.integers(0, 3), st.integers(0, 3), st.data())
@@ -84,12 +85,12 @@ class TestBoundary:
     def test_actions_and_coactions_read_their_constants_back(self, dh, dm, data):
         ident = LinearMap.identity(dm)
         constants = data.draw(tables((dh, dm, dm)))
-        expected = as_constants(constants, (dh, dm, dm), "shape")
-        assert action_table(RIGHT, dh, dm, constants, ident).table == expected
+        expected = LinearMap.from_constants(constants, (dh, dm), (dm,), "shape")
+        assert action_table(RIGHT, dh, dm, constants, ident).map == expected
         for side, shape in ((LEFT, (dm, dh, dm)), (RIGHT, (dm, dm, dh))):
             constants = data.draw(tables(shape))
-            expected = as_constants(constants, shape, "shape")
-            assert coaction_table(side, dh, dm, constants, ident).table == expected
+            expected = LinearMap.from_constants(constants, shape[:1], shape[1:], "shape")
+            assert coaction_table(side, dh, dm, constants, ident).map == expected
 
 
 class TestBuildersStoreTheirComposite:
@@ -100,7 +101,7 @@ class TestBuildersStoreTheirComposite:
         product = _twisted_product(a, b, r)
         assert reads_back(product, product.mul)
         rebuilt = HomAlgebra(product.dim, LinearMap.from_constants(
-            product.mul, (product.dim,) * 2, (product.dim,)), product.alpha)
+            product.mul, (product.dim,) * 2, (product.dim,), "shape"), product.alpha)
         assert rebuilt == product and hash(rebuilt) == hash(product)
 
     @given(algebras(), st.data())
