@@ -12,6 +12,7 @@ from homtwist.coalgebra import HomBialgebra, hom_coalgebra, yau_twist_bialgebra,
 from homtwist.errors import (
     BraidViolation,
     DimensionMismatch,
+    NotComultiplicative,
     NotMultiplicative,
     PreconditionFailure,
 )
@@ -102,6 +103,11 @@ def _broken_left_action():
 def _scaled_alpha_m_action():
     """H4's left action on the dual numbers, with alpha_M = diag(1, 2)."""
     return action_table(LEFT, 4, 2, h4_left_action().table, _diagonal(1, 2))
+
+
+def _x_to_x_plus_gx():
+    """x -> x + gx and gx -> gx + x on H4: an algebra map that breaks Delta(x)."""
+    return lmap([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]])
 
 
 def _trivial_coaction():
@@ -226,6 +232,16 @@ def _cases():
          lambda: yau_twist_module_algebra(h4, a, _scaled_alpha_m_action(), alpha_h, alpha_a),
          PreconditionFailure,
          "precondition failed: classical action required (identity alpha_M)"),
+        ("yau_twist_module_algebra/alpha_h_not_multiplicative",
+         lambda: yau_twist_module_algebra(
+             h4, a, h4_left_action(), _diagonal(2, 1, 1, 1), alpha_a),
+         NotMultiplicative, "alpha is not multiplicative; witness (0, 0)"),
+        ("yau_twist_module_algebra/alpha_h_not_comultiplicative",
+         lambda: yau_twist_module_algebra(h4, a, h4_left_action(), _x_to_x_plus_gx(), alpha_a),
+         NotComultiplicative, "alpha is not comultiplicative; witness (2,)"),
+        ("yau_twist_module_algebra/alpha_a_not_multiplicative",
+         lambda: yau_twist_module_algebra(h4, a, h4_left_action(), alpha_h, _diagonal(2, 1)),
+         NotMultiplicative, "alpha is not multiplicative; witness (0, 0)"),
         ("check_yau_compat/operator_dimension",
          lambda: check_yau_compat(
              k2, LinearMap.identity(2), Operator2.identity(3), Operator3.identity(3),

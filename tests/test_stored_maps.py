@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from homtwist.algebra import HomAlgebra, _twisted_product, _yau_twisted, hom_algebra
 from homtwist.coalgebra import hom_coalgebra, yau_twist_coalgebra
-from homtwist.exact import ZERO, LinearMap, Q
+from homtwist.exact import ZERO, LinearMap, Q, as_scalar
 from homtwist.gallery import c2_trivial_yd, dual_numbers, h4_left_action, h4_right_action
 from homtwist.gallery import h4_twists, sweedler_h4
 from homtwist.modsmash import (
@@ -65,6 +65,13 @@ def reads_back(obj, view):
     return m == dense and hash(m) == hash(dense)
 
 
+def canonical(table):
+    """Nested tuples of the entries read as scalars, as the dense views give them."""
+    if isinstance(table, list):
+        return tuple(canonical(part) for part in table)
+    return as_scalar(table)
+
+
 def dense(algebra):
     return algebra.dim, algebra.mul, algebra.alpha.matrix().data
 
@@ -74,10 +81,9 @@ class TestBoundary:
     @settings(max_examples=60, deadline=None)
     def test_algebras_and_coalgebras_read_their_constants_back(self, d, data):
         constants = data.draw(tables((d, d, d)))
-        algebra, coalgebra = hom_algebra(d, constants), hom_coalgebra(d, constants)
-        assert algebra.map == LinearMap.from_constants(constants, (d, d), (d,), "shape")
-        assert coalgebra.map == LinearMap.from_constants(constants, (d,), (d, d), "shape")
-        for view in (algebra.mul, coalgebra.comul):
+        expected = canonical(constants)
+        for view in (hom_algebra(d, constants).mul, hom_coalgebra(d, constants).comul):
+            assert view == expected
             assert all(c is ZERO for plane in view for row in plane for c in row if not c)
 
     @given(st.integers(0, 3), st.integers(0, 3), st.data())
@@ -85,12 +91,10 @@ class TestBoundary:
     def test_actions_and_coactions_read_their_constants_back(self, dh, dm, data):
         ident = LinearMap.identity(dm)
         constants = data.draw(tables((dh, dm, dm)))
-        expected = LinearMap.from_constants(constants, (dh, dm), (dm,), "shape")
-        assert action_table(RIGHT, dh, dm, constants, ident).map == expected
+        assert action_table(RIGHT, dh, dm, constants, ident).table == canonical(constants)
         for side, shape in ((LEFT, (dm, dh, dm)), (RIGHT, (dm, dm, dh))):
             constants = data.draw(tables(shape))
-            expected = LinearMap.from_constants(constants, shape[:1], shape[1:], "shape")
-            assert coaction_table(side, dh, dm, constants, ident).map == expected
+            assert coaction_table(side, dh, dm, constants, ident).table == canonical(constants)
 
 
 class TestBuildersStoreTheirComposite:
