@@ -3,9 +3,9 @@
 An algebra is a triple (dim, map, alpha) of the multiplication mu, a
 ``LinearMap`` (d, d) -> (d,), and the structure map, a ``LinearMap``
 (d,) -> (d,).  ``hom_algebra`` reads the constants ``mul[i][j][k]``, the
-coefficient of ``e_k`` in ``e_i e_j``, by ``LinearMap.from_constants``, and
-``mul`` is their dense view.  A
-plain associative algebra has ``alpha`` the identity.  No axiom is assumed at
+coefficient of ``e_k`` in ``e_i e_j``, by ``LinearMap.from_constants`` and
+takes alpha as a ``LinearMap``; ``mul`` is their dense view.  A plain
+associative algebra has ``alpha`` the identity.  No axiom is assumed at
 construction; the checkers decide status.  Algebras are nonunital throughout.
 
 ``check_hom_algebra`` and ``check_associative`` scan their d^3 triples on
@@ -13,8 +13,8 @@ sparse columns tabulated once per call: the nonzero constants ``map.cols``
 and, for Hom-associativity, the 2d^2 products alpha(e_i) e_l and
 e_l alpha(e_k), the columns of mu o (alpha (x) id) and mu o (id (x) alpha)
 as ``compose`` tabulates them.  ``HomAlgebra.product`` and the dense view
-of f (``Matrix.apply``, ``Matrix.col``) serve only ``_multiplicative``, the
-one d^2 scan of f(e_i e_j) = f(e_i) f(e_j) shared by ``check_hom_algebra``,
+f.matrix() (``Matrix.apply``, ``Matrix.col``) serve only ``_multiplicative``,
+the one d^2 scan of f(e_i e_j) = f(e_i) f(e_j) shared by ``check_hom_algebra``,
 ``multiplicativity_scan`` and ``check_algebra_morphism``.  Every other
 equation here (alpha-intertwining, the four-element lemma) is a
 ``scan_composites`` declaration, and the Yau twist alpha o mu and the
@@ -85,14 +85,9 @@ class HomAlgebra:
 
 
 def hom_algebra(dim, mul, alpha=None) -> HomAlgebra:
-    """The algebra of nested constants `mul`.
-
-    `alpha` is a LinearMap, a Matrix or its rows (default identity).
-    """
+    """The algebra of nested constants `mul`; `alpha` is a LinearMap (default identity)."""
     if alpha is None:
         alpha = LinearMap.identity(dim)
-    elif not isinstance(alpha, LinearMap):
-        alpha = LinearMap.from_matrix(alpha)
     message = f"structure constants are not {dim}^3 shaped"
     return HomAlgebra(dim, LinearMap.from_constants(mul, (dim, dim), (dim,), message), alpha)
 

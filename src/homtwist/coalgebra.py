@@ -44,8 +44,6 @@ def hom_coalgebra(dim, comul, alpha=None) -> HomCoalgebra:
     """The coalgebra of nested constants `comul`; alpha as in ``hom_algebra``."""
     if alpha is None:
         alpha = LinearMap.identity(dim)
-    elif not isinstance(alpha, LinearMap):
-        alpha = LinearMap.from_matrix(alpha)
     message = f"comultiplication constants are not {dim}^3 shaped"
     return HomCoalgebra(dim, LinearMap.from_constants(comul, (dim,), (dim, dim), message), alpha)
 

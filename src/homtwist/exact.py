@@ -27,15 +27,15 @@ Everything else in the package builds on the conventions pinned here, once:
   ``scan_composites``, and a derived map (a product table, a lifted map, a
   composite of two maps) is such a path tabulated by ``compose`` and stored
   as it comes.  ``mat_inv`` and ``kron`` take and return ``LinearMap``s.
-  Nested input is read once, at the boundary: rows of a ``Matrix`` by
-  ``LinearMap.from_matrix`` (in the manifest, the gallery and
-  ``hom_algebra``/``hom_coalgebra``), and structure constants by
+  Nested input is read once, at the boundary: rows by ``LinearMap.from_rows``
+  (in the manifest and the gallery), and structure constants by
   ``LinearMap.from_constants``, which checks their nesting and reads each
   scalar (in ``hom_algebra``, ``hom_coalgebra``, ``action_table`` and
-  ``coaction_table``).  Dense views exist only to be read:
-  ``LinearMap.matrix()``, and ``LinearMap.table()`` behind the ``mul``,
-  ``comul`` and ``table`` properties of algebras, coalgebras, actions and
-  coactions.  The exceptions are in ``algebra``:
+  ``coaction_table``).  Both read each entry with ``as_scalar``.  Dense views
+  exist only to be read: ``LinearMap.matrix()``, the one maker of a
+  ``Matrix``, and ``LinearMap.table()`` behind the ``mul``, ``comul`` and
+  ``table`` properties of algebras, coalgebras, actions and coactions.  The
+  exceptions are in ``algebra``:
   Hom-associativity and associativity of one algebra, scanned on sparse
   columns that ``compose`` tabulates once per call, and the one
   multiplicativity scan f(e_i e_j) = f(e_i) f(e_j), which reads f through
@@ -134,39 +134,28 @@ def unflatten_index(dims, flat):
 
 
 # ---------------------------------------------------------------------------
-# dense exact matrices: the input syntax of a map, and its dense view
+# the dense view of a linear map
 # ---------------------------------------------------------------------------
 
 
 class Matrix:
-    """Immutable dense matrix of exact rationals; `cols` sizes a matrix with no rows."""
+    """The dense view of a LinearMap, made by ``LinearMap.matrix()``; ``data`` holds its rows."""
 
-    __slots__ = ("rows", "cols", "data", "_coldata", "_sparse")
+    __slots__ = ("rows", "cols", "data", "_columns", "_sparse")
 
-    def __init__(self, data, cols=0):
-        data = tuple(tuple(map(as_scalar, row)) for row in data)
-        self.rows = len(data)
-        self.cols = len(data[0]) if data else cols
-        for row in data:
-            if len(row) != self.cols:
-                raise DimensionMismatch("ragged rows in matrix literal")
-        self.data = data
-        self._coldata = None
-        self._sparse = None
+    def __init__(self, lmap):
+        self.rows, self.cols = lmap.shape
+        self._sparse = lmap.cols
+        self._columns = tuple(tuple(to_dense(dict(col), lmap.dst)) for col in lmap.cols)
+        self.data = tuple(tuple(column[r] for column in self._columns) for r in range(self.rows))
 
     def col(self, c):
-        if self._coldata is None:
-            self._coldata = tuple(
-                tuple(self.data[r][j] for r in range(self.rows)) for j in range(self.cols)
-            )
-        return self._coldata[c]
+        return self._columns[c]
 
     def apply(self, vec):
         """Apply to a column coordinate vector; skips input entries that are ZERO."""
         if len(vec) != self.cols:
             raise DimensionMismatch(f"vector of length {len(vec)} vs {self.cols} columns")
-        if self._sparse is None:
-            self._sparse = tuple(_nonzero(self.col(c)) for c in range(self.cols))
         out = [ZERO] * self.rows
         for xc, col in zip(vec, self._sparse):
             if xc is ZERO:
@@ -227,14 +216,13 @@ class LinearMap:
         return _size(self.dst), _size(self.src)
 
     @classmethod
-    def from_matrix(cls, m, src=None, dst=None):
-        """The map of a Matrix (or of its rows), read as acting between the given factor dims."""
-        m = m if isinstance(m, Matrix) else Matrix(m)
-        src = (m.cols,) if src is None else src
-        dst = (m.rows,) if dst is None else dst
-        if _size(src) != m.cols or _size(dst) != m.rows:
-            raise DimensionMismatch(f"{m.rows}x{m.cols} matrix does not map {src} to {dst}")
-        return cls(src, dst, (_nonzero(m.col(c)) for c in range(m.cols)))
+    def from_rows(cls, rows, cols=0):
+        """The map of a matrix by its rows, read by ``as_scalar``; `cols` sizes one with no rows."""
+        rows = [tuple(map(as_scalar, row)) for row in rows]
+        cols = len(rows[0]) if rows else cols
+        if any(len(row) != cols for row in rows):
+            raise DimensionMismatch("ragged rows in matrix literal")
+        return cls((cols,), (len(rows),), (_nonzero(row[c] for row in rows) for c in range(cols)))
 
     @classmethod
     def from_constants(cls, table, src, dst, message):
@@ -274,9 +262,7 @@ class LinearMap:
 
     def matrix(self):
         """The dense view, of the map's shape even when it has no rows."""
-        columns = [to_dense(dict(col), self.dst) for col in self.cols]
-        rows, cols = self.shape
-        return Matrix([[column[r] for column in columns] for r in range(rows)], cols)
+        return Matrix(self)
 
     def table(self):
         """Dense constants nested source factors first, then target factors."""

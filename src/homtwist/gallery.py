@@ -65,7 +65,7 @@ def k2_algebra():
 
 def swap_matrix():
     """The map of k^2 exchanging its two basis vectors."""
-    return LinearMap.from_matrix(((ZERO, ONE), (ONE, ZERO)))
+    return LinearMap.from_rows(((ZERO, ONE), (ONE, ZERO)))
 
 
 def _two_dim_algebra(a, l1, l2):
@@ -81,7 +81,7 @@ def _two_dim_algebra(a, l1, l2):
             (l1 * l1 * (ONE - 2 * l2) * a / (one_m * one_m), 2 * l1 * l2 * a / one_m),
         ),
     )
-    return hom_algebra(2, mul, ((ONE, l1), (ZERO, l2)))
+    return hom_algebra(2, mul, LinearMap.from_rows(((ONE, l1), (ZERO, l2))))
 
 
 def _two_dim_twistor(l1, l2):
@@ -91,7 +91,7 @@ def _two_dim_twistor(l1, l2):
     rows[0][1] = c  # T(e1 (x) e2) = c e1 (x) e1
     rows[2][2] = ONE  # T(e2 (x) e1) = e2 (x) e1
     rows[2][3] = c  # T(e2 (x) e2) = c e2 (x) e1
-    return Operator2(2, LinearMap.from_matrix(rows))
+    return Operator2(2, LinearMap.from_rows(rows))
 
 
 def _two_dim_deformed_mul(a, l1, l2):
@@ -125,7 +125,7 @@ def _ttp_k2_table(lam):
 
 def _by_columns(dim_a, dim_b, columns):
     """The twisting map whose matrix has the given columns."""
-    return TwistingMapR(dim_a, dim_b, LinearMap.from_matrix(list(zip(*columns))))
+    return TwistingMapR(dim_a, dim_b, LinearMap.from_rows(zip(*columns)))
 
 
 def _ttp_k2_map(lam):
@@ -257,7 +257,7 @@ def h4_twists(c):
     c = as_scalar(c)
     if not c:
         raise ParamConstraintViolation("twist scale must be nonzero")
-    alpha_h = LinearMap.from_matrix(
+    alpha_h = LinearMap.from_rows(
         (
             (ONE, ZERO, ZERO, ZERO),
             (ZERO, ONE, ZERO, ZERO),
@@ -265,7 +265,7 @@ def h4_twists(c):
             (ZERO, ZERO, ZERO, c),
         )
     )
-    alpha_a = LinearMap.from_matrix(((ONE, ZERO), (ZERO, ONE / c)))
+    alpha_a = LinearMap.from_rows(((ONE, ZERO), (ZERO, ONE / c)))
     return alpha_h, alpha_a
 
 

@@ -34,7 +34,7 @@ from .errors import (
     UnknownName,
     WrongKind,
 )
-from .exact import LinearMap, Matrix, rat_parse
+from .exact import LinearMap, rat_parse
 from .modsmash import action_table, coaction_table
 from .twisted import TwistingMapR
 from .twistor import Operator2, Operator3
@@ -62,11 +62,6 @@ class Manifest:
     defs: dict
     objects: dict = field(compare=False)
     tasks: tuple = ()
-
-    def __eq__(self, other):
-        if not isinstance(other, Manifest):
-            return NotImplemented
-        return self.defs == other.defs and self.tasks == other.tasks
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +199,7 @@ def _build_object(name, raw):
     _require_fields(raw, where, *fields)
     # a matrix with no rows has no columns, except a linear_map's: source_dim of them
     values = [
-        LinearMap.from_matrix(Matrix(raw[f], raw.get("source_dim", 0)))
+        LinearMap.from_rows(raw[f], raw.get("source_dim", 0))
         if _SCALAR_FIELDS.get(f) == 2 else raw[f]
         for f in fields
     ]

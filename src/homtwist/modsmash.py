@@ -24,6 +24,8 @@ from .coalgebra import yau_twist_bialgebra
 from .errors import (
     DimensionMismatch,
     IntertwiningFailure,
+    NotComultiplicative,
+    NotMultiplicative,
     PreconditionFailure,
     YDViolation,
 )
@@ -151,15 +153,16 @@ def yau_twist_module_algebra(bialgebra, algebra, action, alpha_h, alpha_a):
 
     The new action is h . a -> alpha_A(h . a); requires the intertwining
     alpha_A(h . a) = alpha_H(h) . alpha_A(a).  The two Yau twists require
-    alpha_H to be a bialgebra endomorphism and alpha_A to be multiplicative.
+    alpha_H to be a bialgebra endomorphism and alpha_A to be multiplicative;
+    their errors name the map that fails.
     """
     if not bialgebra.is_classical() or not algebra.is_classical():
         raise PreconditionFailure("classical input required (identity structure maps)")
     if not action.alpha_m.is_identity():
         raise PreconditionFailure("classical action required (identity alpha_M)")
     check_module_hom_algebra(bialgebra, algebra, action).require("classical module algebra axioms")
-    twisted_bi = yau_twist_bialgebra(bialgebra, alpha_h)
-    twisted_alg = yau_twist_algebra(algebra, alpha_a)
+    twisted_bi = _naming("alpha_H", yau_twist_bialgebra, bialgebra, alpha_h)
+    twisted_alg = _naming("alpha_A", yau_twist_algebra, algebra, alpha_a)
     act, fa, fh = action.map, alpha_a, alpha_h
     dims = (bialgebra.dim, algebra.dim)
     scan_composites([
@@ -168,6 +171,14 @@ def yau_twist_module_algebra(bialgebra, algebra, action, alpha_h, alpha_a):
     twisted_map = compose([(act, 0), (fa, 0)], dims)
     twisted_action = ActionTable(action.side, bialgebra.dim, algebra.dim, twisted_map, alpha_a)
     return twisted_bi, twisted_alg, twisted_action
+
+
+def _naming(operand, twist, *args):
+    """`twist(*args)`, its (co)multiplicativity error prefixed with the name of its alpha."""
+    try:
+        return twist(*args)
+    except (NotMultiplicative, NotComultiplicative) as exc:
+        raise type(exc)(f"{operand}: {exc}", witness=exc.witness) from None
 
 
 def tensor_modules(bialgebra, act_m, act_n):

@@ -229,8 +229,9 @@ class CliffordParams:
             raise DimensionMismatch("sigma must be square")
         s = self.sigma.reshaped((n,), (n,))
         object.__setattr__(self, "sigma", s)
-        if compose([(s, 0), (s, 0)], (n,)) != LinearMap.identity(n):
-            raise NotInvolutive("sigma squared is not the identity")
+        scan_composites([((n,), [("involution", [(s, 0), (s, 0)], [])])]).require(
+            "sigma squared is not the identity", NotInvolutive
+        )
 
 
 def clifford_algebra(q):
@@ -244,8 +245,10 @@ def clifford(a, params):
     if s.shape[0] != a.dim:
         raise DimensionMismatch("sigma shape does not match the algebra")
     multiplicativity_scan(a, s).require("sigma is not multiplicative", NotMultiplicative)
-    if compose([(alpha, 0), (s, 0)], s.src) != compose([(s, 0), (alpha, 0)], s.src):
-        raise NotCommutingWithAlpha("sigma does not commute with the structure map")
+    commutes = ("commutes_with_alpha", [(alpha, 0), (s, 0)], [(s, 0), (alpha, 0)])
+    scan_composites([(s.src, [commutes])]).require(
+        "sigma does not commute with the structure map", NotCommutingWithAlpha
+    )
     rmap = clifford_twisting_map(s)
     return hom_ttp(a, clifford_algebra(params.q), rmap), rmap
 
@@ -267,13 +270,12 @@ def _alpha_lift(pmap, alpha_a, alpha_b):
     """(alpha_A (x) alpha_B) o P, which must equal P o (alpha_B (x) alpha_A)."""
     if set(alpha_a.shape) != {pmap.dim_a} or set(alpha_b.shape) != {pmap.dim_b}:
         raise DimensionMismatch("alpha shapes do not match the twisting map")
-    dims, [(_, lhs, rhs)] = _alpha_equation("alpha_lift", pmap, alpha_a, alpha_b)
-    left = compose(lhs, dims)
-    if left != compose(rhs, dims):
-        raise CommutationFailure(
-            "(alpha_A (x) alpha_B) o P differs from P o (alpha_B (x) alpha_A)"
-        )
-    return left
+    block = _alpha_equation("alpha_lift", pmap, alpha_a, alpha_b)
+    scan_composites([block]).require(
+        "(alpha_A (x) alpha_B) o P differs from P o (alpha_B (x) alpha_A)", CommutationFailure
+    )
+    dims, [(_, lhs, _)] = block
+    return compose(lhs, dims)
 
 
 def check_deform_compat_ttp(a, b, alpha_a, alpha_b, pmap):

@@ -18,7 +18,7 @@ from homtwist.algebra import (
 from homtwist import exact
 from homtwist.errors import DimensionMismatch, NotMultiplicative, PreconditionFailure
 from homtwist.exact import (
-    ONE, ZERO, LinearMap, Matrix, Q, Scan, kron
+    ONE, ZERO, LinearMap, Q, Scan, kron
 )
 from homtwist.gallery import GalleryKey, build, k2_algebra, swap_matrix
 from homtwist.twisted import flip, ttp
@@ -26,7 +26,7 @@ from homtwist.twisted import flip, ttp
 
 def lmap(rows):
     """The LinearMap of the matrix with these rows."""
-    return LinearMap.from_matrix(Matrix(rows))
+    return LinearMap.from_rows(rows)
 
 
 def example_2dim(a=1, l1=1, l2=2):
@@ -193,7 +193,7 @@ def algebras(draw, max_dim=3):
     mul = [[draw(st.lists(zero_or_rational, min_size=d, max_size=d)) for _ in range(d)]
            for _ in range(d)]
     alpha = [draw(st.lists(zero_or_rational, min_size=d, max_size=d)) for _ in range(d)]
-    return hom_algebra(d, mul, alpha)
+    return hom_algebra(d, mul, lmap(alpha))
 
 
 def hand_loop_tensor_mul(a, b):
@@ -331,7 +331,7 @@ def yau_twisted_diagonals(draw, max_dim):
     alpha = [[ONE if images[c] == r else ZERO for c in range(d)] for r in range(d)]
     mul = [[[alpha[r][i] if i == j else ZERO for r in range(d)] for j in range(d)]
            for i in range(d)]
-    return hom_algebra(d, mul, alpha)
+    return hom_algebra(d, mul, lmap(alpha))
 
 
 @st.composite
@@ -339,7 +339,7 @@ def cancelling_algebras(draw, max_dim=4):
     d = draw(st.integers(1, max_dim))
     mul = [[draw(st.lists(cancelling, min_size=d, max_size=d)) for _ in range(d)]
            for _ in range(d)]
-    return hom_algebra(d, mul, draw(alphas(d)))
+    return hom_algebra(d, mul, lmap(draw(alphas(d))))
 
 
 def dual_numbers_twisted():
@@ -432,7 +432,7 @@ class TestCanonicalTables:
     def test_a_product_whose_sums_cancel_is_canonical(self):
         # R(f (x) e_0) = (e_0 + e_1) (x) f, so (e_0 (x) f)(e_0 (x) f) = e_0 (e_0 + e_1) (x) f
         # = e_0 (x) f: the e_1 coordinate cancels
-        r = LinearMap.from_matrix(Matrix([[1, 0], [1, 1]]), (1, 2), (2, 1))
+        r = lmap([[1, 0], [1, 1]]).reshaped((1, 2), (2, 1))
         t = _twisted_product(sixth_roots(), hom_algebra(1, [[[1]]]), r)
         assert t.mul[0][0] == (ONE, ZERO) and t.mul[0][0][1] is ZERO
 

@@ -33,7 +33,7 @@ from homtwist.algebra import (
     hom_algebra,
     multiplicativity_scan,
 )
-from homtwist.exact import ZERO, LinearMap, Matrix, Q, mat_inv
+from homtwist.exact import ZERO, LinearMap, Q, mat_inv
 from homtwist.gallery import GalleryKey, build, k2_algebra, swap_matrix
 
 PIN = pathlib.Path(__file__).with_name("algebra_pin.json")
@@ -43,8 +43,8 @@ ENTRIES = (0, 0, 0, 1, -1, 2, Q(1, 2), Q(-1, 2), Q(3, 2))
 
 
 def _matrix(rng, rows, cols):
-    return LinearMap.from_matrix(
-        Matrix([[rng.choice(ENTRIES) for _ in range(cols)] for _ in range(rows)])
+    return LinearMap.from_rows(
+        [[rng.choice(ENTRIES) for _ in range(cols)] for _ in range(rows)]
     )
 
 
@@ -91,7 +91,7 @@ def _cancelling_yau_inputs():
     one, half = Q(1), Q(1, 2)
     # dual numbers in the basis (1 + x, x) and the twist x -> x/2: alpha(p p) cancels in q
     dual = hom_algebra(2, [[[one, one], [ZERO, one]], [[ZERO, one], [ZERO, ZERO]]])
-    half_x = LinearMap.from_matrix(Matrix([[one, ZERO], [-half, half]]))
+    half_x = LinearMap.from_rows([[one, ZERO], [-half, half]])
     inputs = {"dual_numbers_half": (dual, half_x)}
     for seed in range(4):
         rng = random.Random(100 + seed)

@@ -10,7 +10,7 @@ from homtwist.coalgebra import (
     yau_twist_coalgebra,
 )
 from homtwist.errors import NotComultiplicative, NotMultiplicative, PreconditionFailure
-from homtwist.exact import LinearMap, Matrix, ONE, ZERO
+from homtwist.exact import LinearMap, ONE, ZERO
 from homtwist.gallery import GalleryKey, build, group_algebra, sweedler_h4, swap_matrix
 
 
@@ -124,7 +124,7 @@ class TestYauTwistBialgebra:
 
 def lmap(rows):
     """The LinearMap of the matrix with these rows."""
-    return LinearMap.from_matrix(Matrix(rows))
+    return LinearMap.from_rows(rows)
 
 
 def transpose(f):

@@ -6,9 +6,9 @@ is built from, runs no check that one of them requires on equal arguments,
 and calls a private builder only directly after it has verified that
 builder's inputs itself; no object identity is tracked and no verified fact
 is cached.  Every structure map is stored as a ``LinearMap``:
-a ``Matrix`` is made only at the input boundary (the manifest, the gallery,
-``hom_algebra``/``hom_coalgebra``) and as the dense view that
-``algebra._multiplicative`` reads through ``Matrix.apply`` and
+nested rows are read only by ``LinearMap.from_rows`` at the input boundary
+(the manifest and the gallery), and a ``Matrix`` is made only as the dense
+view that ``algebra._multiplicative`` reads through ``Matrix.apply`` and
 ``HomAlgebra.product``; nested structure constants are read only by the four
 boundary constructors and tabulated only by the dense-view properties
 ``mul``, ``comul`` and ``table``; every other composite goes through
@@ -81,7 +81,7 @@ class TestCheckOrder:
         lb = build(GalleryKey("ttp_k2_lambda", {"lam": 2}))
         flip = twisted.flip(2, 2).map.matrix()
         doubled = twisted.TwistingMapR(
-            2, 2, LinearMap.from_matrix(Matrix([[2 * x for x in row] for row in flip.data]))
+            2, 2, LinearMap.from_rows([[2 * x for x in row] for row in flip.data])
         )
         with pytest.raises(PreconditionFailure) as info:
             twisted.iterated_ttp(lb["A"], lb["B"], k2_algebra(), lb["R"], lb["R"], doubled)
@@ -157,6 +157,12 @@ def call_sites(source, filename, matches):
     return sites
 
 
+def _src_sites(find):
+    """The sorted distinct sites that `find` reports over the package's modules."""
+    return sorted({s for p in sorted(SRC.glob("*.py")) for s in find(
+        p.read_text(encoding="utf-8"), p.name)})
+
+
 def dense_product_sites(source, filename):
     """`file:function` of each `.product(`/`.apply(` call on an object, innermost function."""
     return call_sites(source, filename, lambda func: (
@@ -171,10 +177,7 @@ class TestOneDenseProductPath:
     LinearMap are read only by the one multiplicativity scan."""
 
     def test_only_the_multiplicativity_scan_reads_product_and_apply(self):
-        sites = []
-        for path in sorted(SRC.glob("*.py")):
-            sites += dense_product_sites(path.read_text(encoding="utf-8"), path.name)
-        assert sorted(set(sites)) == ["algebra.py:_multiplicative"]
+        assert _src_sites(dense_product_sites) == ["algebra.py:_multiplicative"]
 
     def test_the_guard_sees_a_hand_built_table(self):
         old = (
@@ -194,14 +197,16 @@ class TestOneDenseProductPath:
 
 
 # Where a Matrix is made or read into a LinearMap, or a LinearMap viewed densely: the
-# input boundary, the multiplicativity scan's dense view, and the two conversions.
-DENSE_BOUNDARY = ("manifest.py:", "gallery.py:")
-DENSE_SITES = [
-    "algebra.py:_multiplicative",
-    "algebra.py:hom_algebra",
-    "coalgebra.py:hom_coalgebra",
-    "exact.py:from_matrix",
-    "exact.py:matrix",
+# multiplicativity scan's dense view and the one maker of a Matrix.
+DENSE_SITES = ["algebra.py:_multiplicative", "exact.py:matrix"]
+# Where nested rows are read: the input boundary of the manifest and the gallery builders.
+ROWS_SITES = [
+    "gallery.py:_by_columns",
+    "gallery.py:_two_dim_algebra",
+    "gallery.py:_two_dim_twistor",
+    "gallery.py:h4_twists",
+    "gallery.py:swap_matrix",
+    "manifest.py:_build_object",
 ]
 
 
@@ -210,10 +215,10 @@ def _names_matrix(node):
 
 
 def dense_sites(source, filename):
-    """`file:function` of each `Matrix(`, `Matrix.x(`, `from_matrix(` and `.matrix()` call."""
+    """`file:function` of each `Matrix(`, `Matrix.x(` and `.matrix()` call."""
     return call_sites(source, filename, lambda func: _names_matrix(func) or (
         isinstance(func, ast.Attribute)
-        and (func.attr in ("from_matrix", "matrix") or _names_matrix(func.value))
+        and (func.attr == "matrix" or _names_matrix(func.value))
     ))
 
 
@@ -247,19 +252,36 @@ def _stored_matrices(obj, where):
     return []
 
 
+def rows_sites(source, filename):
+    """`file:function` of each `.from_rows(` call."""
+    return call_sites(source, filename, lambda func: (
+        isinstance(func, ast.Attribute) and func.attr == "from_rows"
+    ))
+
+
 class TestOneDenseView:
     def test_matrices_appear_only_at_the_boundary_and_in_the_dense_view(self):
-        sites = []
-        for path in sorted(SRC.glob("*.py")):
-            sites += dense_sites(path.read_text(encoding="utf-8"), path.name)
-        inside = sorted({s for s in sites if not s.startswith(DENSE_BOUNDARY)})
-        assert inside == DENSE_SITES
+        assert _src_sites(dense_sites) == DENSE_SITES
+
+    def test_rows_are_read_only_at_the_boundary(self):
+        assert _src_sites(rows_sites) == ROWS_SITES
+
+    def test_the_guard_sees_a_matrix_built_at_the_boundary(self):
+        old = (
+            "def _build_object(name, raw):\n"
+            "    return Matrix(raw[f], raw.get('source_dim', 0))\n"
+            "def swap_matrix():\n"
+            "    return LinearMap.from_rows(Matrix(((ZERO, ONE), (ONE, ZERO))).data)\n"
+        )
+        assert dense_sites(old, "gallery.py") == [
+            "gallery.py:_build_object", "gallery.py:swap_matrix"
+        ]
 
     def test_the_guard_sees_a_round_trip(self):
         old = (
             "def iterated_ttp(a, b, c, r1, r2, r3):\n"
             "    p1 = TwistingMapR(a, b, compose(path, dims).matrix())\n"
-            "    return LinearMap.from_matrix(p1.matrix, (b, a), (a, b))\n"
+            "    return LinearMap.from_rows(p1.matrix().data).reshaped((b, a), (a, b))\n"
         )
         assert dense_sites(old, "twisted.py") == ["twisted.py:iterated_ttp"] * 2
 
@@ -336,15 +358,11 @@ class _TableField:
 
 
 class TestOneConstantsBoundary:
-    def _sites(self, find):
-        return sorted({s for p in sorted(SRC.glob("*.py")) for s in find(
-            p.read_text(encoding="utf-8"), p.name)})
-
     def test_tables_are_made_only_by_the_dense_views(self):
-        assert self._sites(table_sites) == TABLE_SITES
+        assert _src_sites(table_sites) == TABLE_SITES
 
     def test_constants_are_read_only_by_the_boundary_constructors(self):
-        assert self._sites(constants_sites) == CONSTANTS_SITES
+        assert _src_sites(constants_sites) == CONSTANTS_SITES
 
     def test_the_guard_sees_a_tabulated_composite(self):
         old = (

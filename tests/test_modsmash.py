@@ -2,7 +2,7 @@ import pytest
 
 from homtwist.algebra import check_hom_algebra, hom_algebra, tensor_algebra
 from homtwist.errors import DimensionMismatch, IntertwiningFailure, PreconditionFailure
-from homtwist.exact import LinearMap, Matrix, ONE, Q, ZERO
+from homtwist.exact import LinearMap, ONE, Q, ZERO
 from homtwist.gallery import (
     c2_trivial_yd,
     dual_numbers,
@@ -37,7 +37,7 @@ from homtwist.modsmash import (
 
 def lmap(rows):
     """The LinearMap of the matrix with these rows."""
-    return LinearMap.from_matrix(Matrix(rows))
+    return LinearMap.from_rows(rows)
 
 
 def zero_algebra(dim):

@@ -2,7 +2,9 @@
 
 Each composite verifies several hypotheses before it builds anything, and the
 order of those checks decides which one a bad input reports.  These cases fix
-that order from the outside, one failing hypothesis at a time.
+that order from the outside, one failing hypothesis at a time.  A second list
+pins each rejection of a bad shape, side or parameter that no other test
+reaches, one case per raise.
 """
 
 import pytest
@@ -13,25 +15,36 @@ from homtwist.errors import (
     BraidViolation,
     DimensionMismatch,
     NotComultiplicative,
+    NotCommutingWithAlpha,
+    NotInvolutive,
     NotMultiplicative,
+    ParamConstraintViolation,
     PreconditionFailure,
 )
-from homtwist.exact import LinearMap, Matrix, ONE, ZERO
+from homtwist.exact import LinearMap, ONE, ZERO, flatten_index
 from homtwist.gallery import (
     GalleryKey,
     build,
     dual_numbers,
+    group_algebra,
     h4_left_action,
     h4_right_action,
     h4_twists,
     k2_algebra,
+    swap_matrix,
     sweedler_h4,
 )
 from homtwist.modsmash import (
     LEFT,
     RIGHT,
     action_table,
+    check_bicomodule,
+    check_comodule,
+    check_comodule_hom_algebra,
+    check_module,
+    check_module_hom_algebra,
     check_smash_twist_compat,
+    check_yetter_drinfeld,
     coaction_lambda_smash,
     coaction_table,
     smash_left,
@@ -41,10 +54,13 @@ from homtwist.modsmash import (
     yau_twist_module_algebra,
 )
 from homtwist.twisted import (
+    CliffordParams,
     TwistingMapR,
     alphaAB_ttp,
     check_alphaAB_twisting_map,
     check_deform_compat_ttp,
+    check_twisting_map,
+    clifford,
     flip,
     iterated_ttp,
 )
@@ -56,12 +72,14 @@ from homtwist.twistor import (
     check_twistor,
     check_yau_compat,
     deform_with_alpha,
+    yau_operator,
 )
+from homtwist.uqsl2 import pbw_normalize, rho_generator_formula
 
 
 def lmap(rows):
     """The LinearMap of the matrix with these rows."""
-    return LinearMap.from_matrix(Matrix(rows))
+    return LinearMap.from_rows(rows)
 
 
 def _diagonal(*entries):
@@ -235,13 +253,13 @@ def _cases():
         ("yau_twist_module_algebra/alpha_h_not_multiplicative",
          lambda: yau_twist_module_algebra(
              h4, a, h4_left_action(), _diagonal(2, 1, 1, 1), alpha_a),
-         NotMultiplicative, "alpha is not multiplicative; witness (0, 0)"),
+         NotMultiplicative, "alpha_H: alpha is not multiplicative; witness (0, 0)"),
         ("yau_twist_module_algebra/alpha_h_not_comultiplicative",
          lambda: yau_twist_module_algebra(h4, a, h4_left_action(), _x_to_x_plus_gx(), alpha_a),
-         NotComultiplicative, "alpha is not comultiplicative; witness (2,)"),
+         NotComultiplicative, "alpha_H: alpha is not comultiplicative; witness (2,)"),
         ("yau_twist_module_algebra/alpha_a_not_multiplicative",
          lambda: yau_twist_module_algebra(h4, a, h4_left_action(), alpha_h, _diagonal(2, 1)),
-         NotMultiplicative, "alpha is not multiplicative; witness (0, 0)"),
+         NotMultiplicative, "alpha_A: alpha is not multiplicative; witness (0, 0)"),
         ("check_yau_compat/operator_dimension",
          lambda: check_yau_compat(
              k2, LinearMap.identity(2), Operator2.identity(3), Operator3.identity(3),
@@ -250,12 +268,140 @@ def _cases():
     ]
 
 
+def _right_coaction(dm, alpha_m):
+    """e_m -> e_m (x) 1, a right H4-coaction on a module of dim `dm`."""
+    table = [[[ONE if (i, h) == (m, 0) else ZERO for h in range(4)] for i in range(dm)]
+             for m in range(dm)]
+    return coaction_table(RIGHT, 4, dm, table, alpha_m)
+
+
+def _rejections():
+    k2, h4, a = k2_algebra(), sweedler_h4(), dual_numbers()
+    c2 = group_algebra(2)
+    id2, id3 = LinearMap.identity(2), LinearMap.identity(3)
+    row = lmap([[1, 0]])
+    r_params = {"a": 1, "l1": 0, "a1": 1, "a2": 2, "a3": 3, "a4": 4, "a5": 5}
+    # zero product, so the swap is multiplicative; it does not commute with this alpha
+    skew = hom_algebra(2, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], lmap([[1, 1], [0, 1]]))
+    return [
+        ("modsmash/side",
+         lambda: action_table("up", 4, 2, h4_left_action().table, id2),
+         ValueError, "side must be 'left' or 'right', got 'up'"),
+        ("modsmash/alpha_m_shape",
+         lambda: action_table(LEFT, 4, 2, h4_left_action().table, id3),
+         DimensionMismatch, "alpha_M shape does not match the module"),
+        ("check_module/acting_dim",
+         lambda: check_module(k2, h4_left_action()),
+         DimensionMismatch, "acting dimension does not match the algebra"),
+        ("check_module_hom_algebra/module_dim",
+         lambda: check_module_hom_algebra(h4, h4.algebra, h4_left_action()),
+         DimensionMismatch, "module dimension does not match the algebra"),
+        ("check_comodule_hom_algebra/module_dim",
+         lambda: check_comodule_hom_algebra(h4, h4.algebra, _trivial_coaction()),
+         DimensionMismatch, "module dimension does not match the algebra"),
+        ("check_module_hom_algebra/alpha_m",
+         lambda: check_module_hom_algebra(h4, a, _scaled_alpha_m_action()),
+         PreconditionFailure,
+         "precondition failed: action alpha_M must equal the algebra structure map"),
+        ("check_comodule_hom_algebra/alpha_m",
+         lambda: check_comodule_hom_algebra(h4, a, _right_coaction(2, _diagonal(1, 2))),
+         PreconditionFailure,
+         "precondition failed: coaction alpha_M must equal the algebra structure map"),
+        ("tensor_modules/right_action",
+         lambda: tensor_modules(h4, h4_right_action(), h4_left_action()),
+         PreconditionFailure, "precondition failed: tensor_modules requires left modules"),
+        ("check_comodule/coalgebra_dim",
+         lambda: check_comodule(c2.coalgebra, _trivial_coaction()),
+         DimensionMismatch, "coalgebra dimension does not match"),
+        ("check_bicomodule/sides",
+         lambda: check_bicomodule(h4.coalgebra, _right_coaction(2, id2), _right_coaction(2, id2)),
+         DimensionMismatch, "bicomodule needs a left and a right coaction"),
+        ("check_bicomodule/shared_module",
+         lambda: check_bicomodule(
+             h4.coalgebra, _trivial_coaction(), _right_coaction(1, LinearMap.identity(1))),
+         PreconditionFailure, "precondition failed: coactions must share the module and alpha_M"),
+        ("check_yetter_drinfeld/right_action",
+         lambda: check_yetter_drinfeld(h4, h4_right_action(), _trivial_coaction()),
+         PreconditionFailure, "precondition failed: Yetter-Drinfeld data must be left-sided"),
+        ("hom_coalgebra/alpha_shape",
+         lambda: hom_coalgebra(2, c2.comul, id3),
+         DimensionMismatch, "alpha shape does not match the coalgebra"),
+        ("HomBialgebra/dims",
+         lambda: HomBialgebra(k2, h4.coalgebra),
+         DimensionMismatch, "algebra and coalgebra dimensions differ"),
+        ("HomBialgebra/alphas",
+         lambda: HomBialgebra(hom_algebra(2, c2.algebra.mul, swap_matrix()), c2.coalgebra),
+         PreconditionFailure,
+         "precondition failed: algebra and coalgebra must share the structure map"),
+        ("yau_twist_coalgebra/alpha_shape",
+         lambda: yau_twist_coalgebra(h4.coalgebra, id2),
+         DimensionMismatch, "alpha shape does not match the coalgebra"),
+        ("hom_algebra/alpha_shape",
+         lambda: hom_algebra(2, k2.mul, id3),
+         DimensionMismatch, "alpha is 3x3, expected 2x2"),
+        ("TwistingMapR/shape",
+         lambda: TwistingMapR(2, 2, id3),
+         DimensionMismatch, "twisting map matrix must be 4x4"),
+        ("check_twisting_map/dims",
+         lambda: check_twisting_map(k2, k2, flip(2, 1)),
+         DimensionMismatch, "twisting map is (2,1), algebras are (2,2)"),
+        ("CliffordParams/sigma_not_square",
+         lambda: CliffordParams(1, row),
+         DimensionMismatch, "sigma must be square"),
+        ("CliffordParams/not_involutive",
+         lambda: CliffordParams(1, _diagonal(1, 2)),
+         NotInvolutive, "sigma squared is not the identity; witness (1,)"),
+        ("clifford/sigma_shape",
+         lambda: clifford(k2, CliffordParams(1, id3)),
+         DimensionMismatch, "sigma shape does not match the algebra"),
+        ("clifford/not_commuting",
+         lambda: clifford(skew, CliffordParams(1, swap_matrix())),
+         NotCommutingWithAlpha, "sigma does not commute with the structure map; witness (0,)"),
+        ("Operator2/shape",
+         lambda: Operator2(2, id3),
+         DimensionMismatch, "operator matrix must be 4x4"),
+        ("yau_operator/not_square",
+         lambda: yau_operator(row),
+         DimensionMismatch, "alpha must be square"),
+        ("h4_twists/zero_scale",
+         lambda: h4_twists(0),
+         ParamConstraintViolation, "twist scale must be nonzero"),
+        ("homtwist_R1/l1_zero",
+         lambda: build(GalleryKey("homtwist_R1", r_params)),
+         ParamConstraintViolation, "l1 must be nonzero"),
+        ("uq_setup/l_not_an_integer",
+         lambda: build(GalleryKey("uq_setup", {"q": 2, "lam": 1, "xi": 1, "l": "1/2"})),
+         ParamConstraintViolation, "l must be an integer"),
+        ("LinearMap/column_count",
+         lambda: LinearMap((2,), (2,), [()]),
+         DimensionMismatch, "1 columns for source dims (2,)"),
+        ("LinearMap.reshaped/size",
+         lambda: id2.reshaped((3,), (2,)),
+         DimensionMismatch, "cannot regroup (2,) -> (2,) as (3,) -> (2,)"),
+        ("flatten_index/length",
+         lambda: flatten_index((2, 2), (0,)),
+         DimensionMismatch, "index (0,) does not match dims (2, 2)"),
+        ("flatten_index/range",
+         lambda: flatten_index((2, 2), (0, 2)),
+         DimensionMismatch, "index (0, 2) out of range for dims (2, 2)"),
+        ("pbw_normalize/generator",
+         lambda: pbw_normalize(("X",), 2),
+         ValueError, "unknown generator 'X'"),
+        ("rho_generator_formula/generator",
+         lambda: rho_generator_formula("X", 0, 0, build(GalleryKey(
+             "uq_setup", {"q": 2, "lam": 1, "xi": 1, "l": 0}))["params"]),
+         ValueError, "unknown generator 'X'"),
+    ]
+
+
+CASES = _cases() + _rejections()
+
+
 @pytest.mark.parametrize(
-    "thunk, error, message", [c[1:] for c in _cases()], ids=[c[0] for c in _cases()]
+    "thunk, error, message", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
 )
 def test_first_raised_exception_is_pinned(thunk, error, message):
     with pytest.raises(Exception) as info:
         thunk()
     assert type(info.value) is error
     assert str(info.value) == message
-

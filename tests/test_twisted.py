@@ -16,7 +16,7 @@ from homtwist.errors import (
     ParamConstraintViolation,
     PreconditionFailure,
 )
-from homtwist.exact import LinearMap, Matrix, ONE, Q, ZERO, compose, kron
+from homtwist.exact import LinearMap, ONE, Q, ZERO, compose, kron
 from homtwist.gallery import GalleryKey, build, k2_algebra, swap_matrix
 from homtwist.twisted import (
     CliffordParams,
@@ -43,7 +43,7 @@ from homtwist.twistor import check_alpha_pseudotwistor, check_hom_twistor, check
 
 def lmap(rows):
     """The LinearMap of the matrix with these rows."""
-    return LinearMap.from_matrix(Matrix(rows))
+    return LinearMap.from_rows(rows)
 
 
 def flat(f):
@@ -293,7 +293,7 @@ class TestClifford:
         clifford(d, ok_params)  # identity commutes
         # zero product, so the swap is multiplicative; it does not commute with alpha
         zero = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
-        a = hom_algebra(2, zero, [[1, 1], [0, 1]])
+        a = hom_algebra(2, zero, lmap([[1, 1], [0, 1]]))
         with pytest.raises(NotCommutingWithAlpha):
             clifford(a, CliffordParams(1, swap_matrix()))
 

@@ -7,7 +7,7 @@ from homtwist.algebra import (
     yau_twist_algebra,
 )
 from homtwist.errors import DimensionMismatch, NotMultiplicative, PreconditionFailure
-from homtwist.exact import LinearMap, Matrix, Q, ZERO, compose, kron
+from homtwist.exact import LinearMap, Q, ZERO, compose, kron
 from homtwist.gallery import GalleryKey, build, k2_algebra, swap_matrix
 from homtwist.twisted import twistor_from_R
 from homtwist.twistor import (
@@ -28,7 +28,7 @@ from homtwist.twistor import (
 
 def lmap(rows):
     """The LinearMap of the matrix with these rows."""
-    return LinearMap.from_matrix(Matrix(rows))
+    return LinearMap.from_rows(rows)
 
 
 def flat(f):

@@ -30,7 +30,7 @@ from homtwist.coalgebra import (
     yau_twist_coalgebra,
 )
 from homtwist.errors import HomTwistError
-from homtwist.exact import LinearMap, Matrix, ONE, Q, ZERO, kron
+from homtwist.exact import LinearMap, ONE, Q, ZERO, kron
 from homtwist.gallery import (
     GalleryKey,
     build,
@@ -109,7 +109,7 @@ FIXTURE = pathlib.Path(__file__).with_name("witness_golden.json")
 
 def lmap(rows):
     """The LinearMap of the matrix with these rows."""
-    return LinearMap.from_matrix(Matrix(rows))
+    return LinearMap.from_rows(rows)
 
 
 def _bumped(f, r, c, by=1):
@@ -205,7 +205,7 @@ def checker_cases():
     c3 = group_algebra(3).algebra
     doubled = TwistingMapR(3, 3, _scaled(flip(3, 3).map, 2))
     case("hom_twisting_map/cap", lambda: check_hom_twisting_map(c3, c3, doubled))
-    bad_alpha = hom_algebra(2, k2_algebra().mul, Matrix([[1, 1], [0, 1]]))
+    bad_alpha = hom_algebra(2, k2_algebra().mul, lmap([[1, 1], [0, 1]]))
     case(
         "hom_twisting_map/precondition",
         lambda: check_hom_twisting_map(bad_alpha, k2_algebra(), flip(2, 2)),
