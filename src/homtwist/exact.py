@@ -6,15 +6,17 @@ Everything else in the package builds on the conventions pinned here, once:
   positive denominator.  No floating point exists anywhere: ``as_scalar``
   rejects a float with ``MalformedRational`` rather than read its binary
   expansion.
-* every stored zero is the one shared object ``ZERO``.  ``rat_parse`` and
-  ``as_scalar`` return ``ZERO`` for any zero, and ``as_scalar`` hands a value
-  that already has the scalar type back unchanged, so building a table from
-  scalars creates no new ones.  ``Matrix.apply`` and
-  ``HomAlgebra.product`` skip an input entry when it ``is ZERO``; a zero made
-  by arithmetic is not skipped, only multiplied through, so the skip never
-  changes a value.  A ``LinearMap`` stores no zero coefficient, and its
-  dense views ``matrix()`` and ``table()`` fill the absent entries with
-  ``ZERO``.
+* every stored zero is the one shared object ``ZERO``, and every one read
+  from a literal or an int is the shared ``ONE``.  ``rat_parse`` and
+  ``as_scalar`` return ``ZERO`` for any zero and ``ONE`` for such a one, and
+  ``as_scalar`` hands a value that already has the scalar type back
+  unchanged (a zero as ``ZERO``), so building a table from scalars creates
+  no new ones.  ``Matrix.apply`` and ``HomAlgebra.product`` skip an input
+  entry when it ``is ZERO``, and ``apply_at`` passes a factor that ``is ONE``
+  through a product; a zero or a one made by arithmetic is multiplied
+  through, so neither shortcut changes a value.  A ``LinearMap`` stores no
+  zero coefficient, and its dense views ``matrix()`` and ``table()`` fill
+  the absent entries with ``ZERO``.
 * tensor factors flatten row-major, zero-based and left-associatively:
   ``(i, j) -> i*dimB + j``, extended as ``((i, j), k) -> (i*dimB + j)*dimC + k``
   for three or more factors.
@@ -22,11 +24,13 @@ Everything else in the package builds on the conventions pinned here, once:
   represents sends basis element ``e_c`` to ``sum_r M[r, c] e_r``.
 * every structure map (mu, Delta, alpha, R, T, actions, coactions, flips) is
   stored as a ``LinearMap`` between tensor products, and ``apply_at`` is the
-  one place that applies such a map to a run of factors; an axiom is a pair
-  of paths of ``(map, position)`` checked per basis tuple by
-  ``scan_composites``, and a derived map (a product table, a lifted map, a
-  composite of two maps) is such a path tabulated by ``compose`` and stored
-  as it comes.  ``mat_inv`` and ``kron`` take and return ``LinearMap``s.
+  one place that applies such a map to a run of factors, of a run of sparse
+  tensors at once; an axiom is a pair of paths of ``(map, position)``
+  checked per basis tuple by ``scan_composites``, and a derived map (a
+  product table, a lifted map, a composite of two maps) is such a path
+  tabulated by ``compose`` and stored as it comes.  Both feed the basis in
+  runs of contiguous flat indices, one run per tuple of all the factors but
+  the last.  ``mat_inv`` and ``kron`` take and return ``LinearMap``s.
   Nested input is read once, at the boundary: rows by ``LinearMap.from_rows``
   (in the manifest and the gallery), and structure constants by
   ``LinearMap.from_constants``, which checks their nesting and reads each
@@ -75,31 +79,29 @@ def rat_parse(text):
     """Parse the scalar literal syntax ``-?digits(/digits)?`` into a reduced rational."""
     if not isinstance(text, str) or _RAT_RE.match(text) is None:
         raise MalformedRational(f"not a rational literal: {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise ZeroDenominator(f"zero denominator in {text!r}")
-        num = int(num)
-        return Q(num, int(den)) if num else ZERO
-    num = int(text)
-    return Q(num) if num else ZERO
+    if "/" not in text:
+        num = int(text)
+        return ZERO if not num else ONE if num == 1 else Q(num)
+    num, den = map(int, text.split("/"))
+    if not den:
+        raise ZeroDenominator(f"zero denominator in {text!r}")
+    return ZERO if not num else ONE if num == den else Q(num, den)
 
 
 def as_scalar(x):
     """Coerce ints, backend rationals or literal strings to the scalar type.
 
-    A value of the scalar type comes back unchanged, and every zero as ``ZERO``;
-    a float is rejected.
+    A value of the scalar type comes back unchanged, every zero as ``ZERO``
+    and any other one as ``ONE``; a float is rejected.
     """
-    if x is ZERO:
-        return x
-    if type(x) is not Q:
-        if isinstance(x, str):
-            return rat_parse(x)
-        if isinstance(x, float):
-            raise MalformedRational(f"not an exact scalar: {x!r}")
-        x = Q(x)
-    return x if x else ZERO
+    if type(x) is Q:
+        return x if x is ZERO or x else ZERO
+    if isinstance(x, str):
+        return rat_parse(x)
+    if isinstance(x, float):
+        raise MalformedRational(f"not an exact scalar: {x!r}")
+    x = Q(x)
+    return ZERO if not x else ONE if x == 1 else x
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +319,11 @@ def to_dense(x, dims):
     return out
 
 
-def apply_at(lmap, x, dims, pos):
-    """Apply `lmap` to factors pos, pos+1, ... of the sparse tensor `x` over `dims`.
+def apply_at(lmap, xs, dims, pos):
+    """Apply `lmap` to factors pos, pos+1, ... of each sparse tensor in `xs` over `dims`.
 
-    The factors before the run and after it pass through unchanged; the
-    result lives over ``dims[:pos] + lmap.dst + dims[pos + len(lmap.src):]``.
+    The images come in order, the factors before the run and after it unchanged,
+    over ``dims[:pos] + lmap.dst + dims[pos + len(lmap.src):]``.
     """
     end = pos + len(lmap.src)
     if tuple(dims[pos:end]) != lmap.src:
@@ -330,35 +332,45 @@ def apply_at(lmap, x, dims, pos):
     block_in = _size(lmap.src) * right
     block_out = _size(lmap.dst) * right
     cols = lmap.cols
-    out = {}
-    for idx, v in x.items():
-        outer, rest = divmod(idx, block_in)
-        mid, rest = divmod(rest, right)
-        base = outer * block_out + rest
-        for t, w in cols[mid]:
-            o = base + t * right
-            out[o] = out[o] + v * w if o in out else v * w
-    return out
+    images = []
+    for x in xs:
+        out = {}
+        for idx, v in x.items():
+            outer, rest = divmod(idx, block_in)
+            mid, rest = divmod(rest, right)
+            base = outer * block_out + rest
+            for t, w in cols[mid]:
+                o = base + t * right
+                p = w if v is ONE else v if w is ONE else v * w
+                out[o] = out[o] + p if o in out else p
+        images.append(out)
+    return images
 
 
-def apply_path(path, x, dims):
-    """Apply each ``(map, position)`` of `path` in turn; returns (tensor, dims)."""
+def apply_path(path, xs, dims):
+    """Apply each ``(map, position)`` of `path` in turn to the run `xs`; returns (images, dims)."""
     dims = tuple(dims)
     for lmap, pos in path:
-        x = apply_at(lmap, x, dims, pos)
+        xs = apply_at(lmap, xs, dims, pos)
         dims = dims[:pos] + lmap.dst + dims[pos + len(lmap.src):]
-    return x, dims
+    return xs, dims
+
+
+def _runs(dims):
+    """The basis tensors over `dims` in contiguous runs, one per tuple of all factors but the
+    last; an empty run comes first, so a path meets `dims` even when there is no basis."""
+    run = _size(dims[-1:])
+    yield []
+    for start in range(0, _size(dims), run or 1):
+        yield [{c: ONE} for c in range(start, start + run)]
 
 
 def compose(path, dims):
     """The composite of `path` on tensors over `dims`, tabulated as a LinearMap."""
-    # the empty tensor checks every factor and gives the target dims, even when no
-    # source basis element exists
-    _, out_dims = apply_path(path, {}, dims)
     cols = []
-    for c in range(_size(dims)):
-        y, _ = apply_path(path, {c: ONE}, dims)
-        cols.append(tuple((r, v) for r, v in y.items() if v))
+    for xs in _runs(dims):
+        ys, out_dims = apply_path(path, xs, dims)
+        cols.extend(tuple((r, v) for r, v in y.items() if v) for y in ys)
     return LinearMap(dims, out_dims, cols)
 
 
@@ -366,18 +378,21 @@ def scan_composites(blocks, scan=None):
     """Check equations between composites on every basis tuple.
 
     `blocks` is a sequence of ``(dims, equations)``, each equation a triple
-    ``(name, lhs path, rhs path)``.  Within a block the basis tuples over
-    `dims` run in lexicographic order and, for each tuple, the equations in
-    the order given.  Returns the report of `scan` (a fresh Scan by default).
+    ``(name, lhs path, rhs path)``.  Both sides of every equation are
+    tabulated on one run of `_runs` at a time, then compared per basis tuple
+    in lexicographic order and, for each tuple, per equation in the order
+    given.  Returns the report of `scan` (a fresh Scan by default).
     """
     scan = Scan() if scan is None else scan
     for dims, equations in blocks:
         dims = tuple(dims)
-        for flat, basis in enumerate(itertools.product(*(range(d) for d in dims))):
-            x = {flat: ONE}
-            for name, lhs, rhs in equations:
-                scan.eq(name, basis, to_dense(*apply_path(lhs, x, dims)),
-                        to_dense(*apply_path(rhs, x, dims)))
+        basis = itertools.product(*(range(d) for d in dims))
+        for xs in _runs(dims):
+            sides = [(name, apply_path(lhs, xs, dims), apply_path(rhs, xs, dims))
+                     for name, lhs, rhs in equations]
+            for k, b in enumerate(itertools.islice(basis, len(xs))):
+                for name, (ls, l_dims), (rs, r_dims) in sides:
+                    scan.eq(name, b, to_dense(ls[k], l_dims), to_dense(rs[k], r_dims))
     return scan.done()
 
 

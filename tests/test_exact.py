@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from unittest import mock
 
@@ -308,11 +309,16 @@ class TestApplyAt:
         entries = data.draw(st.lists(_sparse_entry, min_size=n_in * n_out, max_size=n_in * n_out))
         m = lmap([entries[r * n_in:(r + 1) * n_in] for r in range(n_out)])
         out_dims = dims[:pos] + tuple(dst) + dims[pos + k:]
-        got = to_dense(apply_at(m.reshaped(src, dst), x, dims, pos), out_dims)
+        [y] = apply_at(m.reshaped(src, dst), [x], dims, pos)
         left = LinearMap.identity(_size(dims[:pos]))
         right = LinearMap.identity(_size(dims[pos + k:]))
         full = kron(kron(left, m), right)
-        assert got == full.matrix().apply(to_dense(x, dims))
+        assert to_dense(y, out_dims) == full.matrix().apply(to_dense(x, dims))
+        # a run of three tensors maps each one as it maps alone
+        coords = st.lists(_sparse_entry, min_size=_size(dims), max_size=_size(dims))
+        run = [x] + [{i: c for i, c in enumerate(data.draw(coords)) if c} for _ in range(2)]
+        images = apply_at(m.reshaped(src, dst), run, dims, pos)
+        assert images == [apply_at(m.reshaped(src, dst), [z], dims, pos)[0] for z in run]
 
     @given(_tensor_and_run())
     @settings(max_examples=40, deadline=None)
@@ -324,17 +330,17 @@ class TestApplyAt:
             return
         d1, d2 = dims[pos], dims[pos + 1]
         path = [(LinearMap.flip(d1, d2), pos), (LinearMap.flip(d2, d1), pos)]
-        y, out_dims = apply_path(path, x, dims)
+        [y], out_dims = apply_path(path, [x], dims)
         assert out_dims == dims
         assert to_dense(y, dims) == to_dense(x, dims)
 
     def test_flip_swaps_factors(self):
-        y = apply_at(LinearMap.flip(2, 3), {flatten_index((2, 3), (1, 2)): Q(5)}, (2, 3), 0)
-        assert y == {flatten_index((3, 2), (2, 1)): Q(5)}
+        y = apply_at(LinearMap.flip(2, 3), [{flatten_index((2, 3), (1, 2)): Q(5)}], (2, 3), 0)
+        assert y == [{flatten_index((3, 2), (2, 1)): Q(5)}]
 
     def test_run_must_match_the_factor_dims(self):
         with pytest.raises(DimensionMismatch):
-            apply_at(LinearMap.flip(2, 3), {0: Q(1)}, (3, 2), 0)
+            apply_at(LinearMap.flip(2, 3), [{0: Q(1)}], (3, 2), 0)
 
     def test_constants_read_source_factors_first(self):
         # mul[i][j] = e_{i+j mod 2} on k[C2]
@@ -374,6 +380,12 @@ class TestCanonicalScalars:
     @pytest.mark.parametrize("text", ["0", "-0", "0/3", "-0/5"])
     def test_parsed_zero_is_the_shared_zero(self, text):
         assert rat_parse(text) is ZERO
+
+    @pytest.mark.parametrize("read, one", [
+        (rat_parse, "1"), (rat_parse, "4/4"), (as_scalar, "1"), (as_scalar, 1), (as_scalar, True),
+    ])
+    def test_a_one_read_from_a_literal_or_an_int_is_the_shared_one(self, read, one):
+        assert read(one) is ONE
 
     def test_zero_over_zero_is_still_an_error(self):
         with pytest.raises(ZeroDenominator):
@@ -486,10 +498,9 @@ def _dense_rows(draw, square=True):
     return rows
 
 
-@st.composite
-def _paths(draw):
-    """Factor dims and a path of one to three (map, position) steps that applies to them."""
-    dims = start = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+def _draw_path(draw, dims, entry):
+    """A path of one to three (map, position) steps that applies to `dims`, with
+    coefficients drawn from `entry`; returns the path and its target dims."""
     path = []
     for _ in range(draw(st.integers(1, 3))):
         pos = draw(st.integers(0, len(dims) - 1))
@@ -500,12 +511,25 @@ def _paths(draw):
         else:
             dst = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
             n_in, n_out = _size(src), _size(dst)
-            entries = draw(st.lists(_sparse_entry, min_size=n_in * n_out, max_size=n_in * n_out))
+            entries = draw(st.lists(entry, min_size=n_in * n_out, max_size=n_in * n_out))
             rows = [entries[r * n_in:(r + 1) * n_in] for r in range(n_out)]
             step = lmap(rows).reshaped(src, dst)
         path.append((step, pos))
         dims = dims[:pos] + step.dst + dims[pos + k:]
-    return start, path
+    return path, dims
+
+
+@st.composite
+def _paths(draw):
+    """Factor dims and a path of one to three (map, position) steps that applies to them."""
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    return dims, _draw_path(draw, dims, _sparse_entry)[0]
+
+
+def _ones_as(f, make_one):
+    """`f` with each coefficient equal to one replaced by ``make_one()``."""
+    return LinearMap(f.src, f.dst, (tuple((r, make_one() if v == 1 else v) for r, v in col)
+                                    for col in f.cols))
 
 
 class TestLinearMapValues:
@@ -549,6 +573,26 @@ class TestLinearMapValues:
         with pytest.raises(DimensionMismatch):
             compose([(LinearMap.flip(2, 3), 0)], (0, 3))
 
+    def test_a_product_with_the_shared_one_passes_it_through(self):
+        flip = LinearMap.flip(2, 3)
+        f = compose([(flip, 0), (LinearMap.flip(3, 2), 0), (flip, 0)], (2, 3))
+        assert f == flip and all(v is ONE for col in f.cols for _, v in col)
+
+    @given(_paths())
+    @settings(max_examples=60, deadline=None)
+    def test_fresh_ones_compose_as_the_shared_one(self, case):
+        dims, path = case
+        shared = [(_ones_as(f, lambda: ONE), pos) for f, pos in path]
+        fresh = [(_ones_as(f, lambda: Fraction(1)), pos) for f, pos in path]
+        assert compose(fresh, dims) == compose(shared, dims) == compose(path, dims)
+
+    def test_a_scan_of_a_zero_size_block_still_checks_each_path(self):
+        wrong, fits = [(LinearMap.flip(3, 3), 0)], [(LinearMap.flip(0, 3), 0)]
+        for lhs, rhs in [(wrong, []), (fits, wrong)]:
+            with pytest.raises(DimensionMismatch):
+                scan_composites([((0, 3), [("x", lhs, rhs)])])
+        assert scan_composites([((0, 3), [("x", fits, fits)])]) == CheckReport(True)
+
     @given(_dense_rows())
     @settings(max_examples=80, deadline=None)
     def test_mat_inv_matches_dense_gauss_jordan(self, rows):
@@ -565,3 +609,138 @@ class TestLinearMapValues:
     @settings(max_examples=80, deadline=None)
     def test_is_identity_matches_the_dense_check(self, rows):
         assert lmap(rows).is_identity() == dense_is_identity(lmap(rows).matrix())
+
+
+# The per-tuple kernel that the batched one replaced, kept verbatim as the test oracle:
+# each basis tensor goes through each path on its own.
+
+
+def tuple_apply_at(lmap, x, dims, pos):
+    """Apply `lmap` to factors pos, pos+1, ... of the sparse tensor `x` over `dims`.
+
+    The factors before the run and after it pass through unchanged; the
+    result lives over ``dims[:pos] + lmap.dst + dims[pos + len(lmap.src):]``.
+    """
+    end = pos + len(lmap.src)
+    if tuple(dims[pos:end]) != lmap.src:
+        raise DimensionMismatch(f"factors {pos}..{end - 1} of {tuple(dims)} are not {lmap.src}")
+    right = _size(dims[end:])
+    block_in = _size(lmap.src) * right
+    block_out = _size(lmap.dst) * right
+    cols = lmap.cols
+    out = {}
+    for idx, v in x.items():
+        outer, rest = divmod(idx, block_in)
+        mid, rest = divmod(rest, right)
+        base = outer * block_out + rest
+        for t, w in cols[mid]:
+            o = base + t * right
+            out[o] = out[o] + v * w if o in out else v * w
+    return out
+
+
+def tuple_apply_path(path, x, dims):
+    """Apply each ``(map, position)`` of `path` in turn; returns (tensor, dims)."""
+    dims = tuple(dims)
+    for lmap, pos in path:
+        x = tuple_apply_at(lmap, x, dims, pos)
+        dims = dims[:pos] + lmap.dst + dims[pos + len(lmap.src):]
+    return x, dims
+
+
+def tuple_compose(path, dims):
+    """The composite of `path` on tensors over `dims`, tabulated as a LinearMap."""
+    # the empty tensor checks every factor and gives the target dims, even when no
+    # source basis element exists
+    _, out_dims = tuple_apply_path(path, {}, dims)
+    cols = []
+    for c in range(_size(dims)):
+        y, _ = tuple_apply_path(path, {c: ONE}, dims)
+        cols.append(tuple((r, v) for r, v in y.items() if v))
+    return LinearMap(dims, out_dims, cols)
+
+
+def tuple_scan_composites(blocks, scan=None):
+    """Check equations between composites on every basis tuple.
+
+    `blocks` is a sequence of ``(dims, equations)``, each equation a triple
+    ``(name, lhs path, rhs path)``.  Within a block the basis tuples over
+    `dims` run in lexicographic order and, for each tuple, the equations in
+    the order given.  Returns the report of `scan` (a fresh Scan by default).
+    """
+    scan = Scan() if scan is None else scan
+    for dims, equations in blocks:
+        dims = tuple(dims)
+        for flat, basis in enumerate(itertools.product(*(range(d) for d in dims))):
+            x = {flat: ONE}
+            for name, lhs, rhs in equations:
+                scan.eq(name, basis, to_dense(*tuple_apply_path(lhs, x, dims)),
+                        to_dense(*tuple_apply_path(rhs, x, dims)))
+    return scan.done()
+
+
+# Coefficients with both kinds of one: the shared ONE and a fresh Fraction(1).
+_kernel_entry = st.one_of(
+    st.just(Q(-1)), st.just(ZERO), st.just(Q(1, 2)), st.builds(Fraction, st.just(1)), st.just(ONE)
+)
+
+
+def _nudged(f, c, r):
+    """`f` with one added to the coefficient of e_r in the image of e_c."""
+    col = dict(f.cols[c])
+    col[r] = col.get(r, ZERO) + 1
+    cols = list(f.cols)
+    cols[c] = tuple((t, w) for t, w in col.items() if w)
+    return LinearMap(f.src, f.dst, cols)
+
+
+@st.composite
+def _equations(draw):
+    """Factor dims (one to four of dim 1..3) and one to three equations between paths.
+
+    A right side is another random path, the left path itself, or the left path
+    with one coefficient of one step nudged, so that scans pass, fail on a few
+    tuples and fail on more tuples than the witness cap records.
+    """
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    equations = []
+    for k in range(draw(st.integers(1, 3))):
+        lhs, _ = _draw_path(draw, dims, _kernel_entry)
+        kind = draw(st.sampled_from(["other", "same", "nudged"]))
+        rhs = lhs if kind != "other" else _draw_path(draw, dims, _kernel_entry)[0]
+        if kind == "nudged":
+            i = draw(st.integers(0, len(lhs) - 1))
+            f, pos = lhs[i]
+            rows, cols = f.shape
+            step = _nudged(f, draw(st.integers(0, cols - 1)), draw(st.integers(0, rows - 1)))
+            rhs = lhs[:i] + [(step, pos)] + lhs[i + 1:]
+        equations.append((f"eq{k}", lhs, rhs))
+    return dims, equations
+
+
+class TestBatchedKernelMatchesThePerTupleKernel:
+    @given(_equations())
+    @settings(max_examples=100, deadline=None)
+    def test_compose_tabulates_the_same_map(self, case):
+        dims, equations = case
+        for _, lhs, rhs in equations:
+            for path in (lhs, rhs):
+                got, want = compose(path, dims), tuple_compose(path, dims)
+                assert got == want and got.cols == want.cols
+
+    @given(_equations(), st.sampled_from([1, exact.DEFAULT_FAILURE_CAP, 10**6]))
+    @settings(max_examples=100, deadline=None)
+    def test_scan_gives_the_same_report(self, case, cap):
+        dims, equations = case
+        blocks = [(dims, equations)]
+        with mock.patch.object(exact, "DEFAULT_FAILURE_CAP", cap):
+            got, want = scan_composites(blocks), tuple_scan_composites(blocks)
+        # a report's equality covers `passed` and each failure's name, basis, lhs and rhs
+        assert got == want
+
+    def test_a_scan_past_the_witness_cap_keeps_the_same_witnesses(self):
+        double, scale = lmap([[2, 0, 0], [0, 2, 0], [0, 0, 2]]), lmap([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+        blocks = [((3, 3, 3), [("all", [(double, 0)], []), ("some", [(scale, 2)], [(scale, 1)])])]
+        got, want = scan_composites(blocks), tuple_scan_composites(blocks)
+        assert got == want and not got.passed
+        assert len(got.failures) == exact.DEFAULT_FAILURE_CAP
