@@ -25,9 +25,11 @@ alpha(K) = K.  All coefficients are exact rationals at instantiated
 Pure values are memoized; verified facts never are.  The rewriting rules, PBW
 monomial products and monomial coproducts depend on q alone and are kept in
 module-level ``lru_cache``s for the life of the process.  The rho_l action of
-a PBW monomial on a plane monomial, and the smash tails of `smash_mul_uq`,
-depend on the whole `UqParams`; they are kept in tables stored on that
-instance and freed with it.  Every check rescans on every call.
+a PBW monomial on a plane monomial, the Hom-plane product beta o mu of two
+plane monomials, and the smash tails of `smash_mul_uq` depend on the whole
+`UqParams`; they are kept in tables stored on that instance and freed with it.
+The term-map products pass the shared ``ONE`` through, as the tensor kernel
+does.  Every check rescans on every call.
 """
 
 import itertools
@@ -75,8 +77,13 @@ class UqParams:
             raise ParamConstraintViolation("lambda must be nonzero")
         if not self.xi:
             raise ParamConstraintViolation("xi must be nonzero")
-        if not isinstance(self.l, int) or self.l < 0:
-            raise ParamConstraintViolation("l must be a non-negative integer")
+        _check_count("l", self.l)
+
+
+def _check_count(name, value):
+    """A level or bound is a non-negative int; a bool or a float is not one."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ParamConstraintViolation(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def _per_params(fn):
@@ -96,6 +103,11 @@ def _per_params(fn):
         return table[key]
 
     return memoized
+
+
+def _times(v, w):
+    """v * w, passing the shared ONE through as the tensor kernel does."""
+    return w if v is ONE else v if w is ONE else v * w
 
 
 def q_int(n, q):
@@ -120,7 +132,7 @@ class _TermMap:
         return cls({key: coeff} if coeff else {})
 
     def add_term(self, key, coeff):
-        v = self.terms.get(key, ZERO) + coeff
+        v = self.terms[key] + coeff if key in self.terms else coeff
         if v:
             self.terms[key] = v
         else:
@@ -439,7 +451,7 @@ def rho_l(h, p, params):
         for mn, c2 in p.terms.items():
             term = _monomial_rho(mon, mn, params)
             if term is not None:
-                out.add_term(term[0], c1 * c2 * term[1])
+                out.add_term(term[0], _times(_times(c1, c2), term[1]))
     return out
 
 
@@ -462,9 +474,22 @@ def rho_generator_formula(gen, m, n, params):
     return out
 
 
+@_per_params
+def _plane_product(mn1, mn2, params):
+    """beta(mu(x^m y^n, x^r y^s)) as (key, coeff); it is one term and never 0."""
+    p1, p2 = QPlaneElement.monomial(mn1), QPlaneElement.monomial(mn2)
+    (term,) = qp_beta(qp_mul(p1, p2, params.q), 1, params).terms.items()
+    return term
+
+
 def mu_beta(p1, p2, params):
-    """The Hom-quantum-plane multiplication beta o mu."""
-    return qp_beta(qp_mul(p1, p2, params.q), 1, params)
+    """The Hom-quantum-plane multiplication beta o mu, summed over `_plane_product`."""
+    out = QPlaneElement({})
+    for mn1, c1 in p1.terms.items():
+        for mn2, c2 in p2.terms.items():
+            key, v = _plane_product(mn1, mn2, params)
+            out.add_term(key, _times(_times(c1, c2), v))
+    return out
 
 
 def mu_alpha(u, v, params):
@@ -490,29 +515,33 @@ def check_uq_module_hom_algebra(params, bound):
     """Module axioms and module-algebra compatibility up to plane degree `bound`.
 
     Generators h range over {E, F, K, K^{-1}}; plane monomials over
-    m + n <= bound.  A negative bound is a ParamConstraintViolation, not an
-    empty pass.
+    m + n <= bound.  A bound other than a non-negative int is a
+    ParamConstraintViolation, not an empty pass.
     """
-    if bound < 0:
-        raise ParamConstraintViolation(f"plane degree bound must be non-negative, got {bound}")
-    gens = {g: UqElement.monomial(mon) for g, mon in GEN_MONOMIAL.items()}
-    planes = {
-        mn: QPlaneElement.monomial(mn) for mn in _plane_monomials(bound)
+    _check_count("plane degree bound", bound)
+    planes = {mn: QPlaneElement.monomial(mn) for mn in _plane_monomials(bound)}
+    beta = {mn: qp_beta(p, 1, params) for mn, p in planes.items()}
+    # rho of the unit and each generator, the factors of each Delta_alpha(g), on each monomial
+    acts = {
+        (mon, mn): rho_l(UqElement.monomial(mon), p, params)
+        for mon in (UNIT, *GEN_MONOMIAL.values())
+        for mn, p in planes.items()
     }
+    gens = {g: UqElement.monomial(mon) for g, mon in GEN_MONOMIAL.items()}
     scan = Scan()
     for gname, g in gens.items():
         ag = uq_alpha(g, 1, params.lam)
-        for mn, p in planes.items():
-            lhs = qp_beta(rho_l(g, p, params), 1, params)
-            rhs = rho_l(ag, qp_beta(p, 1, params), params)
+        for mn in planes:
+            lhs = qp_beta(acts[GEN_MONOMIAL[gname], mn], 1, params)
+            rhs = rho_l(ag, beta[mn], params)
             scan.eq("module_alpha", (gname, mn), lhs.items(), rhs.items())
     for g1name, g1 in gens.items():
         ag1 = uq_alpha(g1, 1, params.lam)
         for g2name, g2 in gens.items():
             prod = mu_alpha(g1, g2, params)
-            for mn, p in planes.items():
-                lhs = rho_l(ag1, rho_l(g2, p, params), params)
-                rhs = rho_l(prod, qp_beta(p, 1, params), params)
+            for mn in planes:
+                lhs = rho_l(ag1, acts[GEN_MONOMIAL[g2name], mn], params)
+                rhs = rho_l(prod, beta[mn], params)
                 scan.eq("module_assoc", (g1name, g2name, mn), lhs.items(), rhs.items())
     for gname, g in gens.items():
         a2g = uq_alpha(g, 2, params.lam)
@@ -522,11 +551,7 @@ def check_uq_module_hom_algebra(params, bound):
                 lhs = rho_l(a2g, mu_beta(p1, p2, params), params)
                 rhs = QPlaneElement({})
                 for (h1, h2), w in delta.terms.items():
-                    term = mu_beta(
-                        rho_l(UqElement.monomial(h1), p1, params),
-                        rho_l(UqElement.monomial(h2), p2, params),
-                        params,
-                    )
+                    term = mu_beta(acts[h1, mn1], acts[h2, mn2], params)
                     for key, v in term.terms.items():
                         rhs.add_term(key, w * v)
                 scan.eq("module_algebra_compat", (gname, mn1, mn2), lhs.items(), rhs.items())
@@ -573,12 +598,11 @@ def smash_mul_uq(t1, t2, params):
     """
     out = SmashTerm({})
     for (p1, h1), c1 in t1.terms.items():
-        plane1 = QPlaneElement.monomial(p1)
         for (p2, h2), c2 in t2.terms.items():
-            c = c1 * c2
+            c = _times(c1, c2)
             for (a, mon), v in _smash_tail(h1, p2, h2, params):
-                for mn, pv in mu_beta(plane1, QPlaneElement.monomial(a), params).terms.items():
-                    out.add_term((mn, mon), c * v * pv)
+                mn, pv = _plane_product(p1, a, params)
+                out.add_term((mn, mon), _times(_times(c, v), pv))
     return out
 
 
@@ -586,11 +610,10 @@ def verify_smash_closed_forms(params, bounds):
     """Closed smash-product formulas for the K/Kinv, E and F rows at l = 0.
 
     Scans all m, n, r, s <= bounds and G in {1, E, F, K, Kinv, EK}, comparing
-    smash_mul_uq against the closed forms after PBW normalization.  Negative
-    bounds are a ParamConstraintViolation, not an empty pass.
+    smash_mul_uq against the closed forms after PBW normalization.  Bounds
+    other than a non-negative int are a ParamConstraintViolation, not a pass.
     """
-    if bounds < 0:
-        raise ParamConstraintViolation(f"bounds must be non-negative, got {bounds}")
+    _check_count("bounds", bounds)
     if params.l != 0:
         raise ParamConstraintViolation("the closed formulas are stated for l = 0")
     q, lam, xi = params.q, params.lam, params.xi

@@ -80,7 +80,12 @@ class TestUqParams:
         with pytest.raises(DegenerateQ):
             UqParams(1, 3, 5, 0)
 
-    @pytest.mark.parametrize("kwargs", [dict(lam=0), dict(xi=0), dict(l=-1)])
+    # a bool is an int to isinstance, but UqParams(2, 3, 5, True) has no level
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(lam=0), dict(xi=0), dict(l=-1)]
+        + [dict(l=l) for l in (True, False, 1.5, Q(1), "1")],
+    )
     def test_constraints(self, kwargs):
         base = dict(q=2, lam=3, xi=5, l=0)
         base.update(kwargs)
@@ -531,7 +536,12 @@ class TestModuleHomAlgebraScan:
 
     @pytest.mark.parametrize("bound", [-1, -3])
     def test_negative_bound_is_an_error_not_a_pass(self, bound):
-        with pytest.raises(ParamConstraintViolation, match="must be non-negative"):
+        with pytest.raises(ParamConstraintViolation, match="must be a non-negative integer, got -"):
+            check_uq_module_hom_algebra(PARAMS, bound)
+
+    @pytest.mark.parametrize("bound", [1.5, True, False, Q(2), "2"])
+    def test_a_bound_that_is_not_an_int_is_an_error(self, bound):
+        with pytest.raises(ParamConstraintViolation, match="must be a non-negative integer, got "):
             check_uq_module_hom_algebra(PARAMS, bound)
 
     def test_perturbed_action_fails(self):
@@ -598,7 +608,12 @@ class TestSmashClosedForms:
 
     @pytest.mark.parametrize("bounds", [-1, -3])
     def test_negative_bounds_are_an_error_not_a_pass(self, bounds):
-        with pytest.raises(ParamConstraintViolation, match="must be non-negative"):
+        with pytest.raises(ParamConstraintViolation, match="must be a non-negative integer, got -"):
+            verify_smash_closed_forms(PARAMS, bounds)
+
+    @pytest.mark.parametrize("bounds", [1.5, True, False, Q(2), "2"])
+    def test_bounds_that_are_not_an_int_are_an_error(self, bounds):
+        with pytest.raises(ParamConstraintViolation, match="must be a non-negative integer, got "):
             verify_smash_closed_forms(PARAMS, bounds)
 
     def test_requires_l_zero(self):
@@ -722,6 +737,32 @@ class TestMemoizedKernels:
     def test_smash_mul_uq_matches_the_loop(self, tup, t1, t2):
         for params in _warm_and_fresh(tup):
             assert smash_mul_uq(t1, t2, params) == oracle_smash_mul_uq(t1, t2, params)
+
+    @given(_PARAM_TUPLES, _QP, _QP)
+    @settings(max_examples=80, deadline=None)
+    def test_mu_beta_matches_beta_of_the_plane_product(self, tup, p1, p2):
+        for params in _warm_and_fresh(tup):
+            assert mu_beta(p1, p2, params) == qp_beta(qp_mul(p1, p2, params.q), 1, params)
+
+    @pytest.mark.parametrize("zero", [ZERO, Q(0)], ids=["shared", "fresh"])
+    def test_adding_zero_at_a_fresh_key_stores_nothing(self, zero):
+        t = QPlaneElement({(1, 0): Q(2)})
+        t.add_term((0, 1), zero)
+        assert t.terms == {(1, 0): Q(2)}
+        t.add_term((1, 0), Q(-2))
+        assert t.terms == {}
+
+    def test_a_fresh_one_acts_as_the_shared_one(self):
+        fresh = Q(1)
+        assert fresh is not ONE
+        params = UqParams(3, Q(1, 2), 2, 1)
+        for mon, mn in itertools.product([UNIT, MON_E, MON_F, (1, 1, -1)], [(0, 0), (1, 2)]):
+            assert rho_l(UqElement({mon: fresh}), QPlaneElement({mn: fresh}), params) == rho_l(
+                UqElement({mon: ONE}), QPlaneElement({mn: ONE}), params
+            )
+            t_fresh, t_one = SmashTerm({(mn, mon): fresh}), SmashTerm({(mn, mon): ONE})
+            assert smash_mul_uq(t_fresh, t_fresh, params) == smash_mul_uq(t_one, t_one, params)
+            assert smash_mul_uq(t_one, t_fresh, params) == oracle_smash_mul_uq(t_one, t_one, params)
 
     def test_a_changed_result_does_not_change_the_memo(self):
         params = UqParams(2, 3, 5, 1)
