@@ -28,8 +28,11 @@ module-level ``lru_cache``s for the life of the process.  The rho_l action of
 a PBW monomial on a plane monomial, the Hom-plane product beta o mu of two
 plane monomials, and the smash tails of `smash_mul_uq` depend on the whole
 `UqParams`; they are kept in tables stored on that instance and freed with it.
-The term-map products pass the shared ``ONE`` through, as the tensor kernel
-does.  Every check rescans on every call.
+Every map is (bi)linear: a rule gives the (key, coeff) pairs of the image of
+one monomial or pair, and `_extend` sums them, scaled by the coefficients
+(passing the shared ``ONE`` through, as the tensor kernel does).  Scans
+compare term maps through `_scan_eq`, which sorts only a pair that differs.
+Every check rescans on every call.
 """
 
 import itertools
@@ -77,13 +80,14 @@ class UqParams:
             raise ParamConstraintViolation("lambda must be nonzero")
         if not self.xi:
             raise ParamConstraintViolation("xi must be nonzero")
-        _check_count("l", self.l)
+        _check_int("l", self.l, count=True)
 
 
-def _check_count(name, value):
-    """A level or bound is a non-negative int; a bool or a float is not one."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ParamConstraintViolation(f"{name} must be a non-negative integer, got {value!r}")
+def _check_int(name, value, count=False):
+    """A power is an int, a count (a level or bound) a non-negative one; a bool is neither."""
+    if isinstance(value, bool) or not isinstance(value, int) or count and value < 0:
+        kind = "a non-negative integer" if count else "an integer"
+        raise ParamConstraintViolation(f"{name} must be {kind}, got {value!r}")
 
 
 def _per_params(fn):
@@ -112,6 +116,7 @@ def _times(v, w):
 
 def q_int(n, q):
     """The balanced q-integer [n]_q = (q^n - q^{-n})/(q - q^{-1})."""
+    _check_int("n", n)
     q = _check_q(q)
     if n == 0:
         return ZERO
@@ -130,6 +135,11 @@ class _TermMap:
     def monomial(cls, key, coeff=ONE):
         coeff = as_scalar(coeff)
         return cls({key: coeff} if coeff else {})
+
+    @classmethod
+    def outer(cls, x, y):
+        """The outer product: each pair (k1, k2) of keys of x and y, with c1 c2."""
+        return _extend(cls, lambda k1, k2: (((k1, k2), ONE),), x, y)
 
     def add_term(self, key, coeff):
         v = self.terms[key] + coeff if key in self.terms else coeff
@@ -166,6 +176,31 @@ class _TermMap:
         return f"{type(self).__name__}({' + '.join(parts)})"
 
 
+def _extend(cls, rule, x, y=None):
+    """Sum c1 rule(k1) over the terms of x or, given y, c1 c2 rule(k1, k2) over pairs of terms."""
+    out = cls()
+    add = out.add_term
+    if y is None:
+        for k1, c1 in x.terms.items():
+            for key, v in rule(k1):
+                add(key, _times(c1, v))
+        return out
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            c = _times(c1, c2)
+            for key, v in rule(k1, k2):
+                add(key, _times(c, v))
+    return out
+
+
+def _scan_eq(scan, equation, basis, lhs, rhs):
+    """scan.eq on two term maps, sorting their terms only when they differ."""
+    if lhs == rhs:
+        scan.eq(equation, basis, (), ())
+    else:
+        scan.eq(equation, basis, lhs.items(), rhs.items())
+
+
 class UqElement(_TermMap):
     """Combination of PBW monomials (a, b, c) meaning F^a E^b K^c."""
 
@@ -186,14 +221,12 @@ class UqTensor(_TermMap):
     """Combination of pairs of PBW monomials: an element of U_q (x) U_q."""
 
     def mul(self, other, q):
-        out = UqTensor({})
-        for (l1, r1), c in self.terms.items():
-            for (l2, r2), d in other.terms.items():
-                cd = c * d
-                for ml, wl in _monomial_mul(l1, l2, q):
-                    for mr, wr in _monomial_mul(r1, r2, q):
-                        out.add_term((ml, mr), cd * wl * wr)
-        return out
+        def rule(t1, t2):
+            (l1, r1), (l2, r2) = t1, t2
+            right = _monomial_mul(r1, r2, q)
+            return [((ml, mr), wl * wr) for ml, wl in _monomial_mul(l1, l2, q) for mr, wr in right]
+
+        return _extend(UqTensor, rule, self, other)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +321,8 @@ def check_pbw_confluence(q):
             for pos in (0, 1):
                 once = _TermMap()
                 _reduce_at(once, word, pos, ONE, rules)
-                sides.append(_rewrite(once, rules).items())
-            scan.eq("overlap_resolves", word, *sides)
+                sides.append(_rewrite(once, rules))
+            _scan_eq(scan, "overlap_resolves", word, *sides)
     return scan.done()
 
 
@@ -303,24 +336,16 @@ def _monomial_mul(m1, m2, q):
 def uq_mul(u, v, q):
     """Bilinear product in U_q(sl2), PBW-normalized."""
     q = _check_q(q)
-    out = UqElement({})
-    for m1, c1 in u.terms.items():
-        for m2, c2 in v.terms.items():
-            c = c1 * c2
-            for mon, w in _monomial_mul(m1, m2, q):
-                out.add_term(mon, c * w)
-    return out
+    return _extend(UqElement, lambda m1, m2: _monomial_mul(m1, m2, q), u, v)
 
 
 def uq_alpha(u, k, lam):
     """alpha^k with alpha(E) = lam E, alpha(F) = lam^{-1} F, alpha(K) = K."""
+    _check_int("k", k)
     lam = as_scalar(lam)
     if not lam:
         raise ParamConstraintViolation("lambda must be nonzero")
-    out = {}
-    for (a, b, c), coeff in u.terms.items():
-        out[(a, b, c)] = coeff * lam ** (k * (b - a))
-    return UqElement(out)
+    return _extend(UqElement, lambda mon: ((mon, lam ** (k * (mon[1] - mon[0]))),), u)
 
 
 _DELTA_GEN = {
@@ -348,11 +373,7 @@ def _monomial_coproduct(mon, q):
 def uq_coproduct(u, q):
     """Delta extended as an algebra map, computed in the tensor square."""
     q = _check_q(q)
-    out = UqTensor({})
-    for mon, coeff in u.terms.items():
-        for pair, w in _monomial_coproduct(mon, q):
-            out.add_term(pair, coeff * w)
-    return out
+    return _extend(UqTensor, lambda mon: _monomial_coproduct(mon, q), u)
 
 
 def check_hopf_on_relations(q, lam):
@@ -374,18 +395,18 @@ def check_hopf_on_relations(q, lam):
             out = uq_mul(out, alpha(GEN_MONOMIAL[g]), q)
         return out
 
+    def alpha_alpha(pair):
+        return UqTensor.outer(alpha(pair[0]), alpha(pair[1])).terms.items()
+
     scan = Scan()
     for lhs, terms in _rules(q).items():
         delta = sum((_word_coproduct(w, q).scale(c) for w, c in terms), UqTensor())
-        scan.eq("delta_respects_relation", lhs, _word_coproduct(lhs, q).items(), delta.items())
+        _scan_eq(scan, "delta_respects_relation", lhs, _word_coproduct(lhs, q), delta)
         image = sum((alpha_word(w).scale(c) for w, c in terms), UqElement())
-        scan.eq("alpha_respects_relation", lhs, alpha_word(lhs).items(), image.items())
+        _scan_eq(scan, "alpha_respects_relation", lhs, alpha_word(lhs), image)
     for g, mon in GEN_MONOMIAL.items():
-        twisted = UqTensor()
-        for (l, r), c in uq_coproduct(UqElement.monomial(mon), q).terms.items():
-            for (ml, a), (mr, b) in itertools.product(alpha(l).items(), alpha(r).items()):
-                twisted.add_term((ml, mr), c * a * b)
-        scan.eq("alpha_coalgebra_map", (g,), uq_coproduct(alpha(mon), q).items(), twisted.items())
+        twisted = _extend(UqTensor, alpha_alpha, uq_coproduct(UqElement.monomial(mon), q))
+        _scan_eq(scan, "alpha_coalgebra_map", (g,), uq_coproduct(alpha(mon), q), twisted)
     return scan.done()
 
 
@@ -397,24 +418,23 @@ def check_hopf_on_relations(q, lam):
 def qp_mul(p1, p2, q):
     """(x^m y^n)(x^r y^s) = q^{n r} x^{m+r} y^{n+s}, bilinearly."""
     q = _check_q(q)
-    out = QPlaneElement({})
-    for (m, n), c1 in p1.terms.items():
-        for (r, s), c2 in p2.terms.items():
-            out.add_term((m + r, n + s), c1 * c2 * q ** (n * r))
-    return out
+
+    def rule(mn, rs):
+        return (((mn[0] + rs[0], mn[1] + rs[1]), q ** (mn[1] * rs[0])),)
+
+    return _extend(QPlaneElement, rule, p1, p2)
 
 
 def qp_beta(p, k, params):
     """beta^k with beta(x^m y^n) = xi^{m+n} lam^{-n} x^m y^n."""
-    out = {}
-    for (m, n), coeff in p.terms.items():
-        out[(m, n)] = coeff * params.xi ** (k * (m + n)) * params.lam ** (-k * n)
-    return QPlaneElement(out)
+    _check_int("k", k)
+    xi, lam = params.xi, params.lam
+    return _extend(QPlaneElement, lambda mn: ((mn, xi ** (k * sum(mn)) * lam ** (-k * mn[1])),), p)
 
 
 @_per_params
 def _monomial_rho(mon, mn, params):
-    """rho_l(F^a E^b K^c, x^m y^n) as (key, coeff), or None when it is 0.
+    """rho_l(F^a E^b K^c, x^m y^n) as its (key, coeff) pairs: none when it is 0, else one.
 
     alpha^{l+1} scales the PBW monomial by lam^{(l+1)(b-a)}.  On the plane,
     beta scales x^m y^n by xi^{m+n} lam^{-n}, sigma(K)^c by q^{c(m-n)}; then
@@ -425,7 +445,7 @@ def _monomial_rho(mon, mn, params):
     (a, b, c), (m, n) = mon, mn
     q, lam = params.q, params.lam
     if b > n or a > m + b:
-        return None
+        return ()
     coeff = lam ** ((params.l + 1) * (b - a)) * params.xi ** (m + n) * lam ** (-n)
     coeff *= q ** (c * (m - n))
     for _ in range(b):
@@ -434,7 +454,7 @@ def _monomial_rho(mon, mn, params):
     for _ in range(a):
         coeff *= q_int(m, q)
         m, n = m - 1, n + 1
-    return (m, n), coeff
+    return (((m, n), coeff),)
 
 
 def rho_l(h, p, params):
@@ -443,16 +463,10 @@ def rho_l(h, p, params):
     sigma is the classical composition action with sigma(E) raising x-degree,
     sigma(F) raising y-degree and sigma(K^{+-1}) rescaling; the unit acts as
     beta.  This extension reproduces the closed generator formulas (the
-    generator oracle is part of the test suite).  It is bilinear, so it is
-    summed over `_monomial_rho`.
+    generator oracle is part of the test suite).  It is the bilinear
+    extension of `_monomial_rho`.
     """
-    out = QPlaneElement({})
-    for mon, c1 in h.terms.items():
-        for mn, c2 in p.terms.items():
-            term = _monomial_rho(mon, mn, params)
-            if term is not None:
-                out.add_term(term[0], _times(_times(c1, c2), term[1]))
-    return out
+    return _extend(QPlaneElement, lambda mon, mn: _monomial_rho(mon, mn, params), h, p)
 
 
 def rho_generator_formula(gen, m, n, params):
@@ -476,20 +490,14 @@ def rho_generator_formula(gen, m, n, params):
 
 @_per_params
 def _plane_product(mn1, mn2, params):
-    """beta(mu(x^m y^n, x^r y^s)) as (key, coeff); it is one term and never 0."""
+    """beta(mu(x^m y^n, x^r y^s)) as its (key, coeff) pairs; there is one, never 0."""
     p1, p2 = QPlaneElement.monomial(mn1), QPlaneElement.monomial(mn2)
-    (term,) = qp_beta(qp_mul(p1, p2, params.q), 1, params).terms.items()
-    return term
+    return tuple(qp_beta(qp_mul(p1, p2, params.q), 1, params).terms.items())
 
 
 def mu_beta(p1, p2, params):
-    """The Hom-quantum-plane multiplication beta o mu, summed over `_plane_product`."""
-    out = QPlaneElement({})
-    for mn1, c1 in p1.terms.items():
-        for mn2, c2 in p2.terms.items():
-            key, v = _plane_product(mn1, mn2, params)
-            out.add_term(key, _times(_times(c1, c2), v))
-    return out
+    """The Hom-quantum-plane multiplication beta o mu, the extension of `_plane_product`."""
+    return _extend(QPlaneElement, lambda mn1, mn2: _plane_product(mn1, mn2, params), p1, p2)
 
 
 def mu_alpha(u, v, params):
@@ -518,7 +526,7 @@ def check_uq_module_hom_algebra(params, bound):
     m + n <= bound.  A bound other than a non-negative int is a
     ParamConstraintViolation, not an empty pass.
     """
-    _check_count("plane degree bound", bound)
+    _check_int("plane degree bound", bound, count=True)
     planes = {mn: QPlaneElement.monomial(mn) for mn in _plane_monomials(bound)}
     beta = {mn: qp_beta(p, 1, params) for mn, p in planes.items()}
     # rho of the unit and each generator, the factors of each Delta_alpha(g), on each monomial
@@ -534,7 +542,7 @@ def check_uq_module_hom_algebra(params, bound):
         for mn in planes:
             lhs = qp_beta(acts[GEN_MONOMIAL[gname], mn], 1, params)
             rhs = rho_l(ag, beta[mn], params)
-            scan.eq("module_alpha", (gname, mn), lhs.items(), rhs.items())
+            _scan_eq(scan, "module_alpha", (gname, mn), lhs, rhs)
     for g1name, g1 in gens.items():
         ag1 = uq_alpha(g1, 1, params.lam)
         for g2name, g2 in gens.items():
@@ -542,19 +550,19 @@ def check_uq_module_hom_algebra(params, bound):
             for mn in planes:
                 lhs = rho_l(ag1, acts[GEN_MONOMIAL[g2name], mn], params)
                 rhs = rho_l(prod, beta[mn], params)
-                scan.eq("module_assoc", (g1name, g2name, mn), lhs.items(), rhs.items())
+                _scan_eq(scan, "module_assoc", (g1name, g2name, mn), lhs, rhs)
     for gname, g in gens.items():
         a2g = uq_alpha(g, 2, params.lam)
         delta = coproduct_alpha(g, params)
         for mn1, p1 in planes.items():
             for mn2, p2 in planes.items():
+
+                def acted(pair):
+                    return mu_beta(acts[pair[0], mn1], acts[pair[1], mn2], params).terms.items()
+
                 lhs = rho_l(a2g, mu_beta(p1, p2, params), params)
-                rhs = QPlaneElement({})
-                for (h1, h2), w in delta.terms.items():
-                    term = mu_beta(acts[h1, mn1], acts[h2, mn2], params)
-                    for key, v in term.terms.items():
-                        rhs.add_term(key, w * v)
-                scan.eq("module_algebra_compat", (gname, mn1, mn2), lhs.items(), rhs.items())
+                rhs = _extend(QPlaneElement, acted, delta)
+                _scan_eq(scan, "module_algebra_compat", (gname, mn1, mn2), lhs, rhs)
     return scan.done()
 
 
@@ -563,11 +571,7 @@ class SmashTerm(_TermMap):
 
     @classmethod
     def smash(cls, plane, uq):
-        out = cls({})
-        for mn, c1 in plane.terms.items():
-            for mon, c2 in uq.terms.items():
-                out.add_term((mn, mon), c1 * c2)
-        return out
+        return cls.outer(plane, uq)
 
 
 @_per_params
@@ -577,33 +581,36 @@ def _smash_tail(h1, p2, h2, params):
     They are alpha^{-2}(h1_(1)) . beta^{-1}(p2) # alpha^{-1}(h1_(2)) h2 summed
     over Delta_alpha(h1), before the plane factor is multiplied by p1.
     """
-    out = SmashTerm({})
     binv = qp_beta(QPlaneElement.monomial(p2), -1, params)
     h2el = UqElement.monomial(h2)
-    for (ha, hb), w in coproduct_alpha(UqElement.monomial(h1), params).terms.items():
+
+    def tail(pair):
+        ha, hb = pair
         acted = rho_l(uq_alpha(UqElement.monomial(ha), -2, params.lam), binv, params)
         uq = mu_alpha(uq_alpha(UqElement.monomial(hb), -1, params.lam), h2el, params)
-        for a, av in acted.terms.items():
-            for mon, uv in uq.terms.items():
-                out.add_term((a, mon), w * av * uv)
-    return tuple(out.terms.items())
+        return SmashTerm.outer(acted, uq).terms.items()
+
+    delta = coproduct_alpha(UqElement.monomial(h1), params)
+    return tuple(_extend(SmashTerm, tail, delta).terms.items())
 
 
 def smash_mul_uq(t1, t2, params):
     """The Hom-smash multiplication on the quantum plane # U_q(sl2)_alpha.
 
     (a # h)(a' # h') = a (alpha^{-2}(h1) . beta^{-1}(a')) # alpha^{-1}(h2) h'
-    with Delta_alpha = Delta o alpha and the rho_l action.  It is bilinear,
-    so it is summed over `_smash_tail` on monomials.
+    with Delta_alpha = Delta o alpha and the rho_l action.  It is the bilinear
+    extension of `_smash_tail` with p1 multiplied into its plane factors.
     """
-    out = SmashTerm({})
-    for (p1, h1), c1 in t1.terms.items():
-        for (p2, h2), c2 in t2.terms.items():
-            c = _times(c1, c2)
-            for (a, mon), v in _smash_tail(h1, p2, h2, params):
-                mn, pv = _plane_product(p1, a, params)
-                out.add_term((mn, mon), _times(_times(c, v), pv))
-    return out
+
+    def rule(ph1, ph2):
+        (p1, h1), (p2, h2) = ph1, ph2
+        return [
+            ((mn, mon), _times(v, pv))
+            for (a, mon), v in _smash_tail(h1, p2, h2, params)
+            for mn, pv in _plane_product(p1, a, params)
+        ]
+
+    return _extend(SmashTerm, rule, t1, t2)
 
 
 def verify_smash_closed_forms(params, bounds):
@@ -613,19 +620,12 @@ def verify_smash_closed_forms(params, bounds):
     smash_mul_uq against the closed forms after PBW normalization.  Bounds
     other than a non-negative int are a ParamConstraintViolation, not a pass.
     """
-    _check_count("bounds", bounds)
+    _check_int("bounds", bounds, count=True)
     if params.l != 0:
         raise ParamConstraintViolation("the closed formulas are stated for l = 0")
     q, lam, xi = params.q, params.lam, params.xi
-    g_choices = (
-        ("1", UNIT),
-        ("E", MON_E),
-        ("F", MON_F),
-        ("K", MON_K),
-        ("Kinv", MON_KINV),
-        ("EK", (0, 1, 1)),
-    )
-    alpha_g = {gmon: uq_alpha(UqElement.monomial(gmon), 1, lam) for _, gmon in g_choices}
+    g_choices = {"1": UNIT, "E": MON_E, "F": MON_F, "K": MON_K, "Kinv": MON_KINV, "EK": (0, 1, 1)}
+    alpha_g = {gmon: uq_alpha(UqElement.monomial(gmon), 1, lam) for gmon in g_choices.values()}
     head_g = {}  # (head, G) -> terms of head alpha(G), each formed once per call
     scan = Scan()
     for m, n, r, s in itertools.product(range(bounds + 1), repeat=4):
@@ -643,7 +643,7 @@ def verify_smash_closed_forms(params, bounds):
                 (q_int(r, q) * q ** (n * (r - 1)) * lam_f, UNIT, (-1, 1)),
             ),
         }
-        for gname, gmon in g_choices:
+        for gname, gmon in g_choices.items():
             right = SmashTerm.monomial(((r, s), gmon))
             for (rname, hmon), terms in closed.items():
                 computed = smash_mul_uq(SmashTerm.monomial(((m, n), hmon)), right, params)
@@ -654,10 +654,6 @@ def verify_smash_closed_forms(params, bounds):
                         head_g[head, gmon] = tuple(product.terms.items())
                     for mon, w in head_g[head, gmon]:
                         expected.add_term(((m + r + dm, n + s + dn), mon), common * coeff * w)
-                scan.eq(
-                    "smash_closed_form_row_" + rname,
-                    (m, n, r, s, gname),
-                    computed.items(),
-                    expected.items(),
-                )
+                row = "smash_closed_form_row_" + rname
+                _scan_eq(scan, row, (m, n, r, s, gname), computed, expected)
     return scan.done()

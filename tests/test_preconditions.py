@@ -74,7 +74,17 @@ from homtwist.twistor import (
     deform_with_alpha,
     yau_operator,
 )
-from homtwist.uqsl2 import pbw_normalize, rho_generator_formula
+from homtwist.uqsl2 import (
+    MON_E,
+    QPlaneElement,
+    UqElement,
+    UqParams,
+    pbw_normalize,
+    q_int,
+    qp_beta,
+    rho_generator_formula,
+    uq_alpha,
+)
 
 
 def lmap(rows):
@@ -391,6 +401,22 @@ def _rejections():
          lambda: rho_generator_formula("X", 0, 0, build(GalleryKey(
              "uq_setup", {"q": 2, "lam": 1, "xi": 1, "l": 0}))["params"]),
          ValueError, "unknown generator 'X'"),
+    ] + [
+        # a power of alpha, beta or q is an int of either sign; a float or a bool is not
+        (f"uq_alpha/k_{label}",
+         lambda k=k: uq_alpha(UqElement.monomial(MON_E), k, 2),
+         ParamConstraintViolation, f"k must be an integer, got {k!r}")
+        for label, k in (("half", 0.5), ("float_one", 1.0), ("true", True))
+    ] + [
+        (f"qp_beta/k_{label}",
+         lambda k=k: qp_beta(QPlaneElement.monomial((1, 0)), k, UqParams(2, 3, 5)),
+         ParamConstraintViolation, f"k must be an integer, got {k!r}")
+        for label, k in (("half", 0.5), ("false", False))
+    ] + [
+        (f"q_int/n_{label}",
+         lambda n=n: q_int(n, 2),
+         ParamConstraintViolation, f"n must be an integer, got {n!r}")
+        for label, n in (("half", 0.5), ("float_two", 2.0), ("true", True))
     ]
 
 

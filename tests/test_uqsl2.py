@@ -66,6 +66,12 @@ class TestQInt:
         # (q^2 - q^-2)/(q - q^-1) = q + 1/q = 5/2
         assert q_int(2, Q(2)) == Q(5, 2)
 
+    def test_a_negative_n_is_valid(self):
+        # [-n]_q = -[n]_q, and the powers alpha^-1, beta^-1 are used by the smash product
+        assert q_int(-2, Q(2)) == Q(-5, 2)
+        assert uq_alpha(mono(MON_E), -2, Q(3)) == mono(MON_E, Q(1, 9))
+        assert qp_beta(plane(0, 1), -1, PARAMS) == plane(0, 1, PARAMS.lam / PARAMS.xi)
+
     @pytest.mark.parametrize("q", [0, 1, -1])
     def test_degenerate(self, q):
         with pytest.raises(DegenerateQ):
@@ -638,8 +644,97 @@ class TestSmashClosedForms:
 
 # ---------------------------------------------------------------------------
 # the loops rho_l and smash_mul_uq were before they summed memoized monomial
-# kernels, kept verbatim as oracles (rho_l renamed to oracle_rho_l throughout)
+# kernels, kept verbatim as oracles (rho_l renamed to oracle_rho_l throughout),
+# and the loops of the maps they call before every map became a rule under
+# one extension (each renamed loop_*).  The oracles call only these copies, so
+# a fault in `uqsl2._extend` or in a per-monomial rule cannot reach both sides;
+# from `uqsl2` they take the PBW products `_monomial_mul` and the generator
+# coproducts `_DELTA_GEN` alone.
 # ---------------------------------------------------------------------------
+
+
+def loop_tensor_mul(self, other, q):
+    """UqTensor.mul."""
+    out = UqTensor({})
+    for (l1, r1), c in self.terms.items():
+        for (l2, r2), d in other.terms.items():
+            cd = c * d
+            for ml, wl in uqsl2._monomial_mul(l1, l2, q):
+                for mr, wr in uqsl2._monomial_mul(r1, r2, q):
+                    out.add_term((ml, mr), cd * wl * wr)
+    return out
+
+
+def loop_uq_mul(u, v, q):
+    out = UqElement({})
+    for m1, c1 in u.terms.items():
+        for m2, c2 in v.terms.items():
+            c = c1 * c2
+            for mon, w in uqsl2._monomial_mul(m1, m2, q):
+                out.add_term(mon, c * w)
+    return out
+
+
+def loop_uq_alpha(u, k, lam):
+    lam = as_scalar(lam)
+    out = {}
+    for (a, b, c), coeff in u.terms.items():
+        out[(a, b, c)] = coeff * lam ** (k * (b - a))
+    return UqElement(out)
+
+
+def loop_word_coproduct(word, q):
+    """_word_coproduct, over loop_tensor_mul."""
+    out = UqTensor.monomial((UNIT, UNIT))
+    for g in word:
+        out = loop_tensor_mul(out, UqTensor({(l, r): w for (l, r, w) in uqsl2._DELTA_GEN[g]}), q)
+    return out
+
+
+def loop_uq_coproduct(u, q):
+    """uq_coproduct, with each monomial's coproduct from loop_word_coproduct."""
+    out = UqTensor({})
+    for mon, coeff in u.terms.items():
+        for pair, w in loop_word_coproduct(uqsl2.monomial_word(mon), q).terms.items():
+            out.add_term(pair, coeff * w)
+    return out
+
+
+def loop_qp_mul(p1, p2, q):
+    out = QPlaneElement({})
+    for (m, n), c1 in p1.terms.items():
+        for (r, s), c2 in p2.terms.items():
+            out.add_term((m + r, n + s), c1 * c2 * q ** (n * r))
+    return out
+
+
+def loop_qp_beta(p, k, params):
+    out = {}
+    for (m, n), coeff in p.terms.items():
+        out[(m, n)] = coeff * params.xi ** (k * (m + n)) * params.lam ** (-k * n)
+    return QPlaneElement(out)
+
+
+def loop_mu_beta(p1, p2, params):
+    """mu_beta before it summed memoized plane products."""
+    return loop_qp_beta(loop_qp_mul(p1, p2, params.q), 1, params)
+
+
+def loop_mu_alpha(u, v, params):
+    return loop_uq_alpha(loop_uq_mul(u, v, params.q), 1, params.lam)
+
+
+def loop_coproduct_alpha(u, params):
+    return loop_uq_coproduct(loop_uq_alpha(u, 1, params.lam), params.q)
+
+
+def loop_smash(plane, uq):
+    """SmashTerm.smash."""
+    out = SmashTerm({})
+    for mn, c1 in plane.terms.items():
+        for mon, c2 in uq.terms.items():
+            out.add_term((mn, mon), c1 * c2)
+    return out
 
 
 def _sigma_k_power(p, c, q):
@@ -670,7 +765,7 @@ def _sigma_f(p, q):
 
 def oracle_rho_l(h, p, params):
     q = params.q
-    base = qp_beta(p, 1, params)
+    base = loop_qp_beta(p, 1, params)
     out = QPlaneElement({})
     for (a, b, c), coeff in h.terms.items():
         w = coeff * params.lam ** ((params.l + 1) * (b - a))
@@ -687,16 +782,20 @@ def oracle_rho_l(h, p, params):
 def oracle_smash_mul_uq(t1, t2, params):
     out = SmashTerm({})
     for (p1, h1), c1 in t1.terms.items():
-        delta = coproduct_alpha(UqElement.monomial(h1), params)
+        delta = loop_coproduct_alpha(UqElement.monomial(h1), params)
         plane1 = QPlaneElement.monomial(p1)
         for (p2, h2), c2 in t2.terms.items():
             c = c1 * c2
-            binv = qp_beta(QPlaneElement.monomial(p2), -1, params)
+            binv = loop_qp_beta(QPlaneElement.monomial(p2), -1, params)
             h2el = UqElement.monomial(h2)
             for (ha, hb), w in delta.terms.items():
-                acted = oracle_rho_l(uq_alpha(UqElement.monomial(ha), -2, params.lam), binv, params)
-                plane = mu_beta(plane1, acted, params)
-                uq = mu_alpha(uq_alpha(UqElement.monomial(hb), -1, params.lam), h2el, params)
+                acted = oracle_rho_l(
+                    loop_uq_alpha(UqElement.monomial(ha), -2, params.lam), binv, params
+                )
+                plane = loop_mu_beta(plane1, acted, params)
+                uq = loop_mu_alpha(
+                    loop_uq_alpha(UqElement.monomial(hb), -1, params.lam), h2el, params
+                )
                 cw = c * w
                 for mn, pv in plane.terms.items():
                     for mon, uv in uq.terms.items():
@@ -711,11 +810,14 @@ _PARAM_TUPLES = st.tuples(
     _SCALARS,
     st.integers(0, 2),
 )
+# coefficients: the shared ONE and a fresh one as well as other rationals
+_COEFFS = st.one_of(_SCALARS, st.just(ONE), st.builds(Q, st.just(1)))
 _PBW = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2))
 _PLANE = st.tuples(st.integers(0, 3), st.integers(0, 3))
-_UQ = st.dictionaries(_PBW, _SCALARS, min_size=1, max_size=3).map(UqElement)
-_QP = st.dictionaries(_PLANE, _SCALARS, min_size=1, max_size=3).map(QPlaneElement)
-_SMASH = st.dictionaries(st.tuples(_PLANE, _PBW), _SCALARS, min_size=1, max_size=2).map(SmashTerm)
+_UQ = st.dictionaries(_PBW, _COEFFS, min_size=1, max_size=3).map(UqElement)
+_QP = st.dictionaries(_PLANE, _COEFFS, min_size=1, max_size=3).map(QPlaneElement)
+_SMASH = st.dictionaries(st.tuples(_PLANE, _PBW), _COEFFS, min_size=1, max_size=2).map(SmashTerm)
+_TENSOR = st.dictionaries(st.tuples(_PBW, _PBW), _COEFFS, min_size=1, max_size=2).map(UqTensor)
 
 _WARM = {}  # one UqParams per tuple, reused across examples so its memo tables stay filled
 
@@ -725,24 +827,92 @@ def _warm_and_fresh(tup):
     return warm, UqParams(*tup)
 
 
+def _cancel_one_term(x, image):
+    """x with its first coefficient changed so that one key of image(x) cancels, and that key.
+
+    image must be linear in x: the key's coefficient is r + c s, with r from
+    the other terms of x and s from its first monomial alone.  When no key
+    can cancel, x and None come back.
+    """
+    (k1, _), *rest = x.terms.items()
+    others, alone = image(type(x)(dict(rest))), image(type(x)({k1: ONE}))
+    for key, v in alone.terms.items():
+        if key in others.terms:
+            return type(x)({**x.terms, k1: -others.terms[key] / v}), key
+    return x, None
+
+
+def _assert_matches_its_loop(fn, loop, tup, x, *rest):
+    """fn(x, *rest, params) equals the loop, on x and on x with a cancelling term, warm and fresh."""
+    for params in _warm_and_fresh(tup):
+        cancelled, key = _cancel_one_term(x, lambda v: loop(v, *rest, params))
+        for first in (x, cancelled):
+            assert fn(first, *rest, params) == loop(first, *rest, params)
+        assert key not in fn(cancelled, *rest, params).terms
+
+
+# each rewritten map and its loop as f(x[, y], params), with the strategies of x[, y];
+# rho_l, mu_beta and smash_mul_uq have their own tests below
+_MAPS = {
+    "uq_mul": (lambda u, v, p: uq_mul(u, v, p.q), lambda u, v, p: loop_uq_mul(u, v, p.q), _UQ, _UQ),
+    "UqTensor.mul": (
+        lambda s, t, p: s.mul(t, p.q), lambda s, t, p: loop_tensor_mul(s, t, p.q), _TENSOR, _TENSOR
+    ),
+    # the power l - 1 of alpha and beta is -1, 0 or 1
+    "uq_alpha": (
+        lambda u, p: uq_alpha(u, p.l - 1, p.lam), lambda u, p: loop_uq_alpha(u, p.l - 1, p.lam), _UQ
+    ),
+    "uq_coproduct": (lambda u, p: uq_coproduct(u, p.q), lambda u, p: loop_uq_coproduct(u, p.q), _UQ),
+    "qp_mul": (lambda a, b, p: qp_mul(a, b, p.q), lambda a, b, p: loop_qp_mul(a, b, p.q), _QP, _QP),
+    "qp_beta": (lambda a, p: qp_beta(a, p.l - 1, p), lambda a, p: loop_qp_beta(a, p.l - 1, p), _QP),
+    "mu_alpha": (mu_alpha, loop_mu_alpha, _UQ, _UQ),
+    "coproduct_alpha": (coproduct_alpha, loop_coproduct_alpha, _UQ),
+    "SmashTerm.smash": (
+        lambda a, u, p: SmashTerm.smash(a, u), lambda a, u, p: loop_smash(a, u), _QP, _UQ
+    ),
+}
+
+
 class TestMemoizedKernels:
     @given(_PARAM_TUPLES, _UQ, _QP)
     @settings(max_examples=80, deadline=None)
     def test_rho_l_matches_the_loop(self, tup, h, p):
-        for params in _warm_and_fresh(tup):
-            assert rho_l(h, p, params) == oracle_rho_l(h, p, params)
+        _assert_matches_its_loop(rho_l, oracle_rho_l, tup, h, p)
 
     @given(_PARAM_TUPLES, _SMASH, _SMASH)
     @settings(max_examples=40, deadline=None)
     def test_smash_mul_uq_matches_the_loop(self, tup, t1, t2):
-        for params in _warm_and_fresh(tup):
-            assert smash_mul_uq(t1, t2, params) == oracle_smash_mul_uq(t1, t2, params)
+        _assert_matches_its_loop(smash_mul_uq, oracle_smash_mul_uq, tup, t1, t2)
 
     @given(_PARAM_TUPLES, _QP, _QP)
     @settings(max_examples=80, deadline=None)
     def test_mu_beta_matches_beta_of_the_plane_product(self, tup, p1, p2):
-        for params in _warm_and_fresh(tup):
-            assert mu_beta(p1, p2, params) == qp_beta(qp_mul(p1, p2, params.q), 1, params)
+        _assert_matches_its_loop(mu_beta, loop_mu_beta, tup, p1, p2)
+
+    @pytest.mark.parametrize("name", list(_MAPS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_each_rewritten_map_matches_its_loop(self, name, data):
+        fn, loop, *strategies = _MAPS[name]
+        args = [data.draw(s) for s in strategies]
+        _assert_matches_its_loop(fn, loop, data.draw(_PARAM_TUPLES), *args)
+
+    @pytest.mark.parametrize(
+        "fn, loop, x, y",
+        [
+            (mu_beta, loop_mu_beta, plane(1, 0) + plane(0, 1), plane(1, 0) + plane(0, 1)),
+            (rho_l, oracle_rho_l, UqElement({UNIT: ONE, MON_K: ONE}), plane(1, 1)),
+            (mu_alpha, loop_mu_alpha, mono(MON_E) + mono(MON_F), mono(MON_E) + mono(MON_F)),
+        ],
+        ids=["mu_beta", "rho_l", "mu_alpha"],
+    )
+    def test_a_term_that_cancels_is_not_stored(self, fn, loop, x, y):
+        # drawn cases cancel a term only when two monomials' images share a
+        # key; these fixed ones do, so that path always runs
+        cancelled, key = _cancel_one_term(x, lambda v: loop(v, y, PARAMS))
+        assert key is not None
+        assert fn(cancelled, y, PARAMS) == loop(cancelled, y, PARAMS)
+        assert key not in fn(cancelled, y, PARAMS).terms
 
     @pytest.mark.parametrize("zero", [ZERO, Q(0)], ids=["shared", "fresh"])
     def test_adding_zero_at_a_fresh_key_stores_nothing(self, zero):
@@ -791,3 +961,75 @@ class TestMemoizedKernels:
         assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
         assert {warm: "found"}[cold] == "found"
         assert warm != UqParams(2, 3, 5, 1)
+
+
+class TestOneExtension:
+    """`_extend` and `_scan_eq`, which every term map and scan goes through."""
+
+    def test_an_empty_element_on_either_side_gives_an_empty_result(self):
+        def rule(k1, k2=None):
+            return ((k1, ONE),)
+
+        p = QPlaneElement({(1, 0): Q(2)})
+        assert uqsl2._extend(QPlaneElement, rule, QPlaneElement(), p).terms == {}
+        assert uqsl2._extend(QPlaneElement, rule, p, QPlaneElement()).terms == {}
+        assert uqsl2._extend(QPlaneElement, rule, QPlaneElement()).terms == {}
+        assert rho_l(UqElement(), p, PARAMS).terms == {}
+        assert smash_mul_uq(SmashTerm(), SmashTerm.monomial(((0, 0), UNIT)), PARAMS).terms == {}
+
+    def test_a_rule_that_returns_nothing_adds_nothing(self):
+        p = QPlaneElement({(1, 0): Q(2), (0, 1): ONE})
+        assert uqsl2._extend(QPlaneElement, lambda k1, k2: (), p, p).terms == {}
+        # sigma(E) kills x^m y^0, so _monomial_rho gives no pair there
+        assert uqsl2._monomial_rho(MON_E, (2, 0), PARAMS) == ()
+        assert rho_l(UqElement({MON_E: ONE, UNIT: ONE}), plane(2, 0), PARAMS) == qp_beta(
+            plane(2, 0), 1, PARAMS
+        )
+
+    @pytest.mark.parametrize("one", [ONE, Q(1)], ids=["shared", "fresh"])
+    def test_a_sum_that_cancels_stores_no_key(self, one):
+        x = QPlaneElement({(1, 0): one, (0, 1): -one})
+        same = uqsl2._extend(QPlaneElement, lambda mn: (((0, 0), one),), x)
+        assert same.terms == {}
+        pair = uqsl2._extend(QPlaneElement, lambda mn, rs: (((0, 0), one),), x, plane(0, 0))
+        assert pair.terms == {}
+        kept = uqsl2._extend(QPlaneElement, lambda mn: ((mn, one), ((0, 0), one)), x)
+        assert kept.terms == {(1, 0): ONE, (0, 1): -ONE}
+
+    def test_both_coefficients_scale_the_rule(self):
+        x, y = QPlaneElement({(1, 0): Q(2)}), QPlaneElement({(0, 1): Q(3)})
+        got = uqsl2._extend(QPlaneElement, lambda mn, rs: (((0, 0), Q(5)),), x, y)
+        assert got.terms == {(0, 0): Q(30)}
+
+    def test_scans_pass_equal_maps_as_empty_and_sort_only_a_failing_pair(self, monkeypatch):
+        seen, sorted_calls = [], []
+        eq, items = Scan.eq, uqsl2._TermMap.items
+
+        def recording_eq(scan, equation, basis, lhs, rhs):
+            seen.append((equation, lhs, rhs))
+            return eq(scan, equation, basis, lhs, rhs)
+
+        def counting_items(self):
+            sorted_calls.append(None)
+            return items(self)
+
+        monkeypatch.setattr(Scan, "eq", recording_eq)
+        monkeypatch.setattr(uqsl2._TermMap, "items", counting_items)
+        params = UqParams(2, 3, 5, 0)
+        for report in (
+            check_pbw_confluence(Q(2)),
+            check_hopf_on_relations(Q(2), Q(3)),
+            check_uq_module_hom_algebra(params, 1),
+            verify_smash_closed_forms(params, 1),
+        ):
+            assert report.passed
+        compared = [(lhs, rhs) for e, lhs, rhs in seen if e != "rule_lowers_order"]
+        # 8 overlaps, 18 Hopf equations, 96 module instances at bound 1, 384 closed forms
+        assert len(compared) == 8 + 18 + 96 + 384
+        assert set(compared) == {((), ())} and sorted_calls == []
+        # a failing pair is passed sorted, as before
+        scan = Scan()
+        lhs, rhs = plane(0, 1) + plane(1, 0), plane(1, 0)
+        uqsl2._scan_eq(scan, "e", (), lhs, rhs)
+        assert scan.done().failures[0].lhs == (((0, 1), ONE), ((1, 0), ONE))
+        assert len(sorted_calls) == 2
