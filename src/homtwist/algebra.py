@@ -142,7 +142,11 @@ def _triple_scan(scan, name, cols, left, right, left_first):
             ij = cols[i * d + j]
             row = j * d
             for k in range(d):
-                a = _combination(cols[row + k], x)
+                jk = cols[row + k]
+                if not (ij or jk):  # both sides are 0
+                    eq(name, (i, j, k), (), ())
+                    continue
+                a = _combination(jk, x)
                 b = _combination(ij, right[k])
                 if a == b:
                     eq(name, (i, j, k), (), ())

@@ -460,7 +460,7 @@ class Scan:
         self.failures = []
 
     def eq(self, equation, basis, lhs, rhs):
-        if list(lhs) != list(rhs):
+        if lhs != rhs and list(lhs) != list(rhs):
             self.passed = False
             if len(self.failures) < DEFAULT_FAILURE_CAP:
                 self.failures.append(Failure(equation, tuple(basis), tuple(lhs), tuple(rhs)))

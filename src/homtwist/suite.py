@@ -297,10 +297,8 @@ def criterion_7_alpha_pseudotwistor(closure):
 
 
 def criterion_8_quantum(closure):
-    """PBW relations, the Hopf maps on the rules, the rho oracle and the closed formulas."""
-    # plane degree of the module scan, m, n, r, s of the closed forms, and the
-    # degrees of the rho oracle
-    bound_mod, bound_32, bound_rho = 3, 2, 4
+    """PBW relations, Hopf maps on the rules, rho oracle, symbolic module and closed-form scans."""
+    bound_rho = 4  # the degrees of the rho oracle
     for q, lam in ((Q(2), Q(3)), (Q(3), Q(1, 2))):
         inv = ONE / (q - 1 / q)
         relations = (
@@ -326,14 +324,14 @@ def criterion_8_quantum(closure):
                 got = rho_l(UqElement.monomial(mon), QPlaneElement.monomial((m, n)), params)
                 if got != rho_generator_formula(gen, m, n, params):
                     return False, f"rho oracle mismatch at {tup}, l={l}, {gen}, ({m}, {n})"
-            if not check_uq_module_hom_algebra(params, bound_mod).passed:
+            if not check_uq_module_hom_algebra(params).passed:
                 return False, f"module Hom-algebra check fails at {tup}, l={l}"
-            if l == 0 and not verify_smash_closed_forms(params, bound_32).passed:
+            if l == 0 and not verify_smash_closed_forms(params).passed:
                 return False, f"closed smash formulas fail at {tup}"
     return True, (
         f"relations, confluence (diamond lemma), Hopf maps on the rules, rho oracle "
-        f"(degrees <= {bound_rho}), module check (bound {bound_mod}) and closed "
-        f"formulas (bounds {bound_32}) at two parameter tuples"
+        f"(degrees <= {bound_rho}), module check and closed formulas in every plane "
+        f"degree at two parameter tuples"
     )
 
 

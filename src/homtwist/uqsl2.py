@@ -19,8 +19,37 @@ alone, and that alpha is a coalgebra map on the 4 generators alone.
 
 The Hom-quantum plane carries beta(x) = xi x, beta(y) = xi/lambda y, and the
 quantum group carries alpha(E) = lambda E, alpha(F) = lambda^{-1} F,
-alpha(K) = K.  All coefficients are exact rationals at instantiated
-(q, lambda, xi).
+alpha(K) = K.  q, lambda and xi are instantiated rationals.
+
+Plane exponents may be symbols.  A plane key (m, n) may hold
+`formal.Exponent`s, integer polynomials in the names m, n, r and s, and a
+coefficient is then a `formal.PowerSum`: a finite sum c q^P lam^L xi^X with
+rational c and exponent polynomials P, L, X without constant term.  The
+per-monomial rules (`q_int`, `qp_mul`, `qp_beta`, `_monomial_rho`,
+`_plane_product`, `_smash_tail`) take every power that may be symbolic
+through `formal.power`, so each has one definition, which at int exponents
+gives exactly the rationals it always gave.  At int exponents E and F stop
+acting where [0]_q = 0 appears; over symbols that q-integer is a two-term
+sum that vanishes at the instance.
+
+`check_uq_module_hom_algebra` and `verify_smash_closed_forms` scan one
+symbolic basis by default (24 equations each); an int bound scans the
+instances up to it instead.  Setting the exponents to ints is a ring map that
+commutes with every rule (a term whose key leaves the plane carries a
+vanishing q-integer), so equality in the ring gives equality at every
+instance, and a pass holds in every plane degree.  Conversely, for rational
+q not 0 or +-1 the functions q^P of distinct P are linearly independent on
+the exponents (restrict to a generic ray and compare growth), and when q,
+lambda and xi are multiplicatively independent, as 2, 3, 5 are, so are the
+distinct triples (P, L, X): a mismatch in the ring is then a real failure.
+Otherwise (lambda xi = 1 at (3, 1/2, 2)) it need not be, so a failing
+symbolic equation is evaluated on the box of exponents below
+``formal.WITNESS_BOX`` and reported at its failing instances as ordinary
+failures; with none there the check raises HomTwistError and never passes.
+Complete in the plane degrees are these two scans.  Still sampled are the
+generators and generator pairs of U_q in the module scan, the six right
+factors G of the closed forms, the parameter tuples and levels the caller
+picks, and the rho_l oracle against the closed generator formulas.
 
 Pure values are memoized; verified facts never are.  The rewriting rules, PBW
 monomial products and monomial coproducts depend on q alone and are kept in
@@ -41,6 +70,18 @@ from functools import lru_cache, wraps
 
 from .errors import DegenerateQ, ParamConstraintViolation
 from .exact import ONE, Scan, ZERO, as_scalar
+from .formal import (
+    LAM_SLOT,
+    M,
+    N,
+    Q_SLOT,
+    R,
+    S,
+    XI_SLOT,
+    Exponent,
+    power,
+    witnessed,
+)
 
 E = "E"
 F = "F"
@@ -115,12 +156,13 @@ def _times(v, w):
 
 
 def q_int(n, q):
-    """The balanced q-integer [n]_q = (q^n - q^{-n})/(q - q^{-1})."""
-    _check_int("n", n)
+    """The balanced q-integer [n]_q = (q^n - q^{-n})/(q - q^{-1}), for an int or symbolic n."""
+    if not isinstance(n, Exponent):
+        _check_int("n", n)
     q = _check_q(q)
     if n == 0:
         return ZERO
-    return (q ** n - q ** (-n)) / (q - q ** (-1))
+    return (power(Q_SLOT, q, n) - power(Q_SLOT, q, -n)) / (q - q ** (-1))
 
 
 class _TermMap:
@@ -420,7 +462,7 @@ def qp_mul(p1, p2, q):
     q = _check_q(q)
 
     def rule(mn, rs):
-        return (((mn[0] + rs[0], mn[1] + rs[1]), q ** (mn[1] * rs[0])),)
+        return (((mn[0] + rs[0], mn[1] + rs[1]), power(Q_SLOT, q, mn[1] * rs[0])),)
 
     return _extend(QPlaneElement, rule, p1, p2)
 
@@ -429,7 +471,11 @@ def qp_beta(p, k, params):
     """beta^k with beta(x^m y^n) = xi^{m+n} lam^{-n} x^m y^n."""
     _check_int("k", k)
     xi, lam = params.xi, params.lam
-    return _extend(QPlaneElement, lambda mn: ((mn, xi ** (k * sum(mn)) * lam ** (-k * mn[1])),), p)
+
+    def rule(mn):
+        return ((mn, power(XI_SLOT, xi, k * sum(mn)) * power(LAM_SLOT, lam, -k * mn[1])),)
+
+    return _extend(QPlaneElement, rule, p)
 
 
 @_per_params
@@ -438,23 +484,22 @@ def _monomial_rho(mon, mn, params):
 
     alpha^{l+1} scales the PBW monomial by lam^{(l+1)(b-a)}.  On the plane,
     beta scales x^m y^n by xi^{m+n} lam^{-n}, sigma(K)^c by q^{c(m-n)}; then
-    each sigma(E) sends x^m y^n to [n]_q x^{m+1} y^{n-1} (0 if n = 0), and
-    each sigma(F) sends it to [m]_q x^{m-1} y^{n+1} (0 if m = 0).  [n]_q is
-    nonzero for n > 0 because q is not 0 or +-1.
+    each sigma(E) sends x^m y^n to [n]_q x^{m+1} y^{n-1}, and each sigma(F)
+    sends it to [m]_q x^{m-1} y^{n+1}.  At int exponents [0]_q = 0 makes the
+    action vanish once E or F runs out of y or x, and [n]_q is nonzero for
+    n != 0 because q is not 0 or +-1.
     """
     (a, b, c), (m, n) = mon, mn
     q, lam = params.q, params.lam
-    if b > n or a > m + b:
-        return ()
-    coeff = lam ** ((params.l + 1) * (b - a)) * params.xi ** (m + n) * lam ** (-n)
-    coeff *= q ** (c * (m - n))
+    coeff = lam ** ((params.l + 1) * (b - a)) * power(XI_SLOT, params.xi, m + n)
+    coeff *= power(LAM_SLOT, lam, -n) * power(Q_SLOT, q, c * (m - n))
     for _ in range(b):
         coeff *= q_int(n, q)
         m, n = m + 1, n - 1
     for _ in range(a):
         coeff *= q_int(m, q)
         m, n = m - 1, n + 1
-    return (((m, n), coeff),)
+    return (((m, n), coeff),) if coeff else ()
 
 
 def rho_l(h, p, params):
@@ -519,15 +564,30 @@ def _plane_monomials(bound):
     return [(m, n) for total in range(bound + 1) for m in range(total + 1) for n in [total - m]]
 
 
-def check_uq_module_hom_algebra(params, bound):
-    """Module axioms and module-algebra compatibility up to plane degree `bound`.
+def _plane_basis(bound):
+    """The plane monomials and pairs of them that a module scan iterates.
 
-    Generators h range over {E, F, K, K^{-1}}; plane monomials over
-    m + n <= bound.  A bound other than a non-negative int is a
+    None gives the symbolic x^m y^n and the pair (x^m y^n, x^r y^s); an int
+    gives every monomial of degree <= bound and every pair of them.
+    """
+    if bound is None:
+        return [(M, N)], [((M, N), (R, S))]
+    _check_int("plane degree bound", bound, count=True)
+    planes = _plane_monomials(bound)
+    return planes, list(itertools.product(planes, planes))
+
+
+def check_uq_module_hom_algebra(params, bound=None):
+    """Module axioms and module-algebra compatibility on the Hom-quantum plane.
+
+    Generators h range over {E, F, K, K^{-1}}.  With bound None the plane
+    monomials are x^m y^n (and x^r y^s) with symbolic m, n, r, s, so a pass
+    holds in every degree; with an int bound they range over m + n <= bound.
+    A bound other than None or a non-negative int is a
     ParamConstraintViolation, not an empty pass.
     """
-    _check_int("plane degree bound", bound, count=True)
-    planes = {mn: QPlaneElement.monomial(mn) for mn in _plane_monomials(bound)}
+    singles, pairs = _plane_basis(bound)
+    planes = {mn: QPlaneElement.monomial(mn) for pair in pairs for mn in pair}
     beta = {mn: qp_beta(p, 1, params) for mn, p in planes.items()}
     # rho of the unit and each generator, the factors of each Delta_alpha(g), on each monomial
     acts = {
@@ -539,7 +599,7 @@ def check_uq_module_hom_algebra(params, bound):
     scan = Scan()
     for gname, g in gens.items():
         ag = uq_alpha(g, 1, params.lam)
-        for mn in planes:
+        for mn in singles:
             lhs = qp_beta(acts[GEN_MONOMIAL[gname], mn], 1, params)
             rhs = rho_l(ag, beta[mn], params)
             _scan_eq(scan, "module_alpha", (gname, mn), lhs, rhs)
@@ -547,23 +607,22 @@ def check_uq_module_hom_algebra(params, bound):
         ag1 = uq_alpha(g1, 1, params.lam)
         for g2name, g2 in gens.items():
             prod = mu_alpha(g1, g2, params)
-            for mn in planes:
+            for mn in singles:
                 lhs = rho_l(ag1, acts[GEN_MONOMIAL[g2name], mn], params)
                 rhs = rho_l(prod, beta[mn], params)
                 _scan_eq(scan, "module_assoc", (g1name, g2name, mn), lhs, rhs)
     for gname, g in gens.items():
         a2g = uq_alpha(g, 2, params.lam)
         delta = coproduct_alpha(g, params)
-        for mn1, p1 in planes.items():
-            for mn2, p2 in planes.items():
+        for mn1, mn2 in pairs:
 
-                def acted(pair):
-                    return mu_beta(acts[pair[0], mn1], acts[pair[1], mn2], params).terms.items()
+            def acted(pair):
+                return mu_beta(acts[pair[0], mn1], acts[pair[1], mn2], params).terms.items()
 
-                lhs = rho_l(a2g, mu_beta(p1, p2, params), params)
-                rhs = _extend(QPlaneElement, acted, delta)
-                _scan_eq(scan, "module_algebra_compat", (gname, mn1, mn2), lhs, rhs)
-    return scan.done()
+            lhs = rho_l(a2g, mu_beta(planes[mn1], planes[mn2], params), params)
+            rhs = _extend(QPlaneElement, acted, delta)
+            _scan_eq(scan, "module_algebra_compat", (gname, mn1, mn2), lhs, rhs)
+    return witnessed(scan.done(), (params.q, params.lam, params.xi), _TermMap)
 
 
 class SmashTerm(_TermMap):
@@ -613,14 +672,20 @@ def smash_mul_uq(t1, t2, params):
     return _extend(SmashTerm, rule, t1, t2)
 
 
-def verify_smash_closed_forms(params, bounds):
+def verify_smash_closed_forms(params, bounds=None):
     """Closed smash-product formulas for the K/Kinv, E and F rows at l = 0.
 
-    Scans all m, n, r, s <= bounds and G in {1, E, F, K, Kinv, EK}, comparing
-    smash_mul_uq against the closed forms after PBW normalization.  Bounds
-    other than a non-negative int are a ParamConstraintViolation, not a pass.
+    Compares smash_mul_uq against the closed forms after PBW normalization,
+    for G in {1, E, F, K, Kinv, EK} and plane exponents m, n, r, s that are
+    symbolic when bounds is None (a pass holds for all of them) or range over
+    0..bounds.  Bounds other than None or a non-negative int are a
+    ParamConstraintViolation, not a pass.
     """
-    _check_int("bounds", bounds, count=True)
+    if bounds is None:
+        exponents = [(M, N, R, S)]
+    else:
+        _check_int("bounds", bounds, count=True)
+        exponents = itertools.product(range(bounds + 1), repeat=4)
     if params.l != 0:
         raise ParamConstraintViolation("the closed formulas are stated for l = 0")
     q, lam, xi = params.q, params.lam, params.xi
@@ -628,19 +693,20 @@ def verify_smash_closed_forms(params, bounds):
     alpha_g = {gmon: uq_alpha(UqElement.monomial(gmon), 1, lam) for gmon in g_choices.values()}
     head_g = {}  # (head, G) -> terms of head alpha(G), each formed once per call
     scan = Scan()
-    for m, n, r, s in itertools.product(range(bounds + 1), repeat=4):
-        common = xi ** (m + n + r + s)
-        lam_e, lam_f = lam ** (1 - n - s), lam ** (-n - s - 1)
+    for m, n, r, s in exponents:
+        common = power(XI_SLOT, xi, m + n + r + s)
+        lam_e, lam_f = power(LAM_SLOT, lam, 1 - n - s), power(LAM_SLOT, lam, -n - s - 1)
+        lam_k = power(LAM_SLOT, lam, -n - s)
         closed = {  # (row, its monomial) -> terms (coefficient, head monomial, plane shift)
-            ("K", MON_K): ((q ** (r - s + n * r) * lam ** (-n - s), MON_K, (0, 0)),),
-            ("Kinv", MON_KINV): ((q ** (s - r + n * r) * lam ** (-n - s), MON_KINV, (0, 0)),),
+            ("K", MON_K): ((power(Q_SLOT, q, r - s + n * r) * lam_k, MON_K, (0, 0)),),
+            ("Kinv", MON_KINV): ((power(Q_SLOT, q, s - r + n * r) * lam_k, MON_KINV, (0, 0)),),
             ("E", MON_E): (
-                (q ** (n * r) * lam_e, MON_E, (0, 0)),
-                (q_int(s, q) * q ** (n * (r + 1)) * lam_e, MON_K, (1, -1)),
+                (power(Q_SLOT, q, n * r) * lam_e, MON_E, (0, 0)),
+                (q_int(s, q) * power(Q_SLOT, q, n * (r + 1)) * lam_e, MON_K, (1, -1)),
             ),
             ("F", MON_F): (
-                (q ** (s - r + n * r) * lam_f, MON_F, (0, 0)),
-                (q_int(r, q) * q ** (n * (r - 1)) * lam_f, UNIT, (-1, 1)),
+                (power(Q_SLOT, q, s - r + n * r) * lam_f, MON_F, (0, 0)),
+                (q_int(r, q) * power(Q_SLOT, q, n * (r - 1)) * lam_f, UNIT, (-1, 1)),
             ),
         }
         for gname, gmon in g_choices.items():
@@ -656,4 +722,4 @@ def verify_smash_closed_forms(params, bounds):
                         expected.add_term(((m + r + dm, n + s + dn), mon), common * coeff * w)
                 row = "smash_closed_form_row_" + rname
                 _scan_eq(scan, row, (m, n, r, s, gname), computed, expected)
-    return scan.done()
+    return witnessed(scan.done(), (params.q, params.lam, params.xi), _TermMap)

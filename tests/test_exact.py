@@ -206,6 +206,15 @@ class TestCheckReport:
         assert len(rep.failures) == 2
         assert rep.failures[0].basis == (0,)
 
+    def test_sides_compare_as_lists_whatever_their_type(self):
+        scan = Scan()
+        scan.eq("e", (0,), (1, 2), [1, 2])  # unequal as objects, equal as lists
+        scan.eq("e", (1,), (), ())
+        scan.eq("e", (2,), iter([3]), (3,))
+        assert scan.done() == CheckReport(True)
+        scan.eq("e", (3,), (1,), [2])
+        assert scan.done().failures == (exact.Failure("e", (3,), (1,), (2,)),)
+
     def test_passed_iff_no_failures(self):
         assert CheckReport(True).passed
         assert bool(CheckReport(True))

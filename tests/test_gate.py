@@ -18,6 +18,7 @@ never reads.
 
 import ast
 import dataclasses
+import itertools
 import json
 import pathlib
 import sys
@@ -25,9 +26,10 @@ import types
 
 import pytest
 
-from homtwist import algebra, coalgebra, exact, modsmash, twisted, twistor
+from homtwist import algebra, coalgebra, exact, modsmash, twisted, twistor, uqsl2
 from homtwist.errors import PreconditionFailure
 from homtwist.exact import ONE, LinearMap, Matrix
+from homtwist.formal import M
 from homtwist.gallery import (
     FAMILIES,
     GalleryKey,
@@ -41,6 +43,7 @@ from homtwist.gallery import (
 )
 from homtwist.manifest import parse_manifest
 from homtwist.suite import GOLDEN_MANIFEST
+from homtwist.uqsl2 import QPlaneElement, SmashTerm, UqElement, UqParams
 
 SRC = pathlib.Path(twisted.__file__).parent
 
@@ -593,3 +596,70 @@ class TestNoUnusedImports:
             "    return twist(algebra, alpha)\n"
         )
         assert unused_imports(old) == ["re", "multiplicativity_scan", "NotMultiplicative"]
+
+
+# numpy alone takes a run's peak RSS from 13 to 27 MB, against a 5% bound on peak_rss_mb
+HEAVY_PACKAGES = {"numpy", "scipy", "sympy"}
+
+
+def heavy_imports(source):
+    """The modules from HEAVY_PACKAGES that `source` imports, in import order."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append(node.module)
+    return [name for name in names if name.split(".")[0] in HEAVY_PACKAGES]
+
+
+class TestNoHeavyImports:
+    def test_no_module_imports_numpy_scipy_or_sympy(self):
+        found = {
+            str(path.relative_to(SRC)): heavy_imports(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.rglob("*.py"))
+        }
+        assert {name: names for name, names in found.items() if names} == {}
+
+    def test_the_guard_sees_each_import_form(self):
+        source = (
+            "import numbers\n"
+            "import numpy as np\n"
+            "from scipy import sparse\n"
+            "from .exact import ONE\n"
+            "def f():\n"
+            "    import sympy.core\n"
+        )
+        assert heavy_imports(source) == ["numpy", "scipy", "sympy.core"]
+
+
+class TestIntExponentsGiveFractions:
+    """`Fraction ** x` is a float for a non-Rational x, so no symbolic power may use it."""
+
+    def test_every_int_exponent_coefficient_is_a_fraction(self):
+        pbw = [(a, b, c) for a in range(2) for b in range(2) for c in (-1, 0, 1)]
+        planes = [(m, n) for m in range(3) for n in range(3)]
+        results = []
+        for tup in ((2, 3, 5), (3, exact.Q(1, 2), 2)):
+            for l in (0, 1, 2):
+                params = UqParams(*tup, l)
+                results += [uqsl2.q_int(n, params.q) for n in range(-2, 4)]
+                for mn in planes:
+                    p = QPlaneElement.monomial(mn)
+                    results += [
+                        c for k in (-1, 0, 1) for c in uqsl2.qp_beta(p, k, params).terms.values()
+                    ]
+                    for mon in pbw:
+                        results += uqsl2.rho_l(UqElement.monomial(mon), p, params).terms.values()
+                    for rs in planes:
+                        product = uqsl2.mu_beta(p, QPlaneElement.monomial(rs), params)
+                        results += product.terms.values()
+                for h1, h2 in itertools.product(pbw, pbw):
+                    t1, t2 = SmashTerm.monomial(((1, 2), h1)), SmashTerm.monomial(((2, 1), h2))
+                    results += uqsl2.smash_mul_uq(t1, t2, params).terms.values()
+        assert {type(c) for c in results} == {exact.Q}
+
+    def test_a_symbolic_exponent_never_reaches_fraction_pow(self):
+        assert type(exact.Q(2) ** 0.5) is float  # the hazard
+        with pytest.raises(TypeError):
+            exact.Q(2) ** M  # an Exponent has no __rpow__, so the mistake cannot pass silently
