@@ -6,6 +6,11 @@ Subcommands:
     homtwist paper [--filter S]           run the acceptance suite
 
 Exit codes: 0 success, 1 expectation failure, 2 parse error, 3 semantic error.
+
+Each command loads only the layers it runs: the acceptance suite, and with it
+the U_q(sl2) and formal-exponent layers, is imported inside ``paper``.
+``check`` and ``table`` never compile the suite, and compile the U_q layers
+only for a manifest's ``uq_setup`` gallery object.
 """
 
 import argparse
@@ -14,7 +19,6 @@ import sys
 
 from .errors import HomTwistError, ManifestError, ManifestSyntaxError
 from .manifest import EXIT_SEMANTIC, EXIT_SYNTAX, parse_manifest, run, table
-from .suite import paper_suite, selected_criteria
 
 
 def _load(path):
@@ -62,6 +66,8 @@ def main(argv=None):
         sys.set_int_max_str_digits(0)
 
     if args.command == "paper":
+        from .suite import paper_suite, selected_criteria
+
         if not selected_criteria(args.filter):
             print(f"no criterion matches --filter {args.filter!r}", file=sys.stderr)
             return EXIT_SEMANTIC

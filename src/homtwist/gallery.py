@@ -28,7 +28,6 @@ from .twisted import (
     flip,
 )
 from .twistor import Operator2
-from .uqsl2 import UqParams
 
 
 @dataclass(frozen=True)
@@ -331,6 +330,8 @@ def _clifford(q):
 
 
 def _uq_setup(q, lam, xi, l):
+    from .uqsl2 import UqParams
+
     if l != int(l):
         raise ParamConstraintViolation("l must be an integer")
     return {"params": UqParams(q, lam, xi, int(l))}

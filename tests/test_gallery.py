@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from homtwist.algebra import check_associative, check_hom_algebra
@@ -7,6 +9,8 @@ from homtwist.exact import Q
 from homtwist.gallery import GalleryKey, build
 from homtwist.twisted import check_alphaAB_twisting_map, check_hom_twisting_map, check_twisting_map, clifford_algebra
 from homtwist.twistor import check_hom_twistor
+from homtwist.uqsl2 import UqParams
+from test_gate import in_fresh_interpreter
 
 
 class TestGalleryKey:
@@ -147,3 +151,63 @@ class TestClaimedCheckers:
         assert check_alphaAB_twisting_map(
             bundle["A"], bundle["B"], bundle["alphaA"], bundle["alphaB"], bundle["R"]
         ).passed
+
+
+# prints the uq_setup bundle's params built from argv[1], or the error that building raised
+BUILD_UQ_SETUP = (
+    "import json, sys\n"
+    "from homtwist.errors import HomTwistError\n"
+    "from homtwist.gallery import GalleryKey, build\n"
+    "assert 'homtwist.uqsl2' not in sys.modules\n"
+    "try:\n"
+    "    print(repr(build(GalleryKey('uq_setup', json.loads(sys.argv[1])))['params']))\n"
+    "except HomTwistError as exc:\n"
+    "    print(f'{type(exc).__name__}: {exc}')\n"
+)
+# runs `homtwist check` on the manifest argv[1], printing the params of its object U
+CHECK_UQ_SETUP = (
+    "import sys\n"
+    "from homtwist import cli\n"
+    "assert 'homtwist.uqsl2' not in sys.modules\n"
+    "run = cli.run\n"
+    "def run_and_show(manifest):\n"
+    "    print(repr(manifest.objects['U.params']))\n"
+    "    return run(manifest)\n"
+    "cli.run = run_and_show\n"
+    "sys.exit(cli.main(['check', sys.argv[1]]))\n"
+)
+UQ_SETUP_ERRORS = [
+    ({"q": 1, "lam": 1, "xi": 1, "l": 0}, "DegenerateQ", "q must avoid {0, 1, -1}, got 1"),
+    ({"q": 2, "lam": 1, "xi": 1, "l": "1/2"}, "ParamConstraintViolation", "l must be an integer"),
+    ({"q": 2, "lam": 0, "xi": 1, "l": 0}, "ParamConstraintViolation", "lambda must be nonzero"),
+]
+
+
+class TestUqSetupFromAFreshInterpreter:
+    """uq_setup imports its layer when it runs, so nothing needs to have loaded it first."""
+
+    PARAMS = {"q": 2, "lam": 3, "xi": 5, "l": 1}
+
+    def check(self, tmp_path, params):
+        path = tmp_path / "uq.json"
+        path.write_text(json.dumps(
+            {"objects": {"U": {"kind": "gallery", "name": "uq_setup", "params": params}}}
+        ))
+        return in_fresh_interpreter(CHECK_UQ_SETUP, str(path))
+
+    def test_build_yields_params(self):
+        code, out, err = in_fresh_interpreter(BUILD_UQ_SETUP, json.dumps(self.PARAMS))
+        assert (code, out) == (0, f"{UqParams(2, 3, 5, 1)!r}\n"), err
+
+    def test_check_yields_params(self, tmp_path):
+        code, out, err = self.check(tmp_path, self.PARAMS)
+        assert (code, out) == (0, f"{UqParams(2, 3, 5, 1)!r}\nall expectations met\n"), err
+
+    @pytest.mark.parametrize("params, error, message", UQ_SETUP_ERRORS)
+    def test_build_raises_the_same_error(self, params, error, message):
+        code, out, err = in_fresh_interpreter(BUILD_UQ_SETUP, json.dumps(params))
+        assert (code, out) == (0, f"{error}: {message}\n"), err
+
+    @pytest.mark.parametrize("params, error, message", UQ_SETUP_ERRORS)
+    def test_check_reports_the_same_error(self, tmp_path, params, error, message):
+        assert self.check(tmp_path, params) == (3, "", f"semantic error: {message}\n")

@@ -18,14 +18,18 @@ never reads.
 
 import ast
 import dataclasses
+import importlib
 import itertools
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import types
 
 import pytest
 
+import homtwist
 from homtwist import algebra, coalgebra, exact, modsmash, twisted, twistor, uqsl2
 from homtwist.errors import PreconditionFailure
 from homtwist.exact import ONE, LinearMap, Matrix
@@ -579,11 +583,9 @@ def unused_imports(source):
 
 class TestNoUnusedImports:
     def test_no_module_imports_a_name_it_never_reads(self):
-        # the package __init__ imports only to re-export
         unused = {
             path.name: unused_imports(path.read_text(encoding="utf-8"))
             for path in sorted(SRC.glob("*.py"))
-            if path.name != "__init__.py"
         }
         assert {name: names for name, names in unused.items() if names} == {}
 
@@ -663,3 +665,148 @@ class TestIntExponentsGiveFractions:
         assert type(exact.Q(2) ** 0.5) is float  # the hazard
         with pytest.raises(TypeError):
             exact.Q(2) ** M  # an Exponent has no __rpow__, so the mistake cannot pass silently
+
+
+def in_fresh_interpreter(script, *argv):
+    """Run `script` in a new interpreter with only the package's source on the path.
+
+    Returns (exit code, standard output, standard error).
+    """
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+# runs the CLI on argv, then prints the homtwist modules it loaded, one a line
+LOADED_BY_CLI = (
+    "import sys\n"
+    "from homtwist.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'homtwist'), sep='\\n')\n"
+    "sys.exit(code)\n"
+)
+PAPER_ONLY_LAYERS = {"homtwist.suite", "homtwist.uqsl2", "homtwist.formal"}
+
+
+class TestEachCommandLoadsOnlyItsLayers:
+    """`check` and `table` never compile the acceptance suite or the U_q(sl2) layers."""
+
+    @pytest.fixture
+    def golden_file(self, tmp_path):
+        path = tmp_path / "golden.json"
+        path.write_text(json.dumps(GOLDEN_MANIFEST))
+        return str(path)
+
+    @staticmethod
+    def loaded(*argv):
+        code, out, err = in_fresh_interpreter(LOADED_BY_CLI, *argv)
+        assert code == 0, err
+        return {line for line in out.splitlines() if line.startswith("homtwist.")}
+
+    def test_check_loads_no_suite_or_uq_layer(self, golden_file):
+        loaded = self.loaded("check", golden_file)
+        assert "homtwist.manifest" in loaded
+        assert loaded & PAPER_ONLY_LAYERS == set()
+
+    def test_table_loads_no_suite_or_uq_layer(self, golden_file):
+        loaded = self.loaded("table", golden_file, "D")
+        assert "homtwist.manifest" in loaded
+        assert loaded & PAPER_ONLY_LAYERS == set()
+
+    def test_paper_loads_the_suite(self):
+        assert PAPER_ONLY_LAYERS <= self.loaded("paper", "--filter", "cli")
+
+
+# the package's public names before they resolved on first use, by defining layer
+EXPORTED = {
+    "algebra": [
+        "HomAlgebra", "check_algebra_morphism", "check_associative", "check_hom_algebra",
+        "check_lemma_four_elements", "hom_algebra", "tensor_algebra", "yau_twist_algebra",
+    ],
+    "coalgebra": [
+        "HomBialgebra", "HomCoalgebra", "check_hom_bialgebra", "check_hom_coalgebra",
+        "hom_coalgebra", "yau_twist_bialgebra", "yau_twist_coalgebra",
+    ],
+    "exact": [
+        "BACKEND", "CheckReport", "Failure", "LinearMap", "Matrix", "Q", "flatten_index",
+        "kron", "mat_inv", "rat_parse", "unflatten_index",
+    ],
+    "gallery": ["GalleryKey", "build"],
+    "modsmash": [
+        "ActionTable", "CoactionTable", "action_table", "check_bicomodule", "check_comodule",
+        "check_comodule_hom_algebra", "check_module", "check_module_hom_algebra",
+        "check_smash_twist_compat", "check_yetter_drinfeld", "coaction_lambda_right_smash",
+        "coaction_lambda_smash", "coaction_rho_smash", "coaction_table", "smash_left",
+        "smash_right", "smash_two_sided", "tensor_modules", "yau_twist_module_algebra",
+    ],
+    "twisted": [
+        "CliffordParams", "TwistingMapR", "alphaAB_from_classical", "alphaAB_ttp",
+        "check_alphaAB_twisting_map", "check_braid", "check_deform_compat_ttp",
+        "check_hom_twisting_map", "check_twisting_map", "clifford", "flip", "hom_ttp",
+        "hom_twistor_from_R", "iterated_ttp", "ttp", "twistor_from_R",
+    ],
+    "twistor": [
+        "Operator2", "Operator3", "check_alpha_pseudotwistor", "check_hom_pseudotwistor",
+        "check_hom_twistor", "check_pseudotwistor", "check_twistor", "check_yau_compat",
+        "deform", "deform_with_alpha", "lift_13", "yau_operator",
+    ],
+    "uqsl2": [
+        "QPlaneElement", "SmashTerm", "UqElement", "UqParams", "check_uq_module_hom_algebra",
+        "pbw_normalize", "q_int", "qp_beta", "qp_mul", "rho_l", "smash_mul_uq", "uq_alpha",
+        "uq_coproduct", "uq_mul", "verify_smash_closed_forms",
+    ],
+}
+EXPORTED_NAMES = {name for names in EXPORTED.values() for name in names}
+
+
+class TestExportTable:
+    """Each public name is its layer's object, found on first use."""
+
+    @pytest.mark.parametrize(
+        "layer, name", [(layer, name) for layer, names in EXPORTED.items() for name in names]
+    )
+    def test_each_name_is_its_layers_object(self, layer, name):
+        module = importlib.import_module(f"homtwist.{layer}")
+        assert getattr(homtwist, name) is getattr(module, name)
+
+    def test_all_lists_exactly_the_names(self):
+        assert len(homtwist.__all__) == len(EXPORTED_NAMES)
+        assert set(homtwist.__all__) == EXPORTED_NAMES
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from homtwist import *", namespace)
+        assert EXPORTED_NAMES <= set(namespace)
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(homtwist, "no_such_name")
+        assert not hasattr(homtwist, "paper_suite")
+
+    def test_dir_lists_the_names(self):
+        assert EXPORTED_NAMES <= set(dir(homtwist))
+        assert "__version__" in dir(homtwist)
+
+    def test_importing_the_package_loads_no_layer(self):
+        script = "import sys, homtwist; print(sorted(m for m in sys.modules if 'homtwist' in m))"
+        code, out, err = in_fresh_interpreter(script)
+        assert (code, out.strip()) == (0, "['homtwist']"), err
+
+    def test_the_bench_tracer_wraps_what_the_package_returns(self):
+        # tracer.install imports every layer, then swaps each namespace
+        script = (
+            "import inspect, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import homtwist, tracer\n"
+            "tracer.install(tracer.Tracer())\n"
+            "values = [getattr(homtwist, name) for name in homtwist.__all__]\n"
+            "functions = [v for v in values if inspect.isfunction(v)]\n"
+            "print(len(functions), [f.__name__ for f in functions if not hasattr(f, '__wrapped__')])\n"
+        )
+        code, out, err = in_fresh_interpreter(script, str(SRC.parent.parent / "bench"))
+        assert code == 0, err
+        count, unwrapped = out.split(" ", 1)
+        assert int(count) > 60
+        assert unwrapped.strip() == "[]"
