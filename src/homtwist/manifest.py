@@ -526,7 +526,7 @@ def table(manifest, name):
         raise UnknownName(f"undefined name {name!r}")
     obj = _coerce(env[name], _ALG)
     if not isinstance(obj, HomAlgebra):
-        raise WrongKind(f"{name!r} is not an algebra (got {type(obj).__name__})")
+        raise WrongKind(f"{name!r} is not an algebra (got {_kind(obj)})")
     d = obj.dim
     cells = [[_format_combo(obj.mul[i][j]) for j in range(d)] for i in range(d)]
     headers = [f"e{j}" for j in range(d)]

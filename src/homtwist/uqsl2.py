@@ -25,38 +25,38 @@ Plane exponents may be symbols.  A plane key (m, n) may hold
 `formal.Exponent`s, integer polynomials in the names m, n, r and s, and a
 coefficient is then a `formal.PowerSum`: a finite sum c q^P lam^L xi^X with
 rational c and exponent polynomials P, L, X without constant term.  The
-per-monomial rules (`q_int`, `qp_mul`, `qp_beta`, `_monomial_rho`,
-`_plane_product`, `_smash_tail`) take every power that may be symbolic
-through `formal.power`, so each has one definition, which at int exponents
-gives exactly the rationals it always gave.  At int exponents E and F stop
-acting where [0]_q = 0 appears; over symbols that q-integer is a two-term
-sum that vanishes at the instance.
+per-monomial rules (`q_int`, `qp_mul`, `qp_beta`, `_monomial_rho`) and the
+closed generator formulas (`rho_generator_formula`) take every power that
+may be symbolic through `formal.power`, so each has one definition, which at
+int exponents gives exactly the rationals it always gave.  At int exponents
+E and F stop acting where [0]_q = 0 appears; over symbols that q-integer is
+a two-term sum that vanishes at the instance.
 
 `check_uq_module_hom_algebra` and `verify_smash_closed_forms` scan one
 symbolic basis by default (24 equations each); an int bound scans the
-instances up to it instead.  Setting the exponents to ints is a ring map that
-commutes with every rule (a term whose key leaves the plane carries a
-vanishing q-integer), so equality in the ring gives equality at every
-instance, and a pass holds in every plane degree.  Conversely, for rational
-q not 0 or +-1 the functions q^P of distinct P are linearly independent on
-the exponents (restrict to a generic ray and compare growth), and when q,
-lambda and xi are multiplicatively independent, as 2, 3, 5 are, so are the
-distinct triples (P, L, X): a mismatch in the ring is then a real failure.
-Otherwise (lambda xi = 1 at (3, 1/2, 2)) it need not be, so a failing
-symbolic equation is evaluated on the box of exponents below
+instances up to it instead.  `check_rho_generator_formulas` compares rho_l
+with the closed formulas once per generator on x^m y^n.  Setting the
+exponents to ints is a ring map that commutes with every rule (a term whose
+key leaves the plane carries a vanishing q-integer), so equality in the ring
+gives equality at every instance, and a pass holds in every plane degree.
+Conversely, for rational q not 0 or +-1 the functions q^P of distinct P are
+linearly independent on the exponents (restrict to a generic ray and compare
+growth), and when q, lambda and xi are multiplicatively independent, as 2, 3,
+5 are, so are the distinct triples (P, L, X): a mismatch in the ring is then
+a real failure.  Otherwise (lambda xi = 1 at (3, 1/2, 2)) it need not be, so
+a failing symbolic equation is evaluated on the box of exponents below
 ``formal.WITNESS_BOX`` and reported at its failing instances as ordinary
 failures; with none there the check raises HomTwistError and never passes.
-Complete in the plane degrees are these two scans.  Still sampled are the
+Complete in the plane degrees are these three checks.  Still sampled are the
 generators and generator pairs of U_q in the module scan, the six right
-factors G of the closed forms, the parameter tuples and levels the caller
-picks, and the rho_l oracle against the closed generator formulas.
+factors G of the closed forms, and the parameter tuples and levels the
+caller picks.
 
-Pure values are memoized; verified facts never are.  The rewriting rules, PBW
-monomial products and monomial coproducts depend on q alone and are kept in
-module-level ``lru_cache``s for the life of the process.  The rho_l action of
-a PBW monomial on a plane monomial, the Hom-plane product beta o mu of two
-plane monomials, and the smash tails of `smash_mul_uq` depend on the whole
-`UqParams`; they are kept in tables stored on that instance and freed with it.
+Pure values that depend on q alone are memoized; verified facts never are.
+The rewriting rules, PBW monomial products and monomial coproducts are kept
+in module-level ``lru_cache``s for the life of the process.  Nothing is
+stored on a `UqParams`: the action, the plane product and the smash product
+are recomputed on every call.
 Every map is (bi)linear: a rule gives the (key, coeff) pairs of the image of
 one monomial or pair, and `_extend` sums them, scaled by the coefficients
 (passing the shared ``ONE`` through, as the tensor kernel does).  Scans
@@ -66,7 +66,7 @@ Every check rescans on every call.
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 from .errors import DegenerateQ, ParamConstraintViolation
 from .exact import ONE, Scan, ZERO, as_scalar
@@ -129,25 +129,6 @@ def _check_int(name, value, count=False):
     if isinstance(value, bool) or not isinstance(value, int) or count and value < 0:
         kind = "a non-negative integer" if count else "an integer"
         raise ParamConstraintViolation(f"{name} must be {kind}, got {value!r}")
-
-
-def _per_params(fn):
-    """Memoize fn(*args, params) in a table on the params instance.
-
-    The table lives in the instance's ``__dict__``, outside the dataclass
-    fields, so equality and hashing ignore it and it is freed with the
-    instance.  Values must be immutable, since every caller shares them.
-    """
-
-    @wraps(fn)
-    def memoized(*args):
-        table = args[-1].__dict__.setdefault(fn.__name__, {})
-        key = args[:-1]
-        if key not in table:
-            table[key] = fn(*args)
-        return table[key]
-
-    return memoized
 
 
 def _times(v, w):
@@ -478,7 +459,6 @@ def qp_beta(p, k, params):
     return _extend(QPlaneElement, rule, p)
 
 
-@_per_params
 def _monomial_rho(mon, mn, params):
     """rho_l(F^a E^b K^c, x^m y^n) as its (key, coeff) pairs: none when it is 0, else one.
 
@@ -507,42 +487,51 @@ def rho_l(h, p, params):
 
     sigma is the classical composition action with sigma(E) raising x-degree,
     sigma(F) raising y-degree and sigma(K^{+-1}) rescaling; the unit acts as
-    beta.  This extension reproduces the closed generator formulas (the
-    generator oracle is part of the test suite).  It is the bilinear
-    extension of `_monomial_rho`.
+    beta.  It is the bilinear extension of `_monomial_rho`, and
+    `check_rho_generator_formulas` compares it with the closed generator
+    formulas.
     """
     return _extend(QPlaneElement, lambda mon, mn: _monomial_rho(mon, mn, params), h, p)
 
 
 def rho_generator_formula(gen, m, n, params):
-    """The closed generator formulas, used as the independent oracle."""
+    """The closed generator formulas, used as the independent oracle; m, n may be symbolic.
+
+    E on y^0 and F on x^0 vanish through their factor [0]_q.
+    """
     q, lam, xi, l = params.q, params.lam, params.xi, params.l
-    out = QPlaneElement({})
+    common = power(XI_SLOT, xi, m + n)
     if gen == E:
-        if n > 0:
-            out.add_term((m + 1, n - 1), q_int(n, q) * xi ** (m + n) * lam ** (l - n + 1))
+        key, coeff = (m + 1, n - 1), q_int(n, q) * power(LAM_SLOT, lam, l - n + 1)
     elif gen == F:
-        if m > 0:
-            out.add_term((m - 1, n + 1), q_int(m, q) * xi ** (m + n) * lam ** (-l - n - 1))
+        key, coeff = (m - 1, n + 1), q_int(m, q) * power(LAM_SLOT, lam, -l - n - 1)
     elif gen == K:
-        out.add_term((m, n), (q * xi) ** m * (xi / (q * lam)) ** n)
+        key, coeff = (m, n), power(Q_SLOT, q, m - n) * power(LAM_SLOT, lam, -n)
     elif gen == KINV:
-        out.add_term((m, n), (xi / q) ** m * (q * xi / lam) ** n)
+        key, coeff = (m, n), power(Q_SLOT, q, n - m) * power(LAM_SLOT, lam, -n)
     else:
         raise ValueError(f"unknown generator {gen!r}")
-    return out
+    return QPlaneElement({key: common * coeff})
 
 
-@_per_params
-def _plane_product(mn1, mn2, params):
-    """beta(mu(x^m y^n, x^r y^s)) as its (key, coeff) pairs; there is one, never 0."""
-    p1, p2 = QPlaneElement.monomial(mn1), QPlaneElement.monomial(mn2)
-    return tuple(qp_beta(qp_mul(p1, p2, params.q), 1, params).terms.items())
+def check_rho_generator_formulas(params):
+    """rho_l of each generator on x^m y^n, with symbolic m and n, against its closed formula.
+
+    A pass holds in every plane degree; a mismatch is reported at its failing
+    instances below ``formal.WITNESS_BOX``, as the symbolic scans report theirs.
+    """
+    scan = Scan()
+    plane = QPlaneElement.monomial((M, N))
+    for gen, mon in GEN_MONOMIAL.items():
+        got = rho_l(UqElement.monomial(mon), plane, params)
+        want = rho_generator_formula(gen, M, N, params)
+        _scan_eq(scan, "rho_generator_formula", (gen, (M, N)), got, want)
+    return witnessed(scan.done(), (params.q, params.lam, params.xi), QPlaneElement)
 
 
 def mu_beta(p1, p2, params):
-    """The Hom-quantum-plane multiplication beta o mu, the extension of `_plane_product`."""
-    return _extend(QPlaneElement, lambda mn1, mn2: _plane_product(mn1, mn2, params), p1, p2)
+    """The Hom-quantum-plane multiplication beta o mu."""
+    return qp_beta(qp_mul(p1, p2, params.q), 1, params)
 
 
 def mu_alpha(u, v, params):
@@ -587,39 +576,35 @@ def check_uq_module_hom_algebra(params, bound=None):
     ParamConstraintViolation, not an empty pass.
     """
     singles, pairs = _plane_basis(bound)
-    planes = {mn: QPlaneElement.monomial(mn) for pair in pairs for mn in pair}
-    beta = {mn: qp_beta(p, 1, params) for mn, p in planes.items()}
-    # rho of the unit and each generator, the factors of each Delta_alpha(g), on each monomial
-    acts = {
-        (mon, mn): rho_l(UqElement.monomial(mon), p, params)
-        for mon in (UNIT, *GEN_MONOMIAL.values())
-        for mn, p in planes.items()
-    }
     gens = {g: UqElement.monomial(mon) for g, mon in GEN_MONOMIAL.items()}
     scan = Scan()
     for gname, g in gens.items():
         ag = uq_alpha(g, 1, params.lam)
         for mn in singles:
-            lhs = qp_beta(acts[GEN_MONOMIAL[gname], mn], 1, params)
-            rhs = rho_l(ag, beta[mn], params)
+            p = QPlaneElement.monomial(mn)
+            lhs = qp_beta(rho_l(g, p, params), 1, params)
+            rhs = rho_l(ag, qp_beta(p, 1, params), params)
             _scan_eq(scan, "module_alpha", (gname, mn), lhs, rhs)
     for g1name, g1 in gens.items():
         ag1 = uq_alpha(g1, 1, params.lam)
         for g2name, g2 in gens.items():
             prod = mu_alpha(g1, g2, params)
             for mn in singles:
-                lhs = rho_l(ag1, acts[GEN_MONOMIAL[g2name], mn], params)
-                rhs = rho_l(prod, beta[mn], params)
+                p = QPlaneElement.monomial(mn)
+                lhs = rho_l(ag1, rho_l(g2, p, params), params)
+                rhs = rho_l(prod, qp_beta(p, 1, params), params)
                 _scan_eq(scan, "module_assoc", (g1name, g2name, mn), lhs, rhs)
     for gname, g in gens.items():
         a2g = uq_alpha(g, 2, params.lam)
         delta = coproduct_alpha(g, params)
         for mn1, mn2 in pairs:
+            p1, p2 = QPlaneElement.monomial(mn1), QPlaneElement.monomial(mn2)
 
             def acted(pair):
-                return mu_beta(acts[pair[0], mn1], acts[pair[1], mn2], params).terms.items()
+                h1, h2 = (UqElement.monomial(h) for h in pair)
+                return mu_beta(rho_l(h1, p1, params), rho_l(h2, p2, params), params).terms.items()
 
-            lhs = rho_l(a2g, mu_beta(planes[mn1], planes[mn2], params), params)
+            lhs = rho_l(a2g, mu_beta(p1, p2, params), params)
             rhs = _extend(QPlaneElement, acted, delta)
             _scan_eq(scan, "module_algebra_compat", (gname, mn1, mn2), lhs, rhs)
     return witnessed(scan.done(), (params.q, params.lam, params.xi), _TermMap)
@@ -633,41 +618,26 @@ class SmashTerm(_TermMap):
         return cls.outer(plane, uq)
 
 
-@_per_params
-def _smash_tail(h1, p2, h2, params):
-    """The terms ((a, mon), coeff) of (p1 # h1)(p2 # h2) = sum coeff mu_beta(p1, a) # mon.
-
-    They are alpha^{-2}(h1_(1)) . beta^{-1}(p2) # alpha^{-1}(h1_(2)) h2 summed
-    over Delta_alpha(h1), before the plane factor is multiplied by p1.
-    """
-    binv = qp_beta(QPlaneElement.monomial(p2), -1, params)
-    h2el = UqElement.monomial(h2)
-
-    def tail(pair):
-        ha, hb = pair
-        acted = rho_l(uq_alpha(UqElement.monomial(ha), -2, params.lam), binv, params)
-        uq = mu_alpha(uq_alpha(UqElement.monomial(hb), -1, params.lam), h2el, params)
-        return SmashTerm.outer(acted, uq).terms.items()
-
-    delta = coproduct_alpha(UqElement.monomial(h1), params)
-    return tuple(_extend(SmashTerm, tail, delta).terms.items())
-
-
 def smash_mul_uq(t1, t2, params):
     """The Hom-smash multiplication on the quantum plane # U_q(sl2)_alpha.
 
     (a # h)(a' # h') = a (alpha^{-2}(h1) . beta^{-1}(a')) # alpha^{-1}(h2) h'
-    with Delta_alpha = Delta o alpha and the rho_l action.  It is the bilinear
-    extension of `_smash_tail` with p1 multiplied into its plane factors.
+    with Delta_alpha = Delta o alpha and the rho_l action, summed over
+    Delta_alpha(h) = sum h1 (x) h2 and extended bilinearly.
     """
 
     def rule(ph1, ph2):
         (p1, h1), (p2, h2) = ph1, ph2
-        return [
-            ((mn, mon), _times(v, pv))
-            for (a, mon), v in _smash_tail(h1, p2, h2, params)
-            for mn, pv in _plane_product(p1, a, params)
-        ]
+        a, binv = QPlaneElement.monomial(p1), qp_beta(QPlaneElement.monomial(p2), -1, params)
+
+        def tail(pair):
+            ha, hb = (UqElement.monomial(h) for h in pair)
+            acted = rho_l(uq_alpha(ha, -2, params.lam), binv, params)
+            uq = mu_alpha(uq_alpha(hb, -1, params.lam), UqElement.monomial(h2), params)
+            return SmashTerm.outer(mu_beta(a, acted, params), uq).terms.items()
+
+        delta = coproduct_alpha(UqElement.monomial(h1), params)
+        return _extend(SmashTerm, tail, delta).terms.items()
 
     return _extend(SmashTerm, rule, t1, t2)
 
@@ -691,7 +661,6 @@ def verify_smash_closed_forms(params, bounds=None):
     q, lam, xi = params.q, params.lam, params.xi
     g_choices = {"1": UNIT, "E": MON_E, "F": MON_F, "K": MON_K, "Kinv": MON_KINV, "EK": (0, 1, 1)}
     alpha_g = {gmon: uq_alpha(UqElement.monomial(gmon), 1, lam) for gmon in g_choices.values()}
-    head_g = {}  # (head, G) -> terms of head alpha(G), each formed once per call
     scan = Scan()
     for m, n, r, s in exponents:
         common = power(XI_SLOT, xi, m + n + r + s)
@@ -715,10 +684,7 @@ def verify_smash_closed_forms(params, bounds=None):
                 computed = smash_mul_uq(SmashTerm.monomial(((m, n), hmon)), right, params)
                 expected = SmashTerm({})
                 for coeff, head, (dm, dn) in terms:
-                    if (head, gmon) not in head_g:
-                        product = uq_mul(UqElement.monomial(head), alpha_g[gmon], q)
-                        head_g[head, gmon] = tuple(product.terms.items())
-                    for mon, w in head_g[head, gmon]:
+                    for mon, w in uq_mul(UqElement.monomial(head), alpha_g[gmon], q).terms.items():
                         expected.add_term(((m + r + dm, n + s + dn), mon), common * coeff * w)
                 row = "smash_closed_form_row_" + rname
                 _scan_eq(scan, row, (m, n, r, s, gname), computed, expected)

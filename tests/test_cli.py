@@ -89,6 +89,31 @@ class TestTableCommand:
     def test_wrong_kind_exits_three(self, golden_file):
         assert main(["table", golden_file, "C2"]) == 3
 
+    @pytest.mark.parametrize(
+        "name, kind", [("g", "bundle"), ("f", "linear_map"), ("act", "action")]
+    )
+    def test_wrong_kind_names_the_manifest_kind(self, tmp_path, capsys, name, kind):
+        doc = {
+            "objects": {
+                "g": {"kind": "gallery", "name": "ttp_k2_lambda", "params": {"lam": "2"}},
+                "f": {"kind": "linear_map", "source_dim": 1, "target_dim": 1, "matrix": [["1"]]},
+                "act": {
+                    "kind": "action",
+                    "side": "left",
+                    "acting_dim": 1,
+                    "module_dim": 1,
+                    "table": [[["1"]]],
+                    "alpha_m": [["1"]],
+                },
+            },
+            "tasks": [],
+        }
+        path = tmp_path / "kinds.json"
+        path.write_text(json.dumps(doc))
+        assert main(["table", str(path), name]) == 3
+        err = capsys.readouterr().err
+        assert err == f"semantic error: {name!r} is not an algebra (got {kind})\n"
+
 
 @pytest.fixture
 def failing_construct_file(tmp_path):

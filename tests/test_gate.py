@@ -667,6 +667,28 @@ class TestIntExponentsGiveFractions:
             exact.Q(2) ** M  # an Exponent has no __rpow__, so the mistake cannot pass silently
 
 
+class TestNothingIsStoredOnUqParams:
+    """The U_q(sl2) maps and scans leave a `UqParams` holding its four fields and nothing else."""
+
+    def test_vars_are_the_dataclass_fields_after_every_map_and_scan(self):
+        params = UqParams(3, exact.Q(1, 2), 2, 0)
+        fields = {f.name for f in dataclasses.fields(UqParams)}
+        assert fields == {"q", "lam", "xi", "l"}
+        t = SmashTerm({((1, 1), (1, 1, -1)): ONE, ((M, 2), (0, 1, 1)): exact.Q(-3)})
+        runs = [
+            lambda: uqsl2.rho_l(UqElement({(1, 1, 1): ONE}), QPlaneElement({(M, 1): ONE}), params),
+            lambda: uqsl2.smash_mul_uq(t, t, params),
+            lambda: uqsl2.check_uq_module_hom_algebra(params),
+            lambda: uqsl2.check_uq_module_hom_algebra(params, 1),
+            lambda: uqsl2.verify_smash_closed_forms(params),
+            lambda: uqsl2.verify_smash_closed_forms(params, 1),
+            lambda: uqsl2.check_rho_generator_formulas(params),
+        ]
+        for run in runs:
+            run()
+            assert set(vars(params)) == fields
+
+
 def in_fresh_interpreter(script, *argv):
     """Run `script` in a new interpreter with only the package's source on the path.
 

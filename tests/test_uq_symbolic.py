@@ -9,6 +9,8 @@ formal mismatch is reported at the failing instances of a small box, and one
 with none there is an error, never a pass.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,15 +18,19 @@ from homtwist import exact, formal, uqsl2
 from homtwist.errors import HomTwistError
 from homtwist.exact import ONE, Q, CheckReport, Failure, Scan
 from homtwist.formal import LAM_SLOT, M, N, Q_SLOT, R, S, XI_SLOT, PowerSum, power, symbols
+from homtwist.suite import criterion_8_quantum, run_criteria
 from homtwist.uqsl2 import (
+    GEN_MONOMIAL,
     MON_E,
     MON_F,
     QPlaneElement,
     SmashTerm,
     UqElement,
     UqParams,
+    check_rho_generator_formulas,
     check_uq_module_hom_algebra,
     q_int,
+    rho_generator_formula,
     verify_smash_closed_forms,
 )
 from test_smash_closed_pin import _perturbed as _doubled_on_odd_r_plus_s
@@ -45,12 +51,11 @@ def _mismatch(fn, xs, env, tup, l):
     """fn on symbolic xs, evaluated at env, against fn on the evaluated xs; None if equal.
 
     `fn` names a `uqsl2` function, read at call time so that a patched one
-    reaches both sides.  Each side gets its own params, so neither reads
-    tables the other filled.
+    reaches both sides.
     """
-    sym_params, int_params = UqParams(*tup, l), UqParams(*tup, l)
-    got = _instance(getattr(uqsl2, fn)(*xs, sym_params), env, sym_params)
-    want = getattr(uqsl2, fn)(*(_instance(x, env, int_params) for x in xs), int_params)
+    params = UqParams(*tup, l)
+    got = _instance(getattr(uqsl2, fn)(*xs, params), env, params)
+    want = getattr(uqsl2, fn)(*(_instance(x, env, params) for x in xs), params)
     return None if got == want else (got, want)
 
 
@@ -206,7 +211,7 @@ class TestSymbolicScans:
     )
     def test_a_mutant_fails_where_the_bounded_scan_does(self, check, bound, monkeypatch):
         monkeypatch.setattr(exact, "DEFAULT_FAILURE_CAP", 10 ** 6)
-        monkeypatch.setattr(uqsl2, "_monomial_rho", uqsl2._per_params(_k_scaled_by_an_extra_q))
+        monkeypatch.setattr(uqsl2, "_monomial_rho", _k_scaled_by_an_extra_q)
         report = check(UqParams(2, 3, 5, 0))
         assert not report.passed and report.failures
         assert all(not symbols(f.basis) for f in report.failures)
@@ -217,7 +222,7 @@ class TestSymbolicScans:
         }
 
     def test_witnesses_come_in_lexicographic_order_under_the_cap(self, monkeypatch):
-        monkeypatch.setattr(uqsl2, "_monomial_rho", uqsl2._per_params(_k_scaled_by_an_extra_q))
+        monkeypatch.setattr(uqsl2, "_monomial_rho", _k_scaled_by_an_extra_q)
         report = check_uq_module_hom_algebra(UqParams(2, 3, 5, 0))
         assert len(report.failures) == exact.DEFAULT_FAILURE_CAP
         first = report.failures[0]
@@ -242,7 +247,7 @@ class TestSymbolicScans:
         assert not report.passed and report.failures[0].basis == ("E", (4, 0))
 
     def test_the_error_reaches_the_check(self, monkeypatch):
-        monkeypatch.setattr(uqsl2, "_monomial_rho", uqsl2._per_params(_k_scaled_by_an_extra_q))
+        monkeypatch.setattr(uqsl2, "_monomial_rho", _k_scaled_by_an_extra_q)
         monkeypatch.setattr(formal, "WITNESS_BOX", 0)
         with pytest.raises(HomTwistError):
             check_uq_module_hom_algebra(UqParams(2, 3, 5, 0))
@@ -255,3 +260,69 @@ class TestSymbolicScans:
     @pytest.mark.parametrize("check", [check_uq_module_hom_algebra, verify_smash_closed_forms])
     def test_none_is_the_symbolic_scan_and_not_an_error(self, check):
         assert check(UqParams(2, 3, 5, 0), None).passed
+
+
+def _rho_times_q_to(exponent):
+    """_monomial_rho with each image scaled by q^{exponent(n)}, n the y-degree acted on."""
+    original = uqsl2._monomial_rho
+
+    def mutant(mon, mn, params):
+        extra = power(Q_SLOT, params.q, exponent(mn[1]))
+        return tuple((key, c * extra) for key, c in original(mon, mn, params))
+
+    return mutant
+
+
+def _sampled_rho_oracle(params, degrees=range(5)):
+    """The int loop criterion 8 ran before it compared the generators over symbols."""
+    for (gen, mon), m, n in itertools.product(GEN_MONOMIAL.items(), degrees, degrees):
+        got = uqsl2.rho_l(UqElement.monomial(mon), QPlaneElement.monomial((m, n)), params)
+        if got != rho_generator_formula(gen, m, n, params):
+            return gen, (m, n)
+    return None
+
+
+class TestRhoGeneratorFormulas:
+    """rho_l on the generators against their closed formulas, once over symbolic m, n."""
+
+    @pytest.mark.parametrize("tup", CRITERION_TUPLES)
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    def test_the_criterion_cases_pass_in_4_equations(self, tup, l, monkeypatch):
+        seen = []
+        eq = Scan.eq
+
+        def recording_eq(scan, equation, basis, lhs, rhs):
+            seen.append(basis)
+            return eq(scan, equation, basis, lhs, rhs)
+
+        monkeypatch.setattr(Scan, "eq", recording_eq)
+        assert check_rho_generator_formulas(UqParams(*tup, l)).passed
+        assert seen == [(gen, (M, N)) for gen in GEN_MONOMIAL]
+
+    @given(_TUPLE_AND_LEVEL, st.sampled_from(list(GEN_MONOMIAL)), _ENV)
+    @settings(max_examples=40, deadline=None)
+    def test_the_symbolic_formula_at_an_instance_is_the_int_formula(self, tl, gen, env):
+        params = UqParams(*tl[0], tl[1])
+        symbolic = _instance(rho_generator_formula(gen, M, N, params), env, params)
+        assert symbolic == rho_generator_formula(gen, env["m"], env["n"], params)
+
+    def test_a_mutant_wrong_only_above_degree_4_fails_criterion_8(self, monkeypatch):
+        above_4 = _rho_times_q_to(lambda n: n * (n - 1) * (n - 2) * (n - 3) * (n - 4))
+        monkeypatch.setattr(uqsl2, "_monomial_rho", above_4)
+        # the sampled oracle of degrees <= 4 cannot see it
+        assert _sampled_rho_oracle(UqParams(2, 3, 5, 0)) is None
+        assert _sampled_rho_oracle(UqParams(2, 3, 5, 0), range(6)) == ("E", (0, 5))
+        # over symbols it differs in the ring, but at no instance of the box
+        with pytest.raises(HomTwistError, match="rho_generator_formula at"):
+            check_rho_generator_formulas(UqParams(2, 3, 5, 0))
+        [(_, passed, detail, _)] = run_criteria("8-uq")
+        assert not passed and detail.startswith("HomTwistError: rho_generator_formula at ('E'")
+
+    def test_a_mutant_wrong_at_degree_2_fails_with_its_witness(self, monkeypatch):
+        monkeypatch.setattr(uqsl2, "_monomial_rho", _rho_times_q_to(lambda n: n * (n - 1)))
+        report = check_rho_generator_formulas(UqParams(2, 3, 5, 0))
+        assert not report.passed
+        assert all(not symbols(f.basis) for f in report.failures)
+        assert report.failures[0].basis == ("E", (0, 2))
+        detail = "rho oracle mismatch at (2, 3, 5), l=0, E, (0, 2)"
+        assert criterion_8_quantum([]) == (False, detail)

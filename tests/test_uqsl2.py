@@ -819,7 +819,7 @@ _QP = st.dictionaries(_PLANE, _COEFFS, min_size=1, max_size=3).map(QPlaneElement
 _SMASH = st.dictionaries(st.tuples(_PLANE, _PBW), _COEFFS, min_size=1, max_size=2).map(SmashTerm)
 _TENSOR = st.dictionaries(st.tuples(_PBW, _PBW), _COEFFS, min_size=1, max_size=2).map(UqTensor)
 
-_WARM = {}  # one UqParams per tuple, reused across examples so its memo tables stay filled
+_WARM = {}  # one UqParams per tuple, reused across examples: no result may depend on earlier calls
 
 
 def _warm_and_fresh(tup):
