@@ -1,10 +1,10 @@
-"""Formal plane exponents, and sums of parameter powers indexed by them.
+"""Formal exponents and parameters, and sums of parameter powers indexed by them.
 
-This is the ring behind the symbolic scans of `uqsl2`: a plane key may hold
-`Exponent`s, and a coefficient is then a `PowerSum`.  `power` is the one way
-to raise a parameter to an exponent that may be symbolic, `substitute` sets
-the exponent names to ints, a ring map onto the rationals, and `witnessed`
-turns a failure in the ring into the failing instances of a small box.
+This is the ring behind the symbolic scans of `uqsl2`: keys may hold
+`Exponent`s, lambda and xi may be the formal `LAM` and `XI`, and coefficients
+are then `PowerSum`s.  `power` raises a parameter to a maybe symbolic power,
+`substitute` is the ring map setting names to ints and LAM, XI to rationals,
+and `witnessed` turns a failure in the ring into failing instances of a box.
 """
 
 import itertools
@@ -87,18 +87,18 @@ def _exponent(poly):
     return terms[0][1] if terms else 0
 
 
-M, N, R, S = (Exponent((((name,), 1),)) for name in "mnrs")
+LEVEL, M, N, R, S = (Exponent((((name,), 1),)) for name in "lmnrs")
 Q_SLOT, LAM_SLOT, XI_SLOT = range(3)  # where q, lambda and xi sit in a PowerSum key
 
 
 class PowerSum:
-    """A finite sum of c q^P lam^L xi^X, with q, lam, xi the instantiated parameters.
+    """A finite sum of c q^P lam^L xi^X, with c rational and P, L, X exponent polynomials.
 
-    c is rational, and P, L and X are polynomials in the plane exponents with
-    no constant term (constant parts are folded into c).  The terms map each
+    The constant part of an exponent of an instantiated parameter is folded
+    into c, and that of a formal one (`LAM`, `XI`) is kept.  The terms map each
     key (P, L, X) to its nonzero c.  Arithmetic gives the rational itself when
     only the key (0, 0, 0) is left, so a sum is never a disguised rational and
-    every int-exponent coefficient stays a ``Fraction``.
+    every int-exponent coefficient of instantiated parameters stays a ``Fraction``.
     """
 
     __slots__ = ("terms",)
@@ -150,6 +150,7 @@ class PowerSum:
 
 
 _CONSTANT = (0, 0, 0)
+LAM, XI = (PowerSum({key: ONE}) for key in ((0, 1, 0), (0, 0, 1)))  # formal lambda and xi
 
 
 def _power_terms(x):
@@ -164,17 +165,18 @@ def _power_sum(terms):
 
 
 def power(slot, base, e):
-    """base ** e for an int e; for a symbolic e, base^e as a PowerSum with base in `slot`.
+    """base ** e for a rational base and an int e; else base^e as a PowerSum with base in `slot`.
 
-    ``Fraction ** x`` is a float for a non-Rational x, so every power that may
-    be symbolic goes through here and never through ``**`` on a Fraction.
+    ``Fraction ** x`` is a float for a non-Rational x, and a formal base has no
+    ``**``, so every power that may be symbolic or formal goes through here.
     """
-    if type(e) is int:
+    formal = base is LAM or base is XI
+    if type(e) is int and not formal:
         return base ** e
-    c = dict(e.terms).get((), 0)
+    c = 0 if formal else dict(e.terms).get((), 0)
     key = [0, 0, 0]
     key[slot] = e - c
-    return PowerSum({tuple(key): base ** c})
+    return _power_sum({tuple(key): ONE if formal else base ** c})
 
 
 def substitute(x, env, bases):
@@ -187,9 +189,9 @@ def substitute(x, env, bases):
 
 
 def symbols(x):
-    """The exponent names that occur in x."""
-    if type(x) is tuple:
-        return set().union(*map(symbols, x))
+    """The exponent names that occur in x, in its keys and in the exponents of its powers."""
+    if type(x) in (tuple, PowerSum):
+        return set().union(*map(symbols, x.terms if type(x) is PowerSum else x))
     return {v for mono, _ in x.terms for v in mono} if type(x) is Exponent else set()
 
 
@@ -207,22 +209,24 @@ WITNESS_BOX = 4  # a symbolic failure is evaluated at every exponent in range(WI
 def witnessed(report, bases, cls):
     """report, with each failure on symbolic exponents replaced by its failing instances.
 
-    Each side is read back as a `cls` term map, and the instances are searched
-    in lexicographic order over the box of exponents below ``WITNESS_BOX`` and
-    recorded as ordinary failures.  A failure with no failing instance in the
-    box is a HomTwistError, never a pass.
+    Each side is read back as a `cls` term map at the rational `bases` (q,
+    lambda, xi), and its names are searched in lexicographic order below
+    ``WITNESS_BOX``; each failing instance is an ordinary failure, "l=1" appended
+    for a name its basis does not show, and none in the box raises HomTwistError.
     """
     if not any(symbols(f.basis) for f in report.failures):
         return report
     scan, found = Scan(), 0
     for f in report.failures:
-        names = sorted(symbols(f.basis))
+        names = sorted(symbols((f.basis, f.lhs, f.rhs)))
+        hidden = sorted(symbols((f.lhs, f.rhs)) - symbols(f.basis))
         for values in itertools.product(range(WITNESS_BOX), repeat=len(names)):
             env = dict(zip(names, values))
             lhs, rhs = (instance(cls(dict(side)), env, bases) for side in (f.lhs, f.rhs))
             if lhs != rhs:
                 found += 1
-                scan.eq(f.equation, substitute(f.basis, env, bases), lhs.items(), rhs.items())
+                basis = substitute(f.basis, env, bases) + tuple(f"{v}={env[v]}" for v in hidden)
+                scan.eq(f.equation, basis, lhs.items(), rhs.items())
     if not found:
         first = report.failures[0]
         raise HomTwistError(

@@ -293,8 +293,10 @@ def criterion_7_alpha_pseudotwistor(closure):
 
 
 def criterion_8_quantum(closure):
-    """PBW relations, Hopf maps on the rules, symbolic rho oracle, module and closed-form scans."""
-    for q, lam in ((Q(2), Q(3)), (Q(3), Q(1, 2))):
+    """Per q: PBW relations, Hopf maps on the rules, rho oracle, module and closed-form scans."""
+    for point in ((2, 3, 5), (3, 2, 5)):  # q, lambda, xi multiplicatively independent
+        params = UqParams(*point)
+        q, lam = params.q, params.lam
         inv = ONE / (q - 1 / q)
         relations = (
             ((K, E), {(0, 1, 1): q * q}),
@@ -309,21 +311,16 @@ def criterion_8_quantum(closure):
             return False, f"PBW rewriting not confluent at q={q}"
         if not check_hopf_on_relations(q, lam).passed:
             return False, f"Hopf check on the relations fails at q={q}, lambda={lam}"
-
-    for tup in ((2, 3, 5), (3, Q(1, 2), 2)):
-        for l in (0, 1, 2):
-            params = UqParams(*tup, l)
-            rho = check_rho_generator_formulas(params)
-            if not rho.passed:
-                gen, mn = rho.failures[0].basis
-                return False, f"rho oracle mismatch at {tup}, l={l}, {gen}, {mn}"
-            if not check_uq_module_hom_algebra(params).passed:
-                return False, f"module Hom-algebra check fails at {tup}, l={l}"
-            if l == 0 and not verify_smash_closed_forms(params).passed:
-                return False, f"closed smash formulas fail at {tup}"
+        rho = check_rho_generator_formulas(params)
+        if not rho.passed:
+            return False, f"rho oracle mismatch at {point}, {rho.failures[0].basis}"
+        if not check_uq_module_hom_algebra(params).passed:
+            return False, f"module Hom-algebra check fails at {point}"
+        if not verify_smash_closed_forms(params).passed:
+            return False, f"closed smash formulas fail at {point}"
     return True, (
-        "relations, confluence (diamond lemma), Hopf maps on the rules; rho oracle, "
-        "module check and closed formulas in every plane degree at two parameter tuples"
+        "relations, confluence (diamond lemma), Hopf maps on the rules; rho oracle, module "
+        "check and closed formulas (l = 0) for every lambda, xi, level, degree at q = 2 and 3"
     )
 
 

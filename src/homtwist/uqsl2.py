@@ -1,4 +1,4 @@
-"""Exact computation in U_q(sl2) at instantiated rational parameters.
+"""Exact computation in U_q(sl2) at a rational q, with rational or formal lambda and xi.
 
 PBW normal form is F^a E^b K^c (``c`` may be negative, meaning powers of the
 inverse generator).  Words over the generators {E, F, K, Kinv} are rewritten
@@ -19,38 +19,36 @@ alone, and that alpha is a coalgebra map on the 4 generators alone.
 
 The Hom-quantum plane carries beta(x) = xi x, beta(y) = xi/lambda y, and the
 quantum group carries alpha(E) = lambda E, alpha(F) = lambda^{-1} F,
-alpha(K) = K.  q, lambda and xi are instantiated rationals.
+alpha(K) = K.  q is a rational; lambda, xi and the level l of the action are
+rationals and an int, or the formal `formal.LAM`, `formal.XI` and `formal.LEVEL`.
 
 Plane exponents may be symbols.  A plane key (m, n) may hold
 `formal.Exponent`s, integer polynomials in the names m, n, r and s, and a
 coefficient is then a `formal.PowerSum`: a finite sum c q^P lam^L xi^X with
-rational c and exponent polynomials P, L, X without constant term.  The
-per-monomial rules (`q_int`, `qp_mul`, `qp_beta`, `_monomial_rho`) and the
-closed generator formulas (`rho_generator_formula`) take every power that
-may be symbolic through `formal.power`, so each has one definition, which at
-int exponents gives exactly the rationals it always gave.  At int exponents
-E and F stop acting where [0]_q = 0 appears; over symbols that q-integer is
-a two-term sum that vanishes at the instance.
+rational c and exponent polynomials P, L, X, which may hold l too.  Every
+power of a parameter, in `q_int`, `uq_alpha`, `qp_mul`, `qp_beta`,
+`_monomial_rho` and `rho_generator_formula`, goes through `formal.power`, so
+each rule has one definition, which at rational parameters and int exponents
+gives exactly the rationals it always gave.  At int exponents E and F stop
+acting where [0]_q = 0 appears; over symbols that q-integer is a two-term sum
+that vanishes at the instance.
 
-`check_uq_module_hom_algebra` and `verify_smash_closed_forms` scan one
-symbolic basis by default (24 equations each); an int bound scans the
-instances up to it instead.  `check_rho_generator_formulas` compares rho_l
-with the closed formulas once per generator on x^m y^n.  Setting the
-exponents to ints is a ring map that commutes with every rule (a term whose
-key leaves the plane carries a vanishing q-integer), so equality in the ring
-gives equality at every instance, and a pass holds in every plane degree.
-Conversely, for rational q not 0 or +-1 the functions q^P of distinct P are
-linearly independent on the exponents (restrict to a generic ray and compare
-growth), and when q, lambda and xi are multiplicatively independent, as 2, 3,
-5 are, so are the distinct triples (P, L, X): a mismatch in the ring is then
-a real failure.  Otherwise (lambda xi = 1 at (3, 1/2, 2)) it need not be, so
-a failing symbolic equation is evaluated on the box of exponents below
-``formal.WITNESS_BOX`` and reported at its failing instances as ordinary
-failures; with none there the check raises HomTwistError and never passes.
-Complete in the plane degrees are these three checks.  Still sampled are the
-generators and generator pairs of U_q in the module scan, the six right
-factors G of the closed forms, and the parameter tuples and levels the
-caller picks.
+`check_rho_generator_formulas` compares rho_l with the closed formulas once
+per generator on x^m y^n; `check_uq_module_hom_algebra` and
+`verify_smash_closed_forms` scan one symbolic basis by default (24 equations
+each), or the instances up to an int bound.  The symbolic scans run at the
+caller's q with lambda, xi and the level formal (the closed forms at l = 0).
+Setting the names to ints and LAM, XI to nonzero rationals is a ring map that
+commutes with every rule (a term whose key leaves the plane carries a
+vanishing q-integer), so a pass holds for every lambda, xi, level and plane
+degree.  Conversely, for rational q not 0 or +-1 the functions q^P of
+distinct P are linearly independent on the exponents (restrict to a generic
+ray and compare growth), so a mismatch in the ring fails somewhere.  It is
+evaluated at the caller's lambda and xi on the box of the level and plane
+exponents below ``formal.WITNESS_BOX`` and reported at its failing instances;
+with none there the check raises HomTwistError and never passes.  Still
+sampled are the generators and generator pairs of U_q in the module scan and
+the six right factors G of the closed forms.
 
 Pure values that depend on q alone are memoized; verified facts never are.
 The rewriting rules, PBW monomial products and monomial coproducts are kept
@@ -71,12 +69,15 @@ from functools import lru_cache
 from .errors import DegenerateQ, ParamConstraintViolation
 from .exact import ONE, Scan, ZERO, as_scalar
 from .formal import (
+    LAM,
     LAM_SLOT,
+    LEVEL,
     M,
     N,
     Q_SLOT,
     R,
     S,
+    XI,
     XI_SLOT,
     Exponent,
     power,
@@ -106,7 +107,7 @@ def _check_q(q):
 
 @dataclass(frozen=True)
 class UqParams:
-    """Instantiated parameters (q, lambda, xi, l) with nondegeneracy constraints."""
+    """Parameters (q, lambda, xi, l): rationals and a level, or the formal LAM, XI and LEVEL."""
 
     q: object
     lam: object
@@ -115,13 +116,19 @@ class UqParams:
 
     def __post_init__(self):
         object.__setattr__(self, "q", _check_q(self.q))
-        object.__setattr__(self, "lam", as_scalar(self.lam))
-        object.__setattr__(self, "xi", as_scalar(self.xi))
-        if not self.lam:
-            raise ParamConstraintViolation("lambda must be nonzero")
-        if not self.xi:
-            raise ParamConstraintViolation("xi must be nonzero")
-        _check_int("l", self.l, count=True)
+        object.__setattr__(self, "lam", _unit("lambda", self.lam))
+        object.__setattr__(self, "xi", _unit("xi", self.xi))
+        if self.l is not LEVEL:
+            _check_int("l", self.l, count=True)
+
+
+def _unit(name, x):
+    """x as a nonzero rational, or the formal LAM or XI itself."""
+    if x is LAM or x is XI:
+        return x
+    if not (x := as_scalar(x)):
+        raise ParamConstraintViolation(f"{name} must be nonzero")
+    return x
 
 
 def _check_int(name, value, count=False):
@@ -259,6 +266,7 @@ class UqTensor(_TermMap):
 
 @lru_cache(maxsize=None)
 def _rules(q):
+    q = _check_q(q)
     inv = ONE / (q - q ** (-1))
     return {
         (E, F): (((F, E), ONE), ((K,), inv), ((KINV,), -inv)),
@@ -331,7 +339,7 @@ def check_pbw_confluence(q):
     not.  Then each overlap word x y z, rewritten once at position 0 and once
     at position 1, must normalize to the same element.
     """
-    rules = _rules(_check_q(q))
+    rules = _rules(q)
     scan = Scan()
     for lhs, terms in rules.items():
         rising = tuple(repl for repl, _ in terms if not _lowers(lhs, repl))
@@ -365,10 +373,8 @@ def uq_mul(u, v, q):
 def uq_alpha(u, k, lam):
     """alpha^k with alpha(E) = lam E, alpha(F) = lam^{-1} F, alpha(K) = K."""
     _check_int("k", k)
-    lam = as_scalar(lam)
-    if not lam:
-        raise ParamConstraintViolation("lambda must be nonzero")
-    return _extend(UqElement, lambda mon: ((mon, lam ** (k * (mon[1] - mon[0]))),), u)
+    lam = _unit("lambda", lam)
+    return _extend(UqElement, lambda mon: ((mon, power(LAM_SLOT, lam, k * (mon[1] - mon[0]))),), u)
 
 
 _DELTA_GEN = {
@@ -471,7 +477,7 @@ def _monomial_rho(mon, mn, params):
     """
     (a, b, c), (m, n) = mon, mn
     q, lam = params.q, params.lam
-    coeff = lam ** ((params.l + 1) * (b - a)) * power(XI_SLOT, params.xi, m + n)
+    coeff = power(LAM_SLOT, lam, (params.l + 1) * (b - a)) * power(XI_SLOT, params.xi, m + n)
     coeff *= power(LAM_SLOT, lam, -n) * power(Q_SLOT, q, c * (m - n))
     for _ in range(b):
         coeff *= q_int(n, q)
@@ -515,16 +521,16 @@ def rho_generator_formula(gen, m, n, params):
 
 
 def check_rho_generator_formulas(params):
-    """rho_l of each generator on x^m y^n, with symbolic m and n, against its closed formula.
+    """rho_l of each generator on x^m y^n against its closed formula, at params.q.
 
-    A pass holds in every plane degree; a mismatch is reported at its failing
-    instances below ``formal.WITNESS_BOX``, as the symbolic scans report theirs.
+    m, n, lambda, xi and the level are formal, so a pass holds for all of
+    them; a mismatch is reported as the symbolic scans report theirs.
     """
     scan = Scan()
-    plane = QPlaneElement.monomial((M, N))
+    plane, formal = QPlaneElement.monomial((M, N)), UqParams(params.q, LAM, XI, LEVEL)
     for gen, mon in GEN_MONOMIAL.items():
-        got = rho_l(UqElement.monomial(mon), plane, params)
-        want = rho_generator_formula(gen, M, N, params)
+        got = rho_l(UqElement.monomial(mon), plane, formal)
+        want = rho_generator_formula(gen, M, N, formal)
         _scan_eq(scan, "rho_generator_formula", (gen, (M, N)), got, want)
     return witnessed(scan.done(), (params.q, params.lam, params.xi), QPlaneElement)
 
@@ -570,30 +576,31 @@ def check_uq_module_hom_algebra(params, bound=None):
     """Module axioms and module-algebra compatibility on the Hom-quantum plane.
 
     Generators h range over {E, F, K, K^{-1}}.  With bound None the plane
-    monomials are x^m y^n (and x^r y^s) with symbolic m, n, r, s, so a pass
-    holds in every degree; with an int bound they range over m + n <= bound.
-    A bound other than None or a non-negative int is a
-    ParamConstraintViolation, not an empty pass.
+    monomials are x^m y^n (and x^r y^s), with m, n, r, s, lambda, xi and the
+    level formal, so a pass holds for all of them at params.q; with an int
+    bound they range over m + n <= bound at params.  A bound other than None
+    or a non-negative int is a ParamConstraintViolation, not an empty pass.
     """
     singles, pairs = _plane_basis(bound)
+    bases = (params.q, params.lam, params.xi)
+    if bound is None:
+        params = UqParams(params.q, LAM, XI, LEVEL)
     gens = {g: UqElement.monomial(mon) for g, mon in GEN_MONOMIAL.items()}
+    alpha = {gname: uq_alpha(g, 1, params.lam) for gname, g in gens.items()}
+    planes = {mn: QPlaneElement.monomial(mn) for mn in singles}
+    acted = {
+        (gname, mn): rho_l(g, p, params) for gname, g in gens.items() for mn, p in planes.items()
+    }
     scan = Scan()
-    for gname, g in gens.items():
-        ag = uq_alpha(g, 1, params.lam)
-        for mn in singles:
-            p = QPlaneElement.monomial(mn)
-            lhs = qp_beta(rho_l(g, p, params), 1, params)
-            rhs = rho_l(ag, qp_beta(p, 1, params), params)
-            _scan_eq(scan, "module_alpha", (gname, mn), lhs, rhs)
-    for g1name, g1 in gens.items():
-        ag1 = uq_alpha(g1, 1, params.lam)
-        for g2name, g2 in gens.items():
-            prod = mu_alpha(g1, g2, params)
-            for mn in singles:
-                p = QPlaneElement.monomial(mn)
-                lhs = rho_l(ag1, rho_l(g2, p, params), params)
-                rhs = rho_l(prod, qp_beta(p, 1, params), params)
-                _scan_eq(scan, "module_assoc", (g1name, g2name, mn), lhs, rhs)
+    for (gname, mn), image in acted.items():
+        rhs = rho_l(alpha[gname], qp_beta(planes[mn], 1, params), params)
+        _scan_eq(scan, "module_alpha", (gname, mn), qp_beta(image, 1, params), rhs)
+    for g1name, g2name in itertools.product(gens, repeat=2):
+        prod = mu_alpha(gens[g1name], gens[g2name], params)
+        for mn, p in planes.items():
+            lhs = rho_l(alpha[g1name], acted[g2name, mn], params)
+            rhs = rho_l(prod, qp_beta(p, 1, params), params)
+            _scan_eq(scan, "module_assoc", (g1name, g2name, mn), lhs, rhs)
     for gname, g in gens.items():
         a2g = uq_alpha(g, 2, params.lam)
         delta = coproduct_alpha(g, params)
@@ -607,7 +614,7 @@ def check_uq_module_hom_algebra(params, bound=None):
             lhs = rho_l(a2g, mu_beta(p1, p2, params), params)
             rhs = _extend(QPlaneElement, acted, delta)
             _scan_eq(scan, "module_algebra_compat", (gname, mn1, mn2), lhs, rhs)
-    return witnessed(scan.done(), (params.q, params.lam, params.xi), _TermMap)
+    return witnessed(scan.done(), bases, _TermMap)
 
 
 class SmashTerm(_TermMap):
@@ -646,18 +653,19 @@ def verify_smash_closed_forms(params, bounds=None):
     """Closed smash-product formulas for the K/Kinv, E and F rows at l = 0.
 
     Compares smash_mul_uq against the closed forms after PBW normalization,
-    for G in {1, E, F, K, Kinv, EK} and plane exponents m, n, r, s that are
-    symbolic when bounds is None (a pass holds for all of them) or range over
-    0..bounds.  Bounds other than None or a non-negative int are a
-    ParamConstraintViolation, not a pass.
+    for G in {1, E, F, K, Kinv, EK}, with the plane exponents m, n, r, s,
+    lambda and xi formal when bounds is None (a pass holds for all of them at
+    params.q), or m, n, r, s over 0..bounds at params.  Bounds other than None
+    or a non-negative int are a ParamConstraintViolation, not a pass.
     """
+    if params.l != 0:
+        raise ParamConstraintViolation("the closed formulas are stated for l = 0")
+    bases = (params.q, params.lam, params.xi)
     if bounds is None:
-        exponents = [(M, N, R, S)]
+        exponents, params = [(M, N, R, S)], UqParams(params.q, LAM, XI)
     else:
         _check_int("bounds", bounds, count=True)
         exponents = itertools.product(range(bounds + 1), repeat=4)
-    if params.l != 0:
-        raise ParamConstraintViolation("the closed formulas are stated for l = 0")
     q, lam, xi = params.q, params.lam, params.xi
     g_choices = {"1": UNIT, "E": MON_E, "F": MON_F, "K": MON_K, "Kinv": MON_KINV, "EK": (0, 1, 1)}
     alpha_g = {gmon: uq_alpha(UqElement.monomial(gmon), 1, lam) for gmon in g_choices.values()}
@@ -688,4 +696,4 @@ def verify_smash_closed_forms(params, bounds=None):
                         expected.add_term(((m + r + dm, n + s + dn), mon), common * coeff * w)
                 row = "smash_closed_form_row_" + rname
                 _scan_eq(scan, row, (m, n, r, s, gname), computed, expected)
-    return witnessed(scan.done(), (params.q, params.lam, params.xi), _TermMap)
+    return witnessed(scan.done(), bases, _TermMap)

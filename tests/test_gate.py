@@ -30,7 +30,7 @@ import types
 import pytest
 
 import homtwist
-from homtwist import algebra, coalgebra, exact, modsmash, twisted, twistor, uqsl2
+from homtwist import algebra, cli, coalgebra, exact, modsmash, twisted, twistor, uqsl2
 from homtwist.errors import PreconditionFailure
 from homtwist.exact import ONE, LinearMap, Matrix
 from homtwist.formal import M
@@ -665,6 +665,49 @@ class TestIntExponentsGiveFractions:
         assert type(exact.Q(2) ** 0.5) is float  # the hazard
         with pytest.raises(TypeError):
             exact.Q(2) ** M  # an Exponent has no __rpow__, so the mistake cannot pass silently
+
+    def test_the_rules_hold_fractions_when_given_an_int_q(self):
+        uqsl2._rules.cache_clear()  # an entry for Q(2) would answer for 2 as well
+        rules = uqsl2._rules(2)
+        assert {type(c) for terms in rules.values() for _, c in terms} == {exact.Q}
+
+
+def parameter_pow_sites(source, filename):
+    """`**` with a base named or read as an attribute `lam` or `xi`."""
+    sites = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            if getattr(node.left, "id", getattr(node.left, "attr", None)) in ("lam", "xi"):
+                sites.append(f"{filename}:{node.lineno}")
+    return sites
+
+
+class TestParameterPowersGoThroughFormal:
+    """lambda and xi may be formal, and a formal parameter has no `**`: every power is `power`."""
+
+    def test_uqsl2_raises_no_lam_or_xi_with_pow(self):
+        path = SRC / "uqsl2.py"
+        assert parameter_pow_sites(path.read_text(encoding="utf-8"), path.name) == []
+
+    def test_the_guard_sees_names_and_attributes(self):
+        source = "a = lam ** 2\nb = params.xi ** (m + n)\nc = q ** 2\nd = power(1, lam, 2)\n"
+        assert parameter_pow_sites(source, "s.py") == ["s.py:1", "s.py:2"]
+
+
+class TestCriterion8ScansOncePerQ:
+    def test_one_paper_run_calls_each_symbolic_check_twice(self, monkeypatch, capsys):
+        checks = [
+            uqsl2.check_rho_generator_formulas,
+            uqsl2.check_uq_module_hom_algebra,
+            uqsl2.verify_smash_closed_forms,
+        ]
+        calls = _calls(monkeypatch, checks)
+        assert cli.main(["paper"]) == 0
+        assert {name: len(args) for name, args in calls.items()} == {
+            fn.__name__: 2 for fn in checks
+        }
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("PASS ") for line in lines) == 10
 
 
 class TestNothingIsStoredOnUqParams:

@@ -9,6 +9,7 @@ formal mismatch is reported at the failing instances of a small box, and one
 with none there is an error, never a pass.
 """
 
+import dataclasses
 import itertools
 
 import pytest
@@ -37,6 +38,7 @@ from test_smash_closed_pin import _perturbed as _doubled_on_odd_r_plus_s
 from test_uqsl2 import loop_mu_beta, oracle_rho_l, oracle_smash_mul_uq
 
 CRITERION_TUPLES = [(2, 3, 5), (3, Q(1, 2), 2)]
+CRITERION_POINTS = [(2, 3, 5), (3, 2, 5)]  # criterion 8's (q, lambda, xi)
 BASES = (Q(2), Q(3), Q(5))
 _PBW = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2))
 _ENV = st.fixed_dictionaries({v: st.integers(0, 5) for v in "mnrs"})
@@ -163,7 +165,7 @@ def _k_scaled_by_an_extra_q(mon, mn, params):
     """_monomial_rho with K^c scaled by q^{c(m-n+1)} in place of q^{c(m-n)}."""
     (a, b, c), (m, n) = mon, mn
     q, lam = params.q, params.lam
-    coeff = lam ** ((params.l + 1) * (b - a)) * power(XI_SLOT, params.xi, m + n)
+    coeff = power(LAM_SLOT, lam, (params.l + 1) * (b - a)) * power(XI_SLOT, params.xi, m + n)
     coeff *= power(LAM_SLOT, lam, -n) * power(Q_SLOT, q, c * (m - n + 1))
     for _ in range(b):
         coeff *= q_int(n, q)
@@ -179,6 +181,17 @@ def _exponents(basis):
     if isinstance(basis, tuple):
         return [v for x in basis for v in _exponents(x)]
     return [basis] if isinstance(basis, int) else []
+
+
+def _at_level(failures, l):
+    """The witnesses at level l: those naming it, with the name dropped, and those naming none."""
+    out = set()
+    for f in failures:
+        if f.basis[-1] == f"l={l}":
+            out.add(dataclasses.replace(f, basis=f.basis[:-1]))
+        elif not str(f.basis[-1]).startswith("l="):
+            out.add(f)
+    return out
 
 
 class TestSymbolicScans:
@@ -202,24 +215,26 @@ class TestSymbolicScans:
             assert len(seen) == 4 * 6
 
     @pytest.mark.parametrize(
-        "check, bound",
+        "check, bound, levels",
         [
-            (check_uq_module_hom_algebra, 2 * (formal.WITNESS_BOX - 1)),
-            (verify_smash_closed_forms, formal.WITNESS_BOX - 1),
+            (check_uq_module_hom_algebra, 2 * (formal.WITNESS_BOX - 1), range(formal.WITNESS_BOX)),
+            (verify_smash_closed_forms, formal.WITNESS_BOX - 1, [0]),
         ],
         ids=["module", "closed_forms"],
     )
-    def test_a_mutant_fails_where_the_bounded_scan_does(self, check, bound, monkeypatch):
+    def test_a_mutant_fails_where_the_bounded_scan_does(self, check, bound, levels, monkeypatch):
         monkeypatch.setattr(exact, "DEFAULT_FAILURE_CAP", 10 ** 6)
         monkeypatch.setattr(uqsl2, "_monomial_rho", _k_scaled_by_an_extra_q)
         report = check(UqParams(2, 3, 5, 0))
         assert not report.passed and report.failures
         assert all(not symbols(f.basis) for f in report.failures)
-        # the witnesses are exactly the bounded scan's failures inside the box
-        bounded = check(UqParams(2, 3, 5, 0), bound)
-        assert set(report.failures) == {
-            f for f in bounded.failures if max(_exponents(f.basis)) < formal.WITNESS_BOX
-        }
+        # at each level of the box, the witnesses that hold there are exactly
+        # the bounded scan's failures inside the box
+        for l in levels:
+            bounded = check(UqParams(2, 3, 5, l), bound)
+            assert _at_level(report.failures, l) == {
+                f for f in bounded.failures if max(_exponents(f.basis)) < formal.WITNESS_BOX
+            }
 
     def test_witnesses_come_in_lexicographic_order_under_the_cap(self, monkeypatch):
         monkeypatch.setattr(uqsl2, "_monomial_rho", _k_scaled_by_an_extra_q)
@@ -262,15 +277,20 @@ class TestSymbolicScans:
         assert check(UqParams(2, 3, 5, 0), None).passed
 
 
-def _rho_times_q_to(exponent):
-    """_monomial_rho with each image scaled by q^{exponent(n)}, n the y-degree acted on."""
+def _rho_scaled_by(factor):
+    """_monomial_rho with each image scaled by factor(params, n), n the y-degree acted on."""
     original = uqsl2._monomial_rho
 
     def mutant(mon, mn, params):
-        extra = power(Q_SLOT, params.q, exponent(mn[1]))
+        extra = factor(params, mn[1])
         return tuple((key, c * extra) for key, c in original(mon, mn, params))
 
     return mutant
+
+
+def _rho_times_q_to(exponent):
+    """_monomial_rho with each image scaled by q^{exponent(n)}."""
+    return _rho_scaled_by(lambda params, n: power(Q_SLOT, params.q, exponent(n)))
 
 
 def _sampled_rho_oracle(params, degrees=range(5)):
@@ -323,6 +343,45 @@ class TestRhoGeneratorFormulas:
         report = check_rho_generator_formulas(UqParams(2, 3, 5, 0))
         assert not report.passed
         assert all(not symbols(f.basis) for f in report.failures)
-        assert report.failures[0].basis == ("E", (0, 2))
-        detail = "rho oracle mismatch at (2, 3, 5), l=0, E, (0, 2)"
+        assert report.failures[0].basis == ("E", (0, 2), "l=0")
+        detail = "rho oracle mismatch at (2, 3, 5), ('E', (0, 2), 'l=0')"
         assert criterion_8_quantum([]) == (False, detail)
+
+
+class TestFormalParameters:
+    """lambda, xi and the level are formal in the symbolic scans; witnesses are at the caller's."""
+
+    @pytest.mark.parametrize("point", CRITERION_POINTS)
+    def test_a_lambda_mutant_fails_the_module_scan_at_e_e(self, point, monkeypatch):
+        lam_n_n1 = _rho_scaled_by(lambda params, n: power(LAM_SLOT, params.lam, n * (n - 1)))
+        monkeypatch.setattr(uqsl2, "_monomial_rho", lam_n_n1)
+        report = check_uq_module_hom_algebra(UqParams(*point))
+        assert not report.passed
+        first = report.failures[0]
+        assert (first.equation, first.basis) == ("module_assoc", ("E", "E", (0, 3), "l=0"))
+
+    def test_a_mutant_that_is_the_identity_at_level_0_is_witnessed_at_level_1(self, monkeypatch):
+        lam_l = _rho_scaled_by(lambda params, n: power(LAM_SLOT, params.lam, params.l))
+        monkeypatch.setattr(uqsl2, "_monomial_rho", lam_l)
+        # at level 0 the sampled oracle cannot see it
+        assert _sampled_rho_oracle(UqParams(2, 3, 5, 0)) is None
+        report = check_rho_generator_formulas(UqParams(2, 3, 5))
+        assert not report.passed
+        assert report.failures[0].basis == ("E", (0, 1), "l=1")
+        assert all(f.basis[-1] != "l=0" for f in report.failures)
+        assert criterion_8_quantum([]) == (
+            False, "rho oracle mismatch at (2, 3, 5), ('E', (0, 1), 'l=1')"
+        )
+
+    @pytest.mark.parametrize("check", [check_rho_generator_formulas, check_uq_module_hom_algebra])
+    def test_a_lambda_xi_mutant_is_witnessed_where_they_are_independent(self, check, monkeypatch):
+        lam_xi_n = _rho_scaled_by(
+            lambda params, n: power(LAM_SLOT, params.lam, n) * power(XI_SLOT, params.xi, n)
+        )
+        monkeypatch.setattr(uqsl2, "_monomial_rho", lam_xi_n)
+        # lambda xi = 1 makes the mutant the identity, so no instance there fails
+        with pytest.raises(HomTwistError, match="differs in the ring but at no exponents"):
+            check(UqParams(3, Q(1, 2), 2))
+        report = check(UqParams(*CRITERION_POINTS[1]))
+        assert not report.passed and report.failures
+        assert all(not symbols(f.basis) for f in report.failures)
