@@ -35,9 +35,9 @@ that vanishes at the instance.
 
 `check_rho_generator_formulas` compares rho_l with the closed formulas once
 per generator on x^m y^n; `check_uq_module_hom_algebra` and
-`verify_smash_closed_forms` scan one symbolic basis by default (24 equations
-each), or the instances up to an int bound.  The symbolic scans run at the
-caller's q with lambda, xi and the level formal (the closed forms at l = 0).
+`verify_smash_closed_forms` scan one symbolic basis (24 equations each).
+These three scans run at the caller's q with lambda, xi and the level formal
+(the closed forms at l = 0).
 Setting the names to ints and LAM, XI to nonzero rationals is a ring map that
 commutes with every rule (a term whose key leaves the plane carries a
 vanishing q-integer), so a pass holds for every lambda, xi, level and plane
@@ -132,7 +132,7 @@ def _unit(name, x):
 
 
 def _check_int(name, value, count=False):
-    """A power is an int, a count (a level or bound) a non-negative one; a bool is neither."""
+    """A power is an int, a count (a level) a non-negative one; a bool is neither."""
     if isinstance(value, bool) or not isinstance(value, int) or count and value < 0:
         kind = "a non-negative integer" if count else "an integer"
         raise ParamConstraintViolation(f"{name} must be {kind}, got {value!r}")
@@ -555,65 +555,37 @@ def coproduct_alpha(u, params):
 # ---------------------------------------------------------------------------
 
 
-def _plane_monomials(bound):
-    return [(m, n) for total in range(bound + 1) for m in range(total + 1) for n in [total - m]]
+def check_uq_module_hom_algebra(params):
+    """Module axioms and module-algebra compatibility on the Hom-quantum plane, at params.q.
 
-
-def _plane_basis(bound):
-    """The plane monomials and pairs of them that a module scan iterates.
-
-    None gives the symbolic x^m y^n and the pair (x^m y^n, x^r y^s); an int
-    gives every monomial of degree <= bound and every pair of them.
+    Generators h range over {E, F, K, K^{-1}} and the plane monomials are
+    x^m y^n and x^r y^s, with m, n, r, s, lambda, xi and the level formal, so
+    a pass holds for all of them.
     """
-    if bound is None:
-        return [(M, N)], [((M, N), (R, S))]
-    _check_int("plane degree bound", bound, count=True)
-    planes = _plane_monomials(bound)
-    return planes, list(itertools.product(planes, planes))
-
-
-def check_uq_module_hom_algebra(params, bound=None):
-    """Module axioms and module-algebra compatibility on the Hom-quantum plane.
-
-    Generators h range over {E, F, K, K^{-1}}.  With bound None the plane
-    monomials are x^m y^n (and x^r y^s), with m, n, r, s, lambda, xi and the
-    level formal, so a pass holds for all of them at params.q; with an int
-    bound they range over m + n <= bound at params.  A bound other than None
-    or a non-negative int is a ParamConstraintViolation, not an empty pass.
-    """
-    singles, pairs = _plane_basis(bound)
     bases = (params.q, params.lam, params.xi)
-    if bound is None:
-        params = UqParams(params.q, LAM, XI, LEVEL)
+    params = UqParams(params.q, LAM, XI, LEVEL)
     gens = {g: UqElement.monomial(mon) for g, mon in GEN_MONOMIAL.items()}
     alpha = {gname: uq_alpha(g, 1, params.lam) for gname, g in gens.items()}
-    planes = {mn: QPlaneElement.monomial(mn) for mn in singles}
-    acted = {
-        (gname, mn): rho_l(g, p, params) for gname, g in gens.items() for mn, p in planes.items()
-    }
+    p1, p2 = QPlaneElement.monomial((M, N)), QPlaneElement.monomial((R, S))
+    beta_p1, product = qp_beta(p1, 1, params), mu_beta(p1, p2, params)
+    acted = {gname: rho_l(g, p1, params) for gname, g in gens.items()}
     scan = Scan()
-    for (gname, mn), image in acted.items():
-        rhs = rho_l(alpha[gname], qp_beta(planes[mn], 1, params), params)
-        _scan_eq(scan, "module_alpha", (gname, mn), qp_beta(image, 1, params), rhs)
+    for gname, image in acted.items():
+        rhs = rho_l(alpha[gname], beta_p1, params)
+        _scan_eq(scan, "module_alpha", (gname, (M, N)), qp_beta(image, 1, params), rhs)
     for g1name, g2name in itertools.product(gens, repeat=2):
-        prod = mu_alpha(gens[g1name], gens[g2name], params)
-        for mn, p in planes.items():
-            lhs = rho_l(alpha[g1name], acted[g2name, mn], params)
-            rhs = rho_l(prod, qp_beta(p, 1, params), params)
-            _scan_eq(scan, "module_assoc", (g1name, g2name, mn), lhs, rhs)
+        lhs = rho_l(alpha[g1name], acted[g2name], params)
+        rhs = rho_l(mu_alpha(gens[g1name], gens[g2name], params), beta_p1, params)
+        _scan_eq(scan, "module_assoc", (g1name, g2name, (M, N)), lhs, rhs)
+
+    def acted_pair(pair):
+        h1, h2 = (UqElement.monomial(h) for h in pair)
+        return mu_beta(rho_l(h1, p1, params), rho_l(h2, p2, params), params).terms.items()
+
     for gname, g in gens.items():
-        a2g = uq_alpha(g, 2, params.lam)
-        delta = coproduct_alpha(g, params)
-        for mn1, mn2 in pairs:
-            p1, p2 = QPlaneElement.monomial(mn1), QPlaneElement.monomial(mn2)
-
-            def acted(pair):
-                h1, h2 = (UqElement.monomial(h) for h in pair)
-                return mu_beta(rho_l(h1, p1, params), rho_l(h2, p2, params), params).terms.items()
-
-            lhs = rho_l(a2g, mu_beta(p1, p2, params), params)
-            rhs = _extend(QPlaneElement, acted, delta)
-            _scan_eq(scan, "module_algebra_compat", (gname, mn1, mn2), lhs, rhs)
+        lhs = rho_l(uq_alpha(g, 2, params.lam), product, params)
+        rhs = _extend(QPlaneElement, acted_pair, coproduct_alpha(g, params))
+        _scan_eq(scan, "module_algebra_compat", (gname, (M, N), (R, S)), lhs, rhs)
     return witnessed(scan.done(), bases, _TermMap)
 
 
@@ -649,51 +621,45 @@ def smash_mul_uq(t1, t2, params):
     return _extend(SmashTerm, rule, t1, t2)
 
 
-def verify_smash_closed_forms(params, bounds=None):
-    """Closed smash-product formulas for the K/Kinv, E and F rows at l = 0.
+def verify_smash_closed_forms(params):
+    """Closed smash-product formulas for the K/Kinv, E and F rows at l = 0, at params.q.
 
     Compares smash_mul_uq against the closed forms after PBW normalization,
     for G in {1, E, F, K, Kinv, EK}, with the plane exponents m, n, r, s,
-    lambda and xi formal when bounds is None (a pass holds for all of them at
-    params.q), or m, n, r, s over 0..bounds at params.  Bounds other than None
-    or a non-negative int are a ParamConstraintViolation, not a pass.
+    lambda and xi formal, so a pass holds for all of them.
     """
     if params.l != 0:
         raise ParamConstraintViolation("the closed formulas are stated for l = 0")
     bases = (params.q, params.lam, params.xi)
-    if bounds is None:
-        exponents, params = [(M, N, R, S)], UqParams(params.q, LAM, XI)
-    else:
-        _check_int("bounds", bounds, count=True)
-        exponents = itertools.product(range(bounds + 1), repeat=4)
+    params = UqParams(params.q, LAM, XI)
     q, lam, xi = params.q, params.lam, params.xi
+    m, n, r, s = M, N, R, S
     g_choices = {"1": UNIT, "E": MON_E, "F": MON_F, "K": MON_K, "Kinv": MON_KINV, "EK": (0, 1, 1)}
     alpha_g = {gmon: uq_alpha(UqElement.monomial(gmon), 1, lam) for gmon in g_choices.values()}
+    common = power(XI_SLOT, xi, m + n + r + s)
+    lam_e, lam_f = power(LAM_SLOT, lam, 1 - n - s), power(LAM_SLOT, lam, -n - s - 1)
+    lam_k = power(LAM_SLOT, lam, -n - s)
+    closed = {  # (row, its monomial) -> terms (coefficient, head monomial, plane shift)
+        ("K", MON_K): ((power(Q_SLOT, q, r - s + n * r) * lam_k, MON_K, (0, 0)),),
+        ("Kinv", MON_KINV): ((power(Q_SLOT, q, s - r + n * r) * lam_k, MON_KINV, (0, 0)),),
+        ("E", MON_E): (
+            (power(Q_SLOT, q, n * r) * lam_e, MON_E, (0, 0)),
+            (q_int(s, q) * power(Q_SLOT, q, n * (r + 1)) * lam_e, MON_K, (1, -1)),
+        ),
+        ("F", MON_F): (
+            (power(Q_SLOT, q, s - r + n * r) * lam_f, MON_F, (0, 0)),
+            (q_int(r, q) * power(Q_SLOT, q, n * (r - 1)) * lam_f, UNIT, (-1, 1)),
+        ),
+    }
     scan = Scan()
-    for m, n, r, s in exponents:
-        common = power(XI_SLOT, xi, m + n + r + s)
-        lam_e, lam_f = power(LAM_SLOT, lam, 1 - n - s), power(LAM_SLOT, lam, -n - s - 1)
-        lam_k = power(LAM_SLOT, lam, -n - s)
-        closed = {  # (row, its monomial) -> terms (coefficient, head monomial, plane shift)
-            ("K", MON_K): ((power(Q_SLOT, q, r - s + n * r) * lam_k, MON_K, (0, 0)),),
-            ("Kinv", MON_KINV): ((power(Q_SLOT, q, s - r + n * r) * lam_k, MON_KINV, (0, 0)),),
-            ("E", MON_E): (
-                (power(Q_SLOT, q, n * r) * lam_e, MON_E, (0, 0)),
-                (q_int(s, q) * power(Q_SLOT, q, n * (r + 1)) * lam_e, MON_K, (1, -1)),
-            ),
-            ("F", MON_F): (
-                (power(Q_SLOT, q, s - r + n * r) * lam_f, MON_F, (0, 0)),
-                (q_int(r, q) * power(Q_SLOT, q, n * (r - 1)) * lam_f, UNIT, (-1, 1)),
-            ),
-        }
-        for gname, gmon in g_choices.items():
-            right = SmashTerm.monomial(((r, s), gmon))
-            for (rname, hmon), terms in closed.items():
-                computed = smash_mul_uq(SmashTerm.monomial(((m, n), hmon)), right, params)
-                expected = SmashTerm({})
-                for coeff, head, (dm, dn) in terms:
-                    for mon, w in uq_mul(UqElement.monomial(head), alpha_g[gmon], q).terms.items():
-                        expected.add_term(((m + r + dm, n + s + dn), mon), common * coeff * w)
-                row = "smash_closed_form_row_" + rname
-                _scan_eq(scan, row, (m, n, r, s, gname), computed, expected)
+    for gname, gmon in g_choices.items():
+        right = SmashTerm.monomial(((r, s), gmon))
+        for (rname, hmon), terms in closed.items():
+            computed = smash_mul_uq(SmashTerm.monomial(((m, n), hmon)), right, params)
+            expected = SmashTerm({})
+            for coeff, head, (dm, dn) in terms:
+                for mon, w in uq_mul(UqElement.monomial(head), alpha_g[gmon], q).terms.items():
+                    expected.add_term(((m + r + dm, n + s + dn), mon), common * coeff * w)
+            row = "smash_closed_form_row_" + rname
+            _scan_eq(scan, row, (m, n, r, s, gname), computed, expected)
     return witnessed(scan.done(), bases, _TermMap)

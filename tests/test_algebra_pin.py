@@ -12,10 +12,10 @@ recorded failure (equation, basis, lhs, rhs) in scan order, of:
 * the tables of ``_yau_twisted`` on inputs whose sums cancel; every zero
   entry must be the shared ``ZERO``.
 
-The fixture was written by this module's ``__main__`` block before these
-checkers shared one multiplicativity loop and the lemma became a composite
-declaration, and is the oracle for that change: never regenerate it to make
-this test pass.
+The fixture was written before these checkers shared one multiplicativity
+loop and the lemma became a composite declaration, and is the oracle for that
+change: never regenerate it to make this test pass.  ``test_gate`` pins its
+SHA-256.
 """
 
 import json
@@ -153,11 +153,3 @@ def test_the_pin_holds_failures_and_passes():
         assert pinned[f"lemma:{case}"]["passed"]
         assert not pinned[f"lemma_doubled_inverse:{case}"]["passed"]
 
-
-if __name__ == "__main__":
-    mp = pytest.MonkeyPatch()
-    data = {}
-    for case in NAMES:
-        data[case] = outcome(case, mp)
-        mp.undo()
-    PIN.write_text(json.dumps(data, indent=1) + "\n")

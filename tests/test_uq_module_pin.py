@@ -6,13 +6,16 @@ lambda^{-b}, are compared with ``uq_module_pin.json``: ``passed``, the number
 of equation instances scanned, the number that failed, and every recorded
 failure (equation, basis, lhs, rhs) in scan order.
 
-The fixture was written by this module's ``__main__`` block before `rho_l`
-became a sum over memoized monomial actions, and is the oracle for that
-change: never regenerate it to make this test pass.
+The fixture was written when the scan still ran its int instances itself, and
+is the oracle for the symbolic scan: it is now reproduced from the symbolic
+scan's equations, instantiated by ``uq_instances`` in the old scan order.
+Never regenerate it to make this test pass; ``test_gate`` pins its
+SHA-256.
 
 The pin covers seven fixed cases.  `TestModuleScanMatchesTheLoop` compares
-the scan with a verbatim copy of the loop it was before it tabulated its
-monomial images, on drawn parameters and bounds, plain and perturbed.
+the instances with the int loop the scan once was, on drawn parameters and
+bounds, plain and perturbed.  Perturbed, the check's own witnesses must also
+be the loop's failures in the witness box, and with none there it must raise.
 """
 
 import json
@@ -22,22 +25,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homtwist import exact, uqsl2
-from homtwist.errors import ParamConstraintViolation
+from homtwist.errors import HomTwistError
 from homtwist.exact import Q, Scan
-from homtwist.uqsl2 import (
-    GEN_MONOMIAL,
-    QPlaneElement,
-    UqElement,
-    UqParams,
-    _plane_monomials,
-    check_uq_module_hom_algebra,
-    coproduct_alpha,
-    mu_alpha,
-    qp_beta,
-    qp_mul,
-    uq_alpha,
-)
+from homtwist.formal import LAM_SLOT, power
+from homtwist.uqsl2 import QPlaneElement, UqElement, UqParams, check_uq_module_hom_algebra
 from test_uqsl2 import _PARAM_TUPLES
+from uq_instances import (
+    at_level,
+    box_planes,
+    loop_check_uq_module_hom_algebra,
+    module_instances,
+    plane_monomials,
+)
 
 PIN = pathlib.Path(__file__).with_name("uq_module_pin.json")
 BOUND = 3
@@ -56,7 +55,7 @@ def _perturbed(original):
     def rho_l(h, p, params):
         out = QPlaneElement({})
         for (a, b, c), coeff in h.terms.items():
-            mon = UqElement.monomial((a, b, c), coeff * params.lam ** (-b))
+            mon = UqElement({(a, b, c): coeff * power(LAM_SLOT, params.lam, -b)})
             for key, v in original(mon, p, params).terms.items():
                 out.add_term(key, v)
         return out
@@ -69,25 +68,14 @@ def _terms(terms):
 
 
 def outcome(name, monkeypatch):
-    calls, failed = [], []
-    eq = Scan.eq
-
-    def counting_eq(scan, equation, basis, lhs, rhs):
-        lhs, rhs = list(lhs), list(rhs)
-        calls.append(None)
-        if lhs != rhs:
-            failed.append(None)
-        return eq(scan, equation, basis, lhs, rhs)
-
-    monkeypatch.setattr(Scan, "eq", counting_eq)
     if name.startswith("perturbed"):
         monkeypatch.setattr(uqsl2, "rho_l", _perturbed(uqsl2.rho_l))
     tup, l = CASES[name]
-    report = check_uq_module_hom_algebra(UqParams(*tup, l), BOUND)
+    report, instances = module_instances(UqParams(*tup, l), BOUND)
     record = {
         "passed": report.passed,
-        "scanned": len(calls),
-        "failed": len(failed),
+        "scanned": len(instances),
+        "failed": sum(differs for _, _, differs in instances),
         "failures": [
             [f.equation, f.basis, _terms(f.lhs), _terms(f.rhs)] for f in report.failures
         ],
@@ -110,62 +98,8 @@ def test_the_criterion_cases_pass_and_the_perturbation_fails():
     assert len(perturbed["failures"]) == perturbed["failed"] > 0
 
 
-# ---------------------------------------------------------------------------
-# the module scan and mu_beta before the scan tabulated its monomial images
-# and mu_beta summed memoized monomial products, kept verbatim as oracles;
-# `rho_l` is read from the module at call time, so a patched one reaches both
-# ---------------------------------------------------------------------------
-
-
-def mu_beta(p1, p2, params):
-    """The Hom-quantum-plane multiplication beta o mu."""
-    return qp_beta(qp_mul(p1, p2, params.q), 1, params)
-
-
-def loop_check_uq_module_hom_algebra(params, bound):
-    rho_l = uqsl2.rho_l
-    if bound < 0:
-        raise ParamConstraintViolation(f"plane degree bound must be non-negative, got {bound}")
-    gens = {g: UqElement.monomial(mon) for g, mon in GEN_MONOMIAL.items()}
-    planes = {
-        mn: QPlaneElement.monomial(mn) for mn in _plane_monomials(bound)
-    }
-    scan = Scan()
-    for gname, g in gens.items():
-        ag = uq_alpha(g, 1, params.lam)
-        for mn, p in planes.items():
-            lhs = qp_beta(rho_l(g, p, params), 1, params)
-            rhs = rho_l(ag, qp_beta(p, 1, params), params)
-            scan.eq("module_alpha", (gname, mn), lhs.items(), rhs.items())
-    for g1name, g1 in gens.items():
-        ag1 = uq_alpha(g1, 1, params.lam)
-        for g2name, g2 in gens.items():
-            prod = mu_alpha(g1, g2, params)
-            for mn, p in planes.items():
-                lhs = rho_l(ag1, rho_l(g2, p, params), params)
-                rhs = rho_l(prod, qp_beta(p, 1, params), params)
-                scan.eq("module_assoc", (g1name, g2name, mn), lhs.items(), rhs.items())
-    for gname, g in gens.items():
-        a2g = uq_alpha(g, 2, params.lam)
-        delta = coproduct_alpha(g, params)
-        for mn1, p1 in planes.items():
-            for mn2, p2 in planes.items():
-                lhs = rho_l(a2g, mu_beta(p1, p2, params), params)
-                rhs = QPlaneElement({})
-                for (h1, h2), w in delta.terms.items():
-                    term = mu_beta(
-                        rho_l(UqElement.monomial(h1), p1, params),
-                        rho_l(UqElement.monomial(h2), p2, params),
-                        params,
-                    )
-                    for key, v in term.terms.items():
-                        rhs.add_term(key, w * v)
-                scan.eq("module_algebra_compat", (gname, mn1, mn2), lhs.items(), rhs.items())
-    return scan.done()
-
-
-def _scanned(check, params, bound):
-    """check(params, bound) and the (equation, basis) of each Scan.eq call, in order."""
+def _looped(params, bound):
+    """The int loop's report at params and bound, and the (equation, basis) of each instance."""
     seen = []
     eq = Scan.eq
 
@@ -175,7 +109,30 @@ def _scanned(check, params, bound):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Scan, "eq", recording_eq)
-        return check(params, bound), seen
+        return loop_check_uq_module_hom_algebra(params, plane_monomials(bound)), seen
+
+
+def _instantiated(params, bound):
+    """The symbolic scan's instances at params and bound, as `_looped` gives the loop's."""
+    report, instances = module_instances(params, bound)
+    return report, [(equation, basis) for equation, basis, _ in instances]
+
+
+def _witnesses_are_the_loop_failures_in_the_box(params):
+    """The check raises exactly when the loop passes the box, else witnesses its failures there.
+
+    The witnesses span every level of the box; those at params.l are compared.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "DEFAULT_FAILURE_CAP", 10 ** 6)
+        loop = loop_check_uq_module_hom_algebra(params, box_planes())
+        try:
+            witnesses = check_uq_module_hom_algebra(params).failures
+        except HomTwistError:
+            witnesses = None
+    assert (witnesses is None) == loop.passed
+    if witnesses is not None:
+        assert at_level(witnesses, params.l) == set(loop.failures)
 
 
 class TestModuleScanMatchesTheLoop:
@@ -187,9 +144,10 @@ class TestModuleScanMatchesTheLoop:
                 mp.setattr(exact, "DEFAULT_FAILURE_CAP", cap)
                 if perturb:
                     mp.setattr(uqsl2, "rho_l", _perturbed(uqsl2.rho_l))
+                    _witnesses_are_the_loop_failures_in_the_box(UqParams(*tup))
                 # fresh params for each side, so neither reads tables the other filled
-                got = _scanned(check_uq_module_hom_algebra, UqParams(*tup), bound)
-                want = _scanned(loop_check_uq_module_hom_algebra, UqParams(*tup), bound)
+                got = _instantiated(UqParams(*tup), bound)
+                want = _looped(UqParams(*tup), bound)
             assert got == want
             assert got[0].passed or perturb
 
@@ -201,17 +159,8 @@ class TestModuleScanMatchesTheLoop:
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(exact, "DEFAULT_FAILURE_CAP", cap)
                     mp.setattr(uqsl2, "rho_l", _perturbed(uqsl2.rho_l))
-                    got = _scanned(check_uq_module_hom_algebra, UqParams(2, 3, 5), bound)
-                    want = _scanned(loop_check_uq_module_hom_algebra, UqParams(2, 3, 5), bound)
+                    got = _instantiated(UqParams(2, 3, 5), bound)
+                    want = _looped(UqParams(2, 3, 5), bound)
                 assert got == want
                 assert got[0].passed == (failed == 0)
                 assert len(got[0].failures) == min(failed, cap)
-
-
-if __name__ == "__main__":
-    mp = pytest.MonkeyPatch()
-    data = {}
-    for case in sorted(CASES):
-        data[case] = outcome(case, mp)
-        mp.undo()
-    PIN.write_text(json.dumps(data, indent=1) + "\n")

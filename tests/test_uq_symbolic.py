@@ -4,12 +4,11 @@
 exponents m, n, r, s compute in the ring of sums c q^P lam^L xi^X.  Evaluated
 at any exponents they must give the int-exponent result, which the loop
 oracles of ``test_uqsl2`` pin independently.  `check_uq_module_hom_algebra`
-and `verify_smash_closed_forms` scan that one symbolic basis by default; a
-formal mismatch is reported at the failing instances of a small box, and one
-with none there is an error, never a pass.
+and `verify_smash_closed_forms` scan that one symbolic basis; a formal
+mismatch is reported at the failing instances of a small box, and one with
+none there is an error, never a pass.
 """
 
-import dataclasses
 import itertools
 
 import pytest
@@ -34,9 +33,16 @@ from homtwist.uqsl2 import (
     rho_generator_formula,
     verify_smash_closed_forms,
 )
-from test_smash_closed_pin import _perturbed as _doubled_on_odd_r_plus_s
 from test_uqsl2 import loop_mu_beta, oracle_rho_l, oracle_smash_mul_uq
+from uq_instances import (
+    at_level,
+    box_planes,
+    closed_form_instances,
+    loop_check_uq_module_hom_algebra,
+    smash_product_left,
+)
 
+# criterion 8's (q, lambda, xi) while lambda and xi were rationals; lambda xi = 1 at the second
 CRITERION_TUPLES = [(2, 3, 5), (3, Q(1, 2), 2)]
 CRITERION_POINTS = [(2, 3, 5), (3, 2, 5)]  # criterion 8's (q, lambda, xi)
 BASES = (Q(2), Q(3), Q(5))
@@ -140,7 +146,7 @@ class TestSymbolicMatchesInts:
         assert _instance(uqsl2.smash_mul_uq(*xs, params), env, params) == want
 
     def test_the_odd_degree_doubling_is_caught(self, monkeypatch):
-        # the pin's mutant doubles E and F rows on odd r + s; parity is not a
+        # the mutant doubles E and F rows on odd r + s; parity is not a
         # function the ring can hold, so it reaches only int exponents, and
         # only the differential comparison sees it
         xs = (SmashTerm.monomial(((M, N), MON_E)), SmashTerm.monomial(((R, S), MON_F)))
@@ -161,6 +167,20 @@ class TestSymbolicMatchesInts:
         assert verify_smash_closed_forms(UqParams(2, 3, 5, 0)).passed
 
 
+def _doubled_on_odd_r_plus_s(original):
+    """smash_mul_uq with the products of the E and F rows doubled on odd r + s."""
+
+    def smash_mul_uq(t1, t2, params):
+        out = original(t1, t2, params)
+        (_, head), = t1.terms
+        ((r, s), _), = t2.terms
+        if head in (MON_E, MON_F) and (r + s) % 2:
+            out = out.scale(2)
+        return out
+
+    return smash_mul_uq
+
+
 def _k_scaled_by_an_extra_q(mon, mn, params):
     """_monomial_rho with K^c scaled by q^{c(m-n+1)} in place of q^{c(m-n)}."""
     (a, b, c), (m, n) = mon, mn
@@ -176,28 +196,18 @@ def _k_scaled_by_an_extra_q(mon, mn, params):
     return (((m, n), coeff),) if coeff else ()
 
 
-def _exponents(basis):
-    """The ints in a basis tuple, at any depth."""
-    if isinstance(basis, tuple):
-        return [v for x in basis for v in _exponents(x)]
-    return [basis] if isinstance(basis, int) else []
+def _module_box_loop(params):
+    return loop_check_uq_module_hom_algebra(params, box_planes())
 
 
-def _at_level(failures, l):
-    """The witnesses at level l: those naming it, with the name dropped, and those naming none."""
-    out = set()
-    for f in failures:
-        if f.basis[-1] == f"l={l}":
-            out.add(dataclasses.replace(f, basis=f.basis[:-1]))
-        elif not str(f.basis[-1]).startswith("l="):
-            out.add(f)
-    return out
+def _closed_form_box(params):
+    box = formal.WITNESS_BOX - 1
+    return closed_form_instances(params, box, smash_product_left(params))[0]
 
 
 class TestSymbolicScans:
-    @pytest.mark.parametrize("tup", CRITERION_TUPLES)
-    @pytest.mark.parametrize("l", [0, 1, 2])
-    def test_the_criterion_cases_pass_in_24_instances(self, tup, l, monkeypatch):
+    @pytest.mark.parametrize("point", CRITERION_POINTS, ids=["q2", "q3"])
+    def test_the_criterion_cases_pass_in_24_instances(self, point, monkeypatch):
         seen = []
         eq = Scan.eq
 
@@ -206,35 +216,32 @@ class TestSymbolicScans:
             return eq(scan, equation, basis, lhs, rhs)
 
         monkeypatch.setattr(Scan, "eq", recording_eq)
-        params = UqParams(*tup, l)
+        params = UqParams(*point)
         assert check_uq_module_hom_algebra(params).passed
         assert len(seen) == 4 + 16 + 4
-        if l == 0:
-            seen.clear()
-            assert verify_smash_closed_forms(params).passed
-            assert len(seen) == 4 * 6
+        seen.clear()
+        assert verify_smash_closed_forms(params).passed
+        assert len(seen) == 4 * 6
 
     @pytest.mark.parametrize(
-        "check, bound, levels",
+        "check, int_scan, levels",
         [
-            (check_uq_module_hom_algebra, 2 * (formal.WITNESS_BOX - 1), range(formal.WITNESS_BOX)),
-            (verify_smash_closed_forms, formal.WITNESS_BOX - 1, [0]),
+            (check_uq_module_hom_algebra, _module_box_loop, range(formal.WITNESS_BOX)),
+            (verify_smash_closed_forms, _closed_form_box, [0]),
         ],
         ids=["module", "closed_forms"],
     )
-    def test_a_mutant_fails_where_the_bounded_scan_does(self, check, bound, levels, monkeypatch):
+    def test_a_mutant_fails_where_the_bounded_scan_does(self, check, int_scan, levels, monkeypatch):
         monkeypatch.setattr(exact, "DEFAULT_FAILURE_CAP", 10 ** 6)
         monkeypatch.setattr(uqsl2, "_monomial_rho", _k_scaled_by_an_extra_q)
         report = check(UqParams(2, 3, 5, 0))
         assert not report.passed and report.failures
         assert all(not symbols(f.basis) for f in report.failures)
         # at each level of the box, the witnesses that hold there are exactly
-        # the bounded scan's failures inside the box
+        # the failures of the box scanned at int exponents: by the int loop,
+        # or with the int-exponent smash_mul_uq against the closed forms
         for l in levels:
-            bounded = check(UqParams(2, 3, 5, l), bound)
-            assert _at_level(report.failures, l) == {
-                f for f in bounded.failures if max(_exponents(f.basis)) < formal.WITNESS_BOX
-            }
+            assert at_level(report.failures, l) == set(int_scan(UqParams(2, 3, 5, l)).failures)
 
     def test_witnesses_come_in_lexicographic_order_under_the_cap(self, monkeypatch):
         monkeypatch.setattr(uqsl2, "_monomial_rho", _k_scaled_by_an_extra_q)
@@ -272,10 +279,6 @@ class TestSymbolicScans:
         for report in (CheckReport(True), CheckReport(False, (failure,))):
             assert formal.witnessed(report, BASES, uqsl2._TermMap) is report
 
-    @pytest.mark.parametrize("check", [check_uq_module_hom_algebra, verify_smash_closed_forms])
-    def test_none_is_the_symbolic_scan_and_not_an_error(self, check):
-        assert check(UqParams(2, 3, 5, 0), None).passed
-
 
 def _rho_scaled_by(factor):
     """_monomial_rho with each image scaled by factor(params, n), n the y-degree acted on."""
@@ -305,9 +308,8 @@ def _sampled_rho_oracle(params, degrees=range(5)):
 class TestRhoGeneratorFormulas:
     """rho_l on the generators against their closed formulas, once over symbolic m, n."""
 
-    @pytest.mark.parametrize("tup", CRITERION_TUPLES)
-    @pytest.mark.parametrize("l", [0, 1, 2])
-    def test_the_criterion_cases_pass_in_4_equations(self, tup, l, monkeypatch):
+    @pytest.mark.parametrize("point", CRITERION_POINTS, ids=["q2", "q3"])
+    def test_the_criterion_cases_pass_in_4_equations(self, point, monkeypatch):
         seen = []
         eq = Scan.eq
 
@@ -316,7 +318,7 @@ class TestRhoGeneratorFormulas:
             return eq(scan, equation, basis, lhs, rhs)
 
         monkeypatch.setattr(Scan, "eq", recording_eq)
-        assert check_rho_generator_formulas(UqParams(*tup, l)).passed
+        assert check_rho_generator_formulas(UqParams(*point)).passed
         assert seen == [(gen, (M, N)) for gen in GEN_MONOMIAL]
 
     @given(_TUPLE_AND_LEVEL, st.sampled_from(list(GEN_MONOMIAL)), _ENV)

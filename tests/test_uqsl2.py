@@ -43,6 +43,13 @@ from homtwist.uqsl2 import (
     uq_mul,
     verify_smash_closed_forms,
 )
+from uq_instances import (
+    closed_form_instances,
+    loop_check_uq_module_hom_algebra,
+    module_instances,
+    plane_monomials,
+    smash_product_left,
+)
 
 PARAMS = UqParams(2, 3, 5, 0)
 
@@ -534,20 +541,27 @@ class TestRhoL:
 
 
 class TestModuleHomAlgebraScan:
+    """The scan is symbolic; its int instances come from the int loop and from `uq_instances`."""
+
     def test_bound_three(self):
-        assert check_uq_module_hom_algebra(PARAMS, 3).passed
+        assert loop_check_uq_module_hom_algebra(PARAMS, plane_monomials(3)).passed
+        report, instances = module_instances(PARAMS, 3)
+        assert report.passed and len(instances) == 4 * 10 + 16 * 10 + 4 * 100
 
     def test_bound_zero_products_vacuous(self):
-        assert check_uq_module_hom_algebra(PARAMS, 0).passed
+        assert loop_check_uq_module_hom_algebra(PARAMS, plane_monomials(0)).passed
+        report, instances = module_instances(PARAMS, 0)
+        assert report.passed and len(instances) == 4 + 16 + 4
 
+    # the scan takes no bound: one of any value is rejected, never ignored
     @pytest.mark.parametrize("bound", [-1, -3])
     def test_negative_bound_is_an_error_not_a_pass(self, bound):
-        with pytest.raises(ParamConstraintViolation, match="must be a non-negative integer, got -"):
+        with pytest.raises(TypeError):
             check_uq_module_hom_algebra(PARAMS, bound)
 
     @pytest.mark.parametrize("bound", [1.5, True, False, Q(2), "2"])
     def test_a_bound_that_is_not_an_int_is_an_error(self, bound):
-        with pytest.raises(ParamConstraintViolation, match="must be a non-negative integer, got "):
+        with pytest.raises(TypeError):
             check_uq_module_hom_algebra(PARAMS, bound)
 
     def test_perturbed_action_fails(self):
@@ -605,26 +619,32 @@ class TestSmashMul:
 
 
 class TestSmashClosedForms:
+    """Each instance of a closed form against the int-exponent smash_mul_uq."""
+
     @pytest.mark.parametrize("tup", [(2, 3, 5), (3, Q(1, 2), 2)])
     def test_bounds_two(self, tup):
-        assert verify_smash_closed_forms(UqParams(*tup, 0), 2).passed
+        params = UqParams(*tup, 0)
+        report, instances = closed_form_instances(params, 2, smash_product_left(params))
+        assert report.passed and len(instances) == 3 ** 4 * 24
 
     def test_bounds_zero(self):
-        assert verify_smash_closed_forms(PARAMS, 0).passed
+        report, instances = closed_form_instances(PARAMS, 0, smash_product_left(PARAMS))
+        assert report.passed and len(instances) == 24
 
+    # the scan takes no bounds: ones of any value are rejected, never ignored
     @pytest.mark.parametrize("bounds", [-1, -3])
     def test_negative_bounds_are_an_error_not_a_pass(self, bounds):
-        with pytest.raises(ParamConstraintViolation, match="must be a non-negative integer, got -"):
+        with pytest.raises(TypeError):
             verify_smash_closed_forms(PARAMS, bounds)
 
     @pytest.mark.parametrize("bounds", [1.5, True, False, Q(2), "2"])
     def test_bounds_that_are_not_an_int_are_an_error(self, bounds):
-        with pytest.raises(ParamConstraintViolation, match="must be a non-negative integer, got "):
+        with pytest.raises(TypeError):
             verify_smash_closed_forms(PARAMS, bounds)
 
     def test_requires_l_zero(self):
         with pytest.raises(ParamConstraintViolation):
-            verify_smash_closed_forms(UqParams(2, 3, 5, 1), 1)
+            verify_smash_closed_forms(UqParams(2, 3, 5, 1))
 
     def test_perturbed_formula_differs(self):
         # the K-row closed form with one extra lambda power disagrees with the
@@ -947,7 +967,7 @@ class TestMemoizedKernels:
         params = UqParams(3, Q(1, 2), 2, 2)
         t = SmashTerm({((1, 1), MON_E): ONE, ((2, 0), MON_KINV): Q(5)})
         smash_mul_uq(t, t, params)
-        check_uq_module_hom_algebra(params, 1)
+        check_uq_module_hom_algebra(params)
         ref = weakref.ref(params)
         del params
         gc.collect()
@@ -955,7 +975,7 @@ class TestMemoizedKernels:
 
     def test_warm_and_cold_params_are_equal(self):
         warm = UqParams(2, 3, 5, 0)
-        check_uq_module_hom_algebra(warm, 1)
+        check_uq_module_hom_algebra(warm)
         smash_mul_uq(SmashTerm.monomial(((1, 0), MON_E)), SmashTerm.monomial(((0, 1), MON_F)), warm)
         cold = UqParams(2, 3, 5, 0)
         assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
@@ -1019,13 +1039,13 @@ class TestOneExtension:
         for report in (
             check_pbw_confluence(Q(2)),
             check_hopf_on_relations(Q(2), Q(3)),
-            check_uq_module_hom_algebra(params, 1),
-            verify_smash_closed_forms(params, 1),
+            check_uq_module_hom_algebra(params),
+            verify_smash_closed_forms(params),
         ):
             assert report.passed
         compared = [(lhs, rhs) for e, lhs, rhs in seen if e != "rule_lowers_order"]
-        # 8 overlaps, 18 Hopf equations, 96 module instances at bound 1, 384 closed forms
-        assert len(compared) == 8 + 18 + 96 + 384
+        # 8 overlaps, 18 Hopf equations, 24 module equations, 24 closed forms
+        assert len(compared) == 8 + 18 + 24 + 24
         assert set(compared) == {((), ())} and sorted_calls == []
         # a failing pair is passed sorted, as before
         scan = Scan()

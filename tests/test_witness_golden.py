@@ -7,9 +7,9 @@ failure (equation, basis, lhs, rhs) in scan order, or the type and message of
 the precondition exception raised.  The constructors that tabulate composites
 are pinned by a digest of their structure constants.
 
-The fixture was written by this module's ``__main__`` block at the commit
-before the tensor-apply kernel existed, and is the oracle for that refactor:
-never regenerate it to make this test pass.
+The fixture was written at the commit before the tensor-apply kernel existed,
+and is the oracle for that refactor: never regenerate it to make this test
+pass.  ``test_gate`` pins its SHA-256.
 """
 
 import hashlib
@@ -576,6 +576,3 @@ def test_fixture_pins_failures_caps_and_preconditions(golden):
     assert any("raises" in r for r in records)
     assert sum(1 for r in records if r.get("passed")) >= 20
 
-
-if __name__ == "__main__":
-    FIXTURE.write_text(json.dumps(outcomes(), indent=1, sort_keys=True) + "\n")
