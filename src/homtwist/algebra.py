@@ -9,10 +9,12 @@ associative algebra has ``alpha`` the identity.  No axiom is assumed at
 construction; the checkers decide status.  Algebras are nonunital throughout.
 
 ``check_hom_algebra`` and ``check_associative`` scan their d^3 triples on
-sparse columns tabulated once per call: the nonzero constants ``map.cols``
-and, for Hom-associativity, the 2d^2 products alpha(e_i) e_l and
+sparse integer columns tabulated once per call: the integer form of the
+constants and, for Hom-associativity, the 2d^2 products alpha(e_i) e_l and
 e_l alpha(e_k), the columns of mu o (alpha (x) id) and mu o (id (x) alpha)
-as ``compose`` tabulates them.  ``HomAlgebra.product`` and the dense view
+as ``tabulate`` gives them, without zeros.  A failing triple's two sides
+are turned back into rationals by ``exact.rationals``.
+``HomAlgebra.product`` and the dense view
 f.matrix() (``Matrix.apply``, ``Matrix.col``) serve only ``_multiplicative``,
 the one d^2 scan of f(e_i e_j) = f(e_i) f(e_j) shared by ``check_hom_algebra``,
 ``multiplicativity_scan`` and ``check_algebra_morphism``.  Every other
@@ -32,7 +34,9 @@ from .exact import (
     compose,
     kron,
     mat_inv,
+    rationals,
     scan_composites,
+    tabulate,
     to_dense,
 )
 
@@ -101,37 +105,41 @@ def check_hom_algebra(algebra):
     """Scan multiplicativity of alpha and Hom-associativity over all basis tuples.
 
     Hom-associativity reads alpha(e_i) e_l and e_l alpha(e_k), tabulated once
-    by ``compose``, through the sparse constants of e_j e_k and e_i e_j.
+    in integers by ``tabulate``, through the integer constants of e_j e_k and e_i e_j.
     """
     d = algebra.dim
     scan = Scan()
     _multiplicative(scan, "multiplicativity", algebra.alpha, algebra, algebra)
     mu, alpha = algebra.map, algebra.alpha
-    left = [dict(col) for col in compose([(alpha, 0), (mu, 0)], (d, d)).cols]
-    right = [dict(col) for col in compose([(alpha, 1), (mu, 0)], (d, d)).cols]
+    # both paths read alpha and mu once, so the two tables share their denominator
+    left, _, den = tabulate([(alpha, 0), (mu, 0)], (d, d))
+    right, _, _ = tabulate([(alpha, 1), (mu, 0)], (d, d))
     left = [left[i * d:(i + 1) * d] for i in range(d)]
     right = [right[k::d] for k in range(d)]
-    _triple_scan(scan, "hom_associativity", mu.cols, left, right, True)
+    mu_den, cols = mu.integer_form()
+    _triple_scan(scan, "hom_associativity", cols, left, right, mu_den * den, True)
     return scan.done()
 
 
 def check_associative(algebra):
     """Plain associativity scan over the sparse constants; the structure map is ignored."""
     d = algebra.dim
-    cols = [dict(col) for col in algebra.map.cols]
-    left = [cols[i * d:(i + 1) * d] for i in range(d)]
-    right = [cols[k::d] for k in range(d)]
+    den, cols = algebra.map.integer_form()
+    tables = [dict(col) for col in cols]
+    left = [tables[i * d:(i + 1) * d] for i in range(d)]
+    right = [tables[k::d] for k in range(d)]
     scan = Scan()
-    _triple_scan(scan, "associativity", algebra.map.cols, left, right, False)
+    _triple_scan(scan, "associativity", cols, left, right, den * den, False)
     return scan.done()
 
 
-def _triple_scan(scan, name, cols, left, right, left_first):
+def _triple_scan(scan, name, cols, left, right, den, left_first):
     """Scan x_i (e_j e_k) = (e_i e_j) z_k on every basis triple (i, j, k) in order.
 
-    `cols` holds the sparse constants of e_i e_j at ``i*d + j``; ``left[i][l]``
-    is x_i e_l and ``right[k][l]`` is e_l z_k, as dicts without zeros.  An
-    equal pair reaches `scan` as two empty tuples and an unequal one as dense
+    `cols` holds the integer constants of e_i e_j at ``i*d + j``; ``left[i][l]``
+    is x_i e_l and ``right[k][l]`` is e_l z_k, as integer dicts without zeros,
+    so that both sides come out over the one denominator `den`.  An equal pair
+    reaches `scan` as two empty tuples and an unequal one as dense rational
     vectors, ``x_i (e_j e_k)`` first when `left_first`.
     """
     d = len(left)
@@ -151,12 +159,12 @@ def _triple_scan(scan, name, cols, left, right, left_first):
                 if a == b:
                     eq(name, (i, j, k), (), ())
                 else:
-                    a, b = to_dense(a, (d,)), to_dense(b, (d,))
+                    a, b = to_dense(rationals(a, den), (d,)), to_dense(rationals(b, den), (d,))
                     eq(name, (i, j, k), *((a, b) if left_first else (b, a)))
 
 
 def _combination(terms, columns):
-    """The sum of c * columns[l] over the (l, c) of `terms`, as a dict without zeros."""
+    """The sum of c * columns[l] over the (l, c) of `terms`, as an integer dict without zeros."""
     if not terms:
         return {}
     if len(terms) == 1:

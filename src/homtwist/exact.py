@@ -12,9 +12,8 @@ Everything else in the package builds on the conventions pinned here, once:
   ``as_scalar`` hands a value that already has the scalar type back
   unchanged (a zero as ``ZERO``), so building a table from scalars creates
   no new ones.  ``Matrix.apply`` and ``HomAlgebra.product`` skip an input
-  entry when it ``is ZERO``, and ``apply_at`` passes a factor that ``is ONE``
-  through a product; a zero or a one made by arithmetic is multiplied
-  through, so neither shortcut changes a value.  A ``LinearMap`` stores no
+  entry when it ``is ZERO``; a zero made by arithmetic is multiplied
+  through, so the shortcut changes no value.  A ``LinearMap`` stores no
   zero coefficient, and its dense views ``matrix()`` and ``table()`` fill
   the absent entries with ``ZERO``.
 * tensor factors flatten row-major, zero-based and left-associatively:
@@ -23,14 +22,11 @@ Everything else in the package builds on the conventions pinned here, once:
 * a matrix ``M`` acts on column coordinate vectors: the linear map it
   represents sends basis element ``e_c`` to ``sum_r M[r, c] e_r``.
 * every structure map (mu, Delta, alpha, R, T, actions, coactions, flips) is
-  stored as a ``LinearMap`` between tensor products, and ``apply_at`` is the
-  one place that applies such a map to a run of factors, of a run of sparse
-  tensors at once; an axiom is a pair of paths of ``(map, position)``
-  checked per basis tuple by ``scan_composites``, and a derived map (a
-  product table, a lifted map, a composite of two maps) is such a path
-  tabulated by ``compose`` and stored as it comes.  Both feed the basis in
-  runs of contiguous flat indices, one run per tuple of all the factors but
-  the last.  ``mat_inv`` and ``kron`` take and return ``LinearMap``s.
+  stored as a ``LinearMap`` between tensor products.  An axiom is a pair of
+  paths of ``(map, position)`` checked per basis tuple by
+  ``scan_composites``, and a derived map (a product table, a lifted map, a
+  composite of two maps) is such a path tabulated by ``compose`` and stored
+  as it comes.  ``mat_inv`` and ``kron`` take and return ``LinearMap``s.
   Nested input is read once, at the boundary: rows by ``LinearMap.from_rows``
   (in the manifest and the gallery), and structure constants by
   ``LinearMap.from_constants``, which checks their nesting and reads each
@@ -39,12 +35,24 @@ Everything else in the package builds on the conventions pinned here, once:
   exist only to be read: ``LinearMap.matrix()``, the one maker of a
   ``Matrix``, and ``LinearMap.table()`` behind the ``mul``, ``comul`` and
   ``table`` properties of algebras, coalgebras, actions and coactions.  The
-  exceptions are in ``algebra``:
-  Hom-associativity and associativity of one algebra, scanned on sparse
-  columns that ``compose`` tabulates once per call, and the one
-  multiplicativity scan f(e_i e_j) = f(e_i) f(e_j), which reads f through
-  ``matrix()`` and is the only caller of ``Matrix.apply`` and
-  ``HomAlgebra.product``.
+  one dense scan is in ``algebra``: multiplicativity f(e_i e_j) =
+  f(e_i) f(e_j), which reads f through ``matrix()`` and is the only caller
+  of ``Matrix.apply`` and ``HomAlgebra.product``.
+* the tensor kernel computes in ints.  ``LinearMap.integer_form()`` is a
+  map's columns times the lcm ``den`` of its denominators, made once per map
+  and kept.  ``apply_at`` is the one place that applies a map to a run of
+  factors, of a run of integer sparse tensors at once, and a path carries
+  the product of its maps' denominators.  ``compose``, ``tabulate`` and
+  ``scan_composites`` feed the basis in runs of contiguous flat indices,
+  each run the basis of the shortest trailing product of factors that holds
+  at least sqrt(N) of the N basis tensors.  ``scan_composites`` compares two
+  sides directly when their denominators are equal and cross-multiplied
+  when not.  Rationals come back only at the boundary, through
+  ``rationals``: ``compose`` stores reduced ``Fraction`` entries, no zero
+  and a one as ``ONE``, and a failing instance reaches the ``Scan`` as
+  dense ``Fraction`` vectors, so every report reads as over Q.  In
+  ``algebra``, Hom-associativity and associativity of one algebra are
+  scanned the same way on integer columns tabulated once per call.
 * a precondition is a check whose report must pass; ``CheckReport.require`` is
   the one place that turns a failed report into an exception.  A composite
   constructor calls the public checked constructors it is built from, checks
@@ -54,10 +62,11 @@ Everything else in the package builds on the conventions pinned here, once:
   fact is cached (``uqsl2`` memoizes pure values only).
 """
 
+import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
-import itertools
 
 from .errors import (
     DimensionMismatch,
@@ -172,11 +181,7 @@ class Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _size(dims):
-    n = 1
-    for d in dims:
-        n *= d
-    return n
+_size = math.prod
 
 
 def _nonzero(vec):
@@ -193,12 +198,13 @@ class LinearMap:
     order each column lists its pairs.
     """
 
-    __slots__ = ("src", "dst", "cols")
+    __slots__ = ("src", "dst", "cols", "_integer")
 
     def __init__(self, src, dst, cols):
         self.src = tuple(src)
         self.dst = tuple(dst)
         self.cols = tuple(cols)
+        self._integer = None
         if len(self.cols) != _size(self.src):
             raise DimensionMismatch(f"{len(self.cols)} columns for source dims {self.src}")
 
@@ -211,6 +217,22 @@ class LinearMap:
 
     def __hash__(self):
         return hash((self.src, self.dst, tuple(frozenset(col) for col in self.cols)))
+
+    def integer_form(self):
+        """(den, cols): ``den`` is the lcm of the coefficients' denominators and
+        ``cols[c]`` the nonzero ``(r, den * coefficient)`` pairs of ``self.cols[c]``,
+        as ints.  Made on first call and kept; equal columns share one tuple, which
+        keeps the form of a 0/1 map small."""
+        if self._integer is None:
+            den = math.lcm(1, *{v.denominator for col in self.cols for _, v in col})
+            shared = {}
+            self._integer = den, tuple(
+                shared.setdefault(col, col) for col in (
+                    tuple((r, v.numerator * (den // v.denominator)) for r, v in col if v)
+                    for col in self.cols
+                )
+            )
+        return self._integer
 
     @property
     def shape(self):
@@ -260,7 +282,9 @@ class LinearMap:
         """The same map with its source and target regrouped into other factors."""
         if _size(src) != _size(self.src) or _size(dst) != _size(self.dst):
             raise DimensionMismatch(f"cannot regroup {self.src} -> {self.dst} as {src} -> {dst}")
-        return LinearMap(src, dst, self.cols)
+        regrouped = LinearMap(src, dst, self.cols)
+        regrouped._integer = self._integer
+        return regrouped
 
     def matrix(self):
         """The dense view, of the map's shape even when it has no rows."""
@@ -319,11 +343,22 @@ def to_dense(x, dims):
     return out
 
 
-def apply_at(lmap, xs, dims, pos):
-    """Apply `lmap` to factors pos, pos+1, ... of each sparse tensor in `xs` over `dims`.
+def rationals(image, den):
+    """The nonzero entries of the integer image `image` over `den`, as reduced rationals.
 
-    The images come in order, the factors before the run and after it unchanged,
-    over ``dims[:pos] + lmap.dst + dims[pos + len(lmap.src):]``.
+    The one place the kernel turns integers back into scalars: a dict in the
+    image's order, a one as the shared ``ONE``.
+    """
+    return {r: ONE if v == den else Q(v, den) for r, v in image.items() if v}
+
+
+def apply_at(lmap, xs, dims, pos):
+    """Apply `lmap` to factors pos, pos+1, ... of each integer sparse tensor in `xs` over `dims`.
+
+    Reads the map's integer form ``(den, cols)``, so each image is ``den`` times
+    the image under `lmap`.  The images come in order, the factors before the
+    run and after it unchanged, over ``dims[:pos] + lmap.dst + dims[pos + len(lmap.src):]``;
+    a sum that cancels keeps its zero.
     """
     end = pos + len(lmap.src)
     if tuple(dims[pos:end]) != lmap.src:
@@ -331,7 +366,7 @@ def apply_at(lmap, xs, dims, pos):
     right = _size(dims[end:])
     block_in = _size(lmap.src) * right
     block_out = _size(lmap.dst) * right
-    cols = lmap.cols
+    cols = lmap.integer_form()[1]
     images = []
     for x in xs:
         out = {}
@@ -341,37 +376,69 @@ def apply_at(lmap, xs, dims, pos):
             base = outer * block_out + rest
             for t, w in cols[mid]:
                 o = base + t * right
-                p = w if v is ONE else v if w is ONE else v * w
-                out[o] = out[o] + p if o in out else p
+                out[o] = out[o] + v * w if o in out else v * w
         images.append(out)
     return images
 
 
 def apply_path(path, xs, dims):
-    """Apply each ``(map, position)`` of `path` in turn to the run `xs`; returns (images, dims)."""
+    """Apply each ``(map, position)`` of `path` in turn to the integer run `xs`.
+
+    Returns (images, dims, den): each image is ``den``, the product of the
+    maps' denominators, times the image under the path.
+    """
     dims = tuple(dims)
+    den = 1
     for lmap, pos in path:
         xs = apply_at(lmap, xs, dims, pos)
         dims = dims[:pos] + lmap.dst + dims[pos + len(lmap.src):]
-    return xs, dims
+        den *= lmap.integer_form()[0]
+    return xs, dims, den
 
 
 def _runs(dims):
-    """The basis tensors over `dims` in contiguous runs, one per tuple of all factors but the
-    last; an empty run comes first, so a path meets `dims` even when there is no basis."""
-    run = _size(dims[-1:])
-    yield []
-    for start in range(0, _size(dims), run or 1):
-        yield [{c: ONE} for c in range(start, start + run)]
+    """The basis tensors over `dims` in contiguous runs, each the basis of the shortest trailing
+    product of factors that holds at least sqrt(N) of the N tensors; with no basis, one empty
+    run, so a path still meets `dims`."""
+    n, run = _size(dims), 1
+    for d in reversed(dims):
+        if run * run >= n:
+            break
+        run *= d
+    if not n:
+        yield []
+    for start in range(0, n, run):
+        yield [{c: 1} for c in range(start, start + run)]
+
+
+def _tabulated(path, dims, entries):
+    """``entries(image, den)`` of the path's image of each basis tensor over `dims`,
+    with the target dims and the path's denominator."""
+    cols = []
+    for xs in _runs(dims):
+        ys, out_dims, den = apply_path(path, xs, dims)
+        cols.extend(entries(y, den) for y in ys)
+    return cols, out_dims, den
+
+
+def tabulate(path, dims):
+    """The path's integer images of the basis over `dims`, without zeros.
+
+    Returns (images, target dims, den)."""
+    return _tabulated(path, dims, lambda y, den: {r: v for r, v in y.items() if v})
 
 
 def compose(path, dims):
     """The composite of `path` on tensors over `dims`, tabulated as a LinearMap."""
-    cols = []
-    for xs in _runs(dims):
-        ys, out_dims = apply_path(path, xs, dims)
-        cols.extend(tuple((r, v) for r, v in y.items() if v) for y in ys)
+    cols, out_dims, _ = _tabulated(path, dims, lambda y, den: tuple(rationals(y, den).items()))
     return LinearMap(dims, out_dims, cols)
+
+
+def _agree(a, b, ma, mb):
+    """Is a * ma == b * mb, for integer images `a` and `b` that may hold zeros?"""
+    if ma == mb and a == b:
+        return True
+    return {r: v * ma for r, v in a.items() if v} == {r: v * mb for r, v in b.items() if v}
 
 
 def scan_composites(blocks, scan=None):
@@ -379,20 +446,34 @@ def scan_composites(blocks, scan=None):
 
     `blocks` is a sequence of ``(dims, equations)``, each equation a triple
     ``(name, lhs path, rhs path)``.  Both sides of every equation are
-    tabulated on one run of `_runs` at a time, then compared per basis tuple
-    in lexicographic order and, for each tuple, per equation in the order
-    given.  Returns the report of `scan` (a fresh Scan by default).
+    tabulated in integers on one run of `_runs` at a time, then compared per
+    basis tuple in lexicographic order and, for each tuple, per equation in
+    the order given: directly when the two denominators are equal, else
+    cross-multiplied.  An equal pair reaches `scan` as two empty tuples, an
+    unequal one as dense rational vectors.  Returns the report of `scan` (a
+    fresh Scan by default).
     """
     scan = Scan() if scan is None else scan
+    eq = scan.eq
     for dims, equations in blocks:
         dims = tuple(dims)
         basis = itertools.product(*(range(d) for d in dims))
         for xs in _runs(dims):
-            sides = [(name, apply_path(lhs, xs, dims), apply_path(rhs, xs, dims))
-                     for name, lhs, rhs in equations]
+            sides = []
+            for name, lhs, rhs in equations:
+                ls, l_dims, l_den = apply_path(lhs, xs, dims)
+                rs, r_dims, r_den = apply_path(rhs, xs, dims)
+                g = math.gcd(l_den, r_den)
+                # sides over spaces of different sizes never agree
+                scales = (r_den // g, l_den // g) if _size(l_dims) == _size(r_dims) else None
+                sides.append((name, ls, rs, scales, l_dims, l_den, r_dims, r_den))
             for k, b in enumerate(itertools.islice(basis, len(xs))):
-                for name, (ls, l_dims), (rs, r_dims) in sides:
-                    scan.eq(name, b, to_dense(ls[k], l_dims), to_dense(rs[k], r_dims))
+                for name, ls, rs, scales, l_dims, l_den, r_dims, r_den in sides:
+                    if scales is not None and _agree(ls[k], rs[k], *scales):
+                        eq(name, b, (), ())
+                    else:
+                        eq(name, b, to_dense(rationals(ls[k], l_den), l_dims),
+                           to_dense(rationals(rs[k], r_den), r_dims))
     return scan.done()
 
 

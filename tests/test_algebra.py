@@ -18,7 +18,7 @@ from homtwist.algebra import (
 from homtwist import exact
 from homtwist.errors import DimensionMismatch, NotMultiplicative, PreconditionFailure
 from homtwist.exact import (
-    ONE, ZERO, LinearMap, Q, Scan, kron
+    ONE, ZERO, LinearMap, Q, Scan, compose, kron
 )
 from homtwist.gallery import GalleryKey, build, k2_algebra, swap_matrix
 from homtwist.twisted import flip, ttp
@@ -449,3 +449,27 @@ class TestCanonicalTables:
         twisted = yau_twist_algebra(a, alpha)
         assert twisted.mul[0][0] == (ONE, ZERO)
         assert twisted.mul[0][0][1] is ZERO
+
+    @given(algebra=cancelling_algebras())
+    @settings(max_examples=60, deadline=None)
+    def test_a_composed_table_stores_reduced_rationals_and_no_zero(self, algebra):
+        # the kernel multiplies integers; compose turns each entry back into a rational once
+        d = algebra.dim
+        mu, alpha = algebra.map, algebra.alpha
+        for path in ([(alpha, 0), (mu, 0)], [(alpha, 1), (mu, 0)]):
+            table = compose(path, (d, d))
+            entries = [c for col in table.cols for _, c in col]
+            assert all(type(c) is Q and c for c in entries)
+            assert all(c is ONE for c in entries if c == 1)
+            assert table == LinearMap.from_rows(table.matrix().data).reshaped((d, d), (d,))
+
+    @pytest.mark.parametrize("check", [check_hom_algebra, check_associative])
+    @given(algebra=cancelling_algebras())
+    @settings(max_examples=60, deadline=None)
+    def test_a_failure_holds_reduced_rationals(self, check, algebra):
+        # the multiplicativity scan keeps its dense Fraction loop, so only the triple
+        # scans' failures come from integers
+        for f in check(algebra).failures:
+            assert all(type(c) is Q for c in f.lhs + f.rhs)
+            if len(f.basis) == 3:
+                assert all(c is ZERO for c in f.lhs + f.rhs if not c)

@@ -30,6 +30,7 @@ from homtwist.exact import (
     kron,
     mat_inv,
     rat_parse,
+    rationals,
     scan_composites,
     to_dense,
     unflatten_index,
@@ -298,13 +299,16 @@ _rationals = st.builds(Q, st.integers(-4, 4), st.integers(1, 3))
 _sparse_entry = st.one_of(st.just(Q(0)), st.just(Q(0)), _rationals)
 
 
+_int_entry = st.one_of(st.just(0), st.just(0), st.integers(-4, 4))
+
+
 @st.composite
 def _tensor_and_run(draw):
-    """Factor dims (at most 4 factors of dim 1..3), a contiguous run and a sparse tensor."""
+    """Factor dims (at most 4 factors of dim 1..3), a contiguous run, an integer sparse tensor."""
     dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
     pos = draw(st.integers(0, len(dims) - 1))
     k = draw(st.integers(1, len(dims) - pos))
-    coords = draw(st.lists(_sparse_entry, min_size=_size(dims), max_size=_size(dims)))
+    coords = draw(st.lists(_int_entry, min_size=_size(dims), max_size=_size(dims)))
     return dims, pos, k, {i: c for i, c in enumerate(coords) if c}
 
 
@@ -322,9 +326,12 @@ class TestApplyAt:
         left = LinearMap.identity(_size(dims[:pos]))
         right = LinearMap.identity(_size(dims[pos + k:]))
         full = kron(kron(left, m), right)
-        assert to_dense(y, out_dims) == full.matrix().apply(to_dense(x, dims))
+        # the image is over the map's denominator, in integers
+        den = m.integer_form()[0]
+        assert all(type(v) is int for v in y.values())
+        assert to_dense(rationals(y, den), out_dims) == full.matrix().apply(to_dense(x, dims))
         # a run of three tensors maps each one as it maps alone
-        coords = st.lists(_sparse_entry, min_size=_size(dims), max_size=_size(dims))
+        coords = st.lists(_int_entry, min_size=_size(dims), max_size=_size(dims))
         run = [x] + [{i: c for i, c in enumerate(data.draw(coords)) if c} for _ in range(2)]
         images = apply_at(m.reshaped(src, dst), run, dims, pos)
         assert images == [apply_at(m.reshaped(src, dst), [z], dims, pos)[0] for z in run]
@@ -339,8 +346,8 @@ class TestApplyAt:
             return
         d1, d2 = dims[pos], dims[pos + 1]
         path = [(LinearMap.flip(d1, d2), pos), (LinearMap.flip(d2, d1), pos)]
-        [y], out_dims = apply_path(path, [x], dims)
-        assert out_dims == dims
+        [y], out_dims, den = apply_path(path, [x], dims)
+        assert out_dims == dims and den == 1
         assert to_dense(y, dims) == to_dense(x, dims)
 
     def test_flip_swaps_factors(self):
@@ -688,9 +695,12 @@ def tuple_scan_composites(blocks, scan=None):
     return scan.done()
 
 
-# Coefficients with both kinds of one: the shared ONE and a fresh Fraction(1).
+# Coefficients with both kinds of one, the shared ONE and a fresh Fraction(1), and with
+# denominators 3, 4 and 6, so that the two sides of an equation often have different
+# integer-form denominators.
 _kernel_entry = st.one_of(
-    st.just(Q(-1)), st.just(ZERO), st.just(Q(1, 2)), st.builds(Fraction, st.just(1)), st.just(ONE)
+    st.just(Q(-1)), st.just(ZERO), st.just(Q(1, 2)), st.builds(Fraction, st.just(1)), st.just(ONE),
+    st.builds(Fraction, st.integers(-7, 7), st.sampled_from([3, 4, 6])),
 )
 
 
@@ -753,3 +763,67 @@ class TestBatchedKernelMatchesThePerTupleKernel:
         got, want = scan_composites(blocks), tuple_scan_composites(blocks)
         assert got == want and not got.passed
         assert len(got.failures) == exact.DEFAULT_FAILURE_CAP
+
+
+def _recorded_sides(blocks):
+    """The report of scan_composites on `blocks` and the (lhs, rhs) of each Scan.eq call."""
+    sides, eq = [], Scan.eq
+
+    def recording_eq(scan, equation, basis, lhs, rhs):
+        sides.append((lhs, rhs))
+        return eq(scan, equation, basis, lhs, rhs)
+
+    with mock.patch.object(Scan, "eq", recording_eq):
+        report = scan_composites(blocks)
+    return report, sides
+
+
+class TestIntegerForm:
+    """The kernel runs on integer columns over one denominator per map, and rebuilds
+    rationals only for a stored table or a failing instance."""
+
+    def test_a_map_is_its_integer_columns_over_the_lcm_denominator(self):
+        f = lmap([[Q(1, 3), Q(-3, 4)], [0, Q(5, 6)]])
+        assert f.integer_form() == (12, (((0, 4),), ((0, -9), (1, 10))))
+        assert f.integer_form() is f.integer_form()
+        assert lmap([[1, 0], [2, -1]]).integer_form() == (1, (((0, 1), (1, 2)), ((1, -1),)))
+
+    def test_sides_equal_only_after_cross_multiplying(self):
+        # (1/3)(3/4) = 1/4 entrywise: the left side is 3 over 12, the right 1 over 4
+        third = lmap([[Q(1, 3), 0], [0, Q(1, 3)]])
+        three_quarters = lmap([[Q(3, 4), 0], [0, Q(3, 4)]])
+        quarter = lmap([[Q(1, 4), 0], [0, Q(1, 4)]])
+        lhs, rhs = [(third, 0), (three_quarters, 0)], [(quarter, 1)]
+        ls, _, l_den = apply_path(lhs, [{1: 1}], (2, 2))
+        rs, _, r_den = apply_path(rhs, [{1: 1}], (2, 2))
+        assert (ls, l_den, rs, r_den) == ([{1: 3}], 12, [{1: 1}], 4)
+        blocks = [((2, 2), [("cross", lhs, rhs)])]
+        report, sides = _recorded_sides(blocks)
+        assert report == tuple_scan_composites(blocks) == CheckReport(True)
+        assert sides == [((), ())] * 4
+
+    def test_unequal_sides_give_the_oracles_reduced_rationals(self):
+        f = lmap([[Q(1, 3), Q(2, 3)], [Q(-7, 6), Q(1, 4)]])
+        g = lmap([[Q(3, 4), 1], [Q(1, 2), Q(-5, 3)]])
+        # the matrix product f g, so applying g and then f agrees with it and f then g does not
+        fg = lmap([[Q(7, 12), Q(-7, 9)], [Q(-3, 4), Q(-19, 12)]])
+        blocks = [((2,), [
+            ("fg", [(g, 0), (f, 0)], [(fg, 0)]), ("gf", [(f, 0), (g, 0)], [(fg, 0)]),
+        ])]
+        got, want = scan_composites(blocks), tuple_scan_composites(blocks)
+        assert got == want and [x.equation for x in got.failures] == ["gf", "gf"]
+        assert [str(x) for x in got.failures] == [str(x) for x in want.failures]
+        for failure in got.failures:
+            assert all(type(c) is Q for c in failure.lhs + failure.rhs)
+            assert all(c is ZERO for c in failure.lhs + failure.rhs if not c)
+
+    def test_a_sum_that_cancels_in_an_integer_image_still_reaches_the_scan_as_equal(self):
+        # e_0 -> (e_0 - e_1)/2, then both coordinates summed: 1/2 - 1/2 = 0
+        split, total = lmap([[Q(1, 2)], [Q(-1, 2)]]), lmap([[1, 1]])
+        [image], _, den = apply_path([(split, 0), (total, 0)], [{0: 1}], (1,))
+        assert image == {0: 0} and den == 2
+        blocks = [((1,), [("cancels", [(split, 0), (total, 0)], [(lmap([[0]]), 0)])])]
+        report, sides = _recorded_sides(blocks)
+        assert report == tuple_scan_composites(blocks) == CheckReport(True)
+        assert sides == [((), ())]
+        assert compose([(split, 0), (total, 0)], (1,)).cols == ((),)

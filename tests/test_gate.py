@@ -12,8 +12,9 @@ view that ``algebra._multiplicative`` reads through ``Matrix.apply`` and
 ``HomAlgebra.product``; nested structure constants are read only by the four
 boundary constructors and tabulated only by the dense-view properties
 ``mul``, ``comul`` and ``table``; every other composite goes through
-``exact.compose`` or ``exact.scan_composites``.  No module imports a name it
-never reads.
+``exact.compose`` or ``exact.scan_composites``, whose kernel computes in
+ints and rebuilds rationals only through ``exact.rationals``.  No module
+imports a name it never reads.
 """
 
 import ast
@@ -634,6 +635,72 @@ class TestNoHeavyImports:
             "    import sympy.core\n"
         )
         assert heavy_imports(source) == ["numpy", "scipy", "sympy.core"]
+
+
+# The integer tensor kernel, by module: it multiplies and adds ints only, and hands its
+# integer images to `exact.rationals`, the one place they become rationals again.
+KERNEL_FUNCTIONS = {
+    "exact.py": [
+        "apply_at", "apply_path", "_runs", "_tabulated", "tabulate", "compose", "_agree",
+        "scan_composites",
+    ],
+    "algebra.py": ["_triple_scan", "_combination"],
+}
+# Names that would bring a rational or a float into the kernel's arithmetic.
+RATIONAL_NAMES = {"Q", "Fraction", "ONE", "ZERO", "float", "as_scalar"}
+
+
+def rational_sites(source, filename, functions):
+    """`file:function` of each `/`, and each read of a RATIONAL_NAMES name or a
+    ``.Fraction`` attribute, inside `functions`; a function not found is reported
+    as `file:function missing`."""
+    sites, found = [], set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.FunctionDef) or node.name not in functions:
+            continue
+        found.add(node.name)
+        for n in ast.walk(node):
+            if (
+                isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Div)
+                or isinstance(n, ast.Name) and n.id in RATIONAL_NAMES
+                or isinstance(n, ast.Attribute) and n.attr == "Fraction"
+            ):
+                sites.append(f"{filename}:{node.name}")
+    return sites + [f"{filename}:{name} missing" for name in functions if name not in found]
+
+
+class TestIntegerKernel:
+    """The tensor kernel's hot loops run on ints: no `/`, and no rational built or read."""
+
+    def test_the_kernel_functions_build_no_rational(self):
+        sites = []
+        for filename, functions in KERNEL_FUNCTIONS.items():
+            sites += rational_sites((SRC / filename).read_text(encoding="utf-8"), filename, functions)
+        assert sites == []
+
+    def test_the_guard_sees_the_boundary_helper(self):
+        source = (SRC / "exact.py").read_text(encoding="utf-8")
+        assert set(rational_sites(source, "exact.py", ["rationals"])) == {"exact.py:rationals"}
+
+    def test_the_guard_sees_the_fraction_kernel(self):
+        old = (
+            "def apply_at(lmap, xs, dims, pos):\n"
+            "    p = w if v is ONE else v if w is ONE else v * w\n"
+            "def scan_composites(blocks):\n"
+            "    return [Q(v, den) for v in image] + [v / den for v in image]\n"
+            "def _combination(terms, columns):\n"
+            "    out = {}\n"
+            "    out[r] /= fractions.Fraction(c)\n"
+        )
+        assert rational_sites(old, "k.py", ["apply_at", "scan_composites", "_combination"]) == [
+            "k.py:apply_at", "k.py:apply_at",
+            "k.py:scan_composites", "k.py:scan_composites",
+            "k.py:_combination", "k.py:_combination",
+        ]
+
+    def test_the_guard_reports_a_function_it_cannot_find(self):
+        kernel = "def apply_at(lmap, xs, dims, pos):\n    return [v * w // g for v in xs]\n"
+        assert rational_sites(kernel, "k.py", ["apply_at", "compose"]) == ["k.py:compose missing"]
 
 
 class TestIntExponentsGiveFractions:

@@ -646,6 +646,20 @@ class TestSmashClosedForms:
         with pytest.raises(ParamConstraintViolation):
             verify_smash_closed_forms(UqParams(2, 3, 5, 1))
 
+    def test_each_row_forms_its_inner_action_once_for_all_six_g(self, monkeypatch):
+        # one rho_l per term of Delta_alpha(h) of each of the four rows, not one per G
+        calls = []
+        real = uqsl2.rho_l
+
+        def counted(h, p, params):
+            calls.append(h)
+            return real(h, p, params)
+
+        monkeypatch.setattr(uqsl2, "rho_l", counted)
+        assert verify_smash_closed_forms(PARAMS).passed
+        rows = (MON_K, MON_KINV, MON_E, MON_F)
+        assert len(calls) == sum(len(coproduct_alpha(mono(h), PARAMS).terms) for h in rows)
+
     def test_perturbed_formula_differs(self):
         # the K-row closed form with one extra lambda power disagrees with the
         # computed product at (m, n, r, s) = (0, 1, 0, 0), G = 1
@@ -903,6 +917,15 @@ class TestMemoizedKernels:
     @settings(max_examples=40, deadline=None)
     def test_smash_mul_uq_matches_the_loop(self, tup, t1, t2):
         _assert_matches_its_loop(smash_mul_uq, oracle_smash_mul_uq, tup, t1, t2)
+
+    @given(_PARAM_TUPLES, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_the_closed_forms_product_with_g_is_the_product_with_one_times_g(self, tup, data):
+        t, plane, g = data.draw(_SMASH), data.draw(_PLANE), data.draw(_PBW)
+        params = UqParams(*tup)
+        by_unit = smash_mul_uq(t, SmashTerm.monomial((plane, UNIT)), params)
+        want = smash_mul_uq(t, SmashTerm.monomial((plane, g)), params)
+        assert uqsl2._right_factor(by_unit, g, params) == want
 
     @given(_PARAM_TUPLES, _QP, _QP)
     @settings(max_examples=80, deadline=None)

@@ -13,7 +13,9 @@ plane monomials of degree <= a bound (pairs of them for
 The references compute at int exponents without the formal ring:
 `loop_check_uq_module_hom_algebra` is the module scan as the loop it was
 before it tabulated its monomial images, over a given list of plane
-monomials (`plane_monomials` of a bound, or the witness box), and `smash_product_left` puts the
+monomials (`plane_monomials` of a bound, or the witness box); it forms each
+distinct rho_l image once per call, and its equations are unchanged.
+`smash_product_left` puts the
 int-exponent `smash_mul_uq` on the left of each closed form.  Both read
 `uqsl2.rho_l` and `uqsl2.smash_mul_uq` at call time, so a patched one reaches
 them.
@@ -154,8 +156,21 @@ def mu_beta(p1, p2, params):
     return qp_beta(qp_mul(p1, p2, params.q), 1, params)
 
 
+def _each_image_once(rho_l):
+    """`rho_l` forming each image once: the loop asks for rho_l(h1, p1) again for every p2."""
+    images = {}
+
+    def once(h, p, params):
+        key = tuple(h.terms.items()), tuple(p.terms.items())
+        if key not in images:
+            images[key] = rho_l(h, p, params)
+        return images[key]
+
+    return once
+
+
 def loop_check_uq_module_hom_algebra(params, monomials):
-    rho_l = uqsl2.rho_l
+    rho_l = _each_image_once(uqsl2.rho_l)
     gens = {g: UqElement.monomial(mon) for g, mon in GEN_MONOMIAL.items()}
     planes = {mn: QPlaneElement.monomial(mn) for mn in monomials}
     scan = Scan()
