@@ -411,27 +411,21 @@ def _runs(dims):
         yield [{c: 1} for c in range(start, start + run)]
 
 
-def _tabulated(path, dims, entries):
-    """``entries(image, den)`` of the path's image of each basis tensor over `dims`,
-    with the target dims and the path's denominator."""
-    cols = []
-    for xs in _runs(dims):
-        ys, out_dims, den = apply_path(path, xs, dims)
-        cols.extend(entries(y, den) for y in ys)
-    return cols, out_dims, den
-
-
 def tabulate(path, dims):
     """The path's integer images of the basis over `dims`, without zeros.
 
     Returns (images, target dims, den)."""
-    return _tabulated(path, dims, lambda y, den: {r: v for r, v in y.items() if v})
+    images = []
+    for xs in _runs(dims):
+        ys, out_dims, den = apply_path(path, xs, dims)
+        images.extend({r: v for r, v in y.items() if v} for y in ys)
+    return images, out_dims, den
 
 
 def compose(path, dims):
     """The composite of `path` on tensors over `dims`, tabulated as a LinearMap."""
-    cols, out_dims, _ = _tabulated(path, dims, lambda y, den: tuple(rationals(y, den).items()))
-    return LinearMap(dims, out_dims, cols)
+    images, out_dims, den = tabulate(path, dims)
+    return LinearMap(dims, out_dims, [tuple(rationals(y, den).items()) for y in images])
 
 
 def _agree(a, b, ma, mb):

@@ -600,9 +600,11 @@ class SmashTerm(_TermMap):
 def smash_mul_uq(t1, t2, params):
     """The Hom-smash multiplication on the quantum plane # U_q(sl2)_alpha.
 
-    (a # h)(a' # h') = a (alpha^{-2}(h1) . beta^{-1}(a')) # alpha^{-1}(h2) h'
+    (a # h)(a' # h') = a (alpha^{-2}(h1) . beta^{-1}(a')) # alpha(alpha^{-1}(h2) h')
     with Delta_alpha = Delta o alpha and the rho_l action, summed over
-    Delta_alpha(h) = sum h1 (x) h2 and extended bilinearly.
+    Delta_alpha(h) = sum h1 (x) h2 and extended bilinearly.  Each pair of
+    monomials is formed as (a # h)(a' # 1), whose U_q side is h2, and
+    `_right_factor` then brings in h'.
     """
 
     def rule(ph1, ph2):
@@ -610,32 +612,31 @@ def smash_mul_uq(t1, t2, params):
         a, binv = QPlaneElement.monomial(p1), qp_beta(QPlaneElement.monomial(p2), -1, params)
 
         def tail(pair):
-            ha, hb = (UqElement.monomial(h) for h in pair)
-            acted = rho_l(uq_alpha(ha, -2, params.lam), binv, params)
-            uq = mu_alpha(uq_alpha(hb, -1, params.lam), UqElement.monomial(h2), params)
-            return SmashTerm.outer(mu_beta(a, acted, params), uq).terms.items()
+            ha, hb = pair
+            acted = rho_l(uq_alpha(UqElement.monomial(ha), -2, params.lam), binv, params)
+            return SmashTerm.outer(mu_beta(a, acted, params), UqElement.monomial(hb)).terms.items()
 
         delta = coproduct_alpha(UqElement.monomial(h1), params)
-        return _extend(SmashTerm, tail, delta).terms.items()
+        return _right_factor(_extend(SmashTerm, tail, delta), h2, params).terms.items()
 
     return _extend(SmashTerm, rule, t1, t2)
 
 
-def _right_factor(product, h2, params):
-    """(a # h)(a' # h2) from the product (a # h)(a' # 1).
+def _right_factor(by_unit, g, params):
+    """(a # h)(a' # g) from by_unit = (a # h)(a' # 1): the U_q side of `smash_mul_uq`.
 
-    The U_q side of (a # h)(a' # h') is alpha(alpha^{-1}(h_2) h'), which is h_2
-    at h' = 1, so each term P # u of `product` becomes P # alpha(alpha^{-1}(u) h2):
-    the action on a', the part that does not read h', is not formed again.
+    Each term P # u of `by_unit` becomes P # alpha(alpha^{-1}(u) g), so the
+    action on a', the part that does not read the right U_q factor, is formed
+    once for any number of g.
     """
-    right = UqElement.monomial(h2)
+    right = UqElement.monomial(g)
 
     def rule(term):
         plane, u = term
         uq = mu_alpha(uq_alpha(UqElement.monomial(u), -1, params.lam), right, params)
         return SmashTerm.outer(QPlaneElement.monomial(plane), uq).terms.items()
 
-    return _extend(SmashTerm, rule, product)
+    return _extend(SmashTerm, rule, by_unit)
 
 
 def verify_smash_closed_forms(params):
@@ -643,9 +644,10 @@ def verify_smash_closed_forms(params):
 
     Compares smash_mul_uq against the closed forms after PBW normalization,
     for G in {1, E, F, K, Kinv, EK}, with the plane exponents m, n, r, s,
-    lambda and xi formal, so a pass holds for all of them.  A row times
-    x^r y^s # G is `_right_factor` of the row times x^r y^s # 1, so each row's
-    inner action is formed once for all six G.
+    lambda and xi formal, so a pass holds for all of them.  Each row times
+    x^r y^s # 1 is formed once by smash_mul_uq, and each G is brought in by
+    `_right_factor`, the step smash_mul_uq ends with, so each row's inner
+    action is formed once for all six G.
     """
     if params.l != 0:
         raise ParamConstraintViolation("the closed formulas are stated for l = 0")

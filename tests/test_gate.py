@@ -641,7 +641,7 @@ class TestNoHeavyImports:
 # integer images to `exact.rationals`, the one place they become rationals again.
 KERNEL_FUNCTIONS = {
     "exact.py": [
-        "apply_at", "apply_path", "_runs", "_tabulated", "tabulate", "compose", "_agree",
+        "apply_at", "apply_path", "_runs", "tabulate", "compose", "_agree",
         "scan_composites",
     ],
     "algebra.py": ["_triple_scan", "_combination"],
