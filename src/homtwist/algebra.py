@@ -8,19 +8,15 @@ takes alpha as a ``LinearMap``; ``mul`` is their dense view.  A plain
 associative algebra has ``alpha`` the identity.  No axiom is assumed at
 construction; the checkers decide status.  Algebras are nonunital throughout.
 
-``check_hom_algebra`` and ``check_associative`` scan their d^3 triples on
-sparse integer columns tabulated once per call: the integer form of the
-constants and, for Hom-associativity, the 2d^2 products alpha(e_i) e_l and
-e_l alpha(e_k), the columns of mu o (alpha (x) id) and mu o (id (x) alpha)
-as ``tabulate`` gives them, without zeros.  A failing triple's two sides
-are turned back into rationals by ``exact.rationals``.
-``HomAlgebra.product`` and the dense view
-f.matrix() (``Matrix.apply``, ``Matrix.col``) serve only ``_multiplicative``,
-the one d^2 scan of f(e_i e_j) = f(e_i) f(e_j) shared by ``check_hom_algebra``,
-``multiplicativity_scan`` and ``check_algebra_morphism``.  Every other
-equation here (alpha-intertwining, the four-element lemma) is a
-``scan_composites`` declaration, and the Yau twist alpha o mu and the
-twisted product are ``compose`` paths, stored as they come.
+(Hom-)associativity is ``exact.scan_associator``, with alpha for
+``check_hom_algebra`` and with no alpha step for ``check_associative``.
+``HomAlgebra.product`` and the dense view f.matrix() (``Matrix.apply``,
+``Matrix.col``) serve only ``_multiplicative``, the one d^2 scan of
+f(e_i e_j) = f(e_i) f(e_j) shared by ``check_hom_algebra``,
+``multiplicativity_scan`` and ``check_algebra_morphism``.  Alpha-intertwining
+is an ``exact.intertwining`` block and the four-element lemma a
+``scan_composites`` declaration; the Yau twist alpha o mu and the twisted
+product are ``compose`` paths, stored as they come.
 """
 
 from dataclasses import dataclass
@@ -32,11 +28,11 @@ from .exact import (
     Scan,
     ZERO,
     compose,
+    intertwining,
     kron,
     mat_inv,
-    rationals,
+    scan_associator,
     scan_composites,
-    tabulate,
     to_dense,
 )
 
@@ -102,80 +98,15 @@ def hom_algebra(dim, mul, alpha=None) -> HomAlgebra:
 
 
 def check_hom_algebra(algebra):
-    """Scan multiplicativity of alpha and Hom-associativity over all basis tuples.
-
-    Hom-associativity reads alpha(e_i) e_l and e_l alpha(e_k), tabulated once
-    in integers by ``tabulate``, through the integer constants of e_j e_k and e_i e_j.
-    """
-    d = algebra.dim
+    """Scan multiplicativity of alpha, then Hom-associativity, over all basis tuples."""
     scan = Scan()
     _multiplicative(scan, "multiplicativity", algebra.alpha, algebra, algebra)
-    mu, alpha = algebra.map, algebra.alpha
-    # both paths read alpha and mu once, so the two tables share their denominator
-    left, _, den = tabulate([(alpha, 0), (mu, 0)], (d, d))
-    right, _, _ = tabulate([(alpha, 1), (mu, 0)], (d, d))
-    left = [left[i * d:(i + 1) * d] for i in range(d)]
-    right = [right[k::d] for k in range(d)]
-    mu_den, cols = mu.integer_form()
-    _triple_scan(scan, "hom_associativity", cols, left, right, mu_den * den, True)
-    return scan.done()
+    return scan_associator("hom_associativity", algebra.map, algebra.alpha, scan)
 
 
 def check_associative(algebra):
-    """Plain associativity scan over the sparse constants; the structure map is ignored."""
-    d = algebra.dim
-    den, cols = algebra.map.integer_form()
-    tables = [dict(col) for col in cols]
-    left = [tables[i * d:(i + 1) * d] for i in range(d)]
-    right = [tables[k::d] for k in range(d)]
-    scan = Scan()
-    _triple_scan(scan, "associativity", cols, left, right, den * den, False)
-    return scan.done()
-
-
-def _triple_scan(scan, name, cols, left, right, den, left_first):
-    """Scan x_i (e_j e_k) = (e_i e_j) z_k on every basis triple (i, j, k) in order.
-
-    `cols` holds the integer constants of e_i e_j at ``i*d + j``; ``left[i][l]``
-    is x_i e_l and ``right[k][l]`` is e_l z_k, as integer dicts without zeros,
-    so that both sides come out over the one denominator `den`.  An equal pair
-    reaches `scan` as two empty tuples and an unequal one as dense rational
-    vectors, ``x_i (e_j e_k)`` first when `left_first`.
-    """
-    d = len(left)
-    eq = scan.eq
-    for i in range(d):
-        x = left[i]
-        for j in range(d):
-            ij = cols[i * d + j]
-            row = j * d
-            for k in range(d):
-                jk = cols[row + k]
-                if not (ij or jk):  # both sides are 0
-                    eq(name, (i, j, k), (), ())
-                    continue
-                a = _combination(jk, x)
-                b = _combination(ij, right[k])
-                if a == b:
-                    eq(name, (i, j, k), (), ())
-                else:
-                    a, b = to_dense(rationals(a, den), (d,)), to_dense(rationals(b, den), (d,))
-                    eq(name, (i, j, k), *((a, b) if left_first else (b, a)))
-
-
-def _combination(terms, columns):
-    """The sum of c * columns[l] over the (l, c) of `terms`, as an integer dict without zeros."""
-    if not terms:
-        return {}
-    if len(terms) == 1:
-        (l, c), = terms
-        column = columns[l]
-        return column if c == 1 else {r: c * v for r, v in column.items()}
-    out = {}
-    for l, c in terms:
-        for r, v in columns[l].items():
-            out[r] = out[r] + c * v if r in out else c * v
-    return {r: v for r, v in out.items() if v}
+    """(e_i e_j) e_k = e_i (e_j e_k) over all basis triples; the structure map is ignored."""
+    return scan_associator("associativity", algebra.map, swapped=True)
 
 
 def _multiplicative(scan, name, f, source, target):
@@ -210,9 +141,7 @@ def check_algebra_morphism(f, source, target):
     if (rows, cols) != (target.dim, source.dim):
         raise DimensionMismatch(f"map is {rows}x{cols}, expected {target.dim}x{source.dim}")
     scan = Scan()
-    scan_composites([((source.dim,), [
-        ("intertwines_alpha", [(f, 0), (target.alpha, 0)], [(source.alpha, 0), (f, 0)]),
-    ])], scan)
+    scan_composites([intertwining("intertwines_alpha", f, [source.alpha], [target.alpha])], scan)
     _multiplicative(scan, "multiplicative", f, source, target)
     return scan.done()
 

@@ -13,7 +13,7 @@ from functools import cached_property
 
 from .algebra import HomAlgebra, check_hom_algebra, yau_twist_algebra
 from .errors import DimensionMismatch, NotComultiplicative, PreconditionFailure
-from .exact import LinearMap, Scan, compose, scan_composites
+from .exact import LinearMap, Scan, compose, intertwining, scan_composites
 
 
 @dataclass(frozen=True)
@@ -82,13 +82,6 @@ class HomBialgebra:
 # ---------------------------------------------------------------------------
 
 
-def _comultiplicativity_block(coalgebra, endo):
-    """(endo (x) endo) o Delta = Delta o endo, per basis element."""
-    delta, e = coalgebra.map, endo
-    lhs, rhs = [(delta, 0), (e, 0), (e, 1)], [(e, 0), (delta, 0)]
-    return (coalgebra.dim,), [("comultiplicativity", lhs, rhs)]
-
-
 def _hom_coassoc_block(coalgebra, a, equation):
     """(Delta (x) a) o Delta = (a (x) Delta) o Delta per basis element."""
     delta = coalgebra.map
@@ -100,7 +93,7 @@ def check_hom_coalgebra(coalgebra):
     """Comultiplicativity of alpha, then Hom-coassociativity, per basis element."""
     alpha = coalgebra.alpha
     return scan_composites([
-        _comultiplicativity_block(coalgebra, alpha),
+        intertwining("comultiplicativity", coalgebra.map, [alpha], [alpha, alpha]),
         _hom_coassoc_block(coalgebra, alpha, "hom_coassociativity"),
     ])
 
@@ -141,9 +134,8 @@ def yau_twist_coalgebra(coalgebra, alpha):
     if not coalgebra.is_classical():
         raise PreconditionFailure("yau twist input must have identity structure map")
     check_coassociative(coalgebra).require("coassociativity")
-    scan_composites([_comultiplicativity_block(coalgebra, alpha)]).require(
-        "alpha is not comultiplicative", NotComultiplicative
-    )
+    block = intertwining("comultiplicativity", coalgebra.map, [alpha], [alpha, alpha])
+    scan_composites([block]).require("alpha is not comultiplicative", NotComultiplicative)
     path = [(alpha, 0), (coalgebra.map, 0)]
     return HomCoalgebra(coalgebra.dim, compose(path, (coalgebra.dim,)), alpha)
 

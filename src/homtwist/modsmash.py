@@ -29,7 +29,7 @@ from .errors import (
     PreconditionFailure,
     YDViolation,
 )
-from .exact import LinearMap, compose, kron, mat_inv, scan_composites
+from .exact import LinearMap, compose, intertwining, kron, mat_inv, scan_composites
 from .twisted import TwistingMapR, flip, hom_ttp, iterated_ttp
 from .twistor import structure_constants_block
 
@@ -122,7 +122,7 @@ def check_module(algebra, action):
     # left: alpha(h) . (h' . m); right: (m . h) . alpha(h'), so h goes first
     first = [] if action.side == LEFT else [(LinearMap.flip(d, d), 0)]
     return scan_composites([
-        ((d, dm), [("module_alpha", [(act, 0), (am, 0)], [(ah, 0), (am, 1), (act, 0)])]),
+        intertwining("module_alpha", act, [ah, am], [am]),
         ((d, d, dm), [(
             "module_assoc",
             first + [(act, 1), (ah, 0), (act, 0)],
@@ -163,12 +163,11 @@ def yau_twist_module_algebra(bialgebra, algebra, action, alpha_h, alpha_a):
     check_module_hom_algebra(bialgebra, algebra, action).require("classical module algebra axioms")
     twisted_bi = _naming("alpha_H", yau_twist_bialgebra, bialgebra, alpha_h)
     twisted_alg = _naming("alpha_A", yau_twist_algebra, algebra, alpha_a)
-    act, fa, fh = action.map, alpha_a, alpha_h
-    dims = (bialgebra.dim, algebra.dim)
-    scan_composites([
-        (dims, [("intertwining", [(act, 0), (fa, 0)], [(fh, 0), (fa, 1), (act, 0)])]),
-    ]).require("alpha_A(h.a) != alpha_H(h).alpha_A(a)", IntertwiningFailure)
-    twisted_map = compose([(act, 0), (fa, 0)], dims)
+    act = action.map
+    scan_composites([intertwining("intertwining", act, [alpha_h, alpha_a], [alpha_a])]).require(
+        "alpha_A(h.a) != alpha_H(h).alpha_A(a)", IntertwiningFailure
+    )
+    twisted_map = compose([(act, 0), (alpha_a, 0)], act.src)
     twisted_action = ActionTable(action.side, bialgebra.dim, algebra.dim, twisted_map, alpha_a)
     return twisted_bi, twisted_alg, twisted_action
 
@@ -215,17 +214,16 @@ def check_comodule(coalgebra, coaction):
     if coaction.side == LEFT:
         # (alpha_C (x) alpha_M) o lambda, and
         # (Delta (x) alpha_M) o lambda = (alpha_C (x) lambda) o lambda
-        pair_alpha = [(ac, 0), (am, 1)]
+        pair_alpha = [ac, am]
         lhs, rhs = [(delta, 0), (am, 2)], [(ac, 0), (co, 1)]
     else:
         # (alpha_M (x) alpha_C) o rho, and
         # (alpha_M (x) Delta) o rho = (rho (x) alpha_C) o rho
-        pair_alpha = [(am, 0), (ac, 1)]
+        pair_alpha = [am, ac]
         lhs, rhs = [(am, 0), (delta, 1)], [(co, 0), (ac, 2)]
-    dims = (coaction.module_dim,)
     return scan_composites([
-        (dims, [("comodule_alpha", [(co, 0)] + pair_alpha, [(am, 0), (co, 0)])]),
-        (dims, [("hom_coassociativity", [(co, 0)] + lhs, [(co, 0)] + rhs)]),
+        intertwining("comodule_alpha", co, [am], pair_alpha),
+        (co.src, [("hom_coassociativity", [(co, 0)] + lhs, [(co, 0)] + rhs)]),
     ])
 
 

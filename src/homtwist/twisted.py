@@ -34,7 +34,7 @@ from .errors import (
     ParamConstraintViolation,
     PreconditionFailure,
 )
-from .exact import ONE, ZERO, LinearMap, as_scalar, compose, kron, mat_inv, scan_composites
+from .exact import ONE, LinearMap, as_scalar, compose, intertwining, kron, mat_inv, scan_composites
 from .twistor import Operator2, Operator3, _t13, deform_with_alpha, structure_constants_block
 
 
@@ -78,9 +78,7 @@ def _check_r_dims(a, b, rmap):
 
 def _alpha_equation(name, rmap, alpha_a, alpha_b):
     """(alpha_A (x) alpha_B) o R = R o (alpha_B (x) alpha_A) on basis pairs."""
-    r = rmap.map
-    lhs, rhs = [(r, 0), (alpha_a, 0), (alpha_b, 1)], [(alpha_b, 0), (alpha_a, 1), (r, 0)]
-    return ((rmap.dim_b, rmap.dim_a), [(name, lhs, rhs)])
+    return intertwining(name, rmap.map, [alpha_b, alpha_a], [alpha_a, alpha_b])
 
 
 def _twisting_axioms(prefix, a, b, rmap, hom=None, alphas=None):
@@ -236,7 +234,7 @@ class CliffordParams:
 
 def clifford_algebra(q):
     """C(k, q) = k[v]/(v^2 = q) with basis (1, v) and identity structure map."""
-    return hom_algebra(2, (((ONE, ZERO), (ZERO, ONE)), ((ZERO, ONE), (q, ZERO))))
+    return hom_algebra(2, (((1, 0), (0, 1)), ((0, 1), (q, 0))))
 
 
 def clifford(a, params):
@@ -245,8 +243,7 @@ def clifford(a, params):
     if s.shape[0] != a.dim:
         raise DimensionMismatch("sigma shape does not match the algebra")
     multiplicativity_scan(a, s).require("sigma is not multiplicative", NotMultiplicative)
-    commutes = ("commutes_with_alpha", [(alpha, 0), (s, 0)], [(s, 0), (alpha, 0)])
-    scan_composites([(s.src, [commutes])]).require(
+    scan_composites([intertwining("commutes_with_alpha", alpha, [s], [s])]).require(
         "sigma does not commute with the structure map", NotCommutingWithAlpha
     )
     rmap = clifford_twisting_map(s)

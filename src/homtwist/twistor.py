@@ -21,7 +21,7 @@ from .algebra import (
     yau_twist_algebra,
 )
 from .errors import DimensionMismatch, NotMultiplicative, PreconditionFailure
-from .exact import LinearMap, Scan, compose, scan_composites
+from .exact import LinearMap, Scan, compose, intertwining, scan_composites
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,7 @@ def _check_shapes(algebra, *ops):
 
 def _commutes_with_alpha(alpha, op):
     """(alpha (x) alpha) o T = T o (alpha (x) alpha) on basis pairs."""
-    t, d = op.map, op.dim
-    both = [(alpha, 0), (alpha, 1)]
-    return ((d, d), [("commutes_with_alpha", [(t, 0)] + both, both + [(t, 0)])])
+    return intertwining("commutes_with_alpha", op.map, [alpha, alpha], [alpha, alpha])
 
 
 def _twistor_axioms(prefix, algebra, op, companions, hom_alpha=None, alpha=None):

@@ -18,15 +18,11 @@ from homtwist.algebra import (
 from homtwist import exact
 from homtwist.errors import DimensionMismatch, NotMultiplicative, PreconditionFailure
 from homtwist.exact import (
-    ONE, ZERO, LinearMap, Q, Scan, compose, kron
+    ONE, ZERO, Failure, LinearMap, Q, Scan, compose, kron
 )
 from homtwist.gallery import GalleryKey, build, k2_algebra, swap_matrix
 from homtwist.twisted import flip, ttp
-
-
-def lmap(rows):
-    """The LinearMap of the matrix with these rows."""
-    return LinearMap.from_rows(rows)
+from linear_maps import lmap
 
 
 def example_2dim(a=1, l1=1, l2=2):
@@ -415,6 +411,23 @@ class TestSparseScans:
         assert report.passed and report == oracle(algebra)
         triples = [c for c in calls if len(c[1]) == 3]
         assert len(triples) == 8 and all(c[2:] == ((), ()) for c in triples)
+
+
+class TestAssociativityIsTheAssociatorAtTheIdentity:
+    """check_associative is the associator scan at alpha = id, its sides swapped and renamed."""
+
+    @pytest.mark.parametrize("cap", [1, exact.DEFAULT_FAILURE_CAP], ids=["cap_1", "cap_16"])
+    @given(algebra=st.one_of(algebras(), cancelling_algebras()))
+    @settings(max_examples=60, deadline=None)
+    def test_the_failures_are_the_associators_swapped(self, cap, algebra):
+        identity = LinearMap.identity(algebra.dim)
+        with mock.patch.object(exact, "DEFAULT_FAILURE_CAP", cap):
+            plain = check_associative(algebra)
+            at_identity = exact.scan_associator("hom_associativity", algebra.map, identity)
+        assert plain.passed == at_identity.passed
+        assert plain.failures == tuple(
+            Failure("associativity", f.basis, f.rhs, f.lhs) for f in at_identity.failures
+        )
 
 
 class TestCanonicalTables:

@@ -12,6 +12,7 @@ from homtwist.coalgebra import (
 from homtwist.errors import NotComultiplicative, NotMultiplicative, PreconditionFailure
 from homtwist.exact import LinearMap, ONE, ZERO
 from homtwist.gallery import GalleryKey, build, group_algebra, sweedler_h4, swap_matrix
+from linear_maps import lmap
 
 
 def grouplike(dim, alpha=None):
@@ -120,11 +121,6 @@ class TestYauTwistBialgebra:
         twisted = yau_twist_bialgebra(h4, alpha)
         with pytest.raises(PreconditionFailure):
             yau_twist_bialgebra(twisted, alpha)
-
-
-def lmap(rows):
-    """The LinearMap of the matrix with these rows."""
-    return LinearMap.from_rows(rows)
 
 
 def transpose(f):

@@ -27,6 +27,7 @@ from homtwist.exact import (
     as_scalar,
     compose,
     flatten_index,
+    intertwining,
     kron,
     mat_inv,
     rat_parse,
@@ -38,6 +39,7 @@ from homtwist.exact import (
 from homtwist.gallery import GalleryKey
 from homtwist.twisted import CliffordParams
 from homtwist.uqsl2 import UqParams
+from linear_maps import composite, lmap
 
 
 class TestRatParse:
@@ -63,18 +65,8 @@ class TestRatParse:
         assert rat_parse(str(x)) == x
 
 
-def lmap(rows):
-    """The LinearMap of the matrix with these rows."""
-    return LinearMap.from_rows(rows)
-
-
 def swap2():
     return lmap([[0, 1], [1, 0]])
-
-
-def composite(*maps):
-    """The map of applying `maps` in turn, the first one first, tabulated by compose."""
-    return compose([(f, 0) for f in maps], maps[0].src)
 
 
 class TestMatrices:
@@ -827,3 +819,85 @@ class TestIntegerForm:
         assert report == tuple_scan_composites(blocks) == CheckReport(True)
         assert sides == [((), ())]
         assert compose([(split, 0), (total, 0)], (1,)).cols == ((),)
+
+
+# Entries of the maps of an alpha-compatibility: halves, signs and zeros.
+_intertwining_entry = st.sampled_from([Q(-1), ZERO, ONE, Q(1, 2)])
+
+
+def _dense(f):
+    """The rows of f's matrix."""
+    rows, cols = f.shape
+    out = [[ZERO] * cols for _ in range(rows)]
+    for c, col in enumerate(f.cols):
+        for r, v in col:
+            out[r][c] = v
+    return out
+
+
+def _dense_mul(a, b):
+    """The matrix product of two lists of rows."""
+    return [[sum((x * y for x, y in zip(row, col)), ZERO) for col in zip(*b)] for row in a]
+
+
+def _dense_kron(matrices):
+    """The Kronecker product of square matrices, the first factor outermost."""
+    out = [[ONE]]
+    for m in matrices:
+        n = len(m)
+        out = [[row[c] * m[r][k] for c in range(len(row)) for k in range(n)]
+               for row in out for r in range(n)]
+    return out
+
+
+@st.composite
+def _factor_maps(draw, dims):
+    """One square map per factor of `dims`: random entries, or a scalar times the identity."""
+    maps = []
+    for d in dims:
+        if draw(st.booleans()):
+            c = draw(_intertwining_entry)
+            rows = [[c if r == s else ZERO for s in range(d)] for r in range(d)]
+        else:
+            rows = [draw(st.lists(_intertwining_entry, min_size=d, max_size=d)) for _ in range(d)]
+        maps.append(lmap(rows))
+    return maps
+
+
+@st.composite
+def _intertwinings(draw):
+    """A map f between one or two factors of dims 1..3, and maps on its source and target factors."""
+    src = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    dst = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    n_in, n_out = _size(src), _size(dst)
+    entries = draw(st.lists(_intertwining_entry, min_size=n_in * n_out, max_size=n_in * n_out))
+    f = lmap([entries[r * n_in:(r + 1) * n_in] for r in range(n_out)]).reshaped(src, dst)
+    return f, draw(_factor_maps(src)), draw(_factor_maps(dst))
+
+
+class TestIntertwining:
+    """The block of (after_0 (x) ...) o f = f o (before_0 (x) ...) against dense matrices."""
+
+    @given(_intertwinings())
+    @settings(max_examples=200, deadline=None)
+    def test_the_scan_is_the_dense_equation(self, case):
+        f, before, after = case
+        lhs = _dense_mul(_dense_kron([_dense(a) for a in after]), _dense(f))
+        rhs = _dense_mul(_dense(f), _dense_kron([_dense(b) for b in before]))
+        report = scan_composites([intertwining("eq", f, before, after)])
+        differing = [c for c in range(f.shape[1])
+                     if [row[c] for row in lhs] != [row[c] for row in rhs]]
+        assert report.passed == (not differing)
+        if differing:
+            c, first = differing[0], report.failures[0]
+            assert (first.equation, first.basis) == ("eq", unflatten_index(f.src, c))
+            assert list(first.lhs) == [row[c] for row in lhs]
+            assert list(first.rhs) == [row[c] for row in rhs]
+
+    def test_the_block_scans_the_source_of_f(self):
+        f = LinearMap.flip(2, 2)
+        a, b = lmap([[0, 1], [1, 0]]), lmap([[1, 0], [0, -1]])
+        dims, [(name, lhs, rhs)] = intertwining("flip", f, [a, b], [b, a])
+        assert (dims, name) == ((2, 2), "flip")
+        assert lhs == [(f, 0), (b, 0), (a, 1)] and rhs == [(a, 0), (b, 1), (f, 0)]
+        assert scan_composites([(dims, [(name, lhs, rhs)])]).passed

@@ -13,7 +13,8 @@ view that ``algebra._multiplicative`` reads through ``Matrix.apply`` and
 boundary constructors and tabulated only by the dense-view properties
 ``mul``, ``comul`` and ``table``; every other composite goes through
 ``exact.compose`` or ``exact.scan_composites``, whose kernel computes in
-ints and rebuilds rationals only through ``exact.rationals``.  No module
+ints and rebuilds rationals only through ``exact.rationals``; no other
+module reads an integer form or tabulates integer images.  No module
 imports a name it never reads.
 """
 
@@ -319,6 +320,53 @@ class TestOneDenseView:
             objects[key.name] = build(key)
         assert [p for name, obj in objects.items() for p in _stored_matrices(obj, name)] == []
         assert isinstance(objects["idmap"], LinearMap)
+
+
+# Where a map's integer form is read, or integer images tabulated or turned back into
+# rationals: the kernel in exact.py, which alone decides forms and denominators.
+INTEGER_SITES = [
+    "exact.py:apply_at",
+    "exact.py:apply_path",
+    "exact.py:compose",
+    "exact.py:scan_associator",
+    "exact.py:scan_composites",
+]
+INTEGER_NAMES = {"integer_form", "tabulate", "rationals"}
+
+
+def integer_sites(source, filename):
+    """`file:function` of each call to `integer_form`, `tabulate` or `rationals`, as a
+    name or an attribute."""
+    return call_sites(source, filename, lambda func: (
+        getattr(func, "attr", getattr(func, "id", None)) in INTEGER_NAMES
+    ))
+
+
+class TestOneIntegerKernel:
+    def test_only_the_kernel_reads_integer_forms(self):
+        assert _src_sites(integer_sites) == INTEGER_SITES
+
+    def test_the_guard_sees_a_checker_reading_the_kernel(self):
+        old = (
+            "def check_hom_algebra(algebra):\n"
+            "    left, _, den = tabulate([(alpha, 0), (mu, 0)], (d, d))\n"
+            "    mu_den, cols = mu.integer_form()\n"
+            "def _triple_scan(scan, name, cols, left, right, den, left_first):\n"
+            "    a = to_dense(exact.rationals(a, den), (d,))\n"
+        )
+        assert integer_sites(old, "algebra.py") == [
+            "algebra.py:check_hom_algebra", "algebra.py:check_hom_algebra",
+            "algebra.py:_triple_scan",
+        ]
+
+    def test_the_guard_allows_other_calls(self):
+        checker = (
+            "def check_associative(algebra):\n"
+            "    return scan_associator('associativity', algebra.map, swapped=True)\n"
+            "def yau_twist(algebra, alpha):\n"
+            "    return compose([(algebra.map, 0), (alpha, 0)], (d, d)).table()\n"
+        )
+        assert integer_sites(checker, "algebra.py") == []
 
 
 # Where nested structure constants are made or read: the dense-view properties
@@ -642,9 +690,8 @@ class TestNoHeavyImports:
 KERNEL_FUNCTIONS = {
     "exact.py": [
         "apply_at", "apply_path", "_runs", "tabulate", "compose", "_agree",
-        "scan_composites",
+        "scan_composites", "scan_associator", "_combination",
     ],
-    "algebra.py": ["_triple_scan", "_combination"],
 }
 # Names that would bring a rational or a float into the kernel's arithmetic.
 RATIONAL_NAMES = {"Q", "Fraction", "ONE", "ZERO", "float", "as_scalar"}

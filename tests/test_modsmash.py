@@ -33,11 +33,7 @@ from homtwist.modsmash import (
     tensor_modules,
     yau_twist_module_algebra,
 )
-
-
-def lmap(rows):
-    """The LinearMap of the matrix with these rows."""
-    return LinearMap.from_rows(rows)
+from linear_maps import lmap
 
 
 def zero_algebra(dim):

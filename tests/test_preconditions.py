@@ -85,11 +85,7 @@ from homtwist.uqsl2 import (
     rho_generator_formula,
     uq_alpha,
 )
-
-
-def lmap(rows):
-    """The LinearMap of the matrix with these rows."""
-    return LinearMap.from_rows(rows)
+from linear_maps import lmap
 
 
 def _diagonal(*entries):

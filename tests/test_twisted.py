@@ -16,7 +16,7 @@ from homtwist.errors import (
     ParamConstraintViolation,
     PreconditionFailure,
 )
-from homtwist.exact import LinearMap, ONE, Q, ZERO, compose, kron
+from homtwist.exact import LinearMap, ONE, Q, ZERO, kron
 from homtwist.gallery import GalleryKey, build, k2_algebra, swap_matrix
 from homtwist.twisted import (
     CliffordParams,
@@ -39,22 +39,7 @@ from homtwist.twisted import (
     twistor_from_R,
 )
 from homtwist.twistor import check_alpha_pseudotwistor, check_hom_twistor, check_twistor, deform
-
-
-def lmap(rows):
-    """The LinearMap of the matrix with these rows."""
-    return LinearMap.from_rows(rows)
-
-
-def flat(f):
-    """`f` as a map between single factors, as its matrix reads."""
-    rows, cols = f.shape
-    return f.reshaped((cols,), (rows,))
-
-
-def composite(*maps):
-    """The map of applying `maps` in turn, the first one first, tabulated by compose."""
-    return compose([(flat(f), 0) for f in maps], (maps[0].shape[1],))
+from linear_maps import composite, flat, lmap
 
 
 def lambda_bundle(lam=2):

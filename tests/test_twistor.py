@@ -7,7 +7,7 @@ from homtwist.algebra import (
     yau_twist_algebra,
 )
 from homtwist.errors import DimensionMismatch, NotMultiplicative, PreconditionFailure
-from homtwist.exact import LinearMap, Q, ZERO, compose, kron
+from homtwist.exact import LinearMap, Q, ZERO, kron
 from homtwist.gallery import GalleryKey, build, k2_algebra, swap_matrix
 from homtwist.twisted import twistor_from_R
 from homtwist.twistor import (
@@ -24,22 +24,7 @@ from homtwist.twistor import (
     lift_13,
     yau_operator,
 )
-
-
-def lmap(rows):
-    """The LinearMap of the matrix with these rows."""
-    return LinearMap.from_rows(rows)
-
-
-def flat(f):
-    """`f` as a map between single factors, as its matrix reads."""
-    rows, cols = f.shape
-    return f.reshaped((cols,), (rows,))
-
-
-def composite(*maps):
-    """The map of applying `maps` in turn, the first one first, tabulated by compose."""
-    return compose([(flat(f), 0) for f in maps], (maps[0].shape[1],))
+from linear_maps import composite, flat, lmap
 
 
 def example_bundle(a=1, l1=1, l2=2):

@@ -98,6 +98,7 @@ from homtwist.twistor import (
     lift_13,
     yau_operator,
 )
+from linear_maps import lmap
 
 FIXTURE = pathlib.Path(__file__).with_name("witness_golden.json")
 
@@ -105,11 +106,6 @@ FIXTURE = pathlib.Path(__file__).with_name("witness_golden.json")
 # ---------------------------------------------------------------------------
 # inputs
 # ---------------------------------------------------------------------------
-
-
-def lmap(rows):
-    """The LinearMap of the matrix with these rows."""
-    return LinearMap.from_rows(rows)
 
 
 def _bumped(f, r, c, by=1):
