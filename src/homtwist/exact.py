@@ -26,14 +26,14 @@ Everything else in the package builds on the conventions pinned here, once:
   paths of ``(map, position)`` checked per basis tuple by
   ``scan_composites``; every alpha-compatibility, (a_0 (x) ...) o f =
   f o (b_0 (x) ...), is the one block that ``intertwining`` builds.  A
-  derived map (a product table, a lifted map, a composite of two maps) is
-  such a path tabulated by ``compose`` and stored as it comes.  ``mat_inv``
-  and ``kron`` take and return ``LinearMap``s.  Nested input is read once,
-  at the boundary: rows by ``LinearMap.from_rows``
-  (in the manifest and the gallery), and structure constants by
-  ``LinearMap.from_constants``, which checks their nesting and reads each
-  scalar (in ``hom_algebra``, ``hom_coalgebra``, ``action_table`` and
-  ``coaction_table``).  Both read each entry with ``as_scalar``.  Dense views
+  derived map (a product table, a lifted map, a composite of two maps, the
+  Kronecker product ``kron``) is such a path tabulated by ``compose`` and
+  stored as it comes.  ``mat_inv`` and ``kron`` take and return
+  ``LinearMap``s.  Nested input is read once, at the boundary: rows by
+  ``LinearMap.from_rows`` (in the manifest and the gallery), and structure
+  constants by ``LinearMap.from_constants``, which checks their nesting and
+  reads each scalar (in ``hom_algebra``, ``hom_coalgebra``, ``action_table``
+  and ``coaction_table``).  Both read each entry with ``as_scalar``.  Dense views
   exist only to be read: ``LinearMap.matrix()``, the one maker of a
   ``Matrix``, and ``LinearMap.table()`` behind the ``mul``, ``comul`` and
   ``table`` properties of algebras, coalgebras, actions and coactions.  The
@@ -324,12 +324,9 @@ def mat_inv(f):
 
 
 def kron(f, g):
-    """f (x) g between single factors: the Kronecker product of the two matrices."""
-    rows = _size(g.dst)
-    cols = [
-        tuple((i * rows + j, a * b) for i, a in fc for j, b in gc) for fc in f.cols for gc in g.cols
-    ]
-    return LinearMap((_size(f.src) * _size(g.src),), (_size(f.dst) * rows,), cols)
+    """f (x) g between single factors: the path of f on its factors, then g on the next ones."""
+    path = [(f, 0), (g, len(f.dst))]
+    return compose(path, f.src + g.src).reshaped((_size(f.src + g.src),), (_size(f.dst + g.dst),))
 
 
 def _nested(items, dims):

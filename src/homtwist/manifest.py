@@ -7,10 +7,12 @@ A manifest declares named objects and an ordered task list:
      "tasks": [{"op": "check_hom_algebra", "args": ["D"], "expect": "pass"},
                {"op": "ttp", "args": ["A", "B", "R"], "as": "P", "expect": "pass"}]}
 
-Scalars are integers or strings in the ``-?digits(/digits)?`` syntax.  Gallery
-bundles bind dotted member names (``g.D``).  Check tasks pass when the scan
-passes; construct tasks pass when construction succeeds, fail when a domain
-error is raised, and bind their result under ``as``.
+Scalars are integers or strings in the ``-?digits(/digits)?`` syntax, parsed
+once into rationals; ``_canonical`` prints a parsed definition back, each
+rational as its string.  Check tasks pass when the scan passes; construct
+tasks pass when construction succeeds, fail when a domain error is raised, and
+bind their result under ``as``.  ``_bind`` binds a gallery object or a
+construct result, and each member of a bundle under its dotted name (``g.D``).
 
 Two tables hold what parsing, execution and ``table`` need to know:
 ``OBJECT_KINDS`` gives each kind's builder and fields, and ``SIGNATURES`` each
@@ -34,7 +36,7 @@ from .errors import (
     UnknownName,
     WrongKind,
 )
-from .exact import LinearMap, rat_parse
+from .exact import LinearMap, Q, rat_parse
 from .modsmash import action_table, coaction_table
 from .twisted import TwistingMapR
 from .twistor import Operator2, Operator3
@@ -87,12 +89,6 @@ def _nested(value, depth, where):
     return [_nested(v, depth - 1, where) for v in value]
 
 
-def _nested_str(value, depth):
-    if depth == 0:
-        return str(value)
-    return [_nested_str(v, depth - 1) for v in value]
-
-
 def _parse_def(name, raw):
     """The definition with each scalar literal parsed, once, into a rational."""
     if not isinstance(raw, dict) or "kind" not in raw:
@@ -111,17 +107,15 @@ def _parse_def(name, raw):
     return out
 
 
-def _canonical_def(parsed):
-    """Canonical JSON form of a parsed definition (scalars as strings), for round-trips."""
-    out = {"kind": parsed["kind"]}
-    for fieldname, value in parsed.items():
-        if fieldname in _SCALAR_FIELDS:
-            out[fieldname] = _nested_str(value, _SCALAR_FIELDS[fieldname])
-        elif fieldname == "params":
-            out[fieldname] = {k: str(v) for k, v in value.items()}
-        elif fieldname != "kind":
-            out[fieldname] = value
-    return out
+def _canonical(value):
+    """A parsed value in canonical JSON form: each rational as its string, the rest as is."""
+    if isinstance(value, Q):
+        return str(value)
+    if isinstance(value, list):
+        return [_canonical(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _canonical(v) for k, v in value.items()}
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +375,8 @@ def parse_manifest(text):
         if "." in name:
             raise WrongKind(f"object name {name!r} may not contain '.'")
         parsed = _parse_def(name, objdef)
-        defs[name] = _canonical_def(parsed)
-        built = _build_object(name, parsed)
-        objects[name] = built
-        if isinstance(built, dict):  # gallery bundle: bind dotted members
-            for member, value in built.items():
-                objects[f"{name}.{member}"] = value
+        defs[name] = _canonical({"kind": parsed["kind"], **parsed})  # kind printed first
+        _bind(objects, name, _build_object(name, parsed))
 
     tasks = []
     kinds = {name: _kind(obj) for name, obj in objects.items()}
@@ -445,6 +435,14 @@ def serialize_manifest(manifest):
 # ---------------------------------------------------------------------------
 
 
+def _bind(env, name, value):
+    """Bind `value` under `name`, and each member of a bundle under its dotted name."""
+    env[name] = value
+    if isinstance(value, dict):
+        for member, v in value.items():
+            env[f"{name}.{member}"] = v
+
+
 def _execute(task, env):
     """Run one task against `env`, binding a construct's result; returns (outcome, witnesses).
 
@@ -466,10 +464,7 @@ def _execute(task, env):
     if isinstance(members, dict):
         result = dict(zip(members, result))
     if task.store is not None:
-        env[task.store] = result
-        if isinstance(result, dict):
-            for member, value in result.items():
-                env[f"{task.store}.{member}"] = value
+        _bind(env, task.store, result)
     return "pass", []
 
 

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import prod as _size
 from unittest import mock
 
 import pytest
@@ -165,6 +166,39 @@ class TestKron:
         b = lmap([ys[:2], ys[2:4], ys[4:]])  # 2 -> 3
         path = [(a, 0), (b, 1)]
         assert kron(a, b) == compose(path, (3, 2)).reshaped((6,), (6,))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_kronecker_index_loop(self, data):
+        f, g = data.draw(_small_maps), data.draw(_small_maps)
+        assert kron(f, g) == _kron_by_indices(f, g)
+
+
+def _kron_by_indices(f, g):
+    """f (x) g between single factors: the Kronecker product of the two matrices."""
+    rows = _size(g.dst)
+    cols = [
+        tuple((i * rows + j, a * b) for i, a in fc for j, b in gc) for fc in f.cols for gc in g.cols
+    ]
+    return LinearMap((_size(f.src) * _size(g.src),), (_size(f.dst) * rows,), cols)
+
+
+_factors = st.lists(st.integers(0, 3), min_size=1, max_size=2).map(tuple)
+
+
+@st.composite
+def _linear_maps(draw):
+    """A map between 1-2 factors of dims 0-3, with entries in {-1, 0, 1, 1/2}."""
+    src, dst = draw(_factors), draw(_factors)
+    entry = st.sampled_from([Q(-1), ZERO, ONE, Q(1, 2)])
+    columns = draw(st.lists(
+        st.lists(entry, min_size=_size(dst), max_size=_size(dst)),
+        min_size=_size(src), max_size=_size(src),
+    ))
+    return LinearMap(src, dst, [tuple((r, v) for r, v in enumerate(c) if v) for c in columns])
+
+
+_small_maps = _linear_maps()
 
 
 class TestTensorIndex:

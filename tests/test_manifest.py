@@ -16,7 +16,7 @@ from homtwist.errors import (
     UnknownName,
     WrongKind,
 )
-from homtwist.gallery import FAMILIES
+from homtwist.gallery import FAMILIES, build
 from homtwist.manifest import (
     CHECK_VERBS,
     CONSTRUCT_VERBS,
@@ -30,6 +30,7 @@ from homtwist.manifest import (
     table,
 )
 from homtwist.suite import GOLDEN_MANIFEST
+from test_gate import GALLERY_KEYS
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -323,6 +324,81 @@ class TestRoundTrip:
     def test_small_round_trip(self):
         m = parse_manifest(small_manifest([{"op": "check_associative", "args": ["K2"]}]))
         assert parse_manifest(serialize_manifest(m)) == m
+
+    def test_fractional_params_and_nested_scalars_round_trip(self):
+        text = json.dumps({
+            "objects": {
+                "g": {"kind": "gallery", "name": "homalg_2dim",
+                      "params": {"a": "2/4", "l1": 1, "l2": "-6/3"}},
+                "D": {"kind": "hom_algebra", "dim": 2,
+                      "mul": [[[1, "0/5"], ["2/4", 2]], [["2/4", 2], ["-3", "-8/2"]]],
+                      "alpha": [["3/3", 1], [0, "4/2"]]},
+            },
+            "tasks": [{"op": "check_hom_algebra", "args": ["D"]}],
+        })
+        m = parse_manifest(text)
+        assert m.defs["g"]["params"] == {"a": "1/2", "l1": "1", "l2": "-2"}
+        assert m.defs["D"]["mul"][0] == [["1", "0"], ["1/2", "2"]]
+        assert m.defs["D"]["alpha"] == [["1", "1"], ["0", "2"]]
+        assert parse_manifest(serialize_manifest(m)) == m
+
+
+# The smash and iterated products over the golden manifest's k[C2] bialgebra H,
+# the algebra k^2 and flips; the group-likes of H act trivially.
+BUNDLE_CONSTRUCTS = {
+    "smash_left": ["K2", "H", "act"],
+    "smash_right": ["H", "K2", "ract"],
+    "iterated_ttp": ["K2", "K2", "K2", "Rflip", "Rflip", "Rflip"],
+}
+
+
+class TestBind:
+    """The dotted names parsing gives kinds to are the names a run binds."""
+
+    @staticmethod
+    def kinds_and_env(monkeypatch, text):
+        seen = {}
+        check_signature, execute = homtwist.manifest._check_signature, homtwist.manifest._execute
+
+        def recording_check(where, op, args, kinds):
+            seen["kinds"] = kinds
+            return check_signature(where, op, args, kinds)
+
+        def recording_execute(task, env):
+            seen["env"] = env
+            return execute(task, env)
+
+        monkeypatch.setattr(homtwist.manifest, "_check_signature", recording_check)
+        monkeypatch.setattr(homtwist.manifest, "_execute", recording_execute)
+        code, report = run(parse_manifest(text))
+        assert code == EXIT_OK, report
+        kinds, env = seen["kinds"], seen["env"]
+        assert {n: homtwist.manifest._kind(env[n]) for n in env} == kinds
+        return {n for n in kinds if "." in n}
+
+    @pytest.mark.parametrize("key", GALLERY_KEYS, ids=lambda key: key.name)
+    def test_gallery_bundle(self, key, monkeypatch):
+        objects = json.loads(small_manifest())["objects"]
+        params = {k: str(v) for k, v in key.params.items()}
+        objects["g"] = {"kind": "gallery", "name": key.name, "params": params}
+        text = json.dumps({
+            "objects": objects, "tasks": [{"op": "check_hom_algebra", "args": ["K2"]}],
+        })
+        dotted = self.kinds_and_env(monkeypatch, text)
+        assert dotted == {f"g.{member}" for member in build(key)}
+
+    @pytest.mark.parametrize("op", BUNDLE_CONSTRUCTS)
+    def test_construct_bundle(self, op, monkeypatch):
+        objects = {**GOLDEN_MANIFEST["objects"], **json.loads(small_manifest())["objects"]}
+        objects["ract"] = {**objects["act"], "side": "right"}
+        text = json.dumps({
+            "objects": objects,
+            "tasks": [{"op": op, "args": BUNDLE_CONSTRUCTS[op], "as": "X"}],
+        })
+        dotted = self.kinds_and_env(monkeypatch, text)
+        members = SIGNATURES[op][2]
+        assert isinstance(members, dict)
+        assert dotted == {"g.D", "g.T", "g.expected_mul"} | {f"X.{m}" for m in members}
 
 
 class TestRun:

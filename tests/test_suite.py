@@ -6,6 +6,7 @@ constructors run.
 """
 
 import ast
+import dataclasses
 import functools
 import inspect
 import sys
@@ -14,9 +15,11 @@ import types
 import pytest
 
 from homtwist import algebra, coalgebra, exact, modsmash, suite, twisted, twistor
-from homtwist.algebra import check_associative, check_hom_algebra
+from homtwist.algebra import HomAlgebra, check_associative, check_hom_algebra
+from homtwist.errors import ManifestSyntaxError
 from homtwist.exact import CheckReport, Failure, LinearMap
 from homtwist.gallery import GalleryKey, build, k2_algebra
+from homtwist.manifest import Manifest
 from homtwist.suite import (
     CRITERIA,
     criterion_4_clifford,
@@ -25,6 +28,8 @@ from homtwist.suite import (
     run_criteria,
 )
 from homtwist.twisted import CliffordParams, TwistingMapR, clifford
+from homtwist.twistor import Operator2
+from homtwist.uqsl2 import UqElement
 
 
 def _boom(rec):
@@ -256,6 +261,149 @@ class TestEachScanOnce:
     def test_suite_holds_no_lambda(self):
         tree = ast.parse(inspect.getsource(suite))
         assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Lambda)]
+
+
+# ---------------------------------------------------------------------------
+# every failure branch of the paper criteria
+# ---------------------------------------------------------------------------
+
+_WITNESS = Failure("altered", (0, 0), (), ())
+
+
+def _altered(value):
+    """A value unlike `value`: a report with its verdict flipped, an algebra with zero
+    multiplication, an exit code plus one, a manifest without its first task, the zero
+    U_q element; in a tuple, its first item altered."""
+    if isinstance(value, CheckReport):
+        return CheckReport(True) if not value.passed else CheckReport(False, (_WITNESS,))
+    if isinstance(value, HomAlgebra):
+        d = value.dim
+        return HomAlgebra(d, LinearMap((d, d), (d,), [()] * (d * d)), value.alpha)
+    if isinstance(value, tuple):
+        return (_altered(value[0]),) + value[1:]
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, Manifest):
+        return dataclasses.replace(value, tasks=value.tasks[1:])
+    if isinstance(value, UqElement):
+        return UqElement()
+    raise TypeError(f"nothing to alter in a {type(value).__name__}")
+
+
+def _altered_result(original, *args):
+    return _altered(original(*args))
+
+
+def _passing(original, *args):
+    return CheckReport(True)
+
+
+def _parsed(original, *args):
+    return None
+
+
+def _syntax_error_without_position(original, *args):
+    raise ManifestSyntaxError("no position", 0, 0)
+
+
+def _identity_twistor(original, key):
+    """The bundle with T = id, under which deform(D, T) is D, and D's table as expected."""
+    bundle = original(key)
+    return {**bundle, "T": Operator2(2, LinearMap.identity(4)), "expected_mul": bundle["D"].mul}
+
+
+def _branch(criterion, name, n, then, detail, owner=suite):
+    """A failure branch: `criterion` returns (False, detail) once the n-th call of
+    `owner.name` (every call when n is None) gives ``then(original, *args)``."""
+    number = criterion.__name__.split("_")[1]
+    return pytest.param(criterion, owner, name, n, then, detail, id=f"{number}-{name}-{n}")
+
+
+# Every `return False` of criteria 1-8 and 10 but three, which the tests above
+# and test_uq_symbolic already require: criterion 4's doubling formula, and
+# criterion 8's Hopf check and rho oracle.  Criterion 9's are in TestClosure.
+FAILURE_BRANCHES = [
+    _branch(suite.criterion_1_ttp_table, "ttp", 1, _altered_result,
+            "table mismatch at lambda=0"),
+    _branch(suite.criterion_2_two_dim_algebra, "check_associative", 1, _altered_result,
+            "unexpectedly associative at (1, 1, 2)"),
+    _branch(suite.criterion_2_two_dim_algebra, "check_hom_twistor", 1, _altered_result,
+            "check_hom_twistor fails at (1, 1, 2)"),
+    _branch(suite.criterion_2_two_dim_algebra, "deform", 1, _altered_result,
+            "deformed table mismatch at (1, 1, 2)"),
+    _branch(suite.criterion_2_two_dim_algebra, "build", 1, _identity_twistor,
+            "deformed multiplication is commutative at (1, 1, 2)"),
+    _branch(suite.criterion_2_two_dim_algebra, "check_associative", 2, _altered_result,
+            "lambda2=0 case not associative at (1, 1)"),
+    _branch(suite.criterion_3_hom_twisting_families, "check_hom_twisting_map", 1, _altered_result,
+            "homtwist_R1 fails Hom-twisting at l1=1 sample 0"),
+    _branch(suite.criterion_3_hom_twisting_families, "check_twisting_map", None, _passing,
+            "no sampled R1 tuple fails the classical twisting axioms"),
+    _branch(suite.criterion_3_hom_twisting_families, "check_hom_twisting_map", 41, _altered_result,
+            "D-k2 family fails Hom-twisting at sample 0"),
+    _branch(suite.criterion_4_clifford, "check_hom_algebra", 1, _altered_result,
+            "Abar fails check_hom_algebra at q=1"),
+    _branch(suite.criterion_5_iterated, "iterated_ttp", 1, _altered_result,
+            "all-flip iterated product is not the plain triple tensor product"),
+    _branch(suite.criterion_6_smash_suite, "check_hom_algebra", 1, _altered_result,
+            "left smash algebra fails (identity)"),
+    _branch(suite.criterion_6_smash_suite, "check_comodule_hom_algebra", 1, _altered_result,
+            "rho multiplicativity fails (identity)"),
+    _branch(suite.criterion_6_smash_suite, "check_hom_algebra", 4, _altered_result,
+            "right smash algebra fails (twisted)"),
+    _branch(suite.criterion_6_smash_suite, "check_comodule_hom_algebra", 4, _altered_result,
+            "right-smash lambda multiplicativity fails (twisted)"),
+    _branch(suite.criterion_6_smash_suite, "check_smash_twist_compat", 1, _altered_result,
+            "left smash twist compatibility fails"),
+    _branch(suite.criterion_6_smash_suite, "check_smash_twist_compat", 2, _altered_result,
+            "right smash twist compatibility fails"),
+    _branch(suite.criterion_6_smash_suite, "check_comodule_hom_algebra", 5, _altered_result,
+            "lambda on the YD smash is not multiplicative"),
+    _branch(suite.criterion_6_smash_suite, "check_bicomodule", 1, _altered_result,
+            "bicomodule interchange fails on the YD smash"),
+    _branch(suite.criterion_7_alpha_pseudotwistor, "check_alpha_pseudotwistor", 1, _altered_result,
+            "yau_operator rejected on Example algebra, l2=0"),
+    _branch(suite.criterion_7_alpha_pseudotwistor, "deform_with_alpha", 2, _altered_result,
+            "A^T_alpha differs from A_alpha on k2 with swap"),
+    _branch(suite.criterion_7_alpha_pseudotwistor, "check_alpha_pseudotwistor", 3, _altered_result,
+            "flip-lift operator triple rejected"),
+    _branch(suite.criterion_7_alpha_pseudotwistor, "alphaAB_ttp", 1, _altered_result,
+            "flip lift does not equal the Yau twist of the tensor product"),
+    _branch(suite.criterion_7_alpha_pseudotwistor, "check_alpha_pseudotwistor", 4, _altered_result,
+            "Clifford alpha operator triple rejected"),
+    _branch(suite.criterion_7_alpha_pseudotwistor, "alphaAB_ttp", 2, _altered_result,
+            "Clifford alpha variant does not equal (Abar)_sigmabar"),
+    _branch(suite.criterion_8_quantum, "pbw_normalize", 1, _altered_result,
+            "K E relation broken at q=2"),
+    _branch(suite.criterion_8_quantum, "check_pbw_confluence", 2, _altered_result,
+            "PBW rewriting not confluent at q=3"),
+    _branch(suite.criterion_8_quantum, "check_uq_module_hom_algebra", 1, _altered_result,
+            "module Hom-algebra check fails at (2, 3, 5)"),
+    _branch(suite.criterion_8_quantum, "verify_smash_closed_forms", 2, _altered_result,
+            "closed smash formulas fail at (3, 2, 5)"),
+    _branch(suite.criterion_10_cli, "parse_manifest", 2, _altered_result,
+            "parse/serialize round-trip is not stable", owner=suite.manifest_mod),
+    _branch(suite.criterion_10_cli, "run", 1, _altered_result,
+            "golden manifest exited 1, expected 0", owner=suite.manifest_mod),
+    _branch(suite.criterion_10_cli, "parse_manifest", 3, _parsed,
+            "truncated manifest unexpectedly parsed", owner=suite.manifest_mod),
+    _branch(suite.criterion_10_cli, "parse_manifest", 3, _syntax_error_without_position,
+            "syntax error lacks line/column", owner=suite.manifest_mod),
+    _branch(suite.criterion_10_cli, "run", 2, _altered_result,
+            "expected-pass-but-failing task exited 2, expected 1", owner=suite.manifest_mod),
+]
+
+
+@pytest.mark.parametrize("criterion, owner, name, n, then, detail", FAILURE_BRANCHES)
+def test_each_failure_branch_is_reached(criterion, owner, name, n, then, detail, monkeypatch):
+    original, calls = getattr(owner, name), []
+
+    def patched(*args):
+        calls.append(args)
+        return then(original, *args) if n in (None, len(calls)) else original(*args)
+
+    monkeypatch.setattr(owner, name, patched)
+    assert criterion([]) == (False, detail)
 
 
 @pytest.mark.parametrize("cid", [cid for cid, _ in CRITERIA if cid != "9-oracle-closure"])

@@ -39,6 +39,7 @@ from uq_instances import (
     box_planes,
     closed_form_instances,
     loop_check_uq_module_hom_algebra,
+    recorded,
     smash_product_left,
 )
 
@@ -211,6 +212,9 @@ class TestSymbolicScans:
     @pytest.mark.parametrize("tup", SCANNED_TUPLES)
     @pytest.mark.parametrize("l", [0, 1, 2])
     def test_the_criterion_cases_pass_in_24_instances(self, tup, l, monkeypatch):
+        # the level is formal: every level records the scan of level 0, sides included
+        check = check_uq_module_hom_algebra
+        assert recorded(check, UqParams(*tup, l)) == recorded(check, UqParams(*tup, 0))
         seen = []
         eq = Scan.eq
 
@@ -315,6 +319,8 @@ class TestRhoGeneratorFormulas:
     @pytest.mark.parametrize("tup", SCANNED_TUPLES)
     @pytest.mark.parametrize("l", [0, 1, 2])
     def test_the_criterion_cases_pass_in_4_equations(self, tup, l, monkeypatch):
+        check = check_rho_generator_formulas
+        assert recorded(check, UqParams(*tup, l)) == recorded(check, UqParams(*tup, 0))
         seen = []
         eq = Scan.eq
 
