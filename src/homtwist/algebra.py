@@ -166,8 +166,6 @@ def check_lemma_four_elements(algebra):
 
 def yau_twist_algebra(algebra, alpha):
     """Twist a plain associative algebra: new multiplication alpha o mul."""
-    if alpha.shape != (algebra.dim, algebra.dim):
-        raise DimensionMismatch("alpha shape does not match the algebra")
     if not algebra.is_classical():
         raise PreconditionFailure("yau twist input must have identity structure map")
     multiplicativity_scan(algebra, alpha).require("alpha is not multiplicative", NotMultiplicative)

@@ -154,7 +154,10 @@ def q_int(n, q):
 
 
 class _TermMap:
-    """Finite scalar combination keyed by hashable monomials; zero-free."""
+    """Finite scalar combination keyed by hashable monomials; zero-free.
+
+    `monomial` and `outer` are the named constructors; every subclass shares them.
+    """
 
     __slots__ = ("terms",)
 
@@ -234,17 +237,9 @@ def _scan_eq(scan, equation, basis, lhs, rhs):
 class UqElement(_TermMap):
     """Combination of PBW monomials (a, b, c) meaning F^a E^b K^c."""
 
-    @classmethod
-    def unit(cls):
-        return cls.monomial(UNIT)
-
 
 class QPlaneElement(_TermMap):
     """Combination of quantum-plane monomials (m, n) meaning x^m y^n."""
-
-    @classmethod
-    def unit(cls):
-        return cls.monomial((0, 0))
 
 
 class UqTensor(_TermMap):
@@ -419,7 +414,7 @@ def check_hopf_on_relations(q, lam):
         return uq_alpha(UqElement.monomial(mon), 1, lam)
 
     def alpha_word(word):
-        out = UqElement.unit()
+        out = UqElement.monomial(UNIT)
         for g in word:
             out = uq_mul(out, alpha(GEN_MONOMIAL[g]), q)
         return out
@@ -591,10 +586,6 @@ def check_uq_module_hom_algebra(params):
 
 class SmashTerm(_TermMap):
     """Bilinear combination of plane-monomial # PBW-monomial pairs."""
-
-    @classmethod
-    def smash(cls, plane, uq):
-        return cls.outer(plane, uq)
 
 
 def smash_mul_uq(t1, t2, params):

@@ -22,16 +22,12 @@ from homtwist.exact import (
 )
 from homtwist.gallery import GalleryKey, build, k2_algebra, swap_matrix
 from homtwist.twisted import flip, ttp
+from inputs import zero_algebra
 from linear_maps import lmap
 
 
 def example_2dim(a=1, l1=1, l2=2):
     return build(GalleryKey("homalg_2dim", {"a": a, "l1": l1, "l2": l2}))["D"]
-
-
-def zero_algebra(dim):
-    """Zero multiplication, identity structure map."""
-    return hom_algebra(dim, [[[0] * dim for _ in range(dim)] for _ in range(dim)])
 
 
 def basis_vec(n, i):

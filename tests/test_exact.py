@@ -156,17 +156,6 @@ class TestKron:
         # (a (x) b) o (c (x) d) = (a o c) (x) (b o d)
         assert composite(kron(c, d), kron(a, b)) == kron(composite(c, a), composite(d, b))
 
-    @given(
-        st.lists(st.integers(-3, 3), min_size=6, max_size=6),
-        st.lists(st.integers(-3, 3), min_size=6, max_size=6),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_is_the_composite_on_two_factors(self, xs, ys):
-        a = lmap([xs[:3], xs[3:]])  # 3 -> 2
-        b = lmap([ys[:2], ys[2:4], ys[4:]])  # 2 -> 3
-        path = [(a, 0), (b, 1)]
-        assert kron(a, b) == compose(path, (3, 2)).reshaped((6,), (6,))
-
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_the_kronecker_index_loop(self, data):

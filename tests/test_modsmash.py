@@ -1,6 +1,6 @@
 import pytest
 
-from homtwist.algebra import check_hom_algebra, hom_algebra, tensor_algebra
+from homtwist.algebra import check_hom_algebra, tensor_algebra
 from homtwist.errors import DimensionMismatch, IntertwiningFailure, PreconditionFailure
 from homtwist.exact import LinearMap, ONE, Q, ZERO
 from homtwist.gallery import (
@@ -33,19 +33,8 @@ from homtwist.modsmash import (
     tensor_modules,
     yau_twist_module_algebra,
 )
+from inputs import regular_action, regular_coaction, zero_algebra
 from linear_maps import lmap
-
-
-def zero_algebra(dim):
-    """Zero multiplication, identity structure map."""
-    return hom_algebra(dim, [[[0] * dim for _ in range(dim)] for _ in range(dim)])
-
-
-def regular_action(bialgebra):
-    """H acting on itself by its own multiplication."""
-    h = bialgebra.algebra
-    table = tuple(tuple(tuple(h.mul[i][j]) for j in range(h.dim)) for i in range(h.dim))
-    return action_table(LEFT, h.dim, h.dim, table, h.alpha)
 
 
 def zero_action(bialgebra, module_dim, alpha_m=None, side=LEFT):
@@ -54,15 +43,6 @@ def zero_action(bialgebra, module_dim, alpha_m=None, side=LEFT):
     )
     alpha_m = alpha_m or LinearMap.identity(module_dim)
     return action_table(side, bialgebra.dim, module_dim, table, alpha_m)
-
-
-def regular_coaction(bialgebra, side):
-    c = bialgebra.coalgebra
-    if side == LEFT:
-        table = tuple(tuple(tuple(row) for row in plane) for plane in c.comul)
-    else:
-        table = tuple(tuple(tuple(row) for row in plane) for plane in c.comul)
-    return coaction_table(side, c.dim, c.dim, table, c.alpha)
 
 
 def zero_coaction(bialgebra, module_dim, side):

@@ -85,6 +85,7 @@ from homtwist.uqsl2 import (
     rho_generator_formula,
     uq_alpha,
 )
+from inputs import lambda_bundle
 from linear_maps import lmap
 
 
@@ -149,13 +150,9 @@ def _perturbed_h4():
     return HomBialgebra(h4.algebra, hom_coalgebra(4, comul))
 
 
-def _lambda_bundle():
-    return build(GalleryKey("ttp_k2_lambda", {"lam": 2}))
-
-
 def _cases():
     k2, f = k2_algebra(), flip(2, 2)
-    lb = _lambda_bundle()
+    lb = lambda_bundle()
     h4, a, c = sweedler_h4(), dual_numbers(), dual_numbers()
     ident2, ident3 = Operator2.identity(2), Operator3.identity(2)
     id2 = LinearMap.identity(2)

@@ -21,7 +21,7 @@ import pytest
 
 from homtwist.exact import Q
 from homtwist.uqsl2 import UqParams
-from uq_instances import CLOSED_FORM_ROW, closed_form_instances
+from uq_instances import CLOSED_FORM_ROW, _terms, closed_form_instances
 
 PIN = pathlib.Path(__file__).with_name("smash_closed_pin.json")
 
@@ -37,10 +37,6 @@ def _doubled_on_odd_r_plus_s(equation, basis, lhs):
     if equation in (CLOSED_FORM_ROW + "E", CLOSED_FORM_ROW + "F") and (r + s) % 2:
         return lhs.scale(2)
     return lhs
-
-
-def _terms(terms):
-    return [f"{key}: {value}" for key, value in terms]
 
 
 def outcome(name):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homtwist.algebra import (
     check_associative,
@@ -39,17 +40,8 @@ from homtwist.twisted import (
     twistor_from_R,
 )
 from homtwist.twistor import check_alpha_pseudotwistor, check_hom_twistor, check_twistor, deform
+from inputs import SMALL_NONZERO, lambda_bundle, q_commuting, q_commuting_triples, r1_bundle
 from linear_maps import composite, flat, lmap
-
-
-def lambda_bundle(lam=2):
-    return build(GalleryKey("ttp_k2_lambda", {"lam": lam}))
-
-
-def r1_bundle(**params):
-    merged = {"a": 1, "l1": 1, "a1": 1, "a2": 0, "a3": 0, "a4": 0, "a5": 0}
-    merged.update(params)
-    return build(GalleryKey("homtwist_R1", merged))
 
 
 class TestFlip:
@@ -167,6 +159,37 @@ class TestHomTtp:
         ten = tensor_algebra(b["A"], b["B"])
         assert check_hom_twistor(ten, t).passed
         assert deform(ten, t).mul == hom_ttp(b["A"], b["B"], b["R"]).mul
+
+
+class TestQCommutingTwistingMaps:
+    """R(y^j (x) x^i) = q^{ij} x^i (x) y^j between Yau-twisted truncated polynomial algebras."""
+
+    @given(q_commuting_triples())
+    @settings(max_examples=40, deadline=None)
+    def test_is_a_hom_twisting_map_with_a_hom_associative_product(self, triple):
+        a, b, r = triple
+        assert check_hom_twisting_map(a, b, r).passed
+        assert check_hom_algebra(hom_ttp(a, b, r)).passed
+
+    # with n = m = 2, or at q = -1/2, the raised map is the member at q + 1
+    @given(q_commuting_triples(
+        dims=st.sampled_from([(2, 3), (3, 2), (3, 3)]),
+        qs=SMALL_NONZERO.filter(lambda q: q != Q(-1, 2)),
+        raised=1,
+    ))
+    @settings(max_examples=40, deadline=None)
+    def test_a_raised_coefficient_of_x_y_in_r_of_y_x_fails(self, triple):
+        assert not check_hom_twisting_map(*triple).passed
+
+    def test_pinned_instance_and_its_near_miss(self):
+        params = (3, 2, Q(2), Q(1, 3), Q(5, 7))
+        a, b, r = q_commuting(*params)
+        assert check_hom_twisting_map(a, b, r).passed
+        assert check_hom_algebra(hom_ttp(a, b, r)).passed
+        report = check_hom_twisting_map(*q_commuting(*params, raised=1))
+        assert not report.passed
+        first = report.failures[0]
+        assert (first.equation, first.basis) == ("hom_twisting_map_1", (1, 1, 1))
 
 
 class TestBraid:

@@ -1,15 +1,9 @@
 import pytest
 
-from homtwist.algebra import (
-    check_hom_algebra,
-    hom_algebra,
-    tensor_algebra,
-    yau_twist_algebra,
-)
+from homtwist.algebra import check_hom_algebra, hom_algebra, yau_twist_algebra
 from homtwist.errors import DimensionMismatch, NotMultiplicative, PreconditionFailure
 from homtwist.exact import LinearMap, Q, ZERO, kron
-from homtwist.gallery import GalleryKey, build, k2_algebra, swap_matrix
-from homtwist.twisted import twistor_from_R
+from homtwist.gallery import k2_algebra, swap_matrix
 from homtwist.twistor import (
     Operator2,
     Operator3,
@@ -24,24 +18,8 @@ from homtwist.twistor import (
     lift_13,
     yau_operator,
 )
+from inputs import lambda_twistor, swap_operator2, twistor_bundle
 from linear_maps import composite, flat, lmap
-
-
-def example_bundle(a=1, l1=1, l2=2):
-    return build(GalleryKey("homtwistor_2dim", {"a": a, "l1": l1, "l2": l2}))
-
-
-def lambda_twistor(lam=2):
-    b = build(GalleryKey("ttp_k2_lambda", {"lam": lam}))
-    return tensor_algebra(b["A"], b["B"]), twistor_from_R(b["A"], b["B"], b["R"])
-
-
-def swap_operator2():
-    rows = [[ZERO] * 4 for _ in range(4)]
-    for i in range(2):
-        for j in range(2):
-            rows[j * 2 + i][i * 2 + j] = Q(1)
-    return Operator2(2, lmap(rows))
 
 
 class TestLift13:
@@ -107,21 +85,21 @@ class TestTwistor:
 
 class TestHomTwistor:
     def test_paper_twistor(self):
-        b = example_bundle()
+        b = twistor_bundle()
         assert check_hom_twistor(b["D"], b["T"]).passed
 
     def test_identity(self):
-        b = example_bundle()
+        b = twistor_bundle()
         assert check_hom_twistor(b["D"], Operator2.identity(2)).passed
 
     def test_perturbed_entry_fails(self):
-        b = example_bundle()
+        b = twistor_bundle()
         rows = [list(r) for r in b["T"].map.matrix().data]
         rows[1][1] = rows[1][1] + 1
         assert not check_hom_twistor(b["D"], Operator2(2, lmap(rows))).passed
 
     def test_companions_variant(self):
-        b = example_bundle()
+        b = twistor_bundle()
         lifted = lift_13(b["T"])
         assert check_hom_pseudotwistor(b["D"], b["T"], lifted, lifted).passed
         assert not check_hom_pseudotwistor(
@@ -131,23 +109,23 @@ class TestHomTwistor:
 
 class TestDeform:
     def test_paper_table(self):
-        b = example_bundle()
+        b = twistor_bundle()
         deformed = deform(b["D"], b["T"])
         assert deformed.mul == b["expected_mul"]
         assert check_hom_algebra(deformed).passed
 
     def test_row_from_paper(self):
-        b = example_bundle(a=1, l1=1, l2=2)
+        b = twistor_bundle(a=1, l1=1, l2=2)
         deformed = deform(b["D"], b["T"])
         # mu_T(e2, e1) = l1 a e1 + l2 a e2
         assert list(deformed.mul[1][0]) == [Q(1), Q(2)]
 
     def test_identity_leaves_unchanged(self):
-        b = example_bundle()
+        b = twistor_bundle()
         assert deform(b["D"], Operator2.identity(2)).mul == b["D"].mul
 
     def test_not_commutative(self):
-        b = example_bundle()
+        b = twistor_bundle()
         deformed = deform(b["D"], b["T"])
         assert deformed.mul[0][1] != deformed.mul[1][0]
 
@@ -225,7 +203,7 @@ class TestYauOperator:
         # deform-with-(alpha (x) alpha) equals alpha o mu entry-wise on presets
         for algebra, alpha in (
             (k2_algebra(), swap_matrix()),
-            (hom_algebra(2, example_bundle(l2=0)["D"].mul), example_bundle(l2=0)["D"].alpha),
+            (hom_algebra(2, twistor_bundle(l2=0)["D"].mul), twistor_bundle(l2=0)["D"].alpha),
         ):
             t, _, _ = yau_operator(alpha)
             assert deform_with_alpha(algebra, alpha, t) == yau_twist_algebra(algebra, alpha)

@@ -36,6 +36,7 @@ from uq_instances import (
     loop_check_uq_module_hom_algebra,
     module_instances,
     plane_monomials,
+    _terms,
 )
 
 PIN = pathlib.Path(__file__).with_name("uq_module_pin.json")
@@ -61,10 +62,6 @@ def _perturbed(original):
         return out
 
     return rho_l
-
-
-def _terms(terms):
-    return [f"{key}: {value}" for key, value in terms]
 
 
 def outcome(name, monkeypatch):

@@ -122,11 +122,11 @@ class TestPbwNormalize:
         assert pbw_normalize([E, F], q) == expected
 
     def test_k_cancellation(self):
-        assert pbw_normalize([K, KINV], Q(2)) == UqElement.unit()
-        assert pbw_normalize([KINV, K], Q(2)) == UqElement.unit()
+        assert pbw_normalize([K, KINV], Q(2)) == UqElement.monomial(UNIT)
+        assert pbw_normalize([KINV, K], Q(2)) == UqElement.monomial(UNIT)
 
     def test_empty_word(self):
-        assert pbw_normalize([], Q(2)) == UqElement.unit()
+        assert pbw_normalize([], Q(2)) == UqElement.monomial(UNIT)
 
     def test_normal_word_is_fixed(self):
         assert pbw_normalize([F, F, E, K], Q(2)) == mono((2, 1, 1))
@@ -284,8 +284,8 @@ class TestPbwConfluence:
 class TestUqMul:
     def test_unit(self):
         u = mono((1, 2, -1), Q(3, 7))
-        assert uq_mul(UqElement.unit(), u, Q(2)) == u
-        assert uq_mul(u, UqElement.unit(), Q(2)) == u
+        assert uq_mul(UqElement.monomial(UNIT), u, Q(2)) == u
+        assert uq_mul(u, UqElement.monomial(UNIT), Q(2)) == u
 
     def test_ef_commutator(self):
         q = Q(2)
@@ -331,7 +331,7 @@ class TestUqAlpha:
 
 class TestCoproduct:
     def test_unit(self):
-        cp = uq_coproduct(UqElement.unit(), Q(2))
+        cp = uq_coproduct(UqElement.monomial(UNIT), Q(2))
         assert cp.terms == {(UNIT, UNIT): ONE}
 
     def test_kinv_grouplike(self):
@@ -487,7 +487,7 @@ class TestQuantumPlane:
 
     def test_unit(self):
         p = QPlaneElement({(2, 3): Q(7)})
-        assert qp_mul(QPlaneElement.unit(), p, Q(2)) == p
+        assert qp_mul(QPlaneElement.monomial((0, 0)), p, Q(2)) == p
 
     def test_xy_squared(self):
         q = Q(5)
@@ -513,7 +513,7 @@ class TestRhoL:
 
     def test_unit_acts_as_beta(self):
         p = QPlaneElement({(2, 1): Q(1), (0, 3): Q(-2)})
-        assert rho_l(UqElement.unit(), p, PARAMS) == qp_beta(p, 1, PARAMS)
+        assert rho_l(UqElement.monomial(UNIT), p, PARAMS) == qp_beta(p, 1, PARAMS)
 
     def test_k_on_xy(self):
         # rho_0(K, xy) = (q xi x)(q^-1 xi lam^-1 y) = xi^2 lam^-1 xy
@@ -601,7 +601,7 @@ class TestSmashMul:
         )
         bp = qp_beta(QPlaneElement.monomial(p), 1, PARAMS)
         ah = uq_alpha(mono(h), 1, PARAMS.lam)
-        assert got == SmashTerm.smash(bp, ah)
+        assert got == SmashTerm.outer(bp, ah)
 
     def test_e_times_k(self):
         # (1 # E)(1 # K) = lam (1 # EK)
@@ -763,7 +763,7 @@ def loop_coproduct_alpha(u, params):
 
 
 def loop_smash(plane, uq):
-    """SmashTerm.smash."""
+    """SmashTerm.outer."""
     out = SmashTerm({})
     for mn, c1 in plane.terms.items():
         for mon, c2 in uq.terms.items():
@@ -901,8 +901,8 @@ _MAPS = {
     "qp_beta": (lambda a, p: qp_beta(a, p.l - 1, p), lambda a, p: loop_qp_beta(a, p.l - 1, p), _QP),
     "mu_alpha": (mu_alpha, loop_mu_alpha, _UQ, _UQ),
     "coproduct_alpha": (coproduct_alpha, loop_coproduct_alpha, _UQ),
-    "SmashTerm.smash": (
-        lambda a, u, p: SmashTerm.smash(a, u), lambda a, u, p: loop_smash(a, u), _QP, _UQ
+    "SmashTerm.outer": (
+        lambda a, u, p: SmashTerm.outer(a, u), lambda a, u, p: loop_smash(a, u), _QP, _UQ
     ),
 }
 

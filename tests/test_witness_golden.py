@@ -18,7 +18,7 @@ import pathlib
 
 import pytest
 
-from homtwist.algebra import HomAlgebra, hom_algebra, tensor_algebra
+from homtwist.algebra import HomAlgebra, hom_algebra
 from homtwist.coalgebra import (
     HomBialgebra,
     HomCoalgebra,
@@ -98,6 +98,15 @@ from homtwist.twistor import (
     lift_13,
     yau_operator,
 )
+from inputs import (
+    lambda_bundle,
+    lambda_twistor,
+    r1_bundle,
+    regular_action,
+    regular_coaction,
+    swap_operator2,
+    twistor_bundle,
+)
 from linear_maps import lmap
 
 FIXTURE = pathlib.Path(__file__).with_name("witness_golden.json")
@@ -123,39 +132,6 @@ def _edit_table(table, edits):
     for (i, j, k), value in edits.items():
         out[i][j][k] = value
     return out
-
-
-def lambda_bundle(lam=2):
-    return build(GalleryKey("ttp_k2_lambda", {"lam": lam}))
-
-
-def r1_bundle():
-    return build(
-        GalleryKey("homtwist_R1", {"a": 1, "l1": 1, "a1": 1, "a2": 0, "a3": 0, "a4": 0, "a5": 0})
-    )
-
-
-def twistor_bundle():
-    return build(GalleryKey("homtwistor_2dim", {"a": 1, "l1": 1, "l2": 2}))
-
-
-def lambda_twistor(lam=2):
-    b = lambda_bundle(lam)
-    return tensor_algebra(b["A"], b["B"]), twistor_from_R(b["A"], b["B"], b["R"])
-
-
-def swap_operator2():
-    return Operator2(2, flip(2, 2).map)
-
-
-def regular_action(bialgebra):
-    h = bialgebra.algebra
-    return action_table(LEFT, h.dim, h.dim, h.mul, h.alpha)
-
-
-def regular_coaction(bialgebra, side):
-    c = bialgebra.coalgebra
-    return coaction_table(side, c.dim, c.dim, c.comul, c.alpha)
 
 
 def h4_bad_g_action():

@@ -18,7 +18,7 @@ distinct rho_l image once per call, and its equations are unchanged.
 `smash_product_left` puts the
 int-exponent `smash_mul_uq` on the left of each closed form.  Both read
 `uqsl2.rho_l` and `uqsl2.smash_mul_uq` at call time, so a patched one reaches
-them.
+them.  `_terms` prints a failure's terms as both pins store them.
 """
 
 import dataclasses
@@ -53,6 +53,11 @@ RIGHT_FACTOR = {"1": UNIT, "E": MON_E, "F": MON_F, "K": MON_K, "Kinv": MON_KINV,
 def plane_monomials(bound):
     """The plane monomials (m, n) of degree <= bound, by degree and then m."""
     return [(m, total - m) for total in range(bound + 1) for m in range(total + 1)]
+
+
+def _terms(terms):
+    """A failure's (key, value) terms as the pins store them: one "key: value" string each."""
+    return [f"{key}: {value}" for key, value in terms]
 
 
 def recorded(check, params):
